@@ -10,12 +10,17 @@ with bracket fallback.
 
 ``norm_cdf`` and ``norm_quantile`` accept numpy arrays as well as scalars
 (the simulation harness draws normal deviates through the inverse CDF in
-bulk).  The chi-square / t / noncentral-t functions are scalar.
+bulk).  ``nct_cdf`` does too: array inputs run an array kernel of the same
+series, start index, stopping rules and iteration caps, with every
+transcendental function taken elementwise from ``math``, so each entry equals
+the scalar result; scalar inputs keep the plain-float kernel, which is far
+cheaper per call.  The chi-square and t functions are scalar.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -39,6 +44,10 @@ _MAX_NEWTON = 200
 _MAX_LENTZ = 500
 _MAX_SERIES = 100000
 _TINY = 1e-300
+# below the smallest normal double the noncentral-t series is dropped: its
+# terms are under 1e-154 there, and the downward recursion, which divides by
+# the beta argument, would overflow
+_MIN_NORMAL = sys.float_info.min
 
 
 class ConvergenceError(RuntimeError):
@@ -449,10 +458,11 @@ def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
     large noncentrality parameters stay cheap and stable.
     """
     base = norm_cdf(-delta)
-    if t == 0.0:
-        return base
     tt = t * t
     y = tt / (tt + df)
+    if y < _MIN_NORMAL:
+        # t == 0, or t * t underflows against df: only the normal mass is left
+        return base
     ln_y = math.log(y)
     ln_1my = math.log1p(-y)
     lam = 0.5 * delta * delta
@@ -525,12 +535,16 @@ def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
     return min(1.0, max(0.0, base + 0.5 * total))
 
 
-def nct_cdf(x: float, df: float, ncp: float) -> float:
+def nct_cdf(x, df, ncp):
     """Noncentral t CDF with noncentrality ``ncp``.
 
     Matches ``t_cdf`` exactly at ncp = 0 and is evaluated to ~1e-12 absolute
-    accuracy (target 1e-8) against direct numerical integration.
+    accuracy (target 1e-8) against direct numerical integration.  If any
+    argument is an array, the three broadcast together and an array of the
+    same values the scalar calls would give comes back.
     """
+    if np.ndim(x) or np.ndim(df) or np.ndim(ncp):
+        return _nct_cdf_array(x, df, ncp)
     x = _require_finite("x", x)
     df = _require_df(df)
     ncp = _require_finite("ncp", ncp)
@@ -539,3 +553,175 @@ def nct_cdf(x: float, df: float, ncp: float) -> float:
     if x >= 0.0:
         return _nct_cdf_nonneg(x, df, ncp)
     return min(1.0, max(0.0, 1.0 - _nct_cdf_nonneg(-x, df, -ncp)))
+
+
+# ---------------------------------------------------------------------------
+# Array kernel of the noncentral t CDF
+# ---------------------------------------------------------------------------
+#
+# Each function below is its scalar namesake run over 1-D arrays: the same
+# operations in the same order (``np.fmin``/``np.fmax`` pass over NaN as the
+# builtin ``min``/``max`` do), with every entry leaving an iteration on the
+# scalar test and an iteration cap still raising.  Entries that have stopped
+# are dropped from the working arrays, so a pass only computes the ones left.
+
+def _elementwise(fn):
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda x: ufunc(x).astype(float)
+
+
+# ``math`` functions entry by entry: numpy has no lgamma, and its exp and log
+# may round differently from ``math`` in the last bit
+_exp, _log, _log1p, _lgamma = map(_elementwise, (math.exp, math.log, math.log1p, math.lgamma))
+
+
+def _floor_tiny(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) < _TINY, _TINY, v)
+
+
+def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    d = 1.0 / _floor_tiny(1.0 - qab * x / qap)
+    state = (np.arange(x.size), a, b, x, qab, qap, qam, np.ones_like(x), d, d)
+    for m in range(1, _MAX_LENTZ + 1):
+        i, a, b, x, qab, qap, qam, c, d, h = state
+        if not i.size:
+            return out
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / _floor_tiny(1.0 + aa * d)
+        c = _floor_tiny(1.0 + aa / c)
+        h = h * (d * c)
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / _floor_tiny(1.0 + aa * d)
+        c = _floor_tiny(1.0 + aa / c)
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        out[i[done]] = h[done]
+        state = tuple(v[~done] for v in (i, a, b, x, qab, qap, qam, c, d, h))
+    if state[0].size:
+        raise ConvergenceError("incomplete beta continued fraction hit the iteration cap")
+    return out
+
+
+def _betainc_array(a, b, x) -> np.ndarray:
+    a, b, x = np.broadcast_arrays(a, b, x)
+    out = np.where(x <= 0.0, 0.0, 1.0)
+    inner = (x > 0.0) & (x < 1.0)
+    a, b, x = a[inner], b[inner], x[inner]
+    bt = _exp(_lgamma(a + b) - _lgamma(a) - _lgamma(b) + a * _log(x) + b * _log1p(-x))
+    res = np.empty_like(x)
+    lo = x < (a + 1.0) / (a + b + 2.0)
+    up = ~lo
+    res[lo] = bt[lo] * _betacf_array(a[lo], b[lo], x[lo]) / a[lo]
+    res[up] = 1.0 - bt[up] * _betacf_array(b[up], a[up], 1.0 - x[up]) / b[up]
+    out[inner] = res
+    return out
+
+
+def _t_cdf_array(x: np.ndarray, df: np.ndarray) -> np.ndarray:
+    xx = x * x
+    tail = xx > df
+    core = ~tail
+    w = np.empty_like(x)
+    w[tail] = _betainc_array(0.5 * df[tail], 0.5, df[tail] / (df[tail] + xx[tail]))
+    w[core] = _betainc_array(0.5, 0.5 * df[core], xx[core] / (df[core] + xx[core]))
+    pos = x > 0.0
+    return np.where(tail, np.where(pos, 1.0 - 0.5 * w, 0.5 * w),
+                    np.where(pos, 0.5 + 0.5 * w, 0.5 - 0.5 * w))
+
+
+def _beta_term_array(a, b, ln_y, ln_1my) -> np.ndarray:
+    return _exp(a * ln_y + b * ln_1my - _log(a)
+                + _lgamma(a + b) - _lgamma(a) - _lgamma(b))
+
+
+def _nct_cdf_nonneg_array(t: np.ndarray, df: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    out = norm_cdf(-delta)
+    tt = t * t
+    y = tt / (tt + df)
+    lam = 0.5 * delta * delta
+    series = y >= _MIN_NORMAL
+    central = series & (lam == 0.0)
+    out[central] = _t_cdf_array(t[central], df[central])
+    s = series & (lam > 0.0)
+    if not s.any():
+        return out
+    y, df, delta, lam, base = y[s], df[s], delta[s], lam[s], out[s]
+    ln_y = _log(y)
+    ln_1my = _log1p(-y)
+    half_df = 0.5 * df
+    m = np.floor(lam)
+    ln_lam = _log(lam)
+    p_m = _exp(-lam + m * ln_lam - _lgamma(m + 1.0))
+    q_m = _exp(-lam + m * ln_lam - _lgamma(m + 1.5)) * delta / math.sqrt(2.0)
+    ip_m = _betainc_array(m + 0.5, half_df, y)
+    tp_m = _beta_term_array(m + 0.5, half_df, ln_y, ln_1my)
+    iq_m = _betainc_array(m + 1.0, half_df, y)
+    tq_m = _beta_term_array(m + 1.0, half_df, ln_y, ln_1my)
+    total = p_m * ip_m + q_m * iq_m
+    start = (np.arange(total.size), p_m, q_m, ip_m, tp_m, iq_m, tq_m, m, y, half_df, lam)
+
+    # upward sweep
+    state = start
+    for steps in range(1, _MAX_SERIES + 2):
+        i, p_j, q_j, ip, tp, iq, tq, j, y, half_df, lam = state
+        a_p = j + 0.5
+        a_q = j + 1.0
+        ip = np.fmax(0.0, ip - tp)
+        iq = np.fmax(0.0, iq - tq)
+        tp = tp * (y * (a_p + half_df) / (a_p + 1.0))
+        tq = tq * (y * (a_q + half_df) / (a_q + 1.0))
+        p_j = p_j * (lam / (j + 1.0))
+        q_j = q_j * (lam / (j + 1.5))
+        j = j + 1.0
+        total[i] += p_j * ip + q_j * iq
+        go = ~(((p_j < 1e-18) & (np.abs(q_j) < 1e-18)) | (ip + np.abs(iq) == 0.0))
+        if not go.any():
+            break
+        if steps > _MAX_SERIES:
+            raise ConvergenceError("noncentral t series (upward) hit the iteration cap")
+        state = tuple(v[go] for v in (i, p_j, q_j, ip, tp, iq, tq, j, y, half_df, lam))
+
+    # downward sweep
+    state = tuple(v[m > 0] for v in start)
+    while state[0].size:
+        i, p_j, q_j, ip, tp, iq, tq, j, y, half_df, lam = state
+        a_p = j + 0.5
+        a_q = j + 1.0
+        tp = tp * (a_p / (y * (a_p - 1.0 + half_df)))
+        tq = tq * (a_q / (y * (a_q - 1.0 + half_df)))
+        ip = np.fmin(1.0, ip + tp)
+        iq = np.fmin(1.0, iq + tq)
+        p_j = p_j * (j / lam)
+        q_j = q_j * ((j + 0.5) / lam)
+        j = j - 1.0
+        total[i] += p_j * ip + q_j * iq
+        go = (j > 0.0) & ~((p_j < 1e-18) & (np.abs(q_j) < 1e-18))
+        state = tuple(v[go] for v in (i, p_j, q_j, ip, tp, iq, tq, j, y, half_df, lam))
+
+    out[s] = np.fmin(1.0, np.fmax(0.0, base + 0.5 * total))
+    return out
+
+
+def _nct_cdf_array(x, df, ncp) -> np.ndarray:
+    x, df, ncp = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, df, ncp)))
+    if not (np.isfinite(x).all() and np.isfinite(ncp).all()):
+        raise ValueError("x and ncp must be finite")
+    if not (np.isfinite(df) & (df > 0.0)).all():
+        raise ValueError("degrees of freedom must be positive and finite")
+    shape = x.shape
+    x, df, ncp = (v.ravel() for v in (x, df, ncp))
+    out = np.empty(x.size)
+    central = ncp == 0.0
+    out[central] = _t_cdf_array(x[central], df[central])
+    up = ~central & (x >= 0.0)
+    out[up] = _nct_cdf_nonneg_array(x[up], df[up], ncp[up])
+    down = ~central & (x < 0.0)
+    low = _nct_cdf_nonneg_array(-x[down], df[down], -ncp[down])
+    out[down] = np.fmin(1.0, np.fmax(0.0, 1.0 - low))
+    return out.reshape(shape)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import nct_cdf, norm_quantile, t_quantile
+import numpy as np
+
+from .distributions import ConvergenceError, nct_cdf, norm_quantile, t_quantile
 
 __all__ = [
     "ONE_SAMPLE",
@@ -135,6 +137,9 @@ def power_at(n: float, effect: EffectSpec, design: TestDesign = TestDesign()) ->
     return (1.0 - nct_cdf(tcrit, df, ncp)) + nct_cdf(-tcrit, df, ncp)
 
 
+_TOO_LARGE = "required size exceeds 1e9; effect is effectively zero"
+
+
 def _require_nonzero_effect(effect: EffectSpec) -> None:
     if effect.effect_size == 0.0:
         raise ValueError("effect of 0 means an infinite study; no sample size exists")
@@ -154,6 +159,8 @@ def required_n(effect: EffectSpec, design: TestDesign, power: float,
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     d = effect.effect_size
     n_z = design.groups * _zsum(design.alpha, power) ** 2 / d ** 2
+    if n_z > 1e9:
+        raise ValueError(_TOO_LARGE)
     if mode == Z_APPROX:
         return max(2.0, n_z)
     f_lo = power_at(2.0, effect, design)
@@ -166,7 +173,7 @@ def required_n(effect: EffectSpec, design: TestDesign, power: float,
         hi *= 2.0
         f_hi = power_at(hi, effect, design)
         if hi > 1e9:
-            raise ValueError("required size exceeds 1e9; effect is effectively zero")
+            raise ValueError(_TOO_LARGE)
     return _solve_increasing(lambda n: power_at(n, effect, design),
                              power, lo, hi, f_lo, f_hi, 1e-10)
 
@@ -212,12 +219,49 @@ def _solve_increasing(f, target: float, lo: float, hi: float,
             side = -1
         if hi - lo <= xtol * max(abs(hi), 1.0):
             return hi
-    return hi
+    raise ConvergenceError("root solve hit the 200-iteration cap")
 
 
-def effect_for_n(n: float, design: TestDesign, power: float,
-                 mode: str = Z_APPROX) -> float:
-    """Effect size at which a study of per-group size n has exactly ``power``."""
+def _solve_increasing_batch(f, target: float, lo: np.ndarray, hi: np.ndarray,
+                            f_lo: np.ndarray, f_hi: np.ndarray, xtol: float) -> np.ndarray:
+    """:func:`_solve_increasing` for every entry at once, in lockstep.
+
+    ``f(x, k)`` evaluates entries ``k`` at ``x``; each pass evaluates only the
+    entries whose brackets have not yet collapsed.
+    """
+    root = np.empty_like(lo)
+    k = np.arange(lo.size)
+    f_lo = f_lo - target
+    f_hi = f_hi - target
+    side = np.zeros(lo.size)
+    for _ in range(200):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        fx = f(x, k) - target
+        up = fx >= 0.0
+        f_lo = np.where(up & (side == 1.0), f_lo * 0.5, f_lo)
+        f_hi = np.where(~up & (side == -1.0), f_hi * 0.5, f_hi)
+        hi, f_hi = np.where(up, x, hi), np.where(up, fx, f_hi)
+        lo, f_lo = np.where(up, lo, x), np.where(up, f_lo, fx)
+        side = np.where(up, 1.0, -1.0)
+        done = hi - lo <= xtol * np.maximum(np.abs(hi), 1.0)
+        root[k[done]] = hi[done]
+        if done.all():
+            return root
+        k, lo, hi, f_lo, f_hi, side = (v[~done] for v in (k, lo, hi, f_lo, f_hi, side))
+    raise ConvergenceError("root solve hit the 200-iteration cap")
+
+
+def effect_for_n(n, design: TestDesign, power: float, mode: str = Z_APPROX):
+    """Effect size at which a study of per-group size n has exactly ``power``.
+
+    ``n`` may be an array of sizes; all of them are then solved in lockstep
+    (one root-solve pass evaluates the noncentral t for every entry still
+    converging) and an array of effect sizes comes back.
+    """
+    if np.ndim(n):
+        return _effect_for_ns(np.asarray(n, dtype=float), design, power, mode)
     n = float(n)
     if not (math.isfinite(n) and n >= 2.0):
         raise ValueError(f"per-group size must be >= 2, got {n!r}")
@@ -245,6 +289,42 @@ def effect_for_n(n: float, design: TestDesign, power: float,
         if hi > 1e6:
             raise ValueError("no finite effect reaches the requested power")
     return _solve_increasing(pw, power, lo, hi, f_lo, f_hi, 1e-12)
+
+
+def _effect_for_ns(n: np.ndarray, design: TestDesign, power: float,
+                   mode: str) -> np.ndarray:
+    """:func:`effect_for_n` over an array of sizes: the same bracket and
+    Illinois solve per entry, with every pass a single noncentral-t call."""
+    if not (np.isfinite(n) & (n >= 2.0)).all():
+        raise ValueError("per-group sizes must be >= 2")
+    power = _require_power(power)
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    d_z = _zsum(design.alpha, power) * np.sqrt(design.groups / n)
+    if mode == Z_APPROX:
+        return d_z
+    df = design.df(n)
+    tcrit = np.array([t_quantile(1.0 - design.alpha / 2.0, v) for v in df.tolist()])
+    root_n = np.sqrt(n / design.groups)
+
+    def pw(d: np.ndarray, k: np.ndarray) -> np.ndarray:
+        ncp = d * root_n[k]
+        return (1.0 - nct_cdf(tcrit[k], df[k], ncp)) + nct_cdf(-tcrit[k], df[k], ncp)
+
+    every = np.arange(n.size)
+    lo = np.zeros_like(n)
+    f_lo = pw(lo, every)
+    hi = np.maximum(2.0 * d_z, 1e-3)
+    f_hi = pw(hi, every)
+    short = np.flatnonzero(f_hi < power)
+    while short.size:
+        lo[short], f_lo[short] = hi[short], f_hi[short]
+        hi[short] *= 2.0
+        f_hi[short] = pw(hi[short], short)
+        if (hi[short] > 1e6).any():
+            raise ValueError("no finite effect reaches the requested power")
+        short = np.flatnonzero(f_hi < power)
+    return _solve_increasing_batch(pw, power, lo, hi, f_lo, f_hi, 1e-12)
 
 
 def sigma_for_n(n: float, effect: EffectSpec, design: TestDesign, power: float,

@@ -57,11 +57,12 @@ EFFECT = "effect"
 POOLED_SD = "pooled-sd"
 KNOWN_SIGMA = "known-sigma"
 
-# estimates weaker than the sizing table's smallest boundary effect get the
-# closed-form size instead; at these sizes the exact and closed-form
-# requirements differ by a couple of subjects out of hundreds.  Underpower
-# flags never go through this fallback: they compare the estimate against the
-# exact threshold effect directly.
+# the exact sizing table stops at this n; estimates weaker than its last
+# boundary effect get the closed-form size instead, and at these sizes the
+# exact and closed-form requirements differ by a couple of subjects out of
+# hundreds.  The cap also bounds the table at 599 floats (4.8 KB) per design.
+# Underpower flags never go through this fallback: they compare the estimate
+# against the exact threshold effect directly.
 _TABLE_N_CAP = 600
 
 
@@ -180,10 +181,12 @@ def _standard_normals(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return norm_quantile(u)
 
 
-# replicate blocks are sized to keep the draw matrix comfortably in cache;
-# whole rows at a time, so blocking never changes which counter positions a
-# replicate reads and results are independent of the block size
-_BLOCK_ELEMS = 2_000_000
+# replicate blocks bound peak memory: the inverse normal CDF holds about a
+# dozen temporaries the size of its input, so a block of 2**16 draws (512 KB)
+# keeps them near 6 MB.  Blocks are whole rows, so blocking never changes
+# which counter positions a replicate reads and results do not depend on the
+# block size
+_BLOCK_ELEMS = 1 << 16
 
 
 def _replicate_blocks(reps: int, per_rep: int):
@@ -198,18 +201,31 @@ def _replicate_blocks(reps: int, per_rep: int):
 # Main-study sizing of a vector of estimated effect sizes
 # ---------------------------------------------------------------------------
 
-# (kind, alpha, power) -> {n: boundary effect e(n)}; e(n) is the effect size
-# at which a study of size n has exactly the target power, so the exact
-# sizing of an estimate d is the smallest n with e(n) <= d
+# (kind, alpha, power) -> array of boundary effects e(2), e(3), ..., e(k);
+# e(n) is the effect size at which a study of size n has exactly the target
+# power, so the exact sizing of an estimate d is the smallest n with
+# e(n) <= d.  Each table is extended, never rebuilt, up to _TABLE_N_CAP; the
+# number of keys is not bounded.
 _boundary_cache: dict = {}
 
 
-def _boundary_effect(n: int, design: TestDesign, power: float) -> float:
+def _boundary_table(design: TestDesign, power: float, n_hi: int) -> np.ndarray:
+    """e(2..k) for the design, extended to k >= n_hi in one batched solve."""
     key = (design.kind, design.alpha, power)
-    per = _boundary_cache.setdefault(key, {})
-    if n not in per:
-        per[n] = effect_for_n(n, design, power, T_ITERATIVE)
-    return per[n]
+    table = _boundary_cache.get(key, np.empty(0))
+    k = len(table) + 1
+    if n_hi > k:
+        more = effect_for_n(np.arange(k + 1, n_hi + 1), design, power, T_ITERATIVE)
+        table = _boundary_cache[key] = np.concatenate([table, more])
+    return table
+
+
+def _boundary_effect(n: int, design: TestDesign, power: float) -> float:
+    """e(n): read from the table when it reaches n, else solved on its own."""
+    table = _boundary_cache.get((design.kind, design.alpha, power), ())
+    if n - 2 < len(table):
+        return float(table[n - 2])
+    return effect_for_n(n, design, power, T_ITERATIVE)
 
 
 def _size_mains(d_hat: np.ndarray, design: TestDesign, power: float,
@@ -230,17 +246,13 @@ def _size_mains(d_hat: np.ndarray, design: TestDesign, power: float,
         out[zero] = 2**62
         return out
 
-    d_max = float(d[~zero].max()) if (~zero).any() else 1.0
-    n_lo = main_sample_size(EffectSpec(max(d_max, 1e-12)), design, power, T_ITERATIVE)
-    # exact boundaries cover [n_lo, cap]; weaker estimates (huge studies) fall
+    # exact boundaries cover n = 2..n_hi; weaker estimates (huge studies) fall
     # back to the closed form, which is within a few per mille out there
     n_hi = min(int(n_z_int.max()) + 6, _TABLE_N_CAP)
-    ns = np.arange(n_lo, max(n_lo, n_hi) + 1, dtype=np.int64)
-    bounds = np.array([_boundary_effect(int(n), design, power) for n in ns])
+    bounds = _boundary_table(design, power, n_hi)[:n_hi - 1]
     # bounds is decreasing in n: smallest adequate n via searchsorted on -bounds
     idx = np.searchsorted(-bounds, -d, side="left")
-    exact_ok = idx < len(ns)
-    out = np.where(exact_ok, ns[np.minimum(idx, len(ns) - 1)], np.maximum(n_z_int, 2))
+    out = np.where(idx < len(bounds), idx + 2, np.maximum(n_z_int, 2))
     out[zero] = 2**62
     return out
 

@@ -253,6 +253,25 @@ class TestNoncentralT:
             nct_cdf(float("nan"), 5, 1.0)
         with pytest.raises(ValueError):
             nct_cdf(1.0, 5, float("inf"))
+        with pytest.raises(ValueError):
+            nct_cdf(np.array([1.0, float("nan")]), 5, 1.0)
+        with pytest.raises(ValueError):
+            nct_cdf(1.0, np.array([5.0, 0.0]), 1.0)
+
+    def test_underflowing_square_is_the_normal_mass(self):
+        # t * t underflows to 0 or to a subnormal: P(T <= t) = Phi(-ncp)
+        for t in (5e-324, 1e-155, 1.7e-159):
+            for ncp in (0.5, -2.0, 2.0):
+                assert nct_cdf(t, 1.0, ncp) == norm_cdf(-ncp)
+                assert nct_cdf(np.array([t]), 1.0, ncp)[0] == norm_cdf(-ncp)
+
+    def test_array_broadcasts_to_shape(self):
+        x = np.array([[-1.0, 0.0, 2.0], [0.5, 3.0, -4.0]])
+        got = nct_cdf(x, 12.0, np.array([0.0, 1.5, -2.0]))
+        assert got.shape == (2, 3)
+        want = [[nct_cdf(float(v), 12.0, c) for v, c in zip(row, (0.0, 1.5, -2.0))]
+                for row in x]
+        assert got.tolist() == want
 
 
 class TestProperties:
@@ -271,6 +290,16 @@ class TestProperties:
     def test_norm_cdf_monotone(self, a, b):
         lo, hi = sorted((a, b))
         assert norm_cdf(lo) <= norm_cdf(hi)
+
+    @given(st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(1.0, 2000.0),
+                              st.one_of(st.just(0.0), st.floats(-40.0, 40.0))),
+                    min_size=1, max_size=12))
+    @settings(max_examples=120, deadline=None)
+    def test_nct_array_matches_scalar(self, points):
+        t, df, ncp = (np.array(v) for v in zip(*points))
+        got = nct_cdf(t, df, ncp)
+        want = [nct_cdf(*p) for p in points]
+        assert np.abs(got - want).max() <= 1e-13
 
     @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99),
            st.sampled_from([2.0, 11.0, 100.0]))

@@ -7,9 +7,13 @@ the frozen value where it is not a published one.
 
 import math
 
+import numpy as np
 import pytest
 
+from pilotplan.distributions import ConvergenceError
 from pilotplan.power import (
+    _solve_increasing,
+    _solve_increasing_batch,
     EffectSpec,
     ONE_SAMPLE,
     TWO_SAMPLE,
@@ -63,6 +67,14 @@ class TestMainSampleSize:
     def test_zero_effect_rejected(self):
         with pytest.raises(ValueError):
             main_sample_size(EffectSpec(0.0, 1.0), TWO, 0.8)
+
+    def test_size_guard_applies_before_bracketing(self):
+        # the closed form alone says 1.57e9 per group: rejected in both modes
+        for mode in (T_ITERATIVE, Z_APPROX):
+            with pytest.raises(ValueError, match="exceeds 1e9"):
+                required_n(EffectSpec(1e-4), TWO, 0.8, mode)
+        # 1.57e7 per group is large but within the guard
+        assert required_n(EffectSpec(1e-3), TWO, 0.8) == pytest.approx(1.57e7, rel=0.01)
 
     def test_power_bounds_rejected(self):
         for bad in (0.0, 1.0):
@@ -122,6 +134,34 @@ class TestInverseSolves:
         for n in (10, 64, 246):
             d = effect_for_n(n, TWO, 0.8, T_ITERATIVE)
             assert power_at(n, EffectSpec(d), TWO) == pytest.approx(0.8, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", [ONE_SAMPLE, TWO_SAMPLE])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05])
+    @pytest.mark.parametrize("power", [0.6, 0.8, 0.9])
+    def test_effect_for_n_array_matches_scalar(self, kind, alpha, power):
+        design = TestDesign(kind, alpha)
+        ns = np.array([2, 3, 4, 5, 7, 10, 16, 25, 40, 64, 100, 158, 250, 400, 600])
+        got = effect_for_n(ns, design, power, T_ITERATIVE)
+        want = np.array([effect_for_n(int(n), design, power, T_ITERATIVE) for n in ns])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        z = effect_for_n(ns, design, power)
+        assert z.tolist() == [effect_for_n(int(n), design, power) for n in ns]
+
+    def test_effect_for_n_array_rejects_small_n(self):
+        with pytest.raises(ValueError):
+            effect_for_n(np.array([1.5, 10.0]), TWO, 0.8, T_ITERATIVE)
+
+
+class TestRootSolver:
+    def test_iteration_cap_raises(self):
+        # with xtol = 0 the bracket never collapses to zero width: lo and hi
+        # keep f(lo) < target <= f(hi), so the solve must hit its cap
+        f = lambda x: x ** 3
+        with pytest.raises(ConvergenceError):
+            _solve_increasing(f, 0.3, 0.0, 1.0, f(0.0), f(1.0), 0.0)
+        lo, hi = np.zeros(3), np.ones(3)
+        with pytest.raises(ConvergenceError):
+            _solve_increasing_batch(lambda x, k: f(x), 0.3, lo, hi, f(lo), f(hi), 0.0)
 
 
 class TestArcsineEffect:

@@ -31,6 +31,7 @@ from pilotplan.simulation import (
     simulate_variance_pipeline,
 )
 from pilotplan.simulation import _rng, _standard_normals
+import pilotplan.simulation as simulation
 
 TWO = TestDesign(TWO_SAMPLE, 0.05)
 
@@ -97,6 +98,13 @@ class TestDeterminism:
         b = reproduce_table(1, replicates=60, seed=9)
         assert a.to_json() == b.to_json()
 
+    def test_block_size_does_not_change_reports(self, monkeypatch):
+        runs = [(simulate_variance_pipeline, variance_cfg(replicates=300, pooled_pilot=True)),
+                (simulate_effect_pipeline, effect_cfg(replicates=300))]
+        default = [sim(cfg).to_json() for sim, cfg in runs]
+        monkeypatch.setattr(simulation, "_BLOCK_ELEMS", 1000)
+        assert [sim(cfg).to_json() for sim, cfg in runs] == default
+
 
 class TestSampler:
     def test_normal_moments(self):
@@ -114,7 +122,10 @@ class TestSampler:
 
 class TestSizingVector:
     def test_matches_scalar_sizing_exact_mode(self):
-        ds = np.array([0.21, 0.25, 0.5, 0.8, 1.3, 2.4, 4.0])
+        # a dense grid over the whole table (sizes 2 to about 580), plus the
+        # boundary effects themselves, where the size steps from n + 1 to n
+        edges = [effect_for_n(n, TWO, 0.8, T_ITERATIVE) for n in (2, 3, 9, 64, 394, 590)]
+        ds = np.concatenate([np.geomspace(0.165, 4.0, 150), edges])
         got = _size_mains(ds, TWO, 0.8, T_ITERATIVE)
         want = [main_sample_size(EffectSpec(float(d)), TWO, 0.8, T_ITERATIVE)
                 for d in ds]
@@ -138,6 +149,18 @@ class TestSizingVector:
     def test_zero_effect_sentinel(self):
         got = _size_mains(np.array([0.0, 0.5]), TWO, 0.8, T_ITERATIVE)
         assert got[0] > 10**15
+
+    def test_table_is_one_small_array_per_design(self, monkeypatch):
+        # every run reaches the 600 cap; 15 designs keep 15 arrays of at most
+        # 599 floats, not a growing per-size map
+        monkeypatch.setattr(simulation, "_boundary_cache", {})
+        for i in range(15):
+            simulate_variance_pipeline(
+                variance_cfg(pilot_n=6, replicates=200, power_target=0.7 + 0.01 * i))
+        tables = list(simulation._boundary_cache.values())
+        assert len(tables) == 15
+        assert {len(t) for t in tables} == {simulation._TABLE_N_CAP - 1}
+        assert sum(t.nbytes for t in tables) <= 15 * 600 * 8
 
 
 class TestVariancePipeline:
