@@ -41,7 +41,7 @@ print("  replicates whose estimated effect came out nonpositive: %d of %d"
 again = simulate_effect_pipeline(SimulationConfig(
     scenario="effect", effect=0.5, sigma=1.0,
     pilot_n=eplan.pilot_n, seed=1234, replicates=20_000))
-assert again.to_json() == erep.to_json()
+assert again == erep
 
 # --- a whole reference grid at once -----------------------------------------
 # Planned sizes on the left, simulated underpower on the right, in the

@@ -14,10 +14,10 @@ plans), 2 usage error.  Probabilities are decimals (0.2, not 20).
 from __future__ import annotations
 
 import argparse
-import io
+import csv
+import functools
 import json
 import sys
-import csv as _csv
 
 from .distributions import ConvergenceError
 from .power import (
@@ -43,7 +43,8 @@ _FORMATS = ("table", "csv", "json")
 _DESIGNS = {"one": ONE_SAMPLE, "two": TWO_SAMPLE}
 
 
-def _probability(text: str) -> float:
+def _probability(text: str, closed: bool = False) -> float:
+    """A decimal in (0, 1), or in [0, 1] when ``closed``."""
     try:
         v = float(text)
     except ValueError:
@@ -51,21 +52,10 @@ def _probability(text: str) -> float:
     if v > 1.0:
         raise argparse.ArgumentTypeError(
             f"{text} looks like a percentage; give a decimal instead (e.g. {v / 100:g})")
-    if not (0.0 < v < 1.0):
-        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text}")
-    return v
-
-
-def _proportion(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if v > 1.0:
-        raise argparse.ArgumentTypeError(
-            f"{text} looks like a percentage; give a decimal instead (e.g. {v / 100:g})")
-    if not (0.0 <= v <= 1.0):
+    if closed and not (0.0 <= v <= 1.0):
         raise argparse.ArgumentTypeError(f"must be between 0 and 1, got {text}")
+    if not closed and not (0.0 < v < 1.0):
+        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text}")
     return v
 
 
@@ -122,9 +112,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="pilot size for a reliable effect estimate")
     pe.add_argument("--mu0", type=_positive, help="study effect from prior knowledge")
     pe.add_argument("--sigma", type=_positive, help="known outcome SD")
-    pe.add_argument("--p1", type=_proportion,
+    proportion = functools.partial(_probability, closed=True)
+    pe.add_argument("--p1", type=proportion,
                     help="baseline proportion (arcsine effect entry)")
-    pe.add_argument("--p2", type=_proportion,
+    pe.add_argument("--p2", type=proportion,
                     help="treated proportion (arcsine effect entry)")
     _add_common_plan_flags(pe)
 
@@ -173,20 +164,20 @@ def _bounds_from(args: argparse.Namespace) -> PowerBounds:
     )
 
 
-def _print_plan(plan, fmt: str, human_lines: list[str]) -> None:
+def emit(record, fmt: str) -> None:
+    """Print a result as JSON or CSV.
+
+    JSON is the ``{"config": ..., "results": ...}`` record with sorted keys;
+    CSV is a header and the result's ``csv_rows()``, columns in row order.
+    """
     if fmt == "json":
-        print(json.dumps({"config": plan.config_dict(),
-                          "results": plan.results_dict()},
+        print(json.dumps({"config": record.config, "results": record.results},
                          indent=2, sort_keys=True))
-    elif fmt == "csv":
-        record = plan.to_dict()
-        buf = io.StringIO()
-        writer = _csv.DictWriter(buf, fieldnames=list(record))
-        writer.writeheader()
-        writer.writerow(record)
-        print(buf.getvalue(), end="")
-    else:
-        print("\n".join(human_lines))
+        return
+    rows = record.csv_rows()
+    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def _pct(x: float) -> str:
@@ -221,7 +212,10 @@ def _cmd_plan_variance(args: argparse.Namespace) -> int:
             f"  pilot N for the overpower bound ({plan.mode}): {plan.pilot_n_over}",
         ]
     lines.append(f"  pilot sample size: {plan.pilot_n}")
-    _print_plan(plan, args.format, lines)
+    if args.format == "table":
+        print("\n".join(lines))
+    else:
+        emit(plan, args.format)
     return 0
 
 
@@ -271,7 +265,10 @@ def _cmd_plan_effect(args: argparse.Namespace) -> int:
             f"  pilot N per group for the overpower bound: {plan.pilot_n_over}",
         ]
     lines.append(f"  pilot sample size per group: {plan.pilot_n}")
-    _print_plan(plan, args.format, lines)
+    if args.format == "table":
+        print("\n".join(lines))
+    else:
+        emit(plan, args.format)
     return 0
 
 
@@ -286,33 +283,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     run = (simulate_variance_pipeline if args.scenario == "variance"
            else simulate_effect_pipeline)
     rep = run(cfg)
-    if args.format == "json":
-        print(rep.to_json())
-    elif args.format == "csv":
-        print(rep.to_csv(), end="")
-    else:
-        lines = [
-            f"simulated {rep.scenario} pipeline: {rep.replicates} replicates, "
-            f"seed {rep.seed}",
-            f"  empirical underpower: {rep.empirical_underpower:.4f} "
-            f"(MC se {rep.mc_standard_error:.4f})",
-            f"  main-study N percentiles (5/25/50/75/95): "
-            + "/".join(str(v) for v in rep.main_n_quantiles.values()),
-        ]
-        if rep.scenario == "effect":
-            lines.append(f"  nonpositive effect estimates: {rep.nonpositive_effects}")
-        print("\n".join(lines))
+    if args.format != "table":
+        emit(rep, args.format)
+        return 0
+    lines = [
+        f"simulated {rep.scenario} pipeline: {rep.replicates} replicates, "
+        f"seed {rep.seed}",
+        f"  empirical underpower: {rep.empirical_underpower:.4f} "
+        f"(MC se {rep.mc_standard_error:.4f})",
+        f"  main-study N percentiles (5/25/50/75/95): "
+        + "/".join(str(v) for v in rep.main_n_quantiles.values()),
+    ]
+    if rep.scenario == "effect":
+        lines.append(f"  nonpositive effect estimates: {rep.nonpositive_effects}")
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     report = reproduce_table(args.id, replicates=args.reps, seed=args.seed)
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print(report.to_csv(), end="")
-    else:
+    if args.format == "table":
         print(report.format_text(), end="")
+    else:
+        emit(report, args.format)
     return 0
 
 

@@ -10,11 +10,11 @@ identical to the plan for (mu0 / sigma, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .distributions import norm_cdf, norm_quantile
 from .power import EffectSpec, T_ITERATIVE, TestDesign, _zsum, required_n
-from .variance import PowerBounds, _nearest_int
+from .variance import PowerBounds, _PlanRecord, _nearest_int, _plan_sides
 
 __all__ = [
     "EffectPilotPlan",
@@ -85,7 +85,7 @@ def effect_pilot_n(mu0: float, mu_threshold: float, sigma: float, p: float,
 
 
 @dataclass(frozen=True)
-class EffectPilotPlan:
+class EffectPilotPlan(_PlanRecord):
     """Full trace of an effect-driven pilot plan (sizes are per group)."""
 
     kind: str
@@ -108,17 +108,6 @@ class EffectPilotPlan:
     _CONFIG_KEYS = ("kind", "alpha", "power_target", "mu0", "sigma",
                     "underpower_prob", "underpower_threshold",
                     "overpower_prob", "overpower_threshold")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def config_dict(self) -> dict:
-        full = asdict(self)
-        return {k: full[k] for k in self._CONFIG_KEYS}
-
-    def results_dict(self) -> dict:
-        full = asdict(self)
-        return {k: v for k, v in full.items() if k not in self._CONFIG_KEYS}
 
 
 def plan_effect_pilot(mu0: float, sigma: float, design: TestDesign,
@@ -148,13 +137,7 @@ def plan_effect_pilot(mu0: float, sigma: float, design: TestDesign,
         n_pilot = effect_pilot_n(mu0, mu_thr, sigma, prob, design, which)
         return n_main, mu_thr, n_pilot
 
-    main_u, mu_u, pilot_u = side(bounds.underpower_threshold, bounds.underpower_prob, "under")
-    if bounds.has_overpower:
-        main_o, mu_o, pilot_o = side(bounds.overpower_threshold, bounds.overpower_prob, "over")
-        pilot_n = max(pilot_u, pilot_o)
-    else:
-        main_o = mu_o = pilot_o = None
-        pilot_n = pilot_u
+    (main_u, mu_u, pilot_u), (main_o, mu_o, pilot_o), pilot_n = _plan_sides(bounds, side)
 
     return EffectPilotPlan(
         kind=design.kind, alpha=design.alpha, power_target=power_target,

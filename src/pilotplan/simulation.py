@@ -16,10 +16,7 @@ the package's own inverse normal CDF.
 
 from __future__ import annotations
 
-import io
-import json
 import math
-import csv as _csv
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -138,31 +135,19 @@ class SimulationReport:
     main_n_quantiles: dict
     config: dict = field(repr=False)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    @property
+    def results(self) -> dict:
+        return {"empirical_underpower": self.empirical_underpower,
+                "mc_standard_error": self.mc_standard_error,
+                "nonpositive_effects": self.nonpositive_effects,
+                "main_n_quantiles": self.main_n_quantiles}
 
-    def to_json(self) -> str:
-        return json.dumps({"config": self.config, "results": {
-            "empirical_underpower": self.empirical_underpower,
-            "mc_standard_error": self.mc_standard_error,
-            "nonpositive_effects": self.nonpositive_effects,
-            "main_n_quantiles": self.main_n_quantiles,
-        }}, indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        row = dict(self.config)
-        row.update({
-            "empirical_underpower": self.empirical_underpower,
-            "mc_standard_error": self.mc_standard_error,
-            "nonpositive_effects": self.nonpositive_effects,
-        })
-        for k, v in self.main_n_quantiles.items():
-            row[f"main_n_q{k}"] = v
-        buf = io.StringIO()
-        writer = _csv.DictWriter(buf, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(row)
-        return buf.getvalue()
+    def csv_rows(self) -> list[dict]:
+        """One row: the config, the scalar results, then main_n_q5..q95."""
+        row = {**self.config, **self.results}
+        del row["main_n_quantiles"]
+        row.update({f"main_n_q{k}": v for k, v in self.main_n_quantiles.items()})
+        return [row]
 
 
 # ---------------------------------------------------------------------------
@@ -408,21 +393,13 @@ class TableReport:
     extra: dict          # e.g. the main-study row of the effect grid
     config: dict
 
-    def to_json(self) -> str:
-        return json.dumps({"config": self.config,
-                           "results": {"cells": self.cells, "extra": self.extra}},
-                          indent=2, sort_keys=True)
+    @property
+    def results(self) -> dict:
+        return {"cells": self.cells, "extra": self.extra}
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        fields = list(self.config) + list(self.cells[0])
-        writer = _csv.DictWriter(buf, fieldnames=fields)
-        writer.writeheader()
-        for cell in self.cells:
-            row = dict(self.config)
-            row.update(cell)
-            writer.writerow(row)
-        return buf.getvalue()
+    def csv_rows(self) -> list[dict]:
+        """One row per cell: the config, then the cell."""
+        return [{**self.config, **cell} for cell in self.cells]
 
     def format_text(self) -> str:
         lines = []

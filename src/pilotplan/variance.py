@@ -2,12 +2,13 @@
 so that sizing the main study from the pilot's sample variance rarely yields
 an under- (or over-) powered design.
 
-Two routes to the pilot size are provided: the exact ascending search on the
-chi-square distribution of the sample variance, and the closed-form
-approximation ``2 z^2 / (ratio - 1)^2 + 1``.  The approximation is the
-default because it is what generates the published reference grid and the
-5/12/25 heuristic; the exact search is the statistically faithful variant and
-the two disagree away from p = 0.2 (e.g. 22 vs 25 at p = 0.1 on the standard
+Two routes to the pilot size are provided: the exact search on the
+chi-square distribution of the sample variance, and the closed form
+``df + 1`` with ``df = 2 z^2 / (ratio - 1)^2`` (``df / 2 + 1`` per group for
+a pilot variance pooled over two groups).  The approximation is the default
+because it is what generates the published reference grid and the 5/12/25
+heuristic; the exact search is the statistically faithful variant and the
+two disagree away from p = 0.2 (e.g. 22 vs 25 at p = 0.1 on the standard
 ratio).  Plans surface whichever mode produced them.
 """
 
@@ -39,8 +40,8 @@ __all__ = [
 EXACT = "exact"
 APPROX = "approx"
 
-# exact mode scans pilot sizes upward; past this the constraint is declared
-# unsatisfiable (the threshold ratio is too close to 1)
+# exact mode searches pilot sizes up to this cap; past it the constraint is
+# declared unsatisfiable (the threshold ratio is too close to 1)
 SEARCH_CAP = 1_000_000
 
 
@@ -119,7 +120,8 @@ def pilot_n_exact(sigma_ratio_sq: float, p: float, side: str = "under",
 
     under: ratio < 1, miss event is S^2 < ratio * sigma^2.
     over:  ratio > 1, miss event is S^2 > ratio * sigma^2.
-    Ascending integer search; sizes past ``cap`` raise.
+    Galloping then bisection, O(log n) chi-square evaluations; sizes past
+    ``cap`` raise.
     """
     sigma_ratio_sq = float(sigma_ratio_sq)
     p = float(p)
@@ -132,19 +134,37 @@ def pilot_n_exact(sigma_ratio_sq: float, p: float, side: str = "under",
     if side == "over" and not sigma_ratio_sq > 1.0:
         raise ValueError(f"over side needs ratio > 1, got {sigma_ratio_sq!r}")
 
-    for n in range(2, cap + 1):
+    def meets(n: int) -> bool:
         df = _pilot_df(n, pooled)
         under = chisq_cdf(df * sigma_ratio_sq, df)
-        miss = under if side == "under" else 1.0 - under
-        if miss < p:
-            return n
-    raise ValueError(
-        f"no pilot size up to the search cap ({cap}) meets the bound; "
-        f"the variance ratio {sigma_ratio_sq} is too close to 1")
+        return (under if side == "under" else 1.0 - under) < p
+
+    # the sizes that meet the bound are n = 2 or every n from some n0 on:
+    # the under-side miss falls with n and the over-side miss rises to one
+    # peak, then falls.  Gallop to a size that meets it, then bisect; lo
+    # always fails (a pilot of 1 has no variance)
+    lo, hi = 1, 2
+    while not (hi <= cap and meets(hi)):
+        if hi >= cap:
+            raise ValueError(
+                f"no pilot size up to the search cap ({cap}) meets the bound; "
+                f"the variance ratio {sigma_ratio_sq} is too close to 1")
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
-def pilot_n_approx(sigma_ratio_sq: float, p: float) -> int:
-    """Closed-form pilot size: ceil(2 z_{1-p}^2 / (ratio - 1)^2 + 1)."""
+def pilot_n_approx(sigma_ratio_sq: float, p: float, pooled: bool = False) -> int:
+    """Closed-form pilot size from df = 2 z_{1-p}^2 / (ratio - 1)^2.
+
+    ceil(df + 1) for a single pilot; ceil(df / 2 + 1) per group when the
+    pilot variance is pooled over two groups (2 N_p - 2 degrees of freedom).
+    """
     sigma_ratio_sq = float(sigma_ratio_sq)
     p = float(p)
     if not (0.0 < p < 1.0):
@@ -154,12 +174,33 @@ def pilot_n_approx(sigma_ratio_sq: float, p: float) -> int:
     if sigma_ratio_sq == 1.0:
         raise ValueError("variance ratio of exactly 1 gives an unbounded pilot size")
     z = norm_quantile(1.0 - p)
-    raw = 2.0 * z * z / (sigma_ratio_sq - 1.0) ** 2 + 1.0
+    df = 2.0 * z * z / (sigma_ratio_sq - 1.0) ** 2
+    raw = (df / 2.0 if pooled else df) + 1.0
     return max(2, math.ceil(raw - 1e-9))
 
 
+class _PlanRecord:
+    """A plan as a two-part record: ``config`` holds the inputs named in
+    ``_CONFIG_KEYS`` and ``results`` every other field.  ``csv_rows`` is the
+    plan as one flat row in field order."""
+
+    _CONFIG_KEYS: tuple = ()
+
+    @property
+    def config(self) -> dict:
+        full = asdict(self)
+        return {k: full[k] for k in self._CONFIG_KEYS}
+
+    @property
+    def results(self) -> dict:
+        return {k: v for k, v in asdict(self).items() if k not in self._CONFIG_KEYS}
+
+    def csv_rows(self) -> list[dict]:
+        return [asdict(self)]
+
+
 @dataclass(frozen=True)
-class VariancePilotPlan:
+class VariancePilotPlan(_PlanRecord):
     """Full trace of a variance-driven pilot plan.
 
     main_n_* are the main-study per-group sizes whose power equals the
@@ -191,20 +232,20 @@ class VariancePilotPlan:
                     "underpower_prob", "underpower_threshold",
                     "overpower_prob", "overpower_threshold", "mode", "pooled_pilot")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def config_dict(self) -> dict:
-        full = asdict(self)
-        return {k: full[k] for k in self._CONFIG_KEYS}
-
-    def results_dict(self) -> dict:
-        full = asdict(self)
-        return {k: v for k, v in full.items() if k not in self._CONFIG_KEYS}
-
 
 def _nearest_int(x: float) -> int:
     return max(2, int(math.floor(x + 0.5)))
+
+
+def _plan_sides(bounds: PowerBounds, rule):
+    """The (main size, threshold parameter, pilot size) that a planner's
+    ``rule(threshold, prob, side)`` gives for the under side and the over side
+    (all None without an overpower bound), and the larger pilot size."""
+    under = rule(bounds.underpower_threshold, bounds.underpower_prob, "under")
+    if not bounds.has_overpower:
+        return under, (None, None, None), under[2]
+    over = rule(bounds.overpower_threshold, bounds.overpower_prob, "over")
+    return under, over, max(under[2], over[2])
 
 
 def plan_variance_pilot(effect: EffectSpec, design: TestDesign, power_target: float,
@@ -233,18 +274,12 @@ def plan_variance_pilot(effect: EffectSpec, design: TestDesign, power_target: fl
         sigma_thr = effect.sigma * _zsum(design.alpha, threshold) / zs_target
         ratio = (sigma_thr / effect.sigma) ** 2
         if mode == APPROX:
-            n_pilot = pilot_n_approx(ratio, prob)
+            n_pilot = pilot_n_approx(ratio, prob, pooled_pilot)
         else:
             n_pilot = pilot_n_exact(ratio, prob, which, pooled_pilot)
         return n_main, sigma_thr, n_pilot
 
-    main_u, sigma_u, pilot_u = side(bounds.underpower_threshold, bounds.underpower_prob, "under")
-    if bounds.has_overpower:
-        main_o, sigma_o, pilot_o = side(bounds.overpower_threshold, bounds.overpower_prob, "over")
-        pilot_n = max(pilot_u, pilot_o)
-    else:
-        main_o = sigma_o = pilot_o = None
-        pilot_n = pilot_u
+    (main_u, sigma_u, pilot_u), (main_o, sigma_o, pilot_o), pilot_n = _plan_sides(bounds, side)
 
     return VariancePilotPlan(
         kind=design.kind, alpha=design.alpha, power_target=power_target,

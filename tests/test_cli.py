@@ -1,8 +1,11 @@
 """Command-line surface tests: flags, formats, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pilotplan.cli import main
 
@@ -41,6 +44,17 @@ class TestPlanVariance:
             "--underpower-prob", ".1", "--underpower-threshold", ".6")
         assert code == 0
         assert "pilot sample size: 22" in out
+
+    @pytest.mark.parametrize("mode,want", [("approx", 13), ("exact", 12)])
+    def test_pooled_pilot(self, capsys, mode, want):
+        # unpooled: 25 (approx) and 22 (exact)
+        code, out, _ = run_cli(
+            capsys, "plan-variance", "--sigma", "4", "--delta", "1",
+            "--underpower-prob", ".1", "--underpower-threshold", ".6",
+            "--mode", mode, "--pooled-pilot")
+        assert code == 0
+        assert f"pilot N for the underpower bound ({mode}): {want}\n" in out
+        assert out.endswith(f"pilot sample size: {want}\n")
 
     def test_zero_sigma_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -189,3 +203,87 @@ class TestTables:
     def test_bad_id_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "tables", "--id", "9", "--seed", "3")
         assert code == 2
+
+
+# JSON config key -> CLI flag, where the flag is not the key with dashes
+_FLAGS = {"kind": "--design", "power_target": "--power", "replicates": "--reps"}
+_DESIGN_NAMES = {"one-sample": "one", "two-sample": "two"}
+
+
+def argv_from_config(command, config):
+    """The command line that a JSON ``config`` block echoes."""
+    argv = [command]
+    for key, value in config.items():
+        flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv += [flag, _DESIGN_NAMES.get(value, str(value))]
+    return argv
+
+
+def json_run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--format", "json"])
+    return code, json.loads(out.getvalue()) if code == 0 else None
+
+
+_BOUND_PROB = st.floats(0.05, 0.45)
+
+
+@st.composite
+def plan_config(draw):
+    power = draw(st.floats(0.7, 0.95))
+    config = {"kind": draw(st.sampled_from(sorted(_DESIGN_NAMES))),
+              "alpha": draw(st.floats(0.01, 0.1)), "power_target": power,
+              "underpower_prob": draw(_BOUND_PROB),
+              "underpower_threshold": draw(st.floats(0.3, power - 0.05))}
+    if draw(st.booleans()):
+        config.update(overpower_prob=draw(_BOUND_PROB),
+                      overpower_threshold=draw(st.floats(power + 0.02, 0.99)))
+    return config
+
+
+class TestRecordRoundTrip:
+    """Feeding a JSON config block back through the CLI reproduces the record."""
+
+    def check(self, command, argv):
+        code, first = json_run(argv)
+        assume(code == 0)
+        assert json_run(argv_from_config(command, first["config"])) == (0, first)
+
+    @given(plan_config(), st.floats(0.5, 3.0), st.floats(0.5, 5.0),
+           st.sampled_from(["approx", "exact"]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_plan_variance(self, config, delta, sigma, mode, pooled):
+        config.update(delta=delta, sigma=sigma, mode=mode, pooled_pilot=pooled)
+        self.check("plan-variance", argv_from_config("plan-variance", config))
+
+    @given(plan_config(), st.floats(0.3, 3.0), st.floats(0.5, 5.0),
+           st.none() | st.tuples(st.floats(0.05, 0.8), st.floats(0.05, 0.2)))
+    @settings(max_examples=40, deadline=None)
+    def test_plan_effect(self, config, mu0, sigma, proportions):
+        if proportions is None:
+            config.update(mu0=mu0, sigma=sigma)
+        argv = argv_from_config("plan-effect", config)
+        if proportions is not None:
+            p2, gap = proportions
+            argv += ["--p1", str(p2 + gap), "--p2", str(p2)]
+        self.check("plan-effect", argv)
+
+    @given(st.sampled_from(["variance", "effect"]), st.floats(0.3, 1.5),
+           st.integers(2, 30), st.integers(0, 2**31), st.floats(0.5, 3.0),
+           st.sampled_from(sorted(_DESIGN_NAMES)), st.just(0.05),
+           st.sampled_from([0.8, 0.9]), st.booleans(),
+           st.sampled_from(["z-approx", "t-iterative"]),
+           st.sampled_from(["pooled-sd", "known-sigma"]))
+    # alpha and power stay on a few values: each new pair builds a sizing table
+    @settings(max_examples=20, deadline=None)
+    def test_simulate(self, scenario, effect, pilot_n, seed, sigma, kind, alpha,
+                      power, pooled, sizing_mode, estimator):
+        config = dict(scenario=scenario, effect=effect, pilot_n=pilot_n, seed=seed,
+                      replicates=200, sigma=sigma, kind=kind, alpha=alpha,
+                      power_target=power, underpower_threshold=0.6,
+                      pooled_pilot=pooled, sizing_mode=sizing_mode, estimator=estimator)
+        self.check("simulate", argv_from_config("simulate", config))

@@ -153,6 +153,6 @@ class TestPlan:
 
     def test_serializes_flat(self):
         plan = plan_effect_pilot(2.0, 4.0, TWO, 0.8, self.bounds())
-        rec = plan.to_dict()
+        (rec,) = plan.csv_rows()
         assert rec["pilot_n"] == 32
-        assert set(plan.config_dict()) | set(plan.results_dict()) == set(rec)
+        assert set(plan.config) | set(plan.results) == set(rec)

@@ -1,17 +1,23 @@
 """Fixed-seed outputs compared byte for byte with frozen files.
 
-Each file under ``golden/`` is the JSON a fixed-seed run printed: both
-reference grids at 200 replicates per cell, and four ``pilotplan simulate``
-cells at 2,000 replicates covering both scenarios, both designs and both
-estimators.  Any change to planned sizes, exact main-study sizing, underpower
-flags or the random stream shows up here as a difference.
+Each JSON file directly under ``golden/`` is what a fixed-seed run printed:
+both reference grids at 200 replicates per cell, and four ``pilotplan
+simulate`` cells at 2,000 replicates covering both scenarios, both designs
+and both estimators.  Any change to planned sizes, exact main-study sizing,
+underpower flags or the random stream shows up here as a difference.
+
+``golden/cli/`` holds the stdout of the README's commands in every output
+format (``.txt`` is the human table), plus plans with an overpower bound so
+the over-side lines are pinned too.  CSV output ends its lines in CRLF, as
+the csv module writes them, so the files are read without newline
+translation.
 """
 
 import os
 
 import pytest
 
-from pilotplan.cli import main
+from pilotplan.cli import emit, main
 from pilotplan.simulation import reproduce_table
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -30,15 +36,48 @@ SIMULATE_CELLS = {
 }
 
 
+_PLAN_VARIANCE = ["plan-variance", "--sigma", "4", "--delta", "1", "--design", "two",
+                  "--alpha", ".05", "--power", ".8",
+                  "--underpower-prob", ".2", "--underpower-threshold", ".6"]
+_PLAN_EFFECT = ["plan-effect", "--mu0", "2", "--sigma", "4",
+                "--underpower-prob", ".3", "--underpower-threshold", ".6"]
+_OVERPOWER = ["--overpower-prob", ".2", "--overpower-threshold", ".9"]
+
+# name -> argv without --format; each is pinned as .txt, .csv and .json
+CLI_COMMANDS = {
+    "plan_variance": _PLAN_VARIANCE,
+    "plan_variance_over": _PLAN_VARIANCE + _OVERPOWER,
+    "plan_variance_over_exact": _PLAN_VARIANCE + _OVERPOWER + ["--mode", "exact"],
+    "plan_effect": _PLAN_EFFECT,
+    "plan_effect_over": _PLAN_EFFECT + _OVERPOWER,
+    "plan_effect_proportions": ["plan-effect", "--p1", ".5", "--p2", ".4",
+                                "--underpower-prob", ".3", "--underpower-threshold", ".6"],
+    "simulate": ["simulate", "--scenario", "effect", "--effect", ".5", "--pilot-n", "32",
+                 "--underpower-threshold", ".6", "--reps", "1000", "--seed", "7"],
+}
+_FORMAT_FLAGS = {"txt": [], "csv": ["--format", "csv"], "json": ["--format", "json"]}
+
+CLI_CASES = {f"{name}.{ext}": argv + flags
+             for name, argv in CLI_COMMANDS.items()
+             for ext, flags in _FORMAT_FLAGS.items()}
+CLI_CASES.update({
+    "tables_id1_reps1000_seed7.csv": ["tables", "--id", "1", "--reps", "1000", "--seed", "7",
+                                      "--format", "csv"],
+    **{f"tables_id{i}_reps200_seed9.{ext}": ["tables", "--id", str(i), "--reps", "200",
+                                             "--seed", "9", *_FORMAT_FLAGS[ext]]
+       for i in (1, 2) for ext in ("txt", "csv")},
+})
+
+
 def _golden(name: str) -> str:
-    with open(os.path.join(GOLDEN, name)) as fh:
+    with open(os.path.join(GOLDEN, name), newline="") as fh:
         return fh.read()
 
 
 @pytest.mark.parametrize("table_id", [1, 2])
-def test_reference_grid(table_id):
-    got = reproduce_table(table_id, 200, seed=9).to_json()
-    assert got == _golden(f"table{table_id}_reps200_seed9.json")
+def test_reference_grid(table_id, capsys):
+    emit(reproduce_table(table_id, 200, seed=9), "json")
+    assert capsys.readouterr().out == _golden(f"table{table_id}_reps200_seed9.json") + "\n"
 
 
 @pytest.mark.parametrize("cell", sorted(SIMULATE_CELLS))
@@ -47,3 +86,9 @@ def test_simulate_cell(cell, capsys):
                  "--sizing-mode", "t-iterative", "--format", "json"])
     assert code == 0
     assert capsys.readouterr().out == _golden(f"{cell}_reps2000_seed9.json")
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output(name, capsys):
+    assert main(CLI_CASES[name]) == 0
+    assert capsys.readouterr().out == _golden(os.path.join("cli", name))

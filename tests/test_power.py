@@ -12,7 +12,6 @@ import pytest
 
 from pilotplan.distributions import ConvergenceError
 from pilotplan.power import (
-    _solve_increasing,
     _solve_increasing_batch,
     EffectSpec,
     ONE_SAMPLE,
@@ -157,8 +156,6 @@ class TestRootSolver:
         # with xtol = 0 the bracket never collapses to zero width: lo and hi
         # keep f(lo) < target <= f(hi), so the solve must hit its cap
         f = lambda x: x ** 3
-        with pytest.raises(ConvergenceError):
-            _solve_increasing(f, 0.3, 0.0, 1.0, f(0.0), f(1.0), 0.0)
         lo, hi = np.zeros(3), np.ones(3)
         with pytest.raises(ConvergenceError):
             _solve_increasing_batch(lambda x, k: f(x), 0.3, lo, hi, f(lo), f(hi), 0.0)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from pilotplan.cli import emit
 from pilotplan.distributions import nct_cdf
 from pilotplan.power import (
     EffectSpec,
@@ -86,7 +87,7 @@ class TestDeterminism:
     def test_identical_runs_identical_reports(self):
         a = simulate_variance_pipeline(variance_cfg(replicates=500))
         b = simulate_variance_pipeline(variance_cfg(replicates=500))
-        assert a.to_json() == b.to_json()
+        assert a == b
 
     def test_seed_changes_result(self):
         a = simulate_variance_pipeline(variance_cfg(replicates=500, seed=1))
@@ -96,14 +97,14 @@ class TestDeterminism:
     def test_table_runs_identical(self):
         a = reproduce_table(1, replicates=60, seed=9)
         b = reproduce_table(1, replicates=60, seed=9)
-        assert a.to_json() == b.to_json()
+        assert a == b
 
     def test_block_size_does_not_change_reports(self, monkeypatch):
         runs = [(simulate_variance_pipeline, variance_cfg(replicates=300, pooled_pilot=True)),
                 (simulate_effect_pipeline, effect_cfg(replicates=300))]
-        default = [sim(cfg).to_json() for sim, cfg in runs]
+        default = [sim(cfg) for sim, cfg in runs]
         monkeypatch.setattr(simulation, "_BLOCK_ELEMS", 1000)
-        assert [sim(cfg).to_json() for sim, cfg in runs] == default
+        assert [sim(cfg) for sim, cfg in runs] == default
 
 
 class TestSampler:
@@ -271,9 +272,9 @@ class TestTableReports:
         assert by_cell[(0.3, 0.5)] == 32
         assert by_cell[(0.4, 0.8)] == 3
 
-    def test_csv_layout(self):
-        rep = reproduce_table(2, replicates=20, seed=3)
-        lines = rep.to_csv().strip().splitlines()
+    def test_csv_layout(self, capsys):
+        emit(reproduce_table(2, replicates=20, seed=3), "csv")
+        lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 16  # header + 15 cells
         header = lines[0].split(",")
         for col in ("seed", "replicates", "underpower_prob", "effect",
@@ -281,10 +282,10 @@ class TestTableReports:
             assert col in header
         assert "." in lines[1]  # decimal separator
 
-    def test_json_layout(self):
+    def test_json_layout(self, capsys):
         import json
-        rep = reproduce_table(2, replicates=20, seed=3)
-        doc = json.loads(rep.to_json())
+        emit(reproduce_table(2, replicates=20, seed=3), "json")
+        doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"config", "results"}
         assert doc["config"]["seed"] == 3
 

@@ -9,12 +9,15 @@ from the closed form.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pilotplan import variance
 from pilotplan.distributions import chisq_cdf
 from pilotplan.power import EffectSpec, TWO_SAMPLE, TestDesign
 from pilotplan.variance import (
     APPROX,
     EXACT,
+    SEARCH_CAP,
     PowerBounds,
     pilot_n_approx,
     pilot_n_exact,
@@ -24,6 +27,20 @@ from pilotplan.variance import (
 
 TWO = TestDesign(TWO_SAMPLE, 0.05)
 CANONICAL_RATIO = 0.6241331421337069
+
+
+def _miss(n, ratio, side, pooled):
+    df = 2 * n - 2 if pooled else n - 1
+    under = chisq_cdf(df * ratio, df)
+    return under if side == "under" else 1.0 - under
+
+
+def linear_scan(ratio, p, side="under", pooled=False, cap=SEARCH_CAP):
+    """Reference exact search: the first n = 2, 3, ... whose miss is below p."""
+    for n in range(2, cap + 1):
+        if _miss(n, ratio, side, pooled) < p:
+            return n
+    raise ValueError(f"search cap ({cap})")
 
 
 class TestUnderpowerProb:
@@ -86,6 +103,49 @@ class TestExactSearch:
         with pytest.raises(ValueError, match="50"):
             pilot_n_exact(0.999999, 0.01, cap=50)
 
+    # the over-side miss rises before it falls (peaks at df 67 for ratio 1.01),
+    # so 1.01 at p = .3 and .32 checks both branches of that shape
+    @pytest.mark.parametrize("side,ratios", [
+        ("under", (0.05, 0.3, 0.5, CANONICAL_RATIO, 0.8, 0.95)),
+        ("over", (1.01, 1.05, 1.3, 1.6, 2.5, 6.0)),
+    ])
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_matches_linear_scan(self, side, ratios, pooled):
+        for ratio in ratios:
+            for p in (0.05, 0.1, 0.2, 0.3, 0.32, 0.45):
+                if ratio == 1.01 and p < 0.3:
+                    continue  # tens of thousands of scan steps
+                want = linear_scan(ratio, p, side, pooled)
+                assert pilot_n_exact(ratio, p, side, pooled) == want, (ratio, p)
+
+    @pytest.mark.parametrize("ratio,p,side", [(CANONICAL_RATIO, 0.1, "under"),
+                                              (0.8, 0.05, "under"), (1.6, 0.2, "over")])
+    def test_cap_boundary(self, ratio, p, side):
+        n = linear_scan(ratio, p, side)
+        assert pilot_n_exact(ratio, p, side, cap=n) == n
+        with pytest.raises(ValueError, match=f"search cap \\({n - 1}\\)"):
+            pilot_n_exact(ratio, p, side, cap=n - 1)
+
+    def test_logarithmic_chisq_calls(self, monkeypatch):
+        calls = []
+
+        def counting(x, df):
+            calls.append(df)
+            return chisq_cdf(x, df)
+
+        monkeypatch.setattr(variance, "chisq_cdf", counting)
+        assert pilot_n_exact(0.99, 0.2) == 14206
+        assert len(calls) <= 64
+
+    @given(gap=st.floats(0.04, 0.95), p=st.floats(0.01, 0.49),
+           side=st.sampled_from(["under", "over"]), pooled=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_post_condition_property(self, gap, p, side, pooled):
+        ratio = 1.0 - gap if side == "under" else 1.0 + 4.0 * gap
+        n = pilot_n_exact(ratio, p, side, pooled)
+        assert _miss(n, ratio, side, pooled) < p
+        assert n == 2 or _miss(n - 1, ratio, side, pooled) >= p
+
     def test_side_validation(self):
         with pytest.raises(ValueError):
             pilot_n_exact(1.2, 0.2, side="under")
@@ -108,6 +168,13 @@ class TestApproximation:
         raw = 2 * z * z / (CANONICAL_RATIO - 1.0) ** 2 + 1.0
         assert raw == pytest.approx(11.0275606336, abs=1e-8)
         assert pilot_n_approx(CANONICAL_RATIO, 0.2) == math.ceil(raw)
+
+    def test_pooled_ladder(self):
+        # df = 2 z^2 / (r - 1)^2 pooled over two groups of n: n = df / 2 + 1,
+        # 13 / 7 / 3 at p = .1 / .2 / .3 (exact search: 12 / 7 / 4)
+        ps = (0.1, 0.2, 0.3)
+        assert [pilot_n_approx(CANONICAL_RATIO, p, pooled=True) for p in ps] == [13, 7, 3]
+        assert [pilot_n_approx(CANONICAL_RATIO, p, pooled=False) for p in ps] == [25, 12, 5]
 
     def test_unit_ratio_rejected(self):
         with pytest.raises(ValueError):
@@ -180,12 +247,22 @@ class TestPlan:
         ratio = (pooled.sigma_under / pooled.sigma) ** 2
         assert variance_underpower_prob(pooled.pilot_n, ratio, pooled=True) < 0.1
 
+    @pytest.mark.parametrize("mode,pooled,ladder", [
+        (APPROX, False, [25, 12, 5]), (APPROX, True, [13, 7, 3]),
+        (EXACT, False, [22, 12, 7]), (EXACT, True, [12, 7, 4]),
+    ])
+    def test_pooling_honoured_in_both_modes(self, mode, pooled, ladder):
+        plans = [plan_variance_pilot(EffectSpec(1, 4), TWO, 0.8, self.bounds(p),
+                                     mode=mode, pooled_pilot=pooled) for p in (0.1, 0.2, 0.3)]
+        assert [plan.pilot_n for plan in plans] == ladder
+        assert all(plan.config["pooled_pilot"] is pooled for plan in plans)
+
     def test_serializes_flat(self):
         plan = plan_variance_pilot(EffectSpec(1, 4), TWO, 0.8, self.bounds())
-        rec = plan.to_dict()
+        (rec,) = plan.csv_rows()
         assert rec["pilot_n"] == 12
         assert rec["kind"] == "two-sample"
-        assert set(plan.config_dict()) | set(plan.results_dict()) == set(rec)
+        assert set(plan.config) | set(plan.results) == set(rec)
 
 
 class TestBounds:
