@@ -36,7 +36,7 @@ print("effect pilot of %d per group: empirical underpower %.3f (bound 0.30)"
 print("  replicates whose estimated effect came out nonpositive: %d of %d"
       % (erep.nonpositive_effects, erep.replicates))
 
-# Same seed, same answer, bit for bit: replicates read fixed blocks of a
+# Same seed, same answer, bit for bit: replicate r reads row r of a
 # counter-based stream, so results do not depend on evaluation order.
 again = simulate_effect_pipeline(SimulationConfig(
     scenario="effect", effect=0.5, sigma=1.0,

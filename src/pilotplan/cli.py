@@ -236,6 +236,10 @@ def _cmd_plan_effect(args: argparse.Namespace) -> int:
         if args.p1 is None or args.p2 is None:
             print("error: --p1 and --p2 go together", file=sys.stderr)
             return 2
+        if args.p1 == args.p2:
+            print("error: --p1 and --p2 are equal, and equal proportions give a zero "
+                  "effect", file=sys.stderr)
+            return 1
         spec = arcsine_effect(args.p1, args.p2)
         mu0, sigma = spec.effect, spec.sigma
         entry = (f"proportions {args.p1:g} vs {args.p2:g} -> arcsine effect size "
@@ -322,7 +326,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, ConfigError, ConvergenceError) as exc:
+    except ConfigError as exc:  # invalid flags, found before any sampling
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,13 +8,14 @@ fraction with region switching, the noncentral t CDF by a Poisson-mixture
 series over incomplete beta ratios, and quantiles by guarded Newton iteration
 with bracket fallback.
 
-``norm_cdf`` and ``norm_quantile`` accept numpy arrays as well as scalars
-(the simulation harness draws normal deviates through the inverse CDF in
-bulk).  ``nct_cdf`` does too: array inputs run an array kernel of the same
-series, start index, stopping rules and iteration caps, with every
-transcendental function taken elementwise from ``math``, so each entry equals
-the scalar result; scalar inputs keep the plain-float kernel, which is far
-cheaper per call.  The chi-square and t functions are scalar.
+``norm_cdf``, ``norm_quantile`` and ``chisq_quantile`` (an array of p, one
+df) accept numpy arrays as well as scalars: the simulation harness draws one
+normal and one chi-square deviate per replicate through them, in bulk.
+``nct_cdf`` does too: array inputs run an array kernel of the same series,
+start index, stopping rules and iteration caps, with every transcendental
+function taken elementwise from ``math``, so each entry equals the scalar
+result; scalar inputs keep the plain-float kernel, which is far cheaper per
+call.  ``chisq_cdf`` and the t functions are scalar.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ _TINY = 1e-300
 # terms are under 1e-154 there, and the downward recursion, which divides by
 # the beta argument, would overflow
 _MIN_NORMAL = sys.float_info.min
+# where 1 - t^2 / (t^2 + df) keeps under half its bits, the noncentral-t
+# series sums upper tails instead
+_FAR = 2.0 ** -26
 
 
 class ConvergenceError(RuntimeError):
@@ -282,47 +286,116 @@ def chisq_cdf(x: float, df: float) -> float:
     return min(1.0, max(0.0, _gammainc_lower(0.5 * df, 0.5 * x)))
 
 
-def _chisq_pdf(x: float, df: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    a = 0.5 * df
-    return math.exp((a - 1.0) * math.log(x) - 0.5 * x - a * math.log(2.0) - math.lgamma(a))
+def _gammainc_array(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(a, x) and Q(a, x) = 1 - P(a, x) for an array of x >= 0 and one a.
+
+    The scalar kernel's series (for P) and continued fraction (for Q), run in
+    lockstep with its constants, stopping rules and caps; each tail comes
+    from its own formula where that formula applies, so the smaller one
+    keeps its relative accuracy.
+    """
+    val = np.zeros_like(x)          # the series sum, or the fraction
+    i = np.flatnonzero((x > 0.0) & (x < a + 1.0))
+    v, ap, term = x[i], a, np.full(i.size, 1.0 / a)
+    total = term
+    for _ in range(_MAX_SERIES):
+        if not i.size:
+            break
+        ap += 1.0
+        term = term * (v / ap)
+        total = total + term
+        done = term < total * 1e-17
+        if done.any():
+            val[i[done]] = total[done]
+            i, v, term, total = (w[~done] for w in (i, v, term, total))
+    if i.size:
+        raise ConvergenceError("incomplete gamma series hit the iteration cap")
+
+    cf = x >= a + 1.0
+    i = np.flatnonzero(cf)
+    b = x[i] + 1.0 - a
+    c = np.full(i.size, 1.0 / _TINY)
+    d = h = 1.0 / b
+    for k in range(1, _MAX_LENTZ + 1):
+        if not i.size:
+            break
+        an = -k * (k - a)
+        b = b + 2.0
+        d = 1.0 / _floor_tiny(an * d + b)
+        c = _floor_tiny(b + an / c)
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            val[i[done]] = h[done]
+            i, b, c, d, h = (w[~done] for w in (i, b, c, d, h))
+    if i.size:
+        raise ConvergenceError("incomplete gamma continued fraction hit the iteration cap")
+    pos = x > 0.0
+    val[pos] *= np.exp(-x[pos] + a * np.log(x[pos]) - math.lgamma(a))
+    return np.where(cf, 1.0 - val, val), np.where(cf, val, 1.0 - val)
 
 
-def chisq_quantile(p: float, df: float) -> float:
-    """Chi-square quantile for 0 <= p < 1 (p = 1 is a domain error)."""
-    p = float(p)
+def chisq_quantile(p, df: float):
+    """Chi-square quantile for 0 <= p < 1 (p = 1 is a domain error).
+
+    ``p`` may be an array (``df`` is one value); every entry runs the same
+    iteration in lockstep, so each equals its own scalar call.  From the
+    Wilson-Hilferty start, steps in log x solve for the log of the smaller
+    tail, which is concave in log x for every df, so Newton's step cannot
+    run away; a step that leaves the bracket bisects it instead.  An entry
+    stops when that tail is within ``_INVERT_TOL`` of its target, relative,
+    or when its bracket collapses; reaching ``_MAX_NEWTON`` iterations
+    raises, as it does when the quantile is below the smallest double.
+    """
+    orig = np.asarray(p, dtype=float)
     df = _require_df(df)
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"chi-square quantile requires 0 <= p < 1, got {p!r}")
-    if p == 0.0:
-        return 0.0
-    # Wilson-Hilferty start
-    zp = norm_quantile(p)
+    if not np.all((orig >= 0.0) & (orig < 1.0)):
+        raise ValueError("chi-square quantile requires 0 <= p < 1")
+    out = np.zeros(orig.size)
+    i = np.flatnonzero(orig > 0.0)
+    ps = orig.ravel()[i]
+    a = 0.5 * df
     c = 2.0 / (9.0 * df)
-    x = df * (1.0 - c + zp * math.sqrt(c)) ** 3
-    if x <= 0.0:
-        x = 0.5 * math.exp((math.log(p) + math.lgamma(0.5 * df) + 0.5 * df * math.log(2.0)) / (0.5 * df)) * 2.0
-        x = max(x, 1e-280)
-    lo, hi = 0.0, math.inf
+    x = df * (1.0 - c + norm_quantile(ps) * math.sqrt(c)) ** 3
+    # where that start is not positive, the leading term of the series,
+    # P(a, x / 2) ~ (x / 2)^a / Gamma(a + 1)
+    low = x <= 0.0
+    x[low] = np.maximum(2.0 * np.exp((np.log(ps[low]) + math.lgamma(a + 1.0)) / a), 1e-280)
+    upper = ps > 0.5
+    tail = np.where(upper, 1.0 - ps, ps)
+    lo, hi = np.zeros_like(x), np.full_like(x, math.inf)
     for _ in range(_MAX_NEWTON):
-        f = _gammainc_lower(0.5 * df, 0.5 * x) - p
-        if abs(f) <= _INVERT_TOL or hi - lo <= 1e-15 * max(1.0, abs(x)):
-            return x
-        if f > 0.0:
-            hi = min(hi, x)
-        else:
-            lo = max(lo, x)
-        deriv = _chisq_pdf(x, df)
-        if deriv > 0.0:
-            step = f / deriv
-            x_new = x - step
-        else:
-            x_new = math.nan
-        if not (lo < x_new < hi) or not math.isfinite(x_new):
-            x_new = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * max(x, 1.0)
-        x = x_new
-    raise ConvergenceError("chi-square quantile inversion hit the 200-iteration cap")
+        if not i.size:
+            break
+        cdf, sf = _gammainc_array(a, 0.5 * x)
+        got = np.where(upper, sf, cdf)
+        done = (np.abs(got - tail) <= _INVERT_TOL * tail) | (hi - lo <= 1e-15 * x)
+        if done.any():
+            out[i[done]] = x[done]
+            i, x, got, upper, tail, lo, hi = (
+                v[~done] for v in (i, x, got, upper, tail, lo, hi))
+        short = (got < tail) != upper           # x lies below the quantile
+        lo = np.where(short, x, lo)
+        hi = np.where(short, hi, x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # g = log(tail / target) in u = log x: g' = -+ x pdf / tail and
+            # g'' = g' r2; Newton's step h = g / g', and once it is short the
+            # series reversion to third order
+            slope = np.exp(a * np.log(0.5 * x) - 0.5 * x - math.lgamma(a)) / got
+            slope = np.where(upper, -slope, slope)
+            h = np.log(got / tail) / slope
+            r2 = a - 0.5 * x - slope
+            rev = h * (1.0 + h * (0.5 * r2 + h * (r2 * r2 / 3.0 + (0.5 * x + slope * r2) / 6.0)))
+            x_new = x * np.exp(-np.where(np.abs(h) < 0.5, rev, h))
+        bad = ~((lo < x_new) & (x_new < hi))
+        x = np.where(bad, np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * np.maximum(x, 1.0)),
+                     x_new)
+    if i.size:
+        raise ConvergenceError("chi-square quantile inversion hit the 200-iteration cap")
+    if np.ndim(p) == 0:
+        return float(out[0])
+    return out.reshape(orig.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +533,20 @@ def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
     base = norm_cdf(-delta)
     tt = t * t
     y = tt / (tt + df)
+    w = df / (tt + df)
     if y < _MIN_NORMAL:
         # t == 0, or t * t underflows against df: only the normal mass is left
         return base
-    ln_y = math.log(y)
-    ln_1my = math.log1p(-y)
+    if w < _MIN_NORMAL:
+        # t * t overflows, or dwarfs df past the double range: only the limit 1
+        # is left
+        return 1.0
+    # far out 1 - y has lost its digits, so the series runs over the upper
+    # tails I_w(df/2, a) = 1 - I_y(a, df/2) with w = 1 - y, which step the
+    # other way (the terms change sign); then P(T <= t) = 1 - total / 2
+    far = w < _FAR
+    sign, ln_y, ln_1my = (-1.0, math.log1p(-w), math.log(w)) if far else (
+        1.0, math.log(y), math.log1p(-y))
     lam = 0.5 * delta * delta
     half_df = 0.5 * df
 
@@ -485,7 +567,8 @@ def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
 
     # incomplete beta ratios and their increment terms at the starting index
     def ibeta_state(a: float):
-        return _betainc(a, half_df, y), _beta_term(a, half_df, ln_y, ln_1my)
+        ratio = _betainc(half_df, a, w) if far else _betainc(a, half_df, y)
+        return ratio, sign * _beta_term(a, half_df, ln_y, ln_1my)
 
     p_m = p_weight(m)
     q_m = q_weight(m)
@@ -502,8 +585,8 @@ def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
     while True:
         a_p = j + 0.5
         a_q = j + 1.0
-        ip = max(0.0, ip - tp)
-        iq = max(0.0, iq - tq)
+        ip = min(1.0, max(0.0, ip - tp))
+        iq = min(1.0, max(0.0, iq - tq))
         tp *= y * (a_p + half_df) / (a_p + 1.0)
         tq *= y * (a_q + half_df) / (a_q + 1.0)
         p_j *= lam / (j + 1.0)
@@ -523,8 +606,8 @@ def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
         a_q = j + 1.0
         tp *= a_p / (y * (a_p - 1.0 + half_df))
         tq *= a_q / (y * (a_q - 1.0 + half_df))
-        ip = min(1.0, ip + tp)
-        iq = min(1.0, iq + tq)
+        ip = max(0.0, min(1.0, ip + tp))
+        iq = max(0.0, min(1.0, iq + tq))
         p_j *= j / lam
         q_j *= (j + 0.5) / lam
         j -= 1
@@ -532,7 +615,7 @@ def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
         if p_j < 1e-18 and abs(q_j) < 1e-18:
             break
 
-    return min(1.0, max(0.0, base + 0.5 * total))
+    return min(1.0, max(0.0, 1.0 - 0.5 * total if far else base + 0.5 * total))
 
 
 def nct_cdf(x, df, ncp):
@@ -624,7 +707,8 @@ def _betainc_array(a, b, x) -> np.ndarray:
 
 
 def _t_cdf_array(x: np.ndarray, df: np.ndarray) -> np.ndarray:
-    xx = x * x
+    with np.errstate(over="ignore"):
+        xx = x * x
     tail = xx > df
     core = ~tail
     w = np.empty_like(x)
@@ -642,10 +726,15 @@ def _beta_term_array(a, b, ln_y, ln_1my) -> np.ndarray:
 
 def _nct_cdf_nonneg_array(t: np.ndarray, df: np.ndarray, delta: np.ndarray) -> np.ndarray:
     out = norm_cdf(-delta)
-    tt = t * t
-    y = tt / (tt + df)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tt = t * t
+        y = tt / (tt + df)
+        w = df / (tt + df)
     lam = 0.5 * delta * delta
-    series = y >= _MIN_NORMAL
+    # far out (see _nct_cdf_nonneg) every entry takes the scalar kernel
+    far = w < _FAR
+    out[far] = list(map(_nct_cdf_nonneg, *(v[far].tolist() for v in (t, df, delta))))
+    series = (y >= _MIN_NORMAL) & ~far
     central = series & (lam == 0.0)
     out[central] = _t_cdf_array(t[central], df[central])
     s = series & (lam > 0.0)

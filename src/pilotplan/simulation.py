@@ -1,17 +1,23 @@
 """Monte Carlo verification of the pilot plans.
 
-Each replicate plays out the whole workflow an analyst would run: generate
-pilot data, estimate the quantity the pilot is for (standard deviation or
-effect size), size the main study from that estimate, evaluate the true power
-of the resulting design, and flag the replicate when that power falls below
-the underpower threshold.  The reported fraction of flagged replicates is the
+Each replicate plays out the whole workflow an analyst would run: draw a
+pilot, estimate the quantity the pilot is for (standard deviation or effect
+size), size the main study from that estimate, evaluate the true power of the
+resulting design, and flag the replicate when that power falls below the
+underpower threshold.  The reported fraction of flagged replicates is the
 empirical counterpart of the planner's underpower probability.
 
+A pilot is drawn as its sufficient statistics, not its observations: under
+normal data the sample mean (or difference of means) is N(mu, g sigma^2 / n)
+and independent of df S^2 / sigma^2, which is chi-square on df (Cochran's
+theorem).  So each replicate takes one normal and one chi-square deviate,
+from the package's own quantile functions, whatever the pilot size.
+
 Randomness: one logical seed per run; each scenario/cell derives its stream
-through numpy's SeedSequence spawn keys, and within a cell replicate r reads a
-fixed, index-determined block of a counter-based (Philox) stream, so results
-do not depend on execution order or parallelism.  Normal deviates come from
-the package's own inverse normal CDF.
+through numpy's SeedSequence spawn keys, and within a cell replicate r reads
+row r of one block of uniforms from a counter-based (Philox) stream, so
+results do not depend on execution order, and a run is a prefix of any
+longer run with the same seed.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .distributions import norm_quantile
+from .distributions import chisq_quantile, norm_quantile
 from .power import (
     EffectSpec,
     ONE_SAMPLE,
@@ -81,7 +87,7 @@ class SimulationConfig:
     alpha: float = 0.05
     power_target: float = 0.8
     underpower_threshold: float = 0.6
-    pooled_pilot: bool = False     # variance scenario: pool two pilot groups
+    pooled_pilot: bool = False     # variance scenario only: pool two pilot groups
     sizing_mode: str = T_ITERATIVE
     estimator: str = POOLED_SD     # effect scenario only
 
@@ -109,7 +115,12 @@ class SimulationConfig:
         if self.scenario == VARIANCE:
             if int(self.pilot_n) < 2:
                 raise ConfigError(f"variance pilots need pilot_n >= 2, got {self.pilot_n!r}")
+            if self.estimator != POOLED_SD:
+                raise ConfigError(f"estimator applies to the '{EFFECT}' scenario only, "
+                                  f"got {self.estimator!r}")
         else:
+            if self.pooled_pilot:
+                raise ConfigError(f"pooled_pilot applies to the '{VARIANCE}' scenario only")
             if self.estimator not in (POOLED_SD, KNOWN_SIGMA):
                 raise ConfigError(f"estimator must be '{POOLED_SD}' or '{KNOWN_SIGMA}'")
             min_n = 2 if self.estimator == POOLED_SD else 1
@@ -159,27 +170,10 @@ def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
         np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in spawn_key))))
 
 
-def _standard_normals(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    # uniforms on the open interval (0, 1): integers 1 .. 2^53 - 1 over 2^53,
-    # mapped through the package's inverse normal CDF; replicate r is row r
-    u = rng.integers(1, 1 << 53, size=shape).astype(float) / float(1 << 53)
-    return norm_quantile(u)
-
-
-# replicate blocks bound peak memory: the inverse normal CDF holds about a
-# dozen temporaries the size of its input, so a block of 2**16 draws (512 KB)
-# keeps them near 6 MB.  Blocks are whole rows, so blocking never changes
-# which counter positions a replicate reads and results do not depend on the
-# block size
-_BLOCK_ELEMS = 1 << 16
-
-
-def _replicate_blocks(reps: int, per_rep: int):
-    step = max(1, _BLOCK_ELEMS // max(per_rep, 1))
-    start = 0
-    while start < reps:
-        yield start, min(step, reps - start)
-        start += step
+def _uniforms(rng: np.random.Generator, reps: int, k: int) -> np.ndarray:
+    # uniforms on the open interval (0, 1): integers 1 .. 2^53 - 1 over 2^53;
+    # replicate r reads row r, so a run is a prefix of any longer run
+    return rng.integers(1, 1 << 53, size=(reps, k)).astype(float) / float(1 << 53)
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +294,10 @@ def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
     reps = int(config.replicates)
     npil = int(config.pilot_n)
 
-    rng = _rng(config.seed, 1)
-    s2 = np.empty(reps)
-    per_rep = 2 * npil if config.pooled_pilot else npil
-    for start, m in _replicate_blocks(reps, per_rep):
-        if config.pooled_pilot:
-            draws = _standard_normals(rng, (m, 2, npil)) * config.sigma
-            s2[start:start + m] = draws.var(axis=2, ddof=1).mean(axis=1)
-        else:
-            draws = _standard_normals(rng, (m, npil)) * config.sigma
-            s2[start:start + m] = draws.var(axis=1, ddof=1)
-
+    # (df) S^2 / sigma^2 is chi-square on df = n - 1, or 2n - 2 pooled
+    df = 2 * npil - 2 if config.pooled_pilot else npil - 1
+    u = _uniforms(_rng(config.seed, 1), reps, 1)
+    s2 = config.sigma ** 2 * chisq_quantile(u[:, 0], df) / df
     d_hat = config.effect / np.sqrt(s2)
     main_n = _size_mains(d_hat, design, config.power_target, config.sizing_mode)
 
@@ -337,27 +324,16 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
     reps = int(config.replicates)
     npil = int(config.pilot_n)
 
-    rng = _rng(config.seed, 2)
-    d_hat = np.empty(reps)
-    if design.kind == TWO_SAMPLE:
-        for start, m in _replicate_blocks(reps, 2 * npil):
-            draws = _standard_normals(rng, (m, 2, npil)) * config.sigma
-            draws[:, 1, :] += config.effect
-            diff = draws[:, 1, :].mean(axis=1) - draws[:, 0, :].mean(axis=1)
-            if config.estimator == POOLED_SD:
-                sd = np.sqrt(draws.var(axis=2, ddof=1).mean(axis=1))
-            else:
-                sd = config.sigma
-            d_hat[start:start + m] = diff / sd
+    # the mean (two-sample: difference of means) is N(mu, g sigma^2 / n) and
+    # independent of the pooled S^2, which is sigma^2 chi2(g (n - 1)) / df
+    u = _uniforms(_rng(config.seed, 2), reps, 2)
+    mean = (config.effect
+            + config.sigma * math.sqrt(design.groups / npil) * norm_quantile(u[:, 0]))
+    if config.estimator == POOLED_SD:
+        df = design.df(npil)
+        d_hat = mean / (config.sigma * np.sqrt(chisq_quantile(u[:, 1], df) / df))
     else:
-        for start, m in _replicate_blocks(reps, npil):
-            draws = _standard_normals(rng, (m, npil)) * config.sigma + config.effect
-            mean = draws.mean(axis=1)
-            if config.estimator == POOLED_SD:
-                sd = np.sqrt(draws.var(axis=1, ddof=1))
-            else:
-                sd = config.sigma
-            d_hat[start:start + m] = mean / sd
+        d_hat = mean / config.sigma
 
     nonpositive = int(np.count_nonzero(d_hat <= 0.0))
     d_mag = np.abs(d_hat)

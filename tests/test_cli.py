@@ -128,6 +128,15 @@ class TestPlanEffect:
         assert code == 2
         assert "either" in err
 
+    def test_equal_proportions_rejected(self, capsys):
+        # a zero arcsine effect: the message names the flags given, not --mu0
+        code, _, err = run_cli(
+            capsys, "plan-effect", "--p1", ".5", "--p2", ".5",
+            "--underpower-prob", ".3", "--underpower-threshold", ".6")
+        assert code == 1
+        assert "--p1" in err and "--p2" in err and "zero effect" in err
+        assert "mu0" not in err
+
     def test_neither_entry_form_rejected(self, capsys):
         code, _, _ = run_cli(
             capsys, "plan-effect",
@@ -173,6 +182,18 @@ class TestSimulate:
             capsys, "simulate", "--scenario", "effect", "--effect", ".5",
             "--pilot-n", "32")
         assert code == 2
+
+    @pytest.mark.parametrize("scenario,flags,want", [
+        ("effect", ["--pooled-pilot"], 2),
+        ("variance", ["--estimator", "known-sigma"], 2),
+        ("variance", ["--estimator", "pooled-sd"], 0),   # the default, spelled out
+    ])
+    def test_other_scenario_flags_rejected(self, capsys, scenario, flags, want):
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", scenario, "--effect", ".5",
+            "--pilot-n", "12", "--reps", "50", "--seed", "1", *flags)
+        assert code == want
+        assert ("scenario only" in err) == (want == 2)
 
     def test_bad_scenario_rejected(self, capsys):
         code, _, _ = run_cli(
@@ -282,6 +303,11 @@ class TestRecordRoundTrip:
     @settings(max_examples=20, deadline=None)
     def test_simulate(self, scenario, effect, pilot_n, seed, sigma, kind, alpha,
                       power, pooled, sizing_mode, estimator):
+        # each scenario takes the other's option only at its default
+        if scenario == "variance":
+            estimator = "pooled-sd"
+        else:
+            pooled = False
         config = dict(scenario=scenario, effect=effect, pilot_n=pilot_n, seed=seed,
                       replicates=200, sigma=sigma, kind=kind, alpha=alpha,
                       power_target=power, underpower_threshold=0.6,

@@ -265,6 +265,18 @@ class TestNoncentralT:
                 assert nct_cdf(t, 1.0, ncp) == norm_cdf(-ncp)
                 assert nct_cdf(np.array([t]), 1.0, ncp)[0] == norm_cdf(-ncp)
 
+    def test_huge_t(self):
+        # t * t dwarfs df (the beta argument t^2 / (t^2 + df) rounds to 1) or
+        # overflows: P(T <= t) is the tail series or its limit, as scipy has it
+        ts = np.array([1e8, -1e8, 1e10, -1e10, 1e200, -1e200])
+        for df in (1.0, 3.0, 30.0):
+            for ncp in (-1.0, 0.0, 1.0):
+                got = [nct_cdf(float(t), df, ncp) for t in ts]
+                assert nct_cdf(ts, df, ncp).tolist() == got
+                want = scipy_stats.nct.cdf(ts, df, ncp) if ncp else scipy_stats.t.cdf(ts, df)
+                assert np.isfinite(want).all()
+                assert np.abs(np.array(got) - want).max() <= 1e-10, (df, ncp)
+
     def test_array_broadcasts_to_shape(self):
         x = np.array([[-1.0, 0.0, 2.0], [0.5, 3.0, -4.0]])
         got = nct_cdf(x, 12.0, np.array([0.0, 1.5, -2.0]))
@@ -300,6 +312,25 @@ class TestProperties:
         got = nct_cdf(t, df, ncp)
         want = [nct_cdf(*p) for p in points]
         assert np.abs(got - want).max() <= 1e-13
+
+    @given(st.lists(st.one_of(st.floats(1e-12, 1.0 - 1e-12),
+                              st.floats(-12.0, -0.3).map(lambda e: 10.0 ** e),
+                              st.floats(-12.0, -0.3).map(lambda e: 1.0 - 10.0 ** e)),
+                    min_size=1, max_size=20),
+           st.floats(1.0, 2000.0))
+    @settings(max_examples=50, deadline=None)
+    def test_chisq_quantile_array(self, ps, df):
+        # each entry is its own scalar call, within 1e-9 relative of scipy
+        # into both far tails, and monotone in p to that accuracy
+        p = np.array(ps)
+        got = chisq_quantile(p, df)
+        assert got.tolist() == [chisq_quantile(v, df) for v in ps]
+        want = scipy_stats.chi2.ppf(p, df)
+        assert np.abs(got / want - 1.0).max() <= 1e-9
+        order = np.argsort(p, kind="stable")
+        assert (np.diff(got[order]) >= -2e-9 * got[order][1:]).all()
+        assert chisq_quantile(0.0, df) == 0.0
+        assert chisq_quantile(np.zeros(2), df).tolist() == [0.0, 0.0]
 
     @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99),
            st.sampled_from([2.0, 11.0, 100.0]))

@@ -6,6 +6,7 @@ closed form evaluated with scipy's normal quantiles.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pilotplan.power import ONE_SAMPLE, TWO_SAMPLE, TestDesign, arcsine_effect
 from pilotplan.variance import PowerBounds
@@ -14,6 +15,7 @@ from pilotplan.effect import (
     effect_underpower_prob,
     plan_effect_pilot,
 )
+from test_variance_pilot import assert_same_plan, plan_inputs
 
 TWO = TestDesign(TWO_SAMPLE, 0.05)
 ONE = TestDesign(ONE_SAMPLE, 0.05)
@@ -156,3 +158,28 @@ class TestPlan:
         (rec,) = plan.csv_rows()
         assert rec["pilot_n"] == 32
         assert set(plan.config) | set(plan.results) == set(rec)
+
+
+class TestPlanProperties:
+    def plan(self, x, scale=1.0, **over):
+        x = {**x, **over}
+        return plan_effect_pilot(x["d"] * x["sigma"] * scale, x["sigma"] * scale,
+                                 TestDesign(TWO_SAMPLE, x["alpha"]), x["power"],
+                                 PowerBounds(x["p"], x["threshold"]))
+
+    @given(plan_inputs(), st.floats(0.05, 0.45))
+    @settings(max_examples=15, deadline=None)
+    def test_tighter_bound_never_shrinks_pilot(self, x, p2):
+        tight, loose = sorted((x["p"], p2))
+        assert self.plan(x, p=tight).pilot_n >= self.plan(x, p=loose).pilot_n
+
+    @given(plan_inputs(), st.floats(0.3, 0.9))
+    @settings(max_examples=15, deadline=None)
+    def test_threshold_nearer_target_never_shrinks_pilot(self, x, t2):
+        far, near = sorted((x["threshold"], min(t2, x["power"] - 0.05)))
+        assert self.plan(x, threshold=near).pilot_n >= self.plan(x, threshold=far).pilot_n
+
+    @given(plan_inputs(), st.floats(0.1, 10.0))
+    @settings(max_examples=15, deadline=None)
+    def test_scaling_mu0_and_sigma_keeps_plan(self, x, scale):
+        assert_same_plan(self.plan(x), self.plan(x, scale), scale)

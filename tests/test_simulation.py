@@ -6,12 +6,13 @@ the tight ones are frozen determinism checks.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from pilotplan.cli import emit
-from pilotplan.distributions import nct_cdf
+from pilotplan.distributions import chisq_quantile, nct_cdf, norm_quantile
 from pilotplan.power import (
     EffectSpec,
     TWO_SAMPLE,
@@ -31,7 +32,7 @@ from pilotplan.simulation import (
     simulate_effect_pipeline,
     simulate_variance_pipeline,
 )
-from pilotplan.simulation import _rng, _standard_normals
+from pilotplan.simulation import _rng, _uniforms
 import pilotplan.simulation as simulation
 
 TWO = TestDesign(TWO_SAMPLE, 0.05)
@@ -69,6 +70,16 @@ class TestConfigValidation:
             effect_cfg(pilot_n=1).validate()
         effect_cfg(pilot_n=1, estimator=KNOWN_SIGMA).validate()
 
+    def test_other_scenario_options_rejected(self):
+        # each scenario rejects the other's option unless it is the default,
+        # which a config cannot tell from an explicit value
+        with pytest.raises(ConfigError, match="pooled_pilot"):
+            effect_cfg(pooled_pilot=True).validate()
+        with pytest.raises(ConfigError, match="estimator"):
+            variance_cfg(estimator=KNOWN_SIGMA).validate()
+        effect_cfg(pooled_pilot=False).validate()
+        variance_cfg(estimator="pooled-sd").validate()
+
     def test_threshold_must_be_below_target(self):
         with pytest.raises(ConfigError):
             variance_cfg(underpower_threshold=0.8).validate()
@@ -99,25 +110,40 @@ class TestDeterminism:
         b = reproduce_table(1, replicates=60, seed=9)
         assert a == b
 
-    def test_block_size_does_not_change_reports(self, monkeypatch):
-        runs = [(simulate_variance_pipeline, variance_cfg(replicates=300, pooled_pilot=True)),
-                (simulate_effect_pipeline, effect_cfg(replicates=300))]
-        default = [sim(cfg) for sim, cfg in runs]
-        monkeypatch.setattr(simulation, "_BLOCK_ELEMS", 1000)
-        assert [sim(cfg) for sim, cfg in runs] == default
+    @pytest.mark.parametrize("sim,cfg", [
+        (simulate_variance_pipeline, variance_cfg(pooled_pilot=True)),
+        (simulate_variance_pipeline, variance_cfg(kind="one-sample")),
+        (simulate_effect_pipeline, effect_cfg()),
+        (simulate_effect_pipeline, effect_cfg(kind="one-sample", estimator=KNOWN_SIGMA)),
+    ], ids=["variance-pooled", "variance-one-sample", "effect-pooled-sd", "effect-known-sigma"])
+    def test_short_run_is_prefix_of_long_run(self, monkeypatch, sim, cfg):
+        # replicate r reads row r of the uniform block, so the first m
+        # replicates of a run are exactly an m-replicate run
+        seen = []
+        size_mains = simulation._size_mains
+
+        def recording(d_hat, *rest):
+            seen.append(d_hat.copy())
+            return size_mains(d_hat, *rest)
+
+        monkeypatch.setattr(simulation, "_size_mains", recording)
+        sim(SimulationConfig(**{**asdict(cfg), "replicates": 300}))
+        sim(SimulationConfig(**{**asdict(cfg), "replicates": 120}))
+        long_run, short_run = seen
+        assert short_run.tolist() == long_run[:120].tolist()
 
 
 class TestSampler:
     def test_normal_moments(self):
         rng = _rng(123, 99)
-        x = _standard_normals(rng, (1000, 1000)).ravel()
+        x = norm_quantile(_uniforms(rng, 1000, 1000)).ravel()
         n = x.size
         assert abs(x.mean()) < 4.0 / math.sqrt(n)
         assert abs(x.std(ddof=1) - 1.0) < 4.0 / math.sqrt(2 * n)
 
     def test_open_interval(self):
         rng = _rng(5, 1)
-        u = rng.integers(1, 1 << 53, size=10000).astype(float) / float(1 << 53)
+        u = _uniforms(rng, 10000, 2)
         assert u.min() > 0.0 and u.max() < 1.0
 
 
@@ -195,9 +221,9 @@ class TestVariancePipeline:
         # power at each replicate's main size
         cfg = variance_cfg(replicates=400)
         rep = simulate_variance_pipeline(cfg)
-        rng = _rng(cfg.seed, 1)
-        draws = _standard_normals(rng, (cfg.replicates, cfg.pilot_n)) * cfg.sigma
-        s2 = draws.var(axis=1, ddof=1)
+        df = cfg.pilot_n - 1
+        u = _uniforms(_rng(cfg.seed, 1), cfg.replicates, 1)[:, 0]
+        s2 = cfg.sigma ** 2 * chisq_quantile(u, df) / df
         d_hat = cfg.effect / np.sqrt(s2)
         main_n = _size_mains(d_hat, TWO, cfg.power_target, cfg.sizing_mode)
         flags = [power_at(int(n), EffectSpec(cfg.effect, cfg.sigma), TWO)
@@ -253,6 +279,57 @@ class TestEffectPipeline:
     def test_one_sample_runs(self):
         rep = simulate_effect_pipeline(effect_cfg(kind="one-sample", replicates=500))
         assert 0.0 <= rep.empirical_underpower <= 1.0
+
+
+def _raw_draw_d_hat(cfg: SimulationConfig) -> np.ndarray:
+    """Effect-size estimates from whole pilots of n (or 2n) normal draws.
+
+    The reference the sufficient-statistic sampler replaced: every pilot
+    observation goes through the package's inverse normal CDF, and the
+    estimate is formed from the sample means and variances.  It reads its
+    own substream, so its runs are independent of the package's.
+    """
+    rng = _rng(cfg.seed, 99)
+    n, sigma = cfg.pilot_n, cfg.sigma
+    if cfg.scenario == "variance":
+        groups = 2 if cfg.pooled_pilot else 1
+    else:
+        groups = cfg.design().groups
+    out = []
+    for start in range(0, cfg.replicates, 5000):
+        m = min(5000, cfg.replicates - start)
+        x = norm_quantile(_uniforms(rng, m, groups * n)).reshape(m, groups, n) * sigma
+        sd = np.sqrt(x.var(axis=2, ddof=1).mean(axis=1))
+        if cfg.scenario == "variance":
+            out.append(cfg.effect / sd)
+            continue
+        x[:, -1, :] += cfg.effect
+        mean = x[:, -1, :].mean(axis=1) - (x[:, 0, :].mean(axis=1) if groups == 2 else 0.0)
+        out.append(mean / (sd if cfg.estimator != KNOWN_SIGMA else sigma))
+    return np.concatenate(out)
+
+
+class TestRawDrawOracle:
+    @pytest.mark.parametrize("sim,cfg", [
+        (simulate_variance_pipeline, variance_cfg()),
+        (simulate_variance_pipeline, variance_cfg(pooled_pilot=True)),
+        (simulate_effect_pipeline, effect_cfg(pilot_n=12)),
+        (simulate_effect_pipeline, effect_cfg(kind="one-sample", pilot_n=17,
+                                              estimator=KNOWN_SIGMA)),
+    ], ids=["variance", "variance-pooled", "effect-pooled-sd", "effect-one-sample-known-sigma"])
+    def test_sufficient_statistics_match_raw_pilots(self, sim, cfg):
+        # 100,000 replicates each way: the underpower rates agree within 4
+        # combined Monte Carlo standard errors
+        cfg = SimulationConfig(**{**asdict(cfg), "replicates": 100_000})
+        rep = sim(cfg)
+        design = cfg.design()
+        n_crit = main_sample_size(EffectSpec(cfg.effect, cfg.sigma), design,
+                                  cfg.underpower_threshold)
+        boundary = effect_for_n(n_crit - 1, design, cfg.power_target, T_ITERATIVE)
+        raw = float(np.mean(np.abs(_raw_draw_d_hat(cfg)) >= boundary))
+        se = math.sqrt(rep.mc_standard_error ** 2 + raw * (1 - raw) / cfg.replicates)
+        assert abs(rep.empirical_underpower - raw) <= 4 * se
+        assert 0.05 < raw < 0.6     # a cell where the rate says something
 
 
 class TestTableReports:

@@ -265,6 +265,58 @@ class TestPlan:
         assert set(plan.config) | set(plan.results) == set(rec)
 
 
+@st.composite
+def plan_inputs(draw):
+    """A two-sample design, an underpower bound, an effect size d and a sigma."""
+    power = draw(st.floats(0.7, 0.95))
+    return dict(power=power, alpha=draw(st.floats(0.01, 0.1)),
+                p=draw(st.floats(0.05, 0.45)),
+                threshold=draw(st.floats(0.3, power - 0.05)),
+                d=draw(st.floats(0.1, 1.5)), sigma=draw(st.floats(0.5, 8.0)))
+
+
+def assert_same_plan(a, b, scale):
+    """Equal sizes, and every real-valued result in proportion to ``scale``."""
+    for key, va in a.results.items():
+        vb = b.results[key]
+        if isinstance(va, float):
+            assert vb == pytest.approx(va * scale, rel=1e-9), key
+        else:
+            assert vb == va, key
+
+
+class TestPlanProperties:
+    def plan(self, x, mode, pooled, scale=1.0, **over):
+        x = {**x, **over}
+        return plan_variance_pilot(
+            EffectSpec(x["d"] * x["sigma"] * scale, x["sigma"] * scale),
+            TestDesign(TWO_SAMPLE, x["alpha"]), x["power"],
+            PowerBounds(x["p"], x["threshold"]), mode=mode, pooled_pilot=pooled)
+
+    @given(plan_inputs(), st.floats(0.05, 0.45), st.sampled_from([APPROX, EXACT]),
+           st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_tighter_bound_never_shrinks_pilot(self, x, p2, mode, pooled):
+        tight, loose = sorted((x["p"], p2))
+        assert (self.plan(x, mode, pooled, p=tight).pilot_n
+                >= self.plan(x, mode, pooled, p=loose).pilot_n)
+
+    @given(plan_inputs(), st.floats(0.3, 0.9), st.sampled_from([APPROX, EXACT]),
+           st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_threshold_nearer_target_never_shrinks_pilot(self, x, t2, mode, pooled):
+        far, near = sorted((x["threshold"], min(t2, x["power"] - 0.05)))
+        assert (self.plan(x, mode, pooled, threshold=near).pilot_n
+                >= self.plan(x, mode, pooled, threshold=far).pilot_n)
+
+    @given(plan_inputs(), st.floats(0.1, 10.0), st.sampled_from([APPROX, EXACT]),
+           st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_scaling_delta_and_sigma_keeps_plan(self, x, scale, mode, pooled):
+        assert_same_plan(self.plan(x, mode, pooled), self.plan(x, mode, pooled, scale),
+                         scale)
+
+
 class TestBounds:
     def test_partial_overpower_rejected(self):
         with pytest.raises(ValueError):
