@@ -11,11 +11,8 @@ with bracket fallback.
 ``norm_cdf``, ``norm_quantile`` and ``chisq_quantile`` (an array of p, one
 df) accept numpy arrays as well as scalars: the simulation harness draws one
 normal and one chi-square deviate per replicate through them, in bulk.
-``nct_cdf`` does too: array inputs run an array kernel of the same series,
-start index, stopping rules and iteration caps, with every transcendental
-function taken elementwise from ``math``, so each entry equals the scalar
-result; scalar inputs keep the plain-float kernel, which is far cheaper per
-call.  ``chisq_cdf`` and the t functions are scalar.
+``chisq_cdf``, the t functions and ``nct_cdf`` are scalar; no caller needs
+the noncentral t at more than a few dozen points at once.
 """
 
 from __future__ import annotations
@@ -242,6 +239,11 @@ def _gammainc_lower(a: float, x: float) -> float:
         raise ValueError("x must be >= 0")
     if x == 0.0:
         return 0.0
+    pre = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if pre == 0.0:
+        # the factor that scales either tail underflows, so P is its limit;
+        # far out the fraction below cannot settle within 1e-16 of 1 either
+        return 0.0 if x < a + 1.0 else 1.0
     if x < a + 1.0:
         # series representation
         ap = a
@@ -252,7 +254,7 @@ def _gammainc_lower(a: float, x: float) -> float:
             term *= x / ap
             total += term
             if abs(term) < abs(total) * 1e-17:
-                return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+                return total * pre
         raise ConvergenceError("incomplete gamma series hit the iteration cap")
     # continued fraction for Q(a, x), modified Lentz
     b = x + 1.0 - a
@@ -272,8 +274,7 @@ def _gammainc_lower(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            q = h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-            return 1.0 - q
+            return 1.0 - h * pre
     raise ConvergenceError("incomplete gamma continued fraction hit the iteration cap")
 
 
@@ -286,16 +287,24 @@ def chisq_cdf(x: float, df: float) -> float:
     return min(1.0, max(0.0, _gammainc_lower(0.5 * df, 0.5 * x)))
 
 
+def _floor_tiny(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) < _TINY, _TINY, v)
+
+
 def _gammainc_array(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P(a, x) and Q(a, x) = 1 - P(a, x) for an array of x >= 0 and one a.
 
     The scalar kernel's series (for P) and continued fraction (for Q), run in
     lockstep with its constants, stopping rules and caps; each tail comes
     from its own formula where that formula applies, so the smaller one
-    keeps its relative accuracy.
+    keeps its relative accuracy.  Where the scaling factor underflows both
+    are skipped and the tails take their limits, as in the scalar kernel.
     """
+    pos = x > 0.0
+    pre = np.zeros_like(x)
+    pre[pos] = np.exp(-x[pos] + a * np.log(x[pos]) - math.lgamma(a))
     val = np.zeros_like(x)          # the series sum, or the fraction
-    i = np.flatnonzero((x > 0.0) & (x < a + 1.0))
+    i = np.flatnonzero((pre > 0.0) & (x < a + 1.0))
     v, ap, term = x[i], a, np.full(i.size, 1.0 / a)
     total = term
     for _ in range(_MAX_SERIES):
@@ -312,7 +321,7 @@ def _gammainc_array(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError("incomplete gamma series hit the iteration cap")
 
     cf = x >= a + 1.0
-    i = np.flatnonzero(cf)
+    i = np.flatnonzero(cf & (pre > 0.0))
     b = x[i] + 1.0 - a
     c = np.full(i.size, 1.0 / _TINY)
     d = h = 1.0 / b
@@ -331,8 +340,7 @@ def _gammainc_array(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             i, b, c, d, h = (w[~done] for w in (i, b, c, d, h))
     if i.size:
         raise ConvergenceError("incomplete gamma continued fraction hit the iteration cap")
-    pos = x > 0.0
-    val[pos] *= np.exp(-x[pos] + a * np.log(x[pos]) - math.lgamma(a))
+    val *= pre
     return np.where(cf, 1.0 - val, val), np.where(cf, val, 1.0 - val)
 
 
@@ -618,16 +626,15 @@ def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
     return min(1.0, max(0.0, 1.0 - 0.5 * total if far else base + 0.5 * total))
 
 
-def nct_cdf(x, df, ncp):
+def nct_cdf(x: float, df: float, ncp: float) -> float:
     """Noncentral t CDF with noncentrality ``ncp``.
 
     Matches ``t_cdf`` exactly at ncp = 0 and is evaluated to ~1e-12 absolute
-    accuracy (target 1e-8) against direct numerical integration.  If any
-    argument is an array, the three broadcast together and an array of the
-    same values the scalar calls would give comes back.
+    accuracy (target 1e-8) against direct numerical integration.  Scalars
+    only: an array argument is a ValueError.
     """
     if np.ndim(x) or np.ndim(df) or np.ndim(ncp):
-        return _nct_cdf_array(x, df, ncp)
+        raise ValueError("nct_cdf takes scalar arguments; call it once per point")
     x = _require_finite("x", x)
     df = _require_df(df)
     ncp = _require_finite("ncp", ncp)
@@ -636,181 +643,3 @@ def nct_cdf(x, df, ncp):
     if x >= 0.0:
         return _nct_cdf_nonneg(x, df, ncp)
     return min(1.0, max(0.0, 1.0 - _nct_cdf_nonneg(-x, df, -ncp)))
-
-
-# ---------------------------------------------------------------------------
-# Array kernel of the noncentral t CDF
-# ---------------------------------------------------------------------------
-#
-# Each function below is its scalar namesake run over 1-D arrays: the same
-# operations in the same order (``np.fmin``/``np.fmax`` pass over NaN as the
-# builtin ``min``/``max`` do), with every entry leaving an iteration on the
-# scalar test and an iteration cap still raising.  Entries that have stopped
-# are dropped from the working arrays, so a pass only computes the ones left.
-
-def _elementwise(fn):
-    ufunc = np.frompyfunc(fn, 1, 1)
-    return lambda x: ufunc(x).astype(float)
-
-
-# ``math`` functions entry by entry: numpy has no lgamma, and its exp and log
-# may round differently from ``math`` in the last bit
-_exp, _log, _log1p, _lgamma = map(_elementwise, (math.exp, math.log, math.log1p, math.lgamma))
-
-
-def _floor_tiny(v: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(v) < _TINY, _TINY, v)
-
-
-def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    d = 1.0 / _floor_tiny(1.0 - qab * x / qap)
-    state = (np.arange(x.size), a, b, x, qab, qap, qam, np.ones_like(x), d, d)
-    for m in range(1, _MAX_LENTZ + 1):
-        i, a, b, x, qab, qap, qam, c, d, h = state
-        if not i.size:
-            return out
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 / _floor_tiny(1.0 + aa * d)
-        c = _floor_tiny(1.0 + aa / c)
-        h = h * (d * c)
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 / _floor_tiny(1.0 + aa * d)
-        c = _floor_tiny(1.0 + aa / c)
-        delta = d * c
-        h = h * delta
-        done = np.abs(delta - 1.0) < 1e-16
-        out[i[done]] = h[done]
-        state = tuple(v[~done] for v in (i, a, b, x, qab, qap, qam, c, d, h))
-    if state[0].size:
-        raise ConvergenceError("incomplete beta continued fraction hit the iteration cap")
-    return out
-
-
-def _betainc_array(a, b, x) -> np.ndarray:
-    a, b, x = np.broadcast_arrays(a, b, x)
-    out = np.where(x <= 0.0, 0.0, 1.0)
-    inner = (x > 0.0) & (x < 1.0)
-    a, b, x = a[inner], b[inner], x[inner]
-    bt = _exp(_lgamma(a + b) - _lgamma(a) - _lgamma(b) + a * _log(x) + b * _log1p(-x))
-    res = np.empty_like(x)
-    lo = x < (a + 1.0) / (a + b + 2.0)
-    up = ~lo
-    res[lo] = bt[lo] * _betacf_array(a[lo], b[lo], x[lo]) / a[lo]
-    res[up] = 1.0 - bt[up] * _betacf_array(b[up], a[up], 1.0 - x[up]) / b[up]
-    out[inner] = res
-    return out
-
-
-def _t_cdf_array(x: np.ndarray, df: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        xx = x * x
-    tail = xx > df
-    core = ~tail
-    w = np.empty_like(x)
-    w[tail] = _betainc_array(0.5 * df[tail], 0.5, df[tail] / (df[tail] + xx[tail]))
-    w[core] = _betainc_array(0.5, 0.5 * df[core], xx[core] / (df[core] + xx[core]))
-    pos = x > 0.0
-    return np.where(tail, np.where(pos, 1.0 - 0.5 * w, 0.5 * w),
-                    np.where(pos, 0.5 + 0.5 * w, 0.5 - 0.5 * w))
-
-
-def _beta_term_array(a, b, ln_y, ln_1my) -> np.ndarray:
-    return _exp(a * ln_y + b * ln_1my - _log(a)
-                + _lgamma(a + b) - _lgamma(a) - _lgamma(b))
-
-
-def _nct_cdf_nonneg_array(t: np.ndarray, df: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    out = norm_cdf(-delta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tt = t * t
-        y = tt / (tt + df)
-        w = df / (tt + df)
-    lam = 0.5 * delta * delta
-    # far out (see _nct_cdf_nonneg) every entry takes the scalar kernel
-    far = w < _FAR
-    out[far] = list(map(_nct_cdf_nonneg, *(v[far].tolist() for v in (t, df, delta))))
-    series = (y >= _MIN_NORMAL) & ~far
-    central = series & (lam == 0.0)
-    out[central] = _t_cdf_array(t[central], df[central])
-    s = series & (lam > 0.0)
-    if not s.any():
-        return out
-    y, df, delta, lam, base = y[s], df[s], delta[s], lam[s], out[s]
-    ln_y = _log(y)
-    ln_1my = _log1p(-y)
-    half_df = 0.5 * df
-    m = np.floor(lam)
-    ln_lam = _log(lam)
-    p_m = _exp(-lam + m * ln_lam - _lgamma(m + 1.0))
-    q_m = _exp(-lam + m * ln_lam - _lgamma(m + 1.5)) * delta / math.sqrt(2.0)
-    ip_m = _betainc_array(m + 0.5, half_df, y)
-    tp_m = _beta_term_array(m + 0.5, half_df, ln_y, ln_1my)
-    iq_m = _betainc_array(m + 1.0, half_df, y)
-    tq_m = _beta_term_array(m + 1.0, half_df, ln_y, ln_1my)
-    total = p_m * ip_m + q_m * iq_m
-    start = (np.arange(total.size), p_m, q_m, ip_m, tp_m, iq_m, tq_m, m, y, half_df, lam)
-
-    # upward sweep
-    state = start
-    for steps in range(1, _MAX_SERIES + 2):
-        i, p_j, q_j, ip, tp, iq, tq, j, y, half_df, lam = state
-        a_p = j + 0.5
-        a_q = j + 1.0
-        ip = np.fmax(0.0, ip - tp)
-        iq = np.fmax(0.0, iq - tq)
-        tp = tp * (y * (a_p + half_df) / (a_p + 1.0))
-        tq = tq * (y * (a_q + half_df) / (a_q + 1.0))
-        p_j = p_j * (lam / (j + 1.0))
-        q_j = q_j * (lam / (j + 1.5))
-        j = j + 1.0
-        total[i] += p_j * ip + q_j * iq
-        go = ~(((p_j < 1e-18) & (np.abs(q_j) < 1e-18)) | (ip + np.abs(iq) == 0.0))
-        if not go.any():
-            break
-        if steps > _MAX_SERIES:
-            raise ConvergenceError("noncentral t series (upward) hit the iteration cap")
-        state = tuple(v[go] for v in (i, p_j, q_j, ip, tp, iq, tq, j, y, half_df, lam))
-
-    # downward sweep
-    state = tuple(v[m > 0] for v in start)
-    while state[0].size:
-        i, p_j, q_j, ip, tp, iq, tq, j, y, half_df, lam = state
-        a_p = j + 0.5
-        a_q = j + 1.0
-        tp = tp * (a_p / (y * (a_p - 1.0 + half_df)))
-        tq = tq * (a_q / (y * (a_q - 1.0 + half_df)))
-        ip = np.fmin(1.0, ip + tp)
-        iq = np.fmin(1.0, iq + tq)
-        p_j = p_j * (j / lam)
-        q_j = q_j * ((j + 0.5) / lam)
-        j = j - 1.0
-        total[i] += p_j * ip + q_j * iq
-        go = (j > 0.0) & ~((p_j < 1e-18) & (np.abs(q_j) < 1e-18))
-        state = tuple(v[go] for v in (i, p_j, q_j, ip, tp, iq, tq, j, y, half_df, lam))
-
-    out[s] = np.fmin(1.0, np.fmax(0.0, base + 0.5 * total))
-    return out
-
-
-def _nct_cdf_array(x, df, ncp) -> np.ndarray:
-    x, df, ncp = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, df, ncp)))
-    if not (np.isfinite(x).all() and np.isfinite(ncp).all()):
-        raise ValueError("x and ncp must be finite")
-    if not (np.isfinite(df) & (df > 0.0)).all():
-        raise ValueError("degrees of freedom must be positive and finite")
-    shape = x.shape
-    x, df, ncp = (v.ravel() for v in (x, df, ncp))
-    out = np.empty(x.size)
-    central = ncp == 0.0
-    out[central] = _t_cdf_array(x[central], df[central])
-    up = ~central & (x >= 0.0)
-    out[up] = _nct_cdf_nonneg_array(x[up], df[up], ncp[up])
-    down = ~central & (x < 0.0)
-    low = _nct_cdf_nonneg_array(-x[down], df[down], -ncp[down])
-    out[down] = np.fmin(1.0, np.fmax(0.0, 1.0 - low))
-    return out.reshape(shape)

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .distributions import norm_cdf, norm_quantile
-from .power import EffectSpec, T_ITERATIVE, TestDesign, _zsum, required_n
-from .variance import PowerBounds, _PlanRecord, _nearest_int, _plan_sides
+from .power import EffectSpec, T_ITERATIVE, TestDesign, _nearest_n, _zsum
+from .power import required_n  # noqa: F401  unused here; perfbench's tracer wraps it by this name
+from .variance import PowerBounds, _PlanRecord, _plan_sides
 
 __all__ = [
     "EffectPilotPlan",
@@ -132,7 +133,7 @@ def plan_effect_pilot(mu0: float, sigma: float, design: TestDesign,
     zs_target = _zsum(design.alpha, power_target)
 
     def side(threshold: float, prob: float, which: str):
-        n_main = _nearest_int(required_n(effect, design, threshold, mode))
+        n_main = _nearest_n(effect, design, threshold, mode)
         mu_thr = mu0 * zs_target / _zsum(design.alpha, threshold)
         n_pilot = effect_pilot_n(mu0, mu_thr, sigma, prob, design, which)
         return n_main, mu_thr, n_pilot

@@ -135,20 +135,32 @@ def power_at(n: float, effect: EffectSpec, design: TestDesign = TestDesign()) ->
     return _power(tcrit, df, design.ncp(n, effect.effect_size))
 
 
-def _power(tcrit, df, ncp):
-    """Two-sided power P(T > tcrit) + P(T < -tcrit), T noncentral t(df, ncp).
-
-    Takes floats or arrays; ``nct_cdf`` picks its kernel from their shape.
-    """
+def _power(tcrit: float, df: float, ncp: float) -> float:
+    """Two-sided power P(T > tcrit) + P(T < -tcrit), T noncentral t(df, ncp)."""
     return (1.0 - nct_cdf(tcrit, df, ncp)) + nct_cdf(-tcrit, df, ncp)
 
 
 _TOO_LARGE = "required size exceeds 1e9; effect is effectively zero"
+_MAX_N = 10 ** 9
 
 
 def _require_nonzero_effect(effect: EffectSpec) -> None:
     if effect.effect_size == 0.0:
         raise ValueError("effect of 0 means an infinite study; no sample size exists")
+
+
+def _z_requirement(effect: EffectSpec, design: TestDesign, power: float,
+                   mode: str) -> float:
+    """The closed form  groups * (z_{1-a/2} + z_{power})^2 / d^2, after the
+    arguments are checked; past 1e9 it raises."""
+    _require_power(power)
+    _require_nonzero_effect(effect)
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    n_z = design.groups * _zsum(design.alpha, power) ** 2 / effect.effect_size ** 2
+    if n_z > _MAX_N:
+        raise ValueError(_TOO_LARGE)
+    return n_z
 
 
 def required_n(effect: EffectSpec, design: TestDesign, power: float,
@@ -160,13 +172,7 @@ def required_n(effect: EffectSpec, design: TestDesign, power: float,
     bisection/secant on :func:`power_at` (floored at 2).
     """
     power = _require_power(power)
-    _require_nonzero_effect(effect)
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    d = effect.effect_size
-    n_z = design.groups * _zsum(design.alpha, power) ** 2 / d ** 2
-    if n_z > 1e9:
-        raise ValueError(_TOO_LARGE)
+    n_z = _z_requirement(effect, design, power, mode)
     if mode == Z_APPROX:
         return max(2.0, n_z)
     f_lo = power_at(2.0, effect, design)
@@ -178,110 +184,139 @@ def required_n(effect: EffectSpec, design: TestDesign, power: float,
         lo, f_lo = hi, f_hi
         hi *= 2.0
         f_hi = power_at(hi, effect, design)
-        if hi > 1e9:
+        if hi > _MAX_N:
             raise ValueError(_TOO_LARGE)
-    root = _solve_increasing_batch(
-        lambda x, k: np.array([power_at(float(x[0]), effect, design)]),
-        power, *map(np.atleast_1d, (lo, hi, f_lo, f_hi)), 1e-10)
-    return float(root[0])
+    return _solve_increasing(lambda x: power_at(x, effect, design),
+                             power, lo, hi, f_lo, f_hi, 1e-10)
+
+
+def _search_n(effect: EffectSpec, design: TestDesign, power: float, n_z: float,
+              shift: float) -> int:
+    """Smallest integer N >= 2 with power_at(N + shift) >= power.
+
+    Power rises with N, so the answer is bracketed by galloping (steps 1, 2,
+    4, ...) from the closed form plus Guenther's t correction
+    z_{1-a/2}^2 / (2 groups), which is rarely a subject off, and then
+    bisected: O(log N) power evaluations at most, two when the start is
+    right.  Past 1e9 it raises.
+    """
+    def adequate(n: int) -> bool:
+        return power_at(n + shift, effect, design) >= power
+
+    z_a = norm_quantile(1.0 - design.alpha / 2.0)
+    n = min(max(2, math.ceil(n_z + z_a * z_a / (2 * design.groups) - shift)), _MAX_N)
+    step = 1
+    if adequate(n):
+        lo, hi = n - 1, n
+        while lo >= 2 and adequate(lo):
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, 1)                 # no size below 2 is adequate
+    else:
+        lo = n
+        while True:
+            if lo >= _MAX_N:
+                raise ValueError(_TOO_LARGE)
+            hi = min(lo + step, _MAX_N)
+            if adequate(hi):
+                break
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if adequate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def main_sample_size(effect: EffectSpec, design: TestDesign, power: float,
                      mode: str = T_ITERATIVE) -> int:
-    """Smallest adequate per-group size: the ceiling of the requirement.
+    """Smallest adequate per-group size.
 
-    In t-iterative mode the returned N satisfies power_at(N) >= power and
-    power_at(N - 1) < power; in z-approx mode it is the ceiling of the
-    closed form.
+    In t-iterative mode the returned N is the smallest integer >= 2 with
+    power_at(N) >= power, so power_at(N - 1) < power; it is found by an
+    integer search on :func:`power_at` from the closed form, in O(log N)
+    power evaluations.  In z-approx mode it is the ceiling of the closed
+    form.  Sizes past 1e9 raise.
     """
-    n_star = required_n(effect, design, power, mode)
-    n = max(2, math.ceil(n_star - 1e-9))
-    if mode == T_ITERATIVE:
-        while power_at(n, effect, design) < power:
-            n += 1
-        while n > 2 and power_at(n - 1, effect, design) >= power:
-            n -= 1
-    return n
+    n_z = _z_requirement(effect, design, power, mode)
+    if mode == Z_APPROX:
+        return max(2, math.ceil(n_z - 1e-9))
+    return _search_n(effect, design, power, n_z, 0.0)
 
 
-def _solve_increasing_batch(f, target: float, lo: np.ndarray, hi: np.ndarray,
-                            f_lo: np.ndarray, f_hi: np.ndarray, xtol: float) -> np.ndarray:
-    """Smallest x in [lo, hi] with f(x) >= target, f increasing (Illinois),
-    for every entry at once, in lockstep.
+def _nearest_n(effect: EffectSpec, design: TestDesign, power: float,
+               mode: str = T_ITERATIVE) -> int:
+    """The integer nearest the requirement, max(2, floor(required_n + 1/2)).
 
-    ``f(x, k)`` evaluates entries ``k`` at ``x``; each pass evaluates only the
-    entries whose brackets have not yet collapsed.  Scalar solves pass
-    1-element arrays.
+    In t-iterative mode that is the smallest N >= 2 whose power at N + 1/2
+    reaches ``power``, found by the same integer search as
+    :func:`main_sample_size`.
     """
-    root = np.empty_like(lo)
-    k = np.arange(lo.size)
-    f_lo = f_lo - target
-    f_hi = f_hi - target
-    side = np.zeros(lo.size)
+    n_z = _z_requirement(effect, design, power, mode)
+    if mode == Z_APPROX:
+        return max(2, math.floor(n_z + 0.5))
+    return _search_n(effect, design, power, n_z, 0.5)
+
+
+def _solve_increasing(f, target: float, lo: float, hi: float, f_lo: float,
+                      f_hi: float, xtol: float) -> float:
+    """Smallest x in [lo, hi] with f(x) >= target, f increasing (Illinois)."""
+    f_lo -= target
+    f_hi -= target
+    side = 0
     for _ in range(200):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-        fx = f(x, k) - target
-        up = fx >= 0.0
-        f_lo = np.where(up & (side == 1.0), f_lo * 0.5, f_lo)
-        f_hi = np.where(~up & (side == -1.0), f_hi * 0.5, f_hi)
-        hi, f_hi = np.where(up, x, hi), np.where(up, fx, f_hi)
-        lo, f_lo = np.where(up, lo, x), np.where(up, f_lo, fx)
-        side = np.where(up, 1.0, -1.0)
-        done = hi - lo <= xtol * np.maximum(np.abs(hi), 1.0)
-        root[k[done]] = hi[done]
-        if done.all():
-            return root
-        k, lo, hi, f_lo, f_hi, side = (v[~done] for v in (k, lo, hi, f_lo, f_hi, side))
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else math.nan
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x) - target
+        if fx >= 0.0:
+            if side == 1:
+                f_lo *= 0.5
+            hi, f_hi, side = x, fx, 1
+        else:
+            if side == -1:
+                f_hi *= 0.5
+            lo, f_lo, side = x, fx, -1
+        if hi - lo <= xtol * max(abs(hi), 1.0):
+            return hi
     raise ConvergenceError("root solve hit the 200-iteration cap")
 
 
-def effect_for_n(n, design: TestDesign, power: float, mode: str = Z_APPROX):
+def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPROX) -> float:
     """Effect size at which a study of per-group size n has exactly ``power``.
 
-    ``n`` may be an array of sizes; all of them are then solved in lockstep
-    (one root-solve pass evaluates the noncentral t for every entry still
-    converging) and an array of effect sizes comes back.  A scalar ``n`` is
-    solved the same way as a 1-element array, with the noncentral t on plain
-    floats.
+    One size per call: an array of sizes is a ValueError.
     """
-    scalar = not np.ndim(n)
-    n = np.atleast_1d(np.asarray(n, dtype=float))
-    bad = n[~(np.isfinite(n) & (n >= 2.0))]
-    if bad.size:
-        raise ValueError(f"per-group size must be >= 2, got {float(bad[0])!r}")
+    if np.ndim(n):
+        raise ValueError("effect_for_n takes one size n; call it once per size")
+    n = float(n)
+    if not (math.isfinite(n) and n >= 2.0):
+        raise ValueError(f"per-group size must be >= 2, got {n!r}")
     power = _require_power(power)
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    d_z = _zsum(design.alpha, power) * np.sqrt(design.groups / n)
+    d_z = _zsum(design.alpha, power) * math.sqrt(design.groups / n)
     if mode == Z_APPROX:
-        return float(d_z[0]) if scalar else d_z
+        return d_z
     df = design.df(n)
-    tcrit = np.array([t_quantile(1.0 - design.alpha / 2.0, v) for v in df.tolist()])
-    root_n = np.sqrt(n / design.groups)
+    tcrit = t_quantile(1.0 - design.alpha / 2.0, df)
+    root_n = math.sqrt(n / design.groups)
 
-    def pw(d: np.ndarray, k: np.ndarray) -> np.ndarray:
-        args = (tcrit[k], df[k], d * root_n[k])
-        if scalar:  # plain floats: the scalar kernel is ~20x faster than a 1-element array
-            return np.array([_power(*(float(a[0]) for a in args))])
-        return _power(*args)
+    def pw(d: float) -> float:
+        return _power(tcrit, df, d * root_n)
 
-    every = np.arange(n.size)
-    lo = np.zeros_like(n)
-    f_lo = pw(lo, every)
-    hi = np.maximum(2.0 * d_z, 1e-3)
-    f_hi = pw(hi, every)
-    short = np.flatnonzero(f_hi < power)
-    while short.size:
-        lo[short], f_lo[short] = hi[short], f_hi[short]
-        hi[short] *= 2.0
-        f_hi[short] = pw(hi[short], short)
-        if (hi[short] > 1e6).any():
+    lo, f_lo = 0.0, pw(0.0)
+    hi = max(2.0 * d_z, 1e-3)
+    f_hi = pw(hi)
+    while f_hi < power:
+        lo, f_lo = hi, f_hi
+        hi *= 2.0
+        f_hi = pw(hi)
+        if hi > 1e6:
             raise ValueError("no finite effect reaches the requested power")
-        short = np.flatnonzero(f_hi < power)
-    root = _solve_increasing_batch(pw, power, lo, hi, f_lo, f_hi, 1e-12)
-    return float(root[0]) if scalar else root
+    return _solve_increasing(pw, power, lo, hi, f_lo, f_hi, 1e-12)
 
 
 def sigma_for_n(n: float, effect: EffectSpec, design: TestDesign, power: float,

@@ -13,6 +13,14 @@ and independent of df S^2 / sigma^2, which is chi-square on df (Cochran's
 theorem).  So each replicate takes one normal and one chi-square deviate,
 from the package's own quantile functions, whatever the pilot size.
 
+Nor is every replicate's main study sized.  The main size never increases as
+the estimate grows, so the reported size quantiles are the exact sizes of
+five order statistics of the estimates (``main_sample_size``, any size up to
+1e9 per group).  A replicate is underpowered exactly when n_crit - 1
+subjects, one fewer than the threshold power needs at the true effect,
+already reach the target power at its estimate; that holds from some
+estimate on, so the flag count is a bisection over the sorted estimates.
+
 Randomness: one logical seed per run; each scenario/cell derives its stream
 through numpy's SeedSequence spawn keys, and within a cell replicate r reads
 row r of one block of uniforms from a counter-based (Philox) stream, so
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .distributions import chisq_quantile, norm_quantile
+from .distributions import chisq_quantile, norm_quantile, t_quantile
 from .power import (
     EffectSpec,
     ONE_SAMPLE,
@@ -35,8 +43,9 @@ from .power import (
     T_ITERATIVE,
     Z_APPROX,
     TestDesign,
+    _power,
     _zsum,
-    effect_for_n,
+    effect_for_n,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
     main_sample_size,
 )
 from .variance import PowerBounds, plan_variance_pilot
@@ -59,14 +68,6 @@ EFFECT = "effect"
 
 POOLED_SD = "pooled-sd"
 KNOWN_SIGMA = "known-sigma"
-
-# the exact sizing table stops at this n; estimates weaker than its last
-# boundary effect get the closed-form size instead, and at these sizes the
-# exact and closed-form requirements differ by a couple of subjects out of
-# hundreds.  The cap also bounds the table at 599 floats (4.8 KB) per design.
-# Underpower flags never go through this fallback: they compare the estimate
-# against the exact threshold effect directly.
-_TABLE_N_CAP = 600
 
 
 class ConfigError(ValueError):
@@ -135,16 +136,17 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Outcome of a simulated pipeline run."""
+    """Outcome of a simulated pipeline run; its inputs are in ``config``."""
 
-    scenario: str
-    replicates: int
-    seed: int
     empirical_underpower: float
     mc_standard_error: float
     nonpositive_effects: int
     main_n_quantiles: dict
     config: dict = field(repr=False)
+
+    scenario = property(lambda self: self.config["scenario"])
+    replicates = property(lambda self: self.config["replicates"])
+    seed = property(lambda self: self.config["seed"])
 
     @property
     def results(self) -> dict:
@@ -177,103 +179,80 @@ def _uniforms(rng: np.random.Generator, reps: int, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Main-study sizing of a vector of estimated effect sizes
+# Main-study sizes and underpower flags from the estimated effect sizes
 # ---------------------------------------------------------------------------
 
-# (kind, alpha, power) -> array of boundary effects e(2), e(3), ..., e(k);
-# e(n) is the effect size at which a study of size n has exactly the target
-# power, so the exact sizing of an estimate d is the smallest n with
-# e(n) <= d.  Each table is extended, never rebuilt, up to _TABLE_N_CAP; the
-# number of keys is not bounded.
-_boundary_cache: dict = {}
+_QUANTILES = (5, 25, 50, 75, 95)
 
 
-def _boundary_table(design: TestDesign, power: float, n_hi: int) -> np.ndarray:
-    """e(2..k) for the design, extended to k >= n_hi in one batched solve."""
-    key = (design.kind, design.alpha, power)
-    table = _boundary_cache.get(key, np.empty(0))
-    k = len(table) + 1
-    if n_hi > k:
-        more = effect_for_n(np.arange(k + 1, n_hi + 1), design, power, T_ITERATIVE)
-        table = _boundary_cache[key] = np.concatenate([table, more])
-    return table
+def _main_n_quantiles(d: np.ndarray, design: TestDesign, power: float,
+                      mode: str) -> dict:
+    """Quantiles (``inverted_cdf``) of the main sizes the positive estimates get.
 
-
-def _boundary_effect(n: int, design: TestDesign, power: float) -> float:
-    """e(n): read from the table when it reaches n, else solved on its own."""
-    table = _boundary_cache.get((design.kind, design.alpha, power), ())
-    if n - 2 < len(table):
-        return float(table[n - 2])
-    return effect_for_n(n, design, power, T_ITERATIVE)
-
-
-def _size_mains(d_hat: np.ndarray, design: TestDesign, power: float,
-                mode: str) -> np.ndarray:
-    """Per-replicate main-study size from estimated effect sizes (vectorized).
-
-    Two-sided sizing is symmetric in the sign of the estimate; callers pass
-    magnitudes.  Zero estimates get a sentinel far beyond any threshold.
+    The size never increases as the estimate grows, so the q-th percentile
+    of the sizes is the size of the estimate at the q-th percentile counted
+    from the top: five sizings, not one per replicate.
     """
-    d = np.asarray(d_hat, dtype=float)
-    zs = _zsum(design.alpha, power)
-    zero = d <= 0.0
-    with np.errstate(divide="ignore", over="ignore"):
-        n_z = design.groups * zs * zs / np.where(zero, 1.0, d) ** 2
-    n_z_int = np.ceil(np.minimum(n_z, 2**62 - 8.0) - 1e-9).astype(np.int64)
-    if mode == Z_APPROX:
-        out = np.maximum(n_z_int, 2)
-        out[zero] = 2**62
-        return out
-
-    # exact boundaries cover n = 2..n_hi; weaker estimates (huge studies) fall
-    # back to the closed form, which is within a few per mille out there
-    n_hi = min(int(n_z_int.max()) + 6, _TABLE_N_CAP)
-    bounds = _boundary_table(design, power, n_hi)[:n_hi - 1]
-    # bounds is decreasing in n: smallest adequate n via searchsorted on -bounds
-    idx = np.searchsorted(-bounds, -d, side="left")
-    out = np.where(idx < len(bounds), idx + 2, np.maximum(n_z_int, 2))
-    out[zero] = 2**62
-    return out
+    d = d[d > 0.0]
+    if not d.size:
+        return {str(q): None for q in _QUANTILES}
+    picks = -np.percentile(-d, _QUANTILES, method="inverted_cdf")
+    return {str(q): main_sample_size(EffectSpec(float(x)), design, power, mode)
+            for q, x in zip(_QUANTILES, picks)}
 
 
-def _underpower_flags(d_mag: np.ndarray, main_n: np.ndarray, design: TestDesign,
-                      config: SimulationConfig, n_crit: int) -> np.ndarray:
+def _underpower_count(d: np.ndarray, design: TestDesign, config: SimulationConfig,
+                      n_crit: int) -> int:
     """Replicates whose sized main study has true power below the threshold.
 
-    True power is increasing in N, so power_at(main_n) < threshold exactly
-    when main_n < n_crit (the threshold's own requirement).  Under exact
-    sizing, main_n <= n_crit - 1 in turn means the estimate reached the
-    boundary effect of n_crit - 1, which dodges the capped sizing table.
+    True power rises with N, so that happens exactly when the main size is
+    below n_crit (the threshold's own requirement), that is when n_crit - 1
+    subjects already reach the target power at the estimate.  That holds
+    from some estimate on, so over the sorted positive estimates the count
+    is a bisection.
     """
     if n_crit <= 2:
-        return np.zeros(d_mag.shape, dtype=bool)
+        return 0
+    m = n_crit - 1
+    target = config.power_target
     if config.sizing_mode == Z_APPROX:
-        return main_n < n_crit
-    return d_mag >= _boundary_effect(n_crit - 1, design, config.power_target)
+        zs = _zsum(design.alpha, target)
+        g_zz = design.groups * zs * zs
+
+        def reaches(x: float) -> bool:
+            return g_zz / (x * x) - 1e-9 <= m
+    else:
+        df = design.df(m)
+        tcrit = t_quantile(1.0 - design.alpha / 2.0, df)
+
+        def reaches(x: float) -> bool:
+            return _power(tcrit, df, design.ncp(m, x)) >= target
+
+    d = np.sort(d[d > 0.0])
+    lo, hi = -1, d.size                 # d[lo] falls short, d[hi] reaches
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(float(d[mid])):
+            hi = mid
+        else:
+            lo = mid
+    return d.size - hi
 
 
-def _main_n_quantiles(main_n: np.ndarray) -> dict:
-    qs = (5, 25, 50, 75, 95)
-    finite = main_n[main_n < 2**61]
-    if finite.size == 0:
-        return {str(q): None for q in qs}
-    vals = np.percentile(finite, qs, method="inverted_cdf")
-    return {str(q): int(v) for q, v in zip(qs, vals)}
-
-
-def _report(config: SimulationConfig, flags: np.ndarray, main_n: np.ndarray,
-            nonpositive: int) -> SimulationReport:
+def _report(config: SimulationConfig, d: np.ndarray, nonpositive: int) -> SimulationReport:
+    """Size, flag and summarize a run from its estimated effect sizes ``d``
+    (magnitudes: two-sided sizing ignores the sign)."""
+    design = config.design()
+    true_effect = EffectSpec(config.effect, config.sigma)
+    n_crit = main_sample_size(true_effect, design, config.underpower_threshold, T_ITERATIVE)
     r = int(config.replicates)
-    p_hat = float(np.count_nonzero(flags)) / r
-    se = math.sqrt(p_hat * (1.0 - p_hat) / r)
+    p_hat = _underpower_count(d, design, config, n_crit) / r
     return SimulationReport(
-        scenario=config.scenario,
-        replicates=r,
-        seed=int(config.seed),
         empirical_underpower=p_hat,
-        mc_standard_error=se,
+        mc_standard_error=math.sqrt(p_hat * (1.0 - p_hat) / r),
         nonpositive_effects=int(nonpositive),
-        main_n_quantiles=_main_n_quantiles(main_n),
+        main_n_quantiles=_main_n_quantiles(d, design, config.power_target,
+                                           config.sizing_mode),
         config=asdict(config),
     )
 
@@ -290,21 +269,13 @@ def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
     config.validate()
     if config.scenario != VARIANCE:
         raise ConfigError(f"expected a '{VARIANCE}' scenario, got {config.scenario!r}")
-    design = config.design()
-    reps = int(config.replicates)
     npil = int(config.pilot_n)
 
     # (df) S^2 / sigma^2 is chi-square on df = n - 1, or 2n - 2 pooled
     df = 2 * npil - 2 if config.pooled_pilot else npil - 1
-    u = _uniforms(_rng(config.seed, 1), reps, 1)
+    u = _uniforms(_rng(config.seed, 1), int(config.replicates), 1)
     s2 = config.sigma ** 2 * chisq_quantile(u[:, 0], df) / df
-    d_hat = config.effect / np.sqrt(s2)
-    main_n = _size_mains(d_hat, design, config.power_target, config.sizing_mode)
-
-    true_effect = EffectSpec(config.effect, config.sigma)
-    n_crit = main_sample_size(true_effect, design, config.underpower_threshold, T_ITERATIVE)
-    flags = _underpower_flags(d_hat, main_n, design, config, n_crit)
-    return _report(config, flags, main_n, nonpositive=0)
+    return _report(config, config.effect / np.sqrt(s2), nonpositive=0)
 
 
 def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -335,14 +306,7 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
     else:
         d_hat = mean / config.sigma
 
-    nonpositive = int(np.count_nonzero(d_hat <= 0.0))
-    d_mag = np.abs(d_hat)
-    main_n = _size_mains(d_mag, design, config.power_target, config.sizing_mode)
-
-    true_effect = EffectSpec(config.effect, config.sigma)
-    n_crit = main_sample_size(true_effect, design, config.underpower_threshold, T_ITERATIVE)
-    flags = _underpower_flags(d_mag, main_n, design, config, n_crit)
-    return _report(config, flags, main_n, nonpositive=nonpositive)
+    return _report(config, np.abs(d_hat), nonpositive=np.count_nonzero(d_hat <= 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +326,13 @@ class TableReport:
     """Computed pilot sizes plus simulated underpower fractions for the
     reference grids (sizes on the left, probabilities on the right)."""
 
-    table_id: int
-    replicates: int
-    seed: int
     cells: list          # dicts: grid coordinates + pilot_n + empirical_underpower
     extra: dict          # e.g. the main-study row of the effect grid
     config: dict
+
+    table_id = property(lambda self: self.config["table_id"])
+    replicates = property(lambda self: self.config["replicates"])
+    seed = property(lambda self: self.config["seed"])
 
     @property
     def results(self) -> dict:
@@ -462,7 +427,6 @@ def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0,
             str(eff): main_sample_size(EffectSpec(eff), TestDesign(TWO_SAMPLE, 0.05), 0.8)
             for eff in TABLE2_EFFECTS}
     return TableReport(
-        table_id=table_id, replicates=replicates, seed=int(seed),
         cells=cells, extra=extra,
         config={"table_id": table_id, "replicates": replicates, "seed": int(seed),
                 "sizing_mode": sizing_mode, "alpha": 0.05, "power_target": 0.8,

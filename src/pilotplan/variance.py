@@ -22,8 +22,9 @@ from .power import (
     EffectSpec,
     T_ITERATIVE,
     TestDesign,
+    _nearest_n,
     _zsum,
-    required_n,
+    required_n,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 )
 
 __all__ = [
@@ -233,10 +234,6 @@ class VariancePilotPlan(_PlanRecord):
                     "overpower_prob", "overpower_threshold", "mode", "pooled_pilot")
 
 
-def _nearest_int(x: float) -> int:
-    return max(2, int(math.floor(x + 0.5)))
-
-
 def _plan_sides(bounds: PowerBounds, rule):
     """The (main size, threshold parameter, pilot size) that a planner's
     ``rule(threshold, prob, side)`` gives for the under side and the over side
@@ -270,7 +267,7 @@ def plan_variance_pilot(effect: EffectSpec, design: TestDesign, power_target: fl
     zs_target = _zsum(design.alpha, power_target)
 
     def side(threshold: float, prob: float, which: str):
-        n_main = _nearest_int(required_n(effect, design, threshold, T_ITERATIVE))
+        n_main = _nearest_n(effect, design, threshold, T_ITERATIVE)
         sigma_thr = effect.sigma * _zsum(design.alpha, threshold) / zs_target
         ratio = (sigma_thr / effect.sigma) ** 2
         if mode == APPROX:

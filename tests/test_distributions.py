@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pilotplan.distributions import (
+    _gammainc_array,
     chisq_cdf,
     chisq_quantile,
     nct_cdf,
@@ -26,6 +27,7 @@ from pilotplan.distributions import (
 
 scipy_stats = pytest.importorskip("scipy.stats")
 scipy_integrate = pytest.importorskip("scipy.integrate")
+scipy_special = pytest.importorskip("scipy.special")
 
 
 def nct_cdf_by_quadrature(t, df, ncp):
@@ -136,6 +138,17 @@ class TestChiSquare:
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
             chisq_cdf(-0.1, 3)
+
+    def test_huge_x_takes_the_limit(self):
+        # past about x = 1e15 the continued fraction's step stays an ulp from
+        # 1; the factor scaling the tail has underflowed there, so both
+        # kernels return the limit P = 1, Q = 0, as scipy does
+        x = 10.0 ** np.random.default_rng(7).uniform(15.0, 19.0, 3000)
+        p, q = _gammainc_array(5.5, x)
+        assert p.tolist() == scipy_special.gammainc(5.5, x).tolist() == [1.0] * x.size
+        assert q.tolist() == scipy_special.gammaincc(5.5, x).tolist() == [0.0] * x.size
+        assert [chisq_cdf(v, 11) for v in 2.0 * x] == [1.0] * x.size
+        assert chisq_cdf(3.668e18, 11) == 1.0
 
     def test_quantile_known_points(self):
         assert chisq_quantile(0.0, 7) == 0.0
@@ -253,9 +266,9 @@ class TestNoncentralT:
             nct_cdf(float("nan"), 5, 1.0)
         with pytest.raises(ValueError):
             nct_cdf(1.0, 5, float("inf"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="scalar"):
             nct_cdf(np.array([1.0, float("nan")]), 5, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="scalar"):
             nct_cdf(1.0, np.array([5.0, 0.0]), 1.0)
 
     def test_underflowing_square_is_the_normal_mass(self):
@@ -263,7 +276,6 @@ class TestNoncentralT:
         for t in (5e-324, 1e-155, 1.7e-159):
             for ncp in (0.5, -2.0, 2.0):
                 assert nct_cdf(t, 1.0, ncp) == norm_cdf(-ncp)
-                assert nct_cdf(np.array([t]), 1.0, ncp)[0] == norm_cdf(-ncp)
 
     def test_huge_t(self):
         # t * t dwarfs df (the beta argument t^2 / (t^2 + df) rounds to 1) or
@@ -272,18 +284,16 @@ class TestNoncentralT:
         for df in (1.0, 3.0, 30.0):
             for ncp in (-1.0, 0.0, 1.0):
                 got = [nct_cdf(float(t), df, ncp) for t in ts]
-                assert nct_cdf(ts, df, ncp).tolist() == got
                 want = scipy_stats.nct.cdf(ts, df, ncp) if ncp else scipy_stats.t.cdf(ts, df)
                 assert np.isfinite(want).all()
                 assert np.abs(np.array(got) - want).max() <= 1e-10, (df, ncp)
 
-    def test_array_broadcasts_to_shape(self):
-        x = np.array([[-1.0, 0.0, 2.0], [0.5, 3.0, -4.0]])
-        got = nct_cdf(x, 12.0, np.array([0.0, 1.5, -2.0]))
-        assert got.shape == (2, 3)
-        want = [[nct_cdf(float(v), 12.0, c) for v, c in zip(row, (0.0, 1.5, -2.0))]
-                for row in x]
-        assert got.tolist() == want
+    def test_array_rejected(self):
+        # one point per call; a 1-element array is an array too
+        for args in ((np.array([1.0]), 12.0, 1.5), (1.0, np.array([12.0]), 1.5),
+                     (1.0, 12.0, np.array([0.0, 1.5]))):
+            with pytest.raises(ValueError, match="scalar"):
+                nct_cdf(*args)
 
 
 class TestProperties:
@@ -302,16 +312,6 @@ class TestProperties:
     def test_norm_cdf_monotone(self, a, b):
         lo, hi = sorted((a, b))
         assert norm_cdf(lo) <= norm_cdf(hi)
-
-    @given(st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(1.0, 2000.0),
-                              st.one_of(st.just(0.0), st.floats(-40.0, 40.0))),
-                    min_size=1, max_size=12))
-    @settings(max_examples=120, deadline=None)
-    def test_nct_array_matches_scalar(self, points):
-        t, df, ncp = (np.array(v) for v in zip(*points))
-        got = nct_cdf(t, df, ncp)
-        want = [nct_cdf(*p) for p in points]
-        assert np.abs(got - want).max() <= 1e-13
 
     @given(st.lists(st.one_of(st.floats(1e-12, 1.0 - 1e-12),
                               st.floats(-12.0, -0.3).map(lambda e: 10.0 ** e),

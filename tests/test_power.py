@@ -9,10 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pilotplan.power as power_module
 from pilotplan.distributions import ConvergenceError
+from pilotplan.effect import plan_effect_pilot
 from pilotplan.power import (
-    _solve_increasing_batch,
+    _nearest_n,
+    _solve_increasing,
+    _zsum,
     EffectSpec,
     ONE_SAMPLE,
     TWO_SAMPLE,
@@ -27,6 +32,7 @@ from pilotplan.power import (
     required_n,
     sigma_for_n,
 )
+from pilotplan.variance import PowerBounds, plan_variance_pilot
 
 TWO = TestDesign(TWO_SAMPLE, 0.05)
 ONE = TestDesign(ONE_SAMPLE, 0.05)
@@ -137,18 +143,22 @@ class TestInverseSolves:
     @pytest.mark.parametrize("kind", [ONE_SAMPLE, TWO_SAMPLE])
     @pytest.mark.parametrize("alpha", [0.01, 0.05])
     @pytest.mark.parametrize("power", [0.6, 0.8, 0.9])
-    def test_effect_for_n_array_matches_scalar(self, kind, alpha, power):
+    def test_effect_for_n_is_the_power_root(self, kind, alpha, power):
+        # t-iterative: the exact power at the returned effect is the target;
+        # z-approx: the closed form
         design = TestDesign(kind, alpha)
-        ns = np.array([2, 3, 4, 5, 7, 10, 16, 25, 40, 64, 100, 158, 250, 400, 600])
-        got = effect_for_n(ns, design, power, T_ITERATIVE)
-        want = np.array([effect_for_n(int(n), design, power, T_ITERATIVE) for n in ns])
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        z = effect_for_n(ns, design, power)
-        assert z.tolist() == [effect_for_n(int(n), design, power) for n in ns]
+        for n in (2, 3, 4, 5, 7, 10, 16, 25, 40, 64, 100, 158, 250, 400, 600):
+            d = effect_for_n(n, design, power, T_ITERATIVE)
+            assert power_at(n, EffectSpec(d), design) == pytest.approx(power, abs=1e-9)
+            assert effect_for_n(n, design, power) == (
+                _zsum(alpha, power) * math.sqrt(design.groups / n))
 
     def test_effect_for_n_array_rejects_small_n(self):
-        with pytest.raises(ValueError):
+        # one size per call: arrays are rejected whatever they hold
+        with pytest.raises(ValueError, match="one size"):
             effect_for_n(np.array([1.5, 10.0]), TWO, 0.8, T_ITERATIVE)
+        with pytest.raises(ValueError, match=">= 2"):
+            effect_for_n(1.5, TWO, 0.8, T_ITERATIVE)
 
 
 class TestRootSolver:
@@ -156,9 +166,8 @@ class TestRootSolver:
         # with xtol = 0 the bracket never collapses to zero width: lo and hi
         # keep f(lo) < target <= f(hi), so the solve must hit its cap
         f = lambda x: x ** 3
-        lo, hi = np.zeros(3), np.ones(3)
         with pytest.raises(ConvergenceError):
-            _solve_increasing_batch(lambda x, k: f(x), 0.3, lo, hi, f(lo), f(hi), 0.0)
+            _solve_increasing(f, 0.3, 0.0, 1.0, f(0.0), f(1.0), 0.0)
 
 
 class TestArcsineEffect:
@@ -223,3 +232,49 @@ class TestInvariants:
         n = main_sample_size(EffectSpec(0.5), TestDesign(TWO_SAMPLE, 0.05), 0.8)
         n_tighter = main_sample_size(EffectSpec(0.5), TestDesign(TWO_SAMPLE, 0.025), 0.8)
         assert n_tighter > n
+
+
+class TestIntegerSearch:
+    """main_sample_size and the planners' nearest-integer size search over
+    integers on power_at instead of rounding a real root."""
+
+    @given(st.sampled_from([ONE_SAMPLE, TWO_SAMPLE]), st.sampled_from([0.01, 0.05, 0.1]),
+           st.floats(0.1, 0.95), st.floats(0.02, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_post_conditions(self, kind, alpha, power, d):
+        design = TestDesign(kind, alpha)
+        effect = EffectSpec(d)
+        n = main_sample_size(effect, design, power)
+        assert power_at(n, effect, design) >= power
+        assert n == 2 or power_at(n - 1, effect, design) < power
+        # both planners report max(2, floor(required_n + 1/2)) at the threshold
+        nearest = max(2, math.floor(required_n(effect, design, power) + 0.5))
+        assert _nearest_n(effect, design, power) == nearest
+        target, bounds = power + 0.5 * (1.0 - power), PowerBounds(0.3, power)
+        assert plan_variance_pilot(effect, design, target, bounds).main_n_under == nearest
+        assert plan_effect_pilot(d, 1.0, design, target, bounds).main_n_under == nearest
+
+    def test_logarithmic_power_calls(self, monkeypatch):
+        # about 1.6e7 per group: the search costs O(log n) power evaluations
+        calls = []
+        power_at_ = power_module.power_at
+        monkeypatch.setattr(power_module, "power_at",
+                            lambda *a: calls.append(a[0]) or power_at_(*a))
+        effect = EffectSpec(1e-3)
+        n = main_sample_size(effect, TWO, 0.8)
+        assert 1.5e7 < n < 1.6e7
+        assert len(calls) <= 2 * math.log2(n)
+        assert power_at_(n, effect, TWO) >= 0.8 > power_at_(n - 1, effect, TWO)
+        calls.clear()
+        assert _nearest_n(effect, TWO, 0.8) in (n - 1, n)
+        assert len(calls) <= 2 * math.log2(n)
+
+    def test_gallop_stops_at_1e9(self, monkeypatch):
+        # a power curve that never reaches the target: the gallop gives up
+        # at 1e9 per group, after O(log n) evaluations
+        calls = []
+        monkeypatch.setattr(power_module, "power_at", lambda *a: calls.append(a[0]) or 0.0)
+        with pytest.raises(ValueError, match="exceeds 1e9"):
+            main_sample_size(EffectSpec(0.5), TWO, 0.8)
+        assert max(calls) == 10 ** 9
+        assert len(calls) <= 32

@@ -23,11 +23,12 @@ from pilotplan.power import (
     main_sample_size,
     power_at,
 )
+from pilotplan.cli import main
 from pilotplan.simulation import (
     ConfigError,
     KNOWN_SIGMA,
     SimulationConfig,
-    _size_mains,
+    _main_n_quantiles,
     reproduce_table,
     simulate_effect_pipeline,
     simulate_variance_pipeline,
@@ -119,18 +120,23 @@ class TestDeterminism:
     def test_short_run_is_prefix_of_long_run(self, monkeypatch, sim, cfg):
         # replicate r reads row r of the uniform block, so the first m
         # replicates of a run are exactly an m-replicate run
-        seen = []
-        size_mains = simulation._size_mains
-
-        def recording(d_hat, *rest):
-            seen.append(d_hat.copy())
-            return size_mains(d_hat, *rest)
-
-        monkeypatch.setattr(simulation, "_size_mains", recording)
-        sim(SimulationConfig(**{**asdict(cfg), "replicates": 300}))
-        sim(SimulationConfig(**{**asdict(cfg), "replicates": 120}))
-        long_run, short_run = seen
+        long_run, short_run = (_estimates(monkeypatch, sim, cfg, reps)[1] for reps in (300, 120))
         assert short_run.tolist() == long_run[:120].tolist()
+
+
+def _estimates(monkeypatch, sim, cfg, replicates):
+    """The report of a run and the effect-size estimates it was built from."""
+    seen = []
+    report = simulation._report
+
+    def recording(config, d, nonpositive):
+        seen.append(d.copy())
+        return report(config, d, nonpositive)
+
+    monkeypatch.setattr(simulation, "_report", recording)
+    rep = sim(SimulationConfig(**{**asdict(cfg), "replicates": replicates}))
+    monkeypatch.setattr(simulation, "_report", report)
+    return rep, seen[0]
 
 
 class TestSampler:
@@ -147,47 +153,90 @@ class TestSampler:
         assert u.min() > 0.0 and u.max() < 1.0
 
 
+QS = (5, 25, 50, 75, 95)
+
+
 class TestSizingVector:
+    """Main-size quantiles come from sizing five order statistics of the
+    estimates; each must equal the quantile of every estimate's own size."""
+
+    def _brute_force(self, ds, mode):
+        sizes = [main_sample_size(EffectSpec(float(d)), TWO, 0.8, mode) for d in ds]
+        return {str(q): int(v) for q, v in
+                zip(QS, np.percentile(sizes, QS, method="inverted_cdf"))}
+
     def test_matches_scalar_sizing_exact_mode(self):
-        # a dense grid over the whole table (sizes 2 to about 580), plus the
-        # boundary effects themselves, where the size steps from n + 1 to n
+        # a dense grid (sizes 2 to about 580), plus the boundary effects
+        # themselves, where the size steps from n + 1 to n
         edges = [effect_for_n(n, TWO, 0.8, T_ITERATIVE) for n in (2, 3, 9, 64, 394, 590)]
         ds = np.concatenate([np.geomspace(0.165, 4.0, 150), edges])
-        got = _size_mains(ds, TWO, 0.8, T_ITERATIVE)
-        want = [main_sample_size(EffectSpec(float(d)), TWO, 0.8, T_ITERATIVE)
-                for d in ds]
-        assert got.tolist() == want
+        for sub in (ds, ds[::7], ds[-6:], ds[:1]):
+            assert (_main_n_quantiles(sub, TWO, 0.8, T_ITERATIVE)
+                    == self._brute_force(sub, T_ITERATIVE))
 
-    def test_beyond_table_cap_uses_closed_form(self):
-        # past the exact-boundary cap the closed form stands in; it is within
-        # a few per mille of the exact requirement out there
-        d = 0.08
-        got = int(_size_mains(np.array([d]), TWO, 0.8, T_ITERATIVE)[0])
-        want = main_sample_size(EffectSpec(d), TWO, 0.8, T_ITERATIVE)
-        assert abs(got - want) / want < 0.005
+    def test_past_600_is_exact(self):
+        # a weak estimate gets its exact size, which differs from the closed form
+        q = _main_n_quantiles(np.array([0.08]), TWO, 0.8, T_ITERATIVE)
+        n = main_sample_size(EffectSpec(0.08), TWO, 0.8, T_ITERATIVE)
+        assert q == {str(k): n for k in QS}
+        assert power_at(n, EffectSpec(0.08), TWO) >= 0.8 > power_at(n - 1, EffectSpec(0.08), TWO)
+        assert n != main_sample_size(EffectSpec(0.08), TWO, 0.8, Z_APPROX)
 
     def test_matches_scalar_sizing_z_mode(self):
         ds = np.array([0.05, 0.3, 0.9, 2.0])
-        got = _size_mains(ds, TWO, 0.8, Z_APPROX)
-        want = [main_sample_size(EffectSpec(float(d)), TWO, 0.8, Z_APPROX)
-                for d in ds]
-        assert got.tolist() == want
+        assert _main_n_quantiles(ds, TWO, 0.8, Z_APPROX) == self._brute_force(ds, Z_APPROX)
 
     def test_zero_effect_sentinel(self):
-        got = _size_mains(np.array([0.0, 0.5]), TWO, 0.8, T_ITERATIVE)
-        assert got[0] > 10**15
+        # a zero estimate has no size; it is left out, and with nothing left
+        # every quantile is None
+        n = main_sample_size(EffectSpec(0.5), TWO, 0.8)
+        assert _main_n_quantiles(np.array([0.0, 0.5]), TWO, 0.8, T_ITERATIVE) == {
+            str(k): n for k in QS}
+        assert _main_n_quantiles(np.zeros(3), TWO, 0.8, T_ITERATIVE) == {
+            str(k): None for k in QS}
 
-    def test_table_is_one_small_array_per_design(self, monkeypatch):
-        # every run reaches the 600 cap; 15 designs keep 15 arrays of at most
-        # 599 floats, not a growing per-size map
-        monkeypatch.setattr(simulation, "_boundary_cache", {})
-        for i in range(15):
-            simulate_variance_pipeline(
-                variance_cfg(pilot_n=6, replicates=200, power_target=0.7 + 0.01 * i))
-        tables = list(simulation._boundary_cache.values())
-        assert len(tables) == 15
-        assert {len(t) for t in tables} == {simulation._TABLE_N_CAP - 1}
-        assert sum(t.nbytes for t in tables) <= 15 * 600 * 8
+
+class TestBruteForceOracle:
+    """Size every replicate with main_sample_size and flag it by evaluating
+    the true power at that size: the five quantiles and the flag count must
+    be the reported ones, in both scenarios, designs and sizing modes."""
+
+    CELLS = [
+        (simulate_variance_pipeline, dict(scenario="variance", effect=1.0, sigma=4.0, pilot_n=12)),
+        (simulate_effect_pipeline, dict(scenario="effect", effect=0.5, sigma=1.0, pilot_n=32)),
+    ]
+
+    @pytest.mark.parametrize("mode", [T_ITERATIVE, Z_APPROX])
+    @pytest.mark.parametrize("kind", ["one-sample", TWO_SAMPLE])
+    @pytest.mark.parametrize("cell", [0, 1], ids=["variance", "effect"])
+    def test_every_replicate_sized(self, monkeypatch, cell, kind, mode):
+        sim, base = self.CELLS[cell]
+        cfg = SimulationConfig(**base, kind=kind, sizing_mode=mode, seed=11, replicates=300)
+        rep, d = _estimates(monkeypatch, sim, cfg, cfg.replicates)
+        design, truth = cfg.design(), EffectSpec(cfg.effect, cfg.sigma)
+        d = d[d > 0.0]
+        sizes = [main_sample_size(EffectSpec(float(x)), design, cfg.power_target, mode)
+                 for x in d]
+        flags = [power_at(n, truth, design) < cfg.underpower_threshold for n in sizes]
+        want = {str(q): int(v) for q, v in
+                zip(QS, np.percentile(sizes, QS, method="inverted_cdf"))}
+        assert rep.main_n_quantiles == want
+        assert rep.empirical_underpower == sum(flags) / cfg.replicates
+        assert 0 < sum(flags) < cfg.replicates
+        if cell == 1 and kind == TWO_SAMPLE:
+            assert want["95"] > 600          # large sizes are exact too
+
+    def test_order_statistic_past_1e9_raises(self, capsys):
+        # the true effect needs 3.1e8 per group at the threshold, but the
+        # largest variance estimates of a 2-subject pilot ask for over 1e9
+        cfg = variance_cfg(effect=1.8e-4, sigma=1.0, pilot_n=2, replicates=200)
+        with pytest.raises(ValueError, match="exceeds 1e9"):
+            simulate_variance_pipeline(cfg)
+        assert main_sample_size(EffectSpec(1.8e-4), TWO, cfg.underpower_threshold) < 1e9
+        code = main(["simulate", "--scenario", "variance", "--effect", "1.8e-4",
+                     "--pilot-n", "2", "--reps", "200", "--seed", "1"])
+        assert code == 1
+        assert "exceeds 1e9" in capsys.readouterr().err
 
 
 class TestVariancePipeline:
@@ -225,7 +274,8 @@ class TestVariancePipeline:
         u = _uniforms(_rng(cfg.seed, 1), cfg.replicates, 1)[:, 0]
         s2 = cfg.sigma ** 2 * chisq_quantile(u, df) / df
         d_hat = cfg.effect / np.sqrt(s2)
-        main_n = _size_mains(d_hat, TWO, cfg.power_target, cfg.sizing_mode)
+        main_n = [main_sample_size(EffectSpec(float(d)), TWO, cfg.power_target, cfg.sizing_mode)
+                  for d in d_hat]
         flags = [power_at(int(n), EffectSpec(cfg.effect, cfg.sigma), TWO)
                  < cfg.underpower_threshold for n in main_n]
         assert np.mean(flags) == pytest.approx(rep.empirical_underpower, abs=1e-12)
