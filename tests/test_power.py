@@ -143,15 +143,19 @@ class TestInverseSolves:
     @pytest.mark.parametrize("kind", [ONE_SAMPLE, TWO_SAMPLE])
     @pytest.mark.parametrize("alpha", [0.01, 0.05])
     @pytest.mark.parametrize("power", [0.6, 0.8, 0.9])
-    def test_effect_for_n_is_the_power_root(self, kind, alpha, power):
-        # t-iterative: the exact power at the returned effect is the target;
-        # z-approx: the closed form
+    def test_effect_for_n_array_matches_scalar(self, kind, alpha, power):
+        # an array of sizes is solved one size per call: each t-iterative
+        # effect is the exact power root, and the z-approx effects are the
+        # closed form evaluated over the whole array at once
         design = TestDesign(kind, alpha)
-        for n in (2, 3, 4, 5, 7, 10, 16, 25, 40, 64, 100, 158, 250, 400, 600):
-            d = effect_for_n(n, design, power, T_ITERATIVE)
+        ns = np.array([2, 3, 4, 5, 7, 10, 16, 25, 40, 64, 100, 158, 250, 400, 600])
+        with pytest.raises(ValueError, match="one size"):
+            effect_for_n(ns, design, power, T_ITERATIVE)
+        for n in ns:
+            d = effect_for_n(int(n), design, power, T_ITERATIVE)
             assert power_at(n, EffectSpec(d), design) == pytest.approx(power, abs=1e-9)
-            assert effect_for_n(n, design, power) == (
-                _zsum(alpha, power) * math.sqrt(design.groups / n))
+        z = _zsum(alpha, power) * np.sqrt(design.groups / ns)
+        assert z.tolist() == [effect_for_n(int(n), design, power) for n in ns]
 
     def test_effect_for_n_array_rejects_small_n(self):
         # one size per call: arrays are rejected whatever they hold
