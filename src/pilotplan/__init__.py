@@ -15,74 +15,14 @@ Quick use::
 The same workflows are available on the command line via ``pilotplan``.
 """
 
-from .distributions import (
-    ConvergenceError,
-    chisq_cdf,
-    chisq_quantile,
-    nct_cdf,
-    norm_cdf,
-    norm_quantile,
-    t_cdf,
-    t_quantile,
-)
-from .power import (
-    ONE_SAMPLE,
-    TWO_SAMPLE,
-    T_ITERATIVE,
-    Z_APPROX,
-    EffectSpec,
-    TestDesign,
-    arcsine_effect,
-    effect_for_n,
-    main_sample_size,
-    mu_for_n,
-    power_at,
-    required_n,
-    sigma_for_n,
-)
-from .variance import (
-    APPROX,
-    EXACT,
-    PowerBounds,
-    VariancePilotPlan,
-    pilot_n_approx,
-    pilot_n_exact,
-    plan_variance_pilot,
-    variance_underpower_prob,
-)
-from .effect import (
-    EffectPilotPlan,
-    effect_pilot_n,
-    effect_underpower_prob,
-    plan_effect_pilot,
-)
-from .simulation import (
-    ConfigError,
-    KNOWN_SIGMA,
-    POOLED_SD,
-    SimulationConfig,
-    SimulationReport,
-    TableReport,
-    reproduce_table,
-    simulate_effect_pipeline,
-    simulate_variance_pipeline,
-)
+from . import distributions, effect, power, simulation, variance
+from .distributions import *  # noqa: F401,F403
+from .power import *  # noqa: F401,F403
+from .variance import *  # noqa: F401,F403
+from .effect import *  # noqa: F401,F403
+from .simulation import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError", "norm_cdf", "norm_quantile", "chisq_cdf",
-    "chisq_quantile", "t_cdf", "t_quantile", "nct_cdf",
-    "ONE_SAMPLE", "TWO_SAMPLE", "Z_APPROX", "T_ITERATIVE",
-    "TestDesign", "EffectSpec", "arcsine_effect", "required_n",
-    "main_sample_size", "power_at", "effect_for_n", "sigma_for_n", "mu_for_n",
-    "APPROX", "EXACT", "PowerBounds", "VariancePilotPlan",
-    "variance_underpower_prob", "pilot_n_exact", "pilot_n_approx",
-    "plan_variance_pilot",
-    "EffectPilotPlan", "effect_underpower_prob", "effect_pilot_n",
-    "plan_effect_pilot",
-    "ConfigError", "SimulationConfig", "SimulationReport", "TableReport",
-    "simulate_variance_pipeline", "simulate_effect_pipeline",
-    "reproduce_table", "POOLED_SD", "KNOWN_SIGMA",
-    "__version__",
-]
+__all__ = [*distributions.__all__, *power.__all__, *variance.__all__,
+           *effect.__all__, *simulation.__all__, "__version__"]

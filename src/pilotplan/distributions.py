@@ -410,6 +410,24 @@ def chisq_quantile(p, df: float):
 # Regularized incomplete beta (t backbone)
 # ---------------------------------------------------------------------------
 
+# from this larger argument on, lgamma(a + b) - lgamma(b) loses log B(a, b)
+# to cancellation (an error of about 2e-11 at 1e4 and 3e-8 at 1.5e7), so
+# _log_beta takes that difference from Stirling's series instead
+_STIRLING_FROM = 1e4
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a + b) for a, b > 0."""
+    s, l = min(a, b), max(a, b)
+    if l < _STIRLING_FROM:
+        return -(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+    # lgamma(l) - lgamma(l + s) from Stirling's series; of its correction
+    # only the 1/(12 x) terms matter here, the next ones are under 3e-15
+    t = l + s
+    return (math.lgamma(s) - ((l - 0.5) * math.log1p(s / l) + s * math.log(t) - s)
+            + s / (12.0 * l * t))
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab = a + b
@@ -453,8 +471,7 @@ def _betainc(a: float, b: float, x: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
-    ln_bt = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-             + a * math.log(x) + b * math.log1p(-x))
+    ln_bt = -_log_beta(a, b) + a * math.log(x) + b * math.log1p(-x)
     bt = math.exp(ln_bt)
     if x < (a + 1.0) / (a + b + 2.0):
         return bt * _betacf(a, b, x) / a
@@ -528,8 +545,7 @@ def t_quantile(p: float, df: float) -> float:
 
 def _beta_term(a: float, b: float, ln_y: float, ln_1my: float) -> float:
     """x^a (1-x)^b / (a B(a, b)): the step between I_x(a, b) and I_x(a+1, b)."""
-    return math.exp(a * ln_y + b * ln_1my - math.log(a)
-                    + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+    return math.exp(a * ln_y + b * ln_1my - math.log(a) - _log_beta(a, b))
 
 
 def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:

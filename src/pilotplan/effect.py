@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .distributions import norm_cdf, norm_quantile
-from .power import EffectSpec, T_ITERATIVE, TestDesign, _nearest_n, _zsum
+from .power import (_MAX_N, EffectSpec, T_ITERATIVE, TestDesign, _first_true,
+                    _nearest_n, _zsum)
 from .power import required_n  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 from .variance import PowerBounds, _PlanRecord, _plan_sides
 
@@ -54,8 +55,8 @@ def effect_pilot_n(mu0: float, mu_threshold: float, sigma: float, p: float,
 
     under: threshold above mu0, miss event is overestimating past it.
     over:  threshold below mu0, miss event is underestimating past it.
-    Closed form ceil(z_{1-p}^2 * sd_factor^2 * sigma^2 / gap^2), audited so the
-    probability at the returned size is strictly below p.
+    Searched from the closed form ceil(z_{1-p}^2 * sd_factor^2 * sigma^2 /
+    gap^2) by the package's integer search; sizes past 1e9 raise.
     """
     mu0 = float(mu0)
     mu_threshold = float(mu_threshold)
@@ -74,15 +75,11 @@ def effect_pilot_n(mu0: float, mu_threshold: float, sigma: float, p: float,
         raise ValueError(
             f"{side} side needs the threshold on the "
             f"{'high' if side == 'under' else 'low'} side of mu0")
-    z = norm_quantile(1.0 - p)
-    raw = design.groups * (z * sigma / gap) ** 2
-    n = max(1, math.ceil(raw - 1e-9))
-    # guard the boundary case where the raw solution lands on an exact integer
-    while True:
-        zval = gap / _effect_sd(sigma, design, n)
-        if 1.0 - norm_cdf(zval) < p:
-            return n
-        n += 1
+    r = norm_quantile(1.0 - p) * sigma / gap     # the closed form is groups r^2
+    start = math.ceil(design.groups * r ** 2 - 1e-9) if abs(r) < _MAX_N else _MAX_N
+    return _first_true(lambda n: 1.0 - norm_cdf(gap / _effect_sd(sigma, design, n)) < p,
+                       0, start, _MAX_N,
+                       "pilot size exceeds 1e9; the threshold is too close to mu0")
 
 
 @dataclass(frozen=True)

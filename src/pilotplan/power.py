@@ -10,6 +10,7 @@ the real-valued requirement (the smallest adequate integer).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -157,10 +158,11 @@ def _z_requirement(effect: EffectSpec, design: TestDesign, power: float,
     _require_nonzero_effect(effect)
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    n_z = design.groups * _zsum(design.alpha, power) ** 2 / effect.effect_size ** 2
-    if n_z > _MAX_N:
+    zs = _zsum(design.alpha, power)
+    # compared before squaring: the square of a tiny effect underflows to 0
+    if abs(zs) / effect.effect_size > math.sqrt(_MAX_N / design.groups):
         raise ValueError(_TOO_LARGE)
-    return n_z
+    return design.groups * zs ** 2 / effect.effect_size ** 2
 
 
 def required_n(effect: EffectSpec, design: TestDesign, power: float,
@@ -168,66 +170,56 @@ def required_n(effect: EffectSpec, design: TestDesign, power: float,
     """Real-valued per-group size at which the study reaches ``power``.
 
     z-approx: the closed form  groups * (z_{1-a/2} + z_{power})^2 / d^2.
-    t-iterative: the exact noncentral-t requirement, found by bracketed
-    bisection/secant on :func:`power_at` (floored at 2).
+    t-iterative: the exact noncentral-t requirement, floored at 2, solved on
+    [N - 1, N] around the integer size N of :func:`main_sample_size`.
     """
     power = _require_power(power)
     n_z = _z_requirement(effect, design, power, mode)
     if mode == Z_APPROX:
         return max(2.0, n_z)
-    f_lo = power_at(2.0, effect, design)
-    if f_lo >= power:
+    n = _search_n(effect, design, power, n_z, 0.0)
+    if n == 2:
         return 2.0
-    lo, hi = 2.0, max(4.0, 1.6 * n_z + 8.0)
-    f_hi = power_at(hi, effect, design)
-    while f_hi < power:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        f_hi = power_at(hi, effect, design)
-        if hi > _MAX_N:
-            raise ValueError(_TOO_LARGE)
-    return _solve_increasing(lambda x: power_at(x, effect, design),
-                             power, lo, hi, f_lo, f_hi, 1e-10)
+    return _solve_increasing(lambda x: power_at(x, effect, design), power,
+                             n - 1.0, float(n), power_at(n - 1, effect, design),
+                             power_at(n, effect, design), 1e-10)
+
+
+def _first_true(ok, lo: int, start: int, cap: int, too_large: str) -> int:
+    """Smallest integer n > lo with ok(n), given that ok fails at lo (it is
+    never called there) and holds from some n on.
+
+    Gallops from ``start`` (clamped into (lo, cap]) in steps of 1, 2, 4, ...,
+    down while ok holds or up while it fails, then bisects the bracket: two
+    calls when ``start`` is the answer or one below it, O(log n) at most.
+    When no n up to ``cap`` is ok it raises ValueError(too_large).
+    """
+    if cap <= lo:
+        raise ValueError(too_large)
+    n, step = min(max(start, lo + 1), cap), 1
+    if ok(n):
+        hi = n
+        while hi - step > lo and ok(hi - step):
+            hi, step = hi - step, 2 * step
+        lo = max(lo, hi - step)
+    else:
+        lo = n
+        while lo < cap and not ok(hi := min(lo + step, cap)):
+            lo, step = hi, 2 * step
+        if lo == cap:
+            raise ValueError(too_large)
+    return lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=ok)
 
 
 def _search_n(effect: EffectSpec, design: TestDesign, power: float, n_z: float,
               shift: float) -> int:
-    """Smallest integer N >= 2 with power_at(N + shift) >= power.
-
-    Power rises with N, so the answer is bracketed by galloping (steps 1, 2,
-    4, ...) from the closed form plus Guenther's t correction
-    z_{1-a/2}^2 / (2 groups), which is rarely a subject off, and then
-    bisected: O(log N) power evaluations at most, two when the start is
-    right.  Past 1e9 it raises.
-    """
-    def adequate(n: int) -> bool:
-        return power_at(n + shift, effect, design) >= power
-
+    """Smallest integer N >= 2 with power_at(N + shift) >= power, searched
+    from the closed form plus Guenther's t correction z_{1-a/2}^2 / (2 groups),
+    which is rarely a subject off: two power evaluations when it is right."""
     z_a = norm_quantile(1.0 - design.alpha / 2.0)
-    n = min(max(2, math.ceil(n_z + z_a * z_a / (2 * design.groups) - shift)), _MAX_N)
-    step = 1
-    if adequate(n):
-        lo, hi = n - 1, n
-        while lo >= 2 and adequate(lo):
-            hi, step = lo, 2 * step
-            lo = hi - step
-        lo = max(lo, 1)                 # no size below 2 is adequate
-    else:
-        lo = n
-        while True:
-            if lo >= _MAX_N:
-                raise ValueError(_TOO_LARGE)
-            hi = min(lo + step, _MAX_N)
-            if adequate(hi):
-                break
-            lo, step = hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if adequate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _first_true(lambda n: power_at(n + shift, effect, design) >= power, 1,
+                       math.ceil(n_z + z_a * z_a / (2 * design.groups) - shift),
+                       _MAX_N, _TOO_LARGE)
 
 
 def main_sample_size(effect: EffectSpec, design: TestDesign, power: float,

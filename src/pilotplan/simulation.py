@@ -15,11 +15,11 @@ from the package's own quantile functions, whatever the pilot size.
 
 Nor is every replicate's main study sized.  The main size never increases as
 the estimate grows, so the reported size quantiles are the exact sizes of
-five order statistics of the estimates (``main_sample_size``, any size up to
-1e9 per group).  A replicate is underpowered exactly when n_crit - 1
-subjects, one fewer than the threshold power needs at the true effect,
-already reach the target power at its estimate; that holds from some
-estimate on, so the flag count is a bisection over the sorted estimates.
+five order statistics of the estimates, by the integer search of
+``main_sample_size`` (any size up to 1e9 per group).  A replicate is
+underpowered exactly when n_crit - 1 subjects, one fewer than the threshold
+power needs at the true effect, already reach the target power at its
+estimate; that holds from some estimate on, so ``bisect`` counts the flags.
 
 Randomness: one logical seed per run; each scenario/cell derives its stream
 through numpy's SeedSequence spawn keys, and within a cell replicate r reads
@@ -30,6 +30,7 @@ longer run with the same seed.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -228,15 +229,8 @@ def _underpower_count(d: np.ndarray, design: TestDesign, config: SimulationConfi
         def reaches(x: float) -> bool:
             return _power(tcrit, df, design.ncp(m, x)) >= target
 
-    d = np.sort(d[d > 0.0])
-    lo, hi = -1, d.size                 # d[lo] falls short, d[hi] reaches
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reaches(float(d[mid])):
-            hi = mid
-        else:
-            lo = mid
-    return d.size - hi
+    d = np.sort(d[d > 0.0]).tolist()
+    return len(d) - bisect.bisect_left(d, True, key=reaches)
 
 
 def _report(config: SimulationConfig, d: np.ndarray, nonpositive: int) -> SimulationReport:

@@ -22,6 +22,7 @@ from .power import (
     EffectSpec,
     T_ITERATIVE,
     TestDesign,
+    _first_true,
     _nearest_n,
     _zsum,
     required_n,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
@@ -121,8 +122,8 @@ def pilot_n_exact(sigma_ratio_sq: float, p: float, side: str = "under",
 
     under: ratio < 1, miss event is S^2 < ratio * sigma^2.
     over:  ratio > 1, miss event is S^2 > ratio * sigma^2.
-    Galloping then bisection, O(log n) chi-square evaluations; sizes past
-    ``cap`` raise.
+    Found by the package's one integer search (galloping, then bisection),
+    in O(log n) chi-square evaluations; sizes past ``cap`` raise.
     """
     sigma_ratio_sq = float(sigma_ratio_sq)
     p = float(p)
@@ -140,24 +141,13 @@ def pilot_n_exact(sigma_ratio_sq: float, p: float, side: str = "under",
         under = chisq_cdf(df * sigma_ratio_sq, df)
         return (under if side == "under" else 1.0 - under) < p
 
-    # the sizes that meet the bound are n = 2 or every n from some n0 on:
-    # the under-side miss falls with n and the over-side miss rises to one
-    # peak, then falls.  Gallop to a size that meets it, then bisect; lo
-    # always fails (a pilot of 1 has no variance)
-    lo, hi = 1, 2
-    while not (hi <= cap and meets(hi)):
-        if hi >= cap:
-            raise ValueError(
-                f"no pilot size up to the search cap ({cap}) meets the bound; "
-                f"the variance ratio {sigma_ratio_sq} is too close to 1")
-        lo, hi = hi, min(2 * hi, cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # the sizes that meet the bound are n = 2 or every n from some n0 on (the
+    # over-side miss rises to one peak, then falls), so the search starts at
+    # 2 and climbs past the peak; a pilot of 1 has no variance
+    return _first_true(
+        meets, 1, 2, cap,
+        f"no pilot size up to the search cap ({cap}) meets the bound; "
+        f"the variance ratio {sigma_ratio_sq} is too close to 1")
 
 
 def pilot_n_approx(sigma_ratio_sq: float, p: float, pooled: bool = False) -> int:

@@ -19,6 +19,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("plan-effect", "--mu0", "1e-300", "--sigma", "1",
+     "--underpower-prob", "0.2", "--underpower-threshold", "0.6"),
+    ("plan-variance", "--delta", "1e-170", "--sigma", "1",
+     "--underpower-prob", "0.2", "--underpower-threshold", "0.6"),
+    ("simulate", "--scenario", "effect", "--effect", "1e-170", "--pilot-n", "10",
+     "--seed", "1"),
+])
+def test_tiny_effect_is_computational_error(capsys, argv):
+    # the effect's square underflows to 0; the size guard fires first
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds 1e9" in err
+
+
 class TestPlanVariance:
     def test_low_back_pain_example(self, capsys):
         code, out, _ = run_cli(

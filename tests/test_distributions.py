@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from pilotplan.distributions import (
     _gammainc_array,
+    _log_beta,
     chisq_cdf,
     chisq_quantile,
     nct_cdf,
@@ -199,6 +200,23 @@ class TestStudentT:
             for p in ps:
                 x = t_quantile(float(p), df)
                 assert t_cdf(x, df) == pytest.approx(float(p), abs=1e-9)
+
+    @pytest.mark.parametrize("df", [1e5, 1e7, 3.1e7])
+    def test_large_df_against_scipy(self, df):
+        # main studies of 1e7 per group have t critical values at these df;
+        # lgamma(a + b) - lgamma(b) would cancel away digits of the beta factor
+        for p in (0.975, 0.025):
+            q = scipy_stats.t.ppf(p, df)
+            assert abs(t_cdf(q, df) - p) <= 1e-10
+            assert t_quantile(p, df) == pytest.approx(q, rel=1e-12)
+
+    @pytest.mark.parametrize("big", [9999.0, 1e4, 1e7, 5e8])
+    def test_log_beta_closed_forms(self, big):
+        # B(1, b) = 1 / b and B(2, b) = 1 / (b (b + 1)), either side of the
+        # switch to Stirling's series; lgamma differences lose about 1e-8 at 1e7
+        for small, want in ((1.0, -math.log(big)), (2.0, -math.log(big) - math.log1p(big))):
+            assert _log_beta(small, big) == pytest.approx(want, abs=3e-11)
+            assert _log_beta(big, small) == _log_beta(small, big)
 
     def test_normal_limit(self):
         for x in np.linspace(-4, 4, 17):

@@ -86,6 +86,14 @@ class TestPilotSize:
         sizes = [effect_pilot_n(0.5, 0.63, 1.0, p, TWO) for p in (0.1, 0.2, 0.3, 0.4)]
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
+    @pytest.mark.parametrize("mu0,mu_threshold", [
+        (1e-200, 2e-200),       # the closed form's square overflows
+        (0.5, 0.5 + 1e-9),      # about 1.4e18 per group
+    ])
+    def test_past_1e9_raises(self, mu0, mu_threshold):
+        with pytest.raises(ValueError, match="exceeds 1e9"):
+            effect_pilot_n(mu0, mu_threshold, 1.0, 0.2, TWO)
+
     def test_equal_threshold_rejected(self):
         with pytest.raises(ValueError):
             effect_pilot_n(0.5, 0.5, 1.0, 0.3, TWO)

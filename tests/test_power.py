@@ -15,6 +15,7 @@ import pilotplan.power as power_module
 from pilotplan.distributions import ConvergenceError
 from pilotplan.effect import plan_effect_pilot
 from pilotplan.power import (
+    _first_true,
     _nearest_n,
     _solve_increasing,
     _zsum,
@@ -80,6 +81,14 @@ class TestMainSampleSize:
                 required_n(EffectSpec(1e-4), TWO, 0.8, mode)
         # 1.57e7 per group is large but within the guard
         assert required_n(EffectSpec(1e-3), TWO, 0.8) == pytest.approx(1.57e7, rel=0.01)
+
+    @pytest.mark.parametrize("mode", [T_ITERATIVE, Z_APPROX])
+    @pytest.mark.parametrize("effect", [1e-170, 1e-300, 5e-324])
+    def test_effect_whose_square_underflows(self, effect, mode):
+        # d^2 is 0 here: the 1e9 guard must fire before the closed form divides
+        for solve in (required_n, main_sample_size, _nearest_n):
+            with pytest.raises(ValueError, match="exceeds 1e9"):
+                solve(EffectSpec(effect), TWO, 0.8, mode)
 
     def test_power_bounds_rejected(self):
         for bad in (0.0, 1.0):
@@ -282,3 +291,28 @@ class TestIntegerSearch:
             main_sample_size(EffectSpec(0.5), TWO, 0.8)
         assert max(calls) == 10 ** 9
         assert len(calls) <= 32
+
+    @given(threshold=st.integers(1, 3000), lo=st.sampled_from([0, 1]),
+           start=st.integers(-5, 6000), cap_shift=st.sampled_from([None, 0, -1]),
+           cap=st.integers(-2, 7000))
+    @settings(max_examples=300, deadline=None)
+    def test_first_true_matches_linear_scan(self, threshold, lo, start, cap_shift, cap):
+        # ok fails below the threshold and holds from it on; lo must fail
+        threshold = max(threshold, lo + 1)
+        if cap_shift is not None:
+            cap = threshold + cap_shift     # the answer itself, or one below it
+        calls = []
+
+        def ok(n):
+            assert n > lo
+            calls.append(n)
+            return n >= threshold
+
+        want = next((n for n in range(lo + 1, cap + 1) if n >= threshold), None)
+        if want is None:
+            with pytest.raises(ValueError, match="too large"):
+                _first_true(ok, lo, start, cap, "too large")
+        else:
+            assert _first_true(ok, lo, start, cap, "too large") == want
+        # O(log n): a gallop and a bisection over the distance from the start
+        assert len(calls) <= 2 * math.log2(abs(start - threshold) + 1) + 3
