@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 
 from .distributions import ConvergenceError
@@ -64,8 +65,8 @@ def _positive(text: str) -> float:
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not v > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not (math.isfinite(v) and v > 0.0):
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
     return v
 
 

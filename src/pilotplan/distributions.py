@@ -10,7 +10,9 @@ with bracket fallback.
 
 ``norm_cdf``, ``norm_quantile`` and ``chisq_quantile`` (an array of p, one
 df) accept numpy arrays as well as scalars: the simulation harness draws one
-normal and one chi-square deviate per replicate through them, in bulk.
+normal and one chi-square deviate per replicate through them, in bulk.  A
+scalar given to ``norm_cdf`` or ``norm_quantile`` takes a scalar path, with
+no array round-trip, that returns the same bits as a 1-element array.
 ``chisq_cdf``, the t functions and ``nct_cdf`` are scalar; no caller needs
 the noncentral t at more than a few dozen points at once.
 """
@@ -102,75 +104,87 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _ONE_OVER_SQRT_PI = 0.5641895835477563
 
+# Each erfc region and Acklam branch is one helper on a float or an array, so
+# the scalar path (any 0-d input) and the masked one (an array) share it.  They call
+# numpy's exp, log and floor, not math's, which round differently in the last
+# bit on some arguments: a float gets the bits of a 1-element array.
+
+
+def _erfc_small(s):
+    """erfc(s) = 1 - erf(s) for 0 <= s <= 0.46875."""
+    z = s * s
+    num = _ERF_A[4] * z
+    den = z
+    for i in range(3):
+        num = (num + _ERF_A[i]) * z
+        den = (den + _ERF_B[i]) * z
+    return 1.0 - s * (num + _ERF_A[3]) / (den + _ERF_B[3])
+
+
+def _exp_neg_square(s, val):
+    """exp(-s^2) * val, with s^2 split at a multiple of 1/16 to keep its bits."""
+    ysq = np.floor(s * 16.0) / 16.0
+    del2 = (s - ysq) * (s + ysq)
+    return np.exp(-ysq * ysq) * np.exp(-del2) * val
+
+
+def _erfc_mid(s):
+    """erfc(s) for 0.46875 < s <= 4."""
+    num = _ERFC_C[8] * s
+    den = s
+    for i in range(7):
+        num = (num + _ERFC_C[i]) * s
+        den = (den + _ERFC_D[i]) * s
+    return _exp_neg_square(s, (num + _ERFC_C[7]) / (den + _ERFC_D[7]))
+
+
+def _erfc_big(s):
+    """erfc(s) for 4 < s <= 26.5; past 26.5 Cody's algorithm returns 0."""
+    z = 1.0 / (s * s)
+    num = _ERFC_P[5] * z
+    den = z
+    for i in range(4):
+        num = (num + _ERFC_P[i]) * z
+        den = (den + _ERFC_Q[i]) * z
+    val = z * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
+    return _exp_neg_square(s, (_ONE_OVER_SQRT_PI - val) / s)
+
+
+def _erfc_scalar(x: float) -> float:
+    """Complementary error function of one float, ~1 ulp accuracy."""
+    s = abs(x)
+    v = float(_erfc_small(s) if s <= 0.46875 else _erfc_mid(s) if s <= 4.0
+              else _erfc_big(s) if s <= 26.5 else 0.0)
+    return 2.0 - v if x < 0.0 else v
+
 
 def _erfc(x: np.ndarray) -> np.ndarray:
     """Complementary error function, elementwise, ~1 ulp accuracy."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     ax = np.abs(x)
-    out = np.empty_like(ax)
-
-    # |x| <= 0.46875: erfc = 1 - erf via the erf rational approximation
-    small = ax <= 0.46875
-    if small.any():
-        s = ax[small]
-        z = s * s
-        num = _ERF_A[4] * z
-        den = z
-        for i in range(3):
-            num = (num + _ERF_A[i]) * z
-            den = (den + _ERF_B[i]) * z
-        erf_small = s * (num + _ERF_A[3]) / (den + _ERF_B[3])
-        out[small] = 1.0 - erf_small
-
-    # 0.46875 < |x| <= 4
-    mid = (ax > 0.46875) & (ax <= 4.0)
-    if mid.any():
-        s = ax[mid]
-        num = _ERFC_C[8] * s
-        den = s
-        for i in range(7):
-            num = (num + _ERFC_C[i]) * s
-            den = (den + _ERFC_D[i]) * s
-        val = (num + _ERFC_C[7]) / (den + _ERFC_D[7])
-        ysq = np.floor(s * 16.0) / 16.0
-        del2 = (s - ysq) * (s + ysq)
-        out[mid] = np.exp(-ysq * ysq) * np.exp(-del2) * val
-
-    # |x| > 4
-    big = ax > 4.0
-    if big.any():
-        s = ax[big]
-        z = 1.0 / (s * s)
-        num = _ERFC_P[5] * z
-        den = z
-        for i in range(4):
-            num = (num + _ERFC_P[i]) * z
-            den = (den + _ERFC_Q[i]) * z
-        val = z * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
-        val = (_ONE_OVER_SQRT_PI - val) / s
-        with np.errstate(under="ignore"):
-            ysq = np.floor(s * 16.0) / 16.0
-            del2 = (s - ysq) * (s + ysq)
-            out[big] = np.exp(-ysq * ysq) * np.exp(-del2) * val
-        out[big] = np.where(s > 26.5, 0.0, out[big])
-
+    out = np.zeros_like(ax)
+    for region, f in ((ax <= 0.46875, _erfc_small),
+                      ((ax > 0.46875) & (ax <= 4.0), _erfc_mid),
+                      ((ax > 4.0) & (ax <= 26.5), _erfc_big)):
+        out[region] = f(ax[region])
     return np.where(x < 0, 2.0 - out, out)
 
 
 def norm_cdf(x):
     """Standard normal CDF. Scalar in, scalar out; arrays pass through."""
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError("norm_cdf requires finite input")
+        return 0.5 * _erfc_scalar(-x * _SQRT1_2)
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("norm_cdf requires finite input")
     with np.errstate(under="ignore"):
-        res = 0.5 * _erfc(-arr * _SQRT1_2)
-    if np.ndim(x) == 0:
-        return float(res[0])
-    return res.reshape(arr.shape)
+        return 0.5 * _erfc(-arr * _SQRT1_2)
 
 
 def _norm_pdf(x):
-    return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) * _INV_SQRT_2PI
+    return np.exp(-0.5 * (x * x)) * _INV_SQRT_2PI
 
 
 # Acklam's rational approximation to the normal quantile (start value; one
@@ -183,6 +197,31 @@ _ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00
           -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
 _ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
           3.754408661907416e+00)
+_ACK_SPLIT = 0.02425
+
+
+def _acklam_central(q):
+    """Acklam's start at p = 0.5 + q, for _ACK_SPLIT <= p <= 1 - _ACK_SPLIT."""
+    a, b = _ACK_A, _ACK_B
+    r = q * q
+    num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
+    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+    return q * num / den
+
+
+def _acklam_tail(p):
+    """Acklam's start at p < _ACK_SPLIT; at 1 - p it is the negative."""
+    c, d = _ACK_C, _ACK_D
+    q = np.sqrt(-2.0 * np.log(p))
+    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
+    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+    return num / den
+
+
+def _halley(x, p, cdf, pdf):
+    """One Halley step on Phi(x) = p, from Phi(x) and the (floored) density."""
+    u = (cdf - p) / pdf
+    return x - u / (1.0 + 0.5 * x * u)
 
 
 def norm_quantile(p):
@@ -190,42 +229,32 @@ def norm_quantile(p):
 
     Accepts scalars or numpy arrays.  Raises ValueError at p in {0, 1}.
     """
+    if isinstance(p, float) or np.ndim(p) == 0:
+        p = float(p)
+        if not 0.0 < p < 1.0:
+            raise ValueError("norm_quantile requires 0 < p < 1")
+        if p < _ACK_SPLIT:
+            x = float(_acklam_tail(p))
+        elif p > 1.0 - _ACK_SPLIT:
+            x = -float(_acklam_tail(1.0 - p))
+        else:
+            x = _acklam_central(p - 0.5)
+        return _halley(x, p, 0.5 * _erfc_scalar(-x * _SQRT1_2),
+                       max(float(_norm_pdf(x)), _TINY))
     orig = np.asarray(p, dtype=float)
     if not np.all((orig > 0.0) & (orig < 1.0)):
         raise ValueError("norm_quantile requires 0 < p < 1")
-    arr = np.atleast_1d(orig).ravel()
-
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
+    arr = orig.ravel()
     x = np.empty_like(arr)
-
-    lo = arr < 0.02425
-    hi = arr > 1.0 - 0.02425
+    lo = arr < _ACK_SPLIT
+    hi = arr > 1.0 - _ACK_SPLIT
     mid = ~(lo | hi)
-    if mid.any():
-        q = arr[mid] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x[mid] = q * num / den
-    if lo.any():
-        q = np.sqrt(-2.0 * np.log(arr[lo]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        x[lo] = num / den
-    if hi.any():
-        q = np.sqrt(-2.0 * np.log(1.0 - arr[hi]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        x[hi] = -num / den
-
-    # one Halley refinement against the high-accuracy CDF
+    x[mid] = _acklam_central(arr[mid] - 0.5)
+    x[lo] = _acklam_tail(arr[lo])
+    x[hi] = -_acklam_tail(1.0 - arr[hi])
     with np.errstate(under="ignore"):
-        err = 0.5 * _erfc(-x * _SQRT1_2) - arr
-        u = err / np.maximum(_norm_pdf(x), _TINY)
-        x = x - u / (1.0 + 0.5 * x * u)
-
-    if np.ndim(p) == 0:
-        return float(x[0])
+        x = _halley(x, arr, 0.5 * _erfc(-x * _SQRT1_2),
+                    np.maximum(_norm_pdf(x), _TINY))
     return x.reshape(orig.shape)
 
 
@@ -622,10 +651,15 @@ def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
         if j - m > _MAX_SERIES:
             raise ConvergenceError("noncentral t series (upward) hit the iteration cap")
 
-    # downward sweep: I_x(a, b) = I_x(a+1, b) + term(a, b)
+    # downward sweep: I_x(a, b) = I_x(a+1, b) + term(a, b).  Where both ratios
+    # and both terms are 0 at the mode every later term is 0 too, so it is
+    # skipped (at large ncp it would walk ~9 sqrt(lam) such terms); otherwise
+    # it stops at the upward sweep's cap.
     p_j, q_j, ip, tp, iq, tq = p_m, q_m, ip_m, tp_m, iq_m, tq_m
-    j = m
+    j = 0 if ip == iq == tp == tq == 0.0 else m
     while j > 0:
+        if m - j > _MAX_SERIES:
+            raise ConvergenceError("noncentral t series (downward) hit the iteration cap")
         a_p = j + 0.5
         a_q = j + 1.0
         tp *= a_p / (y * (a_p - 1.0 + half_df))

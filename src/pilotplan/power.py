@@ -143,6 +143,10 @@ def _power(tcrit: float, df: float, ncp: float) -> float:
 
 _TOO_LARGE = "required size exceeds 1e9; effect is effectively zero"
 _MAX_N = 10 ** 9
+# past this effect size the main study has the minimum size at any usual
+# alpha, and the Poisson weights of the noncentral-t series, around
+# ncp^2 / 2 > 5e11, lose digits to cancellation
+_MAX_EFFECT_SIZE = 1e6
 
 
 def _require_nonzero_effect(effect: EffectSpec) -> None:
@@ -158,11 +162,17 @@ def _z_requirement(effect: EffectSpec, design: TestDesign, power: float,
     _require_nonzero_effect(effect)
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    # compared before squaring: the square of a tiny effect underflows to 0,
+    # of a huge one overflows
+    d = effect.effect_size
+    if d > _MAX_EFFECT_SIZE:
+        raise ValueError(
+            f"effect {effect.effect!r} over sigma {effect.sigma!r} is an effect size "
+            f"of {d:g}, past the largest this package plans for, {_MAX_EFFECT_SIZE:g}")
     zs = _zsum(design.alpha, power)
-    # compared before squaring: the square of a tiny effect underflows to 0
-    if abs(zs) / effect.effect_size > math.sqrt(_MAX_N / design.groups):
+    if abs(zs) / d > math.sqrt(_MAX_N / design.groups):
         raise ValueError(_TOO_LARGE)
-    return design.groups * zs ** 2 / effect.effect_size ** 2
+    return design.groups * zs ** 2 / d ** 2
 
 
 def required_n(effect: EffectSpec, design: TestDesign, power: float,

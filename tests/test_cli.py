@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,6 +34,54 @@ def test_tiny_effect_is_computational_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "exceeds 1e9" in err
+
+
+@pytest.mark.parametrize("argv,inputs", [
+    (("plan-variance", "--sigma", "1e-300", "--delta", "1",
+      "--underpower-prob", "0.2", "--underpower-threshold", "0.6"), "effect 1.0 over sigma 1e-300"),
+    (("plan-variance", "--sigma", "1e-320", "--delta", "1",
+      "--underpower-prob", "0.2", "--underpower-threshold", "0.6"), "effect 1.0 over sigma 1e-320"),
+    (("plan-effect", "--mu0", "1e300", "--sigma", "1",
+      "--underpower-prob", "0.2", "--underpower-threshold", "0.6"), "effect 1e+300 over sigma 1.0"),
+    (("simulate", "--scenario", "effect", "--effect", "1e300", "--sigma", "1",
+      "--pilot-n", "12", "--reps", "100", "--seed", "1"), "effect 1e+300 over sigma 1.0"),
+])
+def test_huge_effect_is_computational_error(capsys, argv, inputs):
+    # the effect size's square would overflow (or, at 1e-320, the effect size
+    # itself): an error line that names the inputs, not a traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and inputs in err and "ncp" not in err
+
+
+def test_large_effect_is_planned_quickly(capsys):
+    # effect size 1e5: main studies of 2, pilots as at any effect size
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "plan-variance", "--sigma", "1e-5", "--delta", "1",
+                           "--underpower-prob", "0.2", "--underpower-threshold", "0.6")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out.endswith("pilot sample size: 12\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("plan-variance", "--sigma", "inf", "--delta", "1",
+     "--underpower-prob", "0.2", "--underpower-threshold", "0.6"),
+    ("plan-variance", "--sigma", "1", "--delta", "nan",
+     "--underpower-prob", "0.2", "--underpower-threshold", "0.6"),
+    ("plan-effect", "--mu0", "inf", "--sigma", "1",
+     "--underpower-prob", "0.2", "--underpower-threshold", "0.6"),
+    ("simulate", "--scenario", "variance", "--effect", "1", "--sigma", "inf",
+     "--pilot-n", "12", "--seed", "1"),
+    ("simulate", "--scenario", "effect", "--effect", "inf", "--pilot-n", "12",
+     "--seed", "1"),
+])
+def test_non_finite_value_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be > 0 and finite" in err
 
 
 class TestPlanVariance:

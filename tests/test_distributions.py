@@ -9,12 +9,15 @@ The implementations under test share no code with either.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pilotplan.distributions as distributions
 from pilotplan.distributions import (
+    ConvergenceError,
     _gammainc_array,
     _log_beta,
     chisq_cdf,
@@ -306,6 +309,25 @@ class TestNoncentralT:
                 assert np.isfinite(want).all()
                 assert np.abs(np.array(got) - want).max() <= 1e-10, (df, ncp)
 
+    def test_huge_noncentrality_is_cheap(self):
+        # at the mode of the Poisson weights both beta ratios and both steps are
+        # 0, so neither sweep runs on; walking the downward one through ~9
+        # sqrt(lam) zero terms took about 7 s at ncp 1e6
+        start = time.perf_counter()
+        for ncp in (1e4, 1e5, 1e6, 1e10, 1e50):
+            assert nct_cdf(12.7, 2.0, ncp) == 0.0
+            assert nct_cdf(-12.7, 2.0, -ncp) == 1.0
+        assert time.perf_counter() - start < 1.0
+
+    def test_downward_sweep_cap_raises(self, monkeypatch):
+        # at (0.5, 10, 20) the downward sweep is the longer one: with the cap
+        # cut to 50 terms it raises instead of returning a partial sum
+        want = scipy_stats.nct.cdf(0.5, 10.0, 20.0)
+        assert nct_cdf(0.5, 10.0, 20.0) == pytest.approx(want, abs=1e-12)
+        monkeypatch.setattr(distributions, "_MAX_SERIES", 50)
+        with pytest.raises(ConvergenceError, match="downward"):
+            nct_cdf(0.5, 10.0, 20.0)
+
     def test_array_rejected(self):
         # one point per call; a 1-element array is an array too
         for args in ((np.array([1.0]), 12.0, 1.5), (1.0, np.array([12.0]), 1.5),
@@ -314,7 +336,50 @@ class TestNoncentralT:
                 nct_cdf(*args)
 
 
+def _ulps_around(points, spread):
+    """A point of ``points`` moved by up to ``spread`` ulps either way."""
+    return st.tuples(st.sampled_from(points), st.integers(-spread, spread)).map(
+        lambda t: t[0] + t[1] * math.ulp(t[0]))
+
+
+# erfc's region edges, in its own argument and in x = -sqrt(2) * argument
+_CDF_EDGES = [sign * edge * scale for edge in (0.46875, 4.0, 26.5)
+              for scale in (1.0, math.sqrt(2.0)) for sign in (1.0, -1.0)]
+_ACKLAM_SPLITS = [0.02425, 1.0 - 0.02425]
+
+
+def _same_bits(got, want):
+    return type(got) is float and got.hex() == float(want).hex()
+
+
 class TestProperties:
+    @given(st.one_of(st.floats(-40.0, 40.0), _ulps_around(_CDF_EDGES, 4)))
+    @settings(max_examples=400, deadline=None)
+    def test_norm_cdf_scalar_path_matches_array(self, x):
+        want = norm_cdf(np.array([x]))[0]
+        assert _same_bits(norm_cdf(x), want)
+        assert _same_bits(norm_cdf(np.float64(x)), want)
+
+    @given(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     st.floats(-300.0, -0.01).map(lambda e: 10.0 ** e),
+                     st.floats(-16.0, -0.01).map(lambda e: 1.0 - 10.0 ** e),
+                     _ulps_around(_ACKLAM_SPLITS, 4)).filter(lambda p: 0.0 < p < 1.0))
+    @settings(max_examples=400, deadline=None)
+    def test_norm_quantile_scalar_path_matches_array(self, p):
+        want = norm_quantile(np.array([p]))[0]
+        assert _same_bits(norm_quantile(p), want)
+        assert _same_bits(norm_quantile(np.float64(p)), want)
+
+    def test_scalar_paths_raise_as_arrays_do(self):
+        for x in (math.nan, math.inf, -math.inf):
+            for arg in (x, np.float64(x), np.array(x), np.array([x])):
+                with pytest.raises(ValueError, match="finite"):
+                    norm_cdf(arg)
+        for p in (0.0, 1.0, math.nan, -0.1, 1.1):
+            for arg in (p, np.float64(p), np.array(p), np.array([p])):
+                with pytest.raises(ValueError, match="0 < p < 1"):
+                    norm_quantile(arg)
+
     @given(st.floats(0.001, 0.999), st.sampled_from([1.0, 2.0, 5.0, 11.0, 24.0, 100.0]))
     @settings(max_examples=120, deadline=None)
     def test_chisq_quantile_round_trip(self, p, df):

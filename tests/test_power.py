@@ -6,6 +6,8 @@ the frozen value where it is not a published one.
 """
 
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -89,6 +91,27 @@ class TestMainSampleSize:
         for solve in (required_n, main_sample_size, _nearest_n):
             with pytest.raises(ValueError, match="exceeds 1e9"):
                 solve(EffectSpec(effect), TWO, 0.8, mode)
+
+    @pytest.mark.parametrize("mode", [T_ITERATIVE, Z_APPROX])
+    @pytest.mark.parametrize("effect,sigma", [(1e7, 1.0), (1e160, 1.0), (1e300, 1.0),
+                                              (1.0, 1e-300), (1.0, 1e-320)])
+    def test_huge_effect_rejected(self, effect, sigma, mode):
+        # the square of the effect size overflows from 1.3e154 on, and at
+        # 1 / 1e-320 the effect size itself does; the guard fires before either
+        # and names the inputs, not the noncentrality
+        for solve in (required_n, main_sample_size, _nearest_n):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"effect {effect!r} over sigma {sigma!r}")):
+                solve(EffectSpec(effect, sigma), TWO, 0.8, mode)
+
+    def test_largest_effect_is_the_minimum_size(self):
+        start = time.perf_counter()
+        for design in (ONE, TWO):
+            assert main_sample_size(EffectSpec(1e6), design, 0.8) == 2
+            assert main_sample_size(EffectSpec(1.0, 1e-6), design, 0.8) == 2
+        with pytest.raises(ValueError, match="effect size of 1e\\+10"):
+            main_sample_size(EffectSpec(1e10), TWO, 0.8)
+        assert time.perf_counter() - start < 2.0
 
     def test_power_bounds_rejected(self):
         for bad in (0.0, 1.0):
