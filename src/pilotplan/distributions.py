@@ -9,12 +9,12 @@ series over incomplete beta ratios, and quantiles by guarded Newton iteration
 with bracket fallback.
 
 ``norm_cdf``, ``norm_quantile`` and ``chisq_quantile`` (an array of p, one
-df) accept numpy arrays as well as scalars: the simulation harness draws one
-normal and one chi-square deviate per replicate through them, in bulk.  A
-scalar given to ``norm_cdf`` or ``norm_quantile`` takes a scalar path, with
-no array round-trip, that returns the same bits as a 1-element array.
-``chisq_cdf``, the t functions and ``nct_cdf`` are scalar; no caller needs
-the noncentral t at more than a few dozen points at once.
+df) accept numpy arrays as well as scalars, for the simulation harness's
+bulk draws.  A scalar takes a scalar path, with no array round-trip, that
+returns the same bits as a 1-element array; the variance simulation calls
+``chisq_quantile`` that way, only at the replicates it reads.  ``chisq_cdf``,
+the t functions and ``nct_cdf`` are scalar; no caller needs the noncentral t
+at more than a few dozen points at once.
 """
 
 from __future__ import annotations
@@ -262,17 +262,15 @@ def norm_quantile(p):
 # Regularized incomplete gamma (chi-square backbone)
 # ---------------------------------------------------------------------------
 
-def _gammainc_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0."""
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
+def _gammainc_lower(a: float, x: float) -> tuple[float, float]:
+    """P(a, x) and Q(a, x) = 1 - P(a, x), a > 0, x >= 0: _gammainc_array's bits."""
     if x == 0.0:
-        return 0.0
-    pre = math.exp(-x + a * math.log(x) - math.lgamma(a))
+        return 0.0, 1.0
+    pre = float(np.exp(-x + a * np.log(x) - math.lgamma(a)))
     if pre == 0.0:
-        # the factor that scales either tail underflows, so P is its limit;
+        # the factor that scales either tail underflows, so each is its limit;
         # far out the fraction below cannot settle within 1e-16 of 1 either
-        return 0.0 if x < a + 1.0 else 1.0
+        return (0.0, 1.0) if x < a + 1.0 else (1.0, 0.0)
     if x < a + 1.0:
         # series representation
         ap = a
@@ -282,8 +280,8 @@ def _gammainc_lower(a: float, x: float) -> float:
             ap += 1.0
             term *= x / ap
             total += term
-            if abs(term) < abs(total) * 1e-17:
-                return total * pre
+            if term < total * 1e-17:
+                return total * pre, 1.0 - total * pre
         raise ConvergenceError("incomplete gamma series hit the iteration cap")
     # continued fraction for Q(a, x), modified Lentz
     b = x + 1.0 - a
@@ -303,7 +301,7 @@ def _gammainc_lower(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return 1.0 - h * pre
+            return 1.0 - h * pre, h * pre
     raise ConvergenceError("incomplete gamma continued fraction hit the iteration cap")
 
 
@@ -313,7 +311,7 @@ def chisq_cdf(x: float, df: float) -> float:
     df = _require_df(df)
     if x < 0.0:
         raise ValueError(f"chi-square CDF requires x >= 0, got {x!r}")
-    return min(1.0, max(0.0, _gammainc_lower(0.5 * df, 0.5 * x)))
+    return min(1.0, max(0.0, _gammainc_lower(0.5 * df, 0.5 * x)[0]))
 
 
 def _floor_tiny(v: np.ndarray) -> np.ndarray:
@@ -373,6 +371,33 @@ def _gammainc_array(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(cf, 1.0 - val, val), np.where(cf, val, 1.0 - val)
 
 
+# The start and the step of ``chisq_quantile`` each take a float or an array
+# and call numpy's exp, log and power, so its two paths share their bits.
+
+def _chisq_start(p, df: float):
+    """Wilson-Hilferty start for p > 0; where it is not positive, the leading
+    term of the series, P(a, x / 2) ~ (x / 2)^a / Gamma(a + 1)."""
+    a, c = 0.5 * df, 2.0 / (9.0 * df)
+    x = df * np.power(1.0 - c + norm_quantile(p) * math.sqrt(c), 3)
+    return np.where(x > 0.0, x, np.maximum(
+        2.0 * np.exp((np.log(p) + math.lgamma(a + 1.0)) / a), 1e-280))
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _chisq_step(x, got, tail, sign, a: float, lo, hi):
+    """The next x within (lo, hi), from g = log(got / tail) in u = log x, sign
+    -1 on the upper tail: g' = sign x pdf / got and g'' = g' r2; Newton's step
+    h = g / g', and once it is short the series reversion to third order.  A
+    step out of the bracket bisects it, or doubles x while hi is infinite."""
+    slope = sign * np.exp(a * np.log(0.5 * x) - 0.5 * x - math.lgamma(a)) / got
+    h = np.log(got / tail) / slope
+    r2 = a - 0.5 * x - slope
+    rev = h * (1.0 + h * (0.5 * r2 + h * (r2 * r2 / 3.0 + (0.5 * x + slope * r2) / 6.0)))
+    x_new = x * np.exp(-np.where(np.abs(h) < 0.5, rev, h))
+    return np.where((lo < x_new) & (x_new < hi), x_new, np.where(
+        np.isfinite(hi), 0.5 * (lo + hi), 2.0 * np.maximum(x, 1.0)))
+
+
 def chisq_quantile(p, df: float):
     """Chi-square quantile for 0 <= p < 1 (p = 1 is a domain error).
 
@@ -385,22 +410,32 @@ def chisq_quantile(p, df: float):
     or when its bracket collapses; reaching ``_MAX_NEWTON`` iterations
     raises, as it does when the quantile is below the smallest double.
     """
-    orig = np.asarray(p, dtype=float)
     df = _require_df(df)
+    a = 0.5 * df
+    if isinstance(p, float) or np.ndim(p) == 0:
+        p = float(p)
+        if not 0.0 <= p < 1.0:
+            raise ValueError("chi-square quantile requires 0 <= p < 1")
+        if p == 0.0:
+            return 0.0
+        x, upper, lo, hi = float(_chisq_start(p, df)), p > 0.5, 0.0, math.inf
+        tail, sign = (1.0 - p, -1.0) if upper else (p, 1.0)
+        for _ in range(_MAX_NEWTON):
+            got = _gammainc_lower(a, 0.5 * x)[upper]     # Q on the upper tail
+            if abs(got - tail) <= _INVERT_TOL * tail or hi - lo <= 1e-15 * x:
+                return x
+            short = (got < tail) != upper       # x lies below the quantile
+            lo, hi = (x, hi) if short else (lo, x)
+            x = float(_chisq_step(x, got, tail, sign, a, lo, hi))
+        raise ConvergenceError("chi-square quantile inversion hit the 200-iteration cap")
+    orig = np.asarray(p, dtype=float)
     if not np.all((orig >= 0.0) & (orig < 1.0)):
         raise ValueError("chi-square quantile requires 0 <= p < 1")
     out = np.zeros(orig.size)
     i = np.flatnonzero(orig > 0.0)
     ps = orig.ravel()[i]
-    a = 0.5 * df
-    c = 2.0 / (9.0 * df)
-    x = df * (1.0 - c + norm_quantile(ps) * math.sqrt(c)) ** 3
-    # where that start is not positive, the leading term of the series,
-    # P(a, x / 2) ~ (x / 2)^a / Gamma(a + 1)
-    low = x <= 0.0
-    x[low] = np.maximum(2.0 * np.exp((np.log(ps[low]) + math.lgamma(a + 1.0)) / a), 1e-280)
-    upper = ps > 0.5
-    tail = np.where(upper, 1.0 - ps, ps)
+    x, upper = _chisq_start(ps, df), ps > 0.5
+    tail, sign = np.where(upper, 1.0 - ps, ps), np.where(upper, -1.0, 1.0)
     lo, hi = np.zeros_like(x), np.full_like(x, math.inf)
     for _ in range(_MAX_NEWTON):
         if not i.size:
@@ -410,28 +445,13 @@ def chisq_quantile(p, df: float):
         done = (np.abs(got - tail) <= _INVERT_TOL * tail) | (hi - lo <= 1e-15 * x)
         if done.any():
             out[i[done]] = x[done]
-            i, x, got, upper, tail, lo, hi = (
-                v[~done] for v in (i, x, got, upper, tail, lo, hi))
+            i, x, got, upper, tail, sign, lo, hi = (
+                v[~done] for v in (i, x, got, upper, tail, sign, lo, hi))
         short = (got < tail) != upper           # x lies below the quantile
-        lo = np.where(short, x, lo)
-        hi = np.where(short, hi, x)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # g = log(tail / target) in u = log x: g' = -+ x pdf / tail and
-            # g'' = g' r2; Newton's step h = g / g', and once it is short the
-            # series reversion to third order
-            slope = np.exp(a * np.log(0.5 * x) - 0.5 * x - math.lgamma(a)) / got
-            slope = np.where(upper, -slope, slope)
-            h = np.log(got / tail) / slope
-            r2 = a - 0.5 * x - slope
-            rev = h * (1.0 + h * (0.5 * r2 + h * (r2 * r2 / 3.0 + (0.5 * x + slope * r2) / 6.0)))
-            x_new = x * np.exp(-np.where(np.abs(h) < 0.5, rev, h))
-        bad = ~((lo < x_new) & (x_new < hi))
-        x = np.where(bad, np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * np.maximum(x, 1.0)),
-                     x_new)
+        lo, hi = np.where(short, x, lo), np.where(short, hi, x)
+        x = _chisq_step(x, got, tail, sign, a, lo, hi)
     if i.size:
         raise ConvergenceError("chi-square quantile inversion hit the 200-iteration cap")
-    if np.ndim(p) == 0:
-        return float(out[0])
     return out.reshape(orig.shape)
 
 
@@ -690,6 +710,10 @@ def nct_cdf(x: float, df: float, ncp: float) -> float:
     ncp = _require_finite("ncp", ncp)
     if ncp == 0.0:
         return t_cdf(x, df)
-    if x >= 0.0:
-        return _nct_cdf_nonneg(x, df, ncp)
-    return min(1.0, max(0.0, 1.0 - _nct_cdf_nonneg(-x, df, -ncp)))
+    try:
+        if x >= 0.0:
+            return _nct_cdf_nonneg(x, df, ncp)
+        return min(1.0, max(0.0, 1.0 - _nct_cdf_nonneg(-x, df, -ncp)))
+    except OverflowError:
+        # lam = ncp^2 / 2 is infinite, or the Poisson weight at its mode is
+        raise ValueError(f"ncp {ncp!r} is too large for the noncentral t series") from None

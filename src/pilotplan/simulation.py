@@ -10,8 +10,8 @@ empirical counterpart of the planner's underpower probability.
 A pilot is drawn as its sufficient statistics, not its observations: under
 normal data the sample mean (or difference of means) is N(mu, g sigma^2 / n)
 and independent of df S^2 / sigma^2, which is chi-square on df (Cochran's
-theorem).  So each replicate takes one normal and one chi-square deviate,
-from the package's own quantile functions, whatever the pilot size.
+theorem).  So an effect replicate takes one normal and one chi-square
+deviate, a variance replicate one chi-square deviate, whatever the pilot size.
 
 Nor is every replicate's main study sized.  The main size never increases as
 the estimate grows, so the reported size quantiles are the exact sizes of
@@ -20,6 +20,8 @@ five order statistics of the estimates, by the integer search of
 underpowered exactly when n_crit - 1 subjects, one fewer than the threshold
 power needs at the true effect, already reach the target power at its
 estimate; that holds from some estimate on, so ``bisect`` counts the flags.
+A variance estimate falls as its uniform rises, so of R replicates only the
+5 + log2 R or so estimates read are computed, at their ranks in the uniforms.
 
 Randomness: one logical seed per run; each scenario/cell derives its stream
 through numpy's SeedSequence spawn keys, and within a cell replicate r reads
@@ -49,7 +51,7 @@ from .power import (
     effect_for_n,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
     main_sample_size,
 )
-from .variance import PowerBounds, plan_variance_pilot
+from .variance import PowerBounds, _pilot_df, plan_variance_pilot
 from .effect import plan_effect_pilot
 
 __all__ = [
@@ -186,31 +188,29 @@ def _uniforms(rng: np.random.Generator, reps: int, k: int) -> np.ndarray:
 _QUANTILES = (5, 25, 50, 75, 95)
 
 
-def _main_n_quantiles(d: np.ndarray, design: TestDesign, power: float,
-                      mode: str) -> dict:
-    """Quantiles (``inverted_cdf``) of the main sizes the positive estimates get.
+def _main_n_quantiles(d, design: TestDesign, power: float, mode: str) -> dict:
+    """Quantiles (``inverted_cdf``) of the main sizes the positive estimates
+    get, from the estimates in ascending order (any sequence).
 
     The size never increases as the estimate grows, so the q-th percentile
     of the sizes is the size of the estimate at the q-th percentile counted
-    from the top: five sizings, not one per replicate.
+    from the top, -np.percentile(-d, q, method="inverted_cdf"), which is
+    d[n - ceil(n q / 100)]: five sizings, not one per replicate.
     """
-    d = d[d > 0.0]
-    if not d.size:
-        return {str(q): None for q in _QUANTILES}
-    picks = -np.percentile(-d, _QUANTILES, method="inverted_cdf")
-    return {str(q): main_sample_size(EffectSpec(float(x)), design, power, mode)
-            for q, x in zip(_QUANTILES, picks)}
+    n = len(d)
+    return {str(q): main_sample_size(EffectSpec(d[n - (n * q + 99) // 100]), design, power, mode)
+            if n else None for q in _QUANTILES}
 
 
-def _underpower_count(d: np.ndarray, design: TestDesign, config: SimulationConfig,
+def _underpower_count(d, design: TestDesign, config: SimulationConfig,
                       n_crit: int) -> int:
     """Replicates whose sized main study has true power below the threshold.
 
     True power rises with N, so that happens exactly when the main size is
     below n_crit (the threshold's own requirement), that is when n_crit - 1
     subjects already reach the target power at the estimate.  That holds
-    from some estimate on, so over the sorted positive estimates the count
-    is a bisection.
+    from some estimate on, so over the ascending positive estimates ``d``
+    the count is a bisection.
     """
     if n_crit <= 2:
         return 0
@@ -229,13 +229,12 @@ def _underpower_count(d: np.ndarray, design: TestDesign, config: SimulationConfi
         def reaches(x: float) -> bool:
             return _power(tcrit, df, design.ncp(m, x)) >= target
 
-    d = np.sort(d[d > 0.0]).tolist()
     return len(d) - bisect.bisect_left(d, True, key=reaches)
 
 
-def _report(config: SimulationConfig, d: np.ndarray, nonpositive: int) -> SimulationReport:
-    """Size, flag and summarize a run from its estimated effect sizes ``d``
-    (magnitudes: two-sided sizing ignores the sign)."""
+def _report(config: SimulationConfig, d, nonpositive: int) -> SimulationReport:
+    """Size, flag and summarize a run from its positive estimated effect
+    sizes (magnitudes) ``d`` in ascending order; it reads 5 + log2(len(d)) or so."""
     design = config.design()
     true_effect = EffectSpec(config.effect, config.sigma)
     n_crit = main_sample_size(true_effect, design, config.underpower_threshold, T_ITERATIVE)
@@ -249,6 +248,19 @@ def _report(config: SimulationConfig, d: np.ndarray, nonpositive: int) -> Simula
                                            config.sizing_mode),
         config=asdict(config),
     )
+
+
+class _Ascending:
+    """Item k is f at the k-th largest of u, computed when read: ascending for a falling f."""
+
+    def __init__(self, u: np.ndarray, f):
+        self._u, self._f = np.sort(u)[::-1], f
+
+    def __len__(self) -> int:
+        return self._u.size
+
+    def __getitem__(self, k: int) -> float:
+        return self._f(float(self._u[k]))
 
 
 def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -266,10 +278,13 @@ def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
     npil = int(config.pilot_n)
 
     # (df) S^2 / sigma^2 is chi-square on df = n - 1, or 2n - 2 pooled
-    df = 2 * npil - 2 if config.pooled_pilot else npil - 1
+    df = _pilot_df(npil, config.pooled_pilot)
     u = _uniforms(_rng(config.seed, 1), int(config.replicates), 1)
-    s2 = config.sigma ** 2 * chisq_quantile(u[:, 0], df) / df
-    return _report(config, config.effect / np.sqrt(s2), nonpositive=0)
+
+    def estimate(p: float) -> float:
+        return config.effect / math.sqrt(config.sigma ** 2 * chisq_quantile(p, df) / df)
+
+    return _report(config, _Ascending(u[:, 0], estimate), nonpositive=0)
 
 
 def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -300,7 +315,8 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
     else:
         d_hat = mean / config.sigma
 
-    return _report(config, np.abs(d_hat), nonpositive=np.count_nonzero(d_hat <= 0.0))
+    return _report(config, np.sort(np.abs(d_hat[d_hat != 0.0])).tolist(),
+                   nonpositive=np.count_nonzero(d_hat <= 0.0))
 
 
 # ---------------------------------------------------------------------------

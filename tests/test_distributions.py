@@ -19,6 +19,7 @@ import pilotplan.distributions as distributions
 from pilotplan.distributions import (
     ConvergenceError,
     _gammainc_array,
+    _gammainc_lower,
     _log_beta,
     chisq_cdf,
     chisq_quantile,
@@ -328,6 +329,28 @@ class TestNoncentralT:
         with pytest.raises(ConvergenceError, match="downward"):
             nct_cdf(0.5, 10.0, 20.0)
 
+    def test_huge_noncentrality_raises_value_error(self):
+        # ncp = 1e6 .. 1e300 at x = +-1, 10, 1e3 and df = 1, 10, 1e3: each
+        # call returns a probability or raises one of the package's errors;
+        # where ncp^2 / 2 or the Poisson weight at its mode overflows (from
+        # ncp 1e38 at x = 1) that is a ValueError naming ncp, not a bare
+        # OverflowError
+        overflowed = 0
+        for e in range(6, 301, 2):
+            for x in (1.0, -1.0, 10.0, 1e3):
+                for df in (1.0, 10.0, 1e3):
+                    try:
+                        assert 0.0 <= nct_cdf(x, df, 10.0 ** e) <= 1.0
+                    except ValueError as exc:
+                        assert str(exc).startswith(f"ncp {10.0 ** e!r} is too large")
+                        overflowed += 1
+                    except ConvergenceError:
+                        pass
+        assert overflowed > 0
+        with pytest.raises(ValueError, match=r"ncp 1e\+38"):
+            nct_cdf(1.0, 1.0, 1e38)
+        assert nct_cdf(1.0, 1.0, 1e6) == 0.0
+
     def test_array_rejected(self):
         # one point per call; a 1-element array is an array too
         for args in ((np.array([1.0]), 12.0, 1.5), (1.0, np.array([12.0]), 1.5),
@@ -379,6 +402,47 @@ class TestProperties:
             for arg in (p, np.float64(p), np.array(p), np.array([p])):
                 with pytest.raises(ValueError, match="0 < p < 1"):
                     norm_quantile(arg)
+
+    @given(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                     st.floats(-300.0, -0.01).map(lambda e: 10.0 ** e),
+                     st.floats(-16.0, -0.01).map(lambda e: 1.0 - 10.0 ** e),
+                     st.integers(1, 2 ** 53 - 1).map(lambda k: k / 2.0 ** 53)
+                     ).filter(lambda p: 0.0 <= p < 1.0),
+           st.one_of(st.floats(0.05, 5000.0), st.integers(1, 200).map(float)))
+    @settings(max_examples=400, deadline=None)
+    def test_chisq_quantile_scalar_path_matches_array(self, p, df):
+        # a float (or a 0-d input) takes the scalar path, on the scalar
+        # incomplete gamma, and returns the 1-element array's bits; where the
+        # quantile is below the smallest double both raise
+        try:
+            want = chisq_quantile(np.array([p]), df)[0]
+        except ConvergenceError:
+            for arg in (p, np.float64(p), np.array(p)):
+                with pytest.raises(ConvergenceError, match="200-iteration cap"):
+                    chisq_quantile(arg, df)
+            return
+        for arg in (p, np.float64(p), np.array(p)):
+            assert _same_bits(chisq_quantile(arg, df), want)
+
+    @given(st.floats(0.01, 5000.0),
+           st.lists(st.one_of(st.floats(0.0, 1e4), st.floats(-300.0, 19.0).map(
+               lambda e: 10.0 ** e)), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_gammainc_scalar_matches_array(self, a, xs):
+        p, q = _gammainc_array(a, np.array(xs))
+        for k, x in enumerate(xs):
+            got = _gammainc_lower(a, x)
+            assert _same_bits(got[0], p[k]) and _same_bits(got[1], q[k])
+
+    def test_chisq_quantile_scalar_raises_as_arrays_do(self):
+        for p in (1.0, math.nan, -0.1, 1.1, math.inf):
+            for arg in (p, np.float64(p), np.array(p), np.array([p])):
+                with pytest.raises(ValueError, match="0 <= p < 1"):
+                    chisq_quantile(arg, 3.0)
+        for df in (0.0, -1.0, math.nan, math.inf):
+            for arg in (0.5, np.array([0.5])):
+                with pytest.raises(ValueError, match="degrees of freedom"):
+                    chisq_quantile(arg, df)
 
     @given(st.floats(0.001, 0.999), st.sampled_from([1.0, 2.0, 5.0, 11.0, 24.0, 100.0]))
     @settings(max_examples=120, deadline=None)

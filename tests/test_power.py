@@ -113,6 +113,14 @@ class TestMainSampleSize:
             main_sample_size(EffectSpec(1e10), TWO, 0.8)
         assert time.perf_counter() - start < 2.0
 
+    def test_power_at_huge_effect_names_ncp(self):
+        # power_at has no effect-size guard of its own: at ncp 1.4e20 the
+        # noncentral t's Poisson weight overflows, and at 1.4e160 so does
+        # ncp^2 / 2; either is a ValueError naming ncp
+        for effect in (1e20, 1e160):
+            with pytest.raises(ValueError, match="ncp .* is too large"):
+                power_at(2, EffectSpec(effect), ONE)
+
     def test_power_bounds_rejected(self):
         for bad in (0.0, 1.0):
             with pytest.raises(ValueError):

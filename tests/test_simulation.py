@@ -5,20 +5,26 @@ of each pipeline's flagging event (worked out independently of the harness);
 the tight ones are frozen determinism checks.
 """
 
+import bisect
 import math
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pilotplan.cli import emit
-from pilotplan.distributions import chisq_quantile, nct_cdf, norm_quantile
+from pilotplan.distributions import chisq_quantile, nct_cdf, norm_quantile, t_quantile
 from pilotplan.power import (
     EffectSpec,
+    ONE_SAMPLE,
     TWO_SAMPLE,
     T_ITERATIVE,
     Z_APPROX,
     TestDesign,
+    _power,
+    _zsum,
     effect_for_n,
     main_sample_size,
     power_at,
@@ -28,6 +34,7 @@ from pilotplan.simulation import (
     ConfigError,
     KNOWN_SIGMA,
     SimulationConfig,
+    SimulationReport,
     _main_n_quantiles,
     reproduce_table,
     simulate_effect_pipeline,
@@ -119,24 +126,83 @@ class TestDeterminism:
     ], ids=["variance-pooled", "variance-one-sample", "effect-pooled-sd", "effect-known-sigma"])
     def test_short_run_is_prefix_of_long_run(self, monkeypatch, sim, cfg):
         # replicate r reads row r of the uniform block, so the first m
-        # replicates of a run are exactly an m-replicate run
-        long_run, short_run = (_estimates(monkeypatch, sim, cfg, reps)[1] for reps in (300, 120))
+        # replicates of a run are exactly an m-replicate run.  The report is
+        # built from the estimates in ascending order, so the replicate order
+        # is rebuilt from the uniforms by the array oracle, and each run's
+        # ascending estimates must be the oracle's, sorted
+        runs = []
+        for reps in (300, 120):
+            cfg_r = SimulationConfig(**{**asdict(cfg), "replicates": reps})
+            d = _array_estimates(cfg_r)
+            ascending = _estimates(monkeypatch, sim, cfg_r, reps)[1]
+            assert ascending == np.sort(np.abs(d[d != 0.0])).tolist()
+            runs.append(d)
+        long_run, short_run = runs
         assert short_run.tolist() == long_run[:120].tolist()
 
 
 def _estimates(monkeypatch, sim, cfg, replicates):
-    """The report of a run and the effect-size estimates it was built from."""
+    """The report of a run and the positive estimates it was built from, in
+    the ascending order ``_report`` reads them (every one is computed)."""
     seen = []
     report = simulation._report
 
     def recording(config, d, nonpositive):
-        seen.append(d.copy())
+        seen.append(list(d))
         return report(config, d, nonpositive)
 
     monkeypatch.setattr(simulation, "_report", recording)
     rep = sim(SimulationConfig(**{**asdict(cfg), "replicates": replicates}))
     monkeypatch.setattr(simulation, "_report", report)
     return rep, seen[0]
+
+
+def _array_estimates(cfg: SimulationConfig) -> np.ndarray:
+    """Every replicate's estimate, in replicate order, from the run's uniforms
+    through the array quantile functions (signed for the effect scenario)."""
+    npil = cfg.pilot_n
+    if cfg.scenario == "variance":
+        df = 2 * npil - 2 if cfg.pooled_pilot else npil - 1
+        u = _uniforms(_rng(cfg.seed, 1), cfg.replicates, 1)
+        return cfg.effect / np.sqrt(cfg.sigma ** 2 * chisq_quantile(u[:, 0], df) / df)
+    design = cfg.design()
+    u = _uniforms(_rng(cfg.seed, 2), cfg.replicates, 2)
+    mean = cfg.effect + cfg.sigma * math.sqrt(design.groups / npil) * norm_quantile(u[:, 0])
+    if cfg.estimator == KNOWN_SIGMA:
+        return mean / cfg.sigma
+    df = design.df(npil)
+    return mean / (cfg.sigma * np.sqrt(chisq_quantile(u[:, 1], df) / df))
+
+
+def _full_array_report(cfg: SimulationConfig) -> SimulationReport:
+    """A variance run as the full-array path reported it: every estimate from
+    the array chi-square quantile, the five sizes at the estimates'
+    ``inverted_cdf`` percentiles from the top, and the flags counted by a
+    bisection over all the sorted estimates."""
+    d = _array_estimates(cfg)
+    design = cfg.design()
+    n_crit = main_sample_size(EffectSpec(cfg.effect, cfg.sigma), design,
+                              cfg.underpower_threshold, T_ITERATIVE)
+    picks = -np.percentile(-d, QS, method="inverted_cdf")
+    sizes = {str(q): main_sample_size(EffectSpec(float(x)), design, cfg.power_target,
+                                      cfg.sizing_mode) for q, x in zip(QS, picks)}
+    flagged = 0
+    if n_crit > 2:
+        m = n_crit - 1
+        if cfg.sizing_mode == Z_APPROX:
+            zs = _zsum(design.alpha, cfg.power_target)
+            reaches = lambda x: design.groups * zs * zs / (x * x) - 1e-9 <= m
+        else:
+            df = design.df(m)
+            tcrit = t_quantile(1.0 - design.alpha / 2.0, df)
+            reaches = lambda x: _power(tcrit, df, design.ncp(m, x)) >= cfg.power_target
+        ds = np.sort(d).tolist()
+        flagged = len(ds) - bisect.bisect_left(ds, True, key=reaches)
+    p_hat = flagged / cfg.replicates
+    return SimulationReport(
+        empirical_underpower=p_hat,
+        mc_standard_error=math.sqrt(p_hat * (1.0 - p_hat) / cfg.replicates),
+        nonpositive_effects=0, main_n_quantiles=sizes, config=asdict(cfg))
 
 
 class TestSampler:
@@ -156,6 +222,13 @@ class TestSampler:
 QS = (5, 25, 50, 75, 95)
 
 
+def _ascending(d) -> list:
+    """The positive estimates in ascending order, as the pipelines hand them
+    to ``_report``."""
+    d = np.asarray(d, dtype=float)
+    return np.sort(d[d > 0.0]).tolist()
+
+
 class TestSizingVector:
     """Main-size quantiles come from sizing five order statistics of the
     estimates; each must equal the quantile of every estimate's own size."""
@@ -171,12 +244,12 @@ class TestSizingVector:
         edges = [effect_for_n(n, TWO, 0.8, T_ITERATIVE) for n in (2, 3, 9, 64, 394, 590)]
         ds = np.concatenate([np.geomspace(0.165, 4.0, 150), edges])
         for sub in (ds, ds[::7], ds[-6:], ds[:1]):
-            assert (_main_n_quantiles(sub, TWO, 0.8, T_ITERATIVE)
+            assert (_main_n_quantiles(_ascending(sub), TWO, 0.8, T_ITERATIVE)
                     == self._brute_force(sub, T_ITERATIVE))
 
     def test_past_600_is_exact(self):
         # a weak estimate gets its exact size, which differs from the closed form
-        q = _main_n_quantiles(np.array([0.08]), TWO, 0.8, T_ITERATIVE)
+        q = _main_n_quantiles([0.08], TWO, 0.8, T_ITERATIVE)
         n = main_sample_size(EffectSpec(0.08), TWO, 0.8, T_ITERATIVE)
         assert q == {str(k): n for k in QS}
         assert power_at(n, EffectSpec(0.08), TWO) >= 0.8 > power_at(n - 1, EffectSpec(0.08), TWO)
@@ -184,15 +257,16 @@ class TestSizingVector:
 
     def test_matches_scalar_sizing_z_mode(self):
         ds = np.array([0.05, 0.3, 0.9, 2.0])
-        assert _main_n_quantiles(ds, TWO, 0.8, Z_APPROX) == self._brute_force(ds, Z_APPROX)
+        assert (_main_n_quantiles(_ascending(ds), TWO, 0.8, Z_APPROX)
+                == self._brute_force(ds, Z_APPROX))
 
     def test_zero_effect_sentinel(self):
-        # a zero estimate has no size; it is left out, and with nothing left
-        # every quantile is None
+        # a zero estimate has no size; the pipelines leave it out, and with
+        # nothing left every quantile is None
         n = main_sample_size(EffectSpec(0.5), TWO, 0.8)
-        assert _main_n_quantiles(np.array([0.0, 0.5]), TWO, 0.8, T_ITERATIVE) == {
+        assert _main_n_quantiles(_ascending([0.0, 0.5]), TWO, 0.8, T_ITERATIVE) == {
             str(k): n for k in QS}
-        assert _main_n_quantiles(np.zeros(3), TWO, 0.8, T_ITERATIVE) == {
+        assert _main_n_quantiles(_ascending(np.zeros(3)), TWO, 0.8, T_ITERATIVE) == {
             str(k): None for k in QS}
 
 
@@ -214,7 +288,8 @@ class TestBruteForceOracle:
         cfg = SimulationConfig(**base, kind=kind, sizing_mode=mode, seed=11, replicates=300)
         rep, d = _estimates(monkeypatch, sim, cfg, cfg.replicates)
         design, truth = cfg.design(), EffectSpec(cfg.effect, cfg.sigma)
-        d = d[d > 0.0]
+        # every replicate's estimate, positive and ascending
+        assert len(d) == cfg.replicates and d == sorted(d) and d[0] > 0.0
         sizes = [main_sample_size(EffectSpec(float(x)), design, cfg.power_target, mode)
                  for x in d]
         flags = [power_at(n, truth, design) < cfg.underpower_threshold for n in sizes]
@@ -237,6 +312,53 @@ class TestBruteForceOracle:
                      "--pilot-n", "2", "--reps", "200", "--seed", "1"])
         assert code == 1
         assert "exceeds 1e9" in capsys.readouterr().err
+
+
+class TestEstimatesOnDemand:
+    """A variance run computes its estimates only at the ranks it reads, each
+    through the float chi-square quantile; its report must be the one the
+    full-array path gave."""
+
+    @given(reps=st.integers(1, 60), pilot_n=st.integers(2, 40),
+           pooled=st.booleans(), kind=st.sampled_from([ONE_SAMPLE, TWO_SAMPLE]),
+           mode=st.sampled_from([T_ITERATIVE, Z_APPROX]),
+           effect=st.floats(0.5, 4.0), sigma=st.floats(1.0, 6.0),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=60, deadline=None)
+    def test_report_matches_full_array_path(self, reps, pilot_n, pooled, kind, mode,
+                                            effect, sigma, seed):
+        cfg = variance_cfg(replicates=reps, pilot_n=pilot_n, pooled_pilot=pooled, kind=kind,
+                           sizing_mode=mode, effect=effect, sigma=sigma, seed=seed)
+        assert simulate_variance_pipeline(cfg) == _full_array_report(cfg)
+
+    @given(st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.25, 0.5, 1.0])),
+                    min_size=1, max_size=500))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_picks_are_inverted_cdf_percentiles(self, xs):
+        # with the sizing stubbed to echo its estimate, the five picks from
+        # the ascending estimates are numpy's inverted_cdf percentiles, from
+        # the top (a size never rises with the estimate)
+        xs = sorted(xs)
+        with mock.patch.object(simulation, "main_sample_size", lambda e, *_: e.effect):
+            got = _main_n_quantiles(xs, TWO, 0.8, T_ITERATIVE)
+        want = -np.percentile(-np.array(xs), QS, method="inverted_cdf")
+        assert [got[str(q)] for q in QS] == want.tolist()
+
+    @pytest.mark.parametrize("reps", [10_000, 100_000])
+    def test_chisq_quantile_calls_are_logarithmic(self, monkeypatch, reps):
+        # five sizings and one bisection of at most ceil(log2(R + 1)) probes
+        args = []
+        quantile = simulation.chisq_quantile
+
+        def counting(p, df):
+            args.append(p)
+            return quantile(p, df)
+
+        monkeypatch.setattr(simulation, "chisq_quantile", counting)
+        rep = simulate_variance_pipeline(variance_cfg(replicates=reps))
+        assert all(type(p) is float for p in args)
+        assert 5 <= len(args) <= 5 + math.ceil(math.log2(reps)) + 1
+        assert 0.1 < rep.empirical_underpower < 0.3
 
 
 class TestVariancePipeline:
@@ -312,6 +434,28 @@ class TestEffectPipeline:
         expected = nct_cdf(0.0, 2 * 3 - 2, 0.8 * math.sqrt(3 / 2))
         assert rep.nonpositive_effects / cfg.replicates == pytest.approx(expected, abs=0.03)
         assert rep.nonpositive_effects > 0
+
+    def test_zero_estimates_left_out(self, monkeypatch):
+        # with sigma 1 and sqrt(2 / 8) = 0.5 exact, a normal deviate of
+        # -2 effect makes the mean, and so the known-sigma estimate, exactly
+        # 0; such replicates count as nonpositive and get no main size
+        cfg = effect_cfg(pilot_n=8, estimator=KNOWN_SIGMA, replicates=40)
+        zeros = [0, 5, 17]
+        real = simulation.norm_quantile
+
+        def zeroing(p):
+            z = real(p)
+            z[zeros] = -2.0 * cfg.effect
+            return z
+
+        monkeypatch.setattr(simulation, "norm_quantile", zeroing)
+        rep, seen = _estimates(monkeypatch, simulate_effect_pipeline, cfg, cfg.replicates)
+        d_hat = cfg.effect + 0.5 * zeroing(_uniforms(_rng(cfg.seed, 2), cfg.replicates, 2)[:, 0])
+        assert np.count_nonzero(d_hat == 0.0) == len(zeros)
+        assert seen == np.sort(np.abs(d_hat[d_hat != 0.0])).tolist()
+        assert len(seen) == cfg.replicates - len(zeros) and min(seen) > 0.0
+        assert rep.nonpositive_effects == np.count_nonzero(d_hat <= 0.0)
+        assert all(isinstance(n, int) for n in rep.main_n_quantiles.values())
 
     def test_known_sigma_matches_normal_model(self):
         # with sigma known the estimate is exactly normal, so the empirical
