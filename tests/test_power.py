@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pilotplan.distributions as distributions
 import pilotplan.power as power_module
-from pilotplan.distributions import ConvergenceError
+from pilotplan.distributions import ConvergenceError, nct_cdf, t_quantile
 from pilotplan.effect import plan_effect_pilot
 from pilotplan.power import (
     _first_true,
     _nearest_n,
+    _power,
     _solve_increasing,
     _zsum,
     EffectSpec,
@@ -146,6 +148,59 @@ class TestPowerAt:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             power_at(1, EffectSpec(0.5), TWO)
+
+
+class TestTwoSidedPower:
+    """_power sums P(|T| > c) as one noncentral-F Poisson series; it agrees
+    with the two tails (1 - nct_cdf(c)) + nct_cdf(-c) and with scipy."""
+
+    @given(df=st.floats(1.0, 2000.0) | st.floats(1.0, 3.0),
+           alpha=st.floats(1e-6, 0.5) | st.just(1e-6), ncp=st.floats(0.0, 40.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_nct_cdf_tails(self, df, alpha, ncp):
+        # df 1 at alpha 1e-6 puts 1 - y under 2^-26, the series' far branch
+        c = t_quantile(1.0 - alpha / 2.0, df)
+        lower = nct_cdf(-c, df, ncp)
+        want = (1.0 - nct_cdf(c, df, ncp)) + lower
+        # nct_cdf clips a lower tail that rounding made negative at 0, and so
+        # drops that error from `want` (about 5e-13 at most seen, at df under 4
+        # and ncp near 40)
+        assert abs(_power(c, df, ncp) - want) <= (1e-13 if lower > 0.0 else 1e-12)
+
+    def test_matches_scipy_noncentral_f(self):
+        # T^2 is noncentral F(1, df, ncp^2); scipy's ncf is off at nc = 0
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            df = float(np.exp(rng.uniform(0.0, math.log(2000.0))))
+            alpha = float(np.exp(rng.uniform(math.log(1e-6), math.log(0.5))))
+            ncp = float(rng.uniform(1e-9, 40.0))
+            c = t_quantile(1.0 - alpha / 2.0, df)
+            want = scipy_stats.ncf.sf(c * c, 1.0, df, ncp * ncp)
+            assert _power(c, df, ncp) == pytest.approx(want, abs=1e-11), (df, alpha, ncp)
+        for df in (1.0, 1.5, 2.0):      # 1 - y is under 2^-26 (the far branch) at df 1
+            c = t_quantile(1.0 - 5e-7, df)
+            for ncp in (0.5, 5.0, 40.0):
+                want = scipy_stats.ncf.sf(c * c, 1.0, df, ncp * ncp)
+                assert _power(c, df, ncp) == pytest.approx(want, abs=1e-11), (df, ncp)
+
+    @pytest.mark.parametrize("df", [1.0, 2.0, 7.5, 62.0, 1e4])
+    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5])
+    def test_central_bits(self, df, alpha):
+        # at ncp 0 the t tails, as the two nct_cdf calls gave them, to the bit
+        c = t_quantile(1.0 - alpha / 2.0, df)
+        assert _power(c, df, 0.0) == (1.0 - nct_cdf(c, df, 0.0)) + nct_cdf(-c, df, 0.0)
+
+    @pytest.mark.parametrize("df,alpha", [(62.0, 0.05), (1.0, 1e-6)])
+    def test_series_cap_raises(self, df, alpha, monkeypatch):
+        # at ncp 20 the sweep up from the Poisson mode (200) takes over 100
+        # terms; with the cap cut to 50 it raises instead of returning a
+        # partial sum, in the far branch (df 1) as elsewhere
+        c = t_quantile(1.0 - alpha / 2.0, df)
+        assert 0.0 < _power(c, df, 20.0) <= 1.0
+        monkeypatch.setattr(distributions, "_MAX_SERIES", 50)
+        with pytest.raises(ConvergenceError, match="upward"):
+            _power(c, df, 20.0)
 
 
 class TestInverseSolves:
