@@ -8,13 +8,15 @@ fraction with region switching, the noncentral t CDF by a Poisson-mixture
 series over incomplete beta ratios, and quantiles by guarded Newton iteration
 with bracket fallback.
 
-``norm_cdf``, ``norm_quantile`` and ``chisq_quantile`` (an array of p, one
-df) accept numpy arrays as well as scalars, for the simulation harness's
-bulk draws.  A scalar takes a scalar path, with no array round-trip, that
-returns the same bits as a 1-element array; the variance simulation calls
-``chisq_quantile`` that way, only at the replicates it reads.  ``chisq_cdf``,
-the t functions and ``nct_cdf`` are scalar; no caller needs the noncentral t
-at more than a few dozen points at once.
+``norm_cdf`` and ``norm_quantile`` accept numpy arrays as well as scalars,
+for the simulation harness's bulk normal draws.  A scalar takes a scalar
+path, with no array round-trip, that returns the same bits as a 1-element
+array.  ``chisq_quantile`` accepts an array of p (one df) too, but inverts
+each entry by its own scalar call; the variance simulation calls it on
+floats, only at the replicates it reads, and the effect simulation draws its
+chi-square deviates from numpy's sampler instead.  ``chisq_cdf``, the t
+functions and ``nct_cdf`` are scalar; no caller needs the noncentral t at
+more than a few dozen points at once.
 
 The power layer reaches the noncentral t only through ``_nct_abs_sf``, the
 two-sided tail P(|T| > t): T^2 is noncentral F(1, df, ncp^2), so that tail
@@ -268,7 +270,7 @@ def norm_quantile(p):
 # ---------------------------------------------------------------------------
 
 def _gammainc_lower(a: float, x: float) -> tuple[float, float]:
-    """P(a, x) and Q(a, x) = 1 - P(a, x), a > 0, x >= 0: _gammainc_array's bits."""
+    """P(a, x) and Q(a, x) = 1 - P(a, x), a > 0, x >= 0."""
     if x == 0.0:
         return 0.0, 1.0
     pre = float(np.exp(-x + a * np.log(x) - math.lgamma(a)))
@@ -319,77 +321,23 @@ def chisq_cdf(x: float, df: float) -> float:
     return min(1.0, max(0.0, _gammainc_lower(0.5 * df, 0.5 * x)[0]))
 
 
-def _floor_tiny(v: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(v) < _TINY, _TINY, v)
+# The start and the step of ``chisq_quantile`` call numpy's exp, log and
+# power, not math's, which round differently in the last bit on some
+# arguments: the frozen quantiles and goldens hold numpy's bits.
 
-
-def _gammainc_array(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P(a, x) and Q(a, x) = 1 - P(a, x) for an array of x >= 0 and one a.
-
-    The scalar kernel's series (for P) and continued fraction (for Q), run in
-    lockstep with its constants, stopping rules and caps; each tail comes
-    from its own formula where that formula applies, so the smaller one
-    keeps its relative accuracy.  Where the scaling factor underflows both
-    are skipped and the tails take their limits, as in the scalar kernel.
-    """
-    pos = x > 0.0
-    pre = np.zeros_like(x)
-    pre[pos] = np.exp(-x[pos] + a * np.log(x[pos]) - math.lgamma(a))
-    val = np.zeros_like(x)          # the series sum, or the fraction
-    i = np.flatnonzero((pre > 0.0) & (x < a + 1.0))
-    v, ap, term = x[i], a, np.full(i.size, 1.0 / a)
-    total = term
-    for _ in range(_MAX_SERIES):
-        if not i.size:
-            break
-        ap += 1.0
-        term = term * (v / ap)
-        total = total + term
-        done = term < total * 1e-17
-        if done.any():
-            val[i[done]] = total[done]
-            i, v, term, total = (w[~done] for w in (i, v, term, total))
-    if i.size:
-        raise ConvergenceError("incomplete gamma series hit the iteration cap")
-
-    cf = x >= a + 1.0
-    i = np.flatnonzero(cf & (pre > 0.0))
-    b = x[i] + 1.0 - a
-    c = np.full(i.size, 1.0 / _TINY)
-    d = h = 1.0 / b
-    for k in range(1, _MAX_LENTZ + 1):
-        if not i.size:
-            break
-        an = -k * (k - a)
-        b = b + 2.0
-        d = 1.0 / _floor_tiny(an * d + b)
-        c = _floor_tiny(b + an / c)
-        delta = d * c
-        h = h * delta
-        done = np.abs(delta - 1.0) < 1e-16
-        if done.any():
-            val[i[done]] = h[done]
-            i, b, c, d, h = (w[~done] for w in (i, b, c, d, h))
-    if i.size:
-        raise ConvergenceError("incomplete gamma continued fraction hit the iteration cap")
-    val *= pre
-    return np.where(cf, 1.0 - val, val), np.where(cf, val, 1.0 - val)
-
-
-# The start and the step of ``chisq_quantile`` each take a float or an array
-# and call numpy's exp, log and power, so its two paths share their bits.
-
-def _chisq_start(p, df: float):
+def _chisq_start(p: float, df: float) -> float:
     """Wilson-Hilferty start for p > 0; where it is not positive, the leading
     term of the series, P(a, x / 2) ~ (x / 2)^a / Gamma(a + 1)."""
     a, c = 0.5 * df, 2.0 / (9.0 * df)
-    x = df * np.power(1.0 - c + norm_quantile(p) * math.sqrt(c), 3)
-    return np.where(x > 0.0, x, np.maximum(
-        2.0 * np.exp((np.log(p) + math.lgamma(a + 1.0)) / a), 1e-280))
+    x = float(df * np.power(1.0 - c + norm_quantile(p) * math.sqrt(c), 3))
+    if x > 0.0:
+        return x
+    return max(float(2.0 * np.exp((np.log(p) + math.lgamma(a + 1.0)) / a)), 1e-280)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _chisq_step(x, got, tail, sign, a: float, lo, hi):
+def _chisq_step(x: float, got: float, tail: float, sign: float, a: float,
+                lo: float, hi: float) -> float:
     """The next x within (lo, hi), from g = log(got / tail) in u = log x, sign
     -1 on the upper tail: g' = sign x pdf / got and g'' = g' r2; Newton's step
     h = g / g', and once it is short the series reversion to third order.  A
@@ -398,66 +346,47 @@ def _chisq_step(x, got, tail, sign, a: float, lo, hi):
     h = np.log(got / tail) / slope
     r2 = a - 0.5 * x - slope
     rev = h * (1.0 + h * (0.5 * r2 + h * (r2 * r2 / 3.0 + (0.5 * x + slope * r2) / 6.0)))
-    x_new = x * np.exp(-np.where(np.abs(h) < 0.5, rev, h))
-    return np.where((lo < x_new) & (x_new < hi), x_new, np.where(
-        np.isfinite(hi), 0.5 * (lo + hi), 2.0 * np.maximum(x, 1.0)))
+    x_new = x * np.exp(-(rev if abs(h) < 0.5 else h))
+    if lo < x_new < hi:
+        return float(x_new)
+    return 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * max(x, 1.0)
 
 
 def chisq_quantile(p, df: float):
     """Chi-square quantile for 0 <= p < 1 (p = 1 is a domain error).
 
-    ``p`` may be an array (``df`` is one value); every entry runs the same
-    iteration in lockstep, so each equals its own scalar call.  From the
-    Wilson-Hilferty start, steps in log x solve for the log of the smaller
-    tail, which is concave in log x for every df, so Newton's step cannot
-    run away; a step that leaves the bracket bisects it instead.  An entry
-    stops when that tail is within ``_INVERT_TOL`` of its target, relative,
-    or when its bracket collapses; reaching ``_MAX_NEWTON`` iterations
-    raises, as it does when the quantile is below the smallest double.
+    ``p`` may be an array (``df`` is one value): every entry is checked
+    first, then each is its own scalar inversion.  From the Wilson-Hilferty
+    start, steps in log x solve for the log of the smaller tail, which is
+    concave in log x for every df, so Newton's step cannot run away; a step
+    that leaves the bracket bisects it instead.  The inversion stops when
+    that tail is within ``_INVERT_TOL`` of its target, relative, or when its
+    bracket collapses; reaching ``_MAX_NEWTON`` iterations raises, as it
+    does when the quantile is below the smallest double.
     """
     df = _require_df(df)
-    a = 0.5 * df
-    if isinstance(p, float) or np.ndim(p) == 0:
-        p = float(p)
-        if not 0.0 <= p < 1.0:
+    if not (isinstance(p, float) or np.ndim(p) == 0):
+        arr = np.asarray(p, dtype=float)
+        if not np.all((arr >= 0.0) & (arr < 1.0)):
             raise ValueError("chi-square quantile requires 0 <= p < 1")
-        if p == 0.0:
-            return 0.0
-        x, upper, lo, hi = float(_chisq_start(p, df)), p > 0.5, 0.0, math.inf
-        tail, sign = (1.0 - p, -1.0) if upper else (p, 1.0)
-        for _ in range(_MAX_NEWTON):
-            got = _gammainc_lower(a, 0.5 * x)[upper]     # Q on the upper tail
-            if abs(got - tail) <= _INVERT_TOL * tail or hi - lo <= 1e-15 * x:
-                return x
-            short = (got < tail) != upper       # x lies below the quantile
-            lo, hi = (x, hi) if short else (lo, x)
-            x = float(_chisq_step(x, got, tail, sign, a, lo, hi))
-        raise ConvergenceError("chi-square quantile inversion hit the 200-iteration cap")
-    orig = np.asarray(p, dtype=float)
-    if not np.all((orig >= 0.0) & (orig < 1.0)):
+        return np.array([chisq_quantile(v, df) for v in arr.ravel().tolist()]
+                        ).reshape(arr.shape)
+    p = float(p)
+    if not 0.0 <= p < 1.0:
         raise ValueError("chi-square quantile requires 0 <= p < 1")
-    out = np.zeros(orig.size)
-    i = np.flatnonzero(orig > 0.0)
-    ps = orig.ravel()[i]
-    x, upper = _chisq_start(ps, df), ps > 0.5
-    tail, sign = np.where(upper, 1.0 - ps, ps), np.where(upper, -1.0, 1.0)
-    lo, hi = np.zeros_like(x), np.full_like(x, math.inf)
+    if p == 0.0:
+        return 0.0
+    a = 0.5 * df
+    x, upper, lo, hi = _chisq_start(p, df), p > 0.5, 0.0, math.inf
+    tail, sign = (1.0 - p, -1.0) if upper else (p, 1.0)
     for _ in range(_MAX_NEWTON):
-        if not i.size:
-            break
-        cdf, sf = _gammainc_array(a, 0.5 * x)
-        got = np.where(upper, sf, cdf)
-        done = (np.abs(got - tail) <= _INVERT_TOL * tail) | (hi - lo <= 1e-15 * x)
-        if done.any():
-            out[i[done]] = x[done]
-            i, x, got, upper, tail, sign, lo, hi = (
-                v[~done] for v in (i, x, got, upper, tail, sign, lo, hi))
-        short = (got < tail) != upper           # x lies below the quantile
-        lo, hi = np.where(short, x, lo), np.where(short, hi, x)
+        got = _gammainc_lower(a, 0.5 * x)[upper]     # Q on the upper tail
+        if abs(got - tail) <= _INVERT_TOL * tail or hi - lo <= 1e-15 * x:
+            return x
+        short = (got < tail) != upper       # x lies below the quantile
+        lo, hi = (x, hi) if short else (lo, x)
         x = _chisq_step(x, got, tail, sign, a, lo, hi)
-    if i.size:
-        raise ConvergenceError("chi-square quantile inversion hit the 200-iteration cap")
-    return out.reshape(orig.shape)
+    raise ConvergenceError("chi-square quantile inversion hit the 200-iteration cap")
 
 
 # ---------------------------------------------------------------------------

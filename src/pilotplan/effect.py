@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import norm_cdf, norm_quantile
-from .power import (_MAX_N, EffectSpec, T_ITERATIVE, TestDesign, _first_true,
-                    _nearest_n, _zsum)
+from .power import _MAX_N, EffectSpec, TestDesign, _first_true, _nearest_n, _zsum
 from .power import required_n  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 from .variance import PowerBounds, _PlanRecord, _plan_sides
 
@@ -109,14 +108,13 @@ class EffectPilotPlan(_PlanRecord):
 
 
 def plan_effect_pilot(mu0: float, sigma: float, design: TestDesign,
-                      power_target: float, bounds: PowerBounds,
-                      mode: str = T_ITERATIVE) -> EffectPilotPlan:
+                      power_target: float, bounds: PowerBounds) -> EffectPilotPlan:
     """Run the effect-driven pilot sizing algorithm end to end.
 
     Steps: main sizes at the threshold powers (nearest integer to the
-    requirement in the given quantile ``mode``), the effect levels at which
-    the target-power design is exactly adequate (z-quantile chain, scale
-    invariant), pilot sizes per side from the closed form, and their maximum.
+    noncentral-t requirement), the effect levels at which the target-power
+    design is exactly adequate (z-quantile chain, scale invariant), pilot
+    sizes per side from the closed form, and their maximum.
     """
     mu0 = float(mu0)
     sigma = float(sigma)
@@ -130,7 +128,7 @@ def plan_effect_pilot(mu0: float, sigma: float, design: TestDesign,
     zs_target = _zsum(design.alpha, power_target)
 
     def side(threshold: float, prob: float, which: str):
-        n_main = _nearest_n(effect, design, threshold, mode)
+        n_main = _nearest_n(effect, design, threshold)
         mu_thr = mu0 * zs_target / _zsum(design.alpha, threshold)
         n_pilot = effect_pilot_n(mu0, mu_thr, sigma, prob, design, which)
         return n_main, mu_thr, n_pilot

@@ -45,6 +45,8 @@ T_ITERATIVE = "t-iterative"
 
 _MODES = (Z_APPROX, T_ITERATIVE)
 _KINDS = (ONE_SAMPLE, TWO_SAMPLE)
+# at this alpha and below, 1 - alpha / 2 rounds to 1.0, whose quantile is infinite
+_MIN_ALPHA = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,8 @@ class TestDesign:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        if not (_MIN_ALPHA < self.alpha < 1.0):
+            raise ValueError(f"alpha must be in ({_MIN_ALPHA:.4g}, 1), got {self.alpha!r}")
 
     @property
     def groups(self) -> int:
@@ -134,13 +136,7 @@ def power_at(n: float, effect: EffectSpec, design: TestDesign = TestDesign()) ->
         raise ValueError(f"per-group size must be >= 2, got {n!r}")
     df = design.df(n)
     tcrit = t_quantile(1.0 - design.alpha / 2.0, df)
-    return _power(tcrit, df, design.ncp(n, effect.effect_size))
-
-
-def _power(tcrit: float, df: float, ncp: float) -> float:
-    """Two-sided power P(|T| > tcrit), T noncentral t(df, ncp), summed as one
-    noncentral-F series; at ncp = 0 it is (1 - t_cdf(tcrit)) + t_cdf(-tcrit)."""
-    return _nct_abs_sf(tcrit, df, ncp)
+    return _nct_abs_sf(tcrit, df, design.ncp(n, effect.effect_size))
 
 
 _TOO_LARGE = "required size exceeds 1e9; effect is effectively zero"
@@ -309,7 +305,7 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
     root_n = math.sqrt(n / design.groups)
 
     def pw(d: float) -> float:
-        return _power(tcrit, df, d * root_n)
+        return _nct_abs_sf(tcrit, df, d * root_n)
 
     lo, f_lo = 0.0, pw(0.0)
     hi = max(2.0 * d_z, 1e-3)

@@ -12,6 +12,9 @@ normal data the sample mean (or difference of means) is N(mu, g sigma^2 / n)
 and independent of df S^2 / sigma^2, which is chi-square on df (Cochran's
 theorem).  So an effect replicate takes one normal and one chi-square
 deviate, a variance replicate one chi-square deviate, whatever the pilot size.
+The normal deviate and a variance replicate's chi-square deviate invert
+uniforms; an effect replicate's chi-square deviate, which every estimate
+needs, comes from numpy's gamma sampler (Marsaglia & Tsang, ACM TOMS 26, 2000).
 
 Nor is every replicate's main study sized.  The main size never increases as
 the estimate grows, so the reported size quantiles are the exact sizes of
@@ -23,11 +26,12 @@ estimate; that holds from some estimate on, so ``bisect`` counts the flags.
 A variance estimate falls as its uniform rises, so of R replicates only the
 5 + log2 R or so estimates read are computed, at their ranks in the uniforms.
 
-Randomness: one logical seed per run; each scenario/cell derives its stream
-through numpy's SeedSequence spawn keys, and within a cell replicate r reads
-row r of one block of uniforms from a counter-based (Philox) stream, so
-results do not depend on execution order, and a run is a prefix of any
-longer run with the same seed.
+Randomness: one logical seed per run; each scenario/cell derives its
+streams through numpy's SeedSequence spawn keys, each drawn from a
+counter-based (Philox) generator.  Replicate r reads entry r of each of its
+cell's streams: the uniforms (spawn key 1 for variance, 2 for effect) and
+the effect's chi-square deviates (spawn key 3).  So results do not depend on
+execution order, and a run is a prefix of any longer run with the same seed.
 """
 
 from __future__ import annotations
@@ -38,15 +42,13 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .distributions import chisq_quantile, norm_quantile, t_quantile
+from .distributions import _nct_abs_sf, chisq_quantile, norm_quantile, t_quantile
 from .power import (
     EffectSpec,
-    ONE_SAMPLE,
     TWO_SAMPLE,
     T_ITERATIVE,
     Z_APPROX,
     TestDesign,
-    _power,
     _zsum,
     effect_for_n,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
     main_sample_size,
@@ -98,12 +100,12 @@ class SimulationConfig:
     def validate(self) -> None:
         if self.scenario not in (VARIANCE, EFFECT):
             raise ConfigError(f"scenario must be '{VARIANCE}' or '{EFFECT}', got {self.scenario!r}")
-        if self.kind not in (ONE_SAMPLE, TWO_SAMPLE):
-            raise ConfigError(f"kind must be '{ONE_SAMPLE}' or '{TWO_SAMPLE}', got {self.kind!r}")
+        try:
+            self.design()       # checks kind and alpha
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if int(self.replicates) < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha!r}")
         if not (0.0 < self.power_target < 1.0):
             raise ConfigError(f"power_target must be in (0, 1), got {self.power_target!r}")
         if not (0.0 < self.underpower_threshold < self.power_target):
@@ -185,7 +187,9 @@ def _uniforms(rng: np.random.Generator, reps: int, k: int) -> np.ndarray:
 # Main-study sizes and underpower flags from the estimated effect sizes
 # ---------------------------------------------------------------------------
 
-_QUANTILES = (5, 25, 50, 75, 95)
+# each percentile under its key in ``main_n_quantiles``; every report shares
+# these key strings
+_QUANTILES = {"5": 5, "25": 25, "50": 50, "75": 75, "95": 95}
 
 
 def _main_n_quantiles(d, design: TestDesign, power: float, mode: str) -> dict:
@@ -198,8 +202,8 @@ def _main_n_quantiles(d, design: TestDesign, power: float, mode: str) -> dict:
     d[n - ceil(n q / 100)]: five sizings, not one per replicate.
     """
     n = len(d)
-    return {str(q): main_sample_size(EffectSpec(d[n - (n * q + 99) // 100]), design, power, mode)
-            if n else None for q in _QUANTILES}
+    return {key: main_sample_size(EffectSpec(d[n - (n * q + 99) // 100]), design, power, mode)
+            if n else None for key, q in _QUANTILES.items()}
 
 
 def _underpower_count(d, design: TestDesign, config: SimulationConfig,
@@ -227,7 +231,7 @@ def _underpower_count(d, design: TestDesign, config: SimulationConfig,
         tcrit = t_quantile(1.0 - design.alpha / 2.0, df)
 
         def reaches(x: float) -> bool:
-            return _power(tcrit, df, design.ncp(m, x)) >= target
+            return _nct_abs_sf(tcrit, df, design.ncp(m, x)) >= target
 
     return len(d) - bisect.bisect_left(d, True, key=reaches)
 
@@ -306,12 +310,11 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
 
     # the mean (two-sample: difference of means) is N(mu, g sigma^2 / n) and
     # independent of the pooled S^2, which is sigma^2 chi2(g (n - 1)) / df
-    u = _uniforms(_rng(config.seed, 2), reps, 2)
-    mean = (config.effect
-            + config.sigma * math.sqrt(design.groups / npil) * norm_quantile(u[:, 0]))
+    z = norm_quantile(_uniforms(_rng(config.seed, 2), reps, 1)[:, 0])
+    mean = config.effect + config.sigma * math.sqrt(design.groups / npil) * z
     if config.estimator == POOLED_SD:
         df = design.df(npil)
-        d_hat = mean / (config.sigma * np.sqrt(chisq_quantile(u[:, 1], df) / df))
+        d_hat = mean / (config.sigma * np.sqrt(_rng(config.seed, 3).chisquare(df, reps) / df))
     else:
         d_hat = mean / config.sigma
 
@@ -385,8 +388,7 @@ class TableReport:
         return "\n".join(lines) + "\n"
 
 
-def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0,
-                    sizing_mode: str = T_ITERATIVE) -> TableReport:
+def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0) -> TableReport:
     """Recompute a reference grid: planned pilot sizes and their simulated
     underpower fractions, cell for cell, in the published layout."""
     table_id = int(table_id)
@@ -407,8 +409,7 @@ def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0,
                         0.8, PowerBounds(p, 0.6))
                     cfg = SimulationConfig(
                         scenario=VARIANCE, effect=delta, sigma=sigma,
-                        pilot_n=plan.pilot_n, seed=seed, replicates=replicates,
-                        sizing_mode=sizing_mode)
+                        pilot_n=plan.pilot_n, seed=seed, replicates=replicates)
                     rep = simulate_variance_pipeline(
                         _respawn(cfg, table_id, cell_idx))
                     cell_idx += 1
@@ -424,8 +425,7 @@ def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0,
                                          0.8, PowerBounds(p, 0.6))
                 cfg = SimulationConfig(
                     scenario=EFFECT, effect=eff, sigma=1.0,
-                    pilot_n=plan.pilot_n, seed=seed, replicates=replicates,
-                    sizing_mode=sizing_mode)
+                    pilot_n=plan.pilot_n, seed=seed, replicates=replicates)
                 rep = simulate_effect_pipeline(_respawn(cfg, table_id, cell_idx))
                 cell_idx += 1
                 cells.append({
@@ -439,7 +439,7 @@ def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0,
     return TableReport(
         cells=cells, extra=extra,
         config={"table_id": table_id, "replicates": replicates, "seed": int(seed),
-                "sizing_mode": sizing_mode, "alpha": 0.05, "power_target": 0.8,
+                "sizing_mode": T_ITERATIVE, "alpha": 0.05, "power_target": 0.8,
                 "underpower_threshold": 0.6, "kind": TWO_SAMPLE},
     )
 

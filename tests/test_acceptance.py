@@ -28,12 +28,15 @@ import math
 import numpy as np
 import pytest
 
-from pilotplan.distributions import chisq_cdf, chisq_quantile, nct_cdf, t_cdf, t_quantile
+from pilotplan.distributions import (
+    _nct_abs_sf, chisq_cdf, chisq_quantile, nct_cdf, t_cdf, t_quantile)
 from pilotplan.power import (
     EffectSpec,
     TWO_SAMPLE,
+    T_ITERATIVE,
     TestDesign,
     arcsine_effect,
+    effect_for_n,
     main_sample_size,
 )
 from pilotplan.variance import (
@@ -268,6 +271,25 @@ def test_criterion_08_effect_grid_underpower(table2_run):
                 off.append((p, eff, round(got, 4), want_pct / 100.0))
     assert not off, f"cells beyond +/-0.05 of the reference: {off}"
     print("[criterion 8] PASS - effect-grid underpower reproduced")
+
+
+def test_criterion_08b_effect_grid_closed_form(table2_run):
+    # a replicate is underpowered exactly when its |estimate| reaches
+    # e = e(n_crit - 1), the effect at which n_crit - 1 subjects give 80%
+    # power, and the estimate times sqrt(n / 2) is noncentral t on 2n - 2 df
+    # with ncp d sqrt(n / 2); so each cell's rate is the two-sided tail
+    # P(|T| > e sqrt(n / 2)), and it lies within 4 Monte Carlo SEs of that
+    off = []
+    for cell in table2_run.cells:
+        n, d = cell["pilot_n"], cell["effect"]
+        n_crit = main_sample_size(EffectSpec(d), TWO, 0.6)
+        e = effect_for_n(n_crit - 1, TWO, 0.8, T_ITERATIVE)
+        q = _nct_abs_sf(e * math.sqrt(n / 2), 2 * n - 2, d * math.sqrt(n / 2))
+        z = (cell["empirical_underpower"] - q) / math.sqrt(q * (1 - q) / table2_run.replicates)
+        if abs(z) > 4.0:
+            off.append((cell["underpower_prob"], d, cell["empirical_underpower"], q, z))
+    assert not off, f"cells beyond 4 Monte Carlo SEs of the closed form: {off}"
+    print("[criterion 8b] PASS - effect-grid underpower on its closed form")
 
 
 def test_criterion_09_property_suite():

@@ -55,6 +55,16 @@ def test_huge_effect_is_computational_error(capsys, argv, inputs):
     assert err.startswith("error: ") and inputs in err and "ncp" not in err
 
 
+def test_alpha_without_critical_value_is_computational_error(capsys):
+    # 1 - alpha / 2 rounds to 1.0 there: an error line that names alpha
+    code, out, err = run_cli(capsys, "plan-variance", "--sigma", "4", "--delta", "1",
+                             "--alpha", "1e-300", "--underpower-prob", ".2",
+                             "--underpower-threshold", ".6")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: alpha must be in") and "1e-300" in err
+
+
 def test_large_effect_is_planned_quickly(capsys):
     # effect size 1e5: main studies of 2, pilots as at any effect size
     start = time.perf_counter()

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 import pilotplan.distributions as distributions
 from pilotplan.distributions import (
     ConvergenceError,
-    _gammainc_array,
     _gammainc_lower,
     _log_beta,
     chisq_cdf,
@@ -146,12 +145,12 @@ class TestChiSquare:
 
     def test_huge_x_takes_the_limit(self):
         # past about x = 1e15 the continued fraction's step stays an ulp from
-        # 1; the factor scaling the tail has underflowed there, so both
-        # kernels return the limit P = 1, Q = 0, as scipy does
+        # 1; the factor scaling the tail has underflowed there, so the kernel
+        # returns the limit P = 1, Q = 0, as scipy does
         x = 10.0 ** np.random.default_rng(7).uniform(15.0, 19.0, 3000)
-        p, q = _gammainc_array(5.5, x)
-        assert p.tolist() == scipy_special.gammainc(5.5, x).tolist() == [1.0] * x.size
-        assert q.tolist() == scipy_special.gammaincc(5.5, x).tolist() == [0.0] * x.size
+        p, q = zip(*(_gammainc_lower(5.5, v) for v in x.tolist()))
+        assert list(p) == scipy_special.gammainc(5.5, x).tolist() == [1.0] * x.size
+        assert list(q) == scipy_special.gammaincc(5.5, x).tolist() == [0.0] * x.size
         assert [chisq_cdf(v, 11) for v in 2.0 * x] == [1.0] * x.size
         assert chisq_cdf(3.668e18, 11) == 1.0
 
@@ -411,9 +410,9 @@ class TestProperties:
            st.one_of(st.floats(0.05, 5000.0), st.integers(1, 200).map(float)))
     @settings(max_examples=400, deadline=None)
     def test_chisq_quantile_scalar_path_matches_array(self, p, df):
-        # a float (or a 0-d input) takes the scalar path, on the scalar
-        # incomplete gamma, and returns the 1-element array's bits; where the
-        # quantile is below the smallest double both raise
+        # a float, a 0-d input and a 1-element array, whose entry is its own
+        # scalar call, return the same bits; where the quantile is below the
+        # smallest double all raise
         try:
             want = chisq_quantile(np.array([p]), df)[0]
         except ConvergenceError:
@@ -423,16 +422,6 @@ class TestProperties:
             return
         for arg in (p, np.float64(p), np.array(p)):
             assert _same_bits(chisq_quantile(arg, df), want)
-
-    @given(st.floats(0.01, 5000.0),
-           st.lists(st.one_of(st.floats(0.0, 1e4), st.floats(-300.0, 19.0).map(
-               lambda e: 10.0 ** e)), min_size=1, max_size=30))
-    @settings(max_examples=200, deadline=None)
-    def test_gammainc_scalar_matches_array(self, a, xs):
-        p, q = _gammainc_array(a, np.array(xs))
-        for k, x in enumerate(xs):
-            got = _gammainc_lower(a, x)
-            assert _same_bits(got[0], p[k]) and _same_bits(got[1], q[k])
 
     def test_chisq_quantile_scalar_raises_as_arrays_do(self):
         for p in (1.0, math.nan, -0.1, 1.1, math.inf):

@@ -15,12 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 import pilotplan.distributions as distributions
 import pilotplan.power as power_module
-from pilotplan.distributions import ConvergenceError, nct_cdf, t_quantile
+from pilotplan.distributions import ConvergenceError, _nct_abs_sf, nct_cdf, t_quantile
 from pilotplan.effect import plan_effect_pilot
 from pilotplan.power import (
     _first_true,
     _nearest_n,
-    _power,
     _solve_increasing,
     _zsum,
     EffectSpec,
@@ -149,9 +148,17 @@ class TestPowerAt:
         with pytest.raises(ValueError):
             power_at(1, EffectSpec(0.5), TWO)
 
+    def test_alpha_without_critical_value_rejected(self):
+        # below about 1.1e-16, 1 - alpha / 2 rounds to 1.0: the design names alpha
+        with pytest.raises(ValueError, match="alpha must be in .* got 1e-300"):
+            power_at(3, EffectSpec(0.7), TestDesign(ONE_SAMPLE, 1e-300))
+        with pytest.raises(ValueError, match="alpha"):
+            TestDesign(ONE_SAMPLE, 2.0 ** -53)
+        assert 1.0 - TestDesign(ONE_SAMPLE, math.nextafter(2.0 ** -53, 1.0)).alpha / 2.0 < 1.0
+
 
 class TestTwoSidedPower:
-    """_power sums P(|T| > c) as one noncentral-F Poisson series; it agrees
+    """_nct_abs_sf sums P(|T| > c) as one noncentral-F Poisson series; it agrees
     with the two tails (1 - nct_cdf(c)) + nct_cdf(-c) and with scipy."""
 
     @given(df=st.floats(1.0, 2000.0) | st.floats(1.0, 3.0),
@@ -165,7 +172,7 @@ class TestTwoSidedPower:
         # nct_cdf clips a lower tail that rounding made negative at 0, and so
         # drops that error from `want` (about 5e-13 at most seen, at df under 4
         # and ncp near 40)
-        assert abs(_power(c, df, ncp) - want) <= (1e-13 if lower > 0.0 else 1e-12)
+        assert abs(_nct_abs_sf(c, df, ncp) - want) <= (1e-13 if lower > 0.0 else 1e-12)
 
     def test_matches_scipy_noncentral_f(self):
         # T^2 is noncentral F(1, df, ncp^2); scipy's ncf is off at nc = 0
@@ -177,19 +184,19 @@ class TestTwoSidedPower:
             ncp = float(rng.uniform(1e-9, 40.0))
             c = t_quantile(1.0 - alpha / 2.0, df)
             want = scipy_stats.ncf.sf(c * c, 1.0, df, ncp * ncp)
-            assert _power(c, df, ncp) == pytest.approx(want, abs=1e-11), (df, alpha, ncp)
+            assert _nct_abs_sf(c, df, ncp) == pytest.approx(want, abs=1e-11), (df, alpha, ncp)
         for df in (1.0, 1.5, 2.0):      # 1 - y is under 2^-26 (the far branch) at df 1
             c = t_quantile(1.0 - 5e-7, df)
             for ncp in (0.5, 5.0, 40.0):
                 want = scipy_stats.ncf.sf(c * c, 1.0, df, ncp * ncp)
-                assert _power(c, df, ncp) == pytest.approx(want, abs=1e-11), (df, ncp)
+                assert _nct_abs_sf(c, df, ncp) == pytest.approx(want, abs=1e-11), (df, ncp)
 
     @pytest.mark.parametrize("df", [1.0, 2.0, 7.5, 62.0, 1e4])
     @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5])
     def test_central_bits(self, df, alpha):
         # at ncp 0 the t tails, as the two nct_cdf calls gave them, to the bit
         c = t_quantile(1.0 - alpha / 2.0, df)
-        assert _power(c, df, 0.0) == (1.0 - nct_cdf(c, df, 0.0)) + nct_cdf(-c, df, 0.0)
+        assert _nct_abs_sf(c, df, 0.0) == (1.0 - nct_cdf(c, df, 0.0)) + nct_cdf(-c, df, 0.0)
 
     @pytest.mark.parametrize("df,alpha", [(62.0, 0.05), (1.0, 1e-6)])
     def test_series_cap_raises(self, df, alpha, monkeypatch):
@@ -197,10 +204,10 @@ class TestTwoSidedPower:
         # terms; with the cap cut to 50 it raises instead of returning a
         # partial sum, in the far branch (df 1) as elsewhere
         c = t_quantile(1.0 - alpha / 2.0, df)
-        assert 0.0 < _power(c, df, 20.0) <= 1.0
+        assert 0.0 < _nct_abs_sf(c, df, 20.0) <= 1.0
         monkeypatch.setattr(distributions, "_MAX_SERIES", 50)
         with pytest.raises(ConvergenceError, match="upward"):
-            _power(c, df, 20.0)
+            _nct_abs_sf(c, df, 20.0)
 
 
 class TestInverseSolves:

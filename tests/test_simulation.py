@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pilotplan.cli import emit
-from pilotplan.distributions import chisq_quantile, nct_cdf, norm_quantile, t_quantile
+from pilotplan.distributions import (
+    _nct_abs_sf, chisq_quantile, nct_cdf, norm_quantile, t_quantile)
 from pilotplan.power import (
     EffectSpec,
     ONE_SAMPLE,
@@ -23,7 +24,6 @@ from pilotplan.power import (
     T_ITERATIVE,
     Z_APPROX,
     TestDesign,
-    _power,
     _zsum,
     effect_for_n,
     main_sample_size,
@@ -88,6 +88,11 @@ class TestConfigValidation:
         effect_cfg(pooled_pilot=False).validate()
         variance_cfg(estimator="pooled-sd").validate()
 
+    def test_alpha_without_critical_value_rejected(self):
+        # the design's own bound, reported before any sampling
+        with pytest.raises(ConfigError, match="alpha must be in .* got 1e-300"):
+            effect_cfg(alpha=1e-300).validate()
+
     def test_threshold_must_be_below_target(self):
         with pytest.raises(ConfigError):
             variance_cfg(underpower_threshold=0.8).validate()
@@ -125,10 +130,10 @@ class TestDeterminism:
         (simulate_effect_pipeline, effect_cfg(kind="one-sample", estimator=KNOWN_SIGMA)),
     ], ids=["variance-pooled", "variance-one-sample", "effect-pooled-sd", "effect-known-sigma"])
     def test_short_run_is_prefix_of_long_run(self, monkeypatch, sim, cfg):
-        # replicate r reads row r of the uniform block, so the first m
+        # replicate r reads entry r of each of its streams, so the first m
         # replicates of a run are exactly an m-replicate run.  The report is
         # built from the estimates in ascending order, so the replicate order
-        # is rebuilt from the uniforms by the array oracle, and each run's
+        # is rebuilt from the streams by the array oracle, and each run's
         # ascending estimates must be the oracle's, sorted
         runs = []
         for reps in (300, 120):
@@ -158,20 +163,22 @@ def _estimates(monkeypatch, sim, cfg, replicates):
 
 
 def _array_estimates(cfg: SimulationConfig) -> np.ndarray:
-    """Every replicate's estimate, in replicate order, from the run's uniforms
-    through the array quantile functions (signed for the effect scenario)."""
+    """Every replicate's estimate, in replicate order, from the run's streams:
+    uniforms through the array quantile functions, and for the pooled-sd
+    effect estimator numpy's chi-square deviates (signed for the effect
+    scenario)."""
     npil = cfg.pilot_n
     if cfg.scenario == "variance":
         df = 2 * npil - 2 if cfg.pooled_pilot else npil - 1
         u = _uniforms(_rng(cfg.seed, 1), cfg.replicates, 1)
         return cfg.effect / np.sqrt(cfg.sigma ** 2 * chisq_quantile(u[:, 0], df) / df)
     design = cfg.design()
-    u = _uniforms(_rng(cfg.seed, 2), cfg.replicates, 2)
+    u = _uniforms(_rng(cfg.seed, 2), cfg.replicates, 1)
     mean = cfg.effect + cfg.sigma * math.sqrt(design.groups / npil) * norm_quantile(u[:, 0])
     if cfg.estimator == KNOWN_SIGMA:
         return mean / cfg.sigma
     df = design.df(npil)
-    return mean / (cfg.sigma * np.sqrt(chisq_quantile(u[:, 1], df) / df))
+    return mean / (cfg.sigma * np.sqrt(_rng(cfg.seed, 3).chisquare(df, cfg.replicates) / df))
 
 
 def _full_array_report(cfg: SimulationConfig) -> SimulationReport:
@@ -195,7 +202,7 @@ def _full_array_report(cfg: SimulationConfig) -> SimulationReport:
         else:
             df = design.df(m)
             tcrit = t_quantile(1.0 - design.alpha / 2.0, df)
-            reaches = lambda x: _power(tcrit, df, design.ncp(m, x)) >= cfg.power_target
+            reaches = lambda x: _nct_abs_sf(tcrit, df, design.ncp(m, x)) >= cfg.power_target
         ds = np.sort(d).tolist()
         flagged = len(ds) - bisect.bisect_left(ds, True, key=reaches)
     p_hat = flagged / cfg.replicates
@@ -450,7 +457,7 @@ class TestEffectPipeline:
 
         monkeypatch.setattr(simulation, "norm_quantile", zeroing)
         rep, seen = _estimates(monkeypatch, simulate_effect_pipeline, cfg, cfg.replicates)
-        d_hat = cfg.effect + 0.5 * zeroing(_uniforms(_rng(cfg.seed, 2), cfg.replicates, 2)[:, 0])
+        d_hat = cfg.effect + 0.5 * zeroing(_uniforms(_rng(cfg.seed, 2), cfg.replicates, 1)[:, 0])
         assert np.count_nonzero(d_hat == 0.0) == len(zeros)
         assert seen == np.sort(np.abs(d_hat[d_hat != 0.0])).tolist()
         assert len(seen) == cfg.replicates - len(zeros) and min(seen) > 0.0
