@@ -8,15 +8,14 @@ fraction with region switching, the noncentral t CDF by a Poisson-mixture
 series over incomplete beta ratios, and quantiles by guarded Newton iteration
 with bracket fallback.
 
-``norm_cdf`` and ``norm_quantile`` accept numpy arrays as well as scalars,
-for the simulation harness's bulk normal draws.  A scalar takes a scalar
-path, with no array round-trip, that returns the same bits as a 1-element
-array.  ``chisq_quantile`` accepts an array of p (one df) too, but inverts
-each entry by its own scalar call; the variance simulation calls it on
-floats, only at the replicates it reads, and the effect simulation draws its
-chi-square deviates from numpy's sampler instead.  ``chisq_cdf``, the t
-functions and ``nct_cdf`` are scalar; no caller needs the noncentral t at
-more than a few dozen points at once.
+``norm_cdf``, ``norm_quantile`` and ``chisq_quantile`` are each one scalar
+kernel.  ``_entrywise`` lets each take an array as its first argument too:
+every entry is its own scalar call, with the same bits, in the array's
+shape.  Nothing in the package passes them an array: the variance
+simulation calls ``chisq_quantile`` only at the replicates it reads, and the
+effect simulation draws its normal and chi-square deviates from numpy's
+samplers.  ``chisq_cdf``, the t functions and ``nct_cdf`` are scalar; no
+caller needs the noncentral t at more than a few dozen points at once.
 
 The power layer reaches the noncentral t only through ``_nct_abs_sf``, the
 two-sided tail P(|T| > t): T^2 is noncentral F(1, df, ncp^2), so that tail
@@ -26,6 +25,7 @@ is the Poisson-weighted half of the series alone.  ``nct_cdf`` and
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -78,6 +78,19 @@ def _require_df(df: float) -> float:
     return df
 
 
+def _entrywise(kernel):
+    """A scalar kernel that also takes an array first argument: each entry is
+    its own scalar call, and the floats come back in the array's shape."""
+    @functools.wraps(kernel)
+    def call(x, *args):
+        if isinstance(x, float) or np.ndim(x) == 0:
+            return kernel(x, *args)
+        arr = np.asarray(x, dtype=float)
+        return np.array([kernel(v, *args) for v in arr.ravel().tolist()],
+                        dtype=float).reshape(arr.shape)
+    return call
+
+
 # ---------------------------------------------------------------------------
 # Normal distribution
 # ---------------------------------------------------------------------------
@@ -111,10 +124,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _ONE_OVER_SQRT_PI = 0.5641895835477563
 
-# Each erfc region and Acklam branch is one helper on a float or an array, so
-# the scalar path (any 0-d input) and the masked one (an array) share it.  They call
+# Each erfc region and Acklam branch is one helper on a float.  They call
 # numpy's exp, log and floor, not math's, which round differently in the last
-# bit on some arguments: a float gets the bits of a 1-element array.
+# bit on some arguments: the frozen quantiles and goldens hold numpy's bits.
 
 
 def _erfc_small(s):
@@ -165,33 +177,13 @@ def _erfc_scalar(x: float) -> float:
     return 2.0 - v if x < 0.0 else v
 
 
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """Complementary error function, elementwise, ~1 ulp accuracy."""
-    ax = np.abs(x)
-    out = np.zeros_like(ax)
-    for region, f in ((ax <= 0.46875, _erfc_small),
-                      ((ax > 0.46875) & (ax <= 4.0), _erfc_mid),
-                      ((ax > 4.0) & (ax <= 26.5), _erfc_big)):
-        out[region] = f(ax[region])
-    return np.where(x < 0, 2.0 - out, out)
-
-
+@_entrywise
 def norm_cdf(x):
-    """Standard normal CDF. Scalar in, scalar out; arrays pass through."""
-    if isinstance(x, float) or np.ndim(x) == 0:
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError("norm_cdf requires finite input")
-        return 0.5 * _erfc_scalar(-x * _SQRT1_2)
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    """Standard normal CDF."""
+    x = float(x)
+    if not math.isfinite(x):
         raise ValueError("norm_cdf requires finite input")
-    with np.errstate(under="ignore"):
-        return 0.5 * _erfc(-arr * _SQRT1_2)
-
-
-def _norm_pdf(x):
-    return np.exp(-0.5 * (x * x)) * _INV_SQRT_2PI
+    return 0.5 * _erfc_scalar(-x * _SQRT1_2)
 
 
 # Acklam's rational approximation to the normal quantile (start value; one
@@ -225,44 +217,23 @@ def _acklam_tail(p):
     return num / den
 
 
-def _halley(x, p, cdf, pdf):
-    """One Halley step on Phi(x) = p, from Phi(x) and the (floored) density."""
-    u = (cdf - p) / pdf
-    return x - u / (1.0 + 0.5 * x * u)
-
-
+@_entrywise
 def norm_quantile(p):
-    """Standard normal quantile (inverse CDF) for 0 < p < 1.
-
-    Accepts scalars or numpy arrays.  Raises ValueError at p in {0, 1}.
-    """
-    if isinstance(p, float) or np.ndim(p) == 0:
-        p = float(p)
-        if not 0.0 < p < 1.0:
-            raise ValueError("norm_quantile requires 0 < p < 1")
-        if p < _ACK_SPLIT:
-            x = float(_acklam_tail(p))
-        elif p > 1.0 - _ACK_SPLIT:
-            x = -float(_acklam_tail(1.0 - p))
-        else:
-            x = _acklam_central(p - 0.5)
-        return _halley(x, p, 0.5 * _erfc_scalar(-x * _SQRT1_2),
-                       max(float(_norm_pdf(x)), _TINY))
-    orig = np.asarray(p, dtype=float)
-    if not np.all((orig > 0.0) & (orig < 1.0)):
+    """Standard normal quantile (inverse CDF) for 0 < p < 1; p in {0, 1}
+    raises ValueError."""
+    p = float(p)
+    if not 0.0 < p < 1.0:
         raise ValueError("norm_quantile requires 0 < p < 1")
-    arr = orig.ravel()
-    x = np.empty_like(arr)
-    lo = arr < _ACK_SPLIT
-    hi = arr > 1.0 - _ACK_SPLIT
-    mid = ~(lo | hi)
-    x[mid] = _acklam_central(arr[mid] - 0.5)
-    x[lo] = _acklam_tail(arr[lo])
-    x[hi] = -_acklam_tail(1.0 - arr[hi])
-    with np.errstate(under="ignore"):
-        x = _halley(x, arr, 0.5 * _erfc(-x * _SQRT1_2),
-                    np.maximum(_norm_pdf(x), _TINY))
-    return x.reshape(orig.shape)
+    if p < _ACK_SPLIT:
+        x = float(_acklam_tail(p))
+    elif p > 1.0 - _ACK_SPLIT:
+        x = -float(_acklam_tail(1.0 - p))
+    else:
+        x = _acklam_central(p - 0.5)
+    # one Halley step on Phi(x) = p, with the density floored at _TINY
+    pdf = max(float(np.exp(-0.5 * (x * x)) * _INV_SQRT_2PI), _TINY)
+    u = (0.5 * _erfc_scalar(-x * _SQRT1_2) - p) / pdf
+    return x - u / (1.0 + 0.5 * x * u)
 
 
 # ---------------------------------------------------------------------------
@@ -352,25 +323,19 @@ def _chisq_step(x: float, got: float, tail: float, sign: float, a: float,
     return 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * max(x, 1.0)
 
 
+@_entrywise
 def chisq_quantile(p, df: float):
     """Chi-square quantile for 0 <= p < 1 (p = 1 is a domain error).
 
-    ``p`` may be an array (``df`` is one value): every entry is checked
-    first, then each is its own scalar inversion.  From the Wilson-Hilferty
-    start, steps in log x solve for the log of the smaller tail, which is
-    concave in log x for every df, so Newton's step cannot run away; a step
-    that leaves the bracket bisects it instead.  The inversion stops when
-    that tail is within ``_INVERT_TOL`` of its target, relative, or when its
-    bracket collapses; reaching ``_MAX_NEWTON`` iterations raises, as it
-    does when the quantile is below the smallest double.
+    From the Wilson-Hilferty start, steps in log x solve for the log of the
+    smaller tail, which is concave in log x for every df, so Newton's step
+    cannot run away; a step that leaves the bracket bisects it instead.  The
+    inversion stops when that tail is within ``_INVERT_TOL`` of its target,
+    relative, or when its bracket collapses; reaching ``_MAX_NEWTON``
+    iterations raises, as it does when the quantile is below the smallest
+    double.
     """
     df = _require_df(df)
-    if not (isinstance(p, float) or np.ndim(p) == 0):
-        arr = np.asarray(p, dtype=float)
-        if not np.all((arr >= 0.0) & (arr < 1.0)):
-            raise ValueError("chi-square quantile requires 0 <= p < 1")
-        return np.array([chisq_quantile(v, df) for v in arr.ravel().tolist()]
-                        ).reshape(arr.shape)
     p = float(p)
     if not 0.0 <= p < 1.0:
         raise ValueError("chi-square quantile requires 0 <= p < 1")

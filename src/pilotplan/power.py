@@ -134,9 +134,15 @@ def power_at(n: float, effect: EffectSpec, design: TestDesign = TestDesign()) ->
     n = float(n)
     if not (math.isfinite(n) and n >= 2.0):
         raise ValueError(f"per-group size must be >= 2, got {n!r}")
+    return _power_curve(n, design)(effect.effect_size)
+
+
+def _power_curve(n: float, design: TestDesign):
+    """Exact power at per-group size n as a function of the effect size; the
+    critical value is computed once, for every effect size tried."""
     df = design.df(n)
     tcrit = t_quantile(1.0 - design.alpha / 2.0, df)
-    return _nct_abs_sf(tcrit, df, design.ncp(n, effect.effect_size))
+    return lambda d: _nct_abs_sf(tcrit, df, design.ncp(n, d))
 
 
 _TOO_LARGE = "required size exceeds 1e9; effect is effectively zero"
@@ -300,13 +306,7 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
     d_z = _zsum(design.alpha, power) * math.sqrt(design.groups / n)
     if mode == Z_APPROX:
         return d_z
-    df = design.df(n)
-    tcrit = t_quantile(1.0 - design.alpha / 2.0, df)
-    root_n = math.sqrt(n / design.groups)
-
-    def pw(d: float) -> float:
-        return _nct_abs_sf(tcrit, df, d * root_n)
-
+    pw = _power_curve(n, design)
     lo, f_lo = 0.0, pw(0.0)
     hi = max(2.0 * d_z, 1e-3)
     f_hi = pw(hi)

@@ -12,9 +12,11 @@ normal data the sample mean (or difference of means) is N(mu, g sigma^2 / n)
 and independent of df S^2 / sigma^2, which is chi-square on df (Cochran's
 theorem).  So an effect replicate takes one normal and one chi-square
 deviate, a variance replicate one chi-square deviate, whatever the pilot size.
-The normal deviate and a variance replicate's chi-square deviate invert
-uniforms; an effect replicate's chi-square deviate, which every estimate
-needs, comes from numpy's gamma sampler (Marsaglia & Tsang, ACM TOMS 26, 2000).
+A variance replicate's chi-square deviate inverts a uniform.  An effect
+replicate's deviates, which every estimate needs, come from numpy's samplers:
+the ziggurat for the normal (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000)
+and the gamma sampler for the chi-square (Marsaglia & Tsang, ACM TOMS 26,
+2000).
 
 Nor is every replicate's main study sized.  The main size never increases as
 the estimate grows, so the reported size quantiles are the exact sizes of
@@ -29,9 +31,10 @@ A variance estimate falls as its uniform rises, so of R replicates only the
 Randomness: one logical seed per run; each scenario/cell derives its
 streams through numpy's SeedSequence spawn keys, each drawn from a
 counter-based (Philox) generator.  Replicate r reads entry r of each of its
-cell's streams: the uniforms (spawn key 1 for variance, 2 for effect) and
-the effect's chi-square deviates (spawn key 3).  So results do not depend on
-execution order, and a run is a prefix of any longer run with the same seed.
+cell's streams: the variance uniforms (spawn key 1), the effect's normal
+deviates (spawn key 2) and its chi-square deviates (spawn key 3).  So
+results do not depend on execution order, and a run is a prefix of any
+longer run with the same seed.
 """
 
 from __future__ import annotations
@@ -42,13 +45,15 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .distributions import _nct_abs_sf, chisq_quantile, norm_quantile, t_quantile
+from .distributions import chisq_quantile
+from .distributions import norm_quantile  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 from .power import (
     EffectSpec,
     TWO_SAMPLE,
     T_ITERATIVE,
     Z_APPROX,
     TestDesign,
+    _power_curve,
     _zsum,
     effect_for_n,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
     main_sample_size,
@@ -177,10 +182,10 @@ def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
         np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in spawn_key))))
 
 
-def _uniforms(rng: np.random.Generator, reps: int, k: int) -> np.ndarray:
+def _uniforms(rng: np.random.Generator, reps: int) -> np.ndarray:
     # uniforms on the open interval (0, 1): integers 1 .. 2^53 - 1 over 2^53;
-    # replicate r reads row r, so a run is a prefix of any longer run
-    return rng.integers(1, 1 << 53, size=(reps, k)).astype(float) / float(1 << 53)
+    # replicate r reads entry r, so a run is a prefix of any longer run
+    return rng.integers(1, 1 << 53, size=reps).astype(float) / float(1 << 53)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +232,10 @@ def _underpower_count(d, design: TestDesign, config: SimulationConfig,
         def reaches(x: float) -> bool:
             return g_zz / (x * x) - 1e-9 <= m
     else:
-        df = design.df(m)
-        tcrit = t_quantile(1.0 - design.alpha / 2.0, df)
+        power = _power_curve(m, design)
 
         def reaches(x: float) -> bool:
-            return _nct_abs_sf(tcrit, df, design.ncp(m, x)) >= target
+            return power(x) >= target
 
     return len(d) - bisect.bisect_left(d, True, key=reaches)
 
@@ -283,12 +287,12 @@ def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
 
     # (df) S^2 / sigma^2 is chi-square on df = n - 1, or 2n - 2 pooled
     df = _pilot_df(npil, config.pooled_pilot)
-    u = _uniforms(_rng(config.seed, 1), int(config.replicates), 1)
+    u = _uniforms(_rng(config.seed, 1), int(config.replicates))
 
     def estimate(p: float) -> float:
         return config.effect / math.sqrt(config.sigma ** 2 * chisq_quantile(p, df) / df)
 
-    return _report(config, _Ascending(u[:, 0], estimate), nonpositive=0)
+    return _report(config, _Ascending(u, estimate), nonpositive=0)
 
 
 def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -310,7 +314,7 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
 
     # the mean (two-sample: difference of means) is N(mu, g sigma^2 / n) and
     # independent of the pooled S^2, which is sigma^2 chi2(g (n - 1)) / df
-    z = norm_quantile(_uniforms(_rng(config.seed, 2), reps, 1)[:, 0])
+    z = _rng(config.seed, 2).standard_normal(reps)
     mean = config.effect + config.sigma * math.sqrt(design.groups / npil) * z
     if config.estimator == POOLED_SD:
         df = design.df(npil)

@@ -94,6 +94,25 @@ def test_non_finite_value_is_usage_error(capsys, argv):
     assert "must be > 0 and finite" in err
 
 
+_PLAN_TAIL = ("--underpower-prob", ".3", "--underpower-threshold", ".6")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("plan-effect", "--mu0", "2", *_PLAN_TAIL), "--mu0 and --sigma go together"),
+    (("plan-effect", "--p1", ".5", *_PLAN_TAIL), "--p1 and --p2 go together"),
+    (("plan-effect", "--p1", "-0.1", "--p2", ".4", *_PLAN_TAIL),
+     "must be between 0 and 1, got -0.1"),
+    (("plan-variance", "--sigma", "4", "--delta", "1", "--alpha", "0", *_PLAN_TAIL),
+     "must be strictly between 0 and 1, got 0"),
+    (("plan-variance", "--sigma", "x", "--delta", "1", *_PLAN_TAIL), "not a number: 'x'"),
+], ids=["mu0-alone", "p1-alone", "negative-proportion", "zero-alpha", "sigma-not-a-number"])
+def test_flag_misuse_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 class TestPlanVariance:
     def test_low_back_pain_example(self, capsys):
         code, out, _ = run_cli(

@@ -73,6 +73,12 @@ class TestMainSampleSize:
         assert required_n(EffectSpec(0.5), TWO, 0.6) == pytest.approx(
             40.169528, abs=1e-4)
 
+    def test_required_n_z_mode_is_the_closed_form(self):
+        # 2 (z_.975 + z_.8)^2 / 0.5^2 with scipy's quantiles 1.959963984540054
+        # and 0.8416212335729143 is 62.7910378748
+        assert required_n(EffectSpec(0.5), TWO, 0.8, Z_APPROX) == pytest.approx(
+            62.7910378748, rel=1e-11)
+
     def test_zero_effect_rejected(self):
         with pytest.raises(ValueError):
             main_sample_size(EffectSpec(0.0, 1.0), TWO, 0.8)

@@ -7,6 +7,7 @@ the tight ones are frozen determinism checks.
 
 import bisect
 import math
+import sys
 from dataclasses import asdict
 from unittest import mock
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from pilotplan.cli import emit
 from pilotplan.distributions import (
-    _nct_abs_sf, chisq_quantile, nct_cdf, norm_quantile, t_quantile)
+    _nct_abs_sf, chisq_quantile, nct_cdf, t_quantile)
 from pilotplan.power import (
     EffectSpec,
     ONE_SAMPLE,
@@ -100,6 +101,8 @@ class TestConfigValidation:
     def test_scenario_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             simulate_variance_pipeline(effect_cfg())
+        with pytest.raises(ConfigError, match="expected an 'effect' scenario, got 'variance'"):
+            simulate_effect_pipeline(variance_cfg())
 
     def test_fails_before_sampling(self):
         # validation errors must not depend on the RNG being usable
@@ -164,17 +167,17 @@ def _estimates(monkeypatch, sim, cfg, replicates):
 
 def _array_estimates(cfg: SimulationConfig) -> np.ndarray:
     """Every replicate's estimate, in replicate order, from the run's streams:
-    uniforms through the array quantile functions, and for the pooled-sd
-    effect estimator numpy's chi-square deviates (signed for the effect
-    scenario)."""
+    the variance uniforms through the chi-square quantile, one entry at a
+    time, and the effect's numpy normal and chi-square deviates (signed for
+    the effect scenario)."""
     npil = cfg.pilot_n
     if cfg.scenario == "variance":
         df = 2 * npil - 2 if cfg.pooled_pilot else npil - 1
-        u = _uniforms(_rng(cfg.seed, 1), cfg.replicates, 1)
-        return cfg.effect / np.sqrt(cfg.sigma ** 2 * chisq_quantile(u[:, 0], df) / df)
+        u = _uniforms(_rng(cfg.seed, 1), cfg.replicates)
+        return cfg.effect / np.sqrt(cfg.sigma ** 2 * chisq_quantile(u, df) / df)
     design = cfg.design()
-    u = _uniforms(_rng(cfg.seed, 2), cfg.replicates, 1)
-    mean = cfg.effect + cfg.sigma * math.sqrt(design.groups / npil) * norm_quantile(u[:, 0])
+    z = _rng(cfg.seed, 2).standard_normal(cfg.replicates)
+    mean = cfg.effect + cfg.sigma * math.sqrt(design.groups / npil) * z
     if cfg.estimator == KNOWN_SIGMA:
         return mean / cfg.sigma
     df = design.df(npil)
@@ -214,15 +217,15 @@ def _full_array_report(cfg: SimulationConfig) -> SimulationReport:
 
 class TestSampler:
     def test_normal_moments(self):
-        rng = _rng(123, 99)
-        x = norm_quantile(_uniforms(rng, 1000, 1000)).ravel()
+        # the sampler the effect cells draw their normal deviates from
+        x = _rng(123, 99).standard_normal(1000 * 1000)
         n = x.size
         assert abs(x.mean()) < 4.0 / math.sqrt(n)
         assert abs(x.std(ddof=1) - 1.0) < 4.0 / math.sqrt(2 * n)
 
     def test_open_interval(self):
         rng = _rng(5, 1)
-        u = _uniforms(rng, 10000, 2)
+        u = _uniforms(rng, 20000)
         assert u.min() > 0.0 and u.max() < 1.0
 
 
@@ -400,7 +403,7 @@ class TestVariancePipeline:
         cfg = variance_cfg(replicates=400)
         rep = simulate_variance_pipeline(cfg)
         df = cfg.pilot_n - 1
-        u = _uniforms(_rng(cfg.seed, 1), cfg.replicates, 1)[:, 0]
+        u = _uniforms(_rng(cfg.seed, 1), cfg.replicates)
         s2 = cfg.sigma ** 2 * chisq_quantile(u, df) / df
         d_hat = cfg.effect / np.sqrt(s2)
         main_n = [main_sample_size(EffectSpec(float(d)), TWO, cfg.power_target, cfg.sizing_mode)
@@ -408,6 +411,15 @@ class TestVariancePipeline:
         flags = [power_at(int(n), EffectSpec(cfg.effect, cfg.sigma), TWO)
                  < cfg.underpower_threshold for n in main_n]
         assert np.mean(flags) == pytest.approx(rep.empirical_underpower, abs=1e-12)
+
+    def test_threshold_size_of_two_flags_nothing(self):
+        # effect 10 against sigma 1 reaches the threshold power with the
+        # smallest main study, 2 per group, so no sized study falls below it
+        cfg = variance_cfg(effect=10.0, sigma=1.0, replicates=200)
+        n_crit = main_sample_size(EffectSpec(10.0, 1.0), TWO, cfg.underpower_threshold)
+        assert n_crit == 2
+        assert simulation._underpower_count([0.01, 1.0, 10.0], TWO, cfg, n_crit) == 0
+        assert simulate_variance_pipeline(cfg).empirical_underpower == 0.0
 
     def test_mc_standard_error(self):
         rep = simulate_variance_pipeline(variance_cfg(replicates=2000))
@@ -448,16 +460,20 @@ class TestEffectPipeline:
         # 0; such replicates count as nonpositive and get no main size
         cfg = effect_cfg(pilot_n=8, estimator=KNOWN_SIGMA, replicates=40)
         zeros = [0, 5, 17]
-        real = simulation.norm_quantile
+        real = simulation._rng
 
-        def zeroing(p):
-            z = real(p)
-            z[zeros] = -2.0 * cfg.effect
-            return z
+        class Zeroing:
+            # the normal stream, with exact zeros of the mean injected
+            @staticmethod
+            def standard_normal(reps):
+                z = real(cfg.seed, 2).standard_normal(reps)
+                z[zeros] = -2.0 * cfg.effect
+                return z
 
-        monkeypatch.setattr(simulation, "norm_quantile", zeroing)
+        monkeypatch.setattr(simulation, "_rng",
+                            lambda seed, *key: Zeroing if key == (2,) else real(seed, *key))
         rep, seen = _estimates(monkeypatch, simulate_effect_pipeline, cfg, cfg.replicates)
-        d_hat = cfg.effect + 0.5 * zeroing(_uniforms(_rng(cfg.seed, 2), cfg.replicates, 1)[:, 0])
+        d_hat = cfg.effect + 0.5 * Zeroing.standard_normal(cfg.replicates)
         assert np.count_nonzero(d_hat == 0.0) == len(zeros)
         assert seen == np.sort(np.abs(d_hat[d_hat != 0.0])).tolist()
         assert len(seen) == cfg.replicates - len(zeros) and min(seen) > 0.0
@@ -486,9 +502,9 @@ def _raw_draw_d_hat(cfg: SimulationConfig) -> np.ndarray:
     """Effect-size estimates from whole pilots of n (or 2n) normal draws.
 
     The reference the sufficient-statistic sampler replaced: every pilot
-    observation goes through the package's inverse normal CDF, and the
-    estimate is formed from the sample means and variances.  It reads its
-    own substream, so its runs are independent of the package's.
+    observation is a numpy normal deviate, and the estimate is formed from
+    the sample means and variances.  It reads its own substream, so its runs
+    are independent of the package's.
     """
     rng = _rng(cfg.seed, 99)
     n, sigma = cfg.pilot_n, cfg.sigma
@@ -499,7 +515,7 @@ def _raw_draw_d_hat(cfg: SimulationConfig) -> np.ndarray:
     out = []
     for start in range(0, cfg.replicates, 5000):
         m = min(5000, cfg.replicates - start)
-        x = norm_quantile(_uniforms(rng, m, groups * n)).reshape(m, groups, n) * sigma
+        x = rng.standard_normal((m, groups * n)).reshape(m, groups, n) * sigma
         sd = np.sqrt(x.var(axis=2, ddof=1).mean(axis=1))
         if cfg.scenario == "variance":
             out.append(cfg.effect / sd)
@@ -574,3 +590,41 @@ class TestTableReports:
     def test_bad_table_id(self):
         with pytest.raises(ConfigError):
             reproduce_table(3, replicates=10, seed=0)
+
+    def test_no_replicates_rejected(self):
+        with pytest.raises(ConfigError, match="replicates must be >= 1, got 0"):
+            reproduce_table(1, 0)
+
+
+KERNELS = ("norm_cdf", "norm_quantile", "chisq_quantile")
+
+
+class TestScalarKernels:
+    """The special functions take an array only entry by entry, one scalar
+    call each, so a pipeline that passed one would be slow: package code
+    passes them 0-d values alone."""
+
+    def test_package_passes_only_0d_values(self, monkeypatch):
+        ndims = {name: [] for name in KERNELS}
+
+        def recording(f, seen):
+            def call(x, *args):
+                seen.append(np.ndim(x))
+                return f(x, *args)
+            return call
+
+        # every package module's own name, which its functions look up when
+        # called (importing pilotplan.cli above loaded them all)
+        for module in [m for n, m in sys.modules.items()
+                       if n == "pilotplan" or n.startswith("pilotplan.")]:
+            for name in KERNELS:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        recording(getattr(module, name), ndims[name]))
+        reproduce_table(1, 50, seed=3)
+        reproduce_table(2, 50, seed=3)
+        simulate_variance_pipeline(variance_cfg(replicates=500))
+        simulate_effect_pipeline(effect_cfg(replicates=500))
+        simulate_effect_pipeline(effect_cfg(replicates=500, estimator=KNOWN_SIGMA))
+        assert {name: set(seen) for name, seen in ndims.items()} == {
+            name: {0} for name in KERNELS}
