@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ConvergenceError, _nct_abs_sf, norm_quantile, t_quantile
+from .distributions import (ConvergenceError, _nct_abs_sf, chisq_quantile, norm_quantile,
+                            t_quantile)
 from .distributions import nct_cdf  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 
 __all__ = [
@@ -141,7 +142,7 @@ def _power_curve(n: float, design: TestDesign):
     """Exact power at per-group size n as a function of the effect size; the
     critical value is computed once, for every effect size tried."""
     df = design.df(n)
-    tcrit = t_quantile(1.0 - design.alpha / 2.0, df)
+    tcrit = -t_quantile(0.5 * design.alpha, df)
     return lambda d: _nct_abs_sf(tcrit, df, design.ncp(n, d))
 
 
@@ -310,12 +311,20 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
     lo, f_lo = 0.0, pw(0.0)
     hi = max(2.0 * d_z, 1e-3)
     f_hi = pw(hi)
+    if f_hi < power:
+        # T = (Z + ncp) / S, S^2 ~ chi2(df) / df, passes c where Z > -a and S < b
+        # once ncp >= c b + a: each at probability sqrt(power), a near bound
+        df, r = design.df(n), math.sqrt(power)
+        ncp = (-t_quantile(0.5 * design.alpha, df) * math.sqrt(chisq_quantile(r, df) / df)
+               + norm_quantile(r))
+        lo, f_lo, hi = hi, f_hi, ncp / math.sqrt(n / design.groups)
+        f_hi = pw(hi) if hi <= 1e6 else f_lo
     while f_hi < power:
         lo, f_lo = hi, f_hi
         hi *= 2.0
-        f_hi = pw(hi)
         if hi > 1e6:
             raise ValueError("no finite effect reaches the requested power")
+        f_hi = pw(hi)
     return _solve_increasing(pw, power, lo, hi, f_lo, f_hi, 1e-12)
 
 

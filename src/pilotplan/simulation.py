@@ -259,10 +259,12 @@ def _report(config: SimulationConfig, d, nonpositive: int) -> SimulationReport:
 
 
 class _Ascending:
-    """Item k is f at the k-th largest of u, computed when read: ascending for a falling f."""
+    """Item k is f at the k-th largest of u, computed when read: ascending for
+    a falling f.  It sorts u in place."""
 
     def __init__(self, u: np.ndarray, f):
-        self._u, self._f = np.sort(u)[::-1], f
+        u.sort()
+        self._u, self._f = u[::-1], f
 
     def __len__(self) -> int:
         return self._u.size
@@ -313,17 +315,23 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
     npil = int(config.pilot_n)
 
     # the mean (two-sample: difference of means) is N(mu, g sigma^2 / n) and
-    # independent of the pooled S^2, which is sigma^2 chi2(g (n - 1)) / df
-    z = _rng(config.seed, 2).standard_normal(reps)
-    mean = config.effect + config.sigma * math.sqrt(design.groups / npil) * z
+    # independent of the pooled S^2, which is sigma^2 chi2(g (n - 1)) / df;
+    # the estimates are built in place, one array at a time
+    d = _rng(config.seed, 2).standard_normal(reps)
+    d *= config.sigma * math.sqrt(design.groups / npil)
+    d += config.effect
     if config.estimator == POOLED_SD:
         df = design.df(npil)
-        d_hat = mean / (config.sigma * np.sqrt(_rng(config.seed, 3).chisquare(df, reps) / df))
+        s = _rng(config.seed, 3).chisquare(df, reps)
+        s /= df
+        d /= np.multiply(config.sigma, np.sqrt(s, out=s), out=s)
+        del s
     else:
-        d_hat = mean / config.sigma
-
-    return _report(config, np.sort(np.abs(d_hat[d_hat != 0.0])).tolist(),
-                   nonpositive=np.count_nonzero(d_hat <= 0.0))
+        d /= config.sigma
+    nonpositive = np.count_nonzero(d <= 0.0)
+    d = d[d != 0.0]
+    np.negative(np.abs(d, out=d), out=d)      # read back through abs, ascending
+    return _report(config, _Ascending(d, abs), nonpositive=nonpositive)
 
 
 # ---------------------------------------------------------------------------

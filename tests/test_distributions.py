@@ -213,10 +213,43 @@ class TestStudentT:
             assert abs(t_cdf(q, df) - p) <= 1e-10
             assert t_quantile(p, df) == pytest.approx(q, rel=1e-12)
 
-    @pytest.mark.parametrize("big", [9999.0, 1e4, 1e7, 5e8])
+    def test_beta_argument_near_one_keeps_its_digits(self):
+        # at df 1e9, 1 - t^2 / (df + t^2) rounded keeps about 7 digits of
+        # t^2 / (df + t^2); I_y(1/2, 5e8) was off by 2.8e-9 when the fraction
+        # ran on it, t_cdf at scipy's 0.975 quantile by 1.4e-9 and the
+        # quantile itself by 7.6e-9 relative
+        df = 1e9
+        for t in (1.959963986, 2.5, 4.0):
+            y, w = t * t / (df + t * t), df / (df + t * t)
+            want = scipy_special.betainc(0.5, 0.5 * df, y)
+            assert abs(distributions._betainc(0.5, 0.5 * df, y, w) - want) <= 1e-13
+        q = scipy_stats.t.ppf(0.975, df)
+        assert abs(t_cdf(q, df) - 0.975) <= 1e-14
+        assert t_quantile(0.975, df) == pytest.approx(q, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-10, 1e-12, 1e-15])
+    def test_small_alpha_critical_values(self, alpha):
+        # the inversion stops on the tail relative to itself: at df 4 and
+        # alpha 1e-12 an absolute stop gave 448.0 for scipy's 1565.05
+        for df in (4.0, 30.0, 1e6):
+            p = 1.0 - alpha / 2.0
+            want = scipy_stats.t.isf(1.0 - p, df)
+            assert t_quantile(p, df) == pytest.approx(want, rel=1e-9)
+            assert t_quantile(alpha / 2.0, df) == pytest.approx(
+                -scipy_stats.t.isf(alpha / 2.0, df), rel=1e-9)
+
+    def test_quantile_past_the_double_range_raises(self):
+        # near 1e162 (df 1.17, p 5.7e-200) the beta argument df / (df + x^2)
+        # is subnormal, and an answer from it would be off 6.5e8-fold
+        with pytest.raises(ConvergenceError, match="normal double"):
+            t_quantile(5.733912479154068e-200, 1.1736978126447697)
+        assert t_quantile(1e-160, 1.0) == pytest.approx(-1.0 / (math.pi * 1e-160), rel=1e-12)
+
+    @pytest.mark.parametrize("big", [999.0, 9999.0, 1e4, 1e7, 5e8])
     def test_log_beta_closed_forms(self, big):
         # B(1, b) = 1 / b and B(2, b) = 1 / (b (b + 1)), either side of the
-        # switch to Stirling's series; lgamma differences lose about 1e-8 at 1e7
+        # switch to Stirling's series (1e3); lgamma differences lose about
+        # 1e-8 at 1e7
         for small, want in ((1.0, -math.log(big)), (2.0, -math.log(big) - math.log1p(big))):
             assert _log_beta(small, big) == pytest.approx(want, abs=3e-11)
             assert _log_beta(big, small) == _log_beta(small, big)
@@ -443,6 +476,26 @@ class TestProperties:
     def test_t_quantile_round_trip(self, p, df):
         assert t_cdf(t_quantile(p, df), df) == pytest.approx(p, abs=1e-9)
 
+    @given(st.floats(0.0, math.log(1e9)).map(math.exp), st.floats(-100.0, 100.0))
+    @settings(max_examples=400, deadline=None)
+    def test_t_cdf_against_scipy(self, df, x):
+        assert abs(t_cdf(x, df) - scipy_stats.t.cdf(x, df)) <= 1e-11
+
+    @given(st.floats(0.0, math.log(1e9)).map(math.exp),
+           st.floats(math.log(1e-15), math.log(0.5)).map(math.exp))
+    @settings(max_examples=300, deadline=None)
+    def test_t_quantile_against_scipy(self, df, alpha):
+        # within 1e-9 of scipy's quantile on either tail; for tails past 1/4
+        # the central mass, from scipy's incomplete beta, is checked instead,
+        # since scipy's quantile loses relative digits near the median
+        for p in (alpha, 1.0 - alpha):
+            x, q = abs(t_quantile(p, df)), min(p, 1.0 - p)
+            if q <= 0.25:
+                assert x == pytest.approx(scipy_stats.t.isf(q, df), rel=1e-9)
+            else:
+                central = 0.5 * scipy_special.betainc(0.5, 0.5 * df, x * x / (df + x * x))
+                assert central == pytest.approx(0.5 - q, rel=1e-9)
+
     @given(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0))
     @settings(max_examples=150, deadline=None)
     def test_norm_cdf_monotone(self, a, b):
@@ -475,3 +528,31 @@ class TestProperties:
         lo, hi = sorted((p1, p2))
         assert chisq_quantile(lo, df) <= chisq_quantile(hi, df) + 1e-12
         assert t_quantile(lo, df) <= t_quantile(hi, df) + 1e-12
+
+
+class TestKernelCost:
+    """Counts of work, not wall-clock time, so a slower kernel fails here
+    without timing noise."""
+
+    def test_t_quantile_takes_about_one_cdf(self, monkeypatch):
+        # the grid's critical values: df = 2 (n - 1), n = 10 .. 700, p = 0.975
+        calls = []
+        mass = distributions._t_mass
+
+        def counted(*args):
+            calls.append(args)
+            return mass(*args)
+
+        monkeypatch.setattr(distributions, "_t_mass", counted)
+        dfs = [2.0 * (n - 1) for n in range(10, 701)]
+        for df in dfs:
+            t_quantile(0.975, df)
+        assert len(calls) / len(dfs) <= 1.2
+
+    def test_betacf_steps_at_critical_values(self, monkeypatch):
+        # at alpha 0.05 the fraction runs on t^2 / (df + t^2): 9 steps; on
+        # df / (df + t^2) it took 35-47 for df 78 to 1e4
+        monkeypatch.setattr(distributions, "_MAX_LENTZ", 15)
+        for df in np.geomspace(18.0, 1e9, 60):
+            c = t_quantile(0.975, float(df))
+            assert abs(t_cdf(c, float(df)) - 0.975) <= 1e-12

@@ -265,6 +265,14 @@ class TestInverseSolves:
         z = _zsum(alpha, power) * np.sqrt(design.groups / ns)
         assert z.tolist() == [effect_for_n(int(n), design, power) for n in ns]
 
+    def test_effect_for_n_at_tiny_alpha(self):
+        # scipy: c = t.isf(5e-16, 4) = 8801.117, and ncf.sf(c^2, 1, 4, 5 d^2)
+        # reaches 0.8 at d = 4815.9955 (brentq); an absolute stop on the t
+        # CDF gave c = 469.0 and d = 256.6, and doubling from the z effect
+        # outran the noncentral series' cap at d = 8110
+        design = TestDesign(ONE_SAMPLE, 1e-15)
+        assert effect_for_n(5, design, 0.8, T_ITERATIVE) == pytest.approx(4815.9955, rel=1e-7)
+
     def test_effect_for_n_array_rejects_small_n(self):
         # one size per call: arrays are rejected whatever they hold
         with pytest.raises(ValueError, match="one size"):
