@@ -51,7 +51,7 @@ __all__ = [
 # instead of returning.
 _INVERT_TOL = 1e-10
 _MAX_NEWTON = 200
-_MAX_LENTZ = 500
+_MAX_FRACTION = 500
 _MAX_SERIES = 100000
 _TINY = 1e-300
 # below the smallest normal double the noncentral-t series is dropped: its
@@ -269,7 +269,7 @@ def _gammainc_lower(a: float, x: float) -> tuple[float, float]:
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_LENTZ + 1):
+    for i in range(1, _MAX_FRACTION + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -389,7 +389,7 @@ def _betacf(a: float, b: float, x: float, y: float) -> float:
     p, s = 1.0, a + 1.0
     an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
     r = c1 / c
-    for n in range(1, _MAX_LENTZ + 1):
+    for n in range(1, _MAX_FRACTION + 1):
         t = n / a
         w = n * (b - n) * x
         e = a / s
@@ -480,6 +480,9 @@ def t_quantile(p: float, df: float) -> float:
          (((3.0 * zz + 19.0) * zz + 17.0) * zz - 15.0) / 384.0,
          ((((79.0 * zz + 776.0) * zz + 1482.0) * zz - 1920.0) * zz - 945.0) / 92160.0)
     x = z * (1.0 + (g[0] + (g[1] + (g[2] + g[3] / df) / df) / df) / df)
+    if not x > 0.0:
+        # under df 0.4 the negative df^-3 and df^-4 terms can outweigh the rest
+        x = z
     central = q > 0.25
     target, slope = (0.5 - q, -1.0) if central else (q, 1.0)
     lo, hi = 0.0, math.inf

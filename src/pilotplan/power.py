@@ -313,15 +313,12 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
     f_hi = pw(hi)
     if f_hi < power:
         # T = (Z + ncp) / S, S^2 ~ chi2(df) / df, passes c where Z > -a and S < b
-        # once ncp >= c b + a: each at probability sqrt(power), a near bound
+        # once ncp >= c b + a: each at probability sqrt(power), so the power
+        # there is at least ``power``, an upper bound near the root
         df, r = design.df(n), math.sqrt(power)
         ncp = (-t_quantile(0.5 * design.alpha, df) * math.sqrt(chisq_quantile(r, df) / df)
                + norm_quantile(r))
         lo, f_lo, hi = hi, f_hi, ncp / math.sqrt(n / design.groups)
-        f_hi = pw(hi) if hi <= 1e6 else f_lo
-    while f_hi < power:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
         if hi > 1e6:
             raise ValueError("no finite effect reaches the requested power")
         f_hi = pw(hi)

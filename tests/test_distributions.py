@@ -496,6 +496,16 @@ class TestProperties:
                 central = 0.5 * scipy_special.betainc(0.5, 0.5 * df, x * x / (df + x * x))
                 assert central == pytest.approx(0.5 - q, rel=1e-9)
 
+    @given(st.floats(math.log(0.05), math.log(0.9)).map(math.exp), st.floats(0.55, 0.9))
+    @settings(max_examples=200, deadline=None)
+    def test_t_quantile_below_one_df(self, df, p):
+        # under df 0.4 the Cornish-Fisher start can come out negative near
+        # the median; the quantile keeps its sign and its tail
+        for prob in (p, 1.0 - p):
+            x = t_quantile(prob, df)
+            assert (x > 0.0) == (prob > 0.5)
+            assert scipy_stats.t.sf(abs(x), df) == pytest.approx(1.0 - p, rel=1e-9)
+
     @given(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0))
     @settings(max_examples=150, deadline=None)
     def test_norm_cdf_monotone(self, a, b):
@@ -552,7 +562,7 @@ class TestKernelCost:
     def test_betacf_steps_at_critical_values(self, monkeypatch):
         # at alpha 0.05 the fraction runs on t^2 / (df + t^2): 9 steps; on
         # df / (df + t^2) it took 35-47 for df 78 to 1e4
-        monkeypatch.setattr(distributions, "_MAX_LENTZ", 15)
+        monkeypatch.setattr(distributions, "_MAX_FRACTION", 15)
         for df in np.geomspace(18.0, 1e9, 60):
             c = t_quantile(0.975, float(df))
             assert abs(t_cdf(c, float(df)) - 0.975) <= 1e-12

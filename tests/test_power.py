@@ -272,6 +272,10 @@ class TestInverseSolves:
         # outran the noncentral series' cap at d = 8110
         design = TestDesign(ONE_SAMPLE, 1e-15)
         assert effect_for_n(5, design, 0.8, T_ITERATIVE) == pytest.approx(4815.9955, rel=1e-7)
+        # at df 1 the critical value is about 6e14, and the bound on the
+        # effect that reaches the power passes 1e6
+        with pytest.raises(ValueError, match="no finite effect"):
+            effect_for_n(2, design, 0.8, T_ITERATIVE)
 
     def test_effect_for_n_array_rejects_small_n(self):
         # one size per call: arrays are rejected whatever they hold
