@@ -520,7 +520,9 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
     would lose.
     """
     # the ratios step by I(a+1) = I(a) - term(a); the upper tails step the
-    # other way, so their terms change sign
+    # other way, so their terms change sign.  Each step clamps the ratio into
+    # [0, 1] with comparisons, which give min(1, max(0, i)) going up and
+    # max(0, min(1, i)) going down to the bit, in a fraction of the time
     far = w < _FAR
     sign = -1.0 if far else 1.0
     ln_y, ln_1my = _logs(y, w)
@@ -537,7 +539,11 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
     c, i, t, j = c_m, i_m, t_m, m
     while True:
         a = j + a0
-        i = min(1.0, max(0.0, i - t))
+        i -= t
+        if not i > 0.0:
+            i = 0.0
+        elif i > 1.0:
+            i = 1.0
         t *= y * (a + half_df) / (a + 1.0)
         c *= lam / (j + b)
         j += 1
@@ -558,7 +564,11 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
             raise ConvergenceError("noncentral t series (downward) hit the iteration cap")
         a = j + a0
         t *= a / (y * (a - 1.0 + half_df))
-        i = max(0.0, min(1.0, i + t))
+        i += t
+        if not i < 1.0:
+            i = 1.0
+        elif not i > 0.0:
+            i = 0.0
         c *= (j + b - 1.0) / lam
         j -= 1
         total += c * i
