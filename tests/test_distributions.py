@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pilotplan.distributions as distributions
 from pilotplan.distributions import (
@@ -477,9 +477,14 @@ class TestProperties:
         assert t_cdf(t_quantile(p, df), df) == pytest.approx(p, abs=1e-9)
 
     @given(st.floats(0.0, math.log(1e9)).map(math.exp), st.floats(-100.0, 100.0))
+    @example(1.0, 6.209776750102033e-08)
     @settings(max_examples=400, deadline=None)
     def test_t_cdf_against_scipy(self, df, x):
-        assert abs(t_cdf(x, df) - scipy_stats.t.cdf(x, df)) <= 1e-11
+        # P(|T| < |x|) is I_{x^2/(df+x^2)}(1/2, df/2); scipy.stats.t.cdf is off
+        # by 3.6e-10 at df 1, x 6.2e-8 (0.5 + atan(x)/pi is 0.50000001977)
+        half = 0.5 * scipy_special.betainc(0.5, 0.5 * df, x * x / (df + x * x))
+        want = 0.5 + math.copysign(half, x)
+        assert abs(t_cdf(x, df) - want) <= 1e-11
 
     @given(st.floats(0.0, math.log(1e9)).map(math.exp),
            st.floats(math.log(1e-15), math.log(0.5)).map(math.exp))
