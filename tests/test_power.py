@@ -206,14 +206,29 @@ class TestTwoSidedPower:
 
     @pytest.mark.parametrize("df,alpha", [(62.0, 0.05), (1.0, 1e-6)])
     def test_series_cap_raises(self, df, alpha, monkeypatch):
-        # at ncp 20 the sweep up from the Poisson mode (200) takes over 100
-        # terms; with the cap cut to 50 it raises instead of returning a
-        # partial sum, in the far branch (df 1) as elsewhere
-        c = t_quantile(1.0 - alpha / 2.0, df)
-        assert 0.0 < _nct_abs_sf(c, df, 20.0) <= 1.0
+        # at ncp 20 the sweep up from the Poisson mode (200) stops where the
+        # weights fall under 1e-18, over 100 terms on, or where its ratio is 0.
+        # At 20 times the critical value, and 4 ulps either side, the ratio it
+        # carries (I_y(a, df/2), or in the far branch at df 1 its upper tail)
+        # stays over 1e-9 for the first 50 terms, so rounding cannot stop the
+        # sweep there (at the critical value itself it is under 1e-200, and
+        # whether it stopped early turned on c's last bits).  With the cap cut
+        # to 50 it raises instead of returning a partial sum.
+        scipy_special = pytest.importorskip("scipy.special")
+        cs = [20.0 * t_quantile(1.0 - alpha / 2.0, df)]
+        for _ in range(4):
+            cs = [math.nextafter(cs[0], 0.0), *cs, math.nextafter(cs[-1], math.inf)]
+        for c in cs:
+            y, w = c * c / (c * c + df), df / (c * c + df)
+            for a in (200.5, 250.5):
+                ratio = (scipy_special.betainc(0.5 * df, a, w) if w < distributions._FAR
+                         else scipy_special.betainc(a, 0.5 * df, y))
+                assert ratio > 1e-9, (c, a)
+            assert 0.0 < _nct_abs_sf(c, df, 20.0) <= 1.0
         monkeypatch.setattr(distributions, "_MAX_SERIES", 50)
-        with pytest.raises(ConvergenceError, match="upward"):
-            _nct_abs_sf(c, df, 20.0)
+        for c in cs:
+            with pytest.raises(ConvergenceError, match="upward"):
+                _nct_abs_sf(c, df, 20.0)
 
 
 class TestInverseSolves:
