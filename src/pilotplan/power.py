@@ -46,7 +46,8 @@ T_ITERATIVE = "t-iterative"
 
 _MODES = (Z_APPROX, T_ITERATIVE)
 _KINDS = (ONE_SAMPLE, TWO_SAMPLE)
-# at this alpha and below, 1 - alpha / 2 rounds to 1.0, whose quantile is infinite
+# at this alpha and below, 1 - alpha / 2 rounds to 1.0: the two-sided level
+# could no longer be told from 1
 _MIN_ALPHA = 2.0 ** -53
 
 
@@ -124,7 +125,8 @@ def _require_power(power: float) -> float:
 
 
 def _zsum(alpha: float, power: float) -> float:
-    return norm_quantile(1.0 - alpha / 2.0) + norm_quantile(power)
+    # z_{1-a/2} from the tail a/2 itself: 1 - a/2 would round it at small a
+    return -norm_quantile(0.5 * alpha) + norm_quantile(power)
 
 
 def power_at(n: float, effect: EffectSpec, design: TestDesign = TestDesign()) -> float:
@@ -160,9 +162,9 @@ def _require_nonzero_effect(effect: EffectSpec) -> None:
 
 
 def _z_requirement(effect: EffectSpec, design: TestDesign, power: float,
-                   mode: str) -> float:
+                   mode: str) -> tuple[float, float]:
     """The closed form  groups * (z_{1-a/2} + z_{power})^2 / d^2, after the
-    arguments are checked; past 1e9 it raises."""
+    arguments are checked, and z_{1-a/2}; past 1e9 it raises."""
     _require_power(power)
     _require_nonzero_effect(effect)
     if mode not in _MODES:
@@ -174,10 +176,11 @@ def _z_requirement(effect: EffectSpec, design: TestDesign, power: float,
         raise ValueError(
             f"effect {effect.effect!r} over sigma {effect.sigma!r} is an effect size "
             f"of {d:g}, past the largest this package plans for, {_MAX_EFFECT_SIZE:g}")
-    zs = _zsum(design.alpha, power)
+    z_a = -norm_quantile(0.5 * design.alpha)
+    zs = z_a + norm_quantile(power)
     if abs(zs) / d > math.sqrt(_MAX_N / design.groups):
         raise ValueError(_TOO_LARGE)
-    return design.groups * zs ** 2 / d ** 2
+    return design.groups * zs ** 2 / d ** 2, z_a
 
 
 def required_n(effect: EffectSpec, design: TestDesign, power: float,
@@ -189,10 +192,10 @@ def required_n(effect: EffectSpec, design: TestDesign, power: float,
     [N - 1, N] around the integer size N of :func:`main_sample_size`.
     """
     power = _require_power(power)
-    n_z = _z_requirement(effect, design, power, mode)
+    n_z, z_a = _z_requirement(effect, design, power, mode)
     if mode == Z_APPROX:
         return max(2.0, n_z)
-    n = _search_n(effect, design, power, n_z, 0.0)
+    n = _search_n(effect, design, power, n_z, z_a, 0.0)
     if n == 2:
         return 2.0
     return _solve_increasing(lambda x: power_at(x, effect, design), power,
@@ -227,11 +230,11 @@ def _first_true(ok, lo: int, start: int, cap: int, too_large: str) -> int:
 
 
 def _search_n(effect: EffectSpec, design: TestDesign, power: float, n_z: float,
-              shift: float) -> int:
+              z_a: float, shift: float) -> int:
     """Smallest integer N >= 2 with power_at(N + shift) >= power, searched
-    from the closed form plus Guenther's t correction z_{1-a/2}^2 / (2 groups),
-    which is rarely a subject off: two power evaluations when it is right."""
-    z_a = norm_quantile(1.0 - design.alpha / 2.0)
+    from the closed form n_z plus Guenther's t correction z_a^2 / (2 groups),
+    with z_a = z_{1-a/2}, which is rarely a subject off: two power evaluations
+    when it is right."""
     return _first_true(lambda n: power_at(n + shift, effect, design) >= power, 1,
                        math.ceil(n_z + z_a * z_a / (2 * design.groups) - shift),
                        _MAX_N, _TOO_LARGE)
@@ -247,10 +250,10 @@ def main_sample_size(effect: EffectSpec, design: TestDesign, power: float,
     power evaluations.  In z-approx mode it is the ceiling of the closed
     form.  Sizes past 1e9 raise.
     """
-    n_z = _z_requirement(effect, design, power, mode)
+    n_z, z_a = _z_requirement(effect, design, power, mode)
     if mode == Z_APPROX:
         return max(2, math.ceil(n_z - 1e-9))
-    return _search_n(effect, design, power, n_z, 0.0)
+    return _search_n(effect, design, power, n_z, z_a, 0.0)
 
 
 def _nearest_n(effect: EffectSpec, design: TestDesign, power: float,
@@ -261,10 +264,10 @@ def _nearest_n(effect: EffectSpec, design: TestDesign, power: float,
     reaches ``power``, found by the same integer search as
     :func:`main_sample_size`.
     """
-    n_z = _z_requirement(effect, design, power, mode)
+    n_z, z_a = _z_requirement(effect, design, power, mode)
     if mode == Z_APPROX:
         return max(2, math.floor(n_z + 0.5))
-    return _search_n(effect, design, power, n_z, 0.5)
+    return _search_n(effect, design, power, n_z, z_a, 0.5)
 
 
 def _solve_increasing(f, target: float, lo: float, hi: float, f_lo: float,

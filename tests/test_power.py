@@ -292,6 +292,12 @@ class TestInverseSolves:
         with pytest.raises(ValueError, match="no finite effect"):
             effect_for_n(2, design, 0.8, T_ITERATIVE)
 
+    def test_z_effect_at_tiny_alpha(self):
+        # scipy: norm.isf(5e-16) = 8.02685888253454; from 1 - 5e-16, which
+        # rounds to 1 - 5.55e-16, z was 8.0140
+        design = TestDesign(ONE_SAMPLE, 1e-15)
+        assert effect_for_n(4, design, 0.5) == pytest.approx(8.02685888253454 / 2.0, rel=1e-13)
+
     def test_effect_for_n_array_rejects_small_n(self):
         # one size per call: arrays are rejected whatever they hold
         with pytest.raises(ValueError, match="one size"):
