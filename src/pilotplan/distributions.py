@@ -520,9 +520,8 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
     would lose.
     """
     # the ratios step by I(a+1) = I(a) - term(a); the upper tails step the
-    # other way, so their terms change sign.  Each step clamps the ratio into
-    # [0, 1] with comparisons, which give min(1, max(0, i)) going up and
-    # max(0, min(1, i)) going down to the bit, in a fraction of the time
+    # other way, so their terms change sign.  The ratio is clamped into [0, 1]
+    # by comparisons, to the bit as by min/max (NaN to 0 up, 1 down) but faster
     far = w < _FAR
     sign = -1.0 if far else 1.0
     ln_y, ln_1my = _logs(y, w)
@@ -540,10 +539,8 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
     while True:
         a = j + a0
         i -= t
-        if not i > 0.0:
-            i = 0.0
-        elif i > 1.0:
-            i = 1.0
+        if not 0.0 < i < 1.0:
+            i = 1.0 if i > 0.0 else 0.0
         t *= y * (a + half_df) / (a + 1.0)
         c *= lam / (j + b)
         j += 1
@@ -565,10 +562,8 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
         a = j + a0
         t *= a / (y * (a - 1.0 + half_df))
         i += t
-        if not i < 1.0:
-            i = 1.0
-        elif not i > 0.0:
-            i = 0.0
+        if not 0.0 < i < 1.0:
+            i = 0.0 if i <= 0.0 else 1.0
         c *= (j + b - 1.0) / lam
         j -= 1
         total += c * i

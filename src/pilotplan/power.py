@@ -46,8 +46,7 @@ T_ITERATIVE = "t-iterative"
 
 _MODES = (Z_APPROX, T_ITERATIVE)
 _KINDS = (ONE_SAMPLE, TWO_SAMPLE)
-# at this alpha and below, 1 - alpha / 2 rounds to 1.0: the two-sided level
-# could no longer be told from 1
+# at this alpha and below, 1 - alpha / 2 rounds to 1.0: no two-sided level is left
 _MIN_ALPHA = 2.0 ** -53
 
 
@@ -233,8 +232,7 @@ def _search_n(effect: EffectSpec, design: TestDesign, power: float, n_z: float,
               z_a: float, shift: float) -> int:
     """Smallest integer N >= 2 with power_at(N + shift) >= power, searched
     from the closed form n_z plus Guenther's t correction z_a^2 / (2 groups),
-    with z_a = z_{1-a/2}, which is rarely a subject off: two power evaluations
-    when it is right."""
+    z_a = z_{1-a/2}: rarely a subject off, two power evaluations when right."""
     return _first_true(lambda n: power_at(n + shift, effect, design) >= power, 1,
                        math.ceil(n_z + z_a * z_a / (2 * design.groups) - shift),
                        _MAX_N, _TOO_LARGE)

@@ -25,10 +25,9 @@ five order statistics of the estimates, by the integer search of
 underpowered exactly when n_crit - 1 subjects, one fewer than the threshold
 power needs at the true effect, already reach the target power at its
 estimate; that holds from some estimate on, so the flags are counted by a
-search for the first such estimate, started at the rank of the estimate the
-closed form puts there.  A variance estimate falls as its uniform rises, so of
-R replicates only the estimates read are computed, at their ranks in the
-uniforms: the five sizings' and the search's few (about 12 a grid cell).
+search from the rank the closed form predicts.  A variance estimate falls as
+its uniform rises, so only the estimates read (about 12 of a grid cell's 10k)
+are computed, at their ranks in the uniforms.
 
 Randomness: one logical seed per run; each scenario/cell derives its
 streams through numpy's SeedSequence spawn keys, each drawn from a
@@ -220,10 +219,9 @@ def _underpower_count(d, design: TestDesign, config: SimulationConfig,
     below n_crit (the threshold's own requirement), that is when n_crit - 1
     subjects already reach the target power at the estimate.  That holds
     from some estimate on, so over the ascending positive estimates ``d``
-    the flags are the items from the first that reaches.  The search for it
-    starts at the rank of the closed form's threshold estimate (with
-    Guenther's correction in t-iterative mode) and gallops from there: two
-    power evaluations when that rank is right, O(log len(d)) at most.
+    the flags are the items from the first that reaches, searched from the
+    rank of the closed form's threshold estimate (Guenther-corrected in
+    t-iterative mode): two power evaluations when that rank is right.
     """
     if n_crit <= 2:
         return 0
@@ -253,8 +251,8 @@ def _underpower_count(d, design: TestDesign, config: SimulationConfig,
 
 def _report(config: SimulationConfig, d, nonpositive: int) -> SimulationReport:
     """Size, flag and summarize a run from its positive estimated effect
-    sizes (magnitudes) ``d`` in ascending order, an ``_Ascending``; it reads
-    the five sizings' items and the flag search's few."""
+    sizes (magnitudes) ``d``, an ascending ``_Ascending``; it reads five
+    items for the sizes and the flag search's few."""
     design = config.design()
     true_effect = EffectSpec(config.effect, config.sigma)
     n_crit = main_sample_size(true_effect, design, config.underpower_threshold, T_ITERATIVE)
