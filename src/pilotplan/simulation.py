@@ -24,10 +24,9 @@ five order statistics of the estimates, by the integer search of
 ``main_sample_size`` (any size up to 1e9 per group).  A replicate is
 underpowered exactly when n_crit - 1 subjects, one fewer than the threshold
 power needs at the true effect, already reach the target power at its
-estimate; that holds from some estimate on, so the flags are counted by a
-search from the rank the closed form predicts.  A variance estimate falls as
-its uniform rises, so only the estimates read (about 12 of a grid cell's 10k)
-are computed, at their ranks in the uniforms.
+estimate; that holds from some estimate on, so ``bisect`` counts the flags.
+A variance estimate falls as its uniform rises, so of R replicates only the
+5 + log2 R or so estimates read are computed, at their ranks in the uniforms.
 
 Randomness: one logical seed per run; each scenario/cell derives its
 streams through numpy's SeedSequence spawn keys, each drawn from a
@@ -40,19 +39,20 @@ longer run with the same seed.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .distributions import chisq_cdf, chisq_quantile, norm_quantile
+from .distributions import chisq_quantile
+from .distributions import norm_quantile  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 from .power import (
     EffectSpec,
     TWO_SAMPLE,
     T_ITERATIVE,
     Z_APPROX,
     TestDesign,
-    _first_true,
     _power_curve,
     _zsum,
     effect_for_n,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
@@ -219,40 +219,30 @@ def _underpower_count(d, design: TestDesign, config: SimulationConfig,
     below n_crit (the threshold's own requirement), that is when n_crit - 1
     subjects already reach the target power at the estimate.  That holds
     from some estimate on, so over the ascending positive estimates ``d``
-    the flags are the items from the first that reaches, searched from the
-    rank of the closed form's threshold estimate (Guenther-corrected in
-    t-iterative mode): two power evaluations when that rank is right.
+    the count is a bisection.
     """
     if n_crit <= 2:
         return 0
     m = n_crit - 1
     target = config.power_target
-    zs = _zsum(design.alpha, target)
     if config.sizing_mode == Z_APPROX:
-        g_zz, corr = design.groups * zs * zs, 0.0
+        zs = _zsum(design.alpha, target)
+        g_zz = design.groups * zs * zs
 
         def reaches(x: float) -> bool:
             return g_zz / (x * x) - 1e-9 <= m
     else:
         power = _power_curve(m, design)
-        z_a = -norm_quantile(0.5 * design.alpha)
-        corr = z_a * z_a / (2 * design.groups)
 
         def reaches(x: float) -> bool:
             return power(x) >= target
 
-    # the closed form puts the threshold estimate e at m = groups zs^2 / e^2 + corr;
-    # rank n stands for "no item reaches", so the search never runs past it
-    e = zs * math.sqrt(design.groups / (m - corr)) if m > corr else math.inf
-    n = len(d)
-    return n - _first_true(lambda k: k == n or reaches(d[k]), -1,
-                           d.rank(e) if e > 0.0 else 0, n, "")
+    return len(d) - bisect.bisect_left(d, True, key=reaches)
 
 
 def _report(config: SimulationConfig, d, nonpositive: int) -> SimulationReport:
     """Size, flag and summarize a run from its positive estimated effect
-    sizes (magnitudes) ``d``, an ascending ``_Ascending``; it reads five
-    items for the sizes and the flag search's few."""
+    sizes (magnitudes) ``d`` in ascending order; it reads 5 + log2(len(d)) or so."""
     design = config.design()
     true_effect = EffectSpec(config.effect, config.sigma)
     n_crit = main_sample_size(true_effect, design, config.underpower_threshold, T_ITERATIVE)
@@ -270,21 +260,17 @@ def _report(config: SimulationConfig, d, nonpositive: int) -> SimulationReport:
 
 class _Ascending:
     """Item k is f at the k-th largest of u, computed when read: ascending for
-    a falling f, whose inverse is inv.  It sorts u in place."""
+    a falling f.  It sorts u in place."""
 
-    def __init__(self, u: np.ndarray, f, inv):
+    def __init__(self, u: np.ndarray, f):
         u.sort()
-        self._u, self._f, self._inv = u, f, inv
+        self._u, self._f = u[::-1], f
 
     def __len__(self) -> int:
         return self._u.size
 
     def __getitem__(self, k: int) -> float:
-        return self._f(float(self._u[-1 - k]))
-
-    def rank(self, x: float) -> int:
-        """The number of items below x, from u alone."""
-        return self._u.size - int(np.searchsorted(self._u, self._inv(x), side="right"))
+        return self._f(float(self._u[k]))
 
 
 def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -308,10 +294,7 @@ def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
     def estimate(p: float) -> float:
         return config.effect / math.sqrt(config.sigma ** 2 * chisq_quantile(p, df) / df)
 
-    def uniform(x: float) -> float:
-        return chisq_cdf(df * (config.effect / (config.sigma * x)) ** 2, df)
-
-    return _report(config, _Ascending(u, estimate, uniform), nonpositive=0)
+    return _report(config, _Ascending(u, estimate), nonpositive=0)
 
 
 def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -348,7 +331,7 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
     nonpositive = np.count_nonzero(d <= 0.0)
     d = d[d != 0.0]
     np.negative(np.abs(d, out=d), out=d)      # read back through abs, ascending
-    return _report(config, _Ascending(d, abs, lambda x: -x), nonpositive=nonpositive)
+    return _report(config, _Ascending(d, abs), nonpositive=nonpositive)
 
 
 # ---------------------------------------------------------------------------
