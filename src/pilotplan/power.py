@@ -46,7 +46,7 @@ T_ITERATIVE = "t-iterative"
 
 _MODES = (Z_APPROX, T_ITERATIVE)
 _KINDS = (ONE_SAMPLE, TWO_SAMPLE)
-# at this alpha and below, 1 - alpha / 2 rounds to 1.0: no two-sided level is left
+# at this alpha and below, 1 - alpha / 2 rounds to 1.0, whose quantile is infinite
 _MIN_ALPHA = 2.0 ** -53
 
 
