@@ -11,14 +11,13 @@ with bracket fallback.
 The incomplete beta takes x and y = 1 - x, each computed by its caller
 without subtraction, as DiDonato & Morris's BRATIO does (ACM TOMS 18, 1992).
 
-``norm_cdf``, ``norm_quantile`` and ``chisq_quantile`` are each one scalar
-kernel.  ``_entrywise`` lets each take an array as its first argument too:
-every entry is its own scalar call, with the same bits, in the array's
-shape.  Nothing in the package passes them an array: the variance
-simulation calls ``chisq_quantile`` only at the replicates it reads, and the
-effect simulation draws its normal and chi-square deviates from numpy's
-samplers.  ``chisq_cdf``, the t functions and ``nct_cdf`` are scalar; no
-caller needs the noncentral t at more than a few dozen points at once.
+Every function takes one point per call and computes on floats with the
+``math`` module alone, so the planners never import numpy.  A numpy scalar
+or 0-d array is one point; ``norm_cdf``, ``norm_quantile``,
+``chisq_quantile`` and ``nct_cdf`` reject an array, list or tuple with a
+ValueError.  Nothing in the package needs more: the variance simulation
+calls ``chisq_quantile`` only at the replicates it reads, and the effect
+simulation draws its normal and chi-square deviates from numpy's samplers.
 
 The power layer reaches the noncentral t only through ``_nct_abs_sf``, the
 two-sided tail P(|T| > t): T^2 is noncentral F(1, df, ncp^2), so that tail
@@ -28,11 +27,8 @@ is the Poisson-weighted half of the series alone.  ``nct_cdf`` and
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-
-import numpy as np
 
 __all__ = [
     "ConvergenceError",
@@ -81,17 +77,11 @@ def _require_df(df: float) -> float:
     return df
 
 
-def _entrywise(kernel):
-    """A scalar kernel that also takes an array first argument: each entry is
-    its own scalar call, and the floats come back in the array's shape."""
-    @functools.wraps(kernel)
-    def call(x, *args):
-        if isinstance(x, float) or np.ndim(x) == 0:
-            return kernel(x, *args)
-        arr = np.asarray(x, dtype=float)
-        return np.array([kernel(v, *args) for v in arr.ravel().tolist()],
-                        dtype=float).reshape(arr.shape)
-    return call
+def _point(fn: str, x) -> float:
+    """x as one float; an array (ndim >= 1), list or tuple is a ValueError."""
+    if getattr(x, "ndim", 0) or isinstance(x, (list, tuple)):
+        raise ValueError(f"{fn} takes scalar arguments; call it once per point")
+    return float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +117,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _ONE_OVER_SQRT_PI = 0.5641895835477563
 
-# Each erfc region and Acklam branch is one helper on a float.  They call
-# numpy's exp, log and floor, not math's, which round differently in the last
-# bit on some arguments: the frozen quantiles and goldens hold numpy's bits.
+# Each erfc region and Acklam branch is one helper on a float, computed with
+# math's exp, log and floor.
 
 
 def _erfc_small(s):
@@ -145,9 +134,9 @@ def _erfc_small(s):
 
 def _exp_neg_square(s, val):
     """exp(-s^2) * val, with s^2 split at a multiple of 1/16 to keep its bits."""
-    ysq = np.floor(s * 16.0) / 16.0
+    ysq = math.floor(s * 16.0) / 16.0
     del2 = (s - ysq) * (s + ysq)
-    return np.exp(-ysq * ysq) * np.exp(-del2) * val
+    return math.exp(-ysq * ysq) * math.exp(-del2) * val
 
 
 def _erfc_mid(s):
@@ -175,15 +164,14 @@ def _erfc_big(s):
 def _erfc_scalar(x: float) -> float:
     """Complementary error function of one float, ~1 ulp accuracy."""
     s = abs(x)
-    v = float(_erfc_small(s) if s <= 0.46875 else _erfc_mid(s) if s <= 4.0
-              else _erfc_big(s) if s <= 26.5 else 0.0)
+    v = (_erfc_small(s) if s <= 0.46875 else _erfc_mid(s) if s <= 4.0
+         else _erfc_big(s) if s <= 26.5 else 0.0)
     return 2.0 - v if x < 0.0 else v
 
 
-@_entrywise
 def norm_cdf(x):
     """Standard normal CDF."""
-    x = float(x)
+    x = _point("norm_cdf", x)
     if not math.isfinite(x):
         raise ValueError("norm_cdf requires finite input")
     return 0.5 * _erfc_scalar(-x * _SQRT1_2)
@@ -214,27 +202,26 @@ def _acklam_central(q):
 def _acklam_tail(p):
     """Acklam's start at p < _ACK_SPLIT; at 1 - p it is the negative."""
     c, d = _ACK_C, _ACK_D
-    q = np.sqrt(-2.0 * np.log(p))
+    q = math.sqrt(-2.0 * math.log(p))
     num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
     den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
     return num / den
 
 
-@_entrywise
 def norm_quantile(p):
     """Standard normal quantile (inverse CDF) for 0 < p < 1; p in {0, 1}
     raises ValueError."""
-    p = float(p)
+    p = _point("norm_quantile", p)
     if not 0.0 < p < 1.0:
         raise ValueError("norm_quantile requires 0 < p < 1")
     if p < _ACK_SPLIT:
-        x = float(_acklam_tail(p))
+        x = _acklam_tail(p)
     elif p > 1.0 - _ACK_SPLIT:
-        x = -float(_acklam_tail(1.0 - p))
+        x = -_acklam_tail(1.0 - p)
     else:
         x = _acklam_central(p - 0.5)
     # one Halley step on Phi(x) = p, with the density floored at _TINY
-    pdf = max(float(np.exp(-0.5 * (x * x)) * _INV_SQRT_2PI), _TINY)
+    pdf = max(math.exp(-0.5 * (x * x)) * _INV_SQRT_2PI, _TINY)
     u = (0.5 * _erfc_scalar(-x * _SQRT1_2) - p) / pdf
     return x - u / (1.0 + 0.5 * x * u)
 
@@ -247,7 +234,7 @@ def _gammainc_lower(a: float, x: float) -> tuple[float, float]:
     """P(a, x) and Q(a, x) = 1 - P(a, x), a > 0, x >= 0."""
     if x == 0.0:
         return 0.0, 1.0
-    pre = float(np.exp(-x + a * np.log(x) - math.lgamma(a)))
+    pre = math.exp(-x + a * math.log(x) - math.lgamma(a))
     if pre == 0.0:
         # the factor that scales either tail underflows, so each is its limit;
         # far out the fraction below cannot settle within 1e-16 of 1 either
@@ -295,38 +282,39 @@ def chisq_cdf(x: float, df: float) -> float:
     return min(1.0, max(0.0, _gammainc_lower(0.5 * df, 0.5 * x)[0]))
 
 
-# The start and the step of ``chisq_quantile`` call numpy's exp, log and
-# power, not math's, which round differently in the last bit on some
-# arguments: the frozen quantiles and goldens hold numpy's bits.
-
 def _chisq_start(p: float, df: float) -> float:
     """Wilson-Hilferty start for p > 0; where it is not positive, the leading
     term of the series, P(a, x / 2) ~ (x / 2)^a / Gamma(a + 1)."""
     a, c = 0.5 * df, 2.0 / (9.0 * df)
-    x = float(df * np.power(1.0 - c + norm_quantile(p) * math.sqrt(c), 3))
+    w = 1.0 - c + norm_quantile(p) * math.sqrt(c)
+    # w <= 0 gives no start, and its cube would overflow below df of about 1e-102
+    x = df * w ** 3 if w > 0.0 else 0.0
     if x > 0.0:
         return x
-    return max(float(2.0 * np.exp((np.log(p) + math.lgamma(a + 1.0)) / a)), 1e-280)
+    return max(2.0 * math.exp((math.log(p) + math.lgamma(a + 1.0)) / a), 1e-280)
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _chisq_step(x: float, got: float, tail: float, sign: float, a: float,
                 lo: float, hi: float) -> float:
     """The next x within (lo, hi), from g = log(got / tail) in u = log x, sign
     -1 on the upper tail: g' = sign x pdf / got and g'' = g' r2; Newton's step
     h = g / g', and once it is short the series reversion to third order.  A
-    step out of the bracket bisects it, or doubles x while hi is infinite."""
-    slope = sign * np.exp(a * np.log(0.5 * x) - 0.5 * x - math.lgamma(a)) / got
-    h = np.log(got / tail) / slope
-    r2 = a - 0.5 * x - slope
-    rev = h * (1.0 + h * (0.5 * r2 + h * (r2 * r2 / 3.0 + (0.5 * x + slope * r2) / 6.0)))
-    x_new = x * np.exp(-(rev if abs(h) < 0.5 else h))
+    step out of the bracket bisects it, or doubles x while hi is infinite; so
+    does a step that cannot be taken, where got or the density is 0 or the
+    exponent overflows."""
+    try:
+        slope = sign * math.exp(a * math.log(0.5 * x) - 0.5 * x - math.lgamma(a)) / got
+        h = math.log(got / tail) / slope
+        r2 = a - 0.5 * x - slope
+        rev = h * (1.0 + h * (0.5 * r2 + h * (r2 * r2 / 3.0 + (0.5 * x + slope * r2) / 6.0)))
+        x_new = x * math.exp(-(rev if abs(h) < 0.5 else h))
+    except (ZeroDivisionError, ValueError, OverflowError):
+        x_new = math.nan
     if lo < x_new < hi:
-        return float(x_new)
+        return x_new
     return 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * max(x, 1.0)
 
 
-@_entrywise
 def chisq_quantile(p, df: float):
     """Chi-square quantile for 0 <= p < 1 (p = 1 is a domain error).
 
@@ -338,8 +326,8 @@ def chisq_quantile(p, df: float):
     iterations raises, as it does when the quantile is below the smallest
     double.
     """
+    p = _point("chisq_quantile", p)
     df = _require_df(df)
-    p = float(p)
     if not 0.0 <= p < 1.0:
         raise ValueError("chi-square quantile requires 0 <= p < 1")
     if p == 0.0:
@@ -629,11 +617,9 @@ def nct_cdf(x: float, df: float, ncp: float) -> float:
     accuracy (target 1e-8) against direct numerical integration.  Scalars
     only: an array argument is a ValueError.
     """
-    if np.ndim(x) or np.ndim(df) or np.ndim(ncp):
-        raise ValueError("nct_cdf takes scalar arguments; call it once per point")
-    x = _require_finite("x", x)
-    df = _require_df(df)
-    ncp = _require_finite("ncp", ncp)
+    x = _require_finite("x", _point("nct_cdf", x))
+    df = _require_df(_point("nct_cdf", df))
+    ncp = _require_finite("ncp", _point("nct_cdf", ncp))
     if ncp == 0.0:
         return t_cdf(x, df)
     try:

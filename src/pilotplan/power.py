@@ -14,8 +14,6 @@ import bisect
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import (ConvergenceError, _nct_abs_sf, chisq_quantile, norm_quantile,
                             t_quantile)
 from .distributions import nct_cdf  # noqa: F401  unused here; perfbench's tracer wraps it by this name
@@ -297,7 +295,7 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
 
     One size per call: an array of sizes is a ValueError.
     """
-    if np.ndim(n):
+    if getattr(n, "ndim", 0) or isinstance(n, (list, tuple)):
         raise ValueError("effect_for_n takes one size n; call it once per size")
     n = float(n)
     if not (math.isfinite(n) and n >= 2.0):

@@ -42,8 +42,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, asdict
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .distributions import chisq_quantile
 from .distributions import norm_quantile  # noqa: F401  unused here; perfbench's tracer wraps it by this name
@@ -60,6 +59,11 @@ from .power import (
 )
 from .variance import PowerBounds, _pilot_df, plan_variance_pilot
 from .effect import plan_effect_pilot
+
+# numpy is imported inside the functions that draw (``_rng``, ``_respawn`` and
+# ``simulate_effect_pipeline``), so planning never loads it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ConfigError",
@@ -178,6 +182,7 @@ class SimulationReport:
 # ---------------------------------------------------------------------------
 
 def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    import numpy as np
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in spawn_key))))
 
@@ -310,6 +315,7 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
     config.validate()
     if config.scenario != EFFECT:
         raise ConfigError(f"expected an '{EFFECT}' scenario, got {config.scenario!r}")
+    import numpy as np
     design = config.design()
     reps = int(config.replicates)
     npil = int(config.pilot_n)
@@ -460,6 +466,7 @@ def _respawn(cfg: SimulationConfig, table_id: int, cell_idx: int) -> SimulationC
     # per-cell substream: fold the cell index into the spawn chain by deriving
     # a child seed from (seed, table, cell); the child is a plain 63-bit int
     # so the cell config remains a self-contained reproducible record
+    import numpy as np
     child = np.random.SeedSequence(cfg.seed, spawn_key=(table_id, cell_idx))
     sub_seed = int(child.generate_state(1, np.uint64)[0] >> np.uint64(1))
     return SimulationConfig(**{**asdict(cfg), "seed": sub_seed})

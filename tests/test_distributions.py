@@ -64,8 +64,8 @@ class TestNormCdf:
         assert norm_cdf(-1.281552) == pytest.approx(0.10, abs=1e-7)
 
     def test_scipy_cross_check(self):
-        xs = np.linspace(-8, 8, 401)
-        assert np.max(np.abs(norm_cdf(xs) - scipy_stats.norm.cdf(xs))) < 1e-14
+        xs = np.linspace(-8, 8, 401).tolist()
+        assert max(abs(norm_cdf(x) - scipy_stats.norm.cdf(x)) for x in xs) < 1e-14
 
     def test_symmetry(self):
         for x in (0.3, 1.0, 2.33, 5.5):
@@ -76,14 +76,17 @@ class TestNormCdf:
         assert norm_cdf(30.0) == 1.0
 
     def test_array_shape(self):
-        out = norm_cdf(np.zeros((3, 2)))
-        assert out.shape == (3, 2)
-        assert np.all(out == 0.5)
+        # one point per call: an array of any shape is a ValueError
+        zeros = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="scalar"):
+            norm_cdf(zeros)
+        assert all(norm_cdf(x) == 0.5 for x in zeros.ravel().tolist())
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            norm_cdf(float("nan"))
-        with pytest.raises(ValueError):
+        for x in (float("nan"), np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                norm_cdf(x)
+        with pytest.raises(ValueError, match="scalar"):
             norm_cdf(np.array([0.0, np.inf]))
 
 
@@ -100,10 +103,8 @@ class TestNormQuantile:
         assert norm_quantile(0.975) == pytest.approx(1.959963984540054, rel=1e-12)
 
     def test_round_trip_tight(self):
-        ps = np.concatenate([np.linspace(1e-9, 1 - 1e-9, 811),
-                             [1e-12, 1e-10, 1 - 1e-10]])
-        err = np.abs(norm_cdf(norm_quantile(ps)) - ps)
-        assert err.max() < 1e-10
+        ps = np.linspace(1e-9, 1 - 1e-9, 811).tolist() + [1e-12, 1e-10, 1 - 1e-10]
+        assert max(abs(norm_cdf(norm_quantile(p)) - p) for p in ps) < 1e-10
 
     def test_endpoints_rejected(self):
         for p in (0.0, 1.0, -0.1, 1.1):
@@ -407,13 +408,22 @@ def _same_bits(got, want):
     return type(got) is float and got.hex() == float(want).hex()
 
 
+def _one_point_forms(x):
+    """x as a float, a numpy scalar and a 0-d array: each is one point."""
+    return (x, np.float64(x), np.array(x))
+
+
 class TestProperties:
+    # the kernels take one point per call: a float, a numpy scalar and a 0-d
+    # array give the same bits, and a 1-element array is a ValueError
     @given(st.one_of(st.floats(-40.0, 40.0), _ulps_around(_CDF_EDGES, 4)))
     @settings(max_examples=400, deadline=None)
     def test_norm_cdf_scalar_path_matches_array(self, x):
-        want = norm_cdf(np.array([x]))[0]
-        assert _same_bits(norm_cdf(x), want)
-        assert _same_bits(norm_cdf(np.float64(x)), want)
+        want = norm_cdf(x)
+        for arg in _one_point_forms(x):
+            assert _same_bits(norm_cdf(arg), want)
+        with pytest.raises(ValueError, match="scalar"):
+            norm_cdf(np.array([x]))
 
     @given(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                      st.floats(-300.0, -0.01).map(lambda e: 10.0 ** e),
@@ -421,18 +431,26 @@ class TestProperties:
                      _ulps_around(_ACKLAM_SPLITS, 4)).filter(lambda p: 0.0 < p < 1.0))
     @settings(max_examples=400, deadline=None)
     def test_norm_quantile_scalar_path_matches_array(self, p):
-        want = norm_quantile(np.array([p]))[0]
-        assert _same_bits(norm_quantile(p), want)
-        assert _same_bits(norm_quantile(np.float64(p)), want)
+        want = norm_quantile(p)
+        for arg in _one_point_forms(p):
+            assert _same_bits(norm_quantile(arg), want)
+        with pytest.raises(ValueError, match="scalar"):
+            norm_quantile(np.array([p]))
 
     def test_scalar_paths_raise_as_arrays_do(self):
         for x in (math.nan, math.inf, -math.inf):
-            for arg in (x, np.float64(x), np.array(x), np.array([x])):
+            for arg in _one_point_forms(x):
                 with pytest.raises(ValueError, match="finite"):
                     norm_cdf(arg)
+            for arg in (np.array([x]), [x], (x,)):
+                with pytest.raises(ValueError, match="scalar"):
+                    norm_cdf(arg)
         for p in (0.0, 1.0, math.nan, -0.1, 1.1):
-            for arg in (p, np.float64(p), np.array(p), np.array([p])):
+            for arg in _one_point_forms(p):
                 with pytest.raises(ValueError, match="0 < p < 1"):
+                    norm_quantile(arg)
+            for arg in (np.array([p]), [p], (p,)):
+                with pytest.raises(ValueError, match="scalar"):
                     norm_quantile(arg)
 
     @given(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
@@ -443,28 +461,57 @@ class TestProperties:
            st.one_of(st.floats(0.05, 5000.0), st.integers(1, 200).map(float)))
     @settings(max_examples=400, deadline=None)
     def test_chisq_quantile_scalar_path_matches_array(self, p, df):
-        # a float, a 0-d input and a 1-element array, whose entry is its own
-        # scalar call, return the same bits; where the quantile is below the
-        # smallest double all raise
+        # a float and the 0-d forms return the same bits; where the quantile
+        # is below the smallest double all raise
+        with pytest.raises(ValueError, match="scalar"):
+            chisq_quantile(np.array([p]), df)
         try:
-            want = chisq_quantile(np.array([p]), df)[0]
+            want = chisq_quantile(p, df)
         except ConvergenceError:
-            for arg in (p, np.float64(p), np.array(p)):
+            for arg in _one_point_forms(p):
                 with pytest.raises(ConvergenceError, match="200-iteration cap"):
                     chisq_quantile(arg, df)
             return
-        for arg in (p, np.float64(p), np.array(p)):
+        for arg in _one_point_forms(p):
             assert _same_bits(chisq_quantile(arg, df), want)
 
     def test_chisq_quantile_scalar_raises_as_arrays_do(self):
         for p in (1.0, math.nan, -0.1, 1.1, math.inf):
-            for arg in (p, np.float64(p), np.array(p), np.array([p])):
+            for arg in _one_point_forms(p):
                 with pytest.raises(ValueError, match="0 <= p < 1"):
                     chisq_quantile(arg, 3.0)
+            with pytest.raises(ValueError, match="scalar"):
+                chisq_quantile(np.array([p]), 3.0)
         for df in (0.0, -1.0, math.nan, math.inf):
-            for arg in (0.5, np.array([0.5])):
+            for arg in _one_point_forms(0.5):
                 with pytest.raises(ValueError, match="degrees of freedom"):
                     chisq_quantile(arg, df)
+
+    @given(st.one_of(st.floats(-300.0, -100.0).map(lambda e: 10.0 ** e),
+                     st.floats(0.0, math.log(1e-10 * 2.0 ** 53)).map(
+                         lambda e: 1.0 - math.exp(e) * 2.0 ** -53)),
+           st.floats(0.5, 50.0))
+    @example(1e-162, 1.0)
+    @example(0.5, 1e-110)
+    @example(1e-200, 1e-300)
+    @settings(max_examples=300, deadline=None)
+    def test_chisq_quantile_far_tails(self, p, df):
+        # lower tails of 1e-300 to 1e-100, and upper tails of 2^-53 to 1e-10
+        # (as near 1 as a double gets).  There the step meets a tail of 0, a
+        # density that underflows or an exponent that overflows, and falls
+        # back to its bracket: the quantile meets the tolerance on its smaller
+        # tail or raises ConvergenceError (it is below the smallest double),
+        # never a bare ValueError, OverflowError or ZeroDivisionError.  So
+        # does the start below df 1e-102, where the Wilson-Hilferty cube of a
+        # negative base overflows
+        upper = p > 0.5
+        tail = 1.0 - p if upper else p
+        try:
+            x = chisq_quantile(p, df)
+        except ConvergenceError:
+            return
+        got = _gammainc_lower(0.5 * df, 0.5 * x)[upper]
+        assert abs(got - tail) <= distributions._INVERT_TOL * tail
 
     @given(st.floats(0.001, 0.999), st.sampled_from([1.0, 2.0, 5.0, 11.0, 24.0, 100.0]))
     @settings(max_examples=120, deadline=None)
@@ -524,17 +571,18 @@ class TestProperties:
            st.floats(1.0, 2000.0))
     @settings(max_examples=50, deadline=None)
     def test_chisq_quantile_array(self, ps, df):
-        # each entry is its own scalar call, within 1e-9 relative of scipy
-        # into both far tails, and monotone in p to that accuracy
+        # one scalar call per point, within 1e-9 relative of scipy into both
+        # far tails, and monotone in p to that accuracy; the array itself is
+        # a ValueError
         p = np.array(ps)
-        got = chisq_quantile(p, df)
-        assert got.tolist() == [chisq_quantile(v, df) for v in ps]
+        got = np.array([chisq_quantile(v, df) for v in ps])
         want = scipy_stats.chi2.ppf(p, df)
         assert np.abs(got / want - 1.0).max() <= 1e-9
         order = np.argsort(p, kind="stable")
         assert (np.diff(got[order]) >= -2e-9 * got[order][1:]).all()
         assert chisq_quantile(0.0, df) == 0.0
-        assert chisq_quantile(np.zeros(2), df).tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="scalar"):
+            chisq_quantile(np.zeros(2), df)
 
     @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99),
            st.sampled_from([2.0, 11.0, 100.0]))

@@ -14,6 +14,8 @@ translation.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -92,3 +94,29 @@ def test_simulate_cell(cell, capsys):
 def test_cli_output(name, capsys):
     assert main(CLI_CASES[name]) == 0
     assert capsys.readouterr().out == _golden(os.path.join("cli", name))
+
+
+# runs the CLI with argv, then reports on stderr whether numpy was imported
+_NUMPY_PROBE = ("import sys\nfrom pilotplan.cli import main\ncode = main()\n"
+                "print('numpy' in sys.modules, file=sys.stderr)\nsys.exit(code)")
+
+
+def _probe(*code_and_args: str) -> tuple[str, str]:
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", *code_and_args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr.strip()
+
+
+def test_planning_never_imports_numpy():
+    # each in a fresh process: importing the package and the README's
+    # planning commands leave numpy unloaded, and simulate, which draws,
+    # still loads it and prints its golden
+    assert _probe("import sys, pilotplan; print('numpy' in sys.modules)")[0] == "False\n"
+    for name in ("plan_variance", "plan_effect", "simulate"):
+        out, loaded = _probe(_NUMPY_PROBE, *CLI_COMMANDS[name])
+        assert out == _golden(os.path.join("cli", f"{name}.txt"))
+        assert loaded.splitlines()[-1] == str(name == "simulate")

@@ -175,7 +175,8 @@ def _array_estimates(cfg: SimulationConfig) -> np.ndarray:
     if cfg.scenario == "variance":
         df = 2 * npil - 2 if cfg.pooled_pilot else npil - 1
         u = _uniforms(_rng(cfg.seed, 1), cfg.replicates)
-        return cfg.effect / np.sqrt(cfg.sigma ** 2 * chisq_quantile(u, df) / df)
+        x = np.array([chisq_quantile(v, df) for v in u.tolist()])
+        return cfg.effect / np.sqrt(cfg.sigma ** 2 * x / df)
     design = cfg.design()
     z = _rng(cfg.seed, 2).standard_normal(cfg.replicates)
     mean = cfg.effect + cfg.sigma * math.sqrt(design.groups / npil) * z
@@ -429,7 +430,7 @@ class TestVariancePipeline:
         rep = simulate_variance_pipeline(cfg)
         df = cfg.pilot_n - 1
         u = _uniforms(_rng(cfg.seed, 1), cfg.replicates)
-        s2 = cfg.sigma ** 2 * chisq_quantile(u, df) / df
+        s2 = cfg.sigma ** 2 * np.array([chisq_quantile(v, df) for v in u.tolist()]) / df
         d_hat = cfg.effect / np.sqrt(s2)
         main_n = [main_sample_size(EffectSpec(float(d)), TWO, cfg.power_target, cfg.sizing_mode)
                   for d in d_hat]
@@ -625,9 +626,8 @@ KERNELS = ("norm_cdf", "norm_quantile", "chisq_quantile")
 
 
 class TestScalarKernels:
-    """The special functions take an array only entry by entry, one scalar
-    call each, so a pipeline that passed one would be slow: package code
-    passes them 0-d values alone."""
+    """The special functions take one point per call, and an array is a
+    ValueError: package code passes them 0-d values alone."""
 
     def test_package_passes_only_0d_values(self, monkeypatch):
         ndims = {name: [] for name in KERNELS}
