@@ -2,22 +2,23 @@
 noncentral t distributions.
 
 Everything downstream of this module (power solves, pilot sizing, simulation)
-calls only these functions.  The implementations are self-contained: the
-incomplete gamma and beta functions are evaluated by series / continued
-fraction with region switching, the noncentral t CDF by a Poisson-mixture
-series over incomplete beta ratios, and quantiles by guarded Newton iteration
-with bracket fallback.
+calls only these functions.  The normal comes from the standard library:
+``norm_cdf`` from libm's ``math.erfc``, ``norm_quantile`` from
+``statistics.NormalDist``.  The rest is written here: the incomplete gamma
+and beta functions are evaluated by series / continued fraction with region
+switching, the noncentral t CDF by a Poisson-mixture series over incomplete
+beta ratios, and quantiles by guarded Newton iteration with bracket fallback.
 
 The incomplete beta takes x and y = 1 - x, each computed by its caller
 without subtraction, as DiDonato & Morris's BRATIO does (ACM TOMS 18, 1992).
 
 Every function takes one point per call and computes on floats with the
-``math`` module alone, so the planners never import numpy.  A numpy scalar
-or 0-d array is one point; ``norm_cdf``, ``norm_quantile``,
-``chisq_quantile`` and ``nct_cdf`` reject an array, list or tuple with a
-ValueError.  Nothing in the package needs more: the variance simulation
-calls ``chisq_quantile`` only at the replicates it reads, and the effect
-simulation draws its normal and chi-square deviates from numpy's samplers.
+``math`` and ``statistics`` modules alone, so the planners never import
+numpy.  A numpy scalar or 0-d array is one point; an array, list or tuple
+in any argument is a ValueError.  Nothing in the package needs more: the
+variance simulation calls ``chisq_quantile`` only at the replicates it
+reads, and the effect simulation draws its normal and chi-square deviates
+from numpy's samplers.
 
 The power layer reaches the noncentral t only through ``_nct_abs_sf``, the
 two-sided tail P(|T| > t): T^2 is noncentral F(1, df, ncp^2), so that tail
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
+from statistics import NormalDist
 
 __all__ = [
     "ConvergenceError",
@@ -63,20 +65,6 @@ class ConvergenceError(RuntimeError):
     """An iterative evaluation hit its iteration cap before converging."""
 
 
-def _require_finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return x
-
-
-def _require_df(df: float) -> float:
-    df = float(df)
-    if not (math.isfinite(df) and df > 0):
-        raise ValueError(f"degrees of freedom must be positive and finite, got {df!r}")
-    return df
-
-
 def _point(fn: str, x) -> float:
     """x as one float; an array (ndim >= 1), list or tuple is a ValueError."""
     if getattr(x, "ndim", 0) or isinstance(x, (list, tuple)):
@@ -84,146 +72,44 @@ def _point(fn: str, x) -> float:
     return float(x)
 
 
+def _require_finite(fn: str, name: str, x) -> float:
+    x = _point(fn, x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
+
+
+def _require_df(fn: str, df) -> float:
+    df = _point(fn, df)
+    if not (math.isfinite(df) and df > 0):
+        raise ValueError(f"degrees of freedom must be positive and finite, got {df!r}")
+    return df
+
+
 # ---------------------------------------------------------------------------
 # Normal distribution
 # ---------------------------------------------------------------------------
 
-# Coefficients for erfc on [0.46875, 4] and (4, inf), and erf on [0, 0.46875]
-# (Cody's rational minimax approximations, double precision).
-_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02,
-          3.77485237685302021e02, 3.20937758913846947e03,
-          1.85777706184603153e-1)
-_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02,
-          1.28261652607737228e03, 2.84423683343917062e03)
-_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00,
-           6.61191906371416295e01, 2.98635138197400131e02,
-           8.81952221241769090e02, 1.71204761263407058e03,
-           2.05107837782607147e03, 1.23033935479799725e03,
-           2.15311535474403846e-8)
-_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02,
-           5.37181101862009858e02, 1.62138957456669019e03,
-           3.29079923573345963e03, 4.36261909014324716e03,
-           3.43936767414372164e03, 1.23033935480374942e03)
-_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
-           1.25781726111229246e-1, 1.60837851487422766e-2,
-           6.58749161529837803e-4, 1.63153871373020978e-2)
-_ERFC_Q = (2.56852019228982242e00, 1.87295284992346047e00,
-           5.27905102951428412e-1, 6.05183413124413191e-2,
-           2.33520497626869185e-3)
-
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-_ONE_OVER_SQRT_PI = 0.5641895835477563
-
-# Each erfc region and Acklam branch is one helper on a float, computed with
-# math's exp, log and floor.
-
-
-def _erfc_small(s):
-    """erfc(s) = 1 - erf(s) for 0 <= s <= 0.46875."""
-    z = s * s
-    num = _ERF_A[4] * z
-    den = z
-    for i in range(3):
-        num = (num + _ERF_A[i]) * z
-        den = (den + _ERF_B[i]) * z
-    return 1.0 - s * (num + _ERF_A[3]) / (den + _ERF_B[3])
-
-
-def _exp_neg_square(s, val):
-    """exp(-s^2) * val, with s^2 split at a multiple of 1/16 to keep its bits."""
-    ysq = math.floor(s * 16.0) / 16.0
-    del2 = (s - ysq) * (s + ysq)
-    return math.exp(-ysq * ysq) * math.exp(-del2) * val
-
-
-def _erfc_mid(s):
-    """erfc(s) for 0.46875 < s <= 4."""
-    num = _ERFC_C[8] * s
-    den = s
-    for i in range(7):
-        num = (num + _ERFC_C[i]) * s
-        den = (den + _ERFC_D[i]) * s
-    return _exp_neg_square(s, (num + _ERFC_C[7]) / (den + _ERFC_D[7]))
-
-
-def _erfc_big(s):
-    """erfc(s) for 4 < s <= 26.5; past 26.5 Cody's algorithm returns 0."""
-    z = 1.0 / (s * s)
-    num = _ERFC_P[5] * z
-    den = z
-    for i in range(4):
-        num = (num + _ERFC_P[i]) * z
-        den = (den + _ERFC_Q[i]) * z
-    val = z * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
-    return _exp_neg_square(s, (_ONE_OVER_SQRT_PI - val) / s)
-
-
-def _erfc_scalar(x: float) -> float:
-    """Complementary error function of one float, ~1 ulp accuracy."""
-    s = abs(x)
-    v = (_erfc_small(s) if s <= 0.46875 else _erfc_mid(s) if s <= 4.0
-         else _erfc_big(s) if s <= 26.5 else 0.0)
-    return 2.0 - v if x < 0.0 else v
+_STANDARD_NORMAL = NormalDist()
 
 
 def norm_cdf(x):
-    """Standard normal CDF."""
+    """Standard normal CDF, from libm's erfc."""
     x = _point("norm_cdf", x)
     if not math.isfinite(x):
         raise ValueError("norm_cdf requires finite input")
-    return 0.5 * _erfc_scalar(-x * _SQRT1_2)
-
-
-# Acklam's rational approximation to the normal quantile (start value; one
-# Halley step against the erfc-based CDF polishes it to ~1e-16).
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_ACK_SPLIT = 0.02425
-
-
-def _acklam_central(q):
-    """Acklam's start at p = 0.5 + q, for _ACK_SPLIT <= p <= 1 - _ACK_SPLIT."""
-    a, b = _ACK_A, _ACK_B
-    r = q * q
-    num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    return q * num / den
-
-
-def _acklam_tail(p):
-    """Acklam's start at p < _ACK_SPLIT; at 1 - p it is the negative."""
-    c, d = _ACK_C, _ACK_D
-    q = math.sqrt(-2.0 * math.log(p))
-    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-    return num / den
+    return 0.5 * math.erfc(-x * _SQRT1_2)
 
 
 def norm_quantile(p):
     """Standard normal quantile (inverse CDF) for 0 < p < 1; p in {0, 1}
-    raises ValueError."""
+    raises ValueError.  Wichura's AS241 (Appl. Statist. 37, 1988), as
+    ``statistics.NormalDist`` has it."""
     p = _point("norm_quantile", p)
     if not 0.0 < p < 1.0:
         raise ValueError("norm_quantile requires 0 < p < 1")
-    if p < _ACK_SPLIT:
-        x = _acklam_tail(p)
-    elif p > 1.0 - _ACK_SPLIT:
-        x = -_acklam_tail(1.0 - p)
-    else:
-        x = _acklam_central(p - 0.5)
-    # one Halley step on Phi(x) = p, with the density floored at _TINY
-    pdf = max(math.exp(-0.5 * (x * x)) * _INV_SQRT_2PI, _TINY)
-    u = (0.5 * _erfc_scalar(-x * _SQRT1_2) - p) / pdf
-    return x - u / (1.0 + 0.5 * x * u)
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +138,8 @@ def _gammainc_lower(a: float, x: float) -> tuple[float, float]:
                 return total * pre, 1.0 - total * pre
         raise ConvergenceError("incomplete gamma series hit the iteration cap")
     # continued fraction for Q(a, x), modified Lentz
-    b = x + 1.0 - a
+    # x >= a + 1, but past 2^53 b can round to 0: it takes the floor c and d do
+    b = max(x + 1.0 - a, _TINY)
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
@@ -275,11 +162,20 @@ def _gammainc_lower(a: float, x: float) -> tuple[float, float]:
 
 def chisq_cdf(x: float, df: float) -> float:
     """Chi-square CDF: regularized lower incomplete gamma P(df/2, x/2)."""
-    x = _require_finite("x", x)
-    df = _require_df(df)
+    x = _require_finite("chisq_cdf", "x", x)
+    df = _require_df("chisq_cdf", df)
     if x < 0.0:
         raise ValueError(f"chi-square CDF requires x >= 0, got {x!r}")
-    return min(1.0, max(0.0, _gammainc_lower(0.5 * df, 0.5 * x)[0]))
+    try:
+        return min(1.0, max(0.0, _gammainc_lower(0.5 * df, 0.5 * x)[0]))
+    except OverflowError:
+        raise ValueError(_df_too_large(df)) from None
+
+
+def _df_too_large(df: float) -> str:
+    # lgamma(df / 2) overflows, or the log of the factor scaling the tails
+    # cancels from terms so large that its exp does
+    return f"degrees of freedom {df!r} are too large for the incomplete gamma function"
 
 
 def _chisq_start(p: float, df: float) -> float:
@@ -327,7 +223,7 @@ def chisq_quantile(p, df: float):
     double.
     """
     p = _point("chisq_quantile", p)
-    df = _require_df(df)
+    df = _require_df("chisq_quantile", df)
     if not 0.0 <= p < 1.0:
         raise ValueError("chi-square quantile requires 0 <= p < 1")
     if p == 0.0:
@@ -336,7 +232,10 @@ def chisq_quantile(p, df: float):
     x, upper, lo, hi = _chisq_start(p, df), p > 0.5, 0.0, math.inf
     tail, sign = (1.0 - p, -1.0) if upper else (p, 1.0)
     for _ in range(_MAX_NEWTON):
-        got = _gammainc_lower(a, 0.5 * x)[upper]     # Q on the upper tail
+        try:
+            got = _gammainc_lower(a, 0.5 * x)[upper]     # Q on the upper tail
+        except OverflowError:
+            raise ValueError(_df_too_large(df)) from None
         if abs(got - tail) <= _INVERT_TOL * tail or hi - lo <= 1e-15 * x:
             return x
         short = (got < tail) != upper       # x lies below the quantile
@@ -428,8 +327,8 @@ def _t_mass(x: float, df: float, central: bool = False) -> float:
 
 def t_cdf(x: float, df: float) -> float:
     """Student t CDF via the incomplete beta function, from the tail P(T > |x|)."""
-    x = _require_finite("x", x)
-    df = _require_df(df)
+    x = _require_finite("t_cdf", "x", x)
+    df = _require_df("t_cdf", df)
     return _t_mass(-x, df) if x < 0.0 else 1.0 - _t_mass(x, df)
 
 
@@ -449,8 +348,8 @@ def t_quantile(p: float, df: float) -> float:
     of the target, relative, or at bracket collapse; ``_MAX_NEWTON`` steps
     raise, as does a quantile past about 1e154 (df under 2).
     """
-    p = float(p)
-    df = _require_df(df)
+    p = _point("t_quantile", p)
+    df = _require_df("t_quantile", df)
     if not (0.0 < p < 1.0):
         raise ValueError(f"t quantile requires 0 < p < 1, got {p!r}")
     if p == 0.5:
@@ -588,7 +487,7 @@ def _nct_abs_sf(t: float, df: float, ncp: float) -> float:
     F(1, df, ncp^2), so this is sum_j Pois(j; ncp^2 / 2) I_w(df/2, j + 1/2),
     the Poisson half of the nct_cdf series.  At ncp = 0: (1 - t_cdf(t)) + t_cdf(-t).
     """
-    ncp = _require_finite("ncp", ncp)
+    ncp = _require_finite("_nct_abs_sf", "ncp", ncp)
     lam = 0.5 * ncp * ncp
     if lam == 0.0:
         return (1.0 - t_cdf(t, df)) + t_cdf(-t, df)
@@ -617,9 +516,9 @@ def nct_cdf(x: float, df: float, ncp: float) -> float:
     accuracy (target 1e-8) against direct numerical integration.  Scalars
     only: an array argument is a ValueError.
     """
-    x = _require_finite("x", _point("nct_cdf", x))
-    df = _require_df(_point("nct_cdf", df))
-    ncp = _require_finite("ncp", _point("nct_cdf", ncp))
+    x = _require_finite("nct_cdf", "x", x)
+    df = _require_df("nct_cdf", df)
+    ncp = _require_finite("nct_cdf", "ncp", ncp)
     if ncp == 0.0:
         return t_cdf(x, df)
     try:

@@ -45,7 +45,7 @@ def effect_underpower_prob(pilot_n: int, mu0: float, mu_threshold: float,
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     z = (float(mu_threshold) - float(mu0)) / _effect_sd(sigma, design, pilot_n)
-    return 1.0 - norm_cdf(z)
+    return norm_cdf(-z)
 
 
 def effect_pilot_n(mu0: float, mu_threshold: float, sigma: float, p: float,
@@ -74,9 +74,9 @@ def effect_pilot_n(mu0: float, mu_threshold: float, sigma: float, p: float,
         raise ValueError(
             f"{side} side needs the threshold on the "
             f"{'high' if side == 'under' else 'low'} side of mu0")
-    r = norm_quantile(1.0 - p) * sigma / gap     # the closed form is groups r^2
+    r = -norm_quantile(p) * sigma / gap     # the closed form is groups r^2
     start = math.ceil(design.groups * r ** 2 - 1e-9) if abs(r) < _MAX_N else _MAX_N
-    return _first_true(lambda n: 1.0 - norm_cdf(gap / _effect_sd(sigma, design, n)) < p,
+    return _first_true(lambda n: norm_cdf(-gap / _effect_sd(sigma, design, n)) < p,
                        0, start, _MAX_N,
                        "pilot size exceeds 1e9; the threshold is too close to mu0")
 

@@ -164,7 +164,7 @@ def pilot_n_approx(sigma_ratio_sq: float, p: float, pooled: bool = False) -> int
         raise ValueError(f"variance ratio must be positive, got {sigma_ratio_sq!r}")
     if sigma_ratio_sq == 1.0:
         raise ValueError("variance ratio of exactly 1 gives an unbounded pilot size")
-    z = norm_quantile(1.0 - p)
+    z = -norm_quantile(p)
     df = 2.0 * z * z / (sigma_ratio_sq - 1.0) ** 2
     raw = (df / 2.0 if pooled else df) + 1.0
     return max(2, math.ceil(raw - 1e-9))

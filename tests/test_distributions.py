@@ -9,6 +9,7 @@ The implementations under test share no code with either.
 """
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -72,8 +73,13 @@ class TestNormCdf:
             assert norm_cdf(x) + norm_cdf(-x) == pytest.approx(1.0, abs=1e-15)
 
     def test_far_tails(self):
-        assert norm_cdf(-30.0) == pytest.approx(4.906713927147908e-198, rel=1e-12)
+        assert norm_cdf(-30.0) == pytest.approx(4.906713927147908e-198, rel=1e-12, abs=0.0)
         assert norm_cdf(30.0) == 1.0
+
+    def test_subnormal_tail(self):
+        # a subnormal: mpmath's ncdf(-38) at 30 digits is
+        # 2.88542836006878430835e-316, where scipy's ndtr returns 0
+        assert norm_cdf(-38.0) == pytest.approx(2.885428360068784e-316, rel=1e-6, abs=0.0)
 
     def test_array_shape(self):
         # one point per call: an array of any shape is a ValueError
@@ -110,6 +116,16 @@ class TestNormQuantile:
         for p in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 norm_quantile(p)
+
+    def test_against_ndtri(self):
+        # p log-uniform over [5e-324, 0.5], down into the subnormals, and the
+        # mirror 1 - q for q log-uniform over [2^-53, 0.5]
+        rng = np.random.default_rng(18)
+        low = np.exp(rng.uniform(math.log(5e-324), math.log(0.5), 2000))
+        high = 1.0 - np.exp(rng.uniform(-53.0 * math.log(2.0), math.log(0.5), 2000))
+        ps = np.concatenate([low, high, [5e-324, sys.float_info.min, 1.0 - 2.0 ** -53]])
+        got = np.array([norm_quantile(p) for p in ps.tolist()])
+        assert np.abs(got / scipy_special.ndtri(ps) - 1.0).max() <= 2e-15
 
 
 class TestChiSquare:
@@ -166,6 +182,26 @@ class TestChiSquare:
     def test_quantile_p_one_rejected(self):
         with pytest.raises(ValueError):
             chisq_quantile(1.0, 5)
+
+    @pytest.mark.parametrize("fn,args", [
+        (chisq_cdf, (1.0, 1.7e308)),        # lgamma(df / 2) overflows
+        (chisq_quantile, (0.5, 1e308)),
+        (chisq_cdf, (1e300, 1e300)),        # x + 1 - a rounds to 0 in the fraction
+        (chisq_quantile, (0.5, 1e300)),
+        (chisq_cdf, (1e20, 1e20)),
+    ])
+    def test_huge_df_raises_a_named_error(self, fn, args):
+        # each call returns scipy's value or raises one of the package's
+        # errors, never a bare OverflowError or ZeroDivisionError
+        want = (scipy_stats.chi2.cdf if fn is chisq_cdf else scipy_stats.chi2.ppf)(*args)
+        try:
+            got = fn(*args)
+        except ValueError as exc:
+            assert "degrees of freedom" in str(exc)
+        except ConvergenceError:
+            pass
+        else:
+            assert got == pytest.approx(want, rel=1e-8)
 
     def test_round_trip(self):
         # spec'd grid: cdf(quantile(p)) = p within 1e-8
@@ -398,7 +434,9 @@ def _ulps_around(points, spread):
         lambda t: t[0] + t[1] * math.ulp(t[0]))
 
 
-# erfc's region edges, in its own argument and in x = -sqrt(2) * argument
+# points where the normal kernels once switched approximations, kept as
+# inputs: Cody's erfc regions (in its argument and in x = -sqrt(2) * argument)
+# and the edges of Acklam's central region
 _CDF_EDGES = [sign * edge * scale for edge in (0.46875, 4.0, 26.5)
               for scale in (1.0, math.sqrt(2.0)) for sign in (1.0, -1.0)]
 _ACKLAM_SPLITS = [0.02425, 1.0 - 0.02425]
@@ -486,6 +524,26 @@ class TestProperties:
             for arg in _one_point_forms(0.5):
                 with pytest.raises(ValueError, match="degrees of freedom"):
                     chisq_quantile(arg, df)
+
+    @pytest.mark.parametrize("fn,args,at", [
+        (norm_cdf, (0.5,), 0), (norm_quantile, (0.5,), 0),
+        (chisq_cdf, (1.0, 3.0), 0), (chisq_cdf, (1.0, 3.0), 1),
+        (chisq_quantile, (0.5, 3.0), 0), (chisq_quantile, (0.5, 3.0), 1),
+        (t_cdf, (1.0, 5.0), 0), (t_cdf, (1.0, 5.0), 1),
+        (t_quantile, (0.9, 5.0), 0), (t_quantile, (0.9, 5.0), 1),
+        (nct_cdf, (1.0, 5.0, 1.5), 0), (nct_cdf, (1.0, 5.0, 1.5), 1),
+        (nct_cdf, (1.0, 5.0, 1.5), 2),
+    ])
+    @pytest.mark.parametrize("wrap", [np.array, list, tuple], ids=["array", "list", "tuple"])
+    def test_one_element_sequence_is_not_a_point(self, fn, args, at, wrap):
+        # every argument of every public kernel goes through one scalar check:
+        # a 1-element array, list or tuple is the package's ValueError naming
+        # the function, not float()'s TypeError
+        bad = list(args)
+        bad[at] = wrap([args[at]])
+        with pytest.raises(ValueError, match=f"{fn.__name__} takes scalar arguments"):
+            fn(*bad)
+        assert fn(*args) == fn(*map(np.float64, args))
 
     @given(st.one_of(st.floats(-300.0, -100.0).map(lambda e: 10.0 ** e),
                      st.floats(0.0, math.log(1e-10 * 2.0 ** 53)).map(

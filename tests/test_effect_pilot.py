@@ -86,6 +86,13 @@ class TestPilotSize:
         sizes = [effect_pilot_n(0.5, 0.63, 1.0, p, TWO) for p in (0.1, 0.2, 0.3, 0.4)]
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
+    @pytest.mark.parametrize("p,n", [(1e-16, 13521), (1e-17, 14429)])
+    def test_tiny_miss_probability(self, p, n):
+        # 2 z_{1-p}^2 / 0.1^2 with scipy's norm.isf: 13520.53 and 14428.90;
+        # z comes from the tail p itself, since 1 - p keeps few of its digits
+        # and is 1 at 1e-17
+        assert effect_pilot_n(0.5, 0.6, 1.0, p, TWO) == n
+
     @pytest.mark.parametrize("mu0,mu_threshold", [
         (1e-200, 2e-200),       # the closed form's square overflows
         (0.5, 0.5 + 1e-9),      # about 1.4e18 per group

@@ -176,6 +176,13 @@ class TestApproximation:
         assert [pilot_n_approx(CANONICAL_RATIO, p, pooled=True) for p in ps] == [13, 7, 3]
         assert [pilot_n_approx(CANONICAL_RATIO, p, pooled=False) for p in ps] == [25, 12, 5]
 
+    @pytest.mark.parametrize("p,n", [(1e-16, 847), (1e-17, 903)])
+    def test_tiny_miss_probability(self, p, n):
+        # 2 z_{1-p}^2 / 0.4^2 + 1 with scipy's norm.isf: 846.03 and 902.81;
+        # z comes from the tail p itself, since 1 - p keeps few of its digits
+        # and is 1 at 1e-17
+        assert pilot_n_approx(0.6, p) == n
+
     def test_unit_ratio_rejected(self):
         with pytest.raises(ValueError):
             pilot_n_approx(1.0, 0.2)
