@@ -12,11 +12,6 @@ normal data the sample mean (or difference of means) is N(mu, g sigma^2 / n)
 and independent of df S^2 / sigma^2, which is chi-square on df (Cochran's
 theorem).  So an effect replicate takes one normal and one chi-square
 deviate, a variance replicate one chi-square deviate, whatever the pilot size.
-A variance replicate's chi-square deviate inverts a uniform.  An effect
-replicate's deviates, which every estimate needs, come from numpy's samplers:
-the ziggurat for the normal (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000)
-and the gamma sampler for the chi-square (Marsaglia & Tsang, ACM TOMS 26,
-2000).
 
 Nor is every replicate's main study sized.  The main size never increases as
 the estimate grows, so the reported size quantiles are the exact sizes of
@@ -25,27 +20,37 @@ five order statistics of the estimates, by the integer search of
 underpowered exactly when n_crit - 1 subjects, one fewer than the threshold
 power needs at the true effect, already reach the target power at its
 estimate; that holds from some estimate on, so ``bisect`` counts the flags.
-A variance estimate falls as its uniform rises, so of R replicates only the
-5 + log2 R or so estimates read are computed, at their ranks in the uniforms.
 
-Randomness: one logical seed per run; each scenario/cell derives its
-streams through numpy's SeedSequence spawn keys, each drawn from a
-counter-based (Philox) generator.  Replicate r reads entry r of each of its
-cell's streams: the variance uniforms (spawn key 1), the effect's normal
-deviates (spawn key 2) and its chi-square deviates (spawn key 3).  So
-results do not depend on execution order, and a run is a prefix of any
-longer run with the same seed.
+Nor is every replicate drawn where one uniform orders the estimates: a
+variance estimate falls as its chi-square uniform u rises, and so does a
+known-sigma estimate, mu / sigma - sqrt(g / n) Phi^-1(u).  Those runs read
+order statistics of R uniforms, each drawn when first read (``_OrderStats``;
+Devroye 1986, Non-Uniform Random Variate Generation, ch. V), about
+5 + log2 R of them (known sigma, which merges its signs, reads about
+(log2 R)^2), and never import numpy.  A pooled-SD estimate takes two
+deviates, so no one uniform orders it: every replicate is drawn, the normal
+from numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) and
+the chi-square from its gamma sampler (Marsaglia & Tsang, ACM TOMS 26, 2000).
+
+Randomness: one seed per run.  The order statistics come from
+``random.Random(seed).betavariate`` in the order they are read: ``_report``
+reads the flags first, then the quantiles, and changing that order changes
+the stream.  Replicate r of a pooled-SD run reads entry r of two Philox
+streams (numpy SeedSequence spawn keys 2 and 3), so such a run alone is a
+prefix of any longer run with the same seed.  A table cell's seed is drawn
+from (seed, table, cell).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, asdict
+import numbers
+import random
+from dataclasses import dataclass, field, asdict, replace
 from typing import TYPE_CHECKING
 
-from .distributions import chisq_quantile
-from .distributions import norm_quantile  # noqa: F401  unused here; perfbench's tracer wraps it by this name
+from .distributions import chisq_quantile, norm_quantile
 from .power import (
     EffectSpec,
     TWO_SAMPLE,
@@ -60,8 +65,7 @@ from .power import (
 from .variance import PowerBounds, _pilot_df, plan_variance_pilot
 from .effect import plan_effect_pilot
 
-# numpy is imported inside the functions that draw (``_rng``, ``_respawn`` and
-# ``simulate_effect_pipeline``), so planning never loads it
+# numpy is imported inside ``_rng`` alone, which only a pooled-SD run calls
 if TYPE_CHECKING:
     import numpy as np
 
@@ -113,8 +117,8 @@ class SimulationConfig:
             self.design()       # checks kind and alpha
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if int(self.replicates) < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates!r}")
+        _require_count("seed", self.seed, 0)
+        _require_count("replicates", self.replicates, 1)
         if not (0.0 < self.power_target < 1.0):
             raise ConfigError(f"power_target must be in (0, 1), got {self.power_target!r}")
         if not (0.0 < self.underpower_threshold < self.power_target):
@@ -128,8 +132,7 @@ class SimulationConfig:
         if self.sizing_mode not in (Z_APPROX, T_ITERATIVE):
             raise ConfigError(f"sizing_mode must be '{Z_APPROX}' or '{T_ITERATIVE}'")
         if self.scenario == VARIANCE:
-            if int(self.pilot_n) < 2:
-                raise ConfigError(f"variance pilots need pilot_n >= 2, got {self.pilot_n!r}")
+            _require_count("pilot_n of a variance pilot", self.pilot_n, 2)
             if self.estimator != POOLED_SD:
                 raise ConfigError(f"estimator applies to the '{EFFECT}' scenario only, "
                                   f"got {self.estimator!r}")
@@ -138,14 +141,18 @@ class SimulationConfig:
                 raise ConfigError(f"pooled_pilot applies to the '{VARIANCE}' scenario only")
             if self.estimator not in (POOLED_SD, KNOWN_SIGMA):
                 raise ConfigError(f"estimator must be '{POOLED_SD}' or '{KNOWN_SIGMA}'")
-            min_n = 2 if self.estimator == POOLED_SD else 1
-            if int(self.pilot_n) < min_n:
-                raise ConfigError(
-                    f"effect pilots need pilot_n >= {min_n} with the {self.estimator} "
-                    f"estimator, got {self.pilot_n!r}")
+            _require_count(f"pilot_n with the {self.estimator} estimator", self.pilot_n,
+                           2 if self.estimator == POOLED_SD else 1)
 
     def design(self) -> TestDesign:
         return TestDesign(self.kind, self.alpha)
+
+
+def _require_count(what: str, value, least: int) -> None:
+    # an int (not a bool) of at least ``least``: a float or a negative seed
+    # would run as some other integer than the one echoed
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -187,10 +194,71 @@ def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
         np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in spawn_key))))
 
 
-def _uniforms(rng: np.random.Generator, reps: int) -> np.ndarray:
-    # uniforms on the open interval (0, 1): integers 1 .. 2^53 - 1 over 2^53;
-    # replicate r reads entry r, so a run is a prefix of any longer run
-    return rng.integers(1, 1 << 53, size=reps).astype(float) / float(1 << 53)
+# the open interval (0, 1) that every drawn uniform is clamped into
+_TINY, _BELOW_ONE = math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)
+
+
+class _OrderStats:
+    """Item k is f at the k-th largest of ``reps`` uniforms, drawn when first
+    read (ascending for a falling f).  Rank i is drawn between the nearest
+    drawn ranks lo < i < hi (sentinels 0.0 at rank 0 and 1.0 at rank reps + 1)
+    as v_lo + (v_hi - v_lo) Beta(i - lo, hi - i), so the draws depend on the
+    order of reads."""
+
+    def __init__(self, reps: int, seed: int, f):
+        self._reps, self._f = reps, f
+        self._beta = random.Random(seed).betavariate
+        self._ranks, self._u = [0, reps + 1], [0.0, 1.0]
+        self._items: dict = {}
+
+    def __len__(self) -> int:
+        return self._reps
+
+    def __getitem__(self, k: int) -> float:
+        if k in self._items:
+            return self._items[k]
+        if not 0 <= k < self._reps:
+            raise IndexError(k)
+        i = self._reps - k
+        j = bisect.bisect_left(self._ranks, i)
+        (lo, hi), (v_lo, v_hi) = self._ranks[j - 1:j + 1], self._u[j - 1:j + 1]
+        v = v_lo + (v_hi - v_lo) * self._beta(i - lo, hi - i)
+        v = min(max(v, v_lo, _TINY), v_hi, _BELOW_ONE)    # ties are allowed
+        self._ranks.insert(j, i)
+        self._u.insert(j, v)
+        item = self._items[k] = self._f(v)
+        return item
+
+
+class _Magnitudes:
+    """The magnitudes of the nonzero items of the ascending sequence ``e``,
+    ascending: the negative items reversed, merged with the positive ones.
+    Item k is found by two-sequence selection in about 2 log2 len(e) reads."""
+
+    def __init__(self, e):
+        self.e = e
+        self._neg = bisect.bisect_left(e, 0.0)
+        self.nonpositive = bisect.bisect_right(e, 0.0, lo=self._neg)
+        self._pos = len(e) - self.nonpositive
+
+    def __len__(self) -> int:
+        return self._neg + self._pos
+
+    def _a(self, i: int) -> float:      # the i-th smallest negative magnitude
+        return -float(self.e[self._neg - 1 - i])
+
+    def _b(self, j: int) -> float:      # the j-th smallest positive item
+        return float(self.e[self.nonpositive + j])
+
+    def __getitem__(self, k: int) -> float:
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        # i of the k + 1 smallest are negative: the first i at which taking
+        # one more negative would pass the positive it displaces
+        lo = max(0, k + 1 - self._pos)
+        i = lo + bisect.bisect_left(range(lo, min(k + 1, self._neg)), True,
+                                    key=lambda t: self._a(t) >= self._b(k - t))
+        return max(self._a(i - 1) if i else 0.0, self._b(k - i) if i <= k else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,31 +319,18 @@ def _report(config: SimulationConfig, d, nonpositive: int) -> SimulationReport:
     design = config.design()
     true_effect = EffectSpec(config.effect, config.sigma)
     n_crit = main_sample_size(true_effect, design, config.underpower_threshold, T_ITERATIVE)
-    r = int(config.replicates)
+    r = config.replicates
+    # the flags are read first, then the quantiles: a lazily drawn ``d``
+    # draws in this order
     p_hat = _underpower_count(d, design, config, n_crit) / r
     return SimulationReport(
         empirical_underpower=p_hat,
         mc_standard_error=math.sqrt(p_hat * (1.0 - p_hat) / r),
-        nonpositive_effects=int(nonpositive),
+        nonpositive_effects=nonpositive,
         main_n_quantiles=_main_n_quantiles(d, design, config.power_target,
                                            config.sizing_mode),
         config=asdict(config),
     )
-
-
-class _Ascending:
-    """Item k is f at the k-th largest of u, computed when read: ascending for
-    a falling f.  It sorts u in place."""
-
-    def __init__(self, u: np.ndarray, f):
-        u.sort()
-        self._u, self._f = u[::-1], f
-
-    def __len__(self) -> int:
-        return self._u.size
-
-    def __getitem__(self, k: int) -> float:
-        return self._f(float(self._u[k]))
 
 
 def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -290,16 +345,15 @@ def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
     config.validate()
     if config.scenario != VARIANCE:
         raise ConfigError(f"expected a '{VARIANCE}' scenario, got {config.scenario!r}")
-    npil = int(config.pilot_n)
 
     # (df) S^2 / sigma^2 is chi-square on df = n - 1, or 2n - 2 pooled
-    df = _pilot_df(npil, config.pooled_pilot)
-    u = _uniforms(_rng(config.seed, 1), int(config.replicates))
+    df = _pilot_df(config.pilot_n, config.pooled_pilot)
 
     def estimate(p: float) -> float:
         return config.effect / math.sqrt(config.sigma ** 2 * chisq_quantile(p, df) / df)
 
-    return _report(config, _Ascending(u, estimate), nonpositive=0)
+    return _report(config, _OrderStats(config.replicates, config.seed, estimate),
+                   nonpositive=0)
 
 
 def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -315,29 +369,30 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
     config.validate()
     if config.scenario != EFFECT:
         raise ConfigError(f"expected an '{EFFECT}' scenario, got {config.scenario!r}")
-    import numpy as np
     design = config.design()
-    reps = int(config.replicates)
-    npil = int(config.pilot_n)
+    reps, npil = config.replicates, config.pilot_n
+    spread = math.sqrt(design.groups / npil)
 
     # the mean (two-sample: difference of means) is N(mu, g sigma^2 / n) and
-    # independent of the pooled S^2, which is sigma^2 chi2(g (n - 1)) / df;
-    # the estimates are built in place, one array at a time
-    d = _rng(config.seed, 2).standard_normal(reps)
-    d *= config.sigma * math.sqrt(design.groups / npil)
-    d += config.effect
-    if config.estimator == POOLED_SD:
+    # independent of the pooled S^2, which is sigma^2 chi2(g (n - 1)) / df
+    if config.estimator == KNOWN_SIGMA:
+        mu = config.effect / config.sigma
+        e = _OrderStats(reps, config.seed, lambda u: mu - spread * norm_quantile(u))
+    else:
+        # the estimates are built in place, one array at a time
+        e = _rng(config.seed, 2).standard_normal(reps)
+        e *= config.sigma * spread
+        e += config.effect
         df = design.df(npil)
         s = _rng(config.seed, 3).chisquare(df, reps)
         s /= df
-        d /= np.multiply(config.sigma, np.sqrt(s, out=s), out=s)
+        s **= 0.5
+        s *= config.sigma
+        e /= s
         del s
-    else:
-        d /= config.sigma
-    nonpositive = np.count_nonzero(d <= 0.0)
-    d = d[d != 0.0]
-    np.negative(np.abs(d, out=d), out=d)      # read back through abs, ascending
-    return _report(config, _Ascending(d, abs), nonpositive=nonpositive)
+        e.sort()
+    d = _Magnitudes(e)
+    return _report(config, d, nonpositive=d.nonpositive)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +470,7 @@ def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0) -> Tab
     replicates = int(replicates)
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates!r}")
+    _require_count("seed", seed, 0)
     cells = []
     extra: dict = {}
     cell_idx = 0
@@ -463,10 +519,8 @@ def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0) -> Tab
 
 
 def _respawn(cfg: SimulationConfig, table_id: int, cell_idx: int) -> SimulationConfig:
-    # per-cell substream: fold the cell index into the spawn chain by deriving
-    # a child seed from (seed, table, cell); the child is a plain 63-bit int
-    # so the cell config remains a self-contained reproducible record
-    import numpy as np
-    child = np.random.SeedSequence(cfg.seed, spawn_key=(table_id, cell_idx))
-    sub_seed = int(child.generate_state(1, np.uint64)[0] >> np.uint64(1))
-    return SimulationConfig(**{**asdict(cfg), "seed": sub_seed})
+    # per-cell substream: a child seed drawn from (seed, table, cell); the
+    # child is a plain 63-bit int so the cell config remains a self-contained
+    # reproducible record
+    child = random.Random(f"{cfg.seed}:{table_id}:{cell_idx}").getrandbits(63)
+    return replace(cfg, seed=child)

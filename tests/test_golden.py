@@ -82,11 +82,14 @@ def test_reference_grid(table_id, capsys):
     assert capsys.readouterr().out == _golden(f"table{table_id}_reps200_seed9.json") + "\n"
 
 
+def _simulate_argv(cell: str) -> list:
+    return ["simulate", *SIMULATE_CELLS[cell], "--seed", "9", "--reps", "2000",
+            "--sizing-mode", "t-iterative", "--format", "json"]
+
+
 @pytest.mark.parametrize("cell", sorted(SIMULATE_CELLS))
 def test_simulate_cell(cell, capsys):
-    code = main(["simulate", *SIMULATE_CELLS[cell], "--seed", "9", "--reps", "2000",
-                 "--sizing-mode", "t-iterative", "--format", "json"])
-    assert code == 0
+    assert main(_simulate_argv(cell)) == 0
     assert capsys.readouterr().out == _golden(f"{cell}_reps2000_seed9.json")
 
 
@@ -112,11 +115,18 @@ def _probe(*code_and_args: str) -> tuple[str, str]:
 
 
 def test_planning_never_imports_numpy():
-    # each in a fresh process: importing the package and the README's
-    # planning commands leave numpy unloaded, and simulate, which draws,
-    # still loads it and prints its golden
+    # each in a fresh process, printing its golden: importing the package,
+    # the README's planning commands, variance and known-sigma simulations and
+    # table 1 leave numpy unloaded; a pooled-SD simulation and table 2, whose
+    # estimates need numpy's samplers, load it
     assert _probe("import sys, pilotplan; print('numpy' in sys.modules)")[0] == "False\n"
-    for name in ("plan_variance", "plan_effect", "simulate"):
-        out, loaded = _probe(_NUMPY_PROBE, *CLI_COMMANDS[name])
-        assert out == _golden(os.path.join("cli", f"{name}.txt"))
-        assert loaded.splitlines()[-1] == str(name == "simulate")
+    cases = [(CLI_COMMANDS[name], f"cli/{name}.txt", name == "simulate")
+             for name in ("plan_variance", "plan_effect", "simulate")]
+    cases += [(_simulate_argv(cell), f"{cell}_reps2000_seed9.json", cell.endswith("pooled"))
+              for cell in sorted(SIMULATE_CELLS)]
+    cases += [(CLI_CASES[f"tables_id{i}_reps200_seed9.txt"], f"cli/tables_id{i}_reps200_seed9.txt",
+               i == 2) for i in (1, 2)]
+    for argv, golden, numpy_loaded in cases:
+        out, loaded = _probe(_NUMPY_PROBE, *argv)
+        assert out == _golden(golden), golden
+        assert loaded.splitlines()[-1] == str(numpy_loaded), golden

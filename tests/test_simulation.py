@@ -5,7 +5,7 @@ of each pipeline's flagging event (worked out independently of the harness);
 the tight ones are frozen determinism checks.
 """
 
-import bisect
+import functools
 import math
 import sys
 from dataclasses import asdict
@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pilotplan.cli import emit
-from pilotplan.distributions import (
-    _nct_abs_sf, chisq_quantile, nct_cdf, t_quantile)
+from pilotplan.distributions import nct_cdf
 from pilotplan.power import (
     EffectSpec,
     ONE_SAMPLE,
@@ -25,7 +24,6 @@ from pilotplan.power import (
     T_ITERATIVE,
     Z_APPROX,
     TestDesign,
-    _zsum,
     effect_for_n,
     main_sample_size,
     power_at,
@@ -41,7 +39,7 @@ from pilotplan.simulation import (
     simulate_effect_pipeline,
     simulate_variance_pipeline,
 )
-from pilotplan.simulation import _rng, _uniforms
+from pilotplan.simulation import _Magnitudes, _OrderStats, _rng
 import pilotplan.power as power_module
 import pilotplan.simulation as simulation
 
@@ -105,10 +103,34 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="expected an 'effect' scenario, got 'variance'"):
             simulate_effect_pipeline(variance_cfg())
 
-    def test_fails_before_sampling(self):
+    @pytest.mark.parametrize("sim,cfg", [
+        (simulate_effect_pipeline, effect_cfg(sigma=-1.0)),
+        # counts and seeds that are not integers would run as other integers
+        # than the ones echoed, and random.seed takes -3 as 3
+        (simulate_variance_pipeline, variance_cfg(replicates=2.5)),
+        (simulate_variance_pipeline, variance_cfg(pilot_n=12.7)),
+        (simulate_effect_pipeline, effect_cfg(pilot_n=12.7)),
+        (simulate_effect_pipeline, effect_cfg(replicates=2.5, estimator=KNOWN_SIGMA)),
+        (simulate_variance_pipeline, variance_cfg(seed=1.5)),
+        (simulate_variance_pipeline, variance_cfg(seed=True)),
+        (simulate_variance_pipeline, variance_cfg(seed=-3)),
+        (simulate_effect_pipeline, effect_cfg(seed=-3)),
+        (simulate_effect_pipeline, effect_cfg(seed=1.5, estimator=KNOWN_SIGMA)),
+    ])
+    def test_fails_before_sampling(self, monkeypatch, sim, cfg):
         # validation errors must not depend on the RNG being usable
+        def no_draws(*args):
+            raise AssertionError("drew before validating")
+
+        monkeypatch.setattr(simulation, "_rng", no_draws)
+        monkeypatch.setattr(simulation, "_OrderStats", no_draws)
         with pytest.raises(ConfigError):
-            simulate_effect_pipeline(effect_cfg(sigma=-1.0))
+            sim(cfg)
+
+    def test_table_seed_must_be_a_count(self):
+        for seed in (-3, 1.5, True):
+            with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+                reproduce_table(1, 10, seed=seed)
 
 
 class TestDeterminism:
@@ -127,94 +149,95 @@ class TestDeterminism:
         b = reproduce_table(1, replicates=60, seed=9)
         assert a == b
 
-    @pytest.mark.parametrize("sim,cfg", [
-        (simulate_variance_pipeline, variance_cfg(pooled_pilot=True)),
-        (simulate_variance_pipeline, variance_cfg(kind="one-sample")),
-        (simulate_effect_pipeline, effect_cfg()),
-        (simulate_effect_pipeline, effect_cfg(kind="one-sample", estimator=KNOWN_SIGMA)),
-    ], ids=["variance-pooled", "variance-one-sample", "effect-pooled-sd", "effect-known-sigma"])
-    def test_short_run_is_prefix_of_long_run(self, monkeypatch, sim, cfg):
-        # replicate r reads entry r of each of its streams, so the first m
-        # replicates of a run are exactly an m-replicate run.  The report is
-        # built from the estimates in ascending order, so the replicate order
-        # is rebuilt from the streams by the array oracle, and each run's
-        # ascending estimates must be the oracle's, sorted
+    @pytest.mark.parametrize("kind", [TWO_SAMPLE, ONE_SAMPLE])
+    def test_pooled_sd_short_run_is_prefix_of_long_run(self, kind):
+        # a pooled-SD replicate r reads entry r of each of its numpy streams,
+        # so the first m replicates of a run are exactly an m-replicate run.
+        # The report is built from the estimates in ascending order, so the
+        # replicate order is rebuilt from the streams, and each run's
+        # completed sample must be the streams' estimates, sorted
         runs = []
         for reps in (300, 120):
-            cfg_r = SimulationConfig(**{**asdict(cfg), "replicates": reps})
-            d = _array_estimates(cfg_r)
-            ascending = _estimates(monkeypatch, sim, cfg_r, reps)[1]
-            assert ascending == np.sort(np.abs(d[d != 0.0])).tolist()
+            cfg = effect_cfg(kind=kind, replicates=reps)
+            d = _pooled_sd_estimates(cfg)
+            assert _completed(simulate_effect_pipeline, cfg)[1] == np.sort(d).tolist()
             runs.append(d)
         long_run, short_run = runs
         assert short_run.tolist() == long_run[:120].tolist()
 
 
-def _estimates(monkeypatch, sim, cfg, replicates):
-    """The report of a run and the positive estimates it was built from, in
-    the ascending order ``_report`` reads them (every one is computed)."""
+class TestCompletedSample:
+    """A run that draws order statistics on demand reads only a few of them.
+    Reading every item after the report is built completes its sample, and
+    sizing and flagging every replicate of that sample by brute force must
+    give the same report, exactly."""
+
+    @pytest.mark.parametrize("sim,cfg", [
+        (simulate_variance_pipeline, variance_cfg(pooled_pilot=True, replicates=300)),
+        (simulate_variance_pipeline, variance_cfg(kind="one-sample", replicates=300)),
+        (simulate_effect_pipeline, effect_cfg(kind="one-sample", pilot_n=4,
+                                              estimator=KNOWN_SIGMA, replicates=300)),
+        (simulate_effect_pipeline, effect_cfg(effect=0.2, pilot_n=3, sizing_mode=Z_APPROX,
+                                              estimator=KNOWN_SIGMA, replicates=300)),
+    ], ids=["variance-pooled", "variance-one-sample", "effect-known-sigma",
+            "effect-known-sigma-z"])
+    def test_report_is_brute_force(self, sim, cfg):
+        rep, e = _completed(sim, cfg)
+        assert rep == _brute_force_report(cfg, e)
+        assert 0 < rep.empirical_underpower < 1
+        if cfg.scenario == "effect":
+            assert 0 < rep.nonpositive_effects < cfg.replicates
+
+
+def _completed(sim, cfg):
+    """The report of a run and its completed sample: every replicate's
+    estimate (signed) in ascending order.  The items are read from the run's
+    own container after ``_report`` returns, so the report's reads draw as in
+    any other run."""
     seen = []
     report = simulation._report
 
     def recording(config, d, nonpositive):
-        seen.append(list(d))
-        return report(config, d, nonpositive)
+        rep = report(config, d, nonpositive)
+        seen.append(d)
+        return rep
 
-    monkeypatch.setattr(simulation, "_report", recording)
-    rep = sim(SimulationConfig(**{**asdict(cfg), "replicates": replicates}))
-    monkeypatch.setattr(simulation, "_report", report)
-    return rep, seen[0]
-
-
-def _array_estimates(cfg: SimulationConfig) -> np.ndarray:
-    """Every replicate's estimate, in replicate order, from the run's streams:
-    the variance uniforms through the chi-square quantile, one entry at a
-    time, and the effect's numpy normal and chi-square deviates (signed for
-    the effect scenario)."""
-    npil = cfg.pilot_n
-    if cfg.scenario == "variance":
-        df = 2 * npil - 2 if cfg.pooled_pilot else npil - 1
-        u = _uniforms(_rng(cfg.seed, 1), cfg.replicates)
-        x = np.array([chisq_quantile(v, df) for v in u.tolist()])
-        return cfg.effect / np.sqrt(cfg.sigma ** 2 * x / df)
-    design = cfg.design()
-    z = _rng(cfg.seed, 2).standard_normal(cfg.replicates)
-    mean = cfg.effect + cfg.sigma * math.sqrt(design.groups / npil) * z
-    if cfg.estimator == KNOWN_SIGMA:
-        return mean / cfg.sigma
-    df = design.df(npil)
-    return mean / (cfg.sigma * np.sqrt(_rng(cfg.seed, 3).chisquare(df, cfg.replicates) / df))
+    with mock.patch.object(simulation, "_report", recording):
+        rep = sim(cfg)
+    d, = seen
+    e = [float(x) for x in getattr(d, "e", d)]     # an effect run's signed estimates
+    assert len(e) == cfg.replicates and e == sorted(e)
+    assert list(d) == sorted(abs(x) for x in e if x != 0.0)
+    return rep, e
 
 
-def _full_array_report(cfg: SimulationConfig) -> SimulationReport:
-    """A variance run as the full-array path reported it: every estimate from
-    the array chi-square quantile, the five sizes at the estimates'
-    ``inverted_cdf`` percentiles from the top, and the flags counted by a
-    bisection over all the sorted estimates."""
-    d = _array_estimates(cfg)
-    design = cfg.design()
-    n_crit = main_sample_size(EffectSpec(cfg.effect, cfg.sigma), design,
-                              cfg.underpower_threshold, T_ITERATIVE)
-    picks = -np.percentile(-d, QS, method="inverted_cdf")
-    sizes = {str(q): main_sample_size(EffectSpec(float(x)), design, cfg.power_target,
-                                      cfg.sizing_mode) for q, x in zip(QS, picks)}
-    flagged = 0
-    if n_crit > 2:
-        m = n_crit - 1
-        if cfg.sizing_mode == Z_APPROX:
-            zs = _zsum(design.alpha, cfg.power_target)
-            reaches = lambda x: design.groups * zs * zs / (x * x) - 1e-9 <= m
-        else:
-            df = design.df(m)
-            tcrit = t_quantile(1.0 - design.alpha / 2.0, df)
-            reaches = lambda x: _nct_abs_sf(tcrit, df, design.ncp(m, x)) >= cfg.power_target
-        ds = np.sort(d).tolist()
-        flagged = len(ds) - bisect.bisect_left(ds, True, key=reaches)
-    p_hat = flagged / cfg.replicates
+def _brute_force_report(cfg: SimulationConfig, e: list) -> SimulationReport:
+    """The report of a completed sample ``e``: every nonzero estimate's
+    magnitude sized by ``main_sample_size`` and flagged by the true power at
+    that size, the ``inverted_cdf`` percentiles of the sizes, and the
+    nonpositive estimates counted."""
+    design, truth = cfg.design(), EffectSpec(cfg.effect, cfg.sigma)
+    sizes = [main_sample_size(EffectSpec(abs(x)), design, cfg.power_target, cfg.sizing_mode)
+             for x in e if x != 0.0]
+    power = functools.lru_cache(maxsize=None)(lambda n: power_at(n, truth, design))
+    p_hat = sum(power(n) < cfg.underpower_threshold for n in sizes) / cfg.replicates
+    picks = np.percentile(sizes, QS, method="inverted_cdf") if sizes else [None] * len(QS)
     return SimulationReport(
         empirical_underpower=p_hat,
         mc_standard_error=math.sqrt(p_hat * (1.0 - p_hat) / cfg.replicates),
-        nonpositive_effects=0, main_n_quantiles=sizes, config=asdict(cfg))
+        nonpositive_effects=sum(x <= 0.0 for x in e),
+        main_n_quantiles={str(q): None if n is None else int(n) for q, n in zip(QS, picks)},
+        config=asdict(cfg))
+
+
+def _pooled_sd_estimates(cfg: SimulationConfig) -> np.ndarray:
+    """Every pooled-SD replicate's signed estimate, in replicate order, from
+    the run's numpy normal and chi-square streams."""
+    design = cfg.design()
+    z = _rng(cfg.seed, 2).standard_normal(cfg.replicates)
+    mean = cfg.effect + cfg.sigma * math.sqrt(design.groups / cfg.pilot_n) * z
+    df = design.df(cfg.pilot_n)
+    return mean / (cfg.sigma * np.sqrt(_rng(cfg.seed, 3).chisquare(df, cfg.replicates) / df))
 
 
 class TestSampler:
@@ -226,9 +249,55 @@ class TestSampler:
         assert abs(x.std(ddof=1) - 1.0) < 4.0 / math.sqrt(2 * n)
 
     def test_open_interval(self):
-        rng = _rng(5, 1)
-        u = _uniforms(rng, 20000)
-        assert u.min() > 0.0 and u.max() < 1.0
+        # item k is the k-th largest uniform, each in (0, 1), even where the
+        # Beta draw is exactly 0 or 1 (ties with a neighbour are allowed);
+        # reads outside [0, R) raise IndexError, so list() stops at R
+        u = _OrderStats(3000, 5, lambda v: v)
+        xs = list(u)
+        assert len(xs) == 3000 and xs == sorted(xs, reverse=True)
+        assert 0.0 < xs[-1] and xs[0] < 1.0
+        for k in (-1, 3000):
+            with pytest.raises(IndexError):
+                u[k]
+        for beta in (0.0, 1.0):
+            u = _OrderStats(5, 1, lambda v: v)
+            u._beta = lambda a, b: beta
+            xs = [u[k] for k in (2, 0, 4, 1, 3)]
+            assert all(0.0 < x < 1.0 for x in xs)
+            xs = list(u)
+            assert all(0.0 < x < 1.0 for x in xs) and xs == sorted(xs, reverse=True)
+
+    @pytest.mark.parametrize("order", [range(9), (4, 0, 8, 2, 6, 1, 7, 3, 5)],
+                             ids=["top-down", "halving"])
+    def test_ranks_are_beta_distributed(self, order):
+        # over 4,000 fixed seeds, the uniform at rank i of R = 9 has the mean
+        # and variance of Beta(i, R + 1 - i) within 4 standard errors, in
+        # either order of reads
+        reps, seeds = 9, 4000
+        draws = np.empty((seeds, reps))
+        for seed in range(seeds):
+            u = _OrderStats(reps, seed, lambda v: v)
+            for k in order:
+                draws[seed, reps - 1 - k] = u[k]       # column i - 1 holds rank i
+        assert (np.diff(draws, axis=1) >= 0.0).all()
+        for i in range(1, reps + 1):
+            x = draws[:, i - 1]
+            mean = i / (reps + 1)
+            var = i * (reps + 1 - i) / ((reps + 1) ** 2 * (reps + 2))
+            assert abs(x.mean() - mean) <= 4 * math.sqrt(var / seeds)
+            m4 = np.mean((x - x.mean()) ** 4)
+            assert abs(x.var(ddof=1) - var) <= 4 * math.sqrt((m4 - var ** 2) / seeds)
+
+    @given(st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.5, 0.5])),
+                    max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_magnitudes_merge_the_signs(self, xs):
+        # the nonzero magnitudes of an ascending sequence, ascending, and its
+        # nonpositive items counted, whatever the mix of signs and ties
+        xs.sort()
+        d = _Magnitudes(xs)
+        assert list(d) == sorted(abs(x) for x in xs if x != 0.0)
+        assert d.nonpositive == sum(x <= 0.0 for x in xs)
 
 
 QS = (5, 25, 50, 75, 95)
@@ -295,13 +364,14 @@ class TestBruteForceOracle:
     @pytest.mark.parametrize("mode", [T_ITERATIVE, Z_APPROX])
     @pytest.mark.parametrize("kind", ["one-sample", TWO_SAMPLE])
     @pytest.mark.parametrize("cell", [0, 1], ids=["variance", "effect"])
-    def test_every_replicate_sized(self, monkeypatch, cell, kind, mode):
+    def test_every_replicate_sized(self, cell, kind, mode):
         sim, base = self.CELLS[cell]
         cfg = SimulationConfig(**base, kind=kind, sizing_mode=mode, seed=11, replicates=300)
-        rep, d = _estimates(monkeypatch, sim, cfg, cfg.replicates)
+        rep, e = _completed(sim, cfg)
         design, truth = cfg.design(), EffectSpec(cfg.effect, cfg.sigma)
-        # every replicate's estimate, positive and ascending
-        assert len(d) == cfg.replicates and d == sorted(d) and d[0] > 0.0
+        # every replicate's estimate, nonzero, by magnitude
+        d = sorted(abs(x) for x in e)
+        assert len(d) == cfg.replicates and d[0] > 0.0
         sizes = [main_sample_size(EffectSpec(float(x)), design, cfg.power_target, mode)
                  for x in d]
         flags = [power_at(n, truth, design) < cfg.underpower_threshold for n in sizes]
@@ -328,8 +398,8 @@ class TestBruteForceOracle:
 
 class TestEstimatesOnDemand:
     """A variance run computes its estimates only at the ranks it reads, each
-    through the float chi-square quantile; its report must be the one the
-    full-array path gave."""
+    through the float chi-square quantile; its report must be the one its
+    completed sample gives by brute force."""
 
     @given(reps=st.integers(1, 60), pilot_n=st.integers(2, 40),
            pooled=st.booleans(), kind=st.sampled_from([ONE_SAMPLE, TWO_SAMPLE]),
@@ -337,11 +407,12 @@ class TestEstimatesOnDemand:
            effect=st.floats(0.5, 4.0), sigma=st.floats(1.0, 6.0),
            seed=st.integers(0, 2 ** 32))
     @settings(max_examples=60, deadline=None)
-    def test_report_matches_full_array_path(self, reps, pilot_n, pooled, kind, mode,
-                                            effect, sigma, seed):
+    def test_report_matches_completed_sample(self, reps, pilot_n, pooled, kind, mode,
+                                             effect, sigma, seed):
         cfg = variance_cfg(replicates=reps, pilot_n=pilot_n, pooled_pilot=pooled, kind=kind,
                            sizing_mode=mode, effect=effect, sigma=sigma, seed=seed)
-        assert simulate_variance_pipeline(cfg) == _full_array_report(cfg)
+        rep, e = _completed(simulate_variance_pipeline, cfg)
+        assert rep == _brute_force_report(cfg, e)
 
     @given(st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.25, 0.5, 1.0])),
                     min_size=1, max_size=500))
@@ -356,7 +427,7 @@ class TestEstimatesOnDemand:
         want = -np.percentile(-np.array(xs), QS, method="inverted_cdf")
         assert [got[str(q)] for q in QS] == want.tolist()
 
-    @pytest.mark.parametrize("reps", [10_000, 100_000])
+    @pytest.mark.parametrize("reps", [10_000, 100_000, 10 ** 9])
     def test_chisq_quantile_calls_are_logarithmic(self, monkeypatch, reps):
         # five sizings and one bisection of at most ceil(log2(R + 1)) probes
         args = []
@@ -371,6 +442,24 @@ class TestEstimatesOnDemand:
         assert all(type(p) is float for p in args)
         assert 5 <= len(args) <= 5 + math.ceil(math.log2(reps)) + 1
         assert 0.1 < rep.empirical_underpower < 0.3
+
+    def test_known_sigma_reads_are_polylogarithmic(self, monkeypatch):
+        # a billion known-sigma replicates: two bisections find the signs,
+        # then each of the flag bisection's probes and the five sizings is a
+        # two-sequence selection of at most 2 log2(R) + 2 reads, and a read
+        # draws at most one normal quantile
+        calls = []
+        quantile = simulation.norm_quantile
+        monkeypatch.setattr(simulation, "norm_quantile",
+                            lambda u: calls.append(u) or quantile(u))
+        reps = 10 ** 9
+        log2 = math.ceil(math.log2(reps + 1))
+        rep = simulate_effect_pipeline(effect_cfg(
+            kind="one-sample", pilot_n=17, estimator=KNOWN_SIGMA, replicates=reps))
+        assert len(calls) <= 2 * log2 + (log2 + 5) * (2 * log2 + 2)
+        assert 0.2 < rep.empirical_underpower < 0.35
+        # the nonpositive share is the normal mass below 0, Phi(-mu sqrt(n))
+        assert rep.nonpositive_effects / reps == pytest.approx(0.0196, abs=1e-3)
 
     def test_flag_power_calls_on_the_variance_grid(self, monkeypatch):
         # the 60 variance cells at 10k replicates: the flag bisection takes at
@@ -425,18 +514,11 @@ class TestVariancePipeline:
 
     def test_flags_match_power_evaluation(self):
         # the boundary comparison must agree with literally evaluating the
-        # power at each replicate's main size
+        # power at each replicate's main size, over the completed sample
         cfg = variance_cfg(replicates=400)
-        rep = simulate_variance_pipeline(cfg)
-        df = cfg.pilot_n - 1
-        u = _uniforms(_rng(cfg.seed, 1), cfg.replicates)
-        s2 = cfg.sigma ** 2 * np.array([chisq_quantile(v, df) for v in u.tolist()]) / df
-        d_hat = cfg.effect / np.sqrt(s2)
-        main_n = [main_sample_size(EffectSpec(float(d)), TWO, cfg.power_target, cfg.sizing_mode)
-                  for d in d_hat]
-        flags = [power_at(int(n), EffectSpec(cfg.effect, cfg.sigma), TWO)
-                 < cfg.underpower_threshold for n in main_n]
-        assert np.mean(flags) == pytest.approx(rep.empirical_underpower, abs=1e-12)
+        rep, e = _completed(simulate_variance_pipeline, cfg)
+        assert rep == _brute_force_report(cfg, e)
+        assert 0.1 < rep.empirical_underpower < 0.3
 
     def test_threshold_size_of_two_flags_nothing(self):
         # effect 10 against sigma 1 reaches the threshold power with the
@@ -481,29 +563,18 @@ class TestEffectPipeline:
         assert rep.nonpositive_effects > 0
 
     def test_zero_estimates_left_out(self, monkeypatch):
-        # with sigma 1 and sqrt(2 / 8) = 0.5 exact, a normal deviate of
-        # -2 effect makes the mean, and so the known-sigma estimate, exactly
-        # 0; such replicates count as nonpositive and get no main size
+        # with sigma 1 and sqrt(2 / 8) = 0.5 exact, a normal quantile of
+        # 2 effect makes the known-sigma estimate exactly 0.  The uniforms in
+        # (0.75, 0.95) get that quantile, which keeps the estimates in order
+        # (Phi^-1 is 0.67 and 1.64 at the ends).  Such replicates count as
+        # nonpositive and get no main size
         cfg = effect_cfg(pilot_n=8, estimator=KNOWN_SIGMA, replicates=40)
-        zeros = [0, 5, 17]
-        real = simulation._rng
-
-        class Zeroing:
-            # the normal stream, with exact zeros of the mean injected
-            @staticmethod
-            def standard_normal(reps):
-                z = real(cfg.seed, 2).standard_normal(reps)
-                z[zeros] = -2.0 * cfg.effect
-                return z
-
-        monkeypatch.setattr(simulation, "_rng",
-                            lambda seed, *key: Zeroing if key == (2,) else real(seed, *key))
-        rep, seen = _estimates(monkeypatch, simulate_effect_pipeline, cfg, cfg.replicates)
-        d_hat = cfg.effect + 0.5 * Zeroing.standard_normal(cfg.replicates)
-        assert np.count_nonzero(d_hat == 0.0) == len(zeros)
-        assert seen == np.sort(np.abs(d_hat[d_hat != 0.0])).tolist()
-        assert len(seen) == cfg.replicates - len(zeros) and min(seen) > 0.0
-        assert rep.nonpositive_effects == np.count_nonzero(d_hat <= 0.0)
+        real = simulation.norm_quantile
+        monkeypatch.setattr(simulation, "norm_quantile",
+                            lambda u: 2.0 * cfg.effect if 0.75 < u < 0.95 else real(u))
+        rep, e = _completed(simulate_effect_pipeline, cfg)
+        assert e.count(0.0) > 0 and min(e) < 0.0
+        assert rep == _brute_force_report(cfg, e)
         assert all(isinstance(n, int) for n in rep.main_n_quantiles.values())
 
     def test_known_sigma_matches_normal_model(self):
