@@ -157,6 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _bounds_from(args: argparse.Namespace) -> PowerBounds:
+    if (args.overpower_prob is None) != (args.overpower_threshold is None):
+        raise ConfigError("--overpower-prob and --overpower-threshold go together")
     return PowerBounds(
         underpower_prob=args.underpower_prob,
         underpower_threshold=args.underpower_threshold,
@@ -185,39 +187,45 @@ def _pct(x: float) -> str:
     return f"{100.0 * x:g}%"
 
 
+def _print_plan(plan, fmt: str, driver: str, entry: str, noun: str, param: str,
+                per_group: str = "", mode: str = "", under_note: str = "") -> int:
+    """Print a plan of either kind; the two kinds' texts differ only in the
+    strings passed here.  ``param`` names the record's threshold fields."""
+    if fmt != "table":
+        emit(plan, fmt)
+        return 0
+    lines = [
+        f"{driver}-driven pilot plan ({plan.kind}, alpha={plan.alpha:g}, "
+        f"target power {_pct(plan.power_target)})",
+        f"  {entry}",
+    ]
+    for side, where, note in (("under", "below", under_note), ("over", "above", "")):
+        threshold = getattr(plan, f"{side}power_threshold")
+        if threshold is None:
+            continue
+        lines += [
+            f"  goal: < {_pct(getattr(plan, f'{side}power_prob'))} chance of true power "
+            f"{where} {_pct(threshold)}",
+            f"  main-study N per group at {_pct(threshold)} power: "
+            f"{getattr(plan, f'main_n_{side}')}",
+            f"  {noun} at which the {_pct(plan.power_target)}-power design is adequate: "
+            f"{getattr(plan, f'{param}_{side}'):.4g}{note}",
+            f"  pilot N{per_group} for the {side}power bound{mode}: "
+            f"{getattr(plan, f'pilot_n_{side}')}",
+        ]
+    lines.append(f"  pilot sample size{per_group}: {plan.pilot_n}")
+    print("\n".join(lines))
+    return 0
+
+
 def _cmd_plan_variance(args: argparse.Namespace) -> int:
     design = TestDesign(_DESIGNS[args.design], args.alpha)
     plan = plan_variance_pilot(EffectSpec(args.delta, args.sigma), design,
                                args.power, _bounds_from(args),
                                mode=args.mode, pooled_pilot=args.pooled_pilot)
-    lines = [
-        f"variance-driven pilot plan ({plan.kind}, alpha={plan.alpha:g}, "
-        f"target power {_pct(plan.power_target)})",
-        f"  effect {plan.delta:g}, prior sd {plan.sigma:g}",
-        f"  goal: < {_pct(plan.underpower_prob)} chance of true power below "
-        f"{_pct(plan.underpower_threshold)}",
-        f"  main-study N per group at {_pct(plan.underpower_threshold)} power: "
-        f"{plan.main_n_under}",
-        f"  sd at which the {_pct(plan.power_target)}-power design is adequate: "
-        f"{plan.sigma_under:.4g}",
-        f"  pilot N for the underpower bound ({plan.mode}): {plan.pilot_n_under}",
-    ]
-    if plan.main_n_over is not None:
-        lines += [
-            f"  goal: < {_pct(plan.overpower_prob)} chance of true power above "
-            f"{_pct(plan.overpower_threshold)}",
-            f"  main-study N per group at {_pct(plan.overpower_threshold)} power: "
-            f"{plan.main_n_over}",
-            f"  sd at which the {_pct(plan.power_target)}-power design is adequate: "
-            f"{plan.sigma_over:.4g}",
-            f"  pilot N for the overpower bound ({plan.mode}): {plan.pilot_n_over}",
-        ]
-    lines.append(f"  pilot sample size: {plan.pilot_n}")
-    if args.format == "table":
-        print("\n".join(lines))
-    else:
-        emit(plan, args.format)
-    return 0
+    return _print_plan(plan, args.format, "variance",
+                       f"effect {plan.delta:g}, prior sd {plan.sigma:g}", "sd", "sigma",
+                       mode=f" ({plan.mode})")
 
 
 def _cmd_plan_effect(args: argparse.Namespace) -> int:
@@ -247,34 +255,8 @@ def _cmd_plan_effect(args: argparse.Namespace) -> int:
                  f"{mu0:.4f} (sd 1)")
     design = TestDesign(_DESIGNS[args.design], args.alpha)
     plan = plan_effect_pilot(mu0, sigma, design, args.power, _bounds_from(args))
-    lines = [
-        f"effect-driven pilot plan ({plan.kind}, alpha={plan.alpha:g}, "
-        f"target power {_pct(plan.power_target)})",
-        f"  {entry}",
-        f"  goal: < {_pct(plan.underpower_prob)} chance of true power below "
-        f"{_pct(plan.underpower_threshold)}",
-        f"  main-study N per group at {_pct(plan.underpower_threshold)} power: "
-        f"{plan.main_n_under}",
-        f"  effect at which the {_pct(plan.power_target)}-power design is adequate: "
-        f"{plan.mu_under:.4g} (effect size {plan.mu_under / plan.sigma:.4g})",
-        f"  pilot N per group for the underpower bound: {plan.pilot_n_under}",
-    ]
-    if plan.main_n_over is not None:
-        lines += [
-            f"  goal: < {_pct(plan.overpower_prob)} chance of true power above "
-            f"{_pct(plan.overpower_threshold)}",
-            f"  main-study N per group at {_pct(plan.overpower_threshold)} power: "
-            f"{plan.main_n_over}",
-            f"  effect at which the {_pct(plan.power_target)}-power design is adequate: "
-            f"{plan.mu_over:.4g}",
-            f"  pilot N per group for the overpower bound: {plan.pilot_n_over}",
-        ]
-    lines.append(f"  pilot sample size per group: {plan.pilot_n}")
-    if args.format == "table":
-        print("\n".join(lines))
-    else:
-        emit(plan, args.format)
-    return 0
+    return _print_plan(plan, args.format, "effect", entry, "effect", "mu", " per group",
+                       under_note=f" (effect size {plan.mu_under / plan.sigma:.4g})")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .distributions import norm_cdf, norm_quantile
 from .power import _MAX_N, EffectSpec, TestDesign, _first_true, _nearest_n, _zsum
 from .power import required_n  # noqa: F401  unused here; perfbench's tracer wraps it by this name
-from .variance import PowerBounds, _PlanRecord, _plan_sides
+from .variance import PowerBounds, _PlanRecord, _pilot_size, _plan_fields
 
 __all__ = [
     "EffectPilotPlan",
@@ -38,9 +38,7 @@ def effect_underpower_prob(pilot_n: int, mu0: float, mu_threshold: float,
     The estimate is normal with mean mu0 and variance sigma^2/n (one-sample)
     or 2 sigma^2/n per group (two-sample), sigma known.
     """
-    pilot_n = int(pilot_n)
-    if pilot_n < 1:
-        raise ValueError(f"pilot size must be >= 1, got {pilot_n}")
+    pilot_n = _pilot_size(pilot_n, 1)
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma!r}")
@@ -120,30 +118,13 @@ def plan_effect_pilot(mu0: float, sigma: float, design: TestDesign,
     sigma = float(sigma)
     if not (math.isfinite(mu0) and mu0 > 0.0):
         raise ValueError(f"mu0 must be positive, got {mu0!r}")
-    if not (0.0 < power_target < 1.0):
-        raise ValueError(f"power_target must be in (0, 1), got {power_target!r}")
-    bounds.check_against_target(power_target)
     effect = EffectSpec(mu0, sigma)
 
-    zs_target = _zsum(design.alpha, power_target)
-
-    def side(threshold: float, prob: float, which: str):
+    def side(threshold: float, prob: float, which: str, zs_target: float):
         n_main = _nearest_n(effect, design, threshold)
         mu_thr = mu0 * zs_target / _zsum(design.alpha, threshold)
         n_pilot = effect_pilot_n(mu0, mu_thr, sigma, prob, design, which)
         return n_main, mu_thr, n_pilot
 
-    (main_u, mu_u, pilot_u), (main_o, mu_o, pilot_o), pilot_n = _plan_sides(bounds, side)
-
-    return EffectPilotPlan(
-        kind=design.kind, alpha=design.alpha, power_target=power_target,
-        mu0=mu0, sigma=sigma,
-        underpower_prob=bounds.underpower_prob,
-        underpower_threshold=bounds.underpower_threshold,
-        overpower_prob=bounds.overpower_prob,
-        overpower_threshold=bounds.overpower_threshold,
-        main_n_under=main_u, main_n_over=main_o,
-        mu_under=mu_u, mu_over=mu_o,
-        pilot_n_under=pilot_u, pilot_n_over=pilot_o,
-        pilot_n=pilot_n,
-    )
+    return EffectPilotPlan(**_plan_fields(design, power_target, bounds, "mu", side),
+                           mu0=mu0, sigma=sigma)

@@ -429,33 +429,24 @@ class TableReport:
         return [{**self.config, **cell} for cell in self.cells]
 
     def format_text(self) -> str:
-        lines = []
+        # ``cells`` come in row order with the column axis varying fastest,
+        # as ``reproduce_table`` builds them, so each row is the next
+        # len(columns) cells
         if self.table_id == 1:
-            head = ("underpower  delta |" +
-                    "".join(f"  s={s}" for s in TABLE1_SIGMAS) + "   |" +
-                    "".join(f"   s={s}" for s in TABLE1_SIGMAS))
-            lines.append("pilot size (left) / simulated underpower (right)")
-            lines.append(head)
-            for p in TABLE1_UNDERPOWER_PROBS:
-                for d in TABLE1_DELTAS:
-                    row = [c for c in self.cells
-                           if c["underpower_prob"] == p and c["delta"] == d]
-                    row.sort(key=lambda c: c["sigma"])
-                    sizes = "".join(f"{c['pilot_n']:5d}" for c in row)
-                    probs = "".join(f" {c['empirical_underpower']:5.1%}" for c in row)
-                    lines.append(f"{p:10.0%}  {d:5d} |{sizes}   |{probs}")
+            stub, label, columns, width = "underpower  delta |", "s", TABLE1_SIGMAS, 5
         else:
-            lines.append("pilot size (left) / simulated underpower (right)")
-            lines.append("underpower |" +
-                         "".join(f"  d={e}" for e in TABLE2_EFFECTS) + "   |" +
-                         "".join(f"   d={e}" for e in TABLE2_EFFECTS))
-            for p in TABLE2_UNDERPOWER_PROBS:
-                row = [c for c in self.cells if c["underpower_prob"] == p]
-                row.sort(key=lambda c: c["effect"])
-                sizes = "".join(f"{c['pilot_n']:6d}" for c in row)
-                probs = "".join(f" {c['empirical_underpower']:6.1%}" for c in row)
-                lines.append(f"{p:10.0%} |{sizes}   |{probs}")
-            main = self.extra.get("main_study_n", {})
+            stub, label, columns, width = "underpower |", "d", TABLE2_EFFECTS, 6
+        lines = ["pilot size (left) / simulated underpower (right)",
+                 stub + "".join(f"  {label}={v}" for v in columns) + "   |"
+                 + "".join(f"   {label}={v}" for v in columns)]
+        for i in range(0, len(self.cells), len(columns)):
+            row = self.cells[i:i + len(columns)]
+            delta = f"  {row[0]['delta']:5d}" if "delta" in row[0] else ""
+            sizes = "".join(f"{c['pilot_n']:{width}d}" for c in row)
+            probs = "".join(f" {c['empirical_underpower']:{width}.1%}" for c in row)
+            lines.append(f"{row[0]['underpower_prob']:10.0%}{delta} |{sizes}   |{probs}")
+        if self.table_id == 2:
+            main = self.extra["main_study_n"]
             lines.append("main study N |" +
                          "".join(f"{main[str(e)]:6d}" for e in TABLE2_EFFECTS))
         return "\n".join(lines) + "\n"
@@ -464,55 +455,36 @@ class TableReport:
 def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0) -> TableReport:
     """Recompute a reference grid: planned pilot sizes and their simulated
     underpower fractions, cell for cell, in the published layout."""
-    table_id = int(table_id)
-    if table_id not in (1, 2):
+    if (isinstance(table_id, bool) or not isinstance(table_id, numbers.Integral)
+            or table_id not in (1, 2)):
         raise ConfigError(f"table_id must be 1 or 2, got {table_id!r}")
-    replicates = int(replicates)
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates!r}")
+    _require_count("replicates", replicates, 1)
     _require_count("seed", seed, 0)
-    cells = []
+    design = TestDesign(TWO_SAMPLE, 0.05)
     extra: dict = {}
-    cell_idx = 0
     if table_id == 1:
-        for p in TABLE1_UNDERPOWER_PROBS:
-            for delta in TABLE1_DELTAS:
-                for sigma in TABLE1_SIGMAS:
-                    plan = plan_variance_pilot(
-                        EffectSpec(delta, sigma), TestDesign(TWO_SAMPLE, 0.05),
-                        0.8, PowerBounds(p, 0.6))
-                    cfg = SimulationConfig(
-                        scenario=VARIANCE, effect=delta, sigma=sigma,
-                        pilot_n=plan.pilot_n, seed=seed, replicates=replicates)
-                    rep = simulate_variance_pipeline(
-                        _respawn(cfg, table_id, cell_idx))
-                    cell_idx += 1
-                    cells.append({
-                        "underpower_prob": p, "delta": delta, "sigma": sigma,
-                        "pilot_n": plan.pilot_n,
-                        "empirical_underpower": rep.empirical_underpower,
-                    })
+        scenario, key, run = VARIANCE, "delta", simulate_variance_pipeline
+        cells = [{"underpower_prob": p, "delta": delta, "sigma": sigma}
+                 for p in TABLE1_UNDERPOWER_PROBS for delta in TABLE1_DELTAS
+                 for sigma in TABLE1_SIGMAS]
     else:
-        for p in TABLE2_UNDERPOWER_PROBS:
-            for eff in TABLE2_EFFECTS:
-                plan = plan_effect_pilot(eff, 1.0, TestDesign(TWO_SAMPLE, 0.05),
-                                         0.8, PowerBounds(p, 0.6))
-                cfg = SimulationConfig(
-                    scenario=EFFECT, effect=eff, sigma=1.0,
-                    pilot_n=plan.pilot_n, seed=seed, replicates=replicates)
-                rep = simulate_effect_pipeline(_respawn(cfg, table_id, cell_idx))
-                cell_idx += 1
-                cells.append({
-                    "underpower_prob": p, "effect": eff,
-                    "pilot_n": plan.pilot_n,
-                    "empirical_underpower": rep.empirical_underpower,
-                })
-        extra["main_study_n"] = {
-            str(eff): main_sample_size(EffectSpec(eff), TestDesign(TWO_SAMPLE, 0.05), 0.8)
-            for eff in TABLE2_EFFECTS}
+        scenario, key, run = EFFECT, "effect", simulate_effect_pipeline
+        cells = [{"underpower_prob": p, "effect": eff}
+                 for p in TABLE2_UNDERPOWER_PROBS for eff in TABLE2_EFFECTS]
+        extra["main_study_n"] = {str(eff): main_sample_size(EffectSpec(eff), design, 0.8)
+                                 for eff in TABLE2_EFFECTS}
+    for cell_idx, cell in enumerate(cells):
+        effect, sigma = cell[key], cell.get("sigma", 1.0)
+        bounds = PowerBounds(cell["underpower_prob"], 0.6)
+        plan = (plan_variance_pilot(EffectSpec(effect, sigma), design, 0.8, bounds)
+                if scenario == VARIANCE else plan_effect_pilot(effect, sigma, design, 0.8, bounds))
+        cfg = SimulationConfig(scenario=scenario, effect=effect, sigma=sigma,
+                               pilot_n=plan.pilot_n, seed=seed, replicates=replicates)
+        cell["pilot_n"] = plan.pilot_n
+        cell["empirical_underpower"] = run(_respawn(cfg, table_id, cell_idx)).empirical_underpower
     return TableReport(
         cells=cells, extra=extra,
-        config={"table_id": table_id, "replicates": replicates, "seed": int(seed),
+        config={"table_id": int(table_id), "replicates": int(replicates), "seed": int(seed),
                 "sizing_mode": T_ITERATIVE, "alpha": 0.05, "power_target": 0.8,
                 "underpower_threshold": 0.6, "kind": TWO_SAMPLE},
     )

@@ -15,6 +15,7 @@ ratio).  Plans surface whichever mode produced them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 from .distributions import chisq_cdf, norm_quantile
@@ -94,6 +95,15 @@ class PowerBounds:
                 f"the target power ({power_target})")
 
 
+def _pilot_size(pilot_n, least: int, why: str = "") -> int:
+    # an int (not a bool): int() would run a fractional size as another one
+    if isinstance(pilot_n, bool) or not isinstance(pilot_n, numbers.Integral):
+        raise ValueError(f"pilot size must be an integer, got {pilot_n!r}")
+    if pilot_n < least:
+        raise ValueError(f"pilot size must be >= {least}{why}, got {pilot_n}")
+    return int(pilot_n)
+
+
 def _pilot_df(pilot_n: int, pooled: bool) -> int:
     return 2 * pilot_n - 2 if pooled else pilot_n - 1
 
@@ -106,9 +116,7 @@ def variance_underpower_prob(pilot_n: int, sigma_ratio_sq: float,
     (2 N_p - 2 when the pilot variance is pooled across two groups), so this
     is chisq_cdf(df * ratio, df).
     """
-    pilot_n = int(pilot_n)
-    if pilot_n < 2:
-        raise ValueError(f"pilot size must be >= 2 to estimate a variance, got {pilot_n}")
+    pilot_n = _pilot_size(pilot_n, 2, " to estimate a variance")
     sigma_ratio_sq = float(sigma_ratio_sq)
     if not (math.isfinite(sigma_ratio_sq) and sigma_ratio_sq > 0.0):
         raise ValueError(f"variance ratio must be positive, got {sigma_ratio_sq!r}")
@@ -224,15 +232,27 @@ class VariancePilotPlan(_PlanRecord):
                     "overpower_prob", "overpower_threshold", "mode", "pooled_pilot")
 
 
-def _plan_sides(bounds: PowerBounds, rule):
-    """The (main size, threshold parameter, pilot size) that a planner's
-    ``rule(threshold, prob, side)`` gives for the under side and the over side
-    (all None without an overpower bound), and the larger pilot size."""
-    under = rule(bounds.underpower_threshold, bounds.underpower_prob, "under")
-    if not bounds.has_overpower:
-        return under, (None, None, None), under[2]
-    over = rule(bounds.overpower_threshold, bounds.overpower_prob, "over")
-    return under, over, max(under[2], over[2])
+def _plan_fields(design: TestDesign, power_target: float, bounds: PowerBounds,
+                 param: str, rule) -> dict:
+    """The fields both plan records share: the design, the target, the bounds,
+    per side the main size at the threshold power, the threshold's ``param``
+    (sigma or mu) and the pilot size that ``rule(threshold, prob, side,
+    zs_target)`` gives (all None without an overpower bound), then the larger
+    pilot size."""
+    if not (0.0 < power_target < 1.0):
+        raise ValueError(f"power_target must be in (0, 1), got {power_target!r}")
+    bounds.check_against_target(power_target)
+    zs_target = _zsum(design.alpha, power_target)
+    # the bounds' four fields, under the names the records use too
+    fields = dict(kind=design.kind, alpha=design.alpha, power_target=power_target,
+                  **vars(bounds))
+    for side in ("under", "over"):
+        threshold = fields[f"{side}power_threshold"]
+        sizes = (None, None, None) if threshold is None else rule(
+            threshold, fields[f"{side}power_prob"], side, zs_target)
+        fields.update(zip((f"main_n_{side}", f"{param}_{side}", f"pilot_n_{side}"), sizes))
+    fields["pilot_n"] = max(fields["pilot_n_under"], fields["pilot_n_over"] or 0)
+    return fields
 
 
 def plan_variance_pilot(effect: EffectSpec, design: TestDesign, power_target: float,
@@ -248,15 +268,10 @@ def plan_variance_pilot(effect: EffectSpec, design: TestDesign, power_target: fl
     """
     if mode not in (EXACT, APPROX):
         raise ValueError(f"mode must be '{EXACT}' or '{APPROX}', got {mode!r}")
-    if not (0.0 < power_target < 1.0):
-        raise ValueError(f"power_target must be in (0, 1), got {power_target!r}")
-    bounds.check_against_target(power_target)
     if effect.effect_size == 0.0:
         raise ValueError("effect of 0 means an infinite main study; nothing to plan")
 
-    zs_target = _zsum(design.alpha, power_target)
-
-    def side(threshold: float, prob: float, which: str):
+    def side(threshold: float, prob: float, which: str, zs_target: float):
         n_main = _nearest_n(effect, design, threshold, T_ITERATIVE)
         sigma_thr = effect.sigma * _zsum(design.alpha, threshold) / zs_target
         ratio = (sigma_thr / effect.sigma) ** 2
@@ -266,17 +281,6 @@ def plan_variance_pilot(effect: EffectSpec, design: TestDesign, power_target: fl
             n_pilot = pilot_n_exact(ratio, prob, which, pooled_pilot)
         return n_main, sigma_thr, n_pilot
 
-    (main_u, sigma_u, pilot_u), (main_o, sigma_o, pilot_o), pilot_n = _plan_sides(bounds, side)
-
     return VariancePilotPlan(
-        kind=design.kind, alpha=design.alpha, power_target=power_target,
-        delta=effect.effect, sigma=effect.sigma,
-        underpower_prob=bounds.underpower_prob,
-        underpower_threshold=bounds.underpower_threshold,
-        overpower_prob=bounds.overpower_prob,
-        overpower_threshold=bounds.overpower_threshold,
-        main_n_under=main_u, main_n_over=main_o,
-        sigma_under=sigma_u, sigma_over=sigma_o,
-        pilot_n_under=pilot_u, pilot_n_over=pilot_o,
-        pilot_n=pilot_n, mode=mode, pooled_pilot=pooled_pilot,
-    )
+        **_plan_fields(design, power_target, bounds, "sigma", side),
+        delta=effect.effect, sigma=effect.sigma, mode=mode, pooled_pilot=pooled_pilot)

@@ -105,7 +105,12 @@ _PLAN_TAIL = ("--underpower-prob", ".3", "--underpower-threshold", ".6")
     (("plan-variance", "--sigma", "4", "--delta", "1", "--alpha", "0", *_PLAN_TAIL),
      "must be strictly between 0 and 1, got 0"),
     (("plan-variance", "--sigma", "x", "--delta", "1", *_PLAN_TAIL), "not a number: 'x'"),
-], ids=["mu0-alone", "p1-alone", "negative-proportion", "zero-alpha", "sigma-not-a-number"])
+    (("plan-variance", "--sigma", "4", "--delta", "1", "--overpower-prob", ".2", *_PLAN_TAIL),
+     "error: --overpower-prob and --overpower-threshold go together"),
+    (("plan-effect", "--mu0", "2", "--sigma", "4", "--overpower-threshold", ".9", *_PLAN_TAIL),
+     "error: --overpower-prob and --overpower-threshold go together"),
+], ids=["mu0-alone", "p1-alone", "negative-proportion", "zero-alpha", "sigma-not-a-number",
+        "overpower-prob-alone", "overpower-threshold-alone"])
 def test_flag_misuse_is_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

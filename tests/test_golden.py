@@ -10,7 +10,8 @@ underpower flags or the random stream shows up here as a difference.
 format (``.txt`` is the human table), plus plans with an overpower bound so
 the over-side lines are pinned too.  CSV output ends its lines in CRLF, as
 the csv module writes them, so the files are read without newline
-translation.
+translation.  The cases are listed in ``golden_cases.py``, which CI also runs
+without numpy installed.
 """
 
 import os
@@ -19,84 +20,28 @@ import sys
 
 import pytest
 
+from golden_cases import (
+    CLI_CASES, CLI_COMMANDS, GOLDEN, NUMPY_FREE, SIMULATE_CELLS, golden, simulate_argv)
 from pilotplan.cli import emit, main
 from pilotplan.simulation import reproduce_table
-
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-
-SIMULATE_CELLS = {
-    "simulate_variance_two": ["--scenario", "variance", "--effect", "1.0", "--sigma", "4.0",
-                              "--pilot-n", "12", "--design", "two"],
-    "simulate_variance_one": ["--scenario", "variance", "--effect", "1.0", "--sigma", "4.0",
-                              "--pilot-n", "12", "--design", "one"],
-    "simulate_effect_two_pooled": ["--scenario", "effect", "--effect", "0.5", "--sigma", "1.0",
-                                   "--pilot-n", "32", "--design", "two",
-                                   "--estimator", "pooled-sd"],
-    "simulate_effect_one_known": ["--scenario", "effect", "--effect", "0.5", "--sigma", "1.0",
-                                  "--pilot-n", "17", "--design", "one",
-                                  "--estimator", "known-sigma"],
-}
-
-
-_PLAN_VARIANCE = ["plan-variance", "--sigma", "4", "--delta", "1", "--design", "two",
-                  "--alpha", ".05", "--power", ".8",
-                  "--underpower-prob", ".2", "--underpower-threshold", ".6"]
-_PLAN_EFFECT = ["plan-effect", "--mu0", "2", "--sigma", "4",
-                "--underpower-prob", ".3", "--underpower-threshold", ".6"]
-_OVERPOWER = ["--overpower-prob", ".2", "--overpower-threshold", ".9"]
-
-# name -> argv without --format; each is pinned as .txt, .csv and .json
-CLI_COMMANDS = {
-    "plan_variance": _PLAN_VARIANCE,
-    "plan_variance_over": _PLAN_VARIANCE + _OVERPOWER,
-    "plan_variance_over_exact": _PLAN_VARIANCE + _OVERPOWER + ["--mode", "exact"],
-    "plan_effect": _PLAN_EFFECT,
-    "plan_effect_over": _PLAN_EFFECT + _OVERPOWER,
-    "plan_effect_proportions": ["plan-effect", "--p1", ".5", "--p2", ".4",
-                                "--underpower-prob", ".3", "--underpower-threshold", ".6"],
-    "simulate": ["simulate", "--scenario", "effect", "--effect", ".5", "--pilot-n", "32",
-                 "--underpower-threshold", ".6", "--reps", "1000", "--seed", "7"],
-}
-_FORMAT_FLAGS = {"txt": [], "csv": ["--format", "csv"], "json": ["--format", "json"]}
-
-CLI_CASES = {f"{name}.{ext}": argv + flags
-             for name, argv in CLI_COMMANDS.items()
-             for ext, flags in _FORMAT_FLAGS.items()}
-CLI_CASES.update({
-    "tables_id1_reps1000_seed7.csv": ["tables", "--id", "1", "--reps", "1000", "--seed", "7",
-                                      "--format", "csv"],
-    **{f"tables_id{i}_reps200_seed9.{ext}": ["tables", "--id", str(i), "--reps", "200",
-                                             "--seed", "9", *_FORMAT_FLAGS[ext]]
-       for i in (1, 2) for ext in ("txt", "csv")},
-})
-
-
-def _golden(name: str) -> str:
-    with open(os.path.join(GOLDEN, name), newline="") as fh:
-        return fh.read()
 
 
 @pytest.mark.parametrize("table_id", [1, 2])
 def test_reference_grid(table_id, capsys):
     emit(reproduce_table(table_id, 200, seed=9), "json")
-    assert capsys.readouterr().out == _golden(f"table{table_id}_reps200_seed9.json") + "\n"
-
-
-def _simulate_argv(cell: str) -> list:
-    return ["simulate", *SIMULATE_CELLS[cell], "--seed", "9", "--reps", "2000",
-            "--sizing-mode", "t-iterative", "--format", "json"]
+    assert capsys.readouterr().out == golden(f"table{table_id}_reps200_seed9.json") + "\n"
 
 
 @pytest.mark.parametrize("cell", sorted(SIMULATE_CELLS))
 def test_simulate_cell(cell, capsys):
-    assert main(_simulate_argv(cell)) == 0
-    assert capsys.readouterr().out == _golden(f"{cell}_reps2000_seed9.json")
+    assert main(simulate_argv(cell)) == 0
+    assert capsys.readouterr().out == golden(f"{cell}_reps2000_seed9.json")
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_output(name, capsys):
     assert main(CLI_CASES[name]) == 0
-    assert capsys.readouterr().out == _golden(os.path.join("cli", name))
+    assert capsys.readouterr().out == golden(os.path.join("cli", name))
 
 
 # runs the CLI with argv, then reports on stderr whether numpy was imported
@@ -122,11 +67,21 @@ def test_planning_never_imports_numpy():
     assert _probe("import sys, pilotplan; print('numpy' in sys.modules)")[0] == "False\n"
     cases = [(CLI_COMMANDS[name], f"cli/{name}.txt", name == "simulate")
              for name in ("plan_variance", "plan_effect", "simulate")]
-    cases += [(_simulate_argv(cell), f"{cell}_reps2000_seed9.json", cell.endswith("pooled"))
+    cases += [(simulate_argv(cell), f"{cell}_reps2000_seed9.json", cell.endswith("pooled"))
               for cell in sorted(SIMULATE_CELLS)]
     cases += [(CLI_CASES[f"tables_id{i}_reps200_seed9.txt"], f"cli/tables_id{i}_reps200_seed9.txt",
                i == 2) for i in (1, 2)]
-    for argv, golden, numpy_loaded in cases:
+    for argv, name, numpy_loaded in cases:
         out, loaded = _probe(_NUMPY_PROBE, *argv)
-        assert out == _golden(golden), golden
-        assert loaded.splitlines()[-1] == str(numpy_loaded), golden
+        assert out == golden(name), name
+        assert loaded.splitlines()[-1] == str(numpy_loaded), name
+
+
+def test_numpy_free_goldens_run_without_numpy():
+    # the CI job that checks these goldens on every supported Python has no
+    # numpy; here an import of it fails instead
+    assert len(NUMPY_FREE) == 24
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cases.py")
+    out, _ = _probe("import runpy, sys; sys.modules['numpy'] = None; "
+                    f"runpy.run_path({script!r}, run_name='__main__')")
+    assert out.startswith("24 of 24 numpy-free goldens match; numpy imported: False"), out

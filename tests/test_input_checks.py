@@ -10,7 +10,7 @@ import pytest
 from pilotplan.effect import effect_pilot_n, effect_underpower_prob, plan_effect_pilot
 from pilotplan.power import (
     EffectSpec, TestDesign, effect_for_n, main_sample_size, mu_for_n)
-from pilotplan.simulation import ConfigError, SimulationConfig
+from pilotplan.simulation import ConfigError, SimulationConfig, reproduce_table
 from pilotplan.variance import (
     PowerBounds, pilot_n_approx, pilot_n_exact, plan_variance_pilot,
     variance_underpower_prob)
@@ -58,8 +58,14 @@ CHECKS = {
                            r"variance ratio must be positive, got -0\.5"),
     "variance-underpower-ratio": (lambda: variance_underpower_prob(12, 0.0), ValueError,
                                   r"variance ratio must be positive, got 0\.0"),
+    "variance-underpower-fractional-pilot-n": (
+        lambda: variance_underpower_prob(12.7, 0.6), ValueError,
+        r"pilot size must be an integer, got 12\.7"),
     "effect-underpower-pilot-n": (lambda: effect_underpower_prob(0, 0.5, 0.7, 1.0),
                                   ValueError, "pilot size must be >= 1, got 0"),
+    "effect-underpower-fractional-pilot-n": (
+        lambda: effect_underpower_prob(2.9, 0.5, 0.6, 1.0), ValueError,
+        r"pilot size must be an integer, got 2\.9"),
     "effect-pilot-p": (lambda: effect_pilot_n(0.5, 0.7, 1.0, 0.0), ValueError,
                        r"probability must be in \(0, 1\), got 0\.0"),
     "effect-pilot-sigma": (lambda: effect_pilot_n(0.5, 0.7, 0.0, 0.2), ValueError,
@@ -80,6 +86,12 @@ CHECKS = {
                            ConfigError, "sizing_mode must be 'z-approx' or 't-iterative'"),
     "config-estimator": (lambda: _effect_config(estimator="x").validate(),
                          ConfigError, "estimator must be 'pooled-sd' or 'known-sigma'"),
+    "table-id-fractional": (lambda: reproduce_table(1.7, 3), ConfigError,
+                            r"table_id must be 1 or 2, got 1\.7"),
+    "table-id-bool": (lambda: reproduce_table(True, 3), ConfigError,
+                      "table_id must be 1 or 2, got True"),
+    "table-replicates-fractional": (lambda: reproduce_table(1, 2.5, seed=3), ConfigError,
+                                    r"replicates must be an integer >= 1, got 2\.5"),
 }
 
 

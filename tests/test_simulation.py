@@ -689,8 +689,14 @@ class TestTableReports:
             reproduce_table(3, replicates=10, seed=0)
 
     def test_no_replicates_rejected(self):
-        with pytest.raises(ConfigError, match="replicates must be >= 1, got 0"):
+        with pytest.raises(ConfigError, match="replicates must be an integer >= 1, got 0"):
             reproduce_table(1, 0)
+
+    def test_numpy_integers_echo_as_ints(self, capsys):
+        rep = reproduce_table(np.int64(1), np.int64(20), seed=np.int64(3))
+        assert [type(rep.config[k]) for k in ("table_id", "replicates", "seed")] == [int] * 3
+        assert rep.format_text() == reproduce_table(1, 20, seed=3).format_text()
+        emit(rep, "json")       # serializes
 
 
 KERNELS = ("norm_cdf", "norm_quantile", "chisq_quantile")
