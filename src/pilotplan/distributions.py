@@ -13,17 +13,19 @@ The incomplete beta takes x and y = 1 - x, each computed by its caller
 without subtraction, as DiDonato & Morris's BRATIO does (ACM TOMS 18, 1992).
 
 Every function takes one point per call and computes on floats with the
-``math`` and ``statistics`` modules alone, so the planners never import
+``math`` and ``statistics`` modules alone, so the package never imports
 numpy.  A numpy scalar or 0-d array is one point; an array, list or tuple
 in any argument is a ValueError.  Nothing in the package needs more: the
 variance simulation calls ``chisq_quantile`` only at the replicates it
-reads, and the effect simulation draws its normal and chi-square deviates
-from numpy's samplers.
+reads, and the effect simulation ``_nct_abs_isf`` only at the five it
+sizes and at rare flag probes.
 
 The power layer reaches the noncentral t only through ``_nct_abs_sf``, the
 two-sided tail P(|T| > t): T^2 is noncentral F(1, df, ncp^2), so that tail
-is the Poisson-weighted half of the series alone.  ``nct_cdf`` and
-``_nct_abs_sf`` share the one mode-outward sweep, ``_mixture_sum``.
+is the Poisson-weighted half of the series alone.  The effect simulation
+reads the law of |T| and of T's sign from ``_nct_fold``, both halves of the
+series with their slopes in t.  ``nct_cdf``, ``_nct_abs_sf`` and
+``_nct_fold`` share the one mode-outward sweep, ``_mixture_sum``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ def _require_df(fn: str, df) -> float:
 # ---------------------------------------------------------------------------
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+_SQRT2PI = math.sqrt(2.0 * math.pi)
 _STANDARD_NORMAL = NormalDist()
 
 
@@ -398,18 +401,20 @@ def _beta_term(a: float, b: float, ln_y: float, ln_1my: float) -> float:
 
 
 def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
-                 half_df: float) -> float:
+                 half_df: float, upper: bool = False) -> tuple[float, float]:
     """Sum over j >= 0 of scale e^-lam lam^j / Gamma(j + a0 + 1/2) I(a0 + j),
-    from the mode of the weights outward, so large lam stays cheap and stable.
+    from the mode of the weights outward, so large lam stays cheap and stable;
+    and its slope, the same sum with each I(a) replaced by t/2 times its
+    derivative in t, y = t^2 / (t^2 + df), which is a term(a).
 
-    I(a) is I_y(a, df/2), or where w = 1 - y < _FAR the upper tail
-    I_w(df/2, a) = 1 - I_y(a, df/2), which keeps the digits a total near 1
-    would lose.
+    I(a) is I_y(a, df/2), or where w = 1 - y < _FAR or ``upper`` asks for
+    it the upper tail I_w(df/2, a) = 1 - I_y(a, df/2), which keeps the digits
+    a total near 1 would lose.
     """
     # the ratios step by I(a+1) = I(a) - term(a); the upper tails step the
     # other way, so their terms change sign.  The ratio is clamped into [0, 1]
     # by comparisons, to the bit as by min/max (NaN to 0 up, 1 down) but faster
-    far = w < _FAR
+    far = upper or w < _FAR
     sign = -1.0 if far else 1.0
     ln_y, ln_1my = _logs(y, w)
     b = a0 + 0.5
@@ -419,19 +424,21 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
     i_m = _betainc(half_df, a, w, y) if far else _betainc(a, half_df, y, w)
     t_m = sign * _beta_term(a, half_df, ln_y, ln_1my)
     total = c_m * i_m
+    slope = c_m * a * t_m
 
     # upward sweep: beyond the mode the weights decrease, so the loop may stop
     # once they are negligible, or once the (decreasing) ratio is 0
     c, i, t, j = c_m, i_m, t_m, m
     while True:
-        a = j + a0
         i -= t
         if not 0.0 < i < 1.0:
             i = 1.0 if i > 0.0 else 0.0
         t *= y * (a + half_df) / (a + 1.0)
+        a += 1.0
         c *= lam / (j + b)
         j += 1
         total += c * i
+        slope += c * a * t
         if -1e-18 < c < 1e-18 or i == 0.0:
             break
         if j - m > _MAX_SERIES:
@@ -441,22 +448,23 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
     # are 0 at the mode every later term is 0 too, so it is skipped (at large
     # ncp it would walk ~9 sqrt(lam) such terms); otherwise it stops at the
     # upward sweep's cap.
-    c, i, t = c_m, i_m, t_m
+    c, i, t, a = c_m, i_m, t_m, m + a0
     j = 0 if i == t == 0.0 else m
     while j > 0:
         if m - j > _MAX_SERIES:
             raise ConvergenceError("noncentral t series (downward) hit the iteration cap")
-        a = j + a0
         t *= a / (y * (a - 1.0 + half_df))
+        a -= 1.0
         i += t
         if not 0.0 < i < 1.0:
             i = 0.0 if i <= 0.0 else 1.0
         c *= (j + b - 1.0) / lam
         j -= 1
         total += c * i
+        slope += c * a * t
         if -1e-18 < c < 1e-18:
             break
-    return total
+    return total, slope
 
 
 def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
@@ -476,8 +484,8 @@ def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
         return t_cdf(t, df)
     half_df = 0.5 * df
     # the Poisson weights over I(j + 1/2), and the odd half over I(j + 1)
-    total = (_mixture_sum(lam, 0.5, 1.0, y, w, half_df)
-             + _mixture_sum(lam, 1.0, delta / math.sqrt(2.0), y, w, half_df))
+    total = (_mixture_sum(lam, 0.5, 1.0, y, w, half_df)[0]
+             + _mixture_sum(lam, 1.0, delta / math.sqrt(2.0), y, w, half_df)[0])
     # far out the sums run over upper tails: P(T <= t) = 1 - total / 2
     return min(1.0, max(0.0, 1.0 - 0.5 * total if w < _FAR else base + 0.5 * total))
 
@@ -485,23 +493,102 @@ def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
 def _nct_abs_sf(t: float, df: float, ncp: float) -> float:
     """P(|T| > t) for t >= 0, T noncentral t(df, ncp).  T^2 is noncentral
     F(1, df, ncp^2), so this is sum_j Pois(j; ncp^2 / 2) I_w(df/2, j + 1/2),
-    the Poisson half of the nct_cdf series.  At ncp = 0: (1 - t_cdf(t)) + t_cdf(-t).
+    the Poisson half of the nct_cdf series, as ``_nct_fold`` sums it."""
+    return _nct_fold(t, df, _require_finite("_nct_abs_sf", "ncp", ncp))[1]
+
+
+def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
+              upper: bool = False) -> tuple:
+    """The law of |T| at t >= 0, T noncentral t(df, ncp), normal N(ncp, 1)
+    at df = inf: P(|T| <= t), P(|T| > t) and the density of |T| at t; with
+    ``signs`` also P(T < -t) and, for ncp >= 0, f(-t) / (f(t) + f(-t)), the
+    chance that T is negative given |T| = t.
+
+    P(T <= t) = Phi(-ncp) + (E + O) / 2 and P(T < -t) = Phi(-ncp) - (E - O) / 2
+    over nct_cdf's even and odd sums, so the density of |T| is E'(t) and the
+    share is (E' - O') / 2 E', each E' = 2 / t times the sum's slope.  Each
+    sum stops at weights under 1e-18, so the share loses digits where the
+    density of |T| falls toward that.  With ``upper`` the sums run over upper
+    tails, which keeps P(|T| > t) to its last digits where it is small.
     """
-    ncp = _require_finite("_nct_abs_sf", "ncp", ncp)
+    if df == math.inf:
+        below = norm_cdf(-t - ncp)
+        density = (math.exp(-0.5 * (t - ncp) ** 2) + math.exp(-0.5 * (t + ncp) ** 2)) / _SQRT2PI
+        law = (norm_cdf(t - ncp) - below, norm_cdf(ncp - t) + below, density)
+        # f(-t) / f(t) = e^(-2 t ncp), so the share is (1 - tanh(t ncp)) / 2
+        return law + ((below, 0.5 - 0.5 * math.tanh(t * ncp)) if signs else ())
     lam = 0.5 * ncp * ncp
     if lam == 0.0:
-        return (1.0 - t_cdf(t, df)) + t_cdf(-t, df)
+        # T is the central t
+        below = t_cdf(-t, df)
+        law = (t_cdf(t, df) - below, (1.0 - t_cdf(t, df)) + below, 2.0 * _t_pdf(t, df))
+        return law + ((below, 0.5) if signs else ())
     tt = t * t
     y, w = tt / (tt + df), df / (tt + df)
     if y < _MIN_NORMAL:
-        return 1.0
+        # t^2 underflows against df: |T| lies above t surely (density given as 0)
+        return (0.0, 1.0, 0.0) + ((norm_cdf(-ncp), 0.5) if signs else ())
     if w < _MIN_NORMAL:
-        return 0.0
+        # t^2 overflows, or dwarfs df past the double range: |T| lies below t
+        return (1.0, 0.0, 0.0) + ((0.0, 0.0) if signs else ())
+    half_df, far = 0.5 * df, upper or w < _FAR
     try:
-        total = _mixture_sum(lam, 0.5, 1.0, y, w, 0.5 * df)
+        even, d_even = _mixture_sum(lam, 0.5, 1.0, y, w, half_df, far)
+        odd, d_odd = (_mixture_sum(lam, 1.0, ncp * _SQRT1_2, y, w, half_df, far) if signs
+                      else (0.0, 0.0))
     except OverflowError:
         raise ValueError(_ncp_too_large(ncp)) from None
-    return min(1.0, max(0.0, total if w < _FAR else 1.0 - total))
+    # far out the sums run over upper tails, whose slopes are negative
+    even = min(1.0, max(0.0, even))
+    law = ((1.0 - even, even, -2.0 * d_even / t) if far
+           else (even, 1.0 - even, 2.0 * d_even / t))
+    if not signs:
+        return law
+    below = 0.5 * (even - odd) if far else norm_cdf(-ncp) - 0.5 * (even - odd)
+    share = 0.5 - 0.5 * d_odd / d_even if d_even else 0.0
+    return law + (min(1.0, max(0.0, below)), min(1.0, max(0.0, share)))
+
+
+def _nct_abs_isf(v: float, df: float, ncp: float) -> float:
+    """The t > 0 with P(|T| > t) = v for 0 < v < 1, T as in ``_nct_fold``.
+
+    From the normal approximation of Abramowitz & Stegun 26.7.10, Newton
+    steps in log t solve for the log of the smaller tail, v or 1 - v, with
+    the density of |T| as the slope (about 3.5 evaluations at the quantiles
+    of a grid cell); a step out of the bracket bisects it.
+    They stop within ``_INVERT_TOL`` of the target, relative, or at bracket
+    collapse; ``_MAX_NEWTON`` steps raise.
+    """
+    upper = v <= 0.5
+    target, sign = (v, 1.0) if upper else (1.0 - v, -1.0)
+    t, lo, hi = _abs_start(v, df, ncp), 0.0, math.inf
+    for _ in range(_MAX_NEWTON):
+        cdf, sf, density = _nct_fold(t, df, ncp, upper=upper)
+        got = sf if upper else cdf
+        if abs(got - target) <= _INVERT_TOL * target or hi - lo <= 1e-15 * t:
+            return t
+        lo, hi = (t, hi) if (got > target) == upper else (lo, t)
+        step = (sign * math.log(got / target) * got / (t * density)
+                if got > 0.0 and t * density > 0.0 else math.nan)
+        t_new = t * math.exp(step) if abs(step) < 700.0 else math.nan
+        if not lo < t_new < hi:
+            # bisect the bracket, in log t once it has a positive end
+            t_new = ((math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi) if math.isfinite(hi)
+                     else 2.0 * t)
+        t = t_new
+    raise ConvergenceError("|T| quantile inversion hit the 200-iteration cap")
+
+
+def _abs_start(v: float, df: float, ncp: float) -> float:
+    """Where P(|T| > t) = v if T's lower tail is ignored and P(T <= t) is
+    Phi((t k - ncp) / sqrt(1 + t^2 / (2 df))), k = 1 - 1 / (4 df): a root of
+    a quadratic.  Where it has no positive root, ncp + |z|."""
+    z = -norm_quantile(v)
+    k = 1.0 - 0.25 / df
+    a = k * k - 0.5 * z * z / df
+    disc = k * k + 0.5 * (ncp * ncp - z * z) / df
+    t = (k * ncp + z * math.sqrt(disc)) / a if a > 0.0 and disc >= 0.0 else math.nan
+    return t if t > 0.0 else ncp + abs(z)
 
 
 def _ncp_too_large(ncp: float) -> str:

@@ -197,7 +197,7 @@ def required_n(effect: EffectSpec, design: TestDesign, power: float,
         return 2.0
     return _solve_increasing(lambda x: power_at(x, effect, design), power,
                              n - 1.0, float(n), power_at(n - 1, effect, design),
-                             power_at(n, effect, design), 1e-10)
+                             power_at(n, effect, design), 1e-10)[1]
 
 
 def _first_true(ok, lo: int, start: int, cap: int, too_large: str) -> int:
@@ -268,7 +268,8 @@ def _nearest_n(effect: EffectSpec, design: TestDesign, power: float,
 
 def _solve_increasing(f, target: float, lo: float, hi: float, f_lo: float,
                       f_hi: float, xtol: float) -> float:
-    """Smallest x in [lo, hi] with f(x) >= target, f increasing (Illinois)."""
+    """The bracket [lo, hi] of the smallest x with f(x) >= target, f
+    increasing (Illinois): f(lo) < target <= f(hi) and hi - lo <= xtol max(|hi|, 1)."""
     f_lo -= target
     f_hi -= target
     side = 0
@@ -286,7 +287,7 @@ def _solve_increasing(f, target: float, lo: float, hi: float, f_lo: float,
                 f_hi *= 0.5
             lo, f_lo, side = x, fx, -1
         if hi - lo <= xtol * max(abs(hi), 1.0):
-            return hi
+            return lo, hi
     raise ConvergenceError("root solve hit the 200-iteration cap")
 
 
@@ -321,7 +322,7 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
         if hi > 1e6:
             raise ValueError("no finite effect reaches the requested power")
         f_hi = pw(hi)
-    return _solve_increasing(pw, power, lo, hi, f_lo, f_hi, 1e-12)
+    return _solve_increasing(pw, power, lo, hi, f_lo, f_hi, 1e-12)[1]
 
 
 def sigma_for_n(n: float, effect: EffectSpec, design: TestDesign, power: float,

@@ -19,26 +19,31 @@ five order statistics of the estimates, by the integer search of
 ``main_sample_size`` (any size up to 1e9 per group).  A replicate is
 underpowered exactly when n_crit - 1 subjects, one fewer than the threshold
 power needs at the true effect, already reach the target power at its
-estimate; that holds from some estimate on, so ``bisect`` counts the flags.
+estimate; that holds from some estimate x* on, which is solved once per run
+to a bracket of relative width about 1e-7, and ``bisect`` counts the flags
+against it.
 
-Nor is every replicate drawn where one uniform orders the estimates: a
-variance estimate falls as its chi-square uniform u rises, and so does a
-known-sigma estimate, mu / sigma - sqrt(g / n) Phi^-1(u).  Those runs read
-order statistics of R uniforms, each drawn when first read (``_OrderStats``;
-Devroye 1986, Non-Uniform Random Variate Generation, ch. V), about
-5 + log2 R of them (known sigma, which merges its signs, reads about
-(log2 R)^2), and never import numpy.  A pooled-SD estimate takes two
-deviates, so no one uniform orders it: every replicate is drawn, the normal
-from numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) and
-the chi-square from its gamma sampler (Marsaglia & Tsang, ACM TOMS 26, 2000).
+Nor is every replicate drawn: one uniform orders the estimates.  A variance
+estimate falls as its chi-square uniform rises.  An effect estimate is
+spread T, T noncentral t on the pilot's df with ncp mu / (sigma spread) (the
+normal N(ncp, 1) when sigma is known), so its magnitude falls as the uniform
+P(|T| > |t|) rises.  A run reads order statistics of R uniforms, each drawn
+when first read (``_OrderStats``; Devroye 1986, Non-Uniform Random Variate
+Generation, ch. V), about 5 + log2 R of them.  A variance probe compares its
+estimate with the bracket; an effect probe compares its uniform with the
+bracket's, and |T| is inverted only at the five quantile items and at a
+probe inside the bracket.  The signs of an effect run are drawn after the
+fact: given the flag boundary and the five quantile items, the replicates
+between two of them are i.i.d. on that gap, so the gap's negatives are one
+Binomial draw, and each item is negative with its conditional chance.  So
+every field of the report keeps its exact joint law, a billion replicates
+take milliseconds, and no run imports numpy.
 
-Randomness: one seed per run.  The order statistics come from
-``random.Random(seed).betavariate`` in the order they are read: ``_report``
-reads the flags first, then the quantiles, and changing that order changes
-the stream.  Replicate r of a pooled-SD run reads entry r of two Philox
-streams (numpy SeedSequence spawn keys 2 and 3), so such a run alone is a
-prefix of any longer run with the same seed.  A table cell's seed is drawn
-from (seed, table, cell).
+Randomness: one seed per run, one ``random.Random(seed)``, read in this
+order: the flags' order statistics (Beta draws), then the quantiles', then
+the signs, gap by gap from the largest magnitude down, each gap's Binomial
+and then the item that closes it.  Changing that order changes the stream.
+A table cell's seed is drawn from (seed, table, cell).
 """
 
 from __future__ import annotations
@@ -48,9 +53,8 @@ import math
 import numbers
 import random
 from dataclasses import dataclass, field, asdict, replace
-from typing import TYPE_CHECKING
 
-from .distributions import chisq_quantile, norm_quantile
+from .distributions import _nct_abs_isf, _nct_fold, chisq_quantile, norm_quantile
 from .power import (
     EffectSpec,
     TWO_SAMPLE,
@@ -58,16 +62,13 @@ from .power import (
     Z_APPROX,
     TestDesign,
     _power_curve,
+    _solve_increasing,
     _zsum,
     effect_for_n,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
     main_sample_size,
 )
 from .variance import PowerBounds, _pilot_df, plan_variance_pilot
 from .effect import plan_effect_pilot
-
-# numpy is imported inside ``_rng`` alone, which only a pooled-SD run calls
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ConfigError",
@@ -86,6 +87,9 @@ EFFECT = "effect"
 
 POOLED_SD = "pooled-sd"
 KNOWN_SIGMA = "known-sigma"
+# past this noncentrality a pooled-SD run's noncentral-t series takes over
+# 0.1 s a cell and lengthens with it
+_MAX_NCP = 1e3
 
 
 class ConfigError(ValueError):
@@ -184,81 +188,46 @@ class SimulationReport:
         return [row]
 
 
-# ---------------------------------------------------------------------------
-# RNG plumbing
-# ---------------------------------------------------------------------------
-
-def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
-    import numpy as np
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in spawn_key))))
-
-
 # the open interval (0, 1) that every drawn uniform is clamped into
 _TINY, _BELOW_ONE = math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)
 
 
 class _OrderStats:
-    """Item k is f at the k-th largest of ``reps`` uniforms, drawn when first
-    read (ascending for a falling f).  Rank i is drawn between the nearest
-    drawn ranks lo < i < hi (sentinels 0.0 at rank 0 and 1.0 at rank reps + 1)
-    as v_lo + (v_hi - v_lo) Beta(i - lo, hi - i), so the draws depend on the
-    order of reads."""
+    """Item k is f at the k-th largest of ``reps`` uniforms (ascending for a
+    falling f), each uniform drawn when first read.  Rank i is drawn between
+    the nearest drawn ranks lo < i < hi (sentinels 0.0 at rank 0 and 1.0 at
+    rank reps + 1) as v_lo + (v_hi - v_lo) Beta(i - lo, hi - i), so the draws
+    depend on the order of reads.  An effect run's items are the estimates'
+    magnitudes, whose law ``law(x)`` gives as ``_nct_fold`` does."""
 
-    def __init__(self, reps: int, seed: int, f):
-        self._reps, self._f = reps, f
-        self._beta = random.Random(seed).betavariate
+    def __init__(self, reps: int, seed: int, f, law=None):
+        self._reps, self._f, self.law = reps, f, law
+        self.rng = random.Random(seed)
         self._ranks, self._u = [0, reps + 1], [0.0, 1.0]
         self._items: dict = {}
 
     def __len__(self) -> int:
         return self._reps
 
-    def __getitem__(self, k: int) -> float:
-        if k in self._items:
-            return self._items[k]
+    def uniform(self, k: int) -> float:
+        """The k-th largest uniform."""
         if not 0 <= k < self._reps:
             raise IndexError(k)
         i = self._reps - k
         j = bisect.bisect_left(self._ranks, i)
+        if self._ranks[j] == i:
+            return self._u[j]
         (lo, hi), (v_lo, v_hi) = self._ranks[j - 1:j + 1], self._u[j - 1:j + 1]
-        v = v_lo + (v_hi - v_lo) * self._beta(i - lo, hi - i)
+        v = v_lo + (v_hi - v_lo) * self.rng.betavariate(i - lo, hi - i)
         v = min(max(v, v_lo, _TINY), v_hi, _BELOW_ONE)    # ties are allowed
         self._ranks.insert(j, i)
         self._u.insert(j, v)
-        item = self._items[k] = self._f(v)
-        return item
-
-
-class _Magnitudes:
-    """The magnitudes of the nonzero items of the ascending sequence ``e``,
-    ascending: the negative items reversed, merged with the positive ones.
-    Item k is found by two-sequence selection in about 2 log2 len(e) reads."""
-
-    def __init__(self, e):
-        self.e = e
-        self._neg = bisect.bisect_left(e, 0.0)
-        self.nonpositive = bisect.bisect_right(e, 0.0, lo=self._neg)
-        self._pos = len(e) - self.nonpositive
-
-    def __len__(self) -> int:
-        return self._neg + self._pos
-
-    def _a(self, i: int) -> float:      # the i-th smallest negative magnitude
-        return -float(self.e[self._neg - 1 - i])
-
-    def _b(self, j: int) -> float:      # the j-th smallest positive item
-        return float(self.e[self.nonpositive + j])
+        return v
 
     def __getitem__(self, k: int) -> float:
-        if not 0 <= k < len(self):
-            raise IndexError(k)
-        # i of the k + 1 smallest are negative: the first i at which taking
-        # one more negative would pass the positive it displaces
-        lo = max(0, k + 1 - self._pos)
-        i = lo + bisect.bisect_left(range(lo, min(k + 1, self._neg)), True,
-                                    key=lambda t: self._a(t) >= self._b(k - t))
-        return max(self._a(i - 1) if i else 0.0, self._b(k - i) if i <= k else 0.0)
+        if k not in self._items:
+            self._items[k] = self._f(self.uniform(k))
+        return self._items[k]
 
 
 # ---------------------------------------------------------------------------
@@ -270,65 +239,151 @@ class _Magnitudes:
 _QUANTILES = {"5": 5, "25": 25, "50": 50, "75": 75, "95": 95}
 
 
-def _main_n_quantiles(d, design: TestDesign, power: float, mode: str) -> dict:
-    """Quantiles (``inverted_cdf``) of the main sizes the positive estimates
-    get, from the estimates in ascending order (any sequence).
-
-    The size never increases as the estimate grows, so the q-th percentile
+def _quantile_items(n: int) -> dict:
+    """Each percentile's item among n ascending estimates.  The size never
+    increases as the estimate grows, so the q-th percentile (``inverted_cdf``)
     of the sizes is the size of the estimate at the q-th percentile counted
     from the top, -np.percentile(-d, q, method="inverted_cdf"), which is
-    d[n - ceil(n q / 100)]: five sizings, not one per replicate.
-    """
-    n = len(d)
-    return {key: main_sample_size(EffectSpec(d[n - (n * q + 99) // 100]), design, power, mode)
-            if n else None for key, q in _QUANTILES.items()}
+    d[n - ceil(n q / 100)]."""
+    return {key: n - (n * q + 99) // 100 for key, q in _QUANTILES.items()}
 
 
-def _underpower_count(d, design: TestDesign, config: SimulationConfig,
-                      n_crit: int) -> int:
-    """Replicates whose sized main study has true power below the threshold.
+def _main_n_quantiles(d, design: TestDesign, power: float, mode: str) -> dict:
+    """Quantiles of the main sizes the estimates get, from the estimates in
+    ascending order (any sequence): five sizings, not one per replicate."""
+    return {key: main_sample_size(EffectSpec(d[k]), design, power, mode)
+            for key, k in _quantile_items(len(d)).items()}
 
-    True power rises with N, so that happens exactly when the main size is
-    below n_crit (the threshold's own requirement), that is when n_crit - 1
-    subjects already reach the target power at the estimate.  That holds
-    from some estimate on, so over the ascending positive estimates ``d``
-    the count is a bisection.
-    """
+
+def _flag_boundary(design: TestDesign, config: SimulationConfig, n_crit: int):
+    """A replicate is underpowered exactly when its main size is below n_crit
+    (the threshold's own requirement), that is when m = n_crit - 1 subjects
+    already reach the target power at its estimate x, which holds from some
+    x* on.  Returns None where n_crit <= 2, so that nothing is flagged, and
+    else (x_lo, x_hi, reaches): ``reaches(x)`` is that test, false at x_lo
+    and true at x_hi, and x_hi - x_lo is about 1e-7 x*.  The bracket is
+    solved once, by Illinois steps from the z boundary and one step of
+    Guenther's correction past it."""
     if n_crit <= 2:
-        return 0
-    m = n_crit - 1
-    target = config.power_target
+        return None
+    m, target = n_crit - 1, config.power_target
+    zs = _zsum(design.alpha, target)
     if config.sizing_mode == Z_APPROX:
-        zs = _zsum(design.alpha, target)
         g_zz = design.groups * zs * zs
 
-        def reaches(x: float) -> bool:
-            return g_zz / (x * x) - 1e-9 <= m
+        def gap(x: float) -> float:
+            # m - (...) >= 0 exactly when main_sample_size's z form is <= m
+            return m - (g_zz / (x * x) - 1e-9)
     else:
         power = _power_curve(m, design)
 
-        def reaches(x: float) -> bool:
-            return power(x) >= target
+        def gap(x: float) -> float:
+            return power(x) - target
 
-    return len(d) - bisect.bisect_left(d, True, key=reaches)
+    x = zs * math.sqrt(design.groups / m)
+    z_a = -norm_quantile(0.5 * design.alpha)
+    lo = hi = x
+    f_lo = f_hi = gap(x)
+    step = 1.0 + z_a * z_a / (4.0 * design.groups * m)
+    while f_lo >= 0.0:
+        hi, f_hi, lo = lo, f_lo, lo / step
+        f_lo, step = gap(lo), step * step
+    while f_hi < 0.0:
+        lo, f_lo, hi = hi, f_hi, hi * step
+        f_hi, step = gap(hi), step * step
+    lo, hi = _solve_increasing(gap, 0.0, lo, hi, f_lo, f_hi, 1e-7 * min(x, 1.0))
+    return lo, hi, lambda x: gap(x) >= 0.0
 
 
-def _report(config: SimulationConfig, d, nonpositive: int) -> SimulationReport:
-    """Size, flag and summarize a run from its positive estimated effect
-    sizes (magnitudes) ``d`` in ascending order; it reads 5 + log2(len(d)) or so."""
+def _underpower_count(d, boundary) -> int:
+    """Replicates whose estimate reaches the flag boundary, over the
+    ascending estimates ``d``: a bisection whose probes compare an estimate
+    (or, in an effect run, its uniform) with the bracket's ends, and test the
+    estimate itself only where it falls inside."""
+    if boundary is None:
+        return 0
+    x_lo, x_hi, reaches = boundary
+    if d.law is None:
+        def flagged(k: int) -> bool:
+            x = d[k]
+            return x >= x_hi or (x >= x_lo and reaches(x))
+    else:
+        v_lo, v_hi = d.law(x_lo)[1], d.law(x_hi)[1]
+
+        def flagged(k: int) -> bool:
+            v = d.uniform(k)
+            return v <= v_hi or (v <= v_lo and reaches(d[k]))
+    return len(d) - bisect.bisect_left(range(len(d)), True, key=flagged)
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """Binomial(n, p), exactly, in O(log n) draws: the median of n uniforms is
+    a Beta variate u, and the uniforms on the side of u that p is on are a
+    Binomial of about n / 2 with p rescaled to that side (Knuth, TAOCP vol.
+    2, 3.4.1).  Up to 16 trials are drawn one by one."""
+    p, count = min(1.0, max(0.0, p)), 0
+    while n > 16 and 0.0 < p < 1.0:
+        k = (n + 1) // 2
+        u = rng.betavariate(k, n + 1 - k)
+        if u <= p:
+            count, n, p = count + k, n - k, (p - u) / (1.0 - u)
+        else:
+            n, p = k - 1, p / u
+    if p in (0.0, 1.0):
+        return count + int(p) * n
+    return count + sum(rng.random() < p for _ in range(n))
+
+
+def _nonpositive(d, boundary, flags: int, items) -> int:
+    """The negative estimates of an effect run, drawn given what the report
+    reads: the flag boundary, with ``flags`` uniforms below it, and the items
+    ``items``.  Given those, the replicates between two of them have uniforms
+    i.i.d. on the gap, so each gap's negatives are a Binomial of its count
+    and P(estimate in -gap) / P(magnitude in gap), and an item is negative
+    with f(-x) / (f(x) + f(-x)).  Every report field keeps its exact joint
+    law; the boundary is placed at x_hi, within about 1e-7 of x*, between
+    the drawn ranks on either side of it."""
+    r = len(d)
+    # a point: (replicates below it, at or below it, its uniform, P(estimate <
+    # -its magnitude), the chance that it is itself negative, or None)
+    points = [(0, 0, 0.0, 0.0, None), (r, r, 1.0, d.law(0.0, True)[3], None)]
+    for k in set(items):
+        v = d.uniform(k)
+        points.append((r - k - 1, r - k, v) + d.law(d[k], True, v <= 0.5)[3:])
+    if boundary is not None:
+        _, v, _, below, _ = d.law(boundary[1], True)
+        v = max(v, d.uniform(r - flags) if flags else 0.0)
+        v = min(v, d.uniform(r - flags - 1) if flags < r else 1.0)
+        points.append((flags, flags, v, below, None))
+    points.sort(key=lambda p: p[0] + p[1])
+    count = 0
+    for (_, at, v_a, f_a, _), (under, _, v_b, f_b, share) in zip(points, points[1:]):
+        if under > at:
+            count += _binomial(d.rng, under - at, (f_b - f_a) / (v_b - v_a) if v_b > v_a else 0.0)
+        if share is not None:
+            count += d.rng.random() < share
+    return count
+
+
+def _report(config: SimulationConfig, d) -> SimulationReport:
+    """Size, flag and summarize a run from its estimated effect sizes
+    (magnitudes) ``d`` in ascending order; it reads 5 + log2(len(d)) or so.
+    The flags are read first, then the quantiles, then an effect run's signs:
+    a lazily drawn ``d`` draws in this order."""
     design = config.design()
     true_effect = EffectSpec(config.effect, config.sigma)
     n_crit = main_sample_size(true_effect, design, config.underpower_threshold, T_ITERATIVE)
     r = config.replicates
-    # the flags are read first, then the quantiles: a lazily drawn ``d``
-    # draws in this order
-    p_hat = _underpower_count(d, design, config, n_crit) / r
+    boundary = _flag_boundary(design, config, n_crit)
+    flags = _underpower_count(d, boundary)
+    p_hat = flags / r
+    quantiles = _main_n_quantiles(d, design, config.power_target, config.sizing_mode)
     return SimulationReport(
         empirical_underpower=p_hat,
         mc_standard_error=math.sqrt(p_hat * (1.0 - p_hat) / r),
-        nonpositive_effects=nonpositive,
-        main_n_quantiles=_main_n_quantiles(d, design, config.power_target,
-                                           config.sizing_mode),
+        nonpositive_effects=(0 if d.law is None else
+                             _nonpositive(d, boundary, flags, _quantile_items(r).values())),
+        main_n_quantiles=quantiles,
         config=asdict(config),
     )
 
@@ -352,8 +407,7 @@ def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
     def estimate(p: float) -> float:
         return config.effect / math.sqrt(config.sigma ** 2 * chisq_quantile(p, df) / df)
 
-    return _report(config, _OrderStats(config.replicates, config.seed, estimate),
-                   nonpositive=0)
+    return _report(config, _OrderStats(config.replicates, config.seed, estimate))
 
 
 def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -370,29 +424,26 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
     if config.scenario != EFFECT:
         raise ConfigError(f"expected an '{EFFECT}' scenario, got {config.scenario!r}")
     design = config.design()
-    reps, npil = config.replicates, config.pilot_n
-    spread = math.sqrt(design.groups / npil)
-
+    spread = math.sqrt(design.groups / config.pilot_n)
     # the mean (two-sample: difference of means) is N(mu, g sigma^2 / n) and
-    # independent of the pooled S^2, which is sigma^2 chi2(g (n - 1)) / df
-    if config.estimator == KNOWN_SIGMA:
-        mu = config.effect / config.sigma
-        e = _OrderStats(reps, config.seed, lambda u: mu - spread * norm_quantile(u))
-    else:
-        # the estimates are built in place, one array at a time
-        e = _rng(config.seed, 2).standard_normal(reps)
-        e *= config.sigma * spread
-        e += config.effect
-        df = design.df(npil)
-        s = _rng(config.seed, 3).chisquare(df, reps)
-        s /= df
-        s **= 0.5
-        s *= config.sigma
-        e /= s
-        del s
-        e.sort()
-    d = _Magnitudes(e)
-    return _report(config, d, nonpositive=d.nonpositive)
+    # independent of the pooled S^2, which is sigma^2 chi2(df) / df, so an
+    # estimate is spread T, T noncentral t on df with ncp mu / (sigma spread);
+    # with sigma known, T is normal, the noncentral t at df = inf, which takes
+    # any finite ncp
+    limit = _MAX_NCP if config.estimator == POOLED_SD else math.inf
+    if not config.effect / config.sigma < limit * spread:
+        raise ValueError(
+            f"effect {config.effect!r} over sigma {config.sigma!r} with pilot_n "
+            f"{config.pilot_n!r} puts the pilot's t statistic past noncentrality "
+            f"{limit:g}, the largest a {config.estimator} simulation takes")
+    ncp = config.effect / config.sigma / spread
+    df = math.inf if config.estimator == KNOWN_SIGMA else design.df(config.pilot_n)
+
+    def law(x: float, signs: bool = False, upper: bool = False) -> tuple:
+        return _nct_fold(x / spread, df, ncp, signs, upper)
+
+    return _report(config, _OrderStats(config.replicates, config.seed,
+                                       lambda v: spread * _nct_abs_isf(v, df, ncp), law))
 
 
 # ---------------------------------------------------------------------------

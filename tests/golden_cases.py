@@ -1,13 +1,13 @@
 """The fixed-seed commands whose output is frozen under ``golden/``.
 
-Standard library only, so that the goldens of the runs that never import
-numpy can be checked on an interpreter without it:
+Standard library only, as the package is, so that the goldens can be checked
+on an interpreter without numpy:
 
     python tests/golden_cases.py
 
-runs each case of ``NUMPY_FREE`` through the CLI in this process, compares
-its stdout with the golden byte for byte, and exits 1 if any differs or if
-numpy was imported.  ``test_golden.py`` takes its cases from here too.
+runs each case of ``CASES`` through the CLI in this process, compares its
+stdout with the golden byte for byte, and exits 1 if any differs or if numpy
+was imported.  ``test_golden.py`` takes its cases from here too.
 """
 
 import contextlib
@@ -69,14 +69,10 @@ CLI_CASES.update({
        for i in (1, 2) for ext in ("txt", "csv")},
 })
 
-# golden path under golden/ -> argv, for every run that never imports numpy:
-# the plans, table 1, and the variance and known-sigma simulations (pooled-SD
-# estimates and table 2 are drawn by numpy's samplers)
-NUMPY_FREE = {
-    **{os.path.join("cli", name): argv for name, argv in CLI_CASES.items()
-       if name.startswith(("plan_", "tables_id1_"))},
-    **{f"{cell}_reps2000_seed9.json": simulate_argv(cell)
-       for cell in SIMULATE_CELLS if not cell.endswith("_pooled")},
+# golden path under golden/ -> argv, for every command
+CASES = {
+    **{os.path.join("cli", name): argv for name, argv in CLI_CASES.items()},
+    **{f"{cell}_reps2000_seed9.json": simulate_argv(cell) for cell in SIMULATE_CELLS},
 }
 
 
@@ -90,14 +86,14 @@ def main() -> int:
     from pilotplan.cli import main as cli
 
     differ = []
-    for name, argv in sorted(NUMPY_FREE.items()):
+    for name, argv in sorted(CASES.items()):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli(argv)
         if code != 0 or out.getvalue() != golden(name):
             differ.append(name)
     numpy_loaded = sys.modules.get("numpy") is not None
-    print(f"{len(NUMPY_FREE) - len(differ)} of {len(NUMPY_FREE)} numpy-free goldens match; "
+    print(f"{len(CASES) - len(differ)} of {len(CASES)} goldens match; "
           f"numpy imported: {numpy_loaded}; python {sys.version.split()[0]}")
     for name in differ:
         print(f"differs: {name}")

@@ -45,6 +45,24 @@ def nct_cdf_by_quadrature(t, df, ncp):
     return val
 
 
+def nct_by_quadrature_in_s(t, df, ncp, density=False):
+    """Independent oracle over S = sqrt(V/df), V ~ chi2_df, whose density is
+    smooth at 0 for every df >= 1: P(T <= t) = E[Phi(t S - ncp)], and with
+    ``density`` f(t) = E[S phi(t S - ncp)]."""
+    root, log_c = math.sqrt(df), (0.5 * df - 1.0) * math.log(2.0) + math.lgamma(0.5 * df)
+
+    def f(s):
+        x, z = s * root, t * s - ncp
+        g = (s * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) if density
+             else 0.5 * math.erfc(-z / math.sqrt(2.0)))
+        return g * root * math.exp((df - 1.0) * math.log(x) - 0.5 * x * x - log_c) if x else 0.0
+
+    width = 14.0 / math.sqrt(2.0 * df)
+    val, _ = scipy_integrate.quad(f, max(0.0, 1.0 - width), 2.0 + width, limit=400,
+                                  epsabs=1e-15, epsrel=1e-12, points=[1.0])
+    return val
+
+
 def norm_cdf_by_quadrature(x):
     val, _ = scipy_integrate.quad(
         lambda u: math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi), -40.0, x,
@@ -677,3 +695,56 @@ class TestKernelCost:
         for df in np.geomspace(18.0, 1e9, 60):
             c = t_quantile(0.975, float(df))
             assert abs(t_cdf(c, float(df)) - 0.975) <= 1e-12
+
+
+class TestFoldedT:
+    """The law of |T| that effect simulations draw from: T noncentral t, or
+    normal N(ncp, 1) at df = inf, its inverse survival function and the
+    chance of each sign at a given magnitude."""
+
+    DOMAIN = dict(df=st.one_of(st.floats(1.0, 1e5), st.just(math.inf)),
+                  ncp=st.floats(1e-3, 1e3))
+
+    @pytest.mark.parametrize("df", [1.0, 6.0, 62.0, 2e3, math.inf])
+    @pytest.mark.parametrize("ncp", [0.05, 0.7, 2.0, 9.0])
+    def test_law_matches_quadrature(self, df, ncp):
+        # scipy's nct pdf loses digits in the tails and overflows at df 2e3,
+        # so the finite-df oracle is quadrature
+        def cdf(t):
+            return (scipy_stats.norm.cdf(t - ncp) if df == math.inf
+                    else nct_by_quadrature_in_s(t, df, ncp))
+
+        def pdf(t):
+            return (scipy_stats.norm.pdf(t - ncp) if df == math.inf
+                    else nct_by_quadrature_in_s(t, df, ncp, density=True))
+
+        for t in (0.05, 1.0, 2.5, 11.0):
+            got_cdf, sf, density, below, share = distributions._nct_fold(t, df, ncp, True)
+            f_pos, f_neg = pdf(t), pdf(-t)
+            assert got_cdf == pytest.approx(cdf(t) - cdf(-t), rel=1e-9, abs=1e-12)
+            assert sf == pytest.approx(1.0 - cdf(t) + cdf(-t), rel=1e-9, abs=1e-12)
+            assert below == pytest.approx(cdf(-t), rel=1e-9, abs=1e-12)
+            assert density == pytest.approx(f_pos + f_neg, rel=1e-9, abs=1e-12)
+            if f_pos + f_neg > 1e-10:
+                # where |T| has next to no density the share is a ratio of
+                # two sums each good to about 1e-18 absolute
+                assert share == pytest.approx(f_neg / (f_pos + f_neg), rel=1e-8, abs=1e-12)
+
+    @given(v=st.floats(1e-12, 1.0 - 1e-9), **DOMAIN)
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_round_trip(self, v, df, ncp):
+        # within 1e-9 of the smaller tail, relative, or where a normal lower
+        # tail is a difference of two normal CDFs, within its rounding, 1e-16
+        t = distributions._nct_abs_isf(v, df, ncp)
+        upper = v <= 0.5
+        cdf, sf, _ = distributions._nct_fold(t, df, ncp, upper=upper)
+        got, want = (sf, v) if upper else (cdf, 1.0 - v)
+        assert abs(got - want) <= 1e-9 * want + 1e-16
+
+    @given(vs=st.lists(st.floats(1e-12, 1.0 - 1e-9), min_size=2, max_size=2, unique=True),
+           **DOMAIN)
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_is_monotone(self, vs, df, ncp):
+        lo, hi = sorted(vs)
+        t_lo, t_hi = (distributions._nct_abs_isf(v, df, ncp) for v in (lo, hi))
+        assert t_lo >= t_hi * (1.0 - 1e-9)

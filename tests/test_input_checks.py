@@ -10,7 +10,8 @@ import pytest
 from pilotplan.effect import effect_pilot_n, effect_underpower_prob, plan_effect_pilot
 from pilotplan.power import (
     EffectSpec, TestDesign, effect_for_n, main_sample_size, mu_for_n)
-from pilotplan.simulation import ConfigError, SimulationConfig, reproduce_table
+from pilotplan.simulation import (
+    ConfigError, SimulationConfig, reproduce_table, simulate_effect_pipeline)
 from pilotplan.variance import (
     PowerBounds, pilot_n_approx, pilot_n_exact, plan_variance_pilot,
     variance_underpower_prob)
@@ -86,6 +87,14 @@ CHECKS = {
                            ConfigError, "sizing_mode must be 'z-approx' or 't-iterative'"),
     "config-estimator": (lambda: _effect_config(estimator="x").validate(),
                          ConfigError, "estimator must be 'pooled-sd' or 'known-sigma'"),
+    "simulate-pooled-sd-noncentrality": (
+        lambda: simulate_effect_pipeline(_effect_config(effect=1000.0, pilot_n=2)), ValueError,
+        r"effect 1000\.0 over sigma 1\.0 with pilot_n 2 puts the pilot's t statistic past "
+        r"noncentrality 1000, the largest a pooled-sd simulation takes"),
+    "simulate-known-sigma-pilot-n": (
+        lambda: simulate_effect_pipeline(
+            _effect_config(estimator="known-sigma", pilot_n=10 ** 400)),
+        ValueError, "past noncentrality inf, the largest a known-sigma simulation takes"),
     "table-id-fractional": (lambda: reproduce_table(1.7, 3), ConfigError,
                             r"table_id must be 1 or 2, got 1\.7"),
     "table-id-bool": (lambda: reproduce_table(True, 3), ConfigError,
