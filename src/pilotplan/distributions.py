@@ -31,6 +31,7 @@ series with their slopes in t.  ``nct_cdf``, ``_nct_abs_sf`` and
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from statistics import NormalDist
 
@@ -68,10 +69,14 @@ class ConvergenceError(RuntimeError):
 
 
 def _point(fn: str, x) -> float:
-    """x as one float; an array (ndim >= 1), list or tuple is a ValueError."""
+    """x as one float; an array (ndim >= 1), list or tuple is a ValueError,
+    and an integer past the largest float reads as an infinity."""
     if getattr(x, "ndim", 0) or isinstance(x, (list, tuple)):
         raise ValueError(f"{fn} takes scalar arguments; call it once per point")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _require_finite(fn: str, name: str, x) -> float:
@@ -81,11 +86,41 @@ def _require_finite(fn: str, name: str, x) -> float:
     return x
 
 
-def _require_df(fn: str, df) -> float:
-    df = _point(fn, df)
-    if not (math.isfinite(df) and df > 0):
-        raise ValueError(f"degrees of freedom must be positive and finite, got {df!r}")
-    return df
+# The argument rules of the whole package; each error reads
+# "{name} must be ..., got {x!r}", in the argument's own name.
+
+def _probability(name: str, x) -> float:
+    x = _point(name, x)
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {x!r}")
+    return x
+
+
+def _scale(name: str, x) -> float:
+    x = _point(name, x)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
+    return x
+
+
+def _count(name: str, x, least: int) -> int:
+    # any integer type but bool: int() would run True or 2.5 as another count;
+    # at most sys.maxsize, the longest a sequence gets, which a float holds
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {x!r}")
+    if x > sys.maxsize:
+        raise ValueError(f"{name} must be <= {sys.maxsize}, got one of {int(x).bit_length()} bits")
+    return int(x)
+
+
+def _choice(name: str, x, choices: tuple):
+    # matched in kind as in value: True is not 1, nor 1.0, and 0 is not False
+    def kind(v):
+        return isinstance(v, bool), isinstance(v, numbers.Integral)
+    for c in choices:
+        if kind(x) == kind(c) and x == c:
+            return c
+    raise ValueError(f"{name} must be {' or '.join(map(repr, choices))}, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +201,7 @@ def _gammainc_lower(a: float, x: float) -> tuple[float, float]:
 def chisq_cdf(x: float, df: float) -> float:
     """Chi-square CDF: regularized lower incomplete gamma P(df/2, x/2)."""
     x = _require_finite("chisq_cdf", "x", x)
-    df = _require_df("chisq_cdf", df)
+    df = _scale("degrees of freedom", _point("chisq_cdf", df))
     if x < 0.0:
         raise ValueError(f"chi-square CDF requires x >= 0, got {x!r}")
     try:
@@ -226,7 +261,7 @@ def chisq_quantile(p, df: float):
     double.
     """
     p = _point("chisq_quantile", p)
-    df = _require_df("chisq_quantile", df)
+    df = _scale("degrees of freedom", _point("chisq_quantile", df))
     if not 0.0 <= p < 1.0:
         raise ValueError("chi-square quantile requires 0 <= p < 1")
     if p == 0.0:
@@ -331,7 +366,7 @@ def _t_mass(x: float, df: float, central: bool = False) -> float:
 def t_cdf(x: float, df: float) -> float:
     """Student t CDF via the incomplete beta function, from the tail P(T > |x|)."""
     x = _require_finite("t_cdf", "x", x)
-    df = _require_df("t_cdf", df)
+    df = _scale("degrees of freedom", _point("t_cdf", df))
     return _t_mass(-x, df) if x < 0.0 else 1.0 - _t_mass(x, df)
 
 
@@ -352,7 +387,7 @@ def t_quantile(p: float, df: float) -> float:
     raise, as does a quantile past about 1e154 (df under 2).
     """
     p = _point("t_quantile", p)
-    df = _require_df("t_quantile", df)
+    df = _scale("degrees of freedom", _point("t_quantile", df))
     if not (0.0 < p < 1.0):
         raise ValueError(f"t quantile requires 0 < p < 1, got {p!r}")
     if p == 0.5:
@@ -604,7 +639,7 @@ def nct_cdf(x: float, df: float, ncp: float) -> float:
     only: an array argument is a ValueError.
     """
     x = _require_finite("nct_cdf", "x", x)
-    df = _require_df("nct_cdf", df)
+    df = _scale("degrees of freedom", _point("nct_cdf", df))
     ncp = _require_finite("nct_cdf", "ncp", ncp)
     if ncp == 0.0:
         return t_cdf(x, df)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import norm_cdf, norm_quantile
+from .distributions import (_choice, _count, _probability, _require_finite, _scale, norm_cdf,
+                            norm_quantile)
 from .power import _MAX_N, EffectSpec, TestDesign, _first_true, _nearest_n, _zsum
 from .power import required_n  # noqa: F401  unused here; perfbench's tracer wraps it by this name
-from .variance import PowerBounds, _PlanRecord, _pilot_size, _plan_fields
+from .variance import PowerBounds, _PlanRecord, _plan_fields
 
 __all__ = [
     "EffectPilotPlan",
@@ -38,12 +39,10 @@ def effect_underpower_prob(pilot_n: int, mu0: float, mu_threshold: float,
     The estimate is normal with mean mu0 and variance sigma^2/n (one-sample)
     or 2 sigma^2/n per group (two-sample), sigma known.
     """
-    pilot_n = _pilot_size(pilot_n, 1)
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    z = (float(mu_threshold) - float(mu0)) / _effect_sd(sigma, design, pilot_n)
-    return norm_cdf(-z)
+    fn = "effect_underpower_prob"
+    gap = _require_finite(fn, "mu_threshold", mu_threshold) - _require_finite(fn, "mu0", mu0)
+    sd = _effect_sd(_scale("sigma", sigma), design, _count("pilot_n", pilot_n, 1))
+    return norm_cdf(-gap / sd)
 
 
 def effect_pilot_n(mu0: float, mu_threshold: float, sigma: float, p: float,
@@ -55,16 +54,11 @@ def effect_pilot_n(mu0: float, mu_threshold: float, sigma: float, p: float,
     Searched from the closed form ceil(z_{1-p}^2 * sd_factor^2 * sigma^2 /
     gap^2) by the package's integer search; sizes past 1e9 raise.
     """
-    mu0 = float(mu0)
-    mu_threshold = float(mu_threshold)
-    sigma = float(sigma)
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"probability must be in (0, 1), got {p!r}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if side not in ("under", "over"):
-        raise ValueError(f"side must be 'under' or 'over', got {side!r}")
+    mu0 = _require_finite("effect_pilot_n", "mu0", mu0)
+    mu_threshold = _require_finite("effect_pilot_n", "mu_threshold", mu_threshold)
+    sigma = _scale("sigma", sigma)
+    p = _probability("p", p)
+    side = _choice("side", side, ("under", "over"))
     gap = mu_threshold - mu0 if side == "under" else mu0 - mu_threshold
     if gap == 0.0:
         raise ValueError("threshold equal to the prior effect gives an unbounded pilot size")
@@ -114,10 +108,7 @@ def plan_effect_pilot(mu0: float, sigma: float, design: TestDesign,
     design is exactly adequate (z-quantile chain, scale invariant), pilot
     sizes per side from the closed form, and their maximum.
     """
-    mu0 = float(mu0)
-    sigma = float(sigma)
-    if not (math.isfinite(mu0) and mu0 > 0.0):
-        raise ValueError(f"mu0 must be positive, got {mu0!r}")
+    mu0, sigma = _scale("mu0", mu0), _scale("sigma", sigma)
     effect = EffectSpec(mu0, sigma)
 
     def side(threshold: float, prob: float, which: str, zs_target: float):

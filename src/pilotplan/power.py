@@ -14,8 +14,8 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .distributions import (ConvergenceError, _nct_abs_sf, chisq_quantile, norm_quantile,
-                            t_quantile)
+from .distributions import (ConvergenceError, _choice, _nct_abs_sf, _point, _probability,
+                            _scale, chisq_quantile, norm_quantile, t_quantile)
 from .distributions import nct_cdf  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 
 __all__ = [
@@ -58,8 +58,7 @@ class TestDesign:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        _choice("kind", self.kind, _KINDS)
         if not (_MIN_ALPHA < self.alpha < 1.0):
             raise ValueError(f"alpha must be in ({_MIN_ALPHA:.4g}, 1), got {self.alpha!r}")
 
@@ -89,10 +88,10 @@ class EffectSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.effect) and self.effect >= 0.0):
-            raise ValueError(f"effect must be finite and >= 0, got {self.effect!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        effect = _point("effect", self.effect)
+        if not (math.isfinite(effect) and effect >= 0.0):
+            raise ValueError(f"effect must be finite and >= 0, got {effect!r}")
+        _scale("sigma", self.sigma)
 
     @property
     def effect_size(self) -> float:
@@ -106,19 +105,11 @@ def arcsine_effect(p1: float, p2: float) -> EffectSpec:
     so a proportions comparison can be planned as an effect-size problem.
     Requires 0 <= p2 <= p1 <= 1.
     """
-    p1 = float(p1)
-    p2 = float(p2)
+    p1, p2 = _point("p1", p1), _point("p2", p2)
     if not (0.0 <= p2 <= p1 <= 1.0):
         raise ValueError(f"need 0 <= p2 <= p1 <= 1, got p1={p1!r}, p2={p2!r}")
     effect = 2.0 * math.asin(math.sqrt(p1)) - 2.0 * math.asin(math.sqrt(p2))
     return EffectSpec(effect=effect, sigma=1.0)
-
-
-def _require_power(power: float) -> float:
-    power = float(power)
-    if not (0.0 < power < 1.0):
-        raise ValueError(f"power must be in (0, 1), got {power!r}")
-    return power
 
 
 def _zsum(alpha: float, power: float) -> float:
@@ -131,7 +122,7 @@ def power_at(n: float, effect: EffectSpec, design: TestDesign = TestDesign()) ->
 
     n may be fractional; n < 2 has no degrees of freedom and is an error.
     """
-    n = float(n)
+    n = _point("n", n)
     if not (math.isfinite(n) and n >= 2.0):
         raise ValueError(f"per-group size must be >= 2, got {n!r}")
     return _power_curve(n, design)(effect.effect_size)
@@ -162,10 +153,9 @@ def _z_requirement(effect: EffectSpec, design: TestDesign, power: float,
                    mode: str) -> tuple[float, float]:
     """The closed form  groups * (z_{1-a/2} + z_{power})^2 / d^2, after the
     arguments are checked, and z_{1-a/2}; past 1e9 it raises."""
-    _require_power(power)
+    power = _probability("power", power)
     _require_nonzero_effect(effect)
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    _choice("mode", mode, _MODES)
     # compared before squaring: the square of a tiny effect underflows to 0,
     # of a huge one overflows
     d = effect.effect_size
@@ -188,7 +178,7 @@ def required_n(effect: EffectSpec, design: TestDesign, power: float,
     t-iterative: the exact noncentral-t requirement, floored at 2, solved on
     [N - 1, N] around the integer size N of :func:`main_sample_size`.
     """
-    power = _require_power(power)
+    power = _probability("power", power)
     n_z, z_a = _z_requirement(effect, design, power, mode)
     if mode == Z_APPROX:
         return max(2.0, n_z)
@@ -267,7 +257,7 @@ def _nearest_n(effect: EffectSpec, design: TestDesign, power: float,
 
 
 def _solve_increasing(f, target: float, lo: float, hi: float, f_lo: float,
-                      f_hi: float, xtol: float) -> float:
+                      f_hi: float, xtol: float) -> tuple[float, float]:
     """The bracket [lo, hi] of the smallest x with f(x) >= target, f
     increasing (Illinois): f(lo) < target <= f(hi) and hi - lo <= xtol max(|hi|, 1)."""
     f_lo -= target
@@ -298,12 +288,11 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
     """
     if getattr(n, "ndim", 0) or isinstance(n, (list, tuple)):
         raise ValueError("effect_for_n takes one size n; call it once per size")
-    n = float(n)
+    n = _point("n", n)
     if not (math.isfinite(n) and n >= 2.0):
         raise ValueError(f"per-group size must be >= 2, got {n!r}")
-    power = _require_power(power)
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    power = _probability("power", power)
+    _choice("mode", mode, _MODES)
     d_z = _zsum(design.alpha, power) * math.sqrt(design.groups / n)
     if mode == Z_APPROX:
         return d_z
@@ -339,7 +328,4 @@ def sigma_for_n(n: float, effect: EffectSpec, design: TestDesign, power: float,
 def mu_for_n(n: float, sigma: float, design: TestDesign, power: float,
              mode: str = Z_APPROX) -> float:
     """Raw effect at which an n-per-group study has exactly ``power``."""
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
-    return sigma * effect_for_n(n, design, power, mode)
+    return _scale("sigma", sigma) * effect_for_n(n, design, power, mode)

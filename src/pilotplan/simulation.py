@@ -50,12 +50,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import random
 from dataclasses import dataclass, field, asdict, replace
 
-from .distributions import _nct_abs_isf, _nct_fold, chisq_quantile, norm_quantile
+from .distributions import (_choice, _count, _nct_abs_isf, _nct_fold, _probability, _scale,
+                            chisq_quantile, norm_quantile)
 from .power import (
+    _MODES,
     EffectSpec,
     TWO_SAMPLE,
     T_ITERATIVE,
@@ -115,48 +116,36 @@ class SimulationConfig:
     estimator: str = POOLED_SD     # effect scenario only
 
     def validate(self) -> None:
-        if self.scenario not in (VARIANCE, EFFECT):
-            raise ConfigError(f"scenario must be '{VARIANCE}' or '{EFFECT}', got {self.scenario!r}")
         try:
+            _choice("scenario", self.scenario, (VARIANCE, EFFECT))
             self.design()       # checks kind and alpha
-        except ValueError as exc:
+            _count("seed", self.seed, 0)
+            _count("replicates", self.replicates, 1)
+            _probability("power_target", self.power_target)
+            if not (0.0 < self.underpower_threshold < self.power_target):
+                raise ValueError(
+                    "underpower_threshold must be a power level below power_target, "
+                    f"got {self.underpower_threshold!r} against {self.power_target!r}")
+            _scale("effect", self.effect)
+            _scale("sigma", self.sigma)
+            _choice("sizing_mode", self.sizing_mode, _MODES)
+            if (_choice("pooled_pilot", self.pooled_pilot, (False, True))
+                    and self.scenario == EFFECT):
+                raise ValueError(f"pooled_pilot applies to the '{VARIANCE}' scenario only")
+            if self.scenario == VARIANCE:
+                _count("pilot_n of a variance pilot", self.pilot_n, 2)
+                if self.estimator != POOLED_SD:
+                    raise ValueError(f"estimator applies to the '{EFFECT}' scenario only, "
+                                     f"got {self.estimator!r}")
+            else:
+                _choice("estimator", self.estimator, (POOLED_SD, KNOWN_SIGMA))
+                _count(f"pilot_n with the {self.estimator} estimator", self.pilot_n,
+                       2 if self.estimator == POOLED_SD else 1)
+        except ValueError as exc:   # a bad configuration, found before any sampling
             raise ConfigError(str(exc)) from None
-        _require_count("seed", self.seed, 0)
-        _require_count("replicates", self.replicates, 1)
-        if not (0.0 < self.power_target < 1.0):
-            raise ConfigError(f"power_target must be in (0, 1), got {self.power_target!r}")
-        if not (0.0 < self.underpower_threshold < self.power_target):
-            raise ConfigError(
-                "underpower_threshold must be a power level below power_target, "
-                f"got {self.underpower_threshold!r} against {self.power_target!r}")
-        if not (math.isfinite(self.effect) and self.effect > 0.0):
-            raise ConfigError(f"true effect must be positive, got {self.effect!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ConfigError(f"sigma must be positive, got {self.sigma!r}")
-        if self.sizing_mode not in (Z_APPROX, T_ITERATIVE):
-            raise ConfigError(f"sizing_mode must be '{Z_APPROX}' or '{T_ITERATIVE}'")
-        if self.scenario == VARIANCE:
-            _require_count("pilot_n of a variance pilot", self.pilot_n, 2)
-            if self.estimator != POOLED_SD:
-                raise ConfigError(f"estimator applies to the '{EFFECT}' scenario only, "
-                                  f"got {self.estimator!r}")
-        else:
-            if self.pooled_pilot:
-                raise ConfigError(f"pooled_pilot applies to the '{VARIANCE}' scenario only")
-            if self.estimator not in (POOLED_SD, KNOWN_SIGMA):
-                raise ConfigError(f"estimator must be '{POOLED_SD}' or '{KNOWN_SIGMA}'")
-            _require_count(f"pilot_n with the {self.estimator} estimator", self.pilot_n,
-                           2 if self.estimator == POOLED_SD else 1)
 
     def design(self) -> TestDesign:
         return TestDesign(self.kind, self.alpha)
-
-
-def _require_count(what: str, value, least: int) -> None:
-    # an int (not a bool) of at least ``least``: a float or a negative seed
-    # would run as some other integer than the one echoed
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -506,11 +495,11 @@ class TableReport:
 def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0) -> TableReport:
     """Recompute a reference grid: planned pilot sizes and their simulated
     underpower fractions, cell for cell, in the published layout."""
-    if (isinstance(table_id, bool) or not isinstance(table_id, numbers.Integral)
-            or table_id not in (1, 2)):
-        raise ConfigError(f"table_id must be 1 or 2, got {table_id!r}")
-    _require_count("replicates", replicates, 1)
-    _require_count("seed", seed, 0)
+    try:
+        table_id = _choice("table_id", table_id, (1, 2))
+        replicates, seed = _count("replicates", replicates, 1), _count("seed", seed, 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     design = TestDesign(TWO_SAMPLE, 0.05)
     extra: dict = {}
     if table_id == 1:
@@ -535,7 +524,7 @@ def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0) -> Tab
         cell["empirical_underpower"] = run(_respawn(cfg, table_id, cell_idx)).empirical_underpower
     return TableReport(
         cells=cells, extra=extra,
-        config={"table_id": int(table_id), "replicates": int(replicates), "seed": int(seed),
+        config={"table_id": table_id, "replicates": replicates, "seed": seed,
                 "sizing_mode": T_ITERATIVE, "alpha": 0.05, "power_target": 0.8,
                 "underpower_threshold": 0.6, "kind": TWO_SAMPLE},
     )

@@ -15,10 +15,9 @@ ratio).  Plans surface whichever mode produced them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, asdict
 
-from .distributions import chisq_cdf, norm_quantile
+from .distributions import _choice, _count, _probability, _scale, chisq_cdf, norm_quantile
 from .power import (
     EffectSpec,
     T_ITERATIVE,
@@ -64,21 +63,11 @@ class PowerBounds:
     overpower_threshold: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.underpower_prob < 1.0):
-            raise ValueError(f"underpower_prob must be in (0, 1), got {self.underpower_prob!r}")
-        if not (0.0 < self.underpower_threshold < 1.0):
-            raise ValueError(
-                f"underpower_threshold (a power level) must be in (0, 1), got {self.underpower_threshold!r}")
-        has_p = self.overpower_prob is not None
-        has_t = self.overpower_threshold is not None
-        if has_p != has_t:
+        if (self.overpower_prob is None) != (self.overpower_threshold is None):
             raise ValueError("overpower_prob and overpower_threshold must be given together")
-        if has_p:
-            if not (0.0 < self.overpower_prob < 1.0):
-                raise ValueError(f"overpower_prob must be in (0, 1), got {self.overpower_prob!r}")
-            if not (0.0 < self.overpower_threshold < 1.0):
-                raise ValueError(
-                    f"overpower_threshold (a power level) must be in (0, 1), got {self.overpower_threshold!r}")
+        for name, value in vars(self).items():
+            if value is not None:
+                _probability(name, value)
 
     @property
     def has_overpower(self) -> bool:
@@ -95,15 +84,6 @@ class PowerBounds:
                 f"the target power ({power_target})")
 
 
-def _pilot_size(pilot_n, least: int, why: str = "") -> int:
-    # an int (not a bool): int() would run a fractional size as another one
-    if isinstance(pilot_n, bool) or not isinstance(pilot_n, numbers.Integral):
-        raise ValueError(f"pilot size must be an integer, got {pilot_n!r}")
-    if pilot_n < least:
-        raise ValueError(f"pilot size must be >= {least}{why}, got {pilot_n}")
-    return int(pilot_n)
-
-
 def _pilot_df(pilot_n: int, pooled: bool) -> int:
     return 2 * pilot_n - 2 if pooled else pilot_n - 1
 
@@ -116,12 +96,8 @@ def variance_underpower_prob(pilot_n: int, sigma_ratio_sq: float,
     (2 N_p - 2 when the pilot variance is pooled across two groups), so this
     is chisq_cdf(df * ratio, df).
     """
-    pilot_n = _pilot_size(pilot_n, 2, " to estimate a variance")
-    sigma_ratio_sq = float(sigma_ratio_sq)
-    if not (math.isfinite(sigma_ratio_sq) and sigma_ratio_sq > 0.0):
-        raise ValueError(f"variance ratio must be positive, got {sigma_ratio_sq!r}")
-    df = _pilot_df(pilot_n, pooled)
-    return chisq_cdf(df * sigma_ratio_sq, df)
+    df = _pilot_df(_count("pilot_n", pilot_n, 2), _choice("pooled", pooled, (False, True)))
+    return chisq_cdf(df * _scale("sigma_ratio_sq", sigma_ratio_sq), df)
 
 
 def pilot_n_exact(sigma_ratio_sq: float, p: float, side: str = "under",
@@ -133,13 +109,12 @@ def pilot_n_exact(sigma_ratio_sq: float, p: float, side: str = "under",
     Found by the package's one integer search (galloping, then bisection),
     in O(log n) chi-square evaluations; sizes past ``cap`` raise.
     """
-    sigma_ratio_sq = float(sigma_ratio_sq)
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"probability must be in (0, 1), got {p!r}")
-    if side not in ("under", "over"):
-        raise ValueError(f"side must be 'under' or 'over', got {side!r}")
-    if side == "under" and not (0.0 < sigma_ratio_sq < 1.0):
+    sigma_ratio_sq = _scale("sigma_ratio_sq", sigma_ratio_sq)
+    p = _probability("p", p)
+    side = _choice("side", side, ("under", "over"))
+    pooled = _choice("pooled", pooled, (False, True))
+    cap = _count("cap", cap, 2)
+    if side == "under" and not sigma_ratio_sq < 1.0:
         raise ValueError(f"under side needs ratio in (0, 1), got {sigma_ratio_sq!r}")
     if side == "over" and not sigma_ratio_sq > 1.0:
         raise ValueError(f"over side needs ratio > 1, got {sigma_ratio_sq!r}")
@@ -164,16 +139,14 @@ def pilot_n_approx(sigma_ratio_sq: float, p: float, pooled: bool = False) -> int
     ceil(df + 1) for a single pilot; ceil(df / 2 + 1) per group when the
     pilot variance is pooled over two groups (2 N_p - 2 degrees of freedom).
     """
-    sigma_ratio_sq = float(sigma_ratio_sq)
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"probability must be in (0, 1), got {p!r}")
-    if not (math.isfinite(sigma_ratio_sq) and sigma_ratio_sq > 0.0):
-        raise ValueError(f"variance ratio must be positive, got {sigma_ratio_sq!r}")
+    p = _probability("p", p)
+    sigma_ratio_sq = _scale("sigma_ratio_sq", sigma_ratio_sq)
+    pooled = _choice("pooled", pooled, (False, True))
     if sigma_ratio_sq == 1.0:
         raise ValueError("variance ratio of exactly 1 gives an unbounded pilot size")
     z = -norm_quantile(p)
-    df = 2.0 * z * z / (sigma_ratio_sq - 1.0) ** 2
+    # the quotient squared: (ratio - 1)^2 overflows at a huge ratio, where df -> 0
+    df = 2.0 * (z / (sigma_ratio_sq - 1.0)) ** 2
     raw = (df / 2.0 if pooled else df) + 1.0
     return max(2, math.ceil(raw - 1e-9))
 
@@ -239,8 +212,7 @@ def _plan_fields(design: TestDesign, power_target: float, bounds: PowerBounds,
     (sigma or mu) and the pilot size that ``rule(threshold, prob, side,
     zs_target)`` gives (all None without an overpower bound), then the larger
     pilot size."""
-    if not (0.0 < power_target < 1.0):
-        raise ValueError(f"power_target must be in (0, 1), got {power_target!r}")
+    power_target = _probability("power_target", power_target)
     bounds.check_against_target(power_target)
     zs_target = _zsum(design.alpha, power_target)
     # the bounds' four fields, under the names the records use too
@@ -266,10 +238,8 @@ def plan_variance_pilot(effect: EffectSpec, design: TestDesign, power_target: fl
     resulting variance ratio is scale invariant), pilot sizes per side in the
     chosen mode, and their maximum.
     """
-    if mode not in (EXACT, APPROX):
-        raise ValueError(f"mode must be '{EXACT}' or '{APPROX}', got {mode!r}")
-    if effect.effect_size == 0.0:
-        raise ValueError("effect of 0 means an infinite main study; nothing to plan")
+    mode = _choice("mode", mode, (EXACT, APPROX))
+    pooled_pilot = _choice("pooled_pilot", pooled_pilot, (False, True))
 
     def side(threshold: float, prob: float, which: str, zs_target: float):
         n_main = _nearest_n(effect, design, threshold, T_ITERATIVE)

@@ -2,16 +2,24 @@
 
 Each row is a call with one bad argument and the error it must raise, with
 the message that names the argument.  The rows cover the checks that no
-other test reaches.
+other test reaches.  A sweep then puts each of a set of bad numbers into
+each numeric argument of every public entry point, and no call may raise
+anything but the package's errors.
 """
+
+import math
 
 import pytest
 
+from pilotplan.cli import main
+from pilotplan.distributions import ConvergenceError
 from pilotplan.effect import effect_pilot_n, effect_underpower_prob, plan_effect_pilot
 from pilotplan.power import (
-    EffectSpec, TestDesign, effect_for_n, main_sample_size, mu_for_n)
+    EffectSpec, TestDesign, arcsine_effect, effect_for_n, main_sample_size, mu_for_n,
+    power_at, required_n, sigma_for_n)
 from pilotplan.simulation import (
-    ConfigError, SimulationConfig, reproduce_table, simulate_effect_pipeline)
+    ConfigError, SimulationConfig, reproduce_table, simulate_effect_pipeline,
+    simulate_variance_pipeline)
 from pilotplan.variance import (
     PowerBounds, pilot_n_approx, pilot_n_exact, plan_variance_pilot,
     variance_underpower_prob)
@@ -24,9 +32,18 @@ def _effect_config(**kw):
     return SimulationConfig(**{**dict(scenario="effect", effect=0.5, pilot_n=32, seed=1), **kw})
 
 
+def _variance_config(**kw):
+    return SimulationConfig(
+        **{**dict(scenario="variance", effect=1.0, sigma=4.0, pilot_n=12, seed=1), **kw})
+
+
+# a count past sys.maxsize, whose float() overflows
+HUGE = 10 ** 400
+
+
 CHECKS = {
     "design-kind": (lambda: TestDesign("three-sample"), ValueError,
-                    r"kind must be one of .* got 'three-sample'"),
+                    r"kind must be 'one-sample' or 'two-sample', got 'three-sample'"),
     "effect-negative": (lambda: EffectSpec(-1.0), ValueError,
                         r"effect must be finite and >= 0, got -1\.0"),
     "effect-sigma": (lambda: EffectSpec(1.0, 0.0), ValueError,
@@ -34,8 +51,7 @@ CHECKS = {
     "bounds-overpower-prob": (lambda: PowerBounds(0.2, 0.6, 1.5, 0.9), ValueError,
                               r"overpower_prob must be in \(0, 1\), got 1\.5"),
     "bounds-overpower-threshold": (lambda: PowerBounds(0.2, 0.6, 0.2, 1.0), ValueError,
-                                   r"overpower_threshold \(a power level\) must be in "
-                                   r"\(0, 1\), got 1\.0"),
+                                   r"overpower_threshold must be in \(0, 1\), got 1\.0"),
     "bounds-overpower-below-target": (
         lambda: PowerBounds(0.2, 0.6, 0.2, 0.7).check_against_target(0.8), ValueError,
         r"overpower threshold \(0\.7\) must lie above the target power \(0\.8\)"),
@@ -47,42 +63,42 @@ CHECKS = {
         ValueError, r"power_target must be in \(0, 1\), got 1\.0"),
     "plan-variance-zero-effect": (
         lambda: plan_variance_pilot(EffectSpec(0, 4), TWO, 0.8, BOUNDS),
-        ValueError, "effect of 0 means an infinite main study"),
+        ValueError, "effect of 0 means an infinite study"),
     "plan-effect-power-target": (
         lambda: plan_effect_pilot(0.5, 1.0, TWO, 0.0, BOUNDS),
         ValueError, r"power_target must be in \(0, 1\), got 0\.0"),
     "pilot-exact-p": (lambda: pilot_n_exact(0.5, 0.0), ValueError,
-                      r"probability must be in \(0, 1\), got 0\.0"),
+                      r"^p must be in \(0, 1\), got 0\.0"),
     "pilot-approx-p": (lambda: pilot_n_approx(0.5, 1.0), ValueError,
-                       r"probability must be in \(0, 1\), got 1\.0"),
+                       r"^p must be in \(0, 1\), got 1\.0"),
     "pilot-approx-ratio": (lambda: pilot_n_approx(-0.5, 0.2), ValueError,
-                           r"variance ratio must be positive, got -0\.5"),
+                           r"sigma_ratio_sq must be finite and > 0, got -0\.5"),
     "variance-underpower-ratio": (lambda: variance_underpower_prob(12, 0.0), ValueError,
-                                  r"variance ratio must be positive, got 0\.0"),
+                                  r"sigma_ratio_sq must be finite and > 0, got 0\.0"),
     "variance-underpower-fractional-pilot-n": (
         lambda: variance_underpower_prob(12.7, 0.6), ValueError,
-        r"pilot size must be an integer, got 12\.7"),
+        r"pilot_n must be an integer >= 2, got 12\.7"),
     "effect-underpower-pilot-n": (lambda: effect_underpower_prob(0, 0.5, 0.7, 1.0),
-                                  ValueError, "pilot size must be >= 1, got 0"),
+                                  ValueError, "pilot_n must be an integer >= 1, got 0"),
     "effect-underpower-fractional-pilot-n": (
         lambda: effect_underpower_prob(2.9, 0.5, 0.6, 1.0), ValueError,
-        r"pilot size must be an integer, got 2\.9"),
+        r"pilot_n must be an integer >= 1, got 2\.9"),
     "effect-pilot-p": (lambda: effect_pilot_n(0.5, 0.7, 1.0, 0.0), ValueError,
-                       r"probability must be in \(0, 1\), got 0\.0"),
+                       r"^p must be in \(0, 1\), got 0\.0"),
     "effect-pilot-sigma": (lambda: effect_pilot_n(0.5, 0.7, 0.0, 0.2), ValueError,
-                           r"sigma must be positive, got 0\.0"),
+                           r"sigma must be finite and > 0, got 0\.0"),
     "effect-pilot-side": (lambda: effect_pilot_n(0.5, 0.7, 1.0, 0.2, side="both"),
                           ValueError, "side must be 'under' or 'over', got 'both'"),
     "sizing-mode": (lambda: main_sample_size(EffectSpec(0.5), TWO, 0.8, "bogus"),
-                    ValueError, r"mode must be one of .* got 'bogus'"),
+                    ValueError, r"mode must be 'z-approx' or 't-iterative', got 'bogus'"),
     "effect-for-n-mode": (lambda: effect_for_n(10, TWO, 0.8, "bogus"),
-                          ValueError, r"mode must be one of .* got 'bogus'"),
+                          ValueError, r"mode must be 'z-approx' or 't-iterative', got 'bogus'"),
     "mu-for-n-sigma": (lambda: mu_for_n(10, 0.0, TWO, 0.8), ValueError,
                        r"sigma must be finite and > 0, got 0\.0"),
     "config-power-target": (lambda: _effect_config(power_target=1.0).validate(),
                             ConfigError, r"power_target must be in \(0, 1\), got 1\.0"),
     "config-effect": (lambda: _effect_config(effect=0.0).validate(),
-                      ConfigError, r"true effect must be positive, got 0\.0"),
+                      ConfigError, r"effect must be finite and > 0, got 0\.0"),
     "config-sizing-mode": (lambda: _effect_config(sizing_mode="x").validate(),
                            ConfigError, "sizing_mode must be 'z-approx' or 't-iterative'"),
     "config-estimator": (lambda: _effect_config(estimator="x").validate(),
@@ -94,13 +110,55 @@ CHECKS = {
     "simulate-known-sigma-pilot-n": (
         lambda: simulate_effect_pipeline(
             _effect_config(estimator="known-sigma", pilot_n=10 ** 400)),
-        ValueError, "past noncentrality inf, the largest a known-sigma simulation takes"),
+        ValueError, r"pilot_n with the known-sigma estimator must be <= \d+, got one of 1329 bits"),
     "table-id-fractional": (lambda: reproduce_table(1.7, 3), ConfigError,
                             r"table_id must be 1 or 2, got 1\.7"),
     "table-id-bool": (lambda: reproduce_table(True, 3), ConfigError,
                       "table_id must be 1 or 2, got True"),
     "table-replicates-fractional": (lambda: reproduce_table(1, 2.5, seed=3), ConfigError,
                                     r"replicates must be an integer >= 1, got 2\.5"),
+    "simulate-known-sigma-noncentrality": (
+        lambda: simulate_effect_pipeline(
+            _effect_config(estimator="known-sigma", effect=1e300, sigma=1e-300)), ValueError,
+        "past noncentrality inf, the largest a known-sigma simulation takes"),
+    # a count too large to be a length, rather than an OverflowError or a
+    # ZeroDivisionError from the arithmetic on it
+    "simulate-variance-huge-pilot-n": (
+        lambda: simulate_variance_pipeline(_variance_config(pilot_n=HUGE)), ConfigError,
+        r"pilot_n of a variance pilot must be <= \d+, got one of 1329 bits"),
+    "simulate-huge-replicates": (
+        lambda: simulate_variance_pipeline(_variance_config(replicates=2 ** 63)), ConfigError,
+        r"replicates must be <= \d+, got one of 64 bits"),
+    "variance-underpower-huge-pilot-n": (
+        lambda: variance_underpower_prob(HUGE, 0.5), ValueError,
+        r"pilot_n must be <= \d+, got one of 1329 bits"),
+    "effect-underpower-huge-pilot-n": (
+        lambda: effect_underpower_prob(HUGE, 1, 2, 1), ValueError,
+        r"pilot_n must be <= \d+, got one of 1329 bits"),
+    # each non-finite effect or ratio is named, not the function it reaches
+    "effect-pilot-mu0-nan": (lambda: effect_pilot_n(math.nan, 0.7, 1.0, 0.2), ValueError,
+                             "mu0 must be finite, got nan"),
+    "effect-pilot-threshold-inf": (lambda: effect_pilot_n(0.5, math.inf, 1.0, 0.2), ValueError,
+                                   "mu_threshold must be finite, got inf"),
+    "effect-underpower-mu0-inf": (lambda: effect_underpower_prob(12, -math.inf, 0.7, 1.0),
+                                  ValueError, "mu0 must be finite, got -inf"),
+    "effect-underpower-threshold-nan": (
+        lambda: effect_underpower_prob(12, 0.5, math.nan, 1.0), ValueError,
+        "mu_threshold must be finite, got nan"),
+    "pilot-exact-ratio-inf": (lambda: pilot_n_exact(math.inf, 0.2, "over"), ValueError,
+                              "sigma_ratio_sq must be finite and > 0, got inf"),
+    # a flag is a bool and a cap an integer: neither is read as some other value
+    "plan-variance-pooled-pilot-str": (
+        lambda: plan_variance_pilot(EffectSpec(1, 4), TWO, 0.8, BOUNDS, pooled_pilot="no"),
+        ValueError, "pooled_pilot must be False or True, got 'no'"),
+    "config-pooled-pilot-str": (lambda: _variance_config(pooled_pilot="yes").validate(),
+                                ConfigError, "pooled_pilot must be False or True, got 'yes'"),
+    "pilot-approx-pooled-int": (lambda: pilot_n_approx(0.5, 0.2, pooled=1), ValueError,
+                                "pooled must be False or True, got 1"),
+    "pilot-exact-cap-bool": (lambda: pilot_n_exact(0.5, 0.2, cap=True), ValueError,
+                             "cap must be an integer >= 2, got True"),
+    "pilot-exact-cap-fractional": (lambda: pilot_n_exact(0.5, 0.2, cap=10.5), ValueError,
+                                   r"cap must be an integer >= 2, got 10\.5"),
 }
 
 
@@ -109,3 +167,87 @@ def test_bad_argument_named(name):
     call, error, message = CHECKS[name]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_huge_pilot_size_is_an_error_line(capsys):
+    code = main(["simulate", "--scenario", "variance", "--effect", "1", "--sigma", "4",
+                 "--pilot-n", str(HUGE), "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2        # a configuration rejected before any sampling
+    assert captured.out == ""
+    assert captured.err.startswith("error: pilot_n of a variance pilot must be <= ")
+
+
+def test_huge_ratio_takes_the_df_limit():
+    # (ratio - 1)^2 would overflow; the pilot of the df -> 0 limit is 2
+    assert pilot_n_approx(1e150, 0.2) == pilot_n_approx(1e300, 0.2) == 2
+
+
+# every public entry point, and valid values of its numeric arguments
+ENTRIES = {
+    "TestDesign": (TestDesign, dict(alpha=0.05)),
+    "EffectSpec": (EffectSpec, dict(effect=1.0, sigma=4.0)),
+    "arcsine_effect": (arcsine_effect, dict(p1=0.5, p2=0.4)),
+    "required_n": (lambda **kw: required_n(EffectSpec(0.5), TWO, **kw), dict(power=0.8)),
+    "required_n-z": (lambda **kw: required_n(EffectSpec(0.5), TWO, mode="z-approx", **kw),
+                     dict(power=0.8)),
+    "main_sample_size": (lambda **kw: main_sample_size(EffectSpec(0.5), TWO, **kw),
+                         dict(power=0.8)),
+    "power_at": (lambda **kw: power_at(effect=EffectSpec(0.5), design=TWO, **kw), dict(n=10)),
+    "effect_for_n": (lambda **kw: effect_for_n(design=TWO, **kw), dict(n=10, power=0.8)),
+    "effect_for_n-t": (lambda **kw: effect_for_n(design=TWO, mode="t-iterative", **kw),
+                       dict(n=10, power=0.8)),
+    "sigma_for_n": (lambda **kw: sigma_for_n(effect=EffectSpec(1.0, 4.0), design=TWO, **kw),
+                    dict(n=10, power=0.8)),
+    "mu_for_n": (lambda **kw: mu_for_n(design=TWO, **kw), dict(n=10, sigma=4.0, power=0.8)),
+    "PowerBounds": (PowerBounds, dict(underpower_prob=0.2, underpower_threshold=0.6,
+                                      overpower_prob=0.2, overpower_threshold=0.9)),
+    "variance_underpower_prob": (variance_underpower_prob,
+                                 dict(pilot_n=12, sigma_ratio_sq=0.6)),
+    "pilot_n_exact": (pilot_n_exact, dict(sigma_ratio_sq=0.6, p=0.2, cap=10 ** 6)),
+    "pilot_n_exact-over": (lambda **kw: pilot_n_exact(side="over", **kw),
+                           dict(sigma_ratio_sq=1.6, p=0.2, cap=10 ** 6)),
+    "pilot_n_approx": (pilot_n_approx, dict(sigma_ratio_sq=0.6, p=0.2)),
+    "plan_variance_pilot": (
+        lambda **kw: plan_variance_pilot(EffectSpec(1.0, 4.0), TWO, bounds=BOUNDS,
+                                         mode="exact", **kw), dict(power_target=0.8)),
+    "effect_underpower_prob": (effect_underpower_prob,
+                               dict(pilot_n=12, mu0=0.5, mu_threshold=0.7, sigma=1.0)),
+    "effect_pilot_n": (effect_pilot_n, dict(mu0=0.5, mu_threshold=0.7, sigma=1.0, p=0.2)),
+    "effect_pilot_n-over": (lambda **kw: effect_pilot_n(side="over", **kw),
+                            dict(mu0=0.5, mu_threshold=0.3, sigma=1.0, p=0.2)),
+    "plan_effect_pilot": (lambda **kw: plan_effect_pilot(design=TWO, bounds=BOUNDS, **kw),
+                          dict(mu0=0.5, sigma=1.0, power_target=0.8)),
+    "reproduce_table": (reproduce_table, dict(table_id=1, replicates=3, seed=0)),
+}
+_CONFIG = dict(effect=1.0, pilot_n=12, seed=1, replicates=200, sigma=4.0, alpha=0.05,
+               power_target=0.8, underpower_threshold=0.6)
+for _name, _run, _fixed in (
+        ("variance", simulate_variance_pipeline, dict(scenario="variance")),
+        ("variance-pooled", simulate_variance_pipeline,
+         dict(scenario="variance", pooled_pilot=True)),
+        ("variance-z", simulate_variance_pipeline,
+         dict(scenario="variance", sizing_mode="z-approx")),
+        ("pooled-sd", simulate_effect_pipeline, dict(scenario="effect")),
+        ("known-sigma", simulate_effect_pipeline,
+         dict(scenario="effect", estimator="known-sigma"))):
+    ENTRIES[f"simulate-{_name}"] = (
+        lambda run=_run, fixed=_fixed, **kw: run(SimulationConfig(**fixed, **kw)), _CONFIG)
+
+BAD_NUMBERS = (math.nan, math.inf, -math.inf, 0, -1, 2.5, 1e300, HUGE, True)
+
+
+@pytest.mark.parametrize("entry,arg", [(e, a) for e, (_, kw) in ENTRIES.items() for a in kw])
+def test_bad_number_raises_a_package_error(entry, arg):
+    # each call returns or raises ValueError (ConfigError is one) or
+    # ConvergenceError; never OverflowError, ZeroDivisionError or TypeError
+    call, valid = ENTRIES[entry]
+    escaped = []
+    for bad in BAD_NUMBERS:
+        try:
+            call(**{**valid, arg: bad})
+        except (ValueError, ConvergenceError):
+            pass
+        except Exception as exc:    # reported below, value by value
+            escaped.append(f"{arg}={'10**400' if bad is HUGE else bad!r}: {exc!r}")
+    assert not escaped, escaped
