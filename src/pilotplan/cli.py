@@ -278,7 +278,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"seed {rep.seed}",
         f"  empirical underpower: {rep.empirical_underpower:.4f} "
         f"(MC se {rep.mc_standard_error:.4f})",
-        f"  main-study N percentiles (5/25/50/75/95): "
+        f"  main-study N percentiles ({'/'.join(rep.main_n_quantiles)}): "
         + "/".join(str(v) for v in rep.main_n_quantiles.values()),
     ]
     if rep.scenario == "effect":

@@ -20,12 +20,13 @@ variance simulation calls ``chisq_quantile`` only at the replicates it
 reads, and the effect simulation ``_nct_abs_isf`` only at the five it
 sizes and at rare flag probes.
 
-The power layer reaches the noncentral t only through ``_nct_abs_sf``, the
-two-sided tail P(|T| > t): T^2 is noncentral F(1, df, ncp^2), so that tail
-is the Poisson-weighted half of the series alone.  The effect simulation
-reads the law of |T| and of T's sign from ``_nct_fold``, both halves of the
-series with their slopes in t.  ``nct_cdf``, ``_nct_abs_sf`` and
-``_nct_fold`` share the one mode-outward sweep, ``_mixture_sum``.
+Every noncentral-t quantity comes from ``_nct_fold``, the law of |T|, which
+alone calls the mode-outward sweep ``_mixture_sum``.  The power layer reads
+the two-sided tail P(|T| > t) through ``_nct_abs_sf``: T^2 is noncentral
+F(1, df, ncp^2), so that tail is the Poisson-weighted half of the series
+alone.  The effect simulation reads the law of |T| and of T's sign, both
+halves of the series with their slopes in t, and ``nct_cdf`` the same law
+with P(T < -t), with no reflection that would cancel in the lower tail.
 """
 
 from __future__ import annotations
@@ -502,33 +503,10 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
     return total, slope
 
 
-def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
-    """P(T <= t) for t >= 0, T noncentral t(df, delta); Poisson-mixture series."""
-    base = norm_cdf(-delta)
-    tt = t * t
-    y, w = tt / (tt + df), df / (tt + df)
-    if y < _MIN_NORMAL:
-        # t == 0, or t * t underflows against df: only the normal mass is left
-        return base
-    if w < _MIN_NORMAL:
-        # t * t overflows, or dwarfs df past the double range: only the limit 1
-        # is left
-        return 1.0
-    lam = 0.5 * delta * delta
-    if lam == 0.0:
-        return t_cdf(t, df)
-    half_df = 0.5 * df
-    # the Poisson weights over I(j + 1/2), and the odd half over I(j + 1)
-    total = (_mixture_sum(lam, 0.5, 1.0, y, w, half_df)[0]
-             + _mixture_sum(lam, 1.0, delta / math.sqrt(2.0), y, w, half_df)[0])
-    # far out the sums run over upper tails: P(T <= t) = 1 - total / 2
-    return min(1.0, max(0.0, 1.0 - 0.5 * total if w < _FAR else base + 0.5 * total))
-
-
 def _nct_abs_sf(t: float, df: float, ncp: float) -> float:
     """P(|T| > t) for t >= 0, T noncentral t(df, ncp).  T^2 is noncentral
     F(1, df, ncp^2), so this is sum_j Pois(j; ncp^2 / 2) I_w(df/2, j + 1/2),
-    the Poisson half of the nct_cdf series, as ``_nct_fold`` sums it."""
+    the Poisson half of the series, as ``_nct_fold`` sums it."""
     return _nct_fold(t, df, _require_finite("_nct_abs_sf", "ncp", ncp))[1]
 
 
@@ -540,11 +518,11 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
     chance that T is negative given |T| = t.
 
     P(T <= t) = Phi(-ncp) + (E + O) / 2 and P(T < -t) = Phi(-ncp) - (E - O) / 2
-    over nct_cdf's even and odd sums, so the density of |T| is E'(t) and the
-    share is (E' - O') / 2 E', each E' = 2 / t times the sum's slope.  Each
-    sum stops at weights under 1e-18, so the share loses digits where the
-    density of |T| falls toward that.  With ``upper`` the sums run over upper
-    tails, which keeps P(|T| > t) to its last digits where it is small.
+    over the even (Poisson) and odd sums, so the density of |T| is E'(t) and
+    the share is (E' - O') / 2 E', each E' = 2 / t times the sum's slope.
+    Each sum stops at weights under 1e-18, so the share loses digits where
+    the density of |T| falls toward that.  With ``upper`` the sums run over
+    upper tails, which keeps P(|T| > t) to its last digits where it is small.
     """
     if df == math.inf:
         below = norm_cdf(-t - ncp)
@@ -555,8 +533,8 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
     lam = 0.5 * ncp * ncp
     if lam == 0.0:
         # T is the central t
-        below = t_cdf(-t, df)
-        law = (t_cdf(t, df) - below, (1.0 - t_cdf(t, df)) + below, 2.0 * _t_pdf(t, df))
+        below, cdf = t_cdf(-t, df), t_cdf(t, df)
+        law = (cdf - below, (1.0 - cdf) + below, 2.0 * _t_pdf(t, df))
         return law + ((below, 0.5) if signs else ())
     tt = t * t
     y, w = tt / (tt + df), df / (tt + df)
@@ -572,7 +550,8 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
         odd, d_odd = (_mixture_sum(lam, 1.0, ncp * _SQRT1_2, y, w, half_df, far) if signs
                       else (0.0, 0.0))
     except OverflowError:
-        raise ValueError(_ncp_too_large(ncp)) from None
+        # lam = ncp^2 / 2 is infinite, or the Poisson weight at its mode is
+        raise ValueError(f"ncp {ncp!r} is too large for the noncentral t series") from None
     # far out the sums run over upper tails, whose slopes are negative
     even = min(1.0, max(0.0, even))
     law = ((1.0 - even, even, -2.0 * d_even / t) if far
@@ -581,7 +560,9 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
         return law
     below = 0.5 * (even - odd) if far else norm_cdf(-ncp) - 0.5 * (even - odd)
     share = 0.5 - 0.5 * d_odd / d_even if d_even else 0.0
-    return law + (min(1.0, max(0.0, below)), min(1.0, max(0.0, share)))
+    # below is left unclamped: rounding can put it about 1e-13 under 0, and
+    # nct_cdf adds it to P(|T| <= t) before it clamps
+    return law + (below, min(1.0, max(0.0, share)))
 
 
 def _nct_abs_isf(v: float, df: float, ncp: float) -> float:
@@ -626,13 +607,9 @@ def _abs_start(v: float, df: float, ncp: float) -> float:
     return t if t > 0.0 else ncp + abs(z)
 
 
-def _ncp_too_large(ncp: float) -> str:
-    # lam = ncp^2 / 2 is infinite, or the Poisson weight at its mode is
-    return f"ncp {ncp!r} is too large for the noncentral t series"
-
-
 def nct_cdf(x: float, df: float, ncp: float) -> float:
-    """Noncentral t CDF with noncentrality ``ncp``.
+    """Noncentral t CDF with noncentrality ``ncp``, from the law of |T|:
+    P(T <= x) is P(T < -|x|) for x < 0 and P(|T| <= x) + P(T < -x) for x >= 0.
 
     Matches ``t_cdf`` exactly at ncp = 0 and is evaluated to ~1e-12 absolute
     accuracy (target 1e-8) against direct numerical integration.  Scalars
@@ -643,9 +620,5 @@ def nct_cdf(x: float, df: float, ncp: float) -> float:
     ncp = _require_finite("nct_cdf", "ncp", ncp)
     if ncp == 0.0:
         return t_cdf(x, df)
-    try:
-        if x >= 0.0:
-            return _nct_cdf_nonneg(x, df, ncp)
-        return min(1.0, max(0.0, 1.0 - _nct_cdf_nonneg(-x, df, -ncp)))
-    except OverflowError:
-        raise ValueError(_ncp_too_large(ncp)) from None
+    cdf, _, _, below, _ = _nct_fold(abs(x), df, ncp, signs=True)
+    return min(1.0, max(0.0, below if x < 0.0 else cdf + below))

@@ -32,6 +32,13 @@ def _effect_sd(sigma: float, design: TestDesign, pilot_n: float) -> float:
     return sigma * math.sqrt(design.groups / pilot_n)
 
 
+def _beyond(gap: float, sd: float) -> float:
+    """Phi(-gap / sd), the chance the estimate passes a threshold ``gap``
+    above its mean; where gap / sd is infinite (sd 0 too) its limit, 0 or 1."""
+    z = -gap / sd if sd else -gap * math.inf      # 0 * inf is nan, read as 0
+    return norm_cdf(z) if math.isfinite(z) else float(z > 0.0)
+
+
 def effect_underpower_prob(pilot_n: int, mu0: float, mu_threshold: float,
                            sigma: float, design: TestDesign = TestDesign()) -> float:
     """Chance the pilot's estimated effect exceeds ``mu_threshold``.
@@ -41,8 +48,7 @@ def effect_underpower_prob(pilot_n: int, mu0: float, mu_threshold: float,
     """
     fn = "effect_underpower_prob"
     gap = _require_finite(fn, "mu_threshold", mu_threshold) - _require_finite(fn, "mu0", mu0)
-    sd = _effect_sd(_scale("sigma", sigma), design, _count("pilot_n", pilot_n, 1))
-    return norm_cdf(-gap / sd)
+    return _beyond(gap, _effect_sd(_scale("sigma", sigma), design, _count("pilot_n", pilot_n, 1)))
 
 
 def effect_pilot_n(mu0: float, mu_threshold: float, sigma: float, p: float,
@@ -68,7 +74,7 @@ def effect_pilot_n(mu0: float, mu_threshold: float, sigma: float, p: float,
             f"{'high' if side == 'under' else 'low'} side of mu0")
     r = -norm_quantile(p) * sigma / gap     # the closed form is groups r^2
     start = math.ceil(design.groups * r ** 2 - 1e-9) if abs(r) < _MAX_N else _MAX_N
-    return _first_true(lambda n: norm_cdf(-gap / _effect_sd(sigma, design, n)) < p,
+    return _first_true(lambda n: _beyond(gap, _effect_sd(sigma, design, n)) < p,
                        0, start, _MAX_N,
                        "pilot size exceeds 1e9; the threshold is too close to mu0")
 
@@ -112,8 +118,8 @@ def plan_effect_pilot(mu0: float, sigma: float, design: TestDesign,
     effect = EffectSpec(mu0, sigma)
 
     def side(threshold: float, prob: float, which: str, zs_target: float):
+        mu_thr = mu0 * zs_target / _zsum(design.alpha, threshold, f"{which}power_threshold")
         n_main = _nearest_n(effect, design, threshold)
-        mu_thr = mu0 * zs_target / _zsum(design.alpha, threshold)
         n_pilot = effect_pilot_n(mu0, mu_thr, sigma, prob, design, which)
         return n_main, mu_thr, n_pilot
 

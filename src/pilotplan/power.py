@@ -112,9 +112,15 @@ def arcsine_effect(p1: float, p2: float) -> EffectSpec:
     return EffectSpec(effect=effect, sigma=1.0)
 
 
-def _zsum(alpha: float, power: float) -> float:
+def _zsum(alpha: float, power: float, name: str = "power") -> float:
+    """z_{1-a/2} + z_power, which is positive only for a power above alpha / 2;
+    at or below that it is an error naming the power level ``name``."""
     # z_{1-a/2} from the tail a/2 itself: 1 - a/2 would round it at small a
-    return -norm_quantile(0.5 * alpha) + norm_quantile(power)
+    zs = -norm_quantile(0.5 * alpha) + norm_quantile(power)
+    if not zs > 0.0:
+        raise ValueError(f"{name} must be above alpha / 2 = {0.5 * alpha!r} "
+                         f"at alpha {alpha!r}, got {power!r}")
+    return zs
 
 
 def power_at(n: float, effect: EffectSpec, design: TestDesign = TestDesign()) -> float:
@@ -284,7 +290,9 @@ def _solve_increasing(f, target: float, lo: float, hi: float, f_lo: float,
 def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPROX) -> float:
     """Effect size at which a study of per-group size n has exactly ``power``.
 
-    One size per call: an array of sizes is a ValueError.
+    ``power`` lies above alpha / 2, and in t-iterative mode above alpha, the
+    exact power at effect 0.  One size per call: an array of sizes is a
+    ValueError.
     """
     if getattr(n, "ndim", 0) or isinstance(n, (list, tuple)):
         raise ValueError("effect_for_n takes one size n; call it once per size")
@@ -292,7 +300,9 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
     if not (math.isfinite(n) and n >= 2.0):
         raise ValueError(f"per-group size must be >= 2, got {n!r}")
     power = _probability("power", power)
-    _choice("mode", mode, _MODES)
+    if _choice("mode", mode, _MODES) == T_ITERATIVE and not power > design.alpha:
+        raise ValueError(f"power must be above alpha {design.alpha!r} in {T_ITERATIVE} "
+                         f"mode, got {power!r}")
     d_z = _zsum(design.alpha, power) * math.sqrt(design.groups / n)
     if mode == Z_APPROX:
         return d_z

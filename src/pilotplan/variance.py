@@ -242,8 +242,9 @@ def plan_variance_pilot(effect: EffectSpec, design: TestDesign, power_target: fl
     pooled_pilot = _choice("pooled_pilot", pooled_pilot, (False, True))
 
     def side(threshold: float, prob: float, which: str, zs_target: float):
+        zs = _zsum(design.alpha, threshold, f"{which}power_threshold")
+        sigma_thr = effect.sigma * zs / zs_target
         n_main = _nearest_n(effect, design, threshold, T_ITERATIVE)
-        sigma_thr = effect.sigma * _zsum(design.alpha, threshold) / zs_target
         ratio = (sigma_thr / effect.sigma) ** 2
         if mode == APPROX:
             n_pilot = pilot_n_approx(ratio, prob, pooled_pilot)

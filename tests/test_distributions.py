@@ -370,6 +370,18 @@ class TestNoncentralT:
         # power at huge sizes saturates: essentially no mass below the cutoff
         assert nct_cdf(1.96, 2e6 - 2, 0.25 * math.sqrt(5e5)) < 1e-12
 
+    # P(T <= -0.5) far below the mean, to 40 digits by mpmath from the
+    # Poisson-mixture series; 1 - P(T <= 0.5) at -ncp would cancel
+    LOWER_TAIL = [
+        (-0.5, 30, 8, 1.1379733103147325e-17),
+        (-0.5, 5, 6, 7.3447417931070355e-11),
+        (-0.5, 200, 6, 4.0872696120382238e-11),
+    ]
+
+    @pytest.mark.parametrize("x,df,ncp,want", LOWER_TAIL)
+    def test_lower_tail_keeps_relative_digits(self, x, df, ncp, want):
+        assert nct_cdf(x, df, ncp) == pytest.approx(want, rel=1e-9, abs=0.0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             nct_cdf(float("nan"), 5, 1.0)

@@ -159,6 +159,29 @@ CHECKS = {
                              "cap must be an integer >= 2, got True"),
     "pilot-exact-cap-fractional": (lambda: pilot_n_exact(0.5, 0.2, cap=10.5), ValueError,
                                    r"cap must be an integer >= 2, got 10\.5"),
+    # a power level at or below alpha / 2 gives z_{1-a/2} + z_p <= 0, and no
+    # effect gives an exact power below alpha, its value at effect 0
+    "plan-variance-threshold-below-half-alpha": (
+        lambda: plan_variance_pilot(EffectSpec(1, 4), TWO, 0.8, PowerBounds(0.2, 0.01)),
+        ValueError, r"underpower_threshold must be above alpha / 2 = 0\.025 at alpha 0\.05, "
+                    r"got 0\.01"),
+    "plan-variance-threshold-half-alpha": (
+        lambda: plan_variance_pilot(EffectSpec(1, 4), TWO, 0.8, PowerBounds(0.2, 0.025)),
+        ValueError, r"underpower_threshold must be above alpha / 2 = 0\.025 at alpha 0\.05, "
+                    r"got 0\.025"),
+    "plan-effect-threshold-half-alpha": (
+        lambda: plan_effect_pilot(2.0, 4.0, TWO, 0.8, PowerBounds(0.2, 0.025)),
+        ValueError, r"underpower_threshold must be above alpha / 2 = 0\.025 at alpha 0\.05, "
+                    r"got 0\.025"),
+    "effect-for-n-power-below-half-alpha": (
+        lambda: effect_for_n(10, TWO, 0.01), ValueError,
+        r"power must be above alpha / 2 = 0\.025 at alpha 0\.05, got 0\.01"),
+    "sigma-for-n-power-below-half-alpha": (
+        lambda: sigma_for_n(10, EffectSpec(1.0), TWO, 0.01), ValueError,
+        r"power must be above alpha / 2 = 0\.025 at alpha 0\.05, got 0\.01"),
+    "effect-for-n-t-power-below-alpha": (
+        lambda: effect_for_n(10, TWO, 0.04, "t-iterative"), ValueError,
+        r"power must be above alpha 0\.05 in t-iterative mode, got 0\.04"),
 }
 
 
@@ -176,6 +199,42 @@ def test_huge_pilot_size_is_an_error_line(capsys):
     assert code == 2        # a configuration rejected before any sampling
     assert captured.out == ""
     assert captured.err.startswith("error: pilot_n of a variance pilot must be <= ")
+
+
+def test_power_level_at_half_alpha_is_an_error_line(capsys):
+    # its z sum is 0, which the effect planner divided by
+    code = main(["plan-effect", "--mu0", "2", "--sigma", "4", "--underpower-prob", ".2",
+                 "--underpower-threshold", ".025"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: underpower_threshold must be above alpha / 2 = 0.025 "
+                            "at alpha 0.05, got 0.025\n")
+
+
+def test_power_level_at_alpha_is_legal():
+    assert plan_variance_pilot(EffectSpec(1, 4), TWO, 0.8, PowerBounds(0.2, 0.05)).pilot_n >= 2
+    assert plan_effect_pilot(2.0, 4.0, TWO, 0.8, PowerBounds(0.2, 0.05)).pilot_n >= 1
+    assert effect_for_n(10, TWO, 0.05) > 0.0
+
+
+# an infinite standardized gap, from an overflowing difference or a tiny
+# sigma, gives the limit of the normal tail, not an error from norm_cdf
+LIMITS = {
+    "underpower-tiny-sigma": (lambda: effect_underpower_prob(12, 0.5, 0.7, 1e-320), 0.0),
+    "underpower-overflowing-gap": (lambda: effect_underpower_prob(12, -1e308, 1e308, 1.0), 0.0),
+    "pilot-overflowing-gap": (lambda: effect_pilot_n(-1e308, 1e308, 1.0, 0.2), 1),
+    "pilot-tiny-sigma": (lambda: effect_pilot_n(0.5, 0.7, 1e-320, 0.2), 1),
+    # sigma sqrt(2 / n) underflows to 0: no ZeroDivisionError either
+    "underpower-zero-sd": (lambda: effect_underpower_prob(10 ** 9, 0.0, 1.0, 5e-324), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIMITS))
+def test_infinite_gap_takes_the_limit(name):
+    call, want = LIMITS[name]
+    got = call()
+    assert got == want and type(got) is type(want)
 
 
 def test_huge_ratio_takes_the_df_limit():

@@ -7,12 +7,15 @@
 
 - df 1, 2, 7.5, 62, 1e3 and 1e6;
 - c at the two-sided alpha 0.05 and 1e-6 critical values, and at 3 and 1e4
-  times each, which puts 40 of the points in the sweep's upper-tail branch
-  (``w < _FAR``);
+  times each, as ``t_quantile`` gave them when the grid was frozen, which
+  puts 40 of the points in the sweep's upper-tail branch (``w < _FAR``);
 - ncp 1e-3, 0.1, 2.8, 30 and 1e3.
 
-A rewrite of ``_mixture_sum`` that is meant to keep its arithmetic must keep
-every bit here.  To rewrite the file after a deliberate change, run
+Both columns come from the one sweep, ``_mixture_sum``, as ``_nct_fold``
+sums it: ``_nct_abs_sf`` reads its Poisson half, ``nct_cdf`` both halves with
+the signs.  A rewrite of the sweep that is meant to keep its arithmetic must
+keep every bit here.  To rewrite the two value columns at the frozen points
+after a deliberate change, run
 
     PYTHONPATH=src python tests/test_sweep_bits.py
 """
@@ -21,27 +24,19 @@ import json
 import os
 
 from pilotplan import distributions
-from pilotplan.distributions import _nct_abs_sf, nct_cdf, t_quantile
+from pilotplan.distributions import _nct_abs_sf, nct_cdf
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                       "nct_sweep_bits.json")
 
 
-def sweep_bits() -> list:
-    rows = []
-    for df in (1.0, 2.0, 7.5, 62.0, 1e3, 1e6):
-        for alpha in (0.05, 1e-6):
-            crit = t_quantile(1.0 - alpha / 2.0, df)
-            for c in (crit, 3.0 * crit, 1e4 * crit):
-                for ncp in (1e-3, 0.1, 2.8, 30.0, 1e3):
-                    rows.append([df, c.hex(), ncp, _nct_abs_sf(c, df, ncp).hex(),
-                                 nct_cdf(c, df, ncp).hex()])
-    return rows
+def load() -> list:
+    with open(GOLDEN) as fh:
+        return json.load(fh)
 
 
 def test_sweep_bits_match_golden():
-    with open(GOLDEN) as fh:
-        rows = json.load(fh)
+    rows = load()
     assert len(rows) == 180
     far = 0
     for df, c_hex, ncp, abs_hex, cdf_hex in rows:
@@ -54,5 +49,7 @@ def test_sweep_bits_match_golden():
 
 
 if __name__ == "__main__":
+    rows = [[df, c_hex, ncp, _nct_abs_sf(float.fromhex(c_hex), df, ncp).hex(),
+             nct_cdf(float.fromhex(c_hex), df, ncp).hex()] for df, c_hex, ncp, _, _ in load()]
     with open(GOLDEN, "w") as fh:
-        fh.write("[\n" + ",\n".join(json.dumps(row) for row in sweep_bits()) + "\n]\n")
+        fh.write("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n")
