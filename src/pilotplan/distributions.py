@@ -7,7 +7,8 @@ calls only these functions.  The normal comes from the standard library:
 ``statistics.NormalDist``.  The rest is written here: the incomplete gamma
 and beta functions are evaluated by series / continued fraction with region
 switching, the noncentral t CDF by a Poisson-mixture series over incomplete
-beta ratios, and quantiles by guarded Newton iteration with bracket fallback.
+beta ratios, and the chi-square, t and |T| quantiles by one guarded Newton
+iteration with bracket fallback, ``_invert``.
 
 The incomplete beta takes x and y = 1 - x, each computed by its caller
 without subtraction, as DiDonato & Morris's BRATIO does (ACM TOMS 18, 1992).
@@ -47,10 +48,7 @@ __all__ = [
     "nct_cdf",
 ]
 
-# Quantile inversions stop at |cdf(x) - p| <= _INVERT_TOL, at bracket
-# collapse (the CDF's own evaluation noise can exceed the tolerance very
-# close to the median), or at _MAX_NEWTON iterations; hitting the cap raises
-# instead of returning.
+# _invert's relative tolerance and iteration cap
 _INVERT_TOL = 1e-10
 _MAX_NEWTON = 200
 _MAX_FRACTION = 500
@@ -122,6 +120,32 @@ def _choice(name: str, x, choices: tuple):
         if kind(x) == kind(c) and x == c:
             return c
     raise ValueError(f"{name} must be {' or '.join(map(repr, choices))}, got {x!r}")
+
+
+def _invert(newton, x: float, target: float, rising: bool, what: str) -> float:
+    """The x > 0 where a mass monotone in x (rising with x, or falling) meets
+    target > 0, from the start x; ``newton(x)`` gives the mass at x and a
+    Newton step h in log x, or NaN where it has none.
+
+    The step to x e^h is taken when |h| < 700 and it lands inside the
+    bracket that the masses seen so far give; otherwise the bracket is
+    bisected, in log x once its lower end is positive, or while it is open
+    above x doubles to 2 max(x, 1).  The loop stops within ``_INVERT_TOL`` of
+    the target, relative, or at bracket collapse (the mass's own rounding can
+    pass the tolerance very close to the median); ``_MAX_NEWTON`` steps raise.
+    """
+    lo, hi = 0.0, math.inf
+    for _ in range(_MAX_NEWTON):
+        mass, h = newton(x)
+        if abs(mass - target) <= _INVERT_TOL * target or hi - lo <= 1e-15 * x:
+            return x
+        lo, hi = (x, hi) if (mass < target) == rising else (lo, x)
+        x_new = x * math.exp(h) if abs(h) < 700.0 else math.nan
+        if not lo < x_new < hi:
+            x_new = ((math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi) if math.isfinite(hi)
+                     else 2.0 * max(x, 1.0))
+        x = x_new
+    raise ConvergenceError(f"{what} inversion hit the 200-iteration cap")
 
 
 # ---------------------------------------------------------------------------
@@ -229,37 +253,15 @@ def _chisq_start(p: float, df: float) -> float:
     return max(2.0 * math.exp((math.log(p) + math.lgamma(a + 1.0)) / a), 1e-280)
 
 
-def _chisq_step(x: float, got: float, tail: float, sign: float, a: float,
-                lo: float, hi: float) -> float:
-    """The next x within (lo, hi), from g = log(got / tail) in u = log x, sign
-    -1 on the upper tail: g' = sign x pdf / got and g'' = g' r2; Newton's step
-    h = g / g', and once it is short the series reversion to third order.  A
-    step out of the bracket bisects it, or doubles x while hi is infinite; so
-    does a step that cannot be taken, where got or the density is 0 or the
-    exponent overflows."""
-    try:
-        slope = sign * math.exp(a * math.log(0.5 * x) - 0.5 * x - math.lgamma(a)) / got
-        h = math.log(got / tail) / slope
-        r2 = a - 0.5 * x - slope
-        rev = h * (1.0 + h * (0.5 * r2 + h * (r2 * r2 / 3.0 + (0.5 * x + slope * r2) / 6.0)))
-        x_new = x * math.exp(-(rev if abs(h) < 0.5 else h))
-    except (ZeroDivisionError, ValueError, OverflowError):
-        x_new = math.nan
-    if lo < x_new < hi:
-        return x_new
-    return 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * max(x, 1.0)
-
-
 def chisq_quantile(p, df: float):
     """Chi-square quantile for 0 <= p < 1 (p = 1 is a domain error).
 
-    From the Wilson-Hilferty start, steps in log x solve for the log of the
-    smaller tail, which is concave in log x for every df, so Newton's step
-    cannot run away; a step that leaves the bracket bisects it instead.  The
-    inversion stops when that tail is within ``_INVERT_TOL`` of its target,
-    relative, or when its bracket collapses; reaching ``_MAX_NEWTON``
-    iterations raises, as it does when the quantile is below the smallest
-    double.
+    From the Wilson-Hilferty start, ``_invert`` solves for g = log(got /
+    tail) of the smaller tail, concave in u = log x for every df, so Newton's
+    step cannot run away: g / g', g' = sign x pdf / got (sign -1 on the upper
+    tail) and g'' = g' r2, by series reversion to third order once it is
+    short, NaN where got or the density is 0 or the exponent overflows.  A
+    quantile below the smallest double raises ``ConvergenceError``.
     """
     p = _point("chisq_quantile", p)
     df = _scale("degrees of freedom", _point("chisq_quantile", df))
@@ -267,20 +269,24 @@ def chisq_quantile(p, df: float):
         raise ValueError("chi-square quantile requires 0 <= p < 1")
     if p == 0.0:
         return 0.0
-    a = 0.5 * df
-    x, upper, lo, hi = _chisq_start(p, df), p > 0.5, 0.0, math.inf
+    a, upper = 0.5 * df, p > 0.5
     tail, sign = (1.0 - p, -1.0) if upper else (p, 1.0)
-    for _ in range(_MAX_NEWTON):
+
+    def newton(x):
         try:
             got = _gammainc_lower(a, 0.5 * x)[upper]     # Q on the upper tail
         except OverflowError:
             raise ValueError(_df_too_large(df)) from None
-        if abs(got - tail) <= _INVERT_TOL * tail or hi - lo <= 1e-15 * x:
-            return x
-        short = (got < tail) != upper       # x lies below the quantile
-        lo, hi = (x, hi) if short else (lo, x)
-        x = _chisq_step(x, got, tail, sign, a, lo, hi)
-    raise ConvergenceError("chi-square quantile inversion hit the 200-iteration cap")
+        try:
+            slope = sign * math.exp(a * math.log(0.5 * x) - 0.5 * x - math.lgamma(a)) / got
+            h = math.log(got / tail) / slope
+            r2 = a - 0.5 * x - slope
+            rev = h * (1.0 + h * (0.5 * r2 + h * (r2 * r2 / 3.0 + (0.5 * x + slope * r2) / 6.0)))
+            return got, -(rev if abs(h) < 0.5 else h)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            return got, math.nan
+
+    return _invert(newton, _chisq_start(p, df), tail, not upper, "chi-square quantile")
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +387,9 @@ def t_quantile(p: float, df: float) -> float:
     """Student t quantile for 0 < p < 1.
 
     From the Cornish-Fisher expansion to order df^-4 (Abramowitz & Stegun
-    26.7.5), Newton steps in log x solve for the log of the tail q = min(p,
-    1 - p), a power of x far out, or past q = 1/4 of the central mass 1/2 - q;
-    a step out of the bracket bisects it.  They stop within ``_INVERT_TOL``
-    of the target, relative, or at bracket collapse; ``_MAX_NEWTON`` steps
-    raise, as does a quantile past about 1e154 (df under 2).
+    26.7.5), ``_invert``'s Newton steps in log x solve for the log of the tail
+    q = min(p, 1 - p), a power of x far out, or past q = 1/4 of the central
+    mass 1/2 - q.  A quantile past about 1e154 (df under 2) raises.
     """
     p = _point("t_quantile", p)
     df = _scale("degrees of freedom", _point("t_quantile", df))
@@ -411,20 +415,16 @@ def t_quantile(p: float, df: float) -> float:
         x = z
     central = q > 0.25
     target, slope = (0.5 - q, -1.0) if central else (q, 1.0)
-    lo, hi = 0.0, math.inf
-    for _ in range(_MAX_NEWTON):
-        got = _t_mass(x, df, central)
-        if abs(got - target) <= _INVERT_TOL * target or hi - lo <= 1e-15 * x:
-            if _MIN_NORMAL * x * x > df:
-                raise ConvergenceError("t quantile is past where df / (df + x^2) is a normal double")
-            return sign * x
-        lo, hi = (x, hi) if (got > target) != central else (lo, x)
-        pdf = _t_pdf(x, df)
-        step = (slope * math.log(got / target) * got / (x * pdf)
-                if got > 0.0 and x * pdf > 0.0 else math.nan)
-        x_new = x * math.exp(step) if abs(step) < 700.0 else math.nan
-        x = x_new if lo < x_new < hi else 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * x
-    raise ConvergenceError("t quantile inversion hit the 200-iteration cap")
+
+    def newton(x):
+        got, pdf = _t_mass(x, df, central), _t_pdf(x, df)
+        return got, (slope * math.log(got / target) * got / (x * pdf)
+                     if got > 0.0 and x * pdf > 0.0 else math.nan)
+
+    x = _invert(newton, x, target, central, "t quantile")
+    if _MIN_NORMAL * x * x > df:
+        raise ConvergenceError("t quantile is past where df / (df + x^2) is a normal double")
+    return sign * x
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +532,9 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
         return law + ((below, 0.5 - 0.5 * math.tanh(t * ncp)) if signs else ())
     lam = 0.5 * ncp * ncp
     if lam == 0.0:
-        # T is the central t
-        below, cdf = t_cdf(-t, df), t_cdf(t, df)
-        law = (cdf - below, (1.0 - cdf) + below, 2.0 * _t_pdf(t, df))
+        # T is the central t, each tail from its own mass
+        below = _t_mass(t, df)
+        law = (2.0 * _t_mass(t, df, True), 2.0 * below, 2.0 * _t_pdf(t, df))
         return law + ((below, 0.5) if signs else ())
     tt = t * t
     y, w = tt / (tt + df), df / (tt + df)
@@ -568,31 +568,21 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
 def _nct_abs_isf(v: float, df: float, ncp: float) -> float:
     """The t > 0 with P(|T| > t) = v for 0 < v < 1, T as in ``_nct_fold``.
 
-    From the normal approximation of Abramowitz & Stegun 26.7.10, Newton
-    steps in log t solve for the log of the smaller tail, v or 1 - v, with
-    the density of |T| as the slope (about 3.5 evaluations at the quantiles
-    of a grid cell); a step out of the bracket bisects it.
-    They stop within ``_INVERT_TOL`` of the target, relative, or at bracket
-    collapse; ``_MAX_NEWTON`` steps raise.
+    From the normal approximation of Abramowitz & Stegun 26.7.10,
+    ``_invert``'s Newton steps in log t solve for the log of the smaller
+    tail, v or 1 - v, with the density of |T| as the slope (about 3.5
+    evaluations at the quantiles of a grid cell).
     """
     upper = v <= 0.5
     target, sign = (v, 1.0) if upper else (1.0 - v, -1.0)
-    t, lo, hi = _abs_start(v, df, ncp), 0.0, math.inf
-    for _ in range(_MAX_NEWTON):
+
+    def newton(t):
         cdf, sf, density = _nct_fold(t, df, ncp, upper=upper)
         got = sf if upper else cdf
-        if abs(got - target) <= _INVERT_TOL * target or hi - lo <= 1e-15 * t:
-            return t
-        lo, hi = (t, hi) if (got > target) == upper else (lo, t)
-        step = (sign * math.log(got / target) * got / (t * density)
-                if got > 0.0 and t * density > 0.0 else math.nan)
-        t_new = t * math.exp(step) if abs(step) < 700.0 else math.nan
-        if not lo < t_new < hi:
-            # bisect the bracket, in log t once it has a positive end
-            t_new = ((math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi) if math.isfinite(hi)
-                     else 2.0 * t)
-        t = t_new
-    raise ConvergenceError("|T| quantile inversion hit the 200-iteration cap")
+        return got, (sign * math.log(got / target) * got / (t * density)
+                     if got > 0.0 and t * density > 0.0 else math.nan)
+
+    return _invert(newton, _abs_start(v, df, ncp), target, not upper, "|T| quantile")
 
 
 def _abs_start(v: float, df: float, ncp: float) -> float:
@@ -609,7 +599,9 @@ def _abs_start(v: float, df: float, ncp: float) -> float:
 
 def nct_cdf(x: float, df: float, ncp: float) -> float:
     """Noncentral t CDF with noncentrality ``ncp``, from the law of |T|:
-    P(T <= x) is P(T < -|x|) for x < 0 and P(|T| <= x) + P(T < -x) for x >= 0.
+    P(T <= x) is P(T < -|x|) for x < 0 and P(|T| <= x) + P(T < -x) for x >= 0,
+    at ncp > 0; at ncp < 0 it is P(|T'| > |x|) - P(T' < -|x|) and 1 - P(T' < -x)
+    for T' = -T.
 
     Matches ``t_cdf`` exactly at ncp = 0 and is evaluated to ~1e-12 absolute
     accuracy (target 1e-8) against direct numerical integration.  Scalars
@@ -620,5 +612,10 @@ def nct_cdf(x: float, df: float, ncp: float) -> float:
     ncp = _require_finite("nct_cdf", "ncp", ncp)
     if ncp == 0.0:
         return t_cdf(x, df)
-    cdf, _, _, below, _ = _nct_fold(abs(x), df, ncp, signs=True)
-    return min(1.0, max(0.0, below if x < 0.0 else cdf + below))
+    t = abs(x)
+    if ncp > 0.0:
+        cdf, _, _, below, _ = _nct_fold(t, df, ncp, signs=True)
+        return min(1.0, max(0.0, below if x < 0.0 else cdf + below))
+    # T' = -T at -ncp: P(T <= x) = P(T' >= -x), from upper tails past |ncp|
+    _, sf, _, below, _ = _nct_fold(t, df, -ncp, signs=True, upper=t > -ncp)
+    return min(1.0, max(0.0, sf - below if x < 0.0 else 1.0 - below))

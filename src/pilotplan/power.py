@@ -170,8 +170,9 @@ def _z_requirement(effect: EffectSpec, design: TestDesign, power: float,
             f"effect {effect.effect!r} over sigma {effect.sigma!r} is an effect size "
             f"of {d:g}, past the largest this package plans for, {_MAX_EFFECT_SIZE:g}")
     z_a = -norm_quantile(0.5 * design.alpha)
-    zs = z_a + norm_quantile(power)
-    if abs(zs) / d > math.sqrt(_MAX_N / design.groups):
+    # at a power at or below alpha / 2 the sum is not positive: the floor, 2
+    zs = max(0.0, z_a + norm_quantile(power))
+    if zs / d > math.sqrt(_MAX_N / design.groups):
         raise ValueError(_TOO_LARGE)
     return design.groups * zs ** 2 / d ** 2, z_a
 

@@ -382,6 +382,16 @@ class TestNoncentralT:
     def test_lower_tail_keeps_relative_digits(self, x, df, ncp, want):
         assert nct_cdf(x, df, ncp) == pytest.approx(want, rel=1e-9, abs=0.0)
 
+    # the negative-ncp mirror past x = ncp, to 40 digits by mpmath quadrature
+    # over the chi law: Phi(-ncp) - (E - O) / 2 would cancel here, and P(T <= x)
+    # is read as P(-T >= -x) at -ncp instead, from the sums' upper tails
+    @pytest.mark.parametrize("x,df,ncp,want", [
+        (-14.0, 200, -4.0, 5.7504669672846197e-17),
+        (-12.0, 1000, -5.0, 6.8567451357973795e-12),
+    ])
+    def test_lower_tail_at_negative_ncp(self, x, df, ncp, want):
+        assert nct_cdf(x, df, ncp) == pytest.approx(want, rel=1e-7, abs=0.0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             nct_cdf(float("nan"), 5, 1.0)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import pilotplan.distributions as distributions
 import pilotplan.power as power_module
-from pilotplan.distributions import ConvergenceError, _nct_abs_sf, nct_cdf, t_quantile
+from pilotplan.distributions import ConvergenceError, _nct_abs_sf, _t_mass, nct_cdf, t_quantile
 from pilotplan.effect import plan_effect_pilot
 from pilotplan.power import (
     _first_true,
@@ -128,6 +128,15 @@ class TestMainSampleSize:
             with pytest.raises(ValueError, match="ncp .* is too large"):
                 power_at(2, EffectSpec(effect), ONE)
 
+    @pytest.mark.parametrize("effect,power", [(0.5, 1e-6), (0.5, 1e-3), (1e-6, 1e-6)])
+    def test_power_at_most_alpha_half_is_the_minimum_size(self, effect, power):
+        # at a power at or below alpha / 2, z_{1-a/2} + z_power <= 0: every
+        # size reaches it, so both modes give the floor, not the square of a
+        # negative sum (63 at 1e-6 in z-approx mode, and past 1e9 at effect 1e-6)
+        for mode in (Z_APPROX, T_ITERATIVE):
+            for solve in (main_sample_size, _nearest_n, required_n):
+                assert solve(EffectSpec(effect), TWO, power, mode) == 2, (mode, solve)
+
     def test_power_bounds_rejected(self):
         for bad in (0.0, 1.0):
             with pytest.raises(ValueError):
@@ -198,11 +207,22 @@ class TestTwoSidedPower:
                 assert _nct_abs_sf(c, df, ncp) == pytest.approx(want, abs=1e-11), (df, ncp)
 
     @pytest.mark.parametrize("df", [1.0, 2.0, 7.5, 62.0, 1e4])
-    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5])
+    @pytest.mark.parametrize("alpha", [1e-15, 1e-6, 0.05, 0.5])
     def test_central_bits(self, df, alpha):
-        # at ncp 0 the t tails, as the two nct_cdf calls gave them, to the bit
+        # at ncp 0, twice the t tail from its own mass, to the bit, and within
+        # 1e-13 of scipy's: the sum (1 - F(c)) + F(-c) rounded the upper tail
+        # away, 5.5% of it at alpha 1e-15
         c = t_quantile(1.0 - alpha / 2.0, df)
-        assert _nct_abs_sf(c, df, 0.0) == (1.0 - nct_cdf(c, df, 0.0)) + nct_cdf(-c, df, 0.0)
+        assert _nct_abs_sf(c, df, 0.0) == 2.0 * _t_mass(c, df)
+        scipy_stats = pytest.importorskip("scipy.stats")
+        assert _nct_abs_sf(c, df, 0.0) == pytest.approx(2.0 * scipy_stats.t.sf(c, df),
+                                                        rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n,alpha", [(5, 1e-15), (31, 1e-12)])
+    def test_power_at_zero_effect_is_alpha(self, n, alpha):
+        # the critical value meets its tail to _INVERT_TOL, relative
+        assert power_at(n, EffectSpec(0.0), TestDesign(ONE_SAMPLE, alpha)) == pytest.approx(
+            alpha, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("df,alpha", [(62.0, 0.05), (1.0, 1e-6)])
     def test_series_cap_raises(self, df, alpha, monkeypatch):

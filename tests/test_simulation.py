@@ -307,6 +307,16 @@ class TestSizingVector:
         assert (_main_n_quantiles(_ascending(ds), TWO, 0.8, Z_APPROX)
                 == self._brute_force(ds, Z_APPROX))
 
+    def test_power_at_most_alpha_half_sizes_the_floor(self):
+        # at a target at or below alpha / 2 every size reaches it, so every
+        # estimate gets the floor in both modes (z-approx squared a negative
+        # z sum, and its 95th percentile read 10)
+        for mode in (Z_APPROX, T_ITERATIVE):
+            report = simulate_effect_pipeline(effect_cfg(
+                pilot_n=10, seed=7, replicates=1000, power_target=0.02,
+                underpower_threshold=0.01, sizing_mode=mode))
+            assert report.main_n_quantiles == {str(q): 2 for q in QS}, mode
+
 
 class TestBruteForceOracle:
     """Size every replicate with main_sample_size and flag it by evaluating
