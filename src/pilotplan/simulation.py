@@ -20,29 +20,32 @@ five order statistics of the estimates, by the integer search of
 underpowered exactly when n_crit - 1 subjects, one fewer than the threshold
 power needs at the true effect, already reach the target power at its
 estimate; that holds from some estimate x* on, which is solved once per run
-to a bracket of relative width about 1e-7, and ``bisect`` counts the flags
-against it.
+to a bracket [x_lo, x_hi] of relative width about 1e-7.  So the flags are
+counted, not tested one by one: with u(x) = P(estimate >= x), a =
+Binomial(R, u(x_hi)) replicates lie past the bracket and b = Binomial(R - a,
+(u(x_lo) - u(x_hi)) / (1 - u(x_hi))) inside it, and only those b, almost
+always none, are inverted and tested (by bisection).
 
 Nor is every replicate drawn: one uniform orders the estimates.  A variance
 estimate falls as its chi-square uniform rises.  An effect estimate is
 spread T, T noncentral t on the pilot's df with ncp mu / (sigma spread) (the
 normal N(ncp, 1) when sigma is known), so its magnitude falls as the uniform
 P(|T| > |t|) rises.  A run reads order statistics of R uniforms, each drawn
-when first read (``_OrderStats``; Devroye 1986, Non-Uniform Random Variate
-Generation, ch. V), about 5 + log2 R of them.  A variance probe compares its
-estimate with the bracket; an effect probe compares its uniform with the
-bracket's, and |T| is inverted only at the five quantile items and at a
-probe inside the bracket.  The signs of an effect run are drawn after the
-fact: given the flag boundary and the five quantile items, the replicates
-between two of them are i.i.d. on that gap, so the gap's negatives are one
-Binomial draw, and each item is negative with its conditional chance.  So
-every field of the report keeps its exact joint law, a billion replicates
-take milliseconds, and no run imports numpy.
+when first read given the two flag counts (``_OrderStats``; Devroye 1986,
+Non-Uniform Random Variate Generation, ch. V): the five quantile items and
+the in-bracket replicates, and |T| or the chi-square is inverted at those
+alone.  The signs of an effect run are drawn after the fact: given the flag
+counts and the items read, the replicates between two of them are i.i.d. on
+that gap, so the gap's negatives are one Binomial draw, and each item is
+negative with its conditional chance.  So every field of the report
+keeps its exact joint law, a billion replicates take milliseconds, and no
+run imports numpy.
 
 Randomness: one seed per run, one ``random.Random(seed)``, read in this
-order: the flags' order statistics (Beta draws), then the quantiles', then
-the signs, gap by gap from the largest magnitude down, each gap's Binomial
-and then the item that closes it.  Changing that order changes the stream.
+order: the flags' two Binomials (and the Beta draws of any in-bracket
+replicate), then the quantiles' Beta draws, then the signs, gap by gap from
+the largest magnitude down, each gap's Binomial and then the item that
+closes it.  Changing that order changes the stream.
 A table cell's seed is drawn from (seed, table, cell).
 """
 
@@ -54,7 +57,7 @@ import random
 from dataclasses import dataclass, field, asdict, replace
 
 from .distributions import (_choice, _count, _nct_abs_isf, _nct_fold, _probability, _scale,
-                            chisq_quantile, norm_quantile)
+                            chisq_cdf, chisq_quantile, norm_quantile)
 from .power import (
     _MODES,
     EffectSpec,
@@ -183,40 +186,45 @@ _TINY, _BELOW_ONE = math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)
 
 class _OrderStats:
     """Item k is f at the k-th largest of ``reps`` uniforms (ascending for a
-    falling f), each uniform drawn when first read.  Rank i is drawn between
-    the nearest drawn ranks lo < i < hi (sentinels 0.0 at rank 0 and 1.0 at
-    rank reps + 1) as v_lo + (v_hi - v_lo) Beta(i - lo, hi - i), so the draws
-    depend on the order of reads.  An effect run's items are the estimates'
-    magnitudes, whose law ``law(x)`` gives as ``_nct_fold`` does."""
+    falling f), each uniform drawn when first read.  Its known points are
+    (rank, uniform, f there): the drawn ranks and the cuts, a cut at rank
+    c + 1/2 saying that exactly c uniforms lie at or below its uniform; the
+    sentinels are the cuts (1/2, 0.0) and (reps + 1/2, 1.0).  Rank i is drawn
+    between the nearest known points lo < i < hi as v_lo + (v_hi - v_lo)
+    Beta(i - floor(lo), ceil(hi) - i), so the draws depend on the order of
+    reads.  ``tail(x)``, the chance that an item reaches x, places a cut."""
 
-    def __init__(self, reps: int, seed: int, f, law=None):
-        self._reps, self._f, self.law = reps, f, law
+    def __init__(self, reps: int, seed: int, f, tail):
+        self._reps, self._f, self._tail = reps, f, tail
         self.rng = random.Random(seed)
-        self._ranks, self._u = [0, reps + 1], [0.0, 1.0]
-        self._items: dict = {}
+        self.points = [(0.5, 0.0, math.inf), (reps + 0.5, 1.0, 0.0)]
 
     def __len__(self) -> int:
         return self._reps
 
-    def uniform(self, k: int) -> float:
-        """The k-th largest uniform."""
+    def __getitem__(self, k: int) -> float:
         if not 0 <= k < self._reps:
             raise IndexError(k)
         i = self._reps - k
-        j = bisect.bisect_left(self._ranks, i)
-        if self._ranks[j] == i:
-            return self._u[j]
-        (lo, hi), (v_lo, v_hi) = self._ranks[j - 1:j + 1], self._u[j - 1:j + 1]
-        v = v_lo + (v_hi - v_lo) * self.rng.betavariate(i - lo, hi - i)
-        v = min(max(v, v_lo, _TINY), v_hi, _BELOW_ONE)    # ties are allowed
-        self._ranks.insert(j, i)
-        self._u.insert(j, v)
-        return v
+        j = bisect.bisect_left(self.points, i, key=lambda p: p[0])
+        if self.points[j][0] != i:
+            (lo, v_lo, _), (hi, v_hi, _) = self.points[j - 1:j + 1]
+            v = v_lo + (v_hi - v_lo) * self.rng.betavariate(i - math.floor(lo), math.ceil(hi) - i)
+            v = min(max(v, v_lo, _TINY), v_hi, _BELOW_ONE)    # ties are allowed
+            self.points.insert(j, (i, v, self._f(v)))
+        return self.points[j][2]
 
-    def __getitem__(self, k: int) -> float:
-        if k not in self._items:
-            self._items[k] = self._f(self.uniform(k))
-        return self._items[k]
+    def cut(self, x: float) -> int:
+        """How many items reach x, that is how many uniforms lie at or below
+        u = tail(x): those known to, plus a Binomial of the ones between the
+        known points around u.  The count is kept as a cut at u."""
+        u = self._tail(x)
+        j = bisect.bisect_right(self.points, u, 1, len(self.points) - 1, key=lambda p: p[1])
+        (lo, v_lo, _), (hi, v_hi, _) = self.points[j - 1:j + 1]
+        c = math.floor(lo) + _binomial(self.rng, math.ceil(hi) - math.floor(lo) - 1,
+                                       (u - v_lo) / (v_hi - v_lo) if v_hi > v_lo else 1.0)
+        self.points.insert(j, (c + 0.5, u, x))
+        return c
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +294,13 @@ def _flag_boundary(design: TestDesign, config: SimulationConfig, n_crit: int):
 
 def _underpower_count(d, boundary) -> int:
     """Replicates whose estimate reaches the flag boundary, over the
-    ascending estimates ``d``: a bisection whose probes compare an estimate
-    (or, in an effect run, its uniform) with the bracket's ends, and test the
-    estimate itself only where it falls inside."""
+    ascending estimates ``d``: those past the bracket and those inside it are
+    each one cut, and a bisection tests only the estimates inside it."""
     if boundary is None:
         return 0
     x_lo, x_hi, reaches = boundary
-    if d.law is None:
-        def flagged(k: int) -> bool:
-            x = d[k]
-            return x >= x_hi or (x >= x_lo and reaches(x))
-    else:
-        v_lo, v_hi = d.law(x_lo)[1], d.law(x_hi)[1]
-
-        def flagged(k: int) -> bool:
-            v = d.uniform(k)
-            return v <= v_hi or (v <= v_lo and reaches(d[k]))
-    return len(d) - bisect.bisect_left(range(len(d)), True, key=flagged)
+    r, past, near = len(d), d.cut(x_hi), d.cut(x_lo)
+    return r - bisect.bisect_left(range(r), True, r - near, r - past, key=lambda k: reaches(d[k]))
 
 
 def _binomial(rng: random.Random, n: int, p: float) -> int:
@@ -323,56 +321,42 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
     return count + sum(rng.random() < p for _ in range(n))
 
 
-def _nonpositive(d, boundary, flags: int, items) -> int:
-    """The negative estimates of an effect run, drawn given what the report
-    reads: the flag boundary, with ``flags`` uniforms below it, and the items
-    ``items``.  Given those, the replicates between two of them have uniforms
+def _nonpositive(d, law) -> int:
+    """The negative estimates of an effect run, drawn given every point the
+    run's ``d`` knows: the flag counts' cuts and the items it read.  Given
+    those, the replicates between two neighbouring points have uniforms
     i.i.d. on the gap, so each gap's negatives are a Binomial of its count
-    and P(estimate in -gap) / P(magnitude in gap), and an item is negative
-    with f(-x) / (f(x) + f(-x)).  Every report field keeps its exact joint
-    law; the boundary is placed at x_hi, within about 1e-7 of x*, between
-    the drawn ranks on either side of it."""
-    r = len(d)
-    # a point: (replicates below it, at or below it, its uniform, P(estimate <
-    # -its magnitude), the chance that it is itself negative, or None)
-    points = [(0, 0, 0.0, 0.0, None), (r, r, 1.0, d.law(0.0, True)[3], None)]
-    for k in set(items):
-        v = d.uniform(k)
-        points.append((r - k - 1, r - k, v) + d.law(d[k], True, v <= 0.5)[3:])
-    if boundary is not None:
-        _, v, _, below, _ = d.law(boundary[1], True)
-        v = max(v, d.uniform(r - flags) if flags else 0.0)
-        v = min(v, d.uniform(r - flags - 1) if flags < r else 1.0)
-        points.append((flags, flags, v, below, None))
-    points.sort(key=lambda p: p[0] + p[1])
-    count = 0
-    for (_, at, v_a, f_a, _), (under, _, v_b, f_b, share) in zip(points, points[1:]):
-        if under > at:
-            count += _binomial(d.rng, under - at, (f_b - f_a) / (v_b - v_a) if v_b > v_a else 0.0)
-        if share is not None:
+    and P(estimate in -gap) / P(magnitude in gap), and a drawn item is
+    negative with f(-x) / (f(x) + f(-x)), both from ``law``.  Every report
+    field keeps its exact joint law."""
+    count, (rank_a, v_a, _), f_a = 0, d.points[0], 0.0
+    for rank, v, x in d.points[1:]:
+        _, _, _, f_b, share = law(x, True, v <= 0.5)
+        gap = math.ceil(rank) - math.floor(rank_a) - 1
+        if gap > 0:
+            count += _binomial(d.rng, gap, (f_b - f_a) / (v - v_a) if v > v_a else 0.0)
+        if rank == math.floor(rank):
             count += d.rng.random() < share
+        rank_a, v_a, f_a = rank, v, f_b
     return count
 
 
 def _report(config: SimulationConfig, d) -> SimulationReport:
     """Size, flag and summarize a run from its estimated effect sizes
-    (magnitudes) ``d`` in ascending order; it reads 5 + log2(len(d)) or so.
-    The flags are read first, then the quantiles, then an effect run's signs:
-    a lazily drawn ``d`` draws in this order."""
+    (magnitudes) ``d`` in ascending order; it reads the five quantile items
+    and the replicates inside the flag bracket that its bisection tests.  The
+    flags are counted first, then the quantiles are read: a lazily drawn
+    ``d`` draws in this order.  An effect run draws its signs after this."""
     design = config.design()
     true_effect = EffectSpec(config.effect, config.sigma)
     n_crit = main_sample_size(true_effect, design, config.underpower_threshold, T_ITERATIVE)
     r = config.replicates
-    boundary = _flag_boundary(design, config, n_crit)
-    flags = _underpower_count(d, boundary)
-    p_hat = flags / r
-    quantiles = _main_n_quantiles(d, design, config.power_target, config.sizing_mode)
+    p_hat = _underpower_count(d, _flag_boundary(design, config, n_crit)) / r
     return SimulationReport(
         empirical_underpower=p_hat,
         mc_standard_error=math.sqrt(p_hat * (1.0 - p_hat) / r),
-        nonpositive_effects=(0 if d.law is None else
-                             _nonpositive(d, boundary, flags, _quantile_items(r).values())),
-        main_n_quantiles=quantiles,
+        nonpositive_effects=0,
+        main_n_quantiles=_main_n_quantiles(d, design, config.power_target, config.sizing_mode),
         config=asdict(config),
     )
 
@@ -396,7 +380,11 @@ def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
     def estimate(p: float) -> float:
         return config.effect / math.sqrt(config.sigma ** 2 * chisq_quantile(p, df) / df)
 
-    return _report(config, _OrderStats(config.replicates, config.seed, estimate))
+    def tail(x: float) -> float:
+        # the estimate reaches x where the chi-square is at most df (delta / (sigma x))^2
+        return chisq_cdf(df * (config.effect / (config.sigma * x)) ** 2, df)
+
+    return _report(config, _OrderStats(config.replicates, config.seed, estimate, tail))
 
 
 def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -431,8 +419,9 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
     def law(x: float, signs: bool = False, upper: bool = False) -> tuple:
         return _nct_fold(x / spread, df, ncp, signs, upper)
 
-    return _report(config, _OrderStats(config.replicates, config.seed,
-                                       lambda v: spread * _nct_abs_isf(v, df, ncp), law))
+    d = _OrderStats(config.replicates, config.seed,
+                    lambda v: spread * _nct_abs_isf(v, df, ncp), lambda x: law(x)[1])
+    return replace(_report(config, d), nonpositive_effects=_nonpositive(d, law))
 
 
 # ---------------------------------------------------------------------------

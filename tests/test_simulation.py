@@ -177,12 +177,21 @@ class TestCompletedSample:
     def test_report_is_brute_force(self, sim, cfg):
         # an effect run's nonpositive count is drawn from the skeleton, not
         # from the completed magnitudes, so it is taken from the report; its
-        # law is checked by TestEffectLaw
-        rep, d = _completed(sim, cfg)
-        assert rep == _brute_force_report(cfg, d, rep.nonpositive_effects)
-        assert 0 < rep.empirical_underpower < 1
-        if cfg.scenario == "effect":
-            assert 0 < rep.nonpositive_effects < cfg.replicates
+        # law is checked by TestEffectLaw.  With the flag bracket widened by
+        # 1.5 on either side, many replicates fall inside it and are tested
+        # by the bisection, and the report is still the completed sample's
+        solve = simulation._flag_boundary
+        for widen in (1.0, 1.5):
+            def boundary(*args):
+                x_lo, x_hi, reaches = solve(*args)
+                return x_lo / widen, x_hi * widen, reaches
+
+            with mock.patch.object(simulation, "_flag_boundary", boundary):
+                rep, d = _completed(sim, cfg)
+            assert rep == _brute_force_report(cfg, d, rep.nonpositive_effects)
+            assert 0 < rep.empirical_underpower < 1
+            if cfg.scenario == "effect":
+                assert 0 < rep.nonpositive_effects < cfg.replicates
 
 
 def _completed(sim, cfg):
@@ -224,12 +233,16 @@ def _brute_force_report(cfg: SimulationConfig, d: list, nonpositive: int) -> Sim
         config=asdict(cfg))
 
 
+def _same(v):
+    return v
+
+
 class TestSampler:
     def test_open_interval(self):
         # item k is the k-th largest uniform, each in (0, 1), even where the
         # Beta draw is exactly 0 or 1 (ties with a neighbour are allowed);
         # reads outside [0, R) raise IndexError, so list() stops at R
-        u = _OrderStats(3000, 5, lambda v: v)
+        u = _OrderStats(3000, 5, _same, _same)
         xs = list(u)
         assert len(xs) == 3000 and xs == sorted(xs, reverse=True)
         assert 0.0 < xs[-1] and xs[0] < 1.0
@@ -237,25 +250,44 @@ class TestSampler:
             with pytest.raises(IndexError):
                 u[k]
         for beta in (0.0, 1.0):
-            u = _OrderStats(5, 1, lambda v: v)
+            u = _OrderStats(5, 1, _same, _same)
             u.rng.betavariate = lambda a, b: beta
             xs = [u[k] for k in (2, 0, 4, 1, 3)]
             assert all(0.0 < x < 1.0 for x in xs)
             xs = list(u)
             assert all(0.0 < x < 1.0 for x in xs) and xs == sorted(xs, reverse=True)
+        # a cut at 0.25 counts the uniforms at or below it, and the completed
+        # sample has exactly that many there
+        u = _OrderStats(3000, 5, _same, _same)
+        c = u.cut(0.25)
+        xs = list(u)
+        assert 600 < c < 900 and sum(x <= 0.25 for x in xs) == c
+        # cuts at 0 and at 1, each twice, count none and all
+        u = _OrderStats(5, 1, _same, _same)
+        assert [u.cut(v) for v in (0.0, 0.0, 1.0, 1.0)] == [0, 0, 5, 5]
+        assert all(0.0 < x < 1.0 for x in u)
 
-    @pytest.mark.parametrize("order", [range(9), (4, 0, 8, 2, 6, 1, 7, 3, 5)],
-                             ids=["top-down", "halving"])
+    @pytest.mark.parametrize("order", [range(9), (4, 0, 8, 2, 6, 1, 7, 3, 5),
+                                       (4, 0.3, 0, 8, 0.45, 2, 6, 1, 7, 3, 5)],
+                             ids=["top-down", "halving", "cuts"])
     def test_ranks_are_beta_distributed(self, order):
         # over 4,000 fixed seeds, the uniform at rank i of R = 9 has the mean
         # and variance of Beta(i, R + 1 - i) within 4 standard errors, in
-        # either order of reads
+        # any order of reads; a float in the order is a cut there, which
+        # counts the uniforms at or below it, and every rank is then drawn on
+        # its side of the cut
         reps, seeds = 9, 4000
         draws = np.empty((seeds, reps))
         for seed in range(seeds):
-            u = _OrderStats(reps, seed, lambda v: v)
+            u = _OrderStats(reps, seed, _same, _same)
+            cuts = {}
             for k in order:
-                draws[seed, reps - 1 - k] = u[k]       # column i - 1 holds rank i
+                if isinstance(k, float):
+                    cuts[k] = u.cut(k)
+                else:
+                    draws[seed, reps - 1 - k] = u[k]       # column i - 1 holds rank i
+            for v, c in cuts.items():
+                assert (draws[seed, :c] <= v).all() and (draws[seed, c:] > v).all()
         assert (np.diff(draws, axis=1) >= 0.0).all()
         for i in range(1, reps + 1):
             x = draws[:, i - 1]
@@ -395,48 +427,56 @@ class TestEstimatesOnDemand:
         assert [got[str(q)] for q in QS] == want.tolist()
 
     @pytest.mark.parametrize("reps", [10_000, 100_000, 10 ** 9])
-    def test_chisq_quantile_calls_are_logarithmic(self, monkeypatch, reps):
-        # five sizings and one bisection of at most ceil(log2(R + 1)) probes
-        args = []
-        quantile = simulation.chisq_quantile
-
-        def counting(p, df):
-            args.append(p)
-            return quantile(p, df)
-
-        monkeypatch.setattr(simulation, "chisq_quantile", counting)
+    def test_chisq_quantile_calls_are_five_and_the_bracket(self, monkeypatch, reps):
+        # the flags are two cuts, so the chi-square is inverted at the five
+        # sizings and once per replicate inside the flag bracket (none here)
+        args, seen = [], []
+        quantile, report = simulation.chisq_quantile, simulation._report
+        monkeypatch.setattr(simulation, "chisq_quantile",
+                            lambda p, df: args.append(p) or quantile(p, df))
+        monkeypatch.setattr(simulation, "_report", lambda c, d: seen.append(d) or report(c, d))
         rep = simulate_variance_pipeline(variance_cfg(replicates=reps))
+        d, = seen
+        cuts, inside, items = _known_ranks(d)
         assert all(type(p) is float for p in args)
-        assert 5 <= len(args) <= 5 + math.ceil(math.log2(reps)) + 1
+        assert len(inside) == cuts[1] - cuts[0] and len(args) == 5 + len(inside)
+        assert items == {reps - k for k in simulation._quantile_items(reps).values()}
         assert 0.1 < rep.empirical_underpower < 0.3
 
-    @pytest.mark.parametrize("estimator", [KNOWN_SIGMA, "pooled-sd"])
-    def test_effect_reads_are_logarithmic(self, monkeypatch, estimator):
-        # a billion replicates: the flag bisection's probes and the five
-        # quantile items draw at most ceil(log2(R + 1)) + 5 order statistics
-        # (the signs draw Binomials instead), and |T| is inverted at the five
-        # items alone, as no probe falls inside the bracket here
+    @pytest.mark.parametrize("estimator,kind,pilot_n", [
+        (KNOWN_SIGMA, "one-sample", 17), ("pooled-sd", "one-sample", 17),
+        ("pooled-sd", TWO_SAMPLE, 32)], ids=["known-sigma", "pooled-sd", "pooled-sd-two-sample"])
+    def test_effect_reads_are_items_and_the_bracket(self, monkeypatch, estimator, kind, pilot_n):
+        # a billion replicates: the known ranks are the five quantile items,
+        # the two flag cuts and the replicates inside the bracket that the
+        # bisection reads, at most ceil(log2(b + 1)) of the b there (b is 0
+        # in the one-sample cells and 15 in the two-sample one, which reads
+        # 4), and |T| is inverted at the items and those reads alone; the
+        # signs draw Binomials instead
         inverted, seen = [], []
         isf, report = simulation._nct_abs_isf, simulation._report
         monkeypatch.setattr(simulation, "_nct_abs_isf", lambda *a: inverted.append(a) or isf(*a))
         monkeypatch.setattr(simulation, "_report", lambda c, d: seen.append(d) or report(c, d))
         reps = 10 ** 9
-        rep = simulate_effect_pipeline(effect_cfg(
-            kind="one-sample", pilot_n=17, estimator=estimator, replicates=reps))
+        cfg = effect_cfg(kind=kind, pilot_n=pilot_n, estimator=estimator, replicates=reps)
+        rep = simulate_effect_pipeline(cfg)
         d, = seen
-        assert len(d._ranks) - 2 <= math.ceil(math.log2(reps + 1)) + 5
-        assert len(inverted) == 5
+        cuts, inside, items = _known_ranks(d)
+        assert items == {reps - k for k in simulation._quantile_items(reps).values()}
+        assert len(inside) <= math.ceil(math.log2(cuts[1] - cuts[0] + 1))
+        assert len(inverted) == 5 + len(inside)
         assert 0.2 < rep.empirical_underpower < 0.35
-        # the nonpositive count is Binomial(R, P(T < 0)), P(T < 0) = Phi(-mu sqrt(n))
-        p = norm_cdf(-0.5 * math.sqrt(17))
+        # the nonpositive count is Binomial(R, P(T < 0)), P(T < 0) = Phi(-mu sqrt(n / g))
+        p = norm_cdf(-0.5 * math.sqrt(pilot_n / cfg.design().groups))
         assert abs(rep.nonpositive_effects - reps * p) <= 5 * math.sqrt(reps * p * (1 - p))
 
     def test_flag_power_calls_on_the_variance_grid(self, monkeypatch):
         # the 60 variance cells at 10k replicates: the flag boundary is solved
-        # once per cell and the bisection's probes only compare estimates with
-        # it, 7.45 power evaluations a cell on average and at most 9 at seeds
-        # 0, 9 and 121 (13.4 and 14 when every probe called power); counted,
-        # not timed
+        # once per cell, and counting the flags calls power only at replicates
+        # inside its bracket (none at these seeds), 7.45 power evaluations a
+        # cell on average and at most 9 at seeds 0, 9 and 121 (13.4 and 14
+        # when every probe of a rank bisection called power); counted, not
+        # timed
         calls = []
         abs_sf = power_module._nct_abs_sf
 
@@ -462,6 +502,16 @@ class TestEstimatesOnDemand:
         reproduce_table(1, replicates=10_000, seed=9)
         assert len(calls) == 60
         assert 0 < max(calls) <= 10 and sum(calls) <= 8 * 60
+
+
+def _known_ranks(d):
+    """The ranks a run's ``d`` knows besides its sentinels: the two flag
+    cuts, the ranks read between them and the set of the other ranks read."""
+    ranks = [rank for rank, _, _ in d.points[1:-1]]
+    cuts = [rank for rank in ranks if rank % 1]
+    assert len(cuts) == 2
+    inside = [rank for rank in ranks if cuts[0] < rank < cuts[1] and not rank % 1]
+    return cuts, inside, {rank for rank in ranks if not rank % 1} - set(inside)
 
 
 def _moments(xs):
@@ -552,6 +602,39 @@ class TestEffectLaw:
         assert want < -8 * se           # the signs do depend on the magnitudes
         assert abs(cov - want) <= 4 * se
         assert abs(cov - brute) <= 4 * math.hypot(se, brute_se)
+
+
+class TestVarianceLaw:
+    """A variance run's flag count over 2,000 seeds at 40 replicates, against
+    its law: a replicate is flagged where its estimate reaches x*, which its
+    pilot's chi-square on df does where it is at most df (delta / (sigma
+    x*))^2, with chance q, so the count is Binomial(R, q).  Sizing is left out
+    and the threshold size and flag boundary are cached, as in
+    ``TestEffectLaw``."""
+
+    SEEDS, REPS = 2000, 40
+
+    def test_flag_count_is_binomial(self):
+        cfg = variance_cfg(replicates=self.REPS)
+        design = cfg.design()
+        boundary = functools.lru_cache()(simulation._flag_boundary)
+        with mock.patch.object(simulation, "main_sample_size",
+                               functools.lru_cache()(main_sample_size)), \
+                mock.patch.object(simulation, "_main_n_quantiles", lambda *args: {}), \
+                mock.patch.object(simulation, "_flag_boundary",
+                                  lambda d, c, n: boundary(d, replace(c, seed=0), n)):
+            flags = [round(simulate_variance_pipeline(replace(cfg, seed=seed))
+                           .empirical_underpower * self.REPS) for seed in range(self.SEEDS)]
+        n_crit = main_sample_size(EffectSpec(cfg.effect, cfg.sigma), design,
+                                  cfg.underpower_threshold)
+        x_star = effect_for_n(n_crit - 1, design, cfg.power_target, T_ITERATIVE)
+        df = cfg.pilot_n - 1            # one pilot group
+        q = scipy_stats.chi2.cdf(df * (cfg.effect / (cfg.sigma * x_star)) ** 2, df)
+        r = self.REPS
+        mean, se_mean, var, se_var = _moments(flags)
+        assert 0.1 < q < 0.9
+        assert abs(mean - r * q) <= 4 * se_mean
+        assert abs(var - r * q * (1.0 - q)) <= 4 * se_var
 
 
 class TestBinomial:
