@@ -19,7 +19,7 @@ numpy.  A numpy scalar or 0-d array is one point; an array, list or tuple
 in any argument is a ValueError.  Nothing in the package needs more: the
 variance simulation calls ``chisq_quantile`` only at the replicates it
 reads, and the effect simulation ``_nct_abs_isf`` only at the five it
-sizes and at rare flag probes.
+sizes and at the replicates inside its flag bracket, almost always none.
 
 Every noncentral-t quantity comes from ``_nct_fold``, the law of |T|, which
 alone calls the mode-outward sweep ``_mixture_sum``.  The power layer reads

@@ -288,12 +288,45 @@ def _solve_increasing(f, target: float, lo: float, hi: float, f_lo: float,
     raise ConvergenceError("root solve hit the 200-iteration cap")
 
 
+def _effect_bracket(n: float, design: TestDesign, power: float,
+                    xtol: float) -> tuple[float, float]:
+    """[lo, hi] with power(lo) < ``power`` <= power(hi) at per-group size n,
+    hi - lo <= xtol min(d_z, 1) max(hi, 1): a gallop from the z effect d_z by
+    Guenther's factor 1 + z_a^2 / (4 groups n), floored above 1 and squared
+    each step, then Illinois.  An upward step of 2 or more goes instead to a
+    provable bound; past 1e6 no finite effect reaches ``power``."""
+    pw = _power_curve(n, design)
+    lo = hi = x = _zsum(design.alpha, power) * math.sqrt(design.groups / n)
+    f_lo = f_hi = pw(x)
+    z_a = norm_quantile(0.5 * design.alpha)
+    step = 1.0 + max(z_a * z_a / (4.0 * design.groups * n), 1e-9)
+    while f_lo >= power:
+        hi, f_hi, lo = lo, f_lo, lo / step
+        f_lo, step = pw(lo), step * step
+    while f_hi < power:
+        lo, f_lo = hi, f_hi
+        if step < 2.0:
+            hi, step = hi * step, step * step
+        else:
+            # T = (Z + ncp) / S, S^2 ~ chi2(df) / df, passes c where Z > -a and S < b
+            # once ncp >= c b + a, each at probability sqrt(power): power there >= ``power``
+            df, r = design.df(n), math.sqrt(power)
+            ncp = (-t_quantile(0.5 * design.alpha, df) * math.sqrt(chisq_quantile(r, df) / df)
+                   + norm_quantile(r))
+            hi = max(ncp / math.sqrt(n / design.groups), 2.0 * hi)
+            if hi > _MAX_EFFECT_SIZE:
+                raise ValueError("no finite effect reaches the requested power")
+        f_hi = pw(hi)
+    return _solve_increasing(pw, power, lo, hi, f_lo, f_hi, xtol * min(x, 1.0))
+
+
 def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPROX) -> float:
     """Effect size at which a study of per-group size n has exactly ``power``.
 
     ``power`` lies above alpha / 2, and in t-iterative mode above alpha, the
-    exact power at effect 0.  One size per call: an array of sizes is a
-    ValueError.
+    exact power at effect 0.  t-iterative: the top of ``_effect_bracket``,
+    of relative width 1e-12, galloped from the z-approx closed form.  One
+    size per call: an array of sizes is a ValueError.
     """
     if getattr(n, "ndim", 0) or isinstance(n, (list, tuple)):
         raise ValueError("effect_for_n takes one size n; call it once per size")
@@ -301,28 +334,12 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
     if not (math.isfinite(n) and n >= 2.0):
         raise ValueError(f"per-group size must be >= 2, got {n!r}")
     power = _probability("power", power)
-    if _choice("mode", mode, _MODES) == T_ITERATIVE and not power > design.alpha:
+    if _choice("mode", mode, _MODES) == Z_APPROX:
+        return _zsum(design.alpha, power) * math.sqrt(design.groups / n)
+    if not power > design.alpha:
         raise ValueError(f"power must be above alpha {design.alpha!r} in {T_ITERATIVE} "
                          f"mode, got {power!r}")
-    d_z = _zsum(design.alpha, power) * math.sqrt(design.groups / n)
-    if mode == Z_APPROX:
-        return d_z
-    pw = _power_curve(n, design)
-    lo, f_lo = 0.0, pw(0.0)
-    hi = max(2.0 * d_z, 1e-3)
-    f_hi = pw(hi)
-    if f_hi < power:
-        # T = (Z + ncp) / S, S^2 ~ chi2(df) / df, passes c where Z > -a and S < b
-        # once ncp >= c b + a: each at probability sqrt(power), so the power
-        # there is at least ``power``, an upper bound near the root
-        df, r = design.df(n), math.sqrt(power)
-        ncp = (-t_quantile(0.5 * design.alpha, df) * math.sqrt(chisq_quantile(r, df) / df)
-               + norm_quantile(r))
-        lo, f_lo, hi = hi, f_hi, ncp / math.sqrt(n / design.groups)
-        if hi > 1e6:
-            raise ValueError("no finite effect reaches the requested power")
-        f_hi = pw(hi)
-    return _solve_increasing(pw, power, lo, hi, f_lo, f_hi, 1e-12)[1]
+    return _effect_bracket(n, design, power, 1e-12)[1]
 
 
 def sigma_for_n(n: float, effect: EffectSpec, design: TestDesign, power: float,

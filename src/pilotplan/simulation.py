@@ -17,14 +17,14 @@ Nor is every replicate's main study sized.  The main size never increases as
 the estimate grows, so the reported size quantiles are the exact sizes of
 five order statistics of the estimates, by the integer search of
 ``main_sample_size`` (any size up to 1e9 per group).  A replicate is
-underpowered exactly when n_crit - 1 subjects, one fewer than the threshold
-power needs at the true effect, already reach the target power at its
-estimate; that holds from some estimate x* on, which is solved once per run
-to a bracket [x_lo, x_hi] of relative width about 1e-7.  So the flags are
+underpowered exactly when it is sized at most m = n_crit - 1, one fewer
+than the threshold power needs at the true effect: from the estimate x* on
+at which m subjects reach the target power, bracketed once per run to 1e-7
+by ``effect_for_n``'s solver (z-approx: its closed form).  So the flags are
 counted, not tested one by one: with u(x) = P(estimate >= x), a =
 Binomial(R, u(x_hi)) replicates lie past the bracket and b = Binomial(R - a,
 (u(x_lo) - u(x_hi)) / (1 - u(x_hi))) inside it, and only those b, almost
-always none, are inverted and tested (by bisection).
+always none, are inverted and sized (by bisection).
 
 Nor is every replicate drawn: one uniform orders the estimates.  A variance
 estimate falls as its chi-square uniform rises.  An effect estimate is
@@ -57,7 +57,8 @@ import random
 from dataclasses import dataclass, field, asdict, replace
 
 from .distributions import (_choice, _count, _nct_abs_isf, _nct_fold, _probability, _scale,
-                            chisq_cdf, chisq_quantile, norm_quantile)
+                            chisq_cdf, chisq_quantile)
+from .distributions import norm_quantile  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 from .power import (
     _MODES,
     EffectSpec,
@@ -65,8 +66,7 @@ from .power import (
     T_ITERATIVE,
     Z_APPROX,
     TestDesign,
-    _power_curve,
-    _solve_increasing,
+    _effect_bracket,
     _zsum,
     effect_for_n,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
     main_sample_size,
@@ -254,42 +254,22 @@ def _main_n_quantiles(d, design: TestDesign, power: float, mode: str) -> dict:
 
 def _flag_boundary(design: TestDesign, config: SimulationConfig, n_crit: int):
     """A replicate is underpowered exactly when its main size is below n_crit
-    (the threshold's own requirement), that is when m = n_crit - 1 subjects
-    already reach the target power at its estimate x, which holds from some
-    x* on.  Returns None where n_crit <= 2, so that nothing is flagged, and
-    else (x_lo, x_hi, reaches): ``reaches(x)`` is that test, false at x_lo
-    and true at x_hi, and x_hi - x_lo is about 1e-7 x*.  The bracket is
-    solved once, by Illinois steps from the z boundary and one step of
-    Guenther's correction past it."""
+    (the threshold's own requirement), that is at most m = n_crit - 1, which
+    holds from some estimate x* on.  Returns None where n_crit <= 2, so that
+    nothing is flagged, and else (x_lo, x_hi, flagged): ``flagged(x)`` is
+    that test, by ``main_sample_size`` itself, false at x_lo and true at
+    x_hi, and x_hi - x_lo is about 1e-7 x*.  In t-iterative mode the bracket
+    is the power root of ``_effect_bracket`` at m; in z-approx mode it is
+    the closed form's own boundary, widened by 1e-7 on each side."""
     if n_crit <= 2:
         return None
-    m, target = n_crit - 1, config.power_target
-    zs = _zsum(design.alpha, target)
-    if config.sizing_mode == Z_APPROX:
-        g_zz = design.groups * zs * zs
-
-        def gap(x: float) -> float:
-            # m - (...) >= 0 exactly when main_sample_size's z form is <= m
-            return m - (g_zz / (x * x) - 1e-9)
+    m, target, mode = n_crit - 1, config.power_target, config.sizing_mode
+    if mode == Z_APPROX:
+        x = _zsum(design.alpha, target) * math.sqrt(design.groups / (m + 1e-9))
+        x_lo, x_hi = x * (1.0 - 1e-7), x * (1.0 + 1e-7)
     else:
-        power = _power_curve(m, design)
-
-        def gap(x: float) -> float:
-            return power(x) - target
-
-    x = zs * math.sqrt(design.groups / m)
-    z_a = -norm_quantile(0.5 * design.alpha)
-    lo = hi = x
-    f_lo = f_hi = gap(x)
-    step = 1.0 + z_a * z_a / (4.0 * design.groups * m)
-    while f_lo >= 0.0:
-        hi, f_hi, lo = lo, f_lo, lo / step
-        f_lo, step = gap(lo), step * step
-    while f_hi < 0.0:
-        lo, f_lo, hi = hi, f_hi, hi * step
-        f_hi, step = gap(hi), step * step
-    lo, hi = _solve_increasing(gap, 0.0, lo, hi, f_lo, f_hi, 1e-7 * min(x, 1.0))
-    return lo, hi, lambda x: gap(x) >= 0.0
+        x_lo, x_hi = _effect_bracket(m, design, target, 1e-7)
+    return x_lo, x_hi, lambda x: main_sample_size(EffectSpec(x), design, target, mode) <= m
 
 
 def _underpower_count(d, boundary) -> int:
@@ -298,9 +278,9 @@ def _underpower_count(d, boundary) -> int:
     each one cut, and a bisection tests only the estimates inside it."""
     if boundary is None:
         return 0
-    x_lo, x_hi, reaches = boundary
+    x_lo, x_hi, flagged = boundary
     r, past, near = len(d), d.cut(x_hi), d.cut(x_lo)
-    return r - bisect.bisect_left(range(r), True, r - near, r - past, key=lambda k: reaches(d[k]))
+    return r - bisect.bisect_left(range(r), True, r - near, r - past, key=lambda k: flagged(d[k]))
 
 
 def _binomial(rng: random.Random, n: int, p: float) -> int:

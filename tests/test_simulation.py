@@ -8,6 +8,7 @@ the tight ones are frozen determinism checks.
 import functools
 import math
 import random
+import re
 import statistics
 import sys
 import time
@@ -179,12 +180,13 @@ class TestCompletedSample:
         # from the completed magnitudes, so it is taken from the report; its
         # law is checked by TestEffectLaw.  With the flag bracket widened by
         # 1.5 on either side, many replicates fall inside it and are tested
-        # by the bisection, and the report is still the completed sample's
+        # by the bisection, each sized by ``main_sample_size``, and the
+        # report is still the completed sample's
         solve = simulation._flag_boundary
         for widen in (1.0, 1.5):
             def boundary(*args):
-                x_lo, x_hi, reaches = solve(*args)
-                return x_lo / widen, x_hi * widen, reaches
+                x_lo, x_hi, flagged = solve(*args)
+                return x_lo / widen, x_hi * widen, flagged
 
             with mock.patch.object(simulation, "_flag_boundary", boundary):
                 rep, d = _completed(sim, cfg)
@@ -393,6 +395,41 @@ class TestBruteForceOracle:
                      "--pilot-n", "2", "--reps", "200", "--seed", "1"])
         assert code == 1
         assert "exceeds 1e9" in capsys.readouterr().err
+
+
+class TestFlagBoundary:
+    """The flag boundary at m = n_crit - 1 subjects and the public
+    ``effect_for_n(m)`` solve one root with one solver: the t-iterative
+    bracket holds the public root, and each mode's bracket straddles the
+    step of its own sizing rule from above m to m."""
+
+    @given(kind=st.sampled_from([ONE_SAMPLE, TWO_SAMPLE]),
+           alpha=st.floats(-15.0, math.log10(0.2)).map(lambda e: 10.0 ** e),
+           target=st.floats(0.3, 0.99),
+           m=st.one_of(st.integers(2, 100), st.integers(2, 10 ** 6)))
+    @settings(max_examples=150, deadline=None)
+    def test_both_callers_solve_the_same_root(self, kind, alpha, target, m):
+        design = TestDesign(kind, alpha)
+        cfg = variance_cfg(kind=kind, alpha=alpha, power_target=target,
+                           underpower_threshold=0.5 * target)
+        t_cfg, z_cfg = (replace(cfg, sizing_mode=mode) for mode in (T_ITERATIVE, Z_APPROX))
+        # past 1e6, or where the root's noncentrality takes the noncentral-t
+        # series past its cap (tiny alpha, few subjects), both raise alike
+        try:
+            x = effect_for_n(m, design, target, T_ITERATIVE)
+        except (ValueError, ConvergenceError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                simulation._flag_boundary(design, t_cfg, m + 1)
+        else:
+            x_lo, x_hi, flagged = simulation._flag_boundary(design, t_cfg, m + 1)
+            assert x_lo < x <= x_hi
+            assert (power_at(m, EffectSpec(x_lo), design) < target
+                    <= power_at(m, EffectSpec(x_hi), design))
+            assert not flagged(x_lo) and flagged(x_hi)
+        x_lo, x_hi, flagged = simulation._flag_boundary(design, z_cfg, m + 1)
+        assert (main_sample_size(EffectSpec(x_lo), design, target, Z_APPROX) > m
+                >= main_sample_size(EffectSpec(x_hi), design, target, Z_APPROX))
+        assert not flagged(x_lo) and flagged(x_hi)
 
 
 class TestEstimatesOnDemand:
@@ -733,6 +770,26 @@ class TestVariancePipeline:
         assert n_crit == 2
         assert simulation._flag_boundary(TWO, cfg, n_crit) is None
         assert simulate_variance_pipeline(cfg).empirical_underpower == 0.0
+
+    @pytest.mark.parametrize("effect", [1000.0, 3000.0])
+    def test_tiny_alpha_returns_a_report(self, effect):
+        # at alpha 1e-15 the threshold needs 6 subjects, and the flag
+        # boundary x* = e(5) is 4816 against a z value of 3.97; Guenther's
+        # factor there is 4.2 a step, and squared each step it overshoots
+        # x* into the noncentral-t series' cap unless it stops at the
+        # provable bound.  The flag count is Binomial(R, q), q = P(chi2_19
+        # <= 19 (delta / x*)^2)
+        design = TestDesign(ONE_SAMPLE, 1e-15)
+        cfg = variance_cfg(effect=effect, sigma=1.0, pilot_n=20, kind=ONE_SAMPLE,
+                           alpha=1e-15, seed=7, replicates=1000)
+        rep = simulate_variance_pipeline(cfg)
+        n_crit = main_sample_size(EffectSpec(effect), design, cfg.underpower_threshold)
+        x_star = effect_for_n(n_crit - 1, design, cfg.power_target, T_ITERATIVE)
+        q = scipy_stats.chi2.cdf(19 * (effect / x_star) ** 2, 19)
+        r = cfg.replicates
+        assert abs(rep.empirical_underpower * r - r * q) <= 5 * math.sqrt(r * q * (1 - q)) + 1e-9
+        sizes = list(rep.main_n_quantiles.values())
+        assert sizes == sorted(sizes) and sizes[0] >= 2
 
     def test_mc_standard_error(self):
         rep = simulate_variance_pipeline(variance_cfg(replicates=2000))
