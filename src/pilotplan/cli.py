@@ -7,20 +7,21 @@ plan-effect     pilot size so the estimated effect rarely misleads it
 simulate        Monte Carlo check of either pipeline at a given pilot size
 tables          recompute a full reference grid (sizes + simulated underpower)
 
-Exit codes: 0 success, 1 computational failure (including unsatisfiable
-plans), 2 usage error.  Probabilities are decimals (0.2, not 20).
+The parser only reads each number as a float or an integer; the library's
+rules check it, and a value that breaks one raises ``ConfigError``, a usage
+error.  Exit codes: 0 success, 1 computational failure (including
+unsatisfiable plans), 2 usage error.  Probabilities are decimals (0.2, not
+20); the error for one in (1, 100] names the decimal it likely meant.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
-import math
 import sys
 
-from .distributions import ConvergenceError
+from .distributions import ConfigError, ConvergenceError
 from .power import (
     EffectSpec,
     ONE_SAMPLE,
@@ -33,7 +34,6 @@ from .power import (
 from .variance import APPROX, EXACT, PowerBounds, plan_variance_pilot
 from .effect import plan_effect_pilot
 from .simulation import (
-    ConfigError,
     SimulationConfig,
     reproduce_table,
     simulate_effect_pipeline,
@@ -44,44 +44,18 @@ _FORMATS = ("table", "csv", "json")
 _DESIGNS = {"one": ONE_SAMPLE, "two": TWO_SAMPLE}
 
 
-def _probability(text: str, closed: bool = False) -> float:
-    """A decimal in (0, 1), or in [0, 1] when ``closed``."""
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if v > 1.0:
-        raise argparse.ArgumentTypeError(
-            f"{text} looks like a percentage; give a decimal instead (e.g. {v / 100:g})")
-    if closed and not (0.0 <= v <= 1.0):
-        raise argparse.ArgumentTypeError(f"must be between 0 and 1, got {text}")
-    if not closed and not (0.0 < v < 1.0):
-        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text}")
-    return v
-
-
-def _positive(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (math.isfinite(v) and v > 0.0):
-        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
-    return v
-
-
 def _add_common_plan_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=_probability, default=0.05,
+    sub.add_argument("--alpha", type=float, default=0.05,
                      help="two-sided type I error of the main study (default 0.05)")
-    sub.add_argument("--power", type=_probability, default=0.8,
+    sub.add_argument("--power", type=float, default=0.8,
                      help="target power of the main study (default 0.8)")
-    sub.add_argument("--underpower-prob", type=_probability, required=True,
+    sub.add_argument("--underpower-prob", type=float, required=True,
                      help="allowed chance of landing below the power threshold")
-    sub.add_argument("--underpower-threshold", type=_probability, required=True,
+    sub.add_argument("--underpower-threshold", type=float, required=True,
                      help="power level counted as underpowered (e.g. 0.6)")
-    sub.add_argument("--overpower-prob", type=_probability,
+    sub.add_argument("--overpower-prob", type=float,
                      help="allowed chance of landing above the overpower threshold")
-    sub.add_argument("--overpower-threshold", type=_probability,
+    sub.add_argument("--overpower-threshold", type=float,
                      help="power level counted as overpowered (e.g. 0.9)")
     sub.add_argument("--design", choices=sorted(_DESIGNS), default="two",
                      help="one- or two-sample main study (default two)")
@@ -98,9 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = subs.add_parser("plan-variance",
                          help="pilot size for a reliable SD estimate")
-    pv.add_argument("--sigma", type=_positive, required=True,
+    pv.add_argument("--sigma", type=float, required=True,
                     help="outcome SD from prior knowledge")
-    pv.add_argument("--delta", type=_positive, required=True,
+    pv.add_argument("--delta", type=float, required=True,
                     help="practically meaningful effect")
     pv.add_argument("--mode", choices=(EXACT, APPROX), default=APPROX,
                     help="pilot-size rule: exact chi-square search or the "
@@ -111,21 +85,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pe = subs.add_parser("plan-effect",
                          help="pilot size for a reliable effect estimate")
-    pe.add_argument("--mu0", type=_positive, help="study effect from prior knowledge")
-    pe.add_argument("--sigma", type=_positive, help="known outcome SD")
-    proportion = functools.partial(_probability, closed=True)
-    pe.add_argument("--p1", type=proportion,
+    pe.add_argument("--mu0", type=float, help="study effect from prior knowledge")
+    pe.add_argument("--sigma", type=float, help="known outcome SD")
+    pe.add_argument("--p1", type=float,
                     help="baseline proportion (arcsine effect entry)")
-    pe.add_argument("--p2", type=proportion,
+    pe.add_argument("--p2", type=float,
                     help="treated proportion (arcsine effect entry)")
     _add_common_plan_flags(pe)
 
     sim = subs.add_parser("simulate", help="Monte Carlo check of a pipeline")
     sim.add_argument("--scenario", choices=("variance", "effect"), required=True)
-    sim.add_argument("--effect", "--delta", dest="effect", type=_positive, required=True,
+    sim.add_argument("--effect", "--delta", dest="effect", type=float, required=True,
                      help="true effect (delta for the variance scenario, "
                           "prior effect for the effect scenario)")
-    sim.add_argument("--sigma", type=_positive, default=1.0,
+    sim.add_argument("--sigma", type=float, default=1.0,
                      help="true outcome SD (default 1)")
     sim.add_argument("--pilot-n", type=int, required=True,
                      help="pilot size per group")
@@ -133,9 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="RNG seed (results are reproducible from it)")
     sim.add_argument("--reps", type=int, default=1000,
                      help="number of replicates (default 1000)")
-    sim.add_argument("--alpha", type=_probability, default=0.05)
-    sim.add_argument("--power", type=_probability, default=0.8)
-    sim.add_argument("--underpower-threshold", type=_probability, default=0.6)
+    sim.add_argument("--alpha", type=float, default=0.05)
+    sim.add_argument("--power", type=float, default=0.8)
+    sim.add_argument("--underpower-threshold", type=float, default=0.6)
     sim.add_argument("--design", choices=sorted(_DESIGNS), default="two")
     sim.add_argument("--sizing-mode", choices=(Z_APPROX, T_ITERATIVE),
                      default=T_ITERATIVE,
@@ -157,14 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _bounds_from(args: argparse.Namespace) -> PowerBounds:
-    if (args.overpower_prob is None) != (args.overpower_threshold is None):
-        raise ConfigError("--overpower-prob and --overpower-threshold go together")
-    return PowerBounds(
-        underpower_prob=args.underpower_prob,
-        underpower_threshold=args.underpower_threshold,
-        overpower_prob=args.overpower_prob,
-        overpower_threshold=args.overpower_threshold,
-    )
+    return PowerBounds(args.underpower_prob, args.underpower_threshold,
+                       args.overpower_prob, args.overpower_threshold)
 
 
 def emit(record, fmt: str) -> None:
@@ -229,32 +196,27 @@ def _cmd_plan_variance(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan_effect(args: argparse.Namespace) -> int:
-    by_effect = args.mu0 is not None or args.sigma is not None
-    by_props = args.p1 is not None or args.p2 is not None
-    if by_effect == by_props:
-        print("error: give either --mu0 with --sigma, or --p1 with --p2",
-              file=sys.stderr)
+    given = [v is not None for v in (args.mu0, args.sigma, args.p1, args.p2)]
+    if given not in ([True, True, False, False], [False, False, True, True]):
+        print("error: give either --mu0 with --sigma, or --p1 with --p2", file=sys.stderr)
         return 2
-    if by_effect:
-        if args.mu0 is None or args.sigma is None:
-            print("error: --mu0 and --sigma go together", file=sys.stderr)
-            return 2
-        mu0, sigma = args.mu0, args.sigma
-        entry = f"effect {mu0:g}, known sd {sigma:g} (effect size {mu0 / sigma:g})"
-    else:
-        if args.p1 is None or args.p2 is None:
-            print("error: --p1 and --p2 go together", file=sys.stderr)
-            return 2
+    by_props = args.p1 is not None
+    if by_props:
+        spec = arcsine_effect(args.p1, args.p2)
         if args.p1 == args.p2:
             print("error: --p1 and --p2 are equal, and equal proportions give a zero "
                   "effect", file=sys.stderr)
             return 1
-        spec = arcsine_effect(args.p1, args.p2)
         mu0, sigma = spec.effect, spec.sigma
-        entry = (f"proportions {args.p1:g} vs {args.p2:g} -> arcsine effect size "
-                 f"{mu0:.4f} (sd 1)")
+    else:
+        mu0, sigma = args.mu0, args.sigma
     design = TestDesign(_DESIGNS[args.design], args.alpha)
     plan = plan_effect_pilot(mu0, sigma, design, args.power, _bounds_from(args))
+    # from the plan, whose inputs the library has checked: sigma 0 never divides
+    entry = (f"proportions {args.p1:g} vs {args.p2:g} -> arcsine effect size "
+             f"{plan.mu0:.4f} (sd 1)" if by_props else
+             f"effect {plan.mu0:g}, known sd {plan.sigma:g} "
+             f"(effect size {plan.mu0 / plan.sigma:g})")
     return _print_plan(plan, args.format, "effect", entry, "effect", "mu", " per group",
                        under_note=f" (effect size {plan.mu_under / plan.sigma:.4g})")
 
@@ -309,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ConfigError as exc:  # invalid flags, found before any sampling
+    except ConfigError as exc:  # a flag breaks a rule, found before any computation
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ConvergenceError) as exc:

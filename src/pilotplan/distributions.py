@@ -16,7 +16,7 @@ without subtraction, as DiDonato & Morris's BRATIO does (ACM TOMS 18, 1992).
 Every function takes one point per call and computes on floats with the
 ``math`` and ``statistics`` modules alone, so the package never imports
 numpy.  A numpy scalar or 0-d array is one point; an array, list or tuple
-in any argument is a ValueError.  Nothing in the package needs more: the
+in any argument is a ConfigError.  Nothing in the package needs more: the
 variance simulation calls ``chisq_quantile`` only at the replicates it
 reads, and the effect simulation ``_nct_abs_isf`` only at the five it
 sizes and at the replicates inside its flag bracket, almost always none.
@@ -67,11 +67,15 @@ class ConvergenceError(RuntimeError):
     """An iterative evaluation hit its iteration cap before converging."""
 
 
+class ConfigError(ValueError):
+    """An argument breaks one of the package's rules; raised before any computation."""
+
+
 def _point(fn: str, x) -> float:
-    """x as one float; an array (ndim >= 1), list or tuple is a ValueError,
+    """x as one float; an array (ndim >= 1), list or tuple is a ConfigError,
     and an integer past the largest float reads as an infinity."""
     if getattr(x, "ndim", 0) or isinstance(x, (list, tuple)):
-        raise ValueError(f"{fn} takes scalar arguments; call it once per point")
+        raise ConfigError(f"{fn} takes scalar arguments; call it once per point")
     try:
         return float(x)
     except OverflowError:
@@ -81,24 +85,26 @@ def _point(fn: str, x) -> float:
 def _require_finite(fn: str, name: str, x) -> float:
     x = _point(fn, x)
     if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
+        raise ConfigError(f"{name} must be finite, got {x!r}")
     return x
 
 
-# The argument rules of the whole package; each error reads
-# "{name} must be ..., got {x!r}", in the argument's own name.
+# The argument rules of the whole package; each error is a ConfigError that
+# reads "{name} must be ..., got {x!r}", in the argument's own name.
 
 def _probability(name: str, x) -> float:
     x = _point(name, x)
     if not 0.0 < x < 1.0:
-        raise ValueError(f"{name} must be in (0, 1), got {x!r}")
+        # a number in (1, 100] is most likely a percentage
+        hint = f"; give a decimal, not a percentage (e.g. {x / 100:g})" if 1.0 < x <= 100.0 else ""
+        raise ConfigError(f"{name} must be in (0, 1), got {x!r}{hint}")
     return x
 
 
 def _scale(name: str, x) -> float:
     x = _point(name, x)
     if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
+        raise ConfigError(f"{name} must be finite and > 0, got {x!r}")
     return x
 
 
@@ -106,9 +112,9 @@ def _count(name: str, x, least: int) -> int:
     # any integer type but bool: int() would run True or 2.5 as another count;
     # at most sys.maxsize, the longest a sequence gets, which a float holds
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {x!r}")
+        raise ConfigError(f"{name} must be an integer >= {least}, got {x!r}")
     if x > sys.maxsize:
-        raise ValueError(f"{name} must be <= {sys.maxsize}, got one of {int(x).bit_length()} bits")
+        raise ConfigError(f"{name} must be <= {sys.maxsize}, got one of {int(x).bit_length()} bits")
     return int(x)
 
 
@@ -119,7 +125,7 @@ def _choice(name: str, x, choices: tuple):
     for c in choices:
         if kind(x) == kind(c) and x == c:
             return c
-    raise ValueError(f"{name} must be {' or '.join(map(repr, choices))}, got {x!r}")
+    raise ConfigError(f"{name} must be {' or '.join(map(repr, choices))}, got {x!r}")
 
 
 def _invert(newton, x: float, target: float, rising: bool, what: str) -> float:
@@ -605,7 +611,7 @@ def nct_cdf(x: float, df: float, ncp: float) -> float:
 
     Matches ``t_cdf`` exactly at ncp = 0 and is evaluated to ~1e-12 absolute
     accuracy (target 1e-8) against direct numerical integration.  Scalars
-    only: an array argument is a ValueError.
+    only: an array argument is a ConfigError.
     """
     x = _require_finite("nct_cdf", "x", x)
     df = _scale("degrees of freedom", _point("nct_cdf", df))

@@ -119,6 +119,9 @@ def plan_effect_pilot(mu0: float, sigma: float, design: TestDesign,
 
     def side(threshold: float, prob: float, which: str, zs_target: float):
         mu_thr = mu0 * zs_target / _zsum(design.alpha, threshold, f"{which}power_threshold")
+        if mu_thr == math.inf:      # a failed computation, not an argument of effect_pilot_n
+            raise ValueError(f"mu0 {mu0!r} at {which}power_threshold {threshold!r} puts the "
+                             "threshold effect past the largest float")
         n_main = _nearest_n(effect, design, threshold)
         n_pilot = effect_pilot_n(mu0, mu_thr, sigma, prob, design, which)
         return n_main, mu_thr, n_pilot

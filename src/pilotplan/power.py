@@ -14,8 +14,8 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .distributions import (ConvergenceError, _choice, _nct_abs_sf, _point, _probability,
-                            _scale, chisq_quantile, norm_quantile, t_quantile)
+from .distributions import (ConfigError, ConvergenceError, _choice, _nct_abs_sf, _point,
+                            _probability, _scale, chisq_quantile, norm_quantile, t_quantile)
 from .distributions import nct_cdf  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 
 __all__ = [
@@ -59,7 +59,7 @@ class TestDesign:
 
     def __post_init__(self):
         _choice("kind", self.kind, _KINDS)
-        if not (_MIN_ALPHA < self.alpha < 1.0):
+        if not _probability("alpha", self.alpha) > _MIN_ALPHA:
             raise ValueError(f"alpha must be in ({_MIN_ALPHA:.4g}, 1), got {self.alpha!r}")
 
     @property
@@ -90,7 +90,7 @@ class EffectSpec:
     def __post_init__(self):
         effect = _point("effect", self.effect)
         if not (math.isfinite(effect) and effect >= 0.0):
-            raise ValueError(f"effect must be finite and >= 0, got {effect!r}")
+            raise ConfigError(f"effect must be finite and >= 0, got {effect!r}")
         _scale("sigma", self.sigma)
 
     @property
@@ -107,7 +107,8 @@ def arcsine_effect(p1: float, p2: float) -> EffectSpec:
     """
     p1, p2 = _point("p1", p1), _point("p2", p2)
     if not (0.0 <= p2 <= p1 <= 1.0):
-        raise ValueError(f"need 0 <= p2 <= p1 <= 1, got p1={p1!r}, p2={p2!r}")
+        raise ConfigError("need 0 <= p2 <= p1 <= 1, proportions as decimals (0.3, not 30), "
+                          f"got p1={p1!r}, p2={p2!r}")
     effect = 2.0 * math.asin(math.sqrt(p1)) - 2.0 * math.asin(math.sqrt(p2))
     return EffectSpec(effect=effect, sigma=1.0)
 
@@ -152,7 +153,7 @@ _MAX_EFFECT_SIZE = 1e6
 
 def _require_nonzero_effect(effect: EffectSpec) -> None:
     if effect.effect_size == 0.0:
-        raise ValueError("effect of 0 means an infinite study; no sample size exists")
+        raise ConfigError("effect of 0 means an infinite study; no sample size exists")
 
 
 def _z_requirement(effect: EffectSpec, design: TestDesign, power: float,
@@ -174,7 +175,8 @@ def _z_requirement(effect: EffectSpec, design: TestDesign, power: float,
     zs = max(0.0, z_a + norm_quantile(power))
     if zs / d > math.sqrt(_MAX_N / design.groups):
         raise ValueError(_TOO_LARGE)
-    return design.groups * zs ** 2 / d ** 2, z_a
+    # zs 0 over a d^2 that underflows to 0 is the floor too, not 0 / 0
+    return (design.groups * zs ** 2 / d ** 2 if zs else 0.0), z_a
 
 
 def required_n(effect: EffectSpec, design: TestDesign, power: float,
@@ -326,10 +328,10 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
     ``power`` lies above alpha / 2, and in t-iterative mode above alpha, the
     exact power at effect 0.  t-iterative: the top of ``_effect_bracket``,
     of relative width 1e-12, galloped from the z-approx closed form.  One
-    size per call: an array of sizes is a ValueError.
+    size per call: an array of sizes is a ConfigError.
     """
     if getattr(n, "ndim", 0) or isinstance(n, (list, tuple)):
-        raise ValueError("effect_for_n takes one size n; call it once per size")
+        raise ConfigError("effect_for_n takes one size n; call it once per size")
     n = _point("n", n)
     if not (math.isfinite(n) and n >= 2.0):
         raise ValueError(f"per-group size must be >= 2, got {n!r}")

@@ -56,8 +56,8 @@ import math
 import random
 from dataclasses import dataclass, field, asdict, replace
 
-from .distributions import (_choice, _count, _nct_abs_isf, _nct_fold, _probability, _scale,
-                            chisq_cdf, chisq_quantile)
+from .distributions import (ConfigError, _choice, _count, _nct_abs_isf, _nct_fold,
+                            _probability, _scale, chisq_cdf, chisq_quantile)
 from .distributions import norm_quantile  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 from .power import (
     _MODES,
@@ -96,10 +96,6 @@ KNOWN_SIGMA = "known-sigma"
 _MAX_NCP = 1e3
 
 
-class ConfigError(ValueError):
-    """Simulation configuration is invalid; raised before any sampling."""
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Inputs for one simulated planning pipeline."""
@@ -125,7 +121,7 @@ class SimulationConfig:
             _count("seed", self.seed, 0)
             _count("replicates", self.replicates, 1)
             _probability("power_target", self.power_target)
-            if not (0.0 < self.underpower_threshold < self.power_target):
+            if not _probability("underpower_threshold", self.underpower_threshold) < self.power_target:
                 raise ValueError(
                     "underpower_threshold must be a power level below power_target, "
                     f"got {self.underpower_threshold!r} against {self.power_target!r}")

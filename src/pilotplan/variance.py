@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-from .distributions import _choice, _count, _probability, _scale, chisq_cdf, norm_quantile
+from .distributions import (ConfigError, _choice, _count, _probability, _scale, chisq_cdf,
+                            norm_quantile)
 from .power import (
     EffectSpec,
     T_ITERATIVE,
@@ -64,7 +65,7 @@ class PowerBounds:
 
     def __post_init__(self):
         if (self.overpower_prob is None) != (self.overpower_threshold is None):
-            raise ValueError("overpower_prob and overpower_threshold must be given together")
+            raise ConfigError("overpower_prob and overpower_threshold must be given together")
         for name, value in vars(self).items():
             if value is not None:
                 _probability(name, value)

@@ -91,24 +91,26 @@ def test_non_finite_value_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "must be > 0 and finite" in err
+    assert "must be finite and" in err
 
 
 _PLAN_TAIL = ("--underpower-prob", ".3", "--underpower-threshold", ".6")
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("plan-effect", "--mu0", "2", *_PLAN_TAIL), "--mu0 and --sigma go together"),
-    (("plan-effect", "--p1", ".5", *_PLAN_TAIL), "--p1 and --p2 go together"),
+    (("plan-effect", "--mu0", "2", *_PLAN_TAIL),
+     "give either --mu0 with --sigma, or --p1 with --p2"),
+    (("plan-effect", "--p1", ".5", *_PLAN_TAIL),
+     "give either --mu0 with --sigma, or --p1 with --p2"),
     (("plan-effect", "--p1", "-0.1", "--p2", ".4", *_PLAN_TAIL),
-     "must be between 0 and 1, got -0.1"),
+     "need 0 <= p2 <= p1 <= 1, proportions as decimals (0.3, not 30), got p1=-0.1, p2=0.4"),
     (("plan-variance", "--sigma", "4", "--delta", "1", "--alpha", "0", *_PLAN_TAIL),
-     "must be strictly between 0 and 1, got 0"),
-    (("plan-variance", "--sigma", "x", "--delta", "1", *_PLAN_TAIL), "not a number: 'x'"),
+     "alpha must be in (0, 1), got 0.0"),
+    (("plan-variance", "--sigma", "x", "--delta", "1", *_PLAN_TAIL), "invalid float value: 'x'"),
     (("plan-variance", "--sigma", "4", "--delta", "1", "--overpower-prob", ".2", *_PLAN_TAIL),
-     "error: --overpower-prob and --overpower-threshold go together"),
+     "error: overpower_prob and overpower_threshold must be given together"),
     (("plan-effect", "--mu0", "2", "--sigma", "4", "--overpower-threshold", ".9", *_PLAN_TAIL),
-     "error: --overpower-prob and --overpower-threshold go together"),
+     "error: overpower_prob and overpower_threshold must be given together"),
 ], ids=["mu0-alone", "p1-alone", "negative-proportion", "zero-alpha", "sigma-not-a-number",
         "overpower-prob-alone", "overpower-threshold-alone"])
 def test_flag_misuse_is_usage_error(capsys, argv, message):
@@ -160,7 +162,7 @@ class TestPlanVariance:
             capsys, "plan-variance", "--sigma", "0", "--delta", "1",
             "--underpower-prob", ".2", "--underpower-threshold", ".6")
         assert code == 2
-        assert "must be > 0" in err
+        assert "must be finite and > 0" in err
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "plan-variance", "--sigma", "4")

@@ -1,10 +1,13 @@
 """Argument checks across the package, as one table.
 
 Each row is a call with one bad argument and the error it must raise, with
-the message that names the argument.  The rows cover the checks that no
-other test reaches.  A sweep then puts each of a set of bad numbers into
-each numeric argument of every public entry point, and no call may raise
-anything but the package's errors.
+the message that names the argument: a ``ConfigError`` where the argument
+breaks one of the package's rules, a plain ``ValueError`` where it fails a
+computation.  The rows cover the checks that no other test reaches.  A sweep
+then puts each of a set of bad numbers into each numeric argument of every
+public entry point, and no call may raise anything but the package's errors;
+another puts bad texts into each numeric flag of the command line, and no run
+may end but with an exit code.
 """
 
 import math
@@ -42,58 +45,73 @@ HUGE = 10 ** 400
 
 
 CHECKS = {
-    "design-kind": (lambda: TestDesign("three-sample"), ValueError,
+    "design-kind": (lambda: TestDesign("three-sample"), ConfigError,
                     r"kind must be 'one-sample' or 'two-sample', got 'three-sample'"),
-    "effect-negative": (lambda: EffectSpec(-1.0), ValueError,
+    "design-alpha-zero": (lambda: TestDesign(alpha=0.0), ConfigError,
+                          r"alpha must be in \(0, 1\), got 0\.0"),
+    # below the floor alpha is a probability, but 1 - alpha / 2 rounds to 1
+    "design-alpha-floor": (lambda: TestDesign(alpha=1e-300), ValueError,
+                           r"alpha must be in \(1\.11e-16, 1\), got 1e-300"),
+    "arcsine-p2-above-p1": (
+        lambda: arcsine_effect(0.4, 0.5), ConfigError,
+        r"need 0 <= p2 <= p1 <= 1, proportions as decimals \(0\.3, not 30\), "
+        r"got p1=0\.4, p2=0\.5"),
+    "effect-negative": (lambda: EffectSpec(-1.0), ConfigError,
                         r"effect must be finite and >= 0, got -1\.0"),
-    "effect-sigma": (lambda: EffectSpec(1.0, 0.0), ValueError,
+    "effect-sigma": (lambda: EffectSpec(1.0, 0.0), ConfigError,
                      r"sigma must be finite and > 0, got 0\.0"),
-    "bounds-overpower-prob": (lambda: PowerBounds(0.2, 0.6, 1.5, 0.9), ValueError,
+    "bounds-overpower-prob": (lambda: PowerBounds(0.2, 0.6, 1.5, 0.9), ConfigError,
                               r"overpower_prob must be in \(0, 1\), got 1\.5"),
-    "bounds-overpower-threshold": (lambda: PowerBounds(0.2, 0.6, 0.2, 1.0), ValueError,
+    "bounds-overpower-threshold": (lambda: PowerBounds(0.2, 0.6, 0.2, 1.0), ConfigError,
                                    r"overpower_threshold must be in \(0, 1\), got 1\.0"),
+    "bounds-pair": (lambda: PowerBounds(0.2, 0.6, 0.2), ConfigError,
+                    "overpower_prob and overpower_threshold must be given together"),
+    "bounds-percentage": (
+        lambda: PowerBounds(30, 0.6), ConfigError,
+        r"underpower_prob must be in \(0, 1\), got 30\.0; give a decimal, not a percentage "
+        r"\(e\.g\. 0\.3\)"),
     "bounds-overpower-below-target": (
         lambda: PowerBounds(0.2, 0.6, 0.2, 0.7).check_against_target(0.8), ValueError,
         r"overpower threshold \(0\.7\) must lie above the target power \(0\.8\)"),
     "plan-variance-mode": (
         lambda: plan_variance_pilot(EffectSpec(1, 4), TWO, 0.8, BOUNDS, mode="bogus"),
-        ValueError, r"mode must be 'exact' or 'approx', got 'bogus'"),
+        ConfigError, r"mode must be 'exact' or 'approx', got 'bogus'"),
     "plan-variance-power-target": (
         lambda: plan_variance_pilot(EffectSpec(1, 4), TWO, 1.0, BOUNDS),
-        ValueError, r"power_target must be in \(0, 1\), got 1\.0"),
+        ConfigError, r"power_target must be in \(0, 1\), got 1\.0"),
     "plan-variance-zero-effect": (
         lambda: plan_variance_pilot(EffectSpec(0, 4), TWO, 0.8, BOUNDS),
-        ValueError, "effect of 0 means an infinite study"),
+        ConfigError, "effect of 0 means an infinite study"),
     "plan-effect-power-target": (
         lambda: plan_effect_pilot(0.5, 1.0, TWO, 0.0, BOUNDS),
-        ValueError, r"power_target must be in \(0, 1\), got 0\.0"),
-    "pilot-exact-p": (lambda: pilot_n_exact(0.5, 0.0), ValueError,
+        ConfigError, r"power_target must be in \(0, 1\), got 0\.0"),
+    "pilot-exact-p": (lambda: pilot_n_exact(0.5, 0.0), ConfigError,
                       r"^p must be in \(0, 1\), got 0\.0"),
-    "pilot-approx-p": (lambda: pilot_n_approx(0.5, 1.0), ValueError,
+    "pilot-approx-p": (lambda: pilot_n_approx(0.5, 1.0), ConfigError,
                        r"^p must be in \(0, 1\), got 1\.0"),
-    "pilot-approx-ratio": (lambda: pilot_n_approx(-0.5, 0.2), ValueError,
+    "pilot-approx-ratio": (lambda: pilot_n_approx(-0.5, 0.2), ConfigError,
                            r"sigma_ratio_sq must be finite and > 0, got -0\.5"),
-    "variance-underpower-ratio": (lambda: variance_underpower_prob(12, 0.0), ValueError,
+    "variance-underpower-ratio": (lambda: variance_underpower_prob(12, 0.0), ConfigError,
                                   r"sigma_ratio_sq must be finite and > 0, got 0\.0"),
     "variance-underpower-fractional-pilot-n": (
-        lambda: variance_underpower_prob(12.7, 0.6), ValueError,
+        lambda: variance_underpower_prob(12.7, 0.6), ConfigError,
         r"pilot_n must be an integer >= 2, got 12\.7"),
     "effect-underpower-pilot-n": (lambda: effect_underpower_prob(0, 0.5, 0.7, 1.0),
-                                  ValueError, "pilot_n must be an integer >= 1, got 0"),
+                                  ConfigError, "pilot_n must be an integer >= 1, got 0"),
     "effect-underpower-fractional-pilot-n": (
-        lambda: effect_underpower_prob(2.9, 0.5, 0.6, 1.0), ValueError,
+        lambda: effect_underpower_prob(2.9, 0.5, 0.6, 1.0), ConfigError,
         r"pilot_n must be an integer >= 1, got 2\.9"),
-    "effect-pilot-p": (lambda: effect_pilot_n(0.5, 0.7, 1.0, 0.0), ValueError,
+    "effect-pilot-p": (lambda: effect_pilot_n(0.5, 0.7, 1.0, 0.0), ConfigError,
                        r"^p must be in \(0, 1\), got 0\.0"),
-    "effect-pilot-sigma": (lambda: effect_pilot_n(0.5, 0.7, 0.0, 0.2), ValueError,
+    "effect-pilot-sigma": (lambda: effect_pilot_n(0.5, 0.7, 0.0, 0.2), ConfigError,
                            r"sigma must be finite and > 0, got 0\.0"),
     "effect-pilot-side": (lambda: effect_pilot_n(0.5, 0.7, 1.0, 0.2, side="both"),
-                          ValueError, "side must be 'under' or 'over', got 'both'"),
+                          ConfigError, "side must be 'under' or 'over', got 'both'"),
     "sizing-mode": (lambda: main_sample_size(EffectSpec(0.5), TWO, 0.8, "bogus"),
-                    ValueError, r"mode must be 'z-approx' or 't-iterative', got 'bogus'"),
+                    ConfigError, r"mode must be 'z-approx' or 't-iterative', got 'bogus'"),
     "effect-for-n-mode": (lambda: effect_for_n(10, TWO, 0.8, "bogus"),
-                          ValueError, r"mode must be 'z-approx' or 't-iterative', got 'bogus'"),
-    "mu-for-n-sigma": (lambda: mu_for_n(10, 0.0, TWO, 0.8), ValueError,
+                          ConfigError, r"mode must be 'z-approx' or 't-iterative', got 'bogus'"),
+    "mu-for-n-sigma": (lambda: mu_for_n(10, 0.0, TWO, 0.8), ConfigError,
                        r"sigma must be finite and > 0, got 0\.0"),
     "config-power-target": (lambda: _effect_config(power_target=1.0).validate(),
                             ConfigError, r"power_target must be in \(0, 1\), got 1\.0"),
@@ -110,7 +128,8 @@ CHECKS = {
     "simulate-known-sigma-pilot-n": (
         lambda: simulate_effect_pipeline(
             _effect_config(estimator="known-sigma", pilot_n=10 ** 400)),
-        ValueError, r"pilot_n with the known-sigma estimator must be <= \d+, got one of 1329 bits"),
+        ConfigError,
+        r"pilot_n with the known-sigma estimator must be <= \d+, got one of 1329 bits"),
     "table-id-fractional": (lambda: reproduce_table(1.7, 3), ConfigError,
                             r"table_id must be 1 or 2, got 1\.7"),
     "table-id-bool": (lambda: reproduce_table(True, 3), ConfigError,
@@ -130,34 +149,34 @@ CHECKS = {
         lambda: simulate_variance_pipeline(_variance_config(replicates=2 ** 63)), ConfigError,
         r"replicates must be <= \d+, got one of 64 bits"),
     "variance-underpower-huge-pilot-n": (
-        lambda: variance_underpower_prob(HUGE, 0.5), ValueError,
+        lambda: variance_underpower_prob(HUGE, 0.5), ConfigError,
         r"pilot_n must be <= \d+, got one of 1329 bits"),
     "effect-underpower-huge-pilot-n": (
-        lambda: effect_underpower_prob(HUGE, 1, 2, 1), ValueError,
+        lambda: effect_underpower_prob(HUGE, 1, 2, 1), ConfigError,
         r"pilot_n must be <= \d+, got one of 1329 bits"),
     # each non-finite effect or ratio is named, not the function it reaches
-    "effect-pilot-mu0-nan": (lambda: effect_pilot_n(math.nan, 0.7, 1.0, 0.2), ValueError,
+    "effect-pilot-mu0-nan": (lambda: effect_pilot_n(math.nan, 0.7, 1.0, 0.2), ConfigError,
                              "mu0 must be finite, got nan"),
-    "effect-pilot-threshold-inf": (lambda: effect_pilot_n(0.5, math.inf, 1.0, 0.2), ValueError,
+    "effect-pilot-threshold-inf": (lambda: effect_pilot_n(0.5, math.inf, 1.0, 0.2), ConfigError,
                                    "mu_threshold must be finite, got inf"),
     "effect-underpower-mu0-inf": (lambda: effect_underpower_prob(12, -math.inf, 0.7, 1.0),
-                                  ValueError, "mu0 must be finite, got -inf"),
+                                  ConfigError, "mu0 must be finite, got -inf"),
     "effect-underpower-threshold-nan": (
-        lambda: effect_underpower_prob(12, 0.5, math.nan, 1.0), ValueError,
+        lambda: effect_underpower_prob(12, 0.5, math.nan, 1.0), ConfigError,
         "mu_threshold must be finite, got nan"),
-    "pilot-exact-ratio-inf": (lambda: pilot_n_exact(math.inf, 0.2, "over"), ValueError,
+    "pilot-exact-ratio-inf": (lambda: pilot_n_exact(math.inf, 0.2, "over"), ConfigError,
                               "sigma_ratio_sq must be finite and > 0, got inf"),
     # a flag is a bool and a cap an integer: neither is read as some other value
     "plan-variance-pooled-pilot-str": (
         lambda: plan_variance_pilot(EffectSpec(1, 4), TWO, 0.8, BOUNDS, pooled_pilot="no"),
-        ValueError, "pooled_pilot must be False or True, got 'no'"),
+        ConfigError, "pooled_pilot must be False or True, got 'no'"),
     "config-pooled-pilot-str": (lambda: _variance_config(pooled_pilot="yes").validate(),
                                 ConfigError, "pooled_pilot must be False or True, got 'yes'"),
-    "pilot-approx-pooled-int": (lambda: pilot_n_approx(0.5, 0.2, pooled=1), ValueError,
+    "pilot-approx-pooled-int": (lambda: pilot_n_approx(0.5, 0.2, pooled=1), ConfigError,
                                 "pooled must be False or True, got 1"),
-    "pilot-exact-cap-bool": (lambda: pilot_n_exact(0.5, 0.2, cap=True), ValueError,
+    "pilot-exact-cap-bool": (lambda: pilot_n_exact(0.5, 0.2, cap=True), ConfigError,
                              "cap must be an integer >= 2, got True"),
-    "pilot-exact-cap-fractional": (lambda: pilot_n_exact(0.5, 0.2, cap=10.5), ValueError,
+    "pilot-exact-cap-fractional": (lambda: pilot_n_exact(0.5, 0.2, cap=10.5), ConfigError,
                                    r"cap must be an integer >= 2, got 10\.5"),
     # a power level at or below alpha / 2 gives z_{1-a/2} + z_p <= 0, and no
     # effect gives an exact power below alpha, its value at effect 0
@@ -173,6 +192,12 @@ CHECKS = {
         lambda: plan_effect_pilot(2.0, 4.0, TWO, 0.8, PowerBounds(0.2, 0.025)),
         ValueError, r"underpower_threshold must be above alpha / 2 = 0\.025 at alpha 0\.05, "
                     r"got 0\.025"),
+    # the threshold effect mu0 z_target / z_threshold overflows: a failed
+    # computation, not an infinite mu_threshold argument of effect_pilot_n
+    "plan-effect-threshold-overflow": (
+        lambda: plan_effect_pilot(1e307, 1e307, TWO, 0.8, PowerBounds(0.2, 0.0251)), ValueError,
+        r"mu0 1e\+307 at underpower_threshold 0\.0251 puts the threshold effect past the "
+        "largest float"),
     "effect-for-n-power-below-half-alpha": (
         lambda: effect_for_n(10, TWO, 0.01), ValueError,
         r"power must be above alpha / 2 = 0\.025 at alpha 0\.05, got 0\.01"),
@@ -188,8 +213,10 @@ CHECKS = {
 @pytest.mark.parametrize("name", sorted(CHECKS))
 def test_bad_argument_named(name):
     call, error, message = CHECKS[name]
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as raised:
         call()
+    # a computation's error is no usage error: the CLI exits 1 on it, not 2
+    assert issubclass(raised.type, ConfigError) == (error is ConfigError)
 
 
 def test_huge_pilot_size_is_an_error_line(capsys):
@@ -310,3 +337,54 @@ def test_bad_number_raises_a_package_error(entry, arg):
         except Exception as exc:    # reported below, value by value
             escaped.append(f"{arg}={'10**400' if bad is HUGE else bad!r}: {exc!r}")
     assert not escaped, escaped
+
+
+# every numeric flag of each command form, and a valid value for it
+_PLAN = ("--alpha", ".05", "--power", ".8", "--underpower-prob", ".2",
+         "--underpower-threshold", ".6", "--overpower-prob", ".2", "--overpower-threshold", ".9")
+_SIMULATE = ("simulate", "--effect", "1", "--sigma", "4", "--pilot-n", "12", "--seed", "1",
+             "--reps", "50", "--alpha", ".05", "--power", ".8", "--underpower-threshold", ".6")
+CLI_FORMS = {
+    "plan-variance": ("plan-variance", "--sigma", "4", "--delta", "1", *_PLAN),
+    "plan-effect-mu0": ("plan-effect", "--mu0", "2", "--sigma", "4", *_PLAN),
+    "plan-effect-p": ("plan-effect", "--p1", ".5", "--p2", ".4", *_PLAN),
+    "simulate-variance": (*_SIMULATE, "--scenario", "variance"),
+    "simulate-effect": (*_SIMULATE, "--scenario", "effect"),
+}
+BAD_TEXTS = ("nan", "inf", "-inf", "0", "-1", "2.5", "1e300", "1e-320", "30", "x")
+
+
+def _exit_code(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:   # argparse's own usage errors
+        code = exc.code
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("form", sorted(CLI_FORMS))
+def test_bad_flag_is_an_exit_code(form, capsys):
+    # each bad text in each numeric flag ends the run with an exit code and,
+    # unless it is 0, an error line; no other exception escapes main
+    argv = CLI_FORMS[form]
+    flags = [i for i, a in enumerate(argv) if a.startswith("--") and a != "--scenario"]
+    for i in flags:
+        for text in BAD_TEXTS:
+            # --flag=text, so that argparse reads "-inf" as a value, not a flag
+            code, captured = _exit_code(
+                (*argv[:i], f"{argv[i]}={text}", *argv[i + 2:]), capsys)
+            assert code in (0, 1, 2), (argv[i], text, code)
+            assert (code == 0) == (captured.err == ""), (argv[i], text, captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    # the entry line is built from the checked plan, not by dividing the flags
+    ("plan-effect", "--mu0", "2", "--sigma", "0"),
+    # the library's proportion rule, not a computation that fails
+    ("plan-effect", "--p1", ".4", "--p2", ".5"),
+])
+def test_bad_entry_is_a_usage_error(argv, capsys):
+    code, captured = _exit_code((*argv, "--underpower-prob", ".3",
+                                 "--underpower-threshold", ".6"), capsys)
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("error: ")

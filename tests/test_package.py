@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import os
 
+import pilotplan
 from pilotplan import distributions, effect, power, simulation, variance
 
 
@@ -31,3 +32,8 @@ def test_benchmark_tracer_names_resolve():
     missing = [(module, attr) for module, attr, _ in tracing.TARGETS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_config_error_is_one_class():
+    # the rules in distributions raise it, and simulation exports it
+    assert pilotplan.ConfigError is simulation.ConfigError is distributions.ConfigError

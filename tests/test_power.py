@@ -128,11 +128,13 @@ class TestMainSampleSize:
             with pytest.raises(ValueError, match="ncp .* is too large"):
                 power_at(2, EffectSpec(effect), ONE)
 
-    @pytest.mark.parametrize("effect,power", [(0.5, 1e-6), (0.5, 1e-3), (1e-6, 1e-6)])
+    @pytest.mark.parametrize("effect,power",
+                             [(0.5, 1e-6), (0.5, 1e-3), (1e-6, 1e-6), (1e-300, 1e-6)])
     def test_power_at_most_alpha_half_is_the_minimum_size(self, effect, power):
         # at a power at or below alpha / 2, z_{1-a/2} + z_power <= 0: every
         # size reaches it, so both modes give the floor, not the square of a
-        # negative sum (63 at 1e-6 in z-approx mode, and past 1e9 at effect 1e-6)
+        # negative sum (63 at 1e-6 in z-approx mode, and past 1e9 at effect 1e-6),
+        # nor 0 / 0 where the effect's square underflows (at 1e-300)
         for mode in (Z_APPROX, T_ITERATIVE):
             for solve in (main_sample_size, _nearest_n, required_n):
                 assert solve(EffectSpec(effect), TWO, power, mode) == 2, (mode, solve)
