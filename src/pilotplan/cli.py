@@ -17,7 +17,6 @@ unsatisfiable plans), 2 usage error.  Probabilities are decimals (0.2, not
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -144,6 +143,8 @@ def emit(record, fmt: str) -> None:
         print(json.dumps({"config": record.config, "results": record.results},
                          indent=2, sort_keys=True))
         return
+    import csv      # only here: a cold process with another format never loads it
+
     rows = record.csv_rows()
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
     writer.writeheader()

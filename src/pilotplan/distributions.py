@@ -128,6 +128,58 @@ def _choice(name: str, x, choices: tuple):
     raise ConfigError(f"{name} must be {' or '.join(map(repr, choices))}, got {x!r}")
 
 
+class _Record:
+    """A frozen record.  Its fields are the annotated names of its class and
+    bases, in order, each defaulting to the class value of that name where
+    there is one; ``dict(vars(r))`` is the fields in order.  It is built by
+    position or keyword, compares, hashes and prints by type and fields, and
+    runs ``__post_init__``, its checks, when built and in ``replace``."""
+
+    def __init_subclass__(cls):
+        names = {}
+        for c in reversed(cls.__mro__):
+            names.update(c.__dict__.get("__annotations__", {}))
+        cls._fields, cls._field_set = tuple(names), frozenset(names)
+        cls._defaults = {k: getattr(cls, k) for k in names if hasattr(cls, k)}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = {**self._defaults, **kwargs}
+        values.update(zip(names, args))
+        if (len(args) > len(names) or values.keys() != self._field_set
+                or not kwargs.keys().isdisjoint(names[:len(args)])):
+            problems = [f"{what} {', '.join(map(repr, keys))}" for what, keys in (
+                ("missing", [k for k in names if k not in values]),
+                ("unknown", [k for k in kwargs if k not in names]),
+                ("doubled", [k for k in kwargs if k in names[:len(args)]])) if keys]
+            raise TypeError(f"{type(self).__name__}: " + ("; ".join(problems) or
+                            f"{len(args)} fields by position, past its {len(names)}"))
+        vars(self).update({k: values[k] for k in names})
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def replace(self, **changes):
+        """A copy with ``changes`` to its fields, checked again."""
+        return type(self)(**{**vars(self), **changes})
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot be set or deleted")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((type(self), *vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
 def _invert(newton, x: float, target: float, rising: bool, what: str) -> float:
     """The x > 0 where a mass monotone in x (rising with x, or falling) meets
     target > 0, from the start x; ``newton(x)`` gives the mass at x and a

@@ -10,7 +10,6 @@ identical to the plan for (mu0 / sigma, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .distributions import (_choice, _count, _probability, _require_finite, _scale, norm_cdf,
                             norm_quantile)
@@ -79,7 +78,6 @@ def effect_pilot_n(mu0: float, mu_threshold: float, sigma: float, p: float,
                        "pilot size exceeds 1e9; the threshold is too close to mu0")
 
 
-@dataclass(frozen=True)
 class EffectPilotPlan(_PlanRecord):
     """Full trace of an effect-driven pilot plan (sizes are per group)."""
 

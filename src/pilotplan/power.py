@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 from .distributions import (ConfigError, ConvergenceError, _choice, _nct_abs_sf, _point,
-                            _probability, _scale, chisq_quantile, norm_quantile, t_quantile)
+                            _probability, _Record, _scale, chisq_quantile, norm_quantile,
+                            t_quantile)
 from .distributions import nct_cdf  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 
 __all__ = [
@@ -48,8 +48,7 @@ _KINDS = (ONE_SAMPLE, TWO_SAMPLE)
 _MIN_ALPHA = 2.0 ** -53
 
 
-@dataclass(frozen=True)
-class TestDesign:
+class TestDesign(_Record):
     """Test kind and two-sided significance level of the main study."""
 
     __test__ = False  # despite the name, not a pytest collectable
@@ -75,8 +74,7 @@ class TestDesign:
         return effect_size * math.sqrt(n / self.groups)
 
 
-@dataclass(frozen=True)
-class EffectSpec:
+class EffectSpec(_Record):
     """A raw effect together with the outcome standard deviation.
 
     ``effect / sigma`` is the effect size (Cohen's d scale).  A zero effect is
@@ -88,14 +86,24 @@ class EffectSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        effect = _point("effect", self.effect)
-        if not (math.isfinite(effect) and effect >= 0.0):
-            raise ConfigError(f"effect must be finite and >= 0, got {effect!r}")
+        _effect("effect", self.effect)
         _scale("sigma", self.sigma)
 
     @property
     def effect_size(self) -> float:
         return self.effect / self.sigma
+
+
+def _effect(name: str, x) -> float:
+    x = _point(name, x)
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ConfigError(f"{name} must be finite and >= 0, got {x!r}")
+    return x
+
+
+def _effect_size(effect: EffectSpec | float) -> float:
+    """The effect size of an EffectSpec, or of a plain number, which is one."""
+    return effect.effect_size if isinstance(effect, EffectSpec) else _effect("effect size", effect)
 
 
 def arcsine_effect(p1: float, p2: float) -> EffectSpec:
@@ -124,15 +132,18 @@ def _zsum(alpha: float, power: float, name: str = "power") -> float:
     return zs
 
 
-def power_at(n: float, effect: EffectSpec, design: TestDesign = TestDesign()) -> float:
+def power_at(n: float, effect: EffectSpec | float,
+             design: TestDesign = TestDesign()) -> float:
     """Exact power of the main study at per-group size n (noncentral t).
 
     n may be fractional; n < 2 has no degrees of freedom and is an error.
+    ``effect`` is an EffectSpec or a plain effect size (effect / sigma),
+    here as in ``required_n`` and ``main_sample_size``.
     """
     n = _point("n", n)
     if not (math.isfinite(n) and n >= 2.0):
         raise ValueError(f"per-group size must be >= 2, got {n!r}")
-    return _power_curve(n, design)(effect.effect_size)
+    return _power_curve(n, design)(_effect_size(effect))
 
 
 def _power_curve(n: float, design: TestDesign):
@@ -151,25 +162,27 @@ _MAX_N = 10 ** 9
 _MAX_EFFECT_SIZE = 1e6
 
 
-def _require_nonzero_effect(effect: EffectSpec) -> None:
-    if effect.effect_size == 0.0:
+def _nonzero_effect_size(effect: EffectSpec | float) -> float:
+    d = _effect_size(effect)
+    if d == 0.0:
         raise ConfigError("effect of 0 means an infinite study; no sample size exists")
+    return d
 
 
-def _z_requirement(effect: EffectSpec, design: TestDesign, power: float,
+def _z_requirement(effect: EffectSpec | float, design: TestDesign, power: float,
                    mode: str) -> tuple[float, float]:
     """The closed form  groups * (z_{1-a/2} + z_{power})^2 / d^2, after the
     arguments are checked, and z_{1-a/2}; past 1e9 it raises."""
     power = _probability("power", power)
-    _require_nonzero_effect(effect)
+    d = _nonzero_effect_size(effect)
     _choice("mode", mode, _MODES)
     # compared before squaring: the square of a tiny effect underflows to 0,
     # of a huge one overflows
-    d = effect.effect_size
     if d > _MAX_EFFECT_SIZE:
-        raise ValueError(
-            f"effect {effect.effect!r} over sigma {effect.sigma!r} is an effect size "
-            f"of {d:g}, past the largest this package plans for, {_MAX_EFFECT_SIZE:g}")
+        given = (f"effect {effect.effect!r} over sigma {effect.sigma!r}"
+                 if isinstance(effect, EffectSpec) else f"effect {d!r}")
+        raise ValueError(f"{given} is an effect size of {d:g}, past the largest this "
+                         f"package plans for, {_MAX_EFFECT_SIZE:g}")
     z_a = -norm_quantile(0.5 * design.alpha)
     # at a power at or below alpha / 2 the sum is not positive: the floor, 2
     zs = max(0.0, z_a + norm_quantile(power))
@@ -179,7 +192,7 @@ def _z_requirement(effect: EffectSpec, design: TestDesign, power: float,
     return (design.groups * zs ** 2 / d ** 2 if zs else 0.0), z_a
 
 
-def required_n(effect: EffectSpec, design: TestDesign, power: float,
+def required_n(effect: EffectSpec | float, design: TestDesign, power: float,
                mode: str = T_ITERATIVE) -> float:
     """Real-valued per-group size at which the study reaches ``power``.
 
@@ -225,7 +238,7 @@ def _first_true(ok, lo: int, start: int, cap: int, too_large: str) -> int:
     return lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=ok)
 
 
-def _search_n(effect: EffectSpec, design: TestDesign, power: float, n_z: float,
+def _search_n(effect: EffectSpec | float, design: TestDesign, power: float, n_z: float,
               z_a: float, shift: float) -> int:
     """Smallest integer N >= 2 with power_at(N + shift) >= power, searched
     from the closed form n_z plus Guenther's t correction z_a^2 / (2 groups),
@@ -235,7 +248,7 @@ def _search_n(effect: EffectSpec, design: TestDesign, power: float, n_z: float,
                        _MAX_N, _TOO_LARGE)
 
 
-def main_sample_size(effect: EffectSpec, design: TestDesign, power: float,
+def main_sample_size(effect: EffectSpec | float, design: TestDesign, power: float,
                      mode: str = T_ITERATIVE) -> int:
     """Smallest adequate per-group size.
 
@@ -251,7 +264,7 @@ def main_sample_size(effect: EffectSpec, design: TestDesign, power: float,
     return _search_n(effect, design, power, n_z, z_a, 0.0)
 
 
-def _nearest_n(effect: EffectSpec, design: TestDesign, power: float,
+def _nearest_n(effect: EffectSpec | float, design: TestDesign, power: float,
                mode: str = T_ITERATIVE) -> int:
     """The integer nearest the requirement, max(2, floor(required_n + 1/2)).
 
@@ -351,7 +364,7 @@ def sigma_for_n(n: float, effect: EffectSpec, design: TestDesign, power: float,
     Inverse of :func:`main_sample_size` in sigma for a fixed raw effect
     (up to integer rounding of the size).
     """
-    _require_nonzero_effect(effect)
+    _nonzero_effect_size(effect)
     return effect.effect / effect_for_n(n, design, power, mode)
 
 

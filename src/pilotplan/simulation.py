@@ -54,10 +54,9 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass, field, asdict, replace
 
 from .distributions import (ConfigError, _choice, _count, _nct_abs_isf, _nct_fold,
-                            _probability, _scale, chisq_cdf, chisq_quantile)
+                            _probability, _Record, _scale, chisq_cdf, chisq_quantile)
 from .distributions import norm_quantile  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 from .power import (
     _MODES,
@@ -96,8 +95,7 @@ KNOWN_SIGMA = "known-sigma"
 _MAX_NCP = 1e3
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(_Record):
     """Inputs for one simulated planning pipeline."""
 
     scenario: str
@@ -114,10 +112,11 @@ class SimulationConfig:
     sizing_mode: str = T_ITERATIVE
     estimator: str = POOLED_SD     # effect scenario only
 
-    def validate(self) -> None:
+    def validate(self) -> TestDesign:
+        """Check every field before any sampling; returns the checked design."""
         try:
             _choice("scenario", self.scenario, (VARIANCE, EFFECT))
-            self.design()       # checks kind and alpha
+            design = self.design()      # checks kind and alpha
             _count("seed", self.seed, 0)
             _count("replicates", self.replicates, 1)
             _probability("power_target", self.power_target)
@@ -142,20 +141,20 @@ class SimulationConfig:
                        2 if self.estimator == POOLED_SD else 1)
         except ValueError as exc:   # a bad configuration, found before any sampling
             raise ConfigError(str(exc)) from None
+        return design
 
     def design(self) -> TestDesign:
         return TestDesign(self.kind, self.alpha)
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(_Record):
     """Outcome of a simulated pipeline run; its inputs are in ``config``."""
 
     empirical_underpower: float
     mc_standard_error: float
     nonpositive_effects: int
     main_n_quantiles: dict
-    config: dict = field(repr=False)
+    config: dict
 
     scenario = property(lambda self: self.config["scenario"])
     replicates = property(lambda self: self.config["replicates"])
@@ -244,7 +243,7 @@ def _quantile_items(n: int) -> dict:
 def _main_n_quantiles(d, design: TestDesign, power: float, mode: str) -> dict:
     """Quantiles of the main sizes the estimates get, from the estimates in
     ascending order (any sequence): five sizings, not one per replicate."""
-    return {key: main_sample_size(EffectSpec(d[k]), design, power, mode)
+    return {key: main_sample_size(d[k], design, power, mode)
             for key, k in _quantile_items(len(d)).items()}
 
 
@@ -265,7 +264,7 @@ def _flag_boundary(design: TestDesign, config: SimulationConfig, n_crit: int):
         x_lo, x_hi = x * (1.0 - 1e-7), x * (1.0 + 1e-7)
     else:
         x_lo, x_hi = _effect_bracket(m, design, target, 1e-7)
-    return x_lo, x_hi, lambda x: main_sample_size(EffectSpec(x), design, target, mode) <= m
+    return x_lo, x_hi, lambda x: main_sample_size(x, design, target, mode) <= m
 
 
 def _underpower_count(d, boundary) -> int:
@@ -317,24 +316,21 @@ def _nonpositive(d, law) -> int:
     return count
 
 
-def _report(config: SimulationConfig, d) -> SimulationReport:
-    """Size, flag and summarize a run from its estimated effect sizes
-    (magnitudes) ``d`` in ascending order; it reads the five quantile items
-    and the replicates inside the flag bracket that its bisection tests.  The
-    flags are counted first, then the quantiles are read: a lazily drawn
-    ``d`` draws in this order.  An effect run draws its signs after this."""
-    design = config.design()
-    true_effect = EffectSpec(config.effect, config.sigma)
-    n_crit = main_sample_size(true_effect, design, config.underpower_threshold, T_ITERATIVE)
+def _report(config: SimulationConfig, d, design: TestDesign,
+            nonpositive=lambda: 0) -> SimulationReport:
+    """Size, flag and summarize a run of ``design`` from its estimated effect
+    sizes (magnitudes) ``d`` in ascending order; it reads the five quantile
+    items and the replicates inside the flag bracket that its bisection
+    tests.  The flags are counted first, then the quantiles are read, then
+    ``nonpositive()`` counts the negative estimates (an effect run draws its
+    signs there): a lazily drawn ``d`` draws in this order."""
+    n_crit = main_sample_size(EffectSpec(config.effect, config.sigma), design,
+                              config.underpower_threshold, T_ITERATIVE)
     r = config.replicates
     p_hat = _underpower_count(d, _flag_boundary(design, config, n_crit)) / r
-    return SimulationReport(
-        empirical_underpower=p_hat,
-        mc_standard_error=math.sqrt(p_hat * (1.0 - p_hat) / r),
-        nonpositive_effects=0,
-        main_n_quantiles=_main_n_quantiles(d, design, config.power_target, config.sizing_mode),
-        config=asdict(config),
-    )
+    quantiles = _main_n_quantiles(d, design, config.power_target, config.sizing_mode)
+    return SimulationReport(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / r), nonpositive(),
+                            quantiles, dict(vars(config)))
 
 
 def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -346,21 +342,24 @@ def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
     meaningful effect; the replicate is flagged when the design's true power
     (at the true sigma) is below the underpower threshold.
     """
-    config.validate()
+    design = config.validate()
     if config.scenario != VARIANCE:
         raise ConfigError(f"expected a '{VARIANCE}' scenario, got {config.scenario!r}")
 
-    # (df) S^2 / sigma^2 is chi-square on df = n - 1, or 2n - 2 pooled
+    # (df) S^2 / sigma^2 is chi-square on df = n - 1, or 2n - 2 pooled, and
+    # the estimate delta / S is the standardized effect delta / sigma over
+    # sqrt(chi-square / df), whatever the scale of sigma
     df = _pilot_df(config.pilot_n, config.pooled_pilot)
+    standardized = config.effect / config.sigma
 
     def estimate(p: float) -> float:
-        return config.effect / math.sqrt(config.sigma ** 2 * chisq_quantile(p, df) / df)
+        return standardized / math.sqrt(chisq_quantile(p, df) / df)
 
     def tail(x: float) -> float:
         # the estimate reaches x where the chi-square is at most df (delta / (sigma x))^2
-        return chisq_cdf(df * (config.effect / (config.sigma * x)) ** 2, df)
+        return chisq_cdf(df * (standardized / x) ** 2, df)
 
-    return _report(config, _OrderStats(config.replicates, config.seed, estimate, tail))
+    return _report(config, _OrderStats(config.replicates, config.seed, estimate, tail), design)
 
 
 def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -373,10 +372,9 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
     a nonpositive estimate are tallied separately in the report; the headline
     fraction counts the power-based flags.
     """
-    config.validate()
+    design = config.validate()
     if config.scenario != EFFECT:
         raise ConfigError(f"expected an '{EFFECT}' scenario, got {config.scenario!r}")
-    design = config.design()
     spread = math.sqrt(design.groups / config.pilot_n)
     # the mean (two-sample: difference of means) is N(mu, g sigma^2 / n) and
     # independent of the pooled S^2, which is sigma^2 chi2(df) / df, so an
@@ -397,7 +395,7 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
 
     d = _OrderStats(config.replicates, config.seed,
                     lambda v: spread * _nct_abs_isf(v, df, ncp), lambda x: law(x)[1])
-    return replace(_report(config, d), nonpositive_effects=_nonpositive(d, law))
+    return _report(config, d, design, lambda: _nonpositive(d, law))
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +410,7 @@ TABLE2_UNDERPOWER_PROBS = (0.2, 0.25, 0.3, 0.35, 0.4)
 TABLE2_EFFECTS = (0.2, 0.5, 0.8)
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(_Record):
     """Computed pilot sizes plus simulated underpower fractions for the
     reference grids (sizes on the left, probabilities on the right)."""
 
@@ -500,4 +497,4 @@ def _respawn(cfg: SimulationConfig, table_id: int, cell_idx: int) -> SimulationC
     # child is a plain 63-bit int so the cell config remains a self-contained
     # reproducible record
     child = random.Random(f"{cfg.seed}:{table_id}:{cell_idx}").getrandbits(63)
-    return replace(cfg, seed=child)
+    return cfg.replace(seed=child)

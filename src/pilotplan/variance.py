@@ -15,10 +15,9 @@ ratio).  Plans surface whichever mode produced them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 
-from .distributions import (ConfigError, _choice, _count, _probability, _scale, chisq_cdf,
-                            norm_quantile)
+from .distributions import (ConfigError, _choice, _count, _probability, _Record, _scale,
+                            chisq_cdf, norm_quantile)
 from .power import (
     EffectSpec,
     T_ITERATIVE,
@@ -48,8 +47,7 @@ APPROX = "approx"
 SEARCH_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class PowerBounds:
+class PowerBounds(_Record):
     """Underpower (and optional overpower) probability bounds.
 
     ``underpower_threshold`` / ``overpower_threshold`` are power levels: the
@@ -152,27 +150,25 @@ def pilot_n_approx(sigma_ratio_sq: float, p: float, pooled: bool = False) -> int
     return max(2, math.ceil(raw - 1e-9))
 
 
-class _PlanRecord:
+class _PlanRecord(_Record):
     """A plan as a two-part record: ``config`` holds the inputs named in
     ``_CONFIG_KEYS`` and ``results`` every other field.  ``csv_rows`` is the
     plan as one flat row in field order."""
 
-    _CONFIG_KEYS: tuple = ()
+    _CONFIG_KEYS = ()
 
     @property
     def config(self) -> dict:
-        full = asdict(self)
-        return {k: full[k] for k in self._CONFIG_KEYS}
+        return {k: vars(self)[k] for k in self._CONFIG_KEYS}
 
     @property
     def results(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k not in self._CONFIG_KEYS}
+        return {k: v for k, v in vars(self).items() if k not in self._CONFIG_KEYS}
 
     def csv_rows(self) -> list[dict]:
-        return [asdict(self)]
+        return [dict(vars(self))]
 
 
-@dataclass(frozen=True)
 class VariancePilotPlan(_PlanRecord):
     """Full trace of a variance-driven pilot plan.
 

@@ -278,6 +278,21 @@ class TestSimulate:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("scale,flags", [
+        ("1e300", ("--power", ".5", "--underpower-threshold", "1e-300")),
+        ("1e-320", ("--alpha", ".4")),
+    ])
+    def test_variance_run_at_extreme_sigma(self, capsys, scale, flags):
+        # the estimates come from the standardized effect, so an effect and
+        # sigma at either end of the double range run as effect size 1: sigma
+        # is never squared into an overflow or an underflow to 0
+        argv = ("simulate", "--scenario", "variance", "--pilot-n", "12", "--seed", "1",
+                "--reps", "20", *flags)
+        code, out, err = run_cli(capsys, *argv, "--effect", scale, "--sigma", scale)
+        assert (code, err) == (0, "")
+        assert out.startswith("simulated variance pipeline: 20 replicates, seed 1")
+        assert out == run_cli(capsys, *argv, "--effect", "1", "--sigma", "1")[1]
+
     def test_seed_required(self, capsys):
         code, _, _ = run_cli(
             capsys, "simulate", "--scenario", "effect", "--effect", ".5",

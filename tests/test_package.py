@@ -1,9 +1,11 @@
-"""The package's public surface: every module's public names, each once, and
-the names the benchmark's tracer wraps."""
+"""The package's public surface: every module's public names, each once, the
+names the benchmark's tracer wraps, and what importing the CLI loads."""
 
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pilotplan
 from pilotplan import distributions, effect, power, simulation, variance
@@ -37,3 +39,19 @@ def test_benchmark_tracer_names_resolve():
 def test_config_error_is_one_class():
     # the rules in distributions raise it, and simulation exports it
     assert pilotplan.ConfigError is simulation.ConfigError is distributions.ConfigError
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # a fresh process that imports the CLI loads none of these: the records
+    # are plain classes, not dataclasses (which pull in inspect, ast, dis and
+    # tokenize), and csv loads only for --format csv
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, pilotplan.cli; "
+            "print(*[m for m in ('dataclasses', 'inspect', 'csv') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert loaded == [], f"import pilotplan.cli loaded {', '.join(loaded)}"

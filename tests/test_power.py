@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import pilotplan.distributions as distributions
 import pilotplan.power as power_module
-from pilotplan.distributions import ConvergenceError, _nct_abs_sf, _t_mass, nct_cdf, t_quantile
+from pilotplan.distributions import (ConfigError, ConvergenceError, _nct_abs_sf, _t_mass, nct_cdf,
+                                     t_quantile)
 from pilotplan.effect import plan_effect_pilot
 from pilotplan.power import (
     _first_true,
@@ -483,3 +484,30 @@ class TestIntegerSearch:
             assert _first_true(ok, lo, start, cap, "too large") == want
         # O(log n): a gallop and a bisection over the distance from the start
         assert len(calls) <= 2 * math.log2(abs(start - threshold) + 1) + 3
+
+
+@pytest.mark.parametrize("design", [TestDesign(), TestDesign(ONE_SAMPLE, 0.01)])
+@pytest.mark.parametrize("d", [0.05, 0.5, 2.0, 3])
+def test_plain_effect_size_sizes_as_its_effect_spec(design, d):
+    # a plain number is an effect size: the sizes and powers of EffectSpec(d),
+    # to the bit, in every mode
+    spec = EffectSpec(d)
+    for mode in (T_ITERATIVE, Z_APPROX):
+        assert main_sample_size(d, design, 0.8, mode) == main_sample_size(spec, design, 0.8, mode)
+        assert required_n(d, design, 0.8, mode) == required_n(spec, design, 0.8, mode)
+        assert _nearest_n(d, design, 0.6, mode) == _nearest_n(spec, design, 0.6, mode)
+    assert power_at(12.5, d, design) == power_at(12.5, spec, design)
+
+
+def test_plain_effect_size_keeps_the_effect_rules():
+    with pytest.raises(ConfigError, match="effect size must be finite and >= 0, got -0.5"):
+        main_sample_size(-0.5, TestDesign(), 0.8)
+    with pytest.raises(ConfigError, match="effect size must be finite and >= 0, got nan"):
+        power_at(10, math.nan)
+    with pytest.raises(ConfigError, match="effect of 0 means an infinite study"):
+        required_n(0.0, TestDesign(), 0.8)
+    with pytest.raises(ConfigError, match="scalar"):
+        main_sample_size([0.5], TestDesign(), 0.8)
+    with pytest.raises(ValueError, match="effect 2000000.0 is an effect size of 2e"):
+        main_sample_size(2e6, TestDesign(), 0.8)
+    assert power_at(10, 0) == pytest.approx(0.05, abs=1e-12)

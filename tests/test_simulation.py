@@ -12,7 +12,6 @@ import re
 import statistics
 import sys
 import time
-from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -204,8 +203,8 @@ def _completed(sim, cfg):
     seen = []
     report = simulation._report
 
-    def recording(config, d):
-        rep = report(config, d)
+    def recording(config, d, *rest):
+        rep = report(config, d, *rest)
         seen.append(d)
         return rep
 
@@ -232,7 +231,7 @@ def _brute_force_report(cfg: SimulationConfig, d: list, nonpositive: int) -> Sim
         mc_standard_error=math.sqrt(p_hat * (1.0 - p_hat) / cfg.replicates),
         nonpositive_effects=nonpositive,
         main_n_quantiles={str(q): int(n) for q, n in zip(QS, picks)},
-        config=asdict(cfg))
+        config=dict(vars(cfg)))
 
 
 def _same(v):
@@ -412,7 +411,7 @@ class TestFlagBoundary:
         design = TestDesign(kind, alpha)
         cfg = variance_cfg(kind=kind, alpha=alpha, power_target=target,
                            underpower_threshold=0.5 * target)
-        t_cfg, z_cfg = (replace(cfg, sizing_mode=mode) for mode in (T_ITERATIVE, Z_APPROX))
+        t_cfg, z_cfg = (cfg.replace(sizing_mode=mode) for mode in (T_ITERATIVE, Z_APPROX))
         # past 1e6, or where the root's noncentrality takes the noncentral-t
         # series past its cap (tiny alpha, few subjects), both raise alike
         try:
@@ -458,7 +457,7 @@ class TestEstimatesOnDemand:
         # the ascending estimates are numpy's inverted_cdf percentiles, from
         # the top (a size never rises with the estimate)
         xs = sorted(xs)
-        with mock.patch.object(simulation, "main_sample_size", lambda e, *_: e.effect):
+        with mock.patch.object(simulation, "main_sample_size", lambda e, *_: e):
             got = _main_n_quantiles(xs, TWO, 0.8, T_ITERATIVE)
         want = -np.percentile(-np.array(xs), QS, method="inverted_cdf")
         assert [got[str(q)] for q in QS] == want.tolist()
@@ -471,7 +470,8 @@ class TestEstimatesOnDemand:
         quantile, report = simulation.chisq_quantile, simulation._report
         monkeypatch.setattr(simulation, "chisq_quantile",
                             lambda p, df: args.append(p) or quantile(p, df))
-        monkeypatch.setattr(simulation, "_report", lambda c, d: seen.append(d) or report(c, d))
+        monkeypatch.setattr(simulation, "_report",
+                            lambda c, d, *rest: seen.append(d) or report(c, d, *rest))
         rep = simulate_variance_pipeline(variance_cfg(replicates=reps))
         d, = seen
         cuts, inside, items = _known_ranks(d)
@@ -493,7 +493,8 @@ class TestEstimatesOnDemand:
         inverted, seen = [], []
         isf, report = simulation._nct_abs_isf, simulation._report
         monkeypatch.setattr(simulation, "_nct_abs_isf", lambda *a: inverted.append(a) or isf(*a))
-        monkeypatch.setattr(simulation, "_report", lambda c, d: seen.append(d) or report(c, d))
+        monkeypatch.setattr(simulation, "_report",
+                            lambda c, d, *rest: seen.append(d) or report(c, d, *rest))
         reps = 10 ** 9
         cfg = effect_cfg(kind=kind, pilot_n=pilot_n, estimator=estimator, replicates=reps)
         rep = simulate_effect_pipeline(cfg)
@@ -591,8 +592,8 @@ class TestEffectLaw:
                                functools.lru_cache()(main_sample_size)), \
                 mock.patch.object(simulation, "_main_n_quantiles", lambda *args: {}), \
                 mock.patch.object(simulation, "_flag_boundary",
-                                  lambda d, c, n: boundary(d, replace(c, seed=0), n)):
-            reports = [simulate_effect_pipeline(replace(cfg, seed=seed))
+                                  lambda d, c, n: boundary(d, c.replace(seed=0), n)):
+            reports = [simulate_effect_pipeline(cfg.replace(seed=seed))
                        for seed in range(self.SEEDS)]
         flags = [round(r.empirical_underpower * self.REPS) for r in reports]
         negatives = [r.nonpositive_effects for r in reports]
@@ -659,8 +660,8 @@ class TestVarianceLaw:
                                functools.lru_cache()(main_sample_size)), \
                 mock.patch.object(simulation, "_main_n_quantiles", lambda *args: {}), \
                 mock.patch.object(simulation, "_flag_boundary",
-                                  lambda d, c, n: boundary(d, replace(c, seed=0), n)):
-            flags = [round(simulate_variance_pipeline(replace(cfg, seed=seed))
+                                  lambda d, c, n: boundary(d, c.replace(seed=0), n)):
+            flags = [round(simulate_variance_pipeline(cfg.replace(seed=seed))
                            .empirical_underpower * self.REPS) for seed in range(self.SEEDS)]
         n_crit = main_sample_size(EffectSpec(cfg.effect, cfg.sigma), design,
                                   cfg.underpower_threshold)
@@ -881,7 +882,7 @@ class TestRawDrawOracle:
     def test_sufficient_statistics_match_raw_pilots(self, sim, cfg):
         # 100,000 replicates each way: the underpower rates agree within 4
         # combined Monte Carlo standard errors
-        cfg = SimulationConfig(**{**asdict(cfg), "replicates": 100_000})
+        cfg = cfg.replace(replicates=100_000)
         rep = sim(cfg)
         design = cfg.design()
         n_crit = main_sample_size(EffectSpec(cfg.effect, cfg.sigma), design,
