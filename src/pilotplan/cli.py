@@ -201,6 +201,9 @@ def _cmd_plan_effect(args: argparse.Namespace) -> int:
     if given not in ([True, True, False, False], [False, False, True, True]):
         print("error: give either --mu0 with --sigma, or --p1 with --p2", file=sys.stderr)
         return 2
+    # built first, so that a flag breaking a rule is a usage error even where
+    # the entry form would fail the computation
+    design, bounds = TestDesign(_DESIGNS[args.design], args.alpha), _bounds_from(args)
     by_props = args.p1 is not None
     if by_props:
         spec = arcsine_effect(args.p1, args.p2)
@@ -211,8 +214,7 @@ def _cmd_plan_effect(args: argparse.Namespace) -> int:
         mu0, sigma = spec.effect, spec.sigma
     else:
         mu0, sigma = args.mu0, args.sigma
-    design = TestDesign(_DESIGNS[args.design], args.alpha)
-    plan = plan_effect_pilot(mu0, sigma, design, args.power, _bounds_from(args))
+    plan = plan_effect_pilot(mu0, sigma, design, args.power, bounds)
     # from the plan, whose inputs the library has checked: sigma 0 never divides
     entry = (f"proportions {args.p1:g} vs {args.p2:g} -> arcsine effect size "
              f"{plan.mu0:.4f} (sd 1)" if by_props else

@@ -128,6 +128,15 @@ def _choice(name: str, x, choices: tuple):
     raise ConfigError(f"{name} must be {' or '.join(map(repr, choices))}, got {x!r}")
 
 
+def _threshold(name: str, x, target: float, side: str = "under") -> float:
+    # a power level on its side of the target power, which is checked already
+    x = _probability(name, x)
+    if not (x < target if side == "under" else x > target):
+        where = "below" if side == "under" else "above"
+        raise ConfigError(f"{name} must be {where} the target power {target!r}, got {x!r}")
+    return x
+
+
 class _Record:
     """A frozen record.  Its fields are the annotated names of its class and
     bases, in order, each defaulting to the class value of that name where

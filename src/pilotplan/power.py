@@ -59,7 +59,7 @@ class TestDesign(_Record):
     def __post_init__(self):
         _choice("kind", self.kind, _KINDS)
         if not _probability("alpha", self.alpha) > _MIN_ALPHA:
-            raise ValueError(f"alpha must be in ({_MIN_ALPHA:.4g}, 1), got {self.alpha!r}")
+            raise ConfigError(f"alpha must be in ({_MIN_ALPHA:.4g}, 1), got {self.alpha!r}")
 
     @property
     def groups(self) -> int:

@@ -56,7 +56,8 @@ import math
 import random
 
 from .distributions import (ConfigError, _choice, _count, _nct_abs_isf, _nct_fold,
-                            _probability, _Record, _scale, chisq_cdf, chisq_quantile)
+                            _probability, _Record, _scale, _threshold, chisq_cdf,
+                            chisq_quantile)
 from .distributions import norm_quantile  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 from .power import (
     _MODES,
@@ -112,36 +113,29 @@ class SimulationConfig(_Record):
     sizing_mode: str = T_ITERATIVE
     estimator: str = POOLED_SD     # effect scenario only
 
-    def validate(self) -> TestDesign:
-        """Check every field before any sampling; returns the checked design."""
-        try:
-            _choice("scenario", self.scenario, (VARIANCE, EFFECT))
-            design = self.design()      # checks kind and alpha
-            _count("seed", self.seed, 0)
-            _count("replicates", self.replicates, 1)
-            _probability("power_target", self.power_target)
-            if not _probability("underpower_threshold", self.underpower_threshold) < self.power_target:
-                raise ValueError(
-                    "underpower_threshold must be a power level below power_target, "
-                    f"got {self.underpower_threshold!r} against {self.power_target!r}")
-            _scale("effect", self.effect)
-            _scale("sigma", self.sigma)
-            _choice("sizing_mode", self.sizing_mode, _MODES)
-            if (_choice("pooled_pilot", self.pooled_pilot, (False, True))
-                    and self.scenario == EFFECT):
-                raise ValueError(f"pooled_pilot applies to the '{VARIANCE}' scenario only")
-            if self.scenario == VARIANCE:
-                _count("pilot_n of a variance pilot", self.pilot_n, 2)
-                if self.estimator != POOLED_SD:
-                    raise ValueError(f"estimator applies to the '{EFFECT}' scenario only, "
-                                     f"got {self.estimator!r}")
-            else:
-                _choice("estimator", self.estimator, (POOLED_SD, KNOWN_SIGMA))
-                _count(f"pilot_n with the {self.estimator} estimator", self.pilot_n,
-                       2 if self.estimator == POOLED_SD else 1)
-        except ValueError as exc:   # a bad configuration, found before any sampling
-            raise ConfigError(str(exc)) from None
-        return design
+    def __post_init__(self):
+        # every field, before any sampling
+        _choice("scenario", self.scenario, (VARIANCE, EFFECT))
+        self.design()                   # checks kind and alpha
+        _count("seed", self.seed, 0)
+        _count("replicates", self.replicates, 1)
+        _threshold("underpower_threshold", self.underpower_threshold,
+                   _probability("power_target", self.power_target))
+        _scale("effect", self.effect)
+        _scale("sigma", self.sigma)
+        _choice("sizing_mode", self.sizing_mode, _MODES)
+        if (_choice("pooled_pilot", self.pooled_pilot, (False, True))
+                and self.scenario == EFFECT):
+            raise ConfigError(f"pooled_pilot applies to the '{VARIANCE}' scenario only")
+        if self.scenario == VARIANCE:
+            _count("pilot_n of a variance pilot", self.pilot_n, 2)
+            if self.estimator != POOLED_SD:
+                raise ConfigError(f"estimator applies to the '{EFFECT}' scenario only, "
+                                  f"got {self.estimator!r}")
+        else:
+            _choice("estimator", self.estimator, (POOLED_SD, KNOWN_SIGMA))
+            _count(f"pilot_n with the {self.estimator} estimator", self.pilot_n,
+                   2 if self.estimator == POOLED_SD else 1)
 
     def design(self) -> TestDesign:
         return TestDesign(self.kind, self.alpha)
@@ -342,7 +336,7 @@ def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
     meaningful effect; the replicate is flagged when the design's true power
     (at the true sigma) is below the underpower threshold.
     """
-    design = config.validate()
+    design = config.design()
     if config.scenario != VARIANCE:
         raise ConfigError(f"expected a '{VARIANCE}' scenario, got {config.scenario!r}")
 
@@ -372,7 +366,7 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
     a nonpositive estimate are tallied separately in the report; the headline
     fraction counts the power-based flags.
     """
-    design = config.validate()
+    design = config.design()
     if config.scenario != EFFECT:
         raise ConfigError(f"expected an '{EFFECT}' scenario, got {config.scenario!r}")
     spread = math.sqrt(design.groups / config.pilot_n)
@@ -457,11 +451,8 @@ class TableReport(_Record):
 def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0) -> TableReport:
     """Recompute a reference grid: planned pilot sizes and their simulated
     underpower fractions, cell for cell, in the published layout."""
-    try:
-        table_id = _choice("table_id", table_id, (1, 2))
-        replicates, seed = _count("replicates", replicates, 1), _count("seed", seed, 0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    table_id = _choice("table_id", table_id, (1, 2))
+    replicates, seed = _count("replicates", replicates, 1), _count("seed", seed, 0)
     design = TestDesign(TWO_SAMPLE, 0.05)
     extra: dict = {}
     if table_id == 1:
@@ -480,21 +471,17 @@ def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0) -> Tab
         bounds = PowerBounds(cell["underpower_prob"], 0.6)
         plan = (plan_variance_pilot(EffectSpec(effect, sigma), design, 0.8, bounds)
                 if scenario == VARIANCE else plan_effect_pilot(effect, sigma, design, 0.8, bounds))
+        # per-cell substream: a child seed drawn from (seed, table, cell); the
+        # child is a plain 63-bit int so the cell config remains a
+        # self-contained reproducible record
+        child = random.Random(f"{seed}:{table_id}:{cell_idx}").getrandbits(63)
         cfg = SimulationConfig(scenario=scenario, effect=effect, sigma=sigma,
-                               pilot_n=plan.pilot_n, seed=seed, replicates=replicates)
+                               pilot_n=plan.pilot_n, seed=child, replicates=replicates)
         cell["pilot_n"] = plan.pilot_n
-        cell["empirical_underpower"] = run(_respawn(cfg, table_id, cell_idx)).empirical_underpower
+        cell["empirical_underpower"] = run(cfg).empirical_underpower
     return TableReport(
         cells=cells, extra=extra,
         config={"table_id": table_id, "replicates": replicates, "seed": seed,
                 "sizing_mode": T_ITERATIVE, "alpha": 0.05, "power_target": 0.8,
                 "underpower_threshold": 0.6, "kind": TWO_SAMPLE},
     )
-
-
-def _respawn(cfg: SimulationConfig, table_id: int, cell_idx: int) -> SimulationConfig:
-    # per-cell substream: a child seed drawn from (seed, table, cell); the
-    # child is a plain 63-bit int so the cell config remains a self-contained
-    # reproducible record
-    child = random.Random(f"{cfg.seed}:{table_id}:{cell_idx}").getrandbits(63)
-    return cfg.replace(seed=child)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .distributions import (ConfigError, _choice, _count, _probability, _Record, _scale,
-                            chisq_cdf, norm_quantile)
+                            _threshold, chisq_cdf, norm_quantile)
 from .power import (
     EffectSpec,
     T_ITERATIVE,
@@ -73,14 +73,9 @@ class PowerBounds(_Record):
         return self.overpower_prob is not None
 
     def check_against_target(self, power_target: float) -> None:
-        if self.underpower_threshold >= power_target:
-            raise ValueError(
-                f"underpower threshold ({self.underpower_threshold}) must lie below "
-                f"the target power ({power_target})")
-        if self.has_overpower and self.overpower_threshold <= power_target:
-            raise ValueError(
-                f"overpower threshold ({self.overpower_threshold}) must lie above "
-                f"the target power ({power_target})")
+        _threshold("underpower_threshold", self.underpower_threshold, power_target)
+        if self.has_overpower:
+            _threshold("overpower_threshold", self.overpower_threshold, power_target, "over")
 
 
 def _pilot_df(pilot_n: int, pooled: bool) -> int:

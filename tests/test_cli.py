@@ -55,14 +55,33 @@ def test_huge_effect_is_computational_error(capsys, argv, inputs):
     assert err.startswith("error: ") and inputs in err and "ncp" not in err
 
 
-def test_alpha_without_critical_value_is_computational_error(capsys):
+def test_alpha_without_critical_value_is_usage_error(capsys):
     # 1 - alpha / 2 rounds to 1.0 there: an error line that names alpha
     code, out, err = run_cli(capsys, "plan-variance", "--sigma", "4", "--delta", "1",
                              "--alpha", "1e-300", "--underpower-prob", ".2",
                              "--underpower-threshold", ".6")
-    assert code == 1
+    assert code == 2
     assert out == ""
     assert err.startswith("error: alpha must be in") and "1e-300" in err
+
+
+_COMMANDS = (
+    ("plan-variance", "--sigma", "4", "--delta", "1", "--underpower-prob", ".2"),
+    ("plan-effect", "--mu0", "1", "--sigma", "4", "--underpower-prob", ".2"),
+    ("simulate", "--scenario", "variance", "--effect", "1", "--sigma", "4",
+     "--pilot-n", "12", "--seed", "7"),
+)
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--alpha", "1e-300", "--underpower-threshold", ".6"),
+     "error: alpha must be in (1.11e-16, 1), got 1e-300\n"),
+    (("--power", ".8", "--underpower-threshold", ".9"),
+     "error: underpower_threshold must be below the target power 0.8, got 0.9\n"),
+], ids=["alpha-floor", "threshold-above-target"])
+def test_rule_reads_alike_in_every_subcommand(capsys, flags, message):
+    for command in _COMMANDS:
+        assert run_cli(capsys, *command, *flags) == (2, "", message)
 
 
 def test_large_effect_is_planned_quickly(capsys):
@@ -111,8 +130,15 @@ _PLAN_TAIL = ("--underpower-prob", ".3", "--underpower-threshold", ".6")
      "error: overpower_prob and overpower_threshold must be given together"),
     (("plan-effect", "--mu0", "2", "--sigma", "4", "--overpower-threshold", ".9", *_PLAN_TAIL),
      "error: overpower_prob and overpower_threshold must be given together"),
+    # a flag that breaks a rule beats one that would fail the computation
+    # (equal proportions), whichever the CLI reads first
+    (("plan-effect", "--p1", "1e-6", "--p2", "1e-6", "--underpower-prob", "2",
+      "--underpower-threshold", ".6"), "error: underpower_prob must be in (0, 1), got 2.0"),
+    (("plan-variance", "--sigma", "nan", "--delta", "1", "--alpha", "1e-300", *_PLAN_TAIL),
+     "error: alpha must be in (1.11e-16, 1), got 1e-300"),
 ], ids=["mu0-alone", "p1-alone", "negative-proportion", "zero-alpha", "sigma-not-a-number",
-        "overpower-prob-alone", "overpower-threshold-alone"])
+        "overpower-prob-alone", "overpower-threshold-alone", "rule-before-equal-proportions",
+        "alpha-floor-with-nan-sigma"])
 def test_flag_misuse_is_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -168,12 +194,12 @@ class TestPlanVariance:
         code, _, err = run_cli(capsys, "plan-variance", "--sigma", "4")
         assert code == 2
 
-    def test_threshold_above_target_is_computational_error(self, capsys):
+    def test_threshold_above_target_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "plan-variance", "--sigma", "4", "--delta", "1",
             "--power", ".8", "--underpower-prob", ".2",
             "--underpower-threshold", ".9")
-        assert code == 1
+        assert code == 2
         assert "below" in err
 
     def test_json_output_echoes_config(self, capsys):

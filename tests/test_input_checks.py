@@ -50,7 +50,7 @@ CHECKS = {
     "design-alpha-zero": (lambda: TestDesign(alpha=0.0), ConfigError,
                           r"alpha must be in \(0, 1\), got 0\.0"),
     # below the floor alpha is a probability, but 1 - alpha / 2 rounds to 1
-    "design-alpha-floor": (lambda: TestDesign(alpha=1e-300), ValueError,
+    "design-alpha-floor": (lambda: TestDesign(alpha=1e-300), ConfigError,
                            r"alpha must be in \(1\.11e-16, 1\), got 1e-300"),
     "arcsine-p2-above-p1": (
         lambda: arcsine_effect(0.4, 0.5), ConfigError,
@@ -71,8 +71,11 @@ CHECKS = {
         r"underpower_prob must be in \(0, 1\), got 30\.0; give a decimal, not a percentage "
         r"\(e\.g\. 0\.3\)"),
     "bounds-overpower-below-target": (
-        lambda: PowerBounds(0.2, 0.6, 0.2, 0.7).check_against_target(0.8), ValueError,
-        r"overpower threshold \(0\.7\) must lie above the target power \(0\.8\)"),
+        lambda: PowerBounds(0.2, 0.6, 0.2, 0.7).check_against_target(0.8), ConfigError,
+        r"overpower_threshold must be above the target power 0\.8, got 0\.7"),
+    "bounds-underpower-above-target": (
+        lambda: PowerBounds(0.2, 0.8).check_against_target(0.8), ConfigError,
+        r"underpower_threshold must be below the target power 0\.8, got 0\.8"),
     "plan-variance-mode": (
         lambda: plan_variance_pilot(EffectSpec(1, 4), TWO, 0.8, BOUNDS, mode="bogus"),
         ConfigError, r"mode must be 'exact' or 'approx', got 'bogus'"),
@@ -113,13 +116,16 @@ CHECKS = {
                           ConfigError, r"mode must be 'z-approx' or 't-iterative', got 'bogus'"),
     "mu-for-n-sigma": (lambda: mu_for_n(10, 0.0, TWO, 0.8), ConfigError,
                        r"sigma must be finite and > 0, got 0\.0"),
-    "config-power-target": (lambda: _effect_config(power_target=1.0).validate(),
+    "config-power-target": (lambda: _effect_config(power_target=1.0),
                             ConfigError, r"power_target must be in \(0, 1\), got 1\.0"),
-    "config-effect": (lambda: _effect_config(effect=0.0).validate(),
+    "config-threshold-above-target": (
+        lambda: _effect_config(power_target=0.7, underpower_threshold=0.75), ConfigError,
+        r"underpower_threshold must be below the target power 0\.7, got 0\.75"),
+    "config-effect": (lambda: _effect_config(effect=0.0),
                       ConfigError, r"effect must be finite and > 0, got 0\.0"),
-    "config-sizing-mode": (lambda: _effect_config(sizing_mode="x").validate(),
+    "config-sizing-mode": (lambda: _effect_config(sizing_mode="x"),
                            ConfigError, "sizing_mode must be 'z-approx' or 't-iterative'"),
-    "config-estimator": (lambda: _effect_config(estimator="x").validate(),
+    "config-estimator": (lambda: _effect_config(estimator="x"),
                          ConfigError, "estimator must be 'pooled-sd' or 'known-sigma'"),
     "simulate-pooled-sd-noncentrality": (
         lambda: simulate_effect_pipeline(_effect_config(effect=1000.0, pilot_n=2)), ValueError,
@@ -170,7 +176,7 @@ CHECKS = {
     "plan-variance-pooled-pilot-str": (
         lambda: plan_variance_pilot(EffectSpec(1, 4), TWO, 0.8, BOUNDS, pooled_pilot="no"),
         ConfigError, "pooled_pilot must be False or True, got 'no'"),
-    "config-pooled-pilot-str": (lambda: _variance_config(pooled_pilot="yes").validate(),
+    "config-pooled-pilot-str": (lambda: _variance_config(pooled_pilot="yes"),
                                 ConfigError, "pooled_pilot must be False or True, got 'yes'"),
     "pilot-approx-pooled-int": (lambda: pilot_n_approx(0.5, 0.2, pooled=1), ConfigError,
                                 "pooled must be False or True, got 1"),

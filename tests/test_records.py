@@ -91,6 +91,18 @@ def test_replace_runs_the_checks_again():
         TestDesign().replace(beta=0.2)
 
 
+def test_simulation_config_checks_when_built():
+    # as the other input records do: no config with a bad field exists
+    fields = dict(vars(_CONFIG))
+    for change, message in (({"replicates": 0}, "replicates must be an integer >= 1, got 0"),
+                            ({"underpower_threshold": 0.9},
+                             "underpower_threshold must be below the target power 0.8, got 0.9")):
+        with pytest.raises(ConfigError, match=message):
+            SimulationConfig(**{**fields, **change})
+        with pytest.raises(ConfigError, match=message):
+            _CONFIG.replace(**change)
+
+
 def test_reprs_are_the_dataclass_reprs():
     # frozen from the dataclasses these records replace
     assert repr(TestDesign()) == "TestDesign(kind='two-sample', alpha=0.05)"

@@ -68,39 +68,39 @@ def effect_cfg(**kw):
 class TestConfigValidation:
     def test_bad_scenario(self):
         with pytest.raises(ConfigError):
-            variance_cfg(scenario="bootstrap").validate()
+            variance_cfg(scenario="bootstrap")
 
     def test_bad_replicates(self):
         with pytest.raises(ConfigError):
-            variance_cfg(replicates=0).validate()
+            variance_cfg(replicates=0)
 
     def test_variance_needs_two(self):
         with pytest.raises(ConfigError):
-            variance_cfg(pilot_n=1).validate()
+            variance_cfg(pilot_n=1)
 
     def test_effect_pooled_sd_needs_two(self):
         with pytest.raises(ConfigError):
-            effect_cfg(pilot_n=1).validate()
-        effect_cfg(pilot_n=1, estimator=KNOWN_SIGMA).validate()
+            effect_cfg(pilot_n=1)
+        effect_cfg(pilot_n=1, estimator=KNOWN_SIGMA)
 
     def test_other_scenario_options_rejected(self):
         # each scenario rejects the other's option unless it is the default,
         # which a config cannot tell from an explicit value
         with pytest.raises(ConfigError, match="pooled_pilot"):
-            effect_cfg(pooled_pilot=True).validate()
+            effect_cfg(pooled_pilot=True)
         with pytest.raises(ConfigError, match="estimator"):
-            variance_cfg(estimator=KNOWN_SIGMA).validate()
-        effect_cfg(pooled_pilot=False).validate()
-        variance_cfg(estimator="pooled-sd").validate()
+            variance_cfg(estimator=KNOWN_SIGMA)
+        effect_cfg(pooled_pilot=False)
+        variance_cfg(estimator="pooled-sd")
 
     def test_alpha_without_critical_value_rejected(self):
         # the design's own bound, reported before any sampling
         with pytest.raises(ConfigError, match="alpha must be in .* got 1e-300"):
-            effect_cfg(alpha=1e-300).validate()
+            effect_cfg(alpha=1e-300)
 
     def test_threshold_must_be_below_target(self):
         with pytest.raises(ConfigError):
-            variance_cfg(underpower_threshold=0.8).validate()
+            variance_cfg(underpower_threshold=0.8)
 
     def test_scenario_mismatch_rejected(self):
         with pytest.raises(ConfigError):
@@ -108,28 +108,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="expected an 'effect' scenario, got 'variance'"):
             simulate_effect_pipeline(variance_cfg())
 
-    @pytest.mark.parametrize("sim,cfg", [
-        (simulate_effect_pipeline, effect_cfg(sigma=-1.0)),
+    @pytest.mark.parametrize("build,kw", [
+        (effect_cfg, dict(sigma=-1.0)),
         # counts and seeds that are not integers would run as other integers
         # than the ones echoed, and random.seed takes -3 as 3
-        (simulate_variance_pipeline, variance_cfg(replicates=2.5)),
-        (simulate_variance_pipeline, variance_cfg(pilot_n=12.7)),
-        (simulate_effect_pipeline, effect_cfg(pilot_n=12.7)),
-        (simulate_effect_pipeline, effect_cfg(replicates=2.5, estimator=KNOWN_SIGMA)),
-        (simulate_variance_pipeline, variance_cfg(seed=1.5)),
-        (simulate_variance_pipeline, variance_cfg(seed=True)),
-        (simulate_variance_pipeline, variance_cfg(seed=-3)),
-        (simulate_effect_pipeline, effect_cfg(seed=-3)),
-        (simulate_effect_pipeline, effect_cfg(seed=1.5, estimator=KNOWN_SIGMA)),
+        (variance_cfg, dict(replicates=2.5)),
+        (variance_cfg, dict(pilot_n=12.7)),
+        (effect_cfg, dict(pilot_n=12.7)),
+        (effect_cfg, dict(replicates=2.5, estimator=KNOWN_SIGMA)),
+        (variance_cfg, dict(seed=1.5)),
+        (variance_cfg, dict(seed=True)),
+        (variance_cfg, dict(seed=-3)),
+        (effect_cfg, dict(seed=-3)),
+        (effect_cfg, dict(seed=1.5, estimator=KNOWN_SIGMA)),
     ])
-    def test_fails_before_sampling(self, monkeypatch, sim, cfg):
+    def test_fails_before_sampling(self, monkeypatch, build, kw):
         # validation errors must not depend on the RNG being usable
         def no_draws(*args):
             raise AssertionError("drew before validating")
 
         monkeypatch.setattr(simulation, "_OrderStats", no_draws)
         with pytest.raises(ConfigError):
-            sim(cfg)
+            build(**kw)
 
     def test_table_seed_must_be_a_count(self):
         for seed in (-3, 1.5, True):
@@ -698,7 +698,7 @@ class TestBinomial:
 
 
 class TestRobustness:
-    """Any pooled-SD configuration that validates returns a well-formed
+    """Any pooled-SD configuration that can be built returns a well-formed
     report, or raises ConvergenceError or a ValueError with a message, within
     a second: nothing silently best-effort and no unbounded cost.  Past a
     noncentrality of 1e3 a run refuses at once."""
@@ -710,10 +710,9 @@ class TestRobustness:
            kind=st.sampled_from([ONE_SAMPLE, TWO_SAMPLE]), seed=st.integers(0, 2 ** 32))
     @settings(max_examples=40, deadline=None)
     def test_pooled_sd_runs_answer_or_refuse_quickly(self, effect, sigma, pilot_n, kind, seed):
-        cfg = effect_cfg(effect=effect, sigma=sigma, pilot_n=pilot_n, kind=kind, seed=seed,
-                         replicates=1000)
         try:
-            cfg.validate()
+            cfg = effect_cfg(effect=effect, sigma=sigma, pilot_n=pilot_n, kind=kind, seed=seed,
+                             replicates=1000)
         except ConfigError:
             assume(False)
         start = time.perf_counter()
