@@ -9,8 +9,10 @@ tables          recompute a full reference grid (sizes + simulated underpower)
 
 The parser only reads each number as a float or an integer; the library's
 rules check it, and a value that breaks one raises ``ConfigError``, a usage
-error.  Exit codes: 0 success, 1 computational failure (including
-unsatisfiable plans), 2 usage error.  Probabilities are decimals (0.2, not
+error.  Each subcommand's handler returns its record and its text, or
+raises; ``main`` alone prints them, in the chosen format, and maps errors to
+exit codes: 0 success, 1 computational failure (including unsatisfiable
+plans), 2 usage error.  Probabilities are decimals (0.2, not
 20); the error for one in (1, 100] names the decimal it likely meant.
 """
 
@@ -20,7 +22,7 @@ import argparse
 import json
 import sys
 
-from .distributions import ConfigError, ConvergenceError
+from .distributions import ConfigError, ConvergenceError, _probability
 from .power import (
     EffectSpec,
     ONE_SAMPLE,
@@ -134,14 +136,14 @@ def _bounds_from(args: argparse.Namespace) -> PowerBounds:
 
 
 def emit(record, fmt: str) -> None:
-    """Print a result as JSON or CSV.
+    """Write a result to stdout as JSON or CSV; ``main`` writes the text.
 
     JSON is the ``{"config": ..., "results": ...}`` record with sorted keys;
     CSV is a header and the result's ``csv_rows()``, columns in row order.
     """
     if fmt == "json":
-        print(json.dumps({"config": record.config, "results": record.results},
-                         indent=2, sort_keys=True))
+        sys.stdout.write(json.dumps({"config": record.config, "results": record.results},
+                                    indent=2, sort_keys=True) + "\n")
         return
     import csv      # only here: a cold process with another format never loads it
 
@@ -155,13 +157,10 @@ def _pct(x: float) -> str:
     return f"{100.0 * x:g}%"
 
 
-def _print_plan(plan, fmt: str, driver: str, entry: str, noun: str, param: str,
-                per_group: str = "", mode: str = "", under_note: str = "") -> int:
-    """Print a plan of either kind; the two kinds' texts differ only in the
+def _plan_text(plan, driver: str, entry: str, noun: str, param: str,
+               per_group: str = "", mode: str = "", under_note: str = "") -> str:
+    """A plan of either kind as text; the two kinds' texts differ only in the
     strings passed here.  ``param`` names the record's threshold fields."""
-    if fmt != "table":
-        emit(plan, fmt)
-        return 0
     lines = [
         f"{driver}-driven pilot plan ({plan.kind}, alpha={plan.alpha:g}, "
         f"target power {_pct(plan.power_target)})",
@@ -182,35 +181,31 @@ def _print_plan(plan, fmt: str, driver: str, entry: str, noun: str, param: str,
             f"{getattr(plan, f'pilot_n_{side}')}",
         ]
     lines.append(f"  pilot sample size{per_group}: {plan.pilot_n}")
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_plan_variance(args: argparse.Namespace) -> int:
+def _cmd_plan_variance(args: argparse.Namespace) -> tuple:
     design = TestDesign(_DESIGNS[args.design], args.alpha)
     plan = plan_variance_pilot(EffectSpec(args.delta, args.sigma), design,
                                args.power, _bounds_from(args),
                                mode=args.mode, pooled_pilot=args.pooled_pilot)
-    return _print_plan(plan, args.format, "variance",
-                       f"effect {plan.delta:g}, prior sd {plan.sigma:g}", "sd", "sigma",
-                       mode=f" ({plan.mode})")
+    return plan, _plan_text(plan, "variance", f"effect {plan.delta:g}, prior sd {plan.sigma:g}",
+                            "sd", "sigma", mode=f" ({plan.mode})")
 
 
-def _cmd_plan_effect(args: argparse.Namespace) -> int:
+def _cmd_plan_effect(args: argparse.Namespace) -> tuple:
     given = [v is not None for v in (args.mu0, args.sigma, args.p1, args.p2)]
     if given not in ([True, True, False, False], [False, False, True, True]):
-        print("error: give either --mu0 with --sigma, or --p1 with --p2", file=sys.stderr)
-        return 2
-    # built first, so that a flag breaking a rule is a usage error even where
-    # the entry form would fail the computation
+        raise ConfigError("give either --mu0 with --sigma, or --p1 with --p2")
+    # checked first, as the planner checks them, so that a flag breaking a
+    # rule is a usage error even where the entry form would fail the computation
     design, bounds = TestDesign(_DESIGNS[args.design], args.alpha), _bounds_from(args)
+    bounds.check_against_target(_probability("power_target", args.power))
     by_props = args.p1 is not None
     if by_props:
         spec = arcsine_effect(args.p1, args.p2)
         if args.p1 == args.p2:
-            print("error: --p1 and --p2 are equal, and equal proportions give a zero "
-                  "effect", file=sys.stderr)
-            return 1
+            raise ValueError("--p1 and --p2 are equal, and equal proportions give a zero effect")
         mu0, sigma = spec.effect, spec.sigma
     else:
         mu0, sigma = args.mu0, args.sigma
@@ -220,11 +215,11 @@ def _cmd_plan_effect(args: argparse.Namespace) -> int:
              f"{plan.mu0:.4f} (sd 1)" if by_props else
              f"effect {plan.mu0:g}, known sd {plan.sigma:g} "
              f"(effect size {plan.mu0 / plan.sigma:g})")
-    return _print_plan(plan, args.format, "effect", entry, "effect", "mu", " per group",
-                       under_note=f" (effect size {plan.mu_under / plan.sigma:.4g})")
+    return plan, _plan_text(plan, "effect", entry, "effect", "mu", " per group",
+                            under_note=f" (effect size {plan.mu_under / plan.sigma:.4g})")
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple:
     cfg = SimulationConfig(
         scenario=args.scenario, effect=args.effect, sigma=args.sigma,
         pilot_n=args.pilot_n, seed=args.seed, replicates=args.reps,
@@ -235,9 +230,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     run = (simulate_variance_pipeline if args.scenario == "variance"
            else simulate_effect_pipeline)
     rep = run(cfg)
-    if args.format != "table":
-        emit(rep, args.format)
-        return 0
     lines = [
         f"simulated {rep.scenario} pipeline: {rep.replicates} replicates, "
         f"seed {rep.seed}",
@@ -248,17 +240,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ]
     if rep.scenario == "effect":
         lines.append(f"  nonpositive effect estimates: {rep.nonpositive_effects}")
-    print("\n".join(lines))
-    return 0
+    return rep, "\n".join(lines) + "\n"
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
+def _cmd_tables(args: argparse.Namespace) -> tuple:
     report = reproduce_table(args.id, replicates=args.reps, seed=args.seed)
-    if args.format == "table":
-        print(report.format_text(), end="")
-    else:
-        emit(report, args.format)
-    return 0
+    return report, report.format_text()
 
 
 _HANDLERS = {
@@ -273,13 +260,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        record, text = _HANDLERS[args.command](args)
     except ConfigError as exc:  # a flag breaks a rule, found before any computation
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.format == "table":
+        print(text, end="")
+    else:
+        emit(record, args.format)
+    return 0
 
 
 if __name__ == "__main__":

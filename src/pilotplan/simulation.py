@@ -71,7 +71,7 @@ from .power import (
     effect_for_n,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
     main_sample_size,
 )
-from .variance import PowerBounds, _pilot_df, plan_variance_pilot
+from .variance import PowerBounds, _Output, _pilot_df, plan_variance_pilot
 from .effect import plan_effect_pilot
 
 __all__ = [
@@ -141,7 +141,7 @@ class SimulationConfig(_Record):
         return TestDesign(self.kind, self.alpha)
 
 
-class SimulationReport(_Record):
+class SimulationReport(_Output):
     """Outcome of a simulated pipeline run; its inputs are in ``config``."""
 
     empirical_underpower: float
@@ -153,13 +153,6 @@ class SimulationReport(_Record):
     scenario = property(lambda self: self.config["scenario"])
     replicates = property(lambda self: self.config["replicates"])
     seed = property(lambda self: self.config["seed"])
-
-    @property
-    def results(self) -> dict:
-        return {"empirical_underpower": self.empirical_underpower,
-                "mc_standard_error": self.mc_standard_error,
-                "nonpositive_effects": self.nonpositive_effects,
-                "main_n_quantiles": self.main_n_quantiles}
 
     def csv_rows(self) -> list[dict]:
         """One row: the config, the scalar results, then main_n_q5..q95."""
@@ -404,7 +397,7 @@ TABLE2_UNDERPOWER_PROBS = (0.2, 0.25, 0.3, 0.35, 0.4)
 TABLE2_EFFECTS = (0.2, 0.5, 0.8)
 
 
-class TableReport(_Record):
+class TableReport(_Output):
     """Computed pilot sizes plus simulated underpower fractions for the
     reference grids (sizes on the left, probabilities on the right)."""
 
@@ -415,10 +408,6 @@ class TableReport(_Record):
     table_id = property(lambda self: self.config["table_id"])
     replicates = property(lambda self: self.config["replicates"])
     seed = property(lambda self: self.config["seed"])
-
-    @property
-    def results(self) -> dict:
-        return {"cells": self.cells, "extra": self.extra}
 
     def csv_rows(self) -> list[dict]:
         """One row per cell: the config, then the cell."""
@@ -453,7 +442,11 @@ def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0) -> Tab
     underpower fractions, cell for cell, in the published layout."""
     table_id = _choice("table_id", table_id, (1, 2))
     replicates, seed = _count("replicates", replicates, 1), _count("seed", seed, 0)
-    design = TestDesign(TWO_SAMPLE, 0.05)
+    # the published grids' main study, shared by every cell's plan and
+    # simulation, in the report config's column order
+    grid = {"sizing_mode": T_ITERATIVE, "alpha": 0.05, "power_target": 0.8,
+            "underpower_threshold": 0.6, "kind": TWO_SAMPLE}
+    design, target = TestDesign(grid["kind"], grid["alpha"]), grid["power_target"]
     extra: dict = {}
     if table_id == 1:
         scenario, key, run = VARIANCE, "delta", simulate_variance_pipeline
@@ -464,24 +457,21 @@ def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0) -> Tab
         scenario, key, run = EFFECT, "effect", simulate_effect_pipeline
         cells = [{"underpower_prob": p, "effect": eff}
                  for p in TABLE2_UNDERPOWER_PROBS for eff in TABLE2_EFFECTS]
-        extra["main_study_n"] = {str(eff): main_sample_size(EffectSpec(eff), design, 0.8)
+        extra["main_study_n"] = {str(eff): main_sample_size(EffectSpec(eff), design, target)
                                  for eff in TABLE2_EFFECTS}
     for cell_idx, cell in enumerate(cells):
         effect, sigma = cell[key], cell.get("sigma", 1.0)
-        bounds = PowerBounds(cell["underpower_prob"], 0.6)
-        plan = (plan_variance_pilot(EffectSpec(effect, sigma), design, 0.8, bounds)
-                if scenario == VARIANCE else plan_effect_pilot(effect, sigma, design, 0.8, bounds))
+        bounds = PowerBounds(cell["underpower_prob"], grid["underpower_threshold"])
+        plan = (plan_variance_pilot(EffectSpec(effect, sigma), design, target, bounds)
+                if scenario == VARIANCE
+                else plan_effect_pilot(effect, sigma, design, target, bounds))
         # per-cell substream: a child seed drawn from (seed, table, cell); the
         # child is a plain 63-bit int so the cell config remains a
         # self-contained reproducible record
         child = random.Random(f"{seed}:{table_id}:{cell_idx}").getrandbits(63)
         cfg = SimulationConfig(scenario=scenario, effect=effect, sigma=sigma,
-                               pilot_n=plan.pilot_n, seed=child, replicates=replicates)
+                               pilot_n=plan.pilot_n, seed=child, replicates=replicates, **grid)
         cell["pilot_n"] = plan.pilot_n
         cell["empirical_underpower"] = run(cfg).empirical_underpower
-    return TableReport(
-        cells=cells, extra=extra,
-        config={"table_id": table_id, "replicates": replicates, "seed": seed,
-                "sizing_mode": T_ITERATIVE, "alpha": 0.05, "power_target": 0.8,
-                "underpower_threshold": 0.6, "kind": TWO_SAMPLE},
-    )
+    return TableReport(cells=cells, extra=extra, config={
+        "table_id": table_id, "replicates": replicates, "seed": seed, **grid})

@@ -145,20 +145,26 @@ def pilot_n_approx(sigma_ratio_sq: float, p: float, pooled: bool = False) -> int
     return max(2, math.ceil(raw - 1e-9))
 
 
-class _PlanRecord(_Record):
-    """A plan as a two-part record: ``config`` holds the inputs named in
-    ``_CONFIG_KEYS`` and ``results`` every other field.  ``csv_rows`` is the
-    plan as one flat row in field order."""
+class _Output(_Record):
+    """A record the CLI prints, in two parts: ``config``, its inputs, and
+    ``results``, every field not named in ``_CONFIG_KEYS``.  A report keeps
+    its inputs in one ``config`` field."""
 
-    _CONFIG_KEYS = ()
-
-    @property
-    def config(self) -> dict:
-        return {k: vars(self)[k] for k in self._CONFIG_KEYS}
+    _CONFIG_KEYS = ("config",)
 
     @property
     def results(self) -> dict:
         return {k: v for k, v in vars(self).items() if k not in self._CONFIG_KEYS}
+
+
+class _PlanRecord(_Output):
+    """A plan, whose ``config`` is its input fields, named in
+    ``_CONFIG_KEYS``.  ``csv_rows`` is the plan as one flat row in field
+    order."""
+
+    @property
+    def config(self) -> dict:
+        return {k: vars(self)[k] for k in self._CONFIG_KEYS}
 
     def csv_rows(self) -> list[dict]:
         return [dict(vars(self))]

@@ -8,7 +8,9 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pilotplan.cli import main
+from pilotplan.cli import _HANDLERS, _build_parser, emit, main
+from pilotplan.simulation import SimulationReport, TableReport
+from pilotplan.variance import _PlanRecord
 
 
 def run_cli(capsys, *argv):
@@ -78,7 +80,10 @@ _COMMANDS = (
      "error: alpha must be in (1.11e-16, 1), got 1e-300\n"),
     (("--power", ".8", "--underpower-threshold", ".9"),
      "error: underpower_threshold must be below the target power 0.8, got 0.9\n"),
-], ids=["alpha-floor", "threshold-above-target"])
+    (("--power", "2", "--underpower-threshold", ".6"),
+     "error: power_target must be in (0, 1), got 2.0; give a decimal, not a percentage "
+     "(e.g. 0.02)\n"),
+], ids=["alpha-floor", "threshold-above-target", "power-out-of-range"])
 def test_rule_reads_alike_in_every_subcommand(capsys, flags, message):
     for command in _COMMANDS:
         assert run_cli(capsys, *command, *flags) == (2, "", message)
@@ -136,14 +141,39 @@ _PLAN_TAIL = ("--underpower-prob", ".3", "--underpower-threshold", ".6")
       "--underpower-threshold", ".6"), "error: underpower_prob must be in (0, 1), got 2.0"),
     (("plan-variance", "--sigma", "nan", "--delta", "1", "--alpha", "1e-300", *_PLAN_TAIL),
      "error: alpha must be in (1.11e-16, 1), got 1e-300"),
+    # the target power too, which no record the CLI builds holds
+    (("plan-effect", "--p1", ".5", "--p2", ".5", "--power", "2", *_PLAN_TAIL),
+     "error: power_target must be in (0, 1), got 2.0"),
+    (("plan-effect", "--p1", ".5", "--p2", ".5", "--power", ".5", *_PLAN_TAIL),
+     "error: underpower_threshold must be below the target power 0.5, got 0.6"),
 ], ids=["mu0-alone", "p1-alone", "negative-proportion", "zero-alpha", "sigma-not-a-number",
         "overpower-prob-alone", "overpower-threshold-alone", "rule-before-equal-proportions",
-        "alpha-floor-with-nan-sigma"])
+        "alpha-floor-with-nan-sigma", "power-before-equal-proportions",
+        "threshold-above-power-before-equal-proportions"])
 def test_flag_misuse_is_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (("plan-variance", "--sigma", "4", "--delta", "1", *_PLAN_TAIL), _PlanRecord),
+    (("plan-effect", "--p1", ".5", "--p2", ".4", *_PLAN_TAIL), _PlanRecord),
+    (("simulate", "--scenario", "effect", "--effect", ".5", "--pilot-n", "32",
+      "--reps", "100", "--seed", "7"), SimulationReport),
+    (("tables", "--id", "2", "--reps", "20", "--seed", "3"), TableReport),
+])
+def test_handler_returns_record_and_text(capsys, argv, kind):
+    # main alone prints: a handler returns the record and its text, and
+    # main writes the text, or the record in another format
+    record, text = _HANDLERS[argv[0]](_build_parser().parse_args(argv))
+    assert capsys.readouterr() == ("", "")
+    assert isinstance(record, kind) and text.endswith("\n")
+    assert run_cli(capsys, *argv) == (0, text, "")
+    emit(record, "json")
+    as_json = capsys.readouterr().out
+    assert run_cli(capsys, *argv, "--format", "json") == (0, as_json, "")
 
 
 class TestPlanVariance:

@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+import pilotplan.simulation as simulation
 from pilotplan import (ConfigError, EffectPilotPlan, EffectSpec, PowerBounds,
                        SimulationConfig, SimulationReport, TableReport, TestDesign,
                        VariancePilotPlan, plan_effect_pilot, plan_variance_pilot,
@@ -74,6 +75,13 @@ def test_record(record, change):
     else:
         assert hash(record) == hash(cls(**fields)) and len({record, cls(**fields)}) == 1
 
+    # an output record's results are exactly its fields outside its config:
+    # a plan's config is its input fields, a report's its one config field
+    if hasattr(cls, "results"):
+        inputs = set(record.config) & set(names) or {"config"}
+        assert all(fields[k] == record.config[k] for k in inputs - {"config"})
+        assert record.results == {k: v for k, v in fields.items() if k not in inputs}
+
     # a pickle round trip, on every protocol
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(record, protocol))
@@ -110,3 +118,30 @@ def test_reprs_are_the_dataclass_reprs():
     assert repr(PowerBounds(0.2, 0.6)) == (
         "PowerBounds(underpower_prob=0.2, underpower_threshold=0.6, overpower_prob=None, "
         "overpower_threshold=None)")
+
+
+@pytest.mark.parametrize("table_id", [1, 2])
+def test_table_config_holds_every_cells_grid(monkeypatch, table_id):
+    # each cell's plan and simulation run the main study the report's config
+    # names, whatever the defaults of the planners and of SimulationConfig
+    plans, configs = [], []
+    for name in ("plan_variance_pilot", "plan_effect_pilot"):
+        def plan(*args, _run=getattr(simulation, name)):
+            plans.append(args[-3:])
+            return _run(*args)
+        monkeypatch.setattr(simulation, name, plan)
+    for name in ("simulate_variance_pipeline", "simulate_effect_pipeline"):
+        def run(config, _run=getattr(simulation, name)):
+            configs.append(config)
+            return _run(config)
+        monkeypatch.setattr(simulation, name, run)
+    report = reproduce_table(table_id, replicates=5, seed=1)
+    grid = {k: v for k, v in report.config.items() if k not in ("table_id", "seed")}
+    assert set(grid) == {"replicates", "sizing_mode", "alpha", "power_target",
+                         "underpower_threshold", "kind"}
+    assert len(configs) == len(plans) == len(report.cells)
+    for config in configs:
+        assert {k: vars(config)[k] for k in grid} == grid
+    for design, target, bounds in plans:
+        assert (design.kind, design.alpha, target, bounds.underpower_threshold) == (
+            grid["kind"], grid["alpha"], grid["power_target"], grid["underpower_threshold"])
