@@ -15,14 +15,20 @@ Quick use::
 The same workflows are available on the command line via ``pilotplan``.
 """
 
-from . import distributions, effect, power, simulation, variance
-from .distributions import *  # noqa: F401,F403
-from .power import *  # noqa: F401,F403
-from .variance import *  # noqa: F401,F403
-from .effect import *  # noqa: F401,F403
-from .simulation import *  # noqa: F401,F403
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [*distributions.__all__, *power.__all__, *variance.__all__,
-           *effect.__all__, *simulation.__all__, "__version__"]
+# the modules whose names the package exports, each imported on first lookup (PEP 562)
+_MODULES = ("distributions", "power", "variance", "effect", "simulation", "tables")
+
+
+def __getattr__(name):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        return [n for m in _MODULES for n in __getattr__(m).__all__] + ["__version__"]
+    for module in map(__getattr__, _MODULES):
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

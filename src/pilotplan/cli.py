@@ -12,18 +12,21 @@ rules check it, and a value that breaks one raises ``ConfigError``, a usage
 error.  Each subcommand's handler returns its record and its text, or
 raises; ``main`` alone prints them, in the chosen format, and maps errors to
 exit codes: 0 success, 1 computational failure (including unsatisfiable
-plans), 2 usage error.  Probabilities are decimals (0.2, not
-20); the error for one in (1, 100] names the decimal it likely meant.
+plans), 2 usage error.  Probabilities are decimals (0.2, not 20); the error
+for one in (1, 100] names the decimal it likely meant.  Each command imports
+what only it runs (planners, tables, json, csv), so a cold ``simulate``
+loads only ``distributions``, ``power`` and ``simulation``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .distributions import ConfigError, ConvergenceError, _probability
 from .power import (
+    APPROX,
+    EXACT,
     EffectSpec,
     ONE_SAMPLE,
     TWO_SAMPLE,
@@ -32,11 +35,8 @@ from .power import (
     TestDesign,
     arcsine_effect,
 )
-from .variance import APPROX, EXACT, PowerBounds, plan_variance_pilot
-from .effect import plan_effect_pilot
 from .simulation import (
     SimulationConfig,
-    reproduce_table,
     simulate_effect_pipeline,
     simulate_variance_pipeline,
 )
@@ -130,7 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bounds_from(args: argparse.Namespace) -> PowerBounds:
+def _bounds_from(args: argparse.Namespace):
+    from .variance import PowerBounds
     return PowerBounds(args.underpower_prob, args.underpower_threshold,
                        args.overpower_prob, args.overpower_threshold)
 
@@ -142,6 +143,7 @@ def emit(record, fmt: str) -> None:
     CSV is a header and the result's ``csv_rows()``, columns in row order.
     """
     if fmt == "json":
+        import json
         sys.stdout.write(json.dumps({"config": record.config, "results": record.results},
                                     indent=2, sort_keys=True) + "\n")
         return
@@ -185,6 +187,7 @@ def _plan_text(plan, driver: str, entry: str, noun: str, param: str,
 
 
 def _cmd_plan_variance(args: argparse.Namespace) -> tuple:
+    from .variance import plan_variance_pilot
     design = TestDesign(_DESIGNS[args.design], args.alpha)
     plan = plan_variance_pilot(EffectSpec(args.delta, args.sigma), design,
                                args.power, _bounds_from(args),
@@ -194,6 +197,7 @@ def _cmd_plan_variance(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_plan_effect(args: argparse.Namespace) -> tuple:
+    from .effect import plan_effect_pilot
     given = [v is not None for v in (args.mu0, args.sigma, args.p1, args.p2)]
     if given not in ([True, True, False, False], [False, False, True, True]):
         raise ConfigError("give either --mu0 with --sigma, or --p1 with --p2")
@@ -244,6 +248,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_tables(args: argparse.Namespace) -> tuple:
+    from .tables import reproduce_table
     report = reproduce_table(args.id, replicates=args.reps, seed=args.seed)
     return report, report.format_text()
 

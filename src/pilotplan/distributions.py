@@ -3,18 +3,19 @@ noncentral t distributions.
 
 Everything downstream of this module (power solves, pilot sizing, simulation)
 calls only these functions.  The normal comes from the standard library:
-``norm_cdf`` from libm's ``math.erfc``, ``norm_quantile`` from
-``statistics.NormalDist``.  The rest is written here: the incomplete gamma
-and beta functions are evaluated by series / continued fraction with region
-switching, the noncentral t CDF by a Poisson-mixture series over incomplete
-beta ratios, and the chi-square, t and |T| quantiles by one guarded Newton
-iteration with bracket fallback, ``_invert``.
+``norm_cdf`` from libm's ``math.erfc``, ``norm_quantile`` from the kernel
+of ``statistics.NormalDist.inv_cdf`` in CPython's ``_statistics`` accelerator
+(from ``statistics`` where that is missing).  The rest is written here: the
+incomplete gamma and beta functions are evaluated by series / continued
+fraction with region switching, the noncentral t CDF by a Poisson-mixture
+series over incomplete beta ratios, and the chi-square, t and |T| quantiles
+by one guarded Newton iteration with bracket fallback, ``_invert``.
 
 The incomplete beta takes x and y = 1 - x, each computed by its caller
 without subtraction, as DiDonato & Morris's BRATIO does (ACM TOMS 18, 1992).
 
 Every function takes one point per call and computes on floats with the
-``math`` and ``statistics`` modules alone, so the package never imports
+``math`` module and that normal quantile alone, so the package never imports
 numpy.  A numpy scalar or 0-d array is one point; an array, list or tuple
 in any argument is a ConfigError.  Nothing in the package needs more: the
 variance simulation calls ``chisq_quantile`` only at the replicates it
@@ -35,7 +36,14 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from statistics import NormalDist
+
+try:    # what NormalDist.inv_cdf calls; statistics loads fractions and decimal
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:     # an interpreter without the accelerator
+    from statistics import NormalDist
+
+    def _normal_dist_inv_cdf(p, mu, sigma):
+        return NormalDist(mu, sigma).inv_cdf(p)
 
 __all__ = [
     "ConvergenceError",
@@ -189,6 +197,18 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+class _Output(_Record):
+    """A record the CLI prints, in two parts: ``config``, its inputs, and
+    ``results``, every field not named in ``_CONFIG_KEYS``.  A report keeps
+    its inputs in one ``config`` field."""
+
+    _CONFIG_KEYS = ("config",)
+
+    @property
+    def results(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k not in self._CONFIG_KEYS}
+
+
 def _invert(newton, x: float, target: float, rising: bool, what: str) -> float:
     """The x > 0 where a mass monotone in x (rising with x, or falling) meets
     target > 0, from the start x; ``newton(x)`` gives the mass at x and a
@@ -221,7 +241,6 @@ def _invert(newton, x: float, target: float, rising: bool, what: str) -> float:
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_STANDARD_NORMAL = NormalDist()
 
 
 def norm_cdf(x):
@@ -239,7 +258,7 @@ def norm_quantile(p):
     p = _point("norm_quantile", p)
     if not 0.0 < p < 1.0:
         raise ValueError("norm_quantile requires 0 < p < 1")
-    return _STANDARD_NORMAL.inv_cdf(p)
+    return _normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

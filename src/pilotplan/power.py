@@ -23,6 +23,8 @@ __all__ = [
     "TWO_SAMPLE",
     "Z_APPROX",
     "T_ITERATIVE",
+    "EXACT",
+    "APPROX",
     "TestDesign",
     "EffectSpec",
     "arcsine_effect",
@@ -41,6 +43,10 @@ TWO_SAMPLE = "two-sample"
 # planning default); t-iterative solves against the exact noncentral-t power.
 Z_APPROX = "z-approx"
 T_ITERATIVE = "t-iterative"
+
+# pilot-size modes of the variance planner: exact chi-square search, closed form
+EXACT = "exact"
+APPROX = "approx"
 
 _MODES = (Z_APPROX, T_ITERATIVE)
 _KINDS = (ONE_SAMPLE, TWO_SAMPLE)
@@ -72,6 +78,10 @@ class TestDesign(_Record):
     def ncp(self, n: float, effect_size: float) -> float:
         """Noncentrality of the t statistic at per-group size n."""
         return effect_size * math.sqrt(n / self.groups)
+
+
+def _pilot_df(pilot_n: int, pooled: bool) -> int:
+    return 2 * pilot_n - 2 if pooled else pilot_n - 1
 
 
 class EffectSpec(_Record):

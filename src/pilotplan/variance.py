@@ -16,21 +16,22 @@ from __future__ import annotations
 
 import math
 
-from .distributions import (ConfigError, _choice, _count, _probability, _Record, _scale,
-                            _threshold, chisq_cdf, norm_quantile)
+from .distributions import (ConfigError, _choice, _count, _Output, _probability, _Record,
+                            _scale, _threshold, chisq_cdf, norm_quantile)
 from .power import (
+    APPROX,
+    EXACT,
     EffectSpec,
     T_ITERATIVE,
     TestDesign,
     _first_true,
     _nearest_n,
+    _pilot_df,
     _zsum,
     required_n,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 )
 
 __all__ = [
-    "EXACT",
-    "APPROX",
     "PowerBounds",
     "VariancePilotPlan",
     "variance_underpower_prob",
@@ -38,9 +39,6 @@ __all__ = [
     "pilot_n_approx",
     "plan_variance_pilot",
 ]
-
-EXACT = "exact"
-APPROX = "approx"
 
 # exact mode searches pilot sizes up to this cap; past it the constraint is
 # declared unsatisfiable (the threshold ratio is too close to 1)
@@ -76,10 +74,6 @@ class PowerBounds(_Record):
         _threshold("underpower_threshold", self.underpower_threshold, power_target)
         if self.has_overpower:
             _threshold("overpower_threshold", self.overpower_threshold, power_target, "over")
-
-
-def _pilot_df(pilot_n: int, pooled: bool) -> int:
-    return 2 * pilot_n - 2 if pooled else pilot_n - 1
 
 
 def variance_underpower_prob(pilot_n: int, sigma_ratio_sq: float,
@@ -143,18 +137,6 @@ def pilot_n_approx(sigma_ratio_sq: float, p: float, pooled: bool = False) -> int
     df = 2.0 * (z / (sigma_ratio_sq - 1.0)) ** 2
     raw = (df / 2.0 if pooled else df) + 1.0
     return max(2, math.ceil(raw - 1e-9))
-
-
-class _Output(_Record):
-    """A record the CLI prints, in two parts: ``config``, its inputs, and
-    ``results``, every field not named in ``_CONFIG_KEYS``.  A report keeps
-    its inputs in one ``config`` field."""
-
-    _CONFIG_KEYS = ("config",)
-
-    @property
-    def results(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k not in self._CONFIG_KEYS}
 
 
 class _PlanRecord(_Output):

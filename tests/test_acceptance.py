@@ -48,7 +48,8 @@ from pilotplan.variance import (
     variance_underpower_prob,
 )
 from pilotplan.effect import effect_pilot_n, effect_underpower_prob, plan_effect_pilot
-from pilotplan.simulation import SimulationConfig, reproduce_table, simulate_variance_pipeline
+from pilotplan.simulation import SimulationConfig, simulate_variance_pipeline
+from pilotplan.tables import reproduce_table
 
 TWO = TestDesign(TWO_SAMPLE, 0.05)
 SEED_A = 20260810

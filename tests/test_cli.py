@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pilotplan.cli import _HANDLERS, _build_parser, emit, main
-from pilotplan.simulation import SimulationReport, TableReport
+from pilotplan.simulation import SimulationReport
+from pilotplan.tables import TableReport
 from pilotplan.variance import _PlanRecord
 
 

@@ -22,7 +22,7 @@ import pytest
 
 from golden_cases import CASES, CLI_CASES, GOLDEN, SIMULATE_CELLS, golden, simulate_argv
 from pilotplan.cli import emit, main
-from pilotplan.simulation import reproduce_table
+from pilotplan.tables import reproduce_table
 
 
 @pytest.mark.parametrize("table_id", [1, 2])

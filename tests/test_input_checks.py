@@ -21,8 +21,8 @@ from pilotplan.power import (
     EffectSpec, TestDesign, arcsine_effect, effect_for_n, main_sample_size, mu_for_n,
     power_at, required_n, sigma_for_n)
 from pilotplan.simulation import (
-    ConfigError, SimulationConfig, reproduce_table, simulate_effect_pipeline,
-    simulate_variance_pipeline)
+    ConfigError, SimulationConfig, simulate_effect_pipeline, simulate_variance_pipeline)
+from pilotplan.tables import reproduce_table
 from pilotplan.variance import (
     PowerBounds, pilot_n_approx, pilot_n_exact, plan_variance_pilot,
     variance_underpower_prob)

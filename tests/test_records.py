@@ -5,11 +5,12 @@ import pickle
 
 import pytest
 
-import pilotplan.simulation as simulation
+import pilotplan.tables as tables
 from pilotplan import (ConfigError, EffectPilotPlan, EffectSpec, PowerBounds,
-                       SimulationConfig, SimulationReport, TableReport, TestDesign,
+                       SimulationConfig, SimulationReport, TestDesign,
                        VariancePilotPlan, plan_effect_pilot, plan_variance_pilot,
-                       reproduce_table, simulate_variance_pipeline)
+                       simulate_variance_pipeline)
+from pilotplan.tables import TableReport, reproduce_table
 
 _BOUNDS = PowerBounds(0.2, 0.6, 0.1, 0.9)
 _CONFIG = SimulationConfig("variance", 1.0, 12, 7, replicates=50)
@@ -126,15 +127,15 @@ def test_table_config_holds_every_cells_grid(monkeypatch, table_id):
     # names, whatever the defaults of the planners and of SimulationConfig
     plans, configs = [], []
     for name in ("plan_variance_pilot", "plan_effect_pilot"):
-        def plan(*args, _run=getattr(simulation, name)):
+        def plan(*args, _run=getattr(tables, name)):
             plans.append(args[-3:])
             return _run(*args)
-        monkeypatch.setattr(simulation, name, plan)
+        monkeypatch.setattr(tables, name, plan)
     for name in ("simulate_variance_pipeline", "simulate_effect_pipeline"):
-        def run(config, _run=getattr(simulation, name)):
+        def run(config, _run=getattr(tables, name)):
             configs.append(config)
             return _run(config)
-        monkeypatch.setattr(simulation, name, run)
+        monkeypatch.setattr(tables, name, run)
     report = reproduce_table(table_id, replicates=5, seed=1)
     grid = {k: v for k, v in report.config.items() if k not in ("table_id", "seed")}
     assert set(grid) == {"replicates", "sizing_mode", "alpha", "power_target",

@@ -38,11 +38,11 @@ from pilotplan.simulation import (
     SimulationConfig,
     SimulationReport,
     _main_n_quantiles,
-    reproduce_table,
     simulate_effect_pipeline,
     simulate_variance_pipeline,
 )
 from pilotplan.simulation import _OrderStats, _binomial
+from pilotplan.tables import reproduce_table
 import pilotplan.power as power_module
 import pilotplan.simulation as simulation
 
@@ -963,7 +963,7 @@ class TestScalarKernels:
             return call
 
         # every package module's own name, which its functions look up when
-        # called (importing pilotplan.cli above loaded them all)
+        # called (importing pilotplan.tables above loaded them all)
         for module in [m for n, m in sys.modules.items()
                        if n == "pilotplan" or n.startswith("pilotplan.")]:
             for name in KERNELS:
