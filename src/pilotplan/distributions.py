@@ -46,6 +46,7 @@ except ImportError:     # an interpreter without the accelerator
         return NormalDist(mu, sigma).inv_cdf(p)
 
 __all__ = [
+    "ConfigError",
     "ConvergenceError",
     "norm_cdf",
     "norm_quantile",
@@ -69,6 +70,9 @@ _MIN_NORMAL = sys.float_info.min
 # where 1 - t^2 / (t^2 + df) keeps under half its bits, the noncentral-t
 # series sums upper tails instead
 _FAR = 2.0 ** -26
+# a term of the noncentral-t series at most this share of its sum, followed
+# only by terms at most half as large each, leaves the sum's bits unchanged
+_ROUND_AWAY = 2.0 ** -55
 
 
 class ConvergenceError(RuntimeError):
@@ -523,7 +527,8 @@ def _beta_term(a: float, b: float, ln_y: float, ln_1my: float) -> float:
 
 
 def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
-                 half_df: float, upper: bool = False) -> tuple[float, float]:
+                 half_df: float, upper: bool = False, modes: dict | None = None
+                 ) -> tuple[float, float]:
     """Sum over j >= 0 of scale e^-lam lam^j / Gamma(j + a0 + 1/2) I(a0 + j),
     from the mode of the weights outward, so large lam stays cheap and stable;
     and its slope, the same sum with each I(a) replaced by t/2 times its
@@ -532,24 +537,56 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
     I(a) is I_y(a, df/2), or where w = 1 - y < _FAR or ``upper`` asks for
     it the upper tail I_w(df/2, a) = 1 - I_y(a, df/2), which keeps the digits
     a total near 1 would lose.
+
+    Each sweep stops where its weights fall under 1e-18; the upward one stops
+    sooner where every later term rounds away (below).  ``modes`` maps a mode
+    m to its I(m + a0) and signed term(m + a0), which depend on lam only
+    through m: a caller that sums at one y, w, half_df, a0 and ``upper`` for
+    many lam passes one dict to every call, and each mode's incomplete beta
+    ratio and step are computed once.
     """
     # the ratios step by I(a+1) = I(a) - term(a); the upper tails step the
     # other way, so their terms change sign.  The ratio is clamped into [0, 1]
     # by comparisons, to the bit as by min/max (NaN to 0 up, 1 down) but faster
     far = upper or w < _FAR
     sign = -1.0 if far else 1.0
-    ln_y, ln_1my = _logs(y, w)
     b = a0 + 0.5
     m = int(lam)
     c_m = scale * math.exp(-lam + m * math.log(lam) - math.lgamma(m + b))
     a = m + a0
-    i_m = _betainc(half_df, a, w, y) if far else _betainc(a, half_df, y, w)
-    t_m = sign * _beta_term(a, half_df, ln_y, ln_1my)
+    mode = modes.get(m) if modes is not None else None
+    if mode is None:
+        ln_y, ln_1my = _logs(y, w)
+        mode = (_betainc(half_df, a, w, y) if far else _betainc(a, half_df, y, w),
+                sign * _beta_term(a, half_df, ln_y, ln_1my))
+        if modes is not None:
+            modes[m] = mode
+    i_m, t_m = mode
     total = c_m * i_m
     slope = c_m * a * t_m
 
     # upward sweep: beyond the mode the weights decrease, so the loop may stop
-    # once they are negligible, or once the (decreasing) ratio is 0
+    # once they are negligible, or once the (decreasing) ratio is 0.  It stops
+    # sooner, with the same bits, right after a term where
+    #   (1) the next weight factor, the float lam / (j + b), is <= 1/2,
+    #   (2) the next slope term over this one, lam y (a + half_df) / ((j + b) a),
+    #       is <= 1/2,
+    #   (3) the term just added to the total, c i (c on upper tails), is at
+    #       most 2^-55 of the total, and
+    #   (4) the term just added to the slope, c a t, is at most 2^-55 of it.
+    # Both factors fall as a grows, so (1) and (2) hold at every later step:
+    # each later c is at most half the one before (exactly, c being >= 1e-18
+    # while the loop runs), each later slope term at most (1/2)(1 + 16 eps) of
+    # the one before, its roundings counted.  i falls on lower tails and rises
+    # to at most 1 on upper ones, so the k-th later term of the total is at
+    # most 2^-k c i, or 2^-k c.  Every later term of either sum is then under
+    # 2^-55.9 of it.  The terms of a sum share one sign, so its magnitude
+    # never falls, and a term under 2^-54 of a sum is under half an ulp of
+    # it: adding it rounds back to the same sum, and so on, term by term.
+    # (A subnormal product rounds up by at most 2^-1075, still under half an
+    # ulp of any sum above 2^-1020; a smaller sum makes the term in (3) or
+    # (4) 0, and every later one 0 too.)  The test opens with (3) in the
+    # form it takes for positive terms, as the condition that holds last.
     c, i, t, j = c_m, i_m, t_m, m
     while True:
         i -= t
@@ -565,6 +602,11 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
             break
         if j - m > _MAX_SERIES:
             raise ConvergenceError("noncentral t series (upward) hit the iteration cap")
+        if (c * i <= _ROUND_AWAY * total and 2.0 * lam <= j + b
+                and 2.0 * lam * y * (a + half_df) <= (j + b) * a
+                and abs(c if far else c * i) <= _ROUND_AWAY * abs(total)
+                and abs(c * a * t) <= _ROUND_AWAY * abs(slope)):
+            break
 
     # downward sweep: I(a) = I(a+1) + term(a).  Where the ratio and its term
     # are 0 at the mode every later term is 0 too, so it is skipped (at large
@@ -589,15 +631,15 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
     return total, slope
 
 
-def _nct_abs_sf(t: float, df: float, ncp: float) -> float:
+def _nct_abs_sf(t: float, df: float, ncp: float, modes: dict | None = None) -> float:
     """P(|T| > t) for t >= 0, T noncentral t(df, ncp).  T^2 is noncentral
     F(1, df, ncp^2), so this is sum_j Pois(j; ncp^2 / 2) I_w(df/2, j + 1/2),
-    the Poisson half of the series, as ``_nct_fold`` sums it."""
-    return _nct_fold(t, df, _require_finite("_nct_abs_sf", "ncp", ncp))[1]
+    the Poisson half of the series, as ``_nct_fold`` sums it, with ``modes``."""
+    return _nct_fold(t, df, _require_finite("_nct_abs_sf", "ncp", ncp), False, False, modes)[1]
 
 
 def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
-              upper: bool = False) -> tuple:
+              upper: bool = False, modes: dict | None = None) -> tuple:
     """The law of |T| at t >= 0, T noncentral t(df, ncp), normal N(ncp, 1)
     at df = inf: P(|T| <= t), P(|T| > t) and the density of |T| at t; with
     ``signs`` also P(T < -t) and, for ncp >= 0, f(-t) / (f(t) + f(-t)), the
@@ -607,8 +649,12 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
     over the even (Poisson) and odd sums, so the density of |T| is E'(t) and
     the share is (E' - O') / 2 E', each E' = 2 / t times the sum's slope.
     Each sum stops at weights under 1e-18, so the share loses digits where
-    the density of |T| falls toward that.  With ``upper`` the sums run over
-    upper tails, which keeps P(|T| > t) to its last digits where it is small.
+    the density of |T| falls toward that; the upward sweep stops sooner,
+    with the same bits, once every later term rounds away (``_mixture_sum``).
+    With ``upper`` the sums run over upper tails, which keeps P(|T| > t) to
+    its last digits where it is small.  ``modes`` goes to the even sum: one
+    dict passed to every call at one t, df and ``upper``, whatever the ncp,
+    computes the terms of each Poisson mode once (``_mixture_sum``).
     """
     if df == math.inf:
         below = norm_cdf(-t - ncp)
@@ -632,7 +678,7 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
         return (1.0, 0.0, 0.0) + ((0.0, 0.0) if signs else ())
     half_df, far = 0.5 * df, upper or w < _FAR
     try:
-        even, d_even = _mixture_sum(lam, 0.5, 1.0, y, w, half_df, far)
+        even, d_even = _mixture_sum(lam, 0.5, 1.0, y, w, half_df, far, modes)
         odd, d_odd = (_mixture_sum(lam, 1.0, ncp * _SQRT1_2, y, w, half_df, far) if signs
                       else (0.0, 0.0))
     except OverflowError:

@@ -158,10 +158,12 @@ def power_at(n: float, effect: EffectSpec | float,
 
 def _power_curve(n: float, design: TestDesign):
     """Exact power at per-group size n as a function of the effect size; the
-    critical value is computed once, for every effect size tried."""
+    critical value is computed once, and the series terms at each Poisson
+    mode once per mode, for every effect size tried on this curve."""
     df = design.df(n)
     tcrit = -t_quantile(0.5 * design.alpha, df)
-    return lambda d: _nct_abs_sf(tcrit, df, design.ncp(n, d))
+    modes = {}
+    return lambda d: _nct_abs_sf(tcrit, df, design.ncp(n, d), modes)
 
 
 _TOO_LARGE = "required size exceeds 1e9; effect is effectively zero"

@@ -73,7 +73,6 @@ from .power import (
 )
 
 __all__ = [
-    "ConfigError",
     "SimulationConfig",
     "SimulationReport",
     "simulate_variance_pipeline",

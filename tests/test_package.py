@@ -80,8 +80,17 @@ def test_public_names_resolve_alike_in_a_fresh_process():
 
 
 def test_config_error_is_one_class():
-    # the rules in distributions raise it, and simulation exports it
+    # the rules in distributions raise it, and distributions exports it
     assert pilotplan.ConfigError is simulation.ConfigError is distributions.ConfigError
+
+
+def test_config_error_loads_only_distributions():
+    # a name is looked up in the modules in order, each imported on the way,
+    # so ConfigError, listed where it is defined, loads no later module
+    out = _fresh_python("import sys, pilotplan\n"
+                        "pilotplan.ConfigError\n"
+                        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'pilotplan'))")
+    assert out.split() == ["pilotplan", "pilotplan.distributions"]
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():

@@ -299,6 +299,36 @@ class TestInverseSolves:
             assert calls[-1] <= 10, (n, calls)
             assert power_at(n, EffectSpec(d), TWO) == pytest.approx(0.8, abs=1e-9)
 
+    def test_effect_for_n_evaluates_each_mode_once(self, monkeypatch):
+        # the solve's power curve keeps the series terms of each Poisson mode
+        # int(ncp^2 / 2) it visits: one _beta_term call (only the series makes
+        # them) per distinct mode, 3, 2 and 1 here against 9, 8 and 7 power
+        # evaluations, and each reused value has the bits of a fresh call
+        beta_calls, seen = [0], []
+        beta_term, abs_sf = distributions._beta_term, power_module._nct_abs_sf
+
+        def counted_beta(*args):
+            beta_calls[0] += 1
+            return beta_term(*args)
+
+        def recorded_sf(*args):
+            got = abs_sf(*args)
+            seen.append((args[:3], got))
+            return got
+
+        monkeypatch.setattr(distributions, "_beta_term", counted_beta)
+        monkeypatch.setattr(power_module, "_nct_abs_sf", recorded_sf)
+        modes = []
+        for n in (10, 64, 246):
+            beta_calls[0], first = 0, len(seen)
+            effect_for_n(n, TWO, 0.8, T_ITERATIVE)
+            visited = {int(0.5 * ncp * ncp) for (_, _, ncp), _ in seen[first:]}
+            assert beta_calls[0] == len(visited), (n, beta_calls, visited)
+            modes.append(len(visited))
+        assert modes == [3, 2, 1]
+        monkeypatch.undo()
+        assert all(abs_sf(*args).hex() == got.hex() for args, got in seen)
+
     @pytest.mark.parametrize("kind", [ONE_SAMPLE, TWO_SAMPLE])
     @pytest.mark.parametrize("alpha", [0.01, 0.05])
     @pytest.mark.parametrize("power", [0.6, 0.8, 0.9])

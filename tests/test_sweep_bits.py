@@ -18,13 +18,22 @@ keep every bit here.  To rewrite the two value columns at the frozen points
 after a deliberate change, run
 
     PYTHONPATH=src python tests/test_sweep_bits.py
+
+The grid pins few points, so a Hypothesis property also compares
+``_mixture_sum`` bit for bit with ``_reference_sum``, a copy of the sweep as it
+was before its upward half learnt to stop where its terms round away: both
+sums, both tails, lam from 1e-3 to 1e4, df from 0.5 to 1e6 and y across (0, 1).
 """
 
 import json
+import math
 import os
 
+from hypothesis import given, settings, strategies as st
+
 from pilotplan import distributions
-from pilotplan.distributions import _nct_abs_sf, nct_cdf
+from pilotplan.distributions import (_FAR, _MAX_SERIES, ConvergenceError, _beta_term, _betainc,
+                                     _logs, _mixture_sum, _nct_abs_sf, nct_cdf)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                       "nct_sweep_bits.json")
@@ -46,6 +55,76 @@ def test_sweep_bits_match_golden():
         assert nct_cdf(c, df, ncp).hex() == cdf_hex, (df, c, ncp)
     # both branches of the sweep are pinned
     assert 0 < far < len(rows)
+
+
+def _reference_sum(lam, a0, scale, y, w, half_df, upper=False):
+    """``_mixture_sum`` with the 1e-18 weight stop alone, and no mode reuse."""
+    far = upper or w < _FAR
+    sign = -1.0 if far else 1.0
+    ln_y, ln_1my = _logs(y, w)
+    b = a0 + 0.5
+    m = int(lam)
+    c_m = scale * math.exp(-lam + m * math.log(lam) - math.lgamma(m + b))
+    a = m + a0
+    i_m = _betainc(half_df, a, w, y) if far else _betainc(a, half_df, y, w)
+    t_m = sign * _beta_term(a, half_df, ln_y, ln_1my)
+    total = c_m * i_m
+    slope = c_m * a * t_m
+    c, i, t, j = c_m, i_m, t_m, m
+    while True:
+        i -= t
+        if not 0.0 < i < 1.0:
+            i = 1.0 if i > 0.0 else 0.0
+        t *= y * (a + half_df) / (a + 1.0)
+        a += 1.0
+        c *= lam / (j + b)
+        j += 1
+        total += c * i
+        slope += c * a * t
+        if -1e-18 < c < 1e-18 or i == 0.0:
+            break
+        if j - m > _MAX_SERIES:
+            raise ConvergenceError("noncentral t series (upward) hit the iteration cap")
+    c, i, t, a = c_m, i_m, t_m, m + a0
+    j = 0 if i == t == 0.0 else m
+    while j > 0:
+        if m - j > _MAX_SERIES:
+            raise ConvergenceError("noncentral t series (downward) hit the iteration cap")
+        t *= a / (y * (a - 1.0 + half_df))
+        a -= 1.0
+        i += t
+        if not 0.0 < i < 1.0:
+            i = 0.0 if i <= 0.0 else 1.0
+        c *= (j + b - 1.0) / lam
+        j -= 1
+        total += c * i
+        slope += c * a * t
+        if -1e-18 < c < 1e-18:
+            break
+    return total, slope
+
+
+def _bits(fn, *args):
+    """``(total, slope)`` as hex strings, or the error ``fn`` raised."""
+    try:
+        return tuple(v.hex() for v in fn(*args))
+    except (ConvergenceError, OverflowError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a0=st.sampled_from([0.5, 1.0]), upper=st.booleans(),
+       log_lam=st.floats(-3.0, 4.0), log_df=st.floats(math.log10(0.5), 6.0),
+       log_odds=st.floats(-12.0, 12.0))
+def test_sweep_matches_reference_bit_for_bit(a0, upper, log_lam, log_df, log_odds):
+    # y = r / (1 + r) and w = 1 - y = 1 / (1 + r) for odds r = t^2 / df, each
+    # without subtraction as _nct_fold forms them; r past 2^26 takes the
+    # upper-tail branch with ``upper`` False too.  The odd sum scales by
+    # ncp / sqrt(2) = sqrt(lam), as in _nct_fold
+    lam, r = 10.0 ** log_lam, 10.0 ** log_odds
+    args = (lam, a0, 1.0 if a0 == 0.5 else math.sqrt(lam), r / (1.0 + r), 1.0 / (1.0 + r),
+            0.5 * 10.0 ** log_df, upper)
+    assert _bits(_mixture_sum, *args) == _bits(_reference_sum, *args)
 
 
 if __name__ == "__main__":
