@@ -131,11 +131,13 @@ def arcsine_effect(p1: float, p2: float) -> EffectSpec:
     return EffectSpec(effect=effect, sigma=1.0)
 
 
-def _zsum(alpha: float, power: float, name: str = "power") -> float:
-    """z_{1-a/2} + z_power, which is positive only for a power above alpha / 2;
-    at or below that it is an error naming the power level ``name``."""
-    # z_{1-a/2} from the tail a/2 itself: 1 - a/2 would round it at small a
-    zs = -norm_quantile(0.5 * alpha) + norm_quantile(power)
+def _zsum(alpha: float, power: float, name: str = "power", zs: float | None = None) -> float:
+    """z_{1-a/2} + z_power (``zs``, where the caller has it), which is positive
+    only for a power above alpha / 2; at or below that it is an error naming
+    the power level ``name``."""
+    if zs is None:
+        # z_{1-a/2} from the tail a/2 itself: 1 - a/2 would round it at small a
+        zs = -norm_quantile(0.5 * alpha) + norm_quantile(power)
     if not zs > 0.0:
         raise ValueError(f"{name} must be above alpha / 2 = {0.5 * alpha!r} "
                          f"at alpha {alpha!r}, got {power!r}")
@@ -158,8 +160,9 @@ def power_at(n: float, effect: EffectSpec | float,
 
 def _power_curve(n: float, design: TestDesign):
     """Exact power at per-group size n as a function of the effect size; the
-    critical value is computed once, and the series terms at each Poisson
-    mode once per mode, for every effect size tried on this curve."""
+    critical value is computed once per curve, so once per size in a
+    ``_Sizer``, and the series terms at each Poisson mode once per mode, for
+    every effect size tried on this curve."""
     df = design.df(n)
     tcrit = -t_quantile(0.5 * design.alpha, df)
     modes = {}
@@ -181,27 +184,111 @@ def _nonzero_effect_size(effect: EffectSpec | float) -> float:
     return d
 
 
-def _z_requirement(effect: EffectSpec | float, design: TestDesign, power: float,
-                   mode: str) -> tuple[float, float]:
-    """The closed form  groups * (z_{1-a/2} + z_{power})^2 / d^2, after the
-    arguments are checked, and z_{1-a/2}; past 1e9 it raises."""
-    power = _probability("power", power)
-    d = _nonzero_effect_size(effect)
-    _choice("mode", mode, _MODES)
-    # compared before squaring: the square of a tiny effect underflows to 0,
-    # of a huge one overflows
-    if d > _MAX_EFFECT_SIZE:
-        given = (f"effect {effect.effect!r} over sigma {effect.sigma!r}"
-                 if isinstance(effect, EffectSpec) else f"effect {d!r}")
-        raise ValueError(f"{given} is an effect size of {d:g}, past the largest this "
-                         f"package plans for, {_MAX_EFFECT_SIZE:g}")
-    z_a = -norm_quantile(0.5 * design.alpha)
-    # at a power at or below alpha / 2 the sum is not positive: the floor, 2
-    zs = max(0.0, z_a + norm_quantile(power))
-    if zs / d > math.sqrt(_MAX_N / design.groups):
-        raise ValueError(_TOO_LARGE)
-    # zs 0 over a d^2 that underflows to 0 is the floor too, not 0 / 0
-    return (design.groups * zs ** 2 / d ** 2 if zs else 0.0), z_a
+class _Sizer:
+    """The sizing searches of one TestDesign, kept for one call or one
+    simulation run.  It computes z_{1-a/2} once, z_power once per power
+    level, and one ``_power_curve`` per size n, the first time a search or a
+    bracket reads n; every search it runs shares them.  Each sizing checks
+    its arguments as the public functions do, in the same order and with the
+    same errors, and nothing outlives the sizer."""
+
+    def __init__(self, design: TestDesign):
+        self.design = design
+        # z_{1-a/2} from the tail a/2 itself: 1 - a/2 would round it at small a
+        self.z_a = -norm_quantile(0.5 * design.alpha)
+        self._zsums, self._curves = {}, {}
+
+    def curve(self, n: float):
+        """``_power_curve`` at per-group size n >= 2, built on first read."""
+        pw = self._curves.get(n)
+        if pw is None:
+            pw = self._curves[n] = _power_curve(n, self.design)
+        return pw
+
+    def zsum(self, power: float, name: str | None = "power") -> float:
+        """z_{1-a/2} + z_power at a checked power level (a 0-d array too); with
+        a ``name`` it must be positive, as in ``_zsum``."""
+        zs = self._zsums.get(p := float(power))
+        if zs is None:
+            zs = self._zsums[p] = self.z_a + norm_quantile(p)
+        return zs if name is None else _zsum(self.design.alpha, power, name, zs)
+
+    def _requirement(self, effect: EffectSpec | float, power: float,
+                     mode: str) -> tuple[float, float, float]:
+        """The checked effect size d and power, and the closed form  groups *
+        (z_{1-a/2} + z_{power})^2 / d^2; past 1e9 it raises."""
+        power = _probability("power", power)
+        d = _nonzero_effect_size(effect)
+        _choice("mode", mode, _MODES)
+        # compared before squaring: the square of a tiny effect underflows to 0,
+        # of a huge one overflows
+        if d > _MAX_EFFECT_SIZE:
+            given = (f"effect {effect.effect!r} over sigma {effect.sigma!r}"
+                     if isinstance(effect, EffectSpec) else f"effect {d!r}")
+            raise ValueError(f"{given} is an effect size of {d:g}, past the largest this "
+                             f"package plans for, {_MAX_EFFECT_SIZE:g}")
+        # at a power at or below alpha / 2 the sum is not positive: the floor, 2
+        zs, groups = max(0.0, self.zsum(power, None)), self.design.groups
+        if zs / d > math.sqrt(_MAX_N / groups):
+            raise ValueError(_TOO_LARGE)
+        # zs 0 over a d^2 that underflows to 0 is the floor too, not 0 / 0
+        return d, power, (groups * zs ** 2 / d ** 2 if zs else 0.0)
+
+    def _search(self, d: float, power: float, n_z: float, shift: float) -> int:
+        """Smallest integer N >= 2 with power(N + shift) >= power, searched
+        from the closed form n_z plus Guenther's t correction z_a^2 / (2 groups),
+        z_a = z_{1-a/2}: rarely a subject off, two power evaluations when right."""
+        return _first_true(lambda n: self.curve(n + shift)(d) >= power, 1,
+                           math.ceil(n_z + self.z_a * self.z_a / (2 * self.design.groups) - shift),
+                           _MAX_N, _TOO_LARGE)
+
+    def size(self, effect: EffectSpec | float, power: float, mode: str = T_ITERATIVE,
+             shift: float = 0.0) -> int:
+        """``main_sample_size``, or with ``shift`` 1/2 ``_nearest_n``."""
+        d, power, n_z = self._requirement(effect, power, mode)
+        if mode == Z_APPROX:
+            return max(2, math.floor(n_z + 0.5) if shift else math.ceil(n_z - 1e-9))
+        return self._search(d, power, n_z, shift)
+
+    def required(self, effect: EffectSpec | float, power: float, mode: str) -> float:
+        """``required_n``."""
+        d, power, n_z = self._requirement(effect, power, mode)
+        if mode == Z_APPROX:
+            return max(2.0, n_z)
+        n = self._search(d, power, n_z, 0.0)
+        if n == 2:
+            return 2.0
+        return _solve_increasing(lambda x: self.curve(x)(d), power, n - 1.0, float(n),
+                                 self.curve(n - 1)(d), self.curve(n)(d), 1e-10)[1]
+
+    def bracket(self, n: float, power: float, xtol: float) -> tuple[float, float]:
+        """[lo, hi] with power(lo) < ``power`` <= power(hi) at per-group size n,
+        hi - lo <= xtol min(d_z, 1) max(hi, 1): a gallop from the z effect d_z by
+        Guenther's factor 1 + z_a^2 / (4 groups n), floored above 1 and squared
+        each step, then Illinois.  An upward step of 2 or more goes instead to a
+        provable bound; past 1e6 no finite effect reaches ``power``."""
+        pw, design = self.curve(n), self.design
+        lo = hi = x = self.zsum(power) * math.sqrt(design.groups / n)
+        f_lo = f_hi = pw(x)
+        step = 1.0 + max(self.z_a * self.z_a / (4.0 * design.groups * n), 1e-9)
+        while f_lo >= power:
+            hi, f_hi, lo = lo, f_lo, lo / step
+            f_lo, step = pw(lo), step * step
+        while f_hi < power:
+            lo, f_lo = hi, f_hi
+            if step < 2.0:
+                hi, step = hi * step, step * step
+            else:
+                # T = (Z + ncp) / S, S^2 ~ chi2(df) / df, passes c where Z > -a and S < b
+                # once ncp >= c b + a, each at probability sqrt(power): power there >= ``power``
+                df, r = design.df(n), math.sqrt(power)
+                ncp = (-t_quantile(0.5 * design.alpha, df) * math.sqrt(chisq_quantile(r, df) / df)
+                       + norm_quantile(r))
+                hi = max(ncp / math.sqrt(n / design.groups), 2.0 * hi)
+                if hi > _MAX_EFFECT_SIZE:
+                    raise ValueError("no finite effect reaches the requested power")
+            f_hi = pw(hi)
+        return _solve_increasing(pw, power, lo, hi, f_lo, f_hi, xtol * min(x, 1.0))
 
 
 def required_n(effect: EffectSpec | float, design: TestDesign, power: float,
@@ -212,16 +299,7 @@ def required_n(effect: EffectSpec | float, design: TestDesign, power: float,
     t-iterative: the exact noncentral-t requirement, floored at 2, solved on
     [N - 1, N] around the integer size N of :func:`main_sample_size`.
     """
-    power = _probability("power", power)
-    n_z, z_a = _z_requirement(effect, design, power, mode)
-    if mode == Z_APPROX:
-        return max(2.0, n_z)
-    n = _search_n(effect, design, power, n_z, z_a, 0.0)
-    if n == 2:
-        return 2.0
-    return _solve_increasing(lambda x: power_at(x, effect, design), power,
-                             n - 1.0, float(n), power_at(n - 1, effect, design),
-                             power_at(n, effect, design), 1e-10)[1]
+    return _Sizer(design).required(effect, power, mode)
 
 
 def _first_true(ok, lo: int, start: int, cap: int, too_large: str) -> int:
@@ -250,30 +328,17 @@ def _first_true(ok, lo: int, start: int, cap: int, too_large: str) -> int:
     return lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=ok)
 
 
-def _search_n(effect: EffectSpec | float, design: TestDesign, power: float, n_z: float,
-              z_a: float, shift: float) -> int:
-    """Smallest integer N >= 2 with power_at(N + shift) >= power, searched
-    from the closed form n_z plus Guenther's t correction z_a^2 / (2 groups),
-    z_a = z_{1-a/2}: rarely a subject off, two power evaluations when right."""
-    return _first_true(lambda n: power_at(n + shift, effect, design) >= power, 1,
-                       math.ceil(n_z + z_a * z_a / (2 * design.groups) - shift),
-                       _MAX_N, _TOO_LARGE)
-
-
 def main_sample_size(effect: EffectSpec | float, design: TestDesign, power: float,
                      mode: str = T_ITERATIVE) -> int:
     """Smallest adequate per-group size.
 
     In t-iterative mode the returned N is the smallest integer >= 2 with
     power_at(N) >= power, so power_at(N - 1) < power; it is found by an
-    integer search on :func:`power_at` from the closed form, in O(log N)
+    integer search on the exact power from the closed form, in O(log N)
     power evaluations.  In z-approx mode it is the ceiling of the closed
     form.  Sizes past 1e9 raise.
     """
-    n_z, z_a = _z_requirement(effect, design, power, mode)
-    if mode == Z_APPROX:
-        return max(2, math.ceil(n_z - 1e-9))
-    return _search_n(effect, design, power, n_z, z_a, 0.0)
+    return _Sizer(design).size(effect, power, mode)
 
 
 def _nearest_n(effect: EffectSpec | float, design: TestDesign, power: float,
@@ -284,10 +349,7 @@ def _nearest_n(effect: EffectSpec | float, design: TestDesign, power: float,
     reaches ``power``, found by the same integer search as
     :func:`main_sample_size`.
     """
-    n_z, z_a = _z_requirement(effect, design, power, mode)
-    if mode == Z_APPROX:
-        return max(2, math.floor(n_z + 0.5))
-    return _search_n(effect, design, power, n_z, z_a, 0.5)
+    return _Sizer(design).size(effect, power, mode, 0.5)
 
 
 def _solve_increasing(f, target: float, lo: float, hi: float, f_lo: float,
@@ -315,43 +377,11 @@ def _solve_increasing(f, target: float, lo: float, hi: float, f_lo: float,
     raise ConvergenceError("root solve hit the 200-iteration cap")
 
 
-def _effect_bracket(n: float, design: TestDesign, power: float,
-                    xtol: float) -> tuple[float, float]:
-    """[lo, hi] with power(lo) < ``power`` <= power(hi) at per-group size n,
-    hi - lo <= xtol min(d_z, 1) max(hi, 1): a gallop from the z effect d_z by
-    Guenther's factor 1 + z_a^2 / (4 groups n), floored above 1 and squared
-    each step, then Illinois.  An upward step of 2 or more goes instead to a
-    provable bound; past 1e6 no finite effect reaches ``power``."""
-    pw = _power_curve(n, design)
-    lo = hi = x = _zsum(design.alpha, power) * math.sqrt(design.groups / n)
-    f_lo = f_hi = pw(x)
-    z_a = norm_quantile(0.5 * design.alpha)
-    step = 1.0 + max(z_a * z_a / (4.0 * design.groups * n), 1e-9)
-    while f_lo >= power:
-        hi, f_hi, lo = lo, f_lo, lo / step
-        f_lo, step = pw(lo), step * step
-    while f_hi < power:
-        lo, f_lo = hi, f_hi
-        if step < 2.0:
-            hi, step = hi * step, step * step
-        else:
-            # T = (Z + ncp) / S, S^2 ~ chi2(df) / df, passes c where Z > -a and S < b
-            # once ncp >= c b + a, each at probability sqrt(power): power there >= ``power``
-            df, r = design.df(n), math.sqrt(power)
-            ncp = (-t_quantile(0.5 * design.alpha, df) * math.sqrt(chisq_quantile(r, df) / df)
-                   + norm_quantile(r))
-            hi = max(ncp / math.sqrt(n / design.groups), 2.0 * hi)
-            if hi > _MAX_EFFECT_SIZE:
-                raise ValueError("no finite effect reaches the requested power")
-        f_hi = pw(hi)
-    return _solve_increasing(pw, power, lo, hi, f_lo, f_hi, xtol * min(x, 1.0))
-
-
 def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPROX) -> float:
     """Effect size at which a study of per-group size n has exactly ``power``.
 
     ``power`` lies above alpha / 2, and in t-iterative mode above alpha, the
-    exact power at effect 0.  t-iterative: the top of ``_effect_bracket``,
+    exact power at effect 0.  t-iterative: the top of ``_Sizer.bracket``,
     of relative width 1e-12, galloped from the z-approx closed form.  One
     size per call: an array of sizes is a ConfigError.
     """
@@ -366,7 +396,7 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
     if not power > design.alpha:
         raise ValueError(f"power must be above alpha {design.alpha!r} in {T_ITERATIVE} "
                          f"mode, got {power!r}")
-    return _effect_bracket(n, design, power, 1e-12)[1]
+    return _Sizer(design).bracket(n, power, 1e-12)[1]
 
 
 def sigma_for_n(n: float, effect: EffectSpec, design: TestDesign, power: float,

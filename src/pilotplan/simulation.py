@@ -20,7 +20,11 @@ five order statistics of the estimates, by the integer search of
 underpowered exactly when it is sized at most m = n_crit - 1, one fewer
 than the threshold power needs at the true effect: from the estimate x* on
 at which m subjects reach the target power, bracketed once per run to 1e-7
-by ``effect_for_n``'s solver (z-approx: its closed form).  So the flags are
+by ``effect_for_n``'s solver (z-approx: its closed form).  One sizer
+(``power._Sizer``) serves a run's every sizing and that bracket: it checks
+each power level and computes its z terms once, and builds the power curve
+of each size, its t critical value and its Poisson-mode terms, once, so the
+bracket at m solves on the curve the threshold's sizing built.  So the flags are
 counted, not tested one by one: with u(x) = P(estimate >= x), a =
 Binomial(R, u(x_hi)) replicates lie past the bracket and b = Binomial(R - a,
 (u(x_lo) - u(x_hi)) / (1 - u(x_hi))) inside it, and only those b, almost
@@ -65,11 +69,10 @@ from .power import (
     T_ITERATIVE,
     Z_APPROX,
     TestDesign,
-    _effect_bracket,
     _pilot_df,
-    _zsum,
+    _Sizer,
     effect_for_n,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
-    main_sample_size,
+    main_sample_size,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 )
 
 __all__ = [
@@ -222,31 +225,32 @@ def _quantile_items(n: int) -> dict:
     return {key: n - (n * q + 99) // 100 for key, q in _QUANTILES.items()}
 
 
-def _main_n_quantiles(d, design: TestDesign, power: float, mode: str) -> dict:
+def _main_n_quantiles(d, sizer: _Sizer, power: float, mode: str) -> dict:
     """Quantiles of the main sizes the estimates get, from the estimates in
-    ascending order (any sequence): five sizings, not one per replicate."""
-    return {key: main_sample_size(d[k], design, power, mode)
-            for key, k in _quantile_items(len(d)).items()}
+    ascending order (any sequence): five sizings by the run's sizer, not one
+    per replicate."""
+    return {key: sizer.size(d[k], power, mode) for key, k in _quantile_items(len(d)).items()}
 
 
-def _flag_boundary(design: TestDesign, config: SimulationConfig, n_crit: int):
+def _flag_boundary(sizer: _Sizer, config: SimulationConfig, n_crit: int):
     """A replicate is underpowered exactly when its main size is below n_crit
     (the threshold's own requirement), that is at most m = n_crit - 1, which
     holds from some estimate x* on.  Returns None where n_crit <= 2, so that
     nothing is flagged, and else (x_lo, x_hi, flagged): ``flagged(x)`` is
-    that test, by ``main_sample_size`` itself, false at x_lo and true at
-    x_hi, and x_hi - x_lo is about 1e-7 x*.  In t-iterative mode the bracket
-    is the power root of ``_effect_bracket`` at m; in z-approx mode it is
-    the closed form's own boundary, widened by 1e-7 on each side."""
+    that test, by the sizer's ``main_sample_size`` search, false at x_lo
+    and true at x_hi, and x_hi - x_lo is about 1e-7 x*.  In t-iterative mode
+    the bracket is the sizer's power root at m, on the power curve the
+    threshold's sizing read there; in z-approx mode it is the closed form's
+    own boundary, widened by 1e-7 on each side."""
     if n_crit <= 2:
         return None
     m, target, mode = n_crit - 1, config.power_target, config.sizing_mode
     if mode == Z_APPROX:
-        x = _zsum(design.alpha, target) * math.sqrt(design.groups / (m + 1e-9))
+        x = sizer.zsum(target) * math.sqrt(sizer.design.groups / (m + 1e-9))
         x_lo, x_hi = x * (1.0 - 1e-7), x * (1.0 + 1e-7)
     else:
-        x_lo, x_hi = _effect_bracket(m, design, target, 1e-7)
-    return x_lo, x_hi, lambda x: main_sample_size(x, design, target, mode) <= m
+        x_lo, x_hi = sizer.bracket(m, target, 1e-7)
+    return x_lo, x_hi, lambda x: sizer.size(x, target, mode) <= m
 
 
 def _underpower_count(d, boundary) -> int:
@@ -305,12 +309,14 @@ def _report(config: SimulationConfig, d, design: TestDesign,
     items and the replicates inside the flag bracket that its bisection
     tests.  The flags are counted first, then the quantiles are read, then
     ``nonpositive()`` counts the negative estimates (an effect run draws its
-    signs there): a lazily drawn ``d`` draws in this order."""
-    n_crit = main_sample_size(EffectSpec(config.effect, config.sigma), design,
-                              config.underpower_threshold, T_ITERATIVE)
+    signs there): a lazily drawn ``d`` draws in this order.  One sizer
+    serves the threshold's sizing, the flag boundary and the quantiles."""
+    sizer = _Sizer(design)
+    n_crit = sizer.size(EffectSpec(config.effect, config.sigma),
+                        config.underpower_threshold, T_ITERATIVE)
     r = config.replicates
-    p_hat = _underpower_count(d, _flag_boundary(design, config, n_crit)) / r
-    quantiles = _main_n_quantiles(d, design, config.power_target, config.sizing_mode)
+    p_hat = _underpower_count(d, _flag_boundary(sizer, config, n_crit)) / r
+    quantiles = _main_n_quantiles(d, sizer, config.power_target, config.sizing_mode)
     return SimulationReport(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / r), nonpositive(),
                             quantiles, dict(vars(config)))
 

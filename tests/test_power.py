@@ -466,11 +466,12 @@ class TestIntegerSearch:
         assert plan_effect_pilot(d, 1.0, design, target, bounds).main_n_under == nearest
 
     def test_logarithmic_power_calls(self, monkeypatch):
-        # about 1.6e7 per group: the search costs O(log n) power evaluations
+        # about 1.6e7 per group: the search costs O(log n) power evaluations,
+        # each on the sizer's power curve at its size
         calls = []
-        power_at_ = power_module.power_at
-        monkeypatch.setattr(power_module, "power_at",
-                            lambda *a: calls.append(a[0]) or power_at_(*a))
+        curve, power_at_ = power_module._power_curve, power_module.power_at
+        monkeypatch.setattr(power_module, "_power_curve", lambda n, design: (
+            lambda d, pw=curve(n, design): calls.append(n) or pw(d)))
         effect = EffectSpec(1e-3)
         n = main_sample_size(effect, TWO, 0.8)
         assert 1.5e7 < n < 1.6e7
@@ -484,7 +485,8 @@ class TestIntegerSearch:
         # a power curve that never reaches the target: the gallop gives up
         # at 1e9 per group, after O(log n) evaluations
         calls = []
-        monkeypatch.setattr(power_module, "power_at", lambda *a: calls.append(a[0]) or 0.0)
+        monkeypatch.setattr(power_module, "_power_curve",
+                            lambda n, design: lambda d: calls.append(n) or 0.0)
         with pytest.raises(ValueError, match="exceeds 1e9"):
             main_sample_size(EffectSpec(0.5), TWO, 0.8)
         assert max(calls) == 10 ** 9
@@ -514,6 +516,40 @@ class TestIntegerSearch:
             assert _first_true(ok, lo, start, cap, "too large") == want
         # O(log n): a gallop and a bisection over the distance from the start
         assert len(calls) <= 2 * math.log2(abs(start - threshold) + 1) + 3
+
+    @given(kind=st.sampled_from([ONE_SAMPLE, TWO_SAMPLE]),
+           alpha=st.floats(-6.0, math.log10(0.5)).map(lambda e: 10.0 ** e),
+           effects=st.lists(st.one_of(st.floats(1e-5, 4.0), st.sampled_from([0.0, 2e6, -1.0])),
+                            min_size=1, max_size=3),
+           powers=st.lists(st.one_of(st.floats(1e-8, 1.0 - 1e-8), st.sampled_from([1.0, 80])),
+                           min_size=1, max_size=2),
+           calls=st.lists(st.tuples(st.sampled_from(["size", "nearest", "required"]),
+                                    st.integers(0, 2), st.integers(0, 1),
+                                    st.sampled_from([T_ITERATIVE] * 3 + [Z_APPROX, "exact"])),
+                          min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_shared_sizer_answers_as_fresh_calls(self, kind, alpha, effects, powers, calls):
+        # one sizer answers an interleaved run of sizings, reusing its z terms
+        # and power curves, exactly as a fresh public call answers each: the
+        # same number to the bit, or the same error.  The effects and powers
+        # come from short lists, so that later calls read what earlier ones built
+        design = TestDesign(kind, alpha)
+        sizer = power_module._Sizer(design)
+        shared = {"size": lambda *a: sizer.size(*a, 0.0),
+                  "nearest": lambda *a: sizer.size(*a, 0.5), "required": sizer.required}
+        fresh = {"size": main_sample_size, "nearest": _nearest_n, "required": required_n}
+
+        def outcome(f, *args):
+            try:
+                got = f(*args)
+            except (ValueError, ConvergenceError) as exc:
+                return type(exc), str(exc)
+            return type(got), got.hex() if isinstance(got, float) else got
+
+        for name, i, j, mode in calls:
+            d, power = effects[i % len(effects)], powers[j % len(powers)]
+            assert (outcome(shared[name], d, power, mode)
+                    == outcome(fresh[name], d, design, power, mode)), (name, d, power, mode)
 
 
 @pytest.mark.parametrize("design", [TestDesign(), TestDesign(ONE_SAMPLE, 0.01)])

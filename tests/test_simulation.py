@@ -5,6 +5,7 @@ of each pipeline's flagging event (worked out independently of the harness);
 the tight ones are frozen determinism checks.
 """
 
+import contextlib
 import functools
 import math
 import random
@@ -27,6 +28,7 @@ from pilotplan.power import (
     T_ITERATIVE,
     Z_APPROX,
     TestDesign,
+    _Sizer,
     effect_for_n,
     main_sample_size,
     power_at,
@@ -324,12 +326,12 @@ class TestSizingVector:
         edges = [effect_for_n(n, TWO, 0.8, T_ITERATIVE) for n in (2, 3, 9, 64, 394, 590)]
         ds = np.concatenate([np.geomspace(0.165, 4.0, 150), edges])
         for sub in (ds, ds[::7], ds[-6:], ds[:1]):
-            assert (_main_n_quantiles(_ascending(sub), TWO, 0.8, T_ITERATIVE)
+            assert (_main_n_quantiles(_ascending(sub), _Sizer(TWO), 0.8, T_ITERATIVE)
                     == self._brute_force(sub, T_ITERATIVE))
 
     def test_past_600_is_exact(self):
         # a weak estimate gets its exact size, which differs from the closed form
-        q = _main_n_quantiles([0.08], TWO, 0.8, T_ITERATIVE)
+        q = _main_n_quantiles([0.08], _Sizer(TWO), 0.8, T_ITERATIVE)
         n = main_sample_size(EffectSpec(0.08), TWO, 0.8, T_ITERATIVE)
         assert q == {str(k): n for k in QS}
         assert power_at(n, EffectSpec(0.08), TWO) >= 0.8 > power_at(n - 1, EffectSpec(0.08), TWO)
@@ -337,7 +339,7 @@ class TestSizingVector:
 
     def test_matches_scalar_sizing_z_mode(self):
         ds = np.array([0.05, 0.3, 0.9, 2.0])
-        assert (_main_n_quantiles(_ascending(ds), TWO, 0.8, Z_APPROX)
+        assert (_main_n_quantiles(_ascending(ds), _Sizer(TWO), 0.8, Z_APPROX)
                 == self._brute_force(ds, Z_APPROX))
 
     def test_power_at_most_alpha_half_sizes_the_floor(self):
@@ -418,14 +420,14 @@ class TestFlagBoundary:
             x = effect_for_n(m, design, target, T_ITERATIVE)
         except (ValueError, ConvergenceError) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                simulation._flag_boundary(design, t_cfg, m + 1)
+                simulation._flag_boundary(_Sizer(design), t_cfg, m + 1)
         else:
-            x_lo, x_hi, flagged = simulation._flag_boundary(design, t_cfg, m + 1)
+            x_lo, x_hi, flagged = simulation._flag_boundary(_Sizer(design), t_cfg, m + 1)
             assert x_lo < x <= x_hi
             assert (power_at(m, EffectSpec(x_lo), design) < target
                     <= power_at(m, EffectSpec(x_hi), design))
             assert not flagged(x_lo) and flagged(x_hi)
-        x_lo, x_hi, flagged = simulation._flag_boundary(design, z_cfg, m + 1)
+        x_lo, x_hi, flagged = simulation._flag_boundary(_Sizer(design), z_cfg, m + 1)
         assert (main_sample_size(EffectSpec(x_lo), design, target, Z_APPROX) > m
                 >= main_sample_size(EffectSpec(x_hi), design, target, Z_APPROX))
         assert not flagged(x_lo) and flagged(x_hi)
@@ -453,12 +455,12 @@ class TestEstimatesOnDemand:
                     min_size=1, max_size=500))
     @settings(max_examples=200, deadline=None)
     def test_rank_picks_are_inverted_cdf_percentiles(self, xs):
-        # with the sizing stubbed to echo its estimate, the five picks from
-        # the ascending estimates are numpy's inverted_cdf percentiles, from
-        # the top (a size never rises with the estimate)
+        # with a sizer stubbed to echo its estimate, the five picks from the
+        # ascending estimates are numpy's inverted_cdf percentiles, from the
+        # top (a size never rises with the estimate)
         xs = sorted(xs)
-        with mock.patch.object(simulation, "main_sample_size", lambda e, *_: e):
-            got = _main_n_quantiles(xs, TWO, 0.8, T_ITERATIVE)
+        echo = mock.Mock(spec=_Sizer, size=lambda e, *_: e)
+        got = _main_n_quantiles(xs, echo, 0.8, T_ITERATIVE)
         want = -np.percentile(-np.array(xs), QS, method="inverted_cdf")
         assert [got[str(q)] for q in QS] == want.tolist()
 
@@ -567,6 +569,20 @@ def _covariance(xs, ys):
     return statistics.fmean(prods), statistics.stdev(prods) / math.sqrt(len(prods))
 
 
+@contextlib.contextmanager
+def _cached_sizing(design: TestDesign):
+    """Patches under which every run of one cell shares one sizer, whose
+    threshold sizing and flag boundary are cached, and sizes no quantile."""
+    sizer = _Sizer(design)
+    sizer.size = functools.lru_cache()(sizer.size)
+    boundary = functools.lru_cache()(simulation._flag_boundary)
+    with mock.patch.object(simulation, "_Sizer", lambda _: sizer), \
+            mock.patch.object(simulation, "_main_n_quantiles", lambda *args: {}), \
+            mock.patch.object(simulation, "_flag_boundary",
+                              lambda s, c, n: boundary(s, c.replace(seed=0), n)):
+        yield
+
+
 class TestEffectLaw:
     """An effect run's flag count and nonpositive count over 2,000 seeds at 40
     replicates, against their law replicate by replicate: a replicate is
@@ -587,12 +603,7 @@ class TestEffectLaw:
     def runs(self, request):
         cfg = self.CELLS[request.param]
         design = cfg.design()
-        boundary = functools.lru_cache()(simulation._flag_boundary)
-        with mock.patch.object(simulation, "main_sample_size",
-                               functools.lru_cache()(main_sample_size)), \
-                mock.patch.object(simulation, "_main_n_quantiles", lambda *args: {}), \
-                mock.patch.object(simulation, "_flag_boundary",
-                                  lambda d, c, n: boundary(d, c.replace(seed=0), n)):
+        with _cached_sizing(design):
             reports = [simulate_effect_pipeline(cfg.replace(seed=seed))
                        for seed in range(self.SEEDS)]
         flags = [round(r.empirical_underpower * self.REPS) for r in reports]
@@ -655,12 +666,7 @@ class TestVarianceLaw:
     def test_flag_count_is_binomial(self):
         cfg = variance_cfg(replicates=self.REPS)
         design = cfg.design()
-        boundary = functools.lru_cache()(simulation._flag_boundary)
-        with mock.patch.object(simulation, "main_sample_size",
-                               functools.lru_cache()(main_sample_size)), \
-                mock.patch.object(simulation, "_main_n_quantiles", lambda *args: {}), \
-                mock.patch.object(simulation, "_flag_boundary",
-                                  lambda d, c, n: boundary(d, c.replace(seed=0), n)):
+        with _cached_sizing(design):
             flags = [round(simulate_variance_pipeline(cfg.replace(seed=seed))
                            .empirical_underpower * self.REPS) for seed in range(self.SEEDS)]
         n_crit = main_sample_size(EffectSpec(cfg.effect, cfg.sigma), design,
@@ -762,13 +768,24 @@ class TestVariancePipeline:
         assert rep == _brute_force_report(cfg, d, 0)
         assert 0.1 < rep.empirical_underpower < 0.3
 
+    @pytest.mark.parametrize("mode", [T_ITERATIVE, Z_APPROX])
+    def test_zero_d_array_levels_run_as_floats(self, mode):
+        # the config takes 0-d arrays for its power levels, and a run's sizer
+        # keys its z terms by their float values
+        cfg = variance_cfg(replicates=1000, sizing_mode=mode)
+        arrays = cfg.replace(power_target=np.array(cfg.power_target),
+                             underpower_threshold=np.array(cfg.underpower_threshold))
+        want, got = simulate_variance_pipeline(cfg), simulate_variance_pipeline(arrays)
+        assert (got.empirical_underpower, got.main_n_quantiles) == (
+            want.empirical_underpower, want.main_n_quantiles)
+
     def test_threshold_size_of_two_flags_nothing(self):
         # effect 10 against sigma 1 reaches the threshold power with the
         # smallest main study, 2 per group, so no sized study falls below it
         cfg = variance_cfg(effect=10.0, sigma=1.0, replicates=200)
         n_crit = main_sample_size(EffectSpec(10.0, 1.0), TWO, cfg.underpower_threshold)
         assert n_crit == 2
-        assert simulation._flag_boundary(TWO, cfg, n_crit) is None
+        assert simulation._flag_boundary(_Sizer(TWO), cfg, n_crit) is None
         assert simulate_variance_pipeline(cfg).empirical_underpower == 0.0
 
     @pytest.mark.parametrize("effect", [1000.0, 3000.0])
