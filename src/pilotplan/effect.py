@@ -13,7 +13,7 @@ import math
 
 from .distributions import (_choice, _count, _probability, _require_finite, _scale, norm_cdf,
                             norm_quantile)
-from .power import _MAX_N, EffectSpec, TestDesign, _first_true, _nearest_n, _zsum
+from .power import _MAX_N, T_ITERATIVE, EffectSpec, TestDesign, _first_true, _Sizer
 from .power import required_n  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 from .variance import PowerBounds, _PlanRecord, _plan_fields
 
@@ -113,16 +113,16 @@ def plan_effect_pilot(mu0: float, sigma: float, design: TestDesign,
     sizes per side from the closed form, and their maximum.
     """
     mu0, sigma = _scale("mu0", mu0), _scale("sigma", sigma)
-    effect = EffectSpec(mu0, sigma)
+    effect, sizer = EffectSpec(mu0, sigma), _Sizer(design)
 
     def side(threshold: float, prob: float, which: str, zs_target: float):
-        mu_thr = mu0 * zs_target / _zsum(design.alpha, threshold, f"{which}power_threshold")
+        mu_thr = mu0 * zs_target / sizer.zsum(threshold, f"{which}power_threshold")
         if mu_thr == math.inf:      # a failed computation, not an argument of effect_pilot_n
             raise ValueError(f"mu0 {mu0!r} at {which}power_threshold {threshold!r} puts the "
                              "threshold effect past the largest float")
-        n_main = _nearest_n(effect, design, threshold)
+        n_main = sizer.size(effect, threshold, T_ITERATIVE, 0.5)
         n_pilot = effect_pilot_n(mu0, mu_thr, sigma, prob, design, which)
         return n_main, mu_thr, n_pilot
 
-    return EffectPilotPlan(**_plan_fields(design, power_target, bounds, "mu", side),
+    return EffectPilotPlan(**_plan_fields(sizer, power_target, bounds, "mu", side),
                            mu0=mu0, sigma=sigma)

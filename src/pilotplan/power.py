@@ -131,19 +131,6 @@ def arcsine_effect(p1: float, p2: float) -> EffectSpec:
     return EffectSpec(effect=effect, sigma=1.0)
 
 
-def _zsum(alpha: float, power: float, name: str = "power", zs: float | None = None) -> float:
-    """z_{1-a/2} + z_power (``zs``, where the caller has it), which is positive
-    only for a power above alpha / 2; at or below that it is an error naming
-    the power level ``name``."""
-    if zs is None:
-        # z_{1-a/2} from the tail a/2 itself: 1 - a/2 would round it at small a
-        zs = -norm_quantile(0.5 * alpha) + norm_quantile(power)
-    if not zs > 0.0:
-        raise ValueError(f"{name} must be above alpha / 2 = {0.5 * alpha!r} "
-                         f"at alpha {alpha!r}, got {power!r}")
-    return zs
-
-
 def power_at(n: float, effect: EffectSpec | float,
              design: TestDesign = TestDesign()) -> float:
     """Exact power of the main study at per-group size n (noncentral t).
@@ -160,13 +147,17 @@ def power_at(n: float, effect: EffectSpec | float,
 
 def _power_curve(n: float, design: TestDesign):
     """Exact power at per-group size n as a function of the effect size; the
-    critical value is computed once per curve, so once per size in a
-    ``_Sizer``, and the series terms at each Poisson mode once per mode, for
-    every effect size tried on this curve."""
+    critical value, its ``tcrit``, is computed once per curve, so once per
+    size in a ``_Sizer``, and the series terms at each Poisson mode once per
+    mode, for every effect size tried on this curve."""
     df = design.df(n)
     tcrit = -t_quantile(0.5 * design.alpha, df)
     modes = {}
-    return lambda d: _nct_abs_sf(tcrit, df, design.ncp(n, d), modes)
+
+    def pw(d):
+        return _nct_abs_sf(tcrit, df, design.ncp(n, d), modes)
+    pw.tcrit = tcrit
+    return pw
 
 
 _TOO_LARGE = "required size exceeds 1e9; effect is effectively zero"
@@ -178,17 +169,18 @@ _MAX_EFFECT_SIZE = 1e6
 
 
 def _nonzero_effect_size(effect: EffectSpec | float) -> float:
+    # a nonzero effect whose size underflows to 0 is no usage error: the 1e9 cap rejects it
     d = _effect_size(effect)
-    if d == 0.0:
+    if not (effect.effect if isinstance(effect, EffectSpec) else d):
         raise ConfigError("effect of 0 means an infinite study; no sample size exists")
     return d
 
 
 class _Sizer:
-    """The sizing searches of one TestDesign, kept for one call or one
-    simulation run.  It computes z_{1-a/2} once, z_power once per power
-    level, and one ``_power_curve`` per size n, the first time a search or a
-    bracket reads n; every search it runs shares them.  Each sizing checks
+    """The z sums, sizing searches and effect brackets of one TestDesign, kept
+    for one call, plan or simulation run.  It computes z_{1-a/2} once, z_power
+    once per power level, and one ``_power_curve`` (one t critical value) per
+    size n, the first time a search or a bracket reads n.  Each sizing checks
     its arguments as the public functions do, in the same order and with the
     same errors, and nothing outlives the sizer."""
 
@@ -207,11 +199,15 @@ class _Sizer:
 
     def zsum(self, power: float, name: str | None = "power") -> float:
         """z_{1-a/2} + z_power at a checked power level (a 0-d array too); with
-        a ``name`` it must be positive, as in ``_zsum``."""
+        a ``name`` it must be positive, that is the power above alpha / 2, and
+        else it is an error naming the power level ``name``."""
         zs = self._zsums.get(p := float(power))
         if zs is None:
             zs = self._zsums[p] = self.z_a + norm_quantile(p)
-        return zs if name is None else _zsum(self.design.alpha, power, name, zs)
+        if name is not None and not zs > 0.0:
+            raise ValueError(f"{name} must be above alpha / 2 = {0.5 * self.design.alpha!r} "
+                             f"at alpha {self.design.alpha!r}, got {power!r}")
+        return zs
 
     def _requirement(self, effect: EffectSpec | float, power: float,
                      mode: str) -> tuple[float, float, float]:
@@ -229,7 +225,8 @@ class _Sizer:
                              f"package plans for, {_MAX_EFFECT_SIZE:g}")
         # at a power at or below alpha / 2 the sum is not positive: the floor, 2
         zs, groups = max(0.0, self.zsum(power, None)), self.design.groups
-        if zs / d > math.sqrt(_MAX_N / groups):
+        # an effect size that underflowed to 0 needs past 1e9 too, at a positive zs
+        if zs and (not d or zs / d > math.sqrt(_MAX_N / groups)):
             raise ValueError(_TOO_LARGE)
         # zs 0 over a d^2 that underflows to 0 is the floor too, not 0 / 0
         return d, power, (groups * zs ** 2 / d ** 2 if zs else 0.0)
@@ -244,7 +241,8 @@ class _Sizer:
 
     def size(self, effect: EffectSpec | float, power: float, mode: str = T_ITERATIVE,
              shift: float = 0.0) -> int:
-        """``main_sample_size``, or with ``shift`` 1/2 ``_nearest_n``."""
+        """``main_sample_size``; with ``shift`` 1/2 the planners' main size, the
+        integer nearest the requirement, max(2, floor(``required`` + 1/2))."""
         d, power, n_z = self._requirement(effect, power, mode)
         if mode == Z_APPROX:
             return max(2, math.floor(n_z + 0.5) if shift else math.ceil(n_z - 1e-9))
@@ -282,8 +280,7 @@ class _Sizer:
                 # T = (Z + ncp) / S, S^2 ~ chi2(df) / df, passes c where Z > -a and S < b
                 # once ncp >= c b + a, each at probability sqrt(power): power there >= ``power``
                 df, r = design.df(n), math.sqrt(power)
-                ncp = (-t_quantile(0.5 * design.alpha, df) * math.sqrt(chisq_quantile(r, df) / df)
-                       + norm_quantile(r))
+                ncp = pw.tcrit * math.sqrt(chisq_quantile(r, df) / df) + norm_quantile(r)
                 hi = max(ncp / math.sqrt(n / design.groups), 2.0 * hi)
                 if hi > _MAX_EFFECT_SIZE:
                     raise ValueError("no finite effect reaches the requested power")
@@ -341,17 +338,6 @@ def main_sample_size(effect: EffectSpec | float, design: TestDesign, power: floa
     return _Sizer(design).size(effect, power, mode)
 
 
-def _nearest_n(effect: EffectSpec | float, design: TestDesign, power: float,
-               mode: str = T_ITERATIVE) -> int:
-    """The integer nearest the requirement, max(2, floor(required_n + 1/2)).
-
-    In t-iterative mode that is the smallest N >= 2 whose power at N + 1/2
-    reaches ``power``, found by the same integer search as
-    :func:`main_sample_size`.
-    """
-    return _Sizer(design).size(effect, power, mode, 0.5)
-
-
 def _solve_increasing(f, target: float, lo: float, hi: float, f_lo: float,
                       f_hi: float, xtol: float) -> tuple[float, float]:
     """The bracket [lo, hi] of the smallest x with f(x) >= target, f
@@ -390,13 +376,13 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
     n = _point("n", n)
     if not (math.isfinite(n) and n >= 2.0):
         raise ValueError(f"per-group size must be >= 2, got {n!r}")
-    power = _probability("power", power)
+    power, sizer = _probability("power", power), _Sizer(design)
     if _choice("mode", mode, _MODES) == Z_APPROX:
-        return _zsum(design.alpha, power) * math.sqrt(design.groups / n)
+        return sizer.zsum(power) * math.sqrt(design.groups / n)
     if not power > design.alpha:
         raise ValueError(f"power must be above alpha {design.alpha!r} in {T_ITERATIVE} "
                          f"mode, got {power!r}")
-    return _Sizer(design).bracket(n, power, 1e-12)[1]
+    return sizer.bracket(n, power, 1e-12)[1]
 
 
 def sigma_for_n(n: float, effect: EffectSpec, design: TestDesign, power: float,

@@ -368,13 +368,12 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
     # independent of the pooled S^2, which is sigma^2 chi2(df) / df, so an
     # estimate is spread T, T noncentral t on df with ncp mu / (sigma spread);
     # with sigma known, T is normal, the noncentral t at df = inf, which takes
-    # any finite ncp
-    limit = _MAX_NCP if config.estimator == POOLED_SD else math.inf
-    if not config.effect / config.sigma < limit * spread:
+    # any finite ncp (an effect size that overflows is the sizer's error)
+    if config.estimator == POOLED_SD and not config.effect / config.sigma < _MAX_NCP * spread:
         raise ValueError(
             f"effect {config.effect!r} over sigma {config.sigma!r} with pilot_n "
             f"{config.pilot_n!r} puts the pilot's t statistic past noncentrality "
-            f"{limit:g}, the largest a {config.estimator} simulation takes")
+            f"{_MAX_NCP:g}, the largest a {POOLED_SD} simulation takes")
     ncp = config.effect / config.sigma / spread
     df = math.inf if config.estimator == KNOWN_SIGMA else design.df(config.pilot_n)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 
 from .distributions import _choice, _count, _Output
-from .power import TWO_SAMPLE, T_ITERATIVE, EffectSpec, TestDesign, main_sample_size
+from .power import TWO_SAMPLE, T_ITERATIVE, EffectSpec, TestDesign, _Sizer
 from .variance import PowerBounds, plan_variance_pilot
 from .effect import plan_effect_pilot
 from .simulation import (EFFECT, VARIANCE, SimulationConfig, simulate_effect_pipeline,
@@ -84,7 +84,8 @@ def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0) -> Tab
         scenario, key, run = EFFECT, "effect", simulate_effect_pipeline
         cells = [{"underpower_prob": p, "effect": eff}
                  for p in TABLE2_UNDERPOWER_PROBS for eff in TABLE2_EFFECTS]
-        extra["main_study_n"] = {str(eff): main_sample_size(EffectSpec(eff), design, target)
+        sizer = _Sizer(design)
+        extra["main_study_n"] = {str(eff): sizer.size(EffectSpec(eff), target)
                                  for eff in TABLE2_EFFECTS}
     for cell_idx, cell in enumerate(cells):
         effect, sigma = cell[key], cell.get("sigma", 1.0)

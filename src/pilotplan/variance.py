@@ -25,9 +25,8 @@ from .power import (
     T_ITERATIVE,
     TestDesign,
     _first_true,
-    _nearest_n,
     _pilot_df,
-    _zsum,
+    _Sizer,
     required_n,  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 )
 
@@ -185,16 +184,17 @@ class VariancePilotPlan(_PlanRecord):
                     "overpower_prob", "overpower_threshold", "mode", "pooled_pilot")
 
 
-def _plan_fields(design: TestDesign, power_target: float, bounds: PowerBounds,
+def _plan_fields(sizer: _Sizer, power_target: float, bounds: PowerBounds,
                  param: str, rule) -> dict:
-    """The fields both plan records share: the design, the target, the bounds,
-    per side the main size at the threshold power, the threshold's ``param``
-    (sigma or mu) and the pilot size that ``rule(threshold, prob, side,
-    zs_target)`` gives (all None without an overpower bound), then the larger
-    pilot size."""
+    """The fields both plan records share: the design of the plan's one
+    ``sizer``, the target, the bounds, per side the main size at the
+    threshold power, the threshold's ``param`` (sigma or mu) and the pilot
+    size that ``rule(threshold, prob, side, zs_target)`` gives (all None
+    without an overpower bound), then the larger pilot size.  ``rule`` takes
+    its z sums and sizes from the same sizer, so each z term is computed once."""
     power_target = _probability("power_target", power_target)
     bounds.check_against_target(power_target)
-    zs_target = _zsum(design.alpha, power_target)
+    zs_target, design = sizer.zsum(power_target), sizer.design
     # the bounds' four fields, under the names the records use too
     fields = dict(kind=design.kind, alpha=design.alpha, power_target=power_target,
                   **vars(bounds))
@@ -220,11 +220,12 @@ def plan_variance_pilot(effect: EffectSpec, design: TestDesign, power_target: fl
     """
     mode = _choice("mode", mode, (EXACT, APPROX))
     pooled_pilot = _choice("pooled_pilot", pooled_pilot, (False, True))
+    sizer = _Sizer(design)
 
     def side(threshold: float, prob: float, which: str, zs_target: float):
-        zs = _zsum(design.alpha, threshold, f"{which}power_threshold")
+        zs = sizer.zsum(threshold, f"{which}power_threshold")
         sigma_thr = effect.sigma * zs / zs_target
-        n_main = _nearest_n(effect, design, threshold, T_ITERATIVE)
+        n_main = sizer.size(effect, threshold, T_ITERATIVE, 0.5)
         ratio = (sigma_thr / effect.sigma) ** 2
         if mode == APPROX:
             n_pilot = pilot_n_approx(ratio, prob, pooled_pilot)
@@ -233,5 +234,5 @@ def plan_variance_pilot(effect: EffectSpec, design: TestDesign, power_target: fl
         return n_main, sigma_thr, n_pilot
 
     return VariancePilotPlan(
-        **_plan_fields(design, power_target, bounds, "sigma", side),
+        **_plan_fields(sizer, power_target, bounds, "sigma", side),
         delta=effect.effect, sigma=effect.sigma, mode=mode, pooled_pilot=pooled_pilot)

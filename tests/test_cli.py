@@ -28,11 +28,14 @@ def run_cli(capsys, *argv):
      "--underpower-prob", "0.2", "--underpower-threshold", "0.6"),
     ("plan-variance", "--delta", "1e-170", "--sigma", "1",
      "--underpower-prob", "0.2", "--underpower-threshold", "0.6"),
+    ("plan-variance", "--delta", "1e-300", "--sigma", "1e300",
+     "--underpower-prob", "0.2", "--underpower-threshold", "0.6"),
     ("simulate", "--scenario", "effect", "--effect", "1e-170", "--pilot-n", "10",
      "--seed", "1"),
 ])
 def test_tiny_effect_is_computational_error(capsys, argv):
-    # the effect's square underflows to 0; the size guard fires first
+    # the effect's square, or the effect size itself, underflows to 0; the
+    # size guard fires first
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -48,6 +51,9 @@ def test_tiny_effect_is_computational_error(capsys, argv):
       "--underpower-prob", "0.2", "--underpower-threshold", "0.6"), "effect 1e+300 over sigma 1.0"),
     (("simulate", "--scenario", "effect", "--effect", "1e300", "--sigma", "1",
       "--pilot-n", "12", "--reps", "100", "--seed", "1"), "effect 1e+300 over sigma 1.0"),
+    (("simulate", "--scenario", "effect", "--estimator", "known-sigma", "--effect", "1e300",
+      "--sigma", "1e-300", "--pilot-n", "12", "--reps", "100", "--seed", "1"),
+     "effect 1e+300 over sigma 1e-300 is an effect size of inf"),
 ])
 def test_huge_effect_is_computational_error(capsys, argv, inputs):
     # the effect size's square would overflow (or, at 1e-320, the effect size

@@ -1,5 +1,5 @@
 """The benchmark's grid-warm ops: their outputs against a frozen file, and
-the critical values their simulation runs compute, counted.
+the critical values and z terms they compute, counted.
 
 ``golden/grid_ops_seeds_7_8_121.json`` holds what ``perfbench/worker.py``'s
 ``run_op`` returns for every grid-warm op of the benchmark seeds 7, 8 and 121
@@ -24,8 +24,10 @@ sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
 import worker  # noqa: E402
 import workloads  # noqa: E402
 
+import pilotplan.effect as effect_module  # noqa: E402
 import pilotplan.power as power_module  # noqa: E402
 import pilotplan.simulation as simulation  # noqa: E402
+import pilotplan.variance as variance_module  # noqa: E402
 
 GOLDEN = os.path.join(HERE, "golden", "grid_ops_seeds_7_8_121.json")
 SEEDS = (7, 8, 121)
@@ -80,6 +82,21 @@ def test_one_critical_value_per_size_a_run_reads(monkeypatch):
     assert all(len(seen) == len(set(seen)) for seen in runs)
     assert all(shared)
     assert len(dfs) / len(ops) <= 13.5
+
+
+def test_z_terms_per_op(monkeypatch):
+    # counted over the 75 ops of seed 121: the plan's one sizer and the run's
+    # one sizer each compute a z term once per level, so an op makes at most
+    # 7.0 normal quantiles through the power layer and the planners, 10.0
+    # when each sizing and z sum of a plan computed its own
+    calls = []
+    for module in (power_module, variance_module, effect_module):
+        monkeypatch.setattr(module, "norm_quantile",
+                            lambda p, _fn=module.norm_quantile: calls.append(p) or _fn(p))
+    ops = workloads.make_ops("grid-warm", 121)
+    for op in ops:
+        worker.run_op(op)
+    assert len(calls) / len(ops) <= 7.0
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

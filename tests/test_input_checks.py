@@ -145,7 +145,8 @@ CHECKS = {
     "simulate-known-sigma-noncentrality": (
         lambda: simulate_effect_pipeline(
             _effect_config(estimator="known-sigma", effect=1e300, sigma=1e-300)), ValueError,
-        "past noncentrality inf, the largest a known-sigma simulation takes"),
+        r"effect 1e\+300 over sigma 1e-300 is an effect size of inf, past the largest this "
+        "package plans for"),
     # a count too large to be a length, rather than an OverflowError or a
     # ZeroDivisionError from the arithmetic on it
     "simulate-variance-huge-pilot-n": (

@@ -2,9 +2,9 @@
 
 ``golden/planned_sizes.json`` holds 1,548 integer sizes:
 
-- ``main_sample_size`` and ``_nearest_n`` over both designs, alpha 0.01 /
-  0.05 / 0.1, power 0.6 / 0.8 / 0.9, 17 effect sizes from 0.01 to 3 and both
-  modes (1,224 sizes);
+- ``main_sample_size`` and the planners' nearest size (keyed ``_nearest_n``)
+  over both designs, alpha 0.01 / 0.05 / 0.1, power 0.6 / 0.8 / 0.9, 17
+  effect sizes from 0.01 to 3 and both modes (1,224 sizes);
 - ``pilot_n_exact`` on the ratios and probabilities of the variance-pilot
   tests, both sides, pooled or not (144);
 - ``effect_pilot_n`` for prior effects 0.2 / 0.5 / 0.8, both designs, both
@@ -28,7 +28,7 @@ from pilotplan.power import (
     Z_APPROX,
     EffectSpec,
     TestDesign,
-    _nearest_n,
+    _Sizer,
     main_sample_size,
 )
 from pilotplan.variance import pilot_n_exact
@@ -45,6 +45,12 @@ VARIANCE_PS = (0.05, 0.1, 0.2, 0.3, 0.32, 0.45)
 EFFECT_PS = (0.05, 0.08, 0.1, 0.12, 0.15, 0.18, 0.2, 0.22, 0.25, 0.28, 0.3, 0.35,
              0.4, 0.45, 0.49)
 MU_RATIO = 1.2657891760958229  # threshold-to-prior effect ratio on the z chain
+
+
+def _nearest_n(effect, design, power, mode):
+    """The planners' main size, the integer nearest the requirement; the
+    golden keys its sizes by this name."""
+    return _Sizer(design).size(effect, power, mode, 0.5)
 
 
 def planned_sizes() -> dict:

@@ -20,9 +20,8 @@ from pilotplan.distributions import (ConfigError, ConvergenceError, _nct_abs_sf,
 from pilotplan.effect import plan_effect_pilot
 from pilotplan.power import (
     _first_true,
-    _nearest_n,
+    _Sizer,
     _solve_increasing,
-    _zsum,
     EffectSpec,
     ONE_SAMPLE,
     TWO_SAMPLE,
@@ -41,6 +40,11 @@ from pilotplan.variance import PowerBounds, plan_variance_pilot
 
 TWO = TestDesign(TWO_SAMPLE, 0.05)
 ONE = TestDesign(ONE_SAMPLE, 0.05)
+
+
+def _nearest_n(effect, design, power, mode=T_ITERATIVE):
+    """The planners' main size: the integer nearest the requirement."""
+    return _Sizer(design).size(effect, power, mode, 0.5)
 
 
 class TestMainSampleSize:
@@ -99,6 +103,19 @@ class TestMainSampleSize:
         for solve in (required_n, main_sample_size, _nearest_n):
             with pytest.raises(ValueError, match="exceeds 1e9"):
                 solve(EffectSpec(effect), TWO, 0.8, mode)
+
+    @pytest.mark.parametrize("mode", [T_ITERATIVE, Z_APPROX])
+    @pytest.mark.parametrize("effect,sigma", [(1e-300, 1e300), (1e-200, 1e200)])
+    def test_effect_size_that_underflows(self, effect, sigma, mode):
+        # a positive effect whose size underflows to 0 breaks no rule: the
+        # study it needs passes 1e9, a computation's error, not the usage
+        # error of an effect of 0
+        for solve in (required_n, main_sample_size, _nearest_n):
+            with pytest.raises(ValueError, match="exceeds 1e9") as raised:
+                solve(EffectSpec(effect, sigma), TWO, 0.8, mode)
+            assert not isinstance(raised.value, ConfigError)
+        # at a power at or below alpha / 2 every size reaches it, at effect 0 too
+        assert main_sample_size(EffectSpec(effect, sigma), TWO, 0.01, mode) == 2
 
     @pytest.mark.parametrize("mode", [T_ITERATIVE, Z_APPROX])
     @pytest.mark.parametrize("effect,sigma", [(1e7, 1.0), (1e160, 1.0), (1e300, 1.0),
@@ -343,7 +360,7 @@ class TestInverseSolves:
         for n in ns:
             d = effect_for_n(int(n), design, power, T_ITERATIVE)
             assert power_at(n, EffectSpec(d), design) == pytest.approx(power, abs=1e-9)
-        z = _zsum(alpha, power) * np.sqrt(design.groups / ns)
+        z = _Sizer(design).zsum(power) * np.sqrt(design.groups / ns)
         assert z.tolist() == [effect_for_n(int(n), design, power) for n in ns]
 
     def test_effect_for_n_at_tiny_alpha(self):
@@ -357,6 +374,16 @@ class TestInverseSolves:
         # effect that reaches the power passes 1e6
         with pytest.raises(ValueError, match="no finite effect"):
             effect_for_n(2, design, 0.8, T_ITERATIVE)
+
+    def test_effect_bound_reads_its_curves_critical_value(self, monkeypatch):
+        # the bracket's provable bound at n = 5 reads the critical value the
+        # power curve at n holds, not a second solve at df 4
+        dfs, t_quantile_ = [], power_module.t_quantile
+        monkeypatch.setattr(power_module, "t_quantile",
+                            lambda p, df: dfs.append(df) or t_quantile_(p, df))
+        design = TestDesign(ONE_SAMPLE, 1e-15)
+        assert effect_for_n(5, design, 0.8, T_ITERATIVE).hex() == "0x1.2cffecd1808cep+12"
+        assert dfs == [4.0]
 
     def test_z_effect_at_tiny_alpha(self):
         # scipy: norm.isf(5e-16) = 8.02685888253454; from 1 - 5e-16, which
@@ -550,6 +577,20 @@ class TestIntegerSearch:
             d, power = effects[i % len(effects)], powers[j % len(powers)]
             assert (outcome(shared[name], d, power, mode)
                     == outcome(fresh[name], d, design, power, mode)), (name, d, power, mode)
+
+
+@pytest.mark.parametrize("plan", [
+    lambda bounds: plan_variance_pilot(EffectSpec(1, 4), TWO, 0.8, bounds),
+    lambda bounds: plan_effect_pilot(2.0, 4.0, TWO, 0.8, bounds),
+])
+def test_plan_computes_each_z_level_once(monkeypatch, plan):
+    # a plan's one sizer computes z_{1-a/2}, the target's z and each
+    # threshold's z once, however many sizings and z sums read them
+    levels, norm_quantile = [], power_module.norm_quantile
+    monkeypatch.setattr(power_module, "norm_quantile",
+                        lambda p: levels.append(p) or norm_quantile(p))
+    plan(PowerBounds(0.2, 0.6, 0.2, 0.95))
+    assert sorted(levels) == [0.025, 0.6, 0.8, 0.95]
 
 
 @pytest.mark.parametrize("design", [TestDesign(), TestDesign(ONE_SAMPLE, 0.01)])
