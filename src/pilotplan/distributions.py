@@ -447,9 +447,10 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
     # parameter: for the t tail (a = 1/2) the direct fraction runs to t^2
     # near 13 in 6-17 steps, where the one on y takes up to 150
     s = a + b + 2.0
-    if s * (s * x - a - 1.0) < 5.0 * (b - a):
-        return bt * _betacf(a, b, x, y)
-    return 1.0 - bt * _betacf(b, a, y, x)
+    # a complement under 1/64 has lost 6 or more of bt's bits; the direct fraction keeps them
+    if s * (s * x - a - 1.0) >= 5.0 * (b - a) and (c := 1.0 - bt * _betacf(b, a, y, x)) >= 1 / 64:
+        return c
+    return bt * _betacf(a, b, x, y)
 
 
 def _t_mass(x: float, df: float, central: bool = False) -> float:

@@ -112,8 +112,13 @@ def plan_effect_pilot(mu0: float, sigma: float, design: TestDesign,
     design is exactly adequate (z-quantile chain, scale invariant), pilot
     sizes per side from the closed form, and their maximum.
     """
+    return _plan_effect(_Sizer(design), mu0, sigma, power_target, bounds)
+
+
+def _plan_effect(sizer: _Sizer, mu0: float, sigma: float, power_target: float,
+                 bounds: PowerBounds) -> EffectPilotPlan:
     mu0, sigma = _scale("mu0", mu0), _scale("sigma", sigma)
-    effect, sizer = EffectSpec(mu0, sigma), _Sizer(design)
+    effect = EffectSpec(mu0, sigma)
 
     def side(threshold: float, prob: float, which: str, zs_target: float):
         mu_thr = mu0 * zs_target / sizer.zsum(threshold, f"{which}power_threshold")
@@ -121,7 +126,7 @@ def plan_effect_pilot(mu0: float, sigma: float, design: TestDesign,
             raise ValueError(f"mu0 {mu0!r} at {which}power_threshold {threshold!r} puts the "
                              "threshold effect past the largest float")
         n_main = sizer.size(effect, threshold, T_ITERATIVE, 0.5)
-        n_pilot = effect_pilot_n(mu0, mu_thr, sigma, prob, design, which)
+        n_pilot = effect_pilot_n(mu0, mu_thr, sigma, prob, sizer.design, which)
         return n_main, mu_thr, n_pilot
 
     return EffectPilotPlan(**_plan_fields(sizer, power_target, bounds, "mu", side),

@@ -139,10 +139,14 @@ def power_at(n: float, effect: EffectSpec | float,
     ``effect`` is an EffectSpec or a plain effect size (effect / sigma),
     here as in ``required_n`` and ``main_sample_size``.
     """
+    return _power_curve(_size(n), design)(_effect_size(effect))
+
+
+def _size(n) -> float:
     n = _point("n", n)
     if not (math.isfinite(n) and n >= 2.0):
         raise ValueError(f"per-group size must be >= 2, got {n!r}")
-    return _power_curve(n, design)(_effect_size(effect))
+    return n
 
 
 def _power_curve(n: float, design: TestDesign):
@@ -178,11 +182,11 @@ def _nonzero_effect_size(effect: EffectSpec | float) -> float:
 
 class _Sizer:
     """The z sums, sizing searches and effect brackets of one TestDesign, kept
-    for one call, plan or simulation run.  It computes z_{1-a/2} once, z_power
-    once per power level, and one ``_power_curve`` (one t critical value) per
-    size n, the first time a search or a bracket reads n.  Each sizing checks
-    its arguments as the public functions do, in the same order and with the
-    same errors, and nothing outlives the sizer."""
+    by the entry point that owns the work, a call, plan, run or whole reference
+    table, and dropped with it.  It computes z_{1-a/2} once, z_power once per
+    power level and one ``_power_curve`` (one t critical value) per size n, when
+    a search or a bracket first reads n.  Its sizings check their arguments as
+    the public functions do, in the same order and with the same errors."""
 
     def __init__(self, design: TestDesign):
         self.design = design
@@ -368,15 +372,9 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
 
     ``power`` lies above alpha / 2, and in t-iterative mode above alpha, the
     exact power at effect 0.  t-iterative: the top of ``_Sizer.bracket``,
-    of relative width 1e-12, galloped from the z-approx closed form.  One
-    size per call: an array of sizes is a ConfigError.
+    of relative width 1e-12, galloped from the z-approx closed form.
     """
-    if getattr(n, "ndim", 0) or isinstance(n, (list, tuple)):
-        raise ConfigError("effect_for_n takes one size n; call it once per size")
-    n = _point("n", n)
-    if not (math.isfinite(n) and n >= 2.0):
-        raise ValueError(f"per-group size must be >= 2, got {n!r}")
-    power, sizer = _probability("power", power), _Sizer(design)
+    n, power, sizer = _size(n), _probability("power", power), _Sizer(design)
     if _choice("mode", mode, _MODES) == Z_APPROX:
         return sizer.zsum(power) * math.sqrt(design.groups / n)
     if not power > design.alpha:

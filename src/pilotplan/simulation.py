@@ -20,11 +20,11 @@ five order statistics of the estimates, by the integer search of
 underpowered exactly when it is sized at most m = n_crit - 1, one fewer
 than the threshold power needs at the true effect: from the estimate x* on
 at which m subjects reach the target power, bracketed once per run to 1e-7
-by ``effect_for_n``'s solver (z-approx: its closed form).  One sizer
-(``power._Sizer``) serves a run's every sizing and that bracket: it checks
-each power level and computes its z terms once, and builds the power curve
-of each size, its t critical value and its Poisson-mode terms, once, so the
-bracket at m solves on the curve the threshold's sizing built.  So the flags are
+by ``effect_for_n``'s solver (z-approx: its closed form).  The caller's sizer
+(``power._Sizer``: a pipeline call's own, or a reference table's one) serves
+every sizing of a run and that bracket, and builds each size's power curve,
+its t critical value and Poisson-mode terms, once, so the bracket at m solves
+on the curve the threshold's sizing built.  So the flags are
 counted, not tested one by one: with u(x) = P(estimate >= x), a =
 Binomial(R, u(x_hi)) replicates lie past the bracket and b = Binomial(R - a,
 (u(x_lo) - u(x_hi)) / (1 - u(x_hi))) inside it, and only those b, almost
@@ -302,16 +302,15 @@ def _nonpositive(d, law) -> int:
     return count
 
 
-def _report(config: SimulationConfig, d, design: TestDesign,
+def _report(config: SimulationConfig, d, sizer: _Sizer,
             nonpositive=lambda: 0) -> SimulationReport:
-    """Size, flag and summarize a run of ``design`` from its estimated effect
-    sizes (magnitudes) ``d`` in ascending order; it reads the five quantile
-    items and the replicates inside the flag bracket that its bisection
-    tests.  The flags are counted first, then the quantiles are read, then
-    ``nonpositive()`` counts the negative estimates (an effect run draws its
-    signs there): a lazily drawn ``d`` draws in this order.  One sizer
-    serves the threshold's sizing, the flag boundary and the quantiles."""
-    sizer = _Sizer(design)
+    """Size, flag and summarize a run through ``sizer``, from its estimated
+    effect sizes (magnitudes) ``d`` in ascending order; it reads the five
+    quantile items and the replicates inside the flag bracket that its
+    bisection tests.  The flags are counted first, then the quantiles are
+    read, then ``nonpositive()`` counts the negative estimates (an effect run
+    draws its signs there): a lazily drawn ``d`` draws in this order.  The
+    sizer serves the threshold's sizing, the flag boundary and the quantiles."""
     n_crit = sizer.size(EffectSpec(config.effect, config.sigma),
                         config.underpower_threshold, T_ITERATIVE)
     r = config.replicates
@@ -319,6 +318,45 @@ def _report(config: SimulationConfig, d, design: TestDesign,
     quantiles = _main_n_quantiles(d, sizer, config.power_target, config.sizing_mode)
     return SimulationReport(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / r), nonpositive(),
                             quantiles, dict(vars(config)))
+
+
+def _run(config: SimulationConfig, sizer: _Sizer) -> SimulationReport:
+    """The pipeline ``config.scenario`` names, sized through ``sizer``, made for its design."""
+    if config.scenario == VARIANCE:
+        # (df) S^2 / sigma^2 is chi-square on df = n - 1, or 2n - 2 pooled, and
+        # the estimate delta / S is the standardized effect delta / sigma over
+        # sqrt(chi-square / df), whatever the scale of sigma
+        df = _pilot_df(config.pilot_n, config.pooled_pilot)
+        standardized = config.effect / config.sigma
+
+        def estimate(p: float) -> float:
+            return standardized / math.sqrt(chisq_quantile(p, df) / df)
+
+        def tail(x: float) -> float:
+            # the estimate reaches x where the chi-square is at most df (delta / (sigma x))^2
+            return chisq_cdf(df * (standardized / x) ** 2, df)
+
+        return _report(config, _OrderStats(config.replicates, config.seed, estimate, tail), sizer)
+    spread = math.sqrt(sizer.design.groups / config.pilot_n)
+    # the mean (two-sample: difference of means) is N(mu, g sigma^2 / n) and
+    # independent of the pooled S^2, which is sigma^2 chi2(df) / df, so an
+    # estimate is spread T, T noncentral t on df with ncp mu / (sigma spread);
+    # with sigma known, T is normal, the noncentral t at df = inf, which takes
+    # any finite ncp (an effect size that overflows is the sizer's error)
+    if config.estimator == POOLED_SD and not config.effect / config.sigma < _MAX_NCP * spread:
+        raise ValueError(
+            f"effect {config.effect!r} over sigma {config.sigma!r} with pilot_n "
+            f"{config.pilot_n!r} puts the pilot's t statistic past noncentrality "
+            f"{_MAX_NCP:g}, the largest a {POOLED_SD} simulation takes")
+    ncp = config.effect / config.sigma / spread
+    df = math.inf if config.estimator == KNOWN_SIGMA else sizer.design.df(config.pilot_n)
+
+    def law(x: float, signs: bool = False, upper: bool = False) -> tuple:
+        return _nct_fold(x / spread, df, ncp, signs, upper)
+
+    d = _OrderStats(config.replicates, config.seed,
+                    lambda v: spread * _nct_abs_isf(v, df, ncp), lambda x: law(x)[1])
+    return _report(config, d, sizer, lambda: _nonpositive(d, law))
 
 
 def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -330,24 +368,9 @@ def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:
     meaningful effect; the replicate is flagged when the design's true power
     (at the true sigma) is below the underpower threshold.
     """
-    design = config.design()
     if config.scenario != VARIANCE:
         raise ConfigError(f"expected a '{VARIANCE}' scenario, got {config.scenario!r}")
-
-    # (df) S^2 / sigma^2 is chi-square on df = n - 1, or 2n - 2 pooled, and
-    # the estimate delta / S is the standardized effect delta / sigma over
-    # sqrt(chi-square / df), whatever the scale of sigma
-    df = _pilot_df(config.pilot_n, config.pooled_pilot)
-    standardized = config.effect / config.sigma
-
-    def estimate(p: float) -> float:
-        return standardized / math.sqrt(chisq_quantile(p, df) / df)
-
-    def tail(x: float) -> float:
-        # the estimate reaches x where the chi-square is at most df (delta / (sigma x))^2
-        return chisq_cdf(df * (standardized / x) ** 2, df)
-
-    return _report(config, _OrderStats(config.replicates, config.seed, estimate, tail), design)
+    return _run(config, _Sizer(config.design()))
 
 
 def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
@@ -360,26 +383,6 @@ def simulate_effect_pipeline(config: SimulationConfig) -> SimulationReport:
     a nonpositive estimate are tallied separately in the report; the headline
     fraction counts the power-based flags.
     """
-    design = config.design()
     if config.scenario != EFFECT:
         raise ConfigError(f"expected an '{EFFECT}' scenario, got {config.scenario!r}")
-    spread = math.sqrt(design.groups / config.pilot_n)
-    # the mean (two-sample: difference of means) is N(mu, g sigma^2 / n) and
-    # independent of the pooled S^2, which is sigma^2 chi2(df) / df, so an
-    # estimate is spread T, T noncentral t on df with ncp mu / (sigma spread);
-    # with sigma known, T is normal, the noncentral t at df = inf, which takes
-    # any finite ncp (an effect size that overflows is the sizer's error)
-    if config.estimator == POOLED_SD and not config.effect / config.sigma < _MAX_NCP * spread:
-        raise ValueError(
-            f"effect {config.effect!r} over sigma {config.sigma!r} with pilot_n "
-            f"{config.pilot_n!r} puts the pilot's t statistic past noncentrality "
-            f"{_MAX_NCP:g}, the largest a {POOLED_SD} simulation takes")
-    ncp = config.effect / config.sigma / spread
-    df = math.inf if config.estimator == KNOWN_SIGMA else design.df(config.pilot_n)
-
-    def law(x: float, signs: bool = False, upper: bool = False) -> tuple:
-        return _nct_fold(x / spread, df, ncp, signs, upper)
-
-    d = _OrderStats(config.replicates, config.seed,
-                    lambda v: spread * _nct_abs_isf(v, df, ncp), lambda x: law(x)[1])
-    return _report(config, d, design, lambda: _nonpositive(d, law))
+    return _run(config, _Sizer(config.design()))

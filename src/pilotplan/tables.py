@@ -9,10 +9,9 @@ import random
 
 from .distributions import _choice, _count, _Output
 from .power import TWO_SAMPLE, T_ITERATIVE, EffectSpec, TestDesign, _Sizer
-from .variance import PowerBounds, plan_variance_pilot
-from .effect import plan_effect_pilot
-from .simulation import (EFFECT, VARIANCE, SimulationConfig, simulate_effect_pipeline,
-                         simulate_variance_pipeline)
+from .variance import PowerBounds, _plan_variance
+from .effect import _plan_effect
+from .simulation import EFFECT, VARIANCE, SimulationConfig, _run
 
 __all__ = ["TableReport", "reproduce_table"]
 
@@ -73,26 +72,24 @@ def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0) -> Tab
     # simulation, in the report config's column order
     grid = {"sizing_mode": T_ITERATIVE, "alpha": 0.05, "power_target": 0.8,
             "underpower_threshold": 0.6, "kind": TWO_SAMPLE}
-    design, target = TestDesign(grid["kind"], grid["alpha"]), grid["power_target"]
+    sizer, target = _Sizer(TestDesign(grid["kind"], grid["alpha"])), grid["power_target"]
     extra: dict = {}
     if table_id == 1:
-        scenario, key, run = VARIANCE, "delta", simulate_variance_pipeline
+        scenario, key = VARIANCE, "delta"
         cells = [{"underpower_prob": p, "delta": delta, "sigma": sigma}
                  for p in TABLE1_UNDERPOWER_PROBS for delta in TABLE1_DELTAS
                  for sigma in TABLE1_SIGMAS]
     else:
-        scenario, key, run = EFFECT, "effect", simulate_effect_pipeline
+        scenario, key = EFFECT, "effect"
         cells = [{"underpower_prob": p, "effect": eff}
                  for p in TABLE2_UNDERPOWER_PROBS for eff in TABLE2_EFFECTS]
-        sizer = _Sizer(design)
         extra["main_study_n"] = {str(eff): sizer.size(EffectSpec(eff), target)
                                  for eff in TABLE2_EFFECTS}
     for cell_idx, cell in enumerate(cells):
         effect, sigma = cell[key], cell.get("sigma", 1.0)
         bounds = PowerBounds(cell["underpower_prob"], grid["underpower_threshold"])
-        plan = (plan_variance_pilot(EffectSpec(effect, sigma), design, target, bounds)
-                if scenario == VARIANCE
-                else plan_effect_pilot(effect, sigma, design, target, bounds))
+        plan = (_plan_variance(sizer, EffectSpec(effect, sigma), target, bounds)
+                if scenario == VARIANCE else _plan_effect(sizer, effect, sigma, target, bounds))
         # per-cell substream: a child seed drawn from (seed, table, cell); the
         # child is a plain 63-bit int so the cell config remains a
         # self-contained reproducible record
@@ -100,6 +97,6 @@ def reproduce_table(table_id: int, replicates: int = 1000, seed: int = 0) -> Tab
         cfg = SimulationConfig(scenario=scenario, effect=effect, sigma=sigma,
                                pilot_n=plan.pilot_n, seed=child, replicates=replicates, **grid)
         cell["pilot_n"] = plan.pilot_n
-        cell["empirical_underpower"] = run(cfg).empirical_underpower
+        cell["empirical_underpower"] = _run(cfg, sizer).empirical_underpower
     return TableReport(cells=cells, extra=extra, config={
         "table_id": table_id, "replicates": replicates, "seed": seed, **grid})

@@ -218,9 +218,13 @@ def plan_variance_pilot(effect: EffectSpec, design: TestDesign, power_target: fl
     resulting variance ratio is scale invariant), pilot sizes per side in the
     chosen mode, and their maximum.
     """
+    return _plan_variance(_Sizer(design), effect, power_target, bounds, mode, pooled_pilot)
+
+
+def _plan_variance(sizer: _Sizer, effect: EffectSpec, power_target: float, bounds: PowerBounds,
+                   mode: str = APPROX, pooled_pilot: bool = False) -> VariancePilotPlan:
     mode = _choice("mode", mode, (EXACT, APPROX))
     pooled_pilot = _choice("pooled_pilot", pooled_pilot, (False, True))
-    sizer = _Sizer(design)
 
     def side(threshold: float, prob: float, which: str, zs_target: float):
         zs = sizer.zsum(threshold, f"{which}power_threshold")

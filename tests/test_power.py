@@ -355,7 +355,7 @@ class TestInverseSolves:
         # closed form evaluated over the whole array at once
         design = TestDesign(kind, alpha)
         ns = np.array([2, 3, 4, 5, 7, 10, 16, 25, 40, 64, 100, 158, 250, 400, 600])
-        with pytest.raises(ValueError, match="one size"):
+        with pytest.raises(ConfigError, match="scalar arguments"):
             effect_for_n(ns, design, power, T_ITERATIVE)
         for n in ns:
             d = effect_for_n(int(n), design, power, T_ITERATIVE)
@@ -393,7 +393,7 @@ class TestInverseSolves:
 
     def test_effect_for_n_array_rejects_small_n(self):
         # one size per call: arrays are rejected whatever they hold
-        with pytest.raises(ValueError, match="one size"):
+        with pytest.raises(ConfigError, match="scalar arguments"):
             effect_for_n(np.array([1.5, 10.0]), TWO, 0.8, T_ITERATIVE)
         with pytest.raises(ValueError, match=">= 2"):
             effect_for_n(1.5, TWO, 0.8, T_ITERATIVE)
@@ -550,21 +550,29 @@ class TestIntegerSearch:
                             min_size=1, max_size=3),
            powers=st.lists(st.one_of(st.floats(1e-8, 1.0 - 1e-8), st.sampled_from([1.0, 80])),
                            min_size=1, max_size=2),
-           calls=st.lists(st.tuples(st.sampled_from(["size", "nearest", "required"]),
+           sizes=st.lists(st.one_of(st.integers(2, 300), st.floats(2.0, 1e4)),
+                          min_size=1, max_size=3),
+           calls=st.lists(st.tuples(st.sampled_from(["size", "nearest", "required", "bracket"]),
                                     st.integers(0, 2), st.integers(0, 1),
                                     st.sampled_from([T_ITERATIVE] * 3 + [Z_APPROX, "exact"])),
                           min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
-    def test_shared_sizer_answers_as_fresh_calls(self, kind, alpha, effects, powers, calls):
-        # one sizer answers an interleaved run of sizings, reusing its z terms
-        # and power curves, exactly as a fresh public call answers each: the
-        # same number to the bit, or the same error.  The effects and powers
-        # come from short lists, so that later calls read what earlier ones built
+    def test_shared_sizer_answers_as_fresh_calls(self, kind, alpha, effects, powers, sizes,
+                                                 calls):
+        # one sizer answers an interleaved run of sizings and effect brackets,
+        # reusing its z terms and power curves, exactly as a fresh public call
+        # answers each: the same number to the bit, or the same error.  A
+        # bracket is t-iterative ``effect_for_n`` at a size n, whose checks
+        # (n >= 2, power in (alpha, 1)) come before its bracket.  The effects,
+        # powers and sizes come from short lists, so that later calls read what
+        # earlier ones built, as a reference table's cells do
         design = TestDesign(kind, alpha)
         sizer = power_module._Sizer(design)
         shared = {"size": lambda *a: sizer.size(*a, 0.0),
-                  "nearest": lambda *a: sizer.size(*a, 0.5), "required": sizer.required}
-        fresh = {"size": main_sample_size, "nearest": _nearest_n, "required": required_n}
+                  "nearest": lambda *a: sizer.size(*a, 0.5), "required": sizer.required,
+                  "bracket": lambda n, power, _: sizer.bracket(n, power, 1e-12)[1]}
+        fresh = {"size": main_sample_size, "nearest": _nearest_n, "required": required_n,
+                 "bracket": lambda n, d, power, _: effect_for_n(n, d, power, T_ITERATIVE)}
 
         def outcome(f, *args):
             try:
@@ -575,6 +583,10 @@ class TestIntegerSearch:
 
         for name, i, j, mode in calls:
             d, power = effects[i % len(effects)], powers[j % len(powers)]
+            if name == "bracket":
+                if not alpha < power < 1.0:
+                    continue
+                d = sizes[i % len(sizes)]
             assert (outcome(shared[name], d, power, mode)
                     == outcome(fresh[name], d, design, power, mode)), (name, d, power, mode)
 

@@ -124,18 +124,20 @@ def test_reprs_are_the_dataclass_reprs():
 @pytest.mark.parametrize("table_id", [1, 2])
 def test_table_config_holds_every_cells_grid(monkeypatch, table_id):
     # each cell's plan and simulation run the main study the report's config
-    # names, whatever the defaults of the planners and of SimulationConfig
+    # names, whatever the defaults of the planners and of SimulationConfig,
+    # and each sizes through a sizer of that design
     plans, configs = [], []
-    for name in ("plan_variance_pilot", "plan_effect_pilot"):
-        def plan(*args, _run=getattr(tables, name)):
-            plans.append(args[-3:])
-            return _run(*args)
+    for name in ("_plan_variance", "_plan_effect"):
+        def plan(sizer, *args, _run=getattr(tables, name)):
+            plans.append((sizer.design, *args[-2:]))
+            return _run(sizer, *args)
         monkeypatch.setattr(tables, name, plan)
-    for name in ("simulate_variance_pipeline", "simulate_effect_pipeline"):
-        def run(config, _run=getattr(tables, name)):
-            configs.append(config)
-            return _run(config)
-        monkeypatch.setattr(tables, name, run)
+
+    def run(config, sizer, _run=tables._run):
+        configs.append(config)
+        assert sizer.design == config.design()
+        return _run(config, sizer)
+    monkeypatch.setattr(tables, "_run", run)
     report = reproduce_table(table_id, replicates=5, seed=1)
     grid = {k: v for k, v in report.config.items() if k not in ("table_id", "seed")}
     assert set(grid) == {"replicates", "sizing_mode", "alpha", "power_target",

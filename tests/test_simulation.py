@@ -543,6 +543,17 @@ class TestEstimatesOnDemand:
         assert len(calls) == 60
         assert 0 < max(calls) <= 10 and sum(calls) <= 8 * 60
 
+    @pytest.mark.parametrize("table_id", [1, 2])
+    def test_one_sizer_per_table(self, monkeypatch, table_id):
+        # a table's plans, runs and main-study row all size through the one
+        # sizer it makes, where each plan and each run once made its own (120
+        # sizers for table 1, 31 for table 2)
+        made, init = [], _Sizer.__init__
+        monkeypatch.setattr(_Sizer, "__init__",
+                            lambda self, design: made.append(design) or init(self, design))
+        reproduce_table(table_id, replicates=50, seed=9)
+        assert made == [TestDesign(TWO_SAMPLE, 0.05)]
+
 
 def _known_ranks(d):
     """The ranks a run's ``d`` knows besides its sentinels: the two flag
