@@ -35,21 +35,30 @@ from .power import (
     TestDesign,
     arcsine_effect,
 )
-from .simulation import (
-    SimulationConfig,
-    simulate_effect_pipeline,
-    simulate_variance_pipeline,
-)
+from .simulation import (EFFECT, KNOWN_SIGMA, POOLED_SD, VARIANCE, SimulationConfig,
+                         simulate_effect_pipeline, simulate_variance_pipeline)
 
 _FORMATS = ("table", "csv", "json")
 _DESIGNS = {"one": ONE_SAMPLE, "two": TWO_SAMPLE}
+# the flags several commands take, each with its one set of keywords
+_SHARED = {
+    "--alpha": dict(type=float, default=0.05,
+                    help="two-sided type I error of the main study (default 0.05)"),
+    "--power": dict(type=float, default=0.8, help="target power of the main study (default 0.8)"),
+    "--design": dict(choices=sorted(_DESIGNS), default="two",
+                     help="one- or two-sample main study (default two)"),
+    "--seed": dict(type=int, required=True, help="RNG seed (results are reproducible from it)"),
+    "--format": dict(choices=_FORMATS, default="table", help="output format (default table)"),
+}
+
+
+def _add_shared(sub: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        sub.add_argument(flag, **_SHARED[flag])
 
 
 def _add_common_plan_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, default=0.05,
-                     help="two-sided type I error of the main study (default 0.05)")
-    sub.add_argument("--power", type=float, default=0.8,
-                     help="target power of the main study (default 0.8)")
+    _add_shared(sub, "--alpha", "--power")
     sub.add_argument("--underpower-prob", type=float, required=True,
                      help="allowed chance of landing below the power threshold")
     sub.add_argument("--underpower-threshold", type=float, required=True,
@@ -58,10 +67,7 @@ def _add_common_plan_flags(sub: argparse.ArgumentParser) -> None:
                      help="allowed chance of landing above the overpower threshold")
     sub.add_argument("--overpower-threshold", type=float,
                      help="power level counted as overpowered (e.g. 0.9)")
-    sub.add_argument("--design", choices=sorted(_DESIGNS), default="two",
-                     help="one- or two-sample main study (default two)")
-    sub.add_argument("--format", choices=_FORMATS, default="table",
-                     help="output format (default table)")
+    _add_shared(sub, "--design", "--format")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_plan_flags(pe)
 
     sim = subs.add_parser("simulate", help="Monte Carlo check of a pipeline")
-    sim.add_argument("--scenario", choices=("variance", "effect"), required=True)
+    sim.add_argument("--scenario", choices=(VARIANCE, EFFECT), required=True,
+                     help="pipeline whose pilot estimates the SD or the effect")
     sim.add_argument("--effect", "--delta", dest="effect", type=float, required=True,
                      help="true effect (delta for the variance scenario, "
                           "prior effect for the effect scenario)")
@@ -103,30 +110,28 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="true outcome SD (default 1)")
     sim.add_argument("--pilot-n", type=int, required=True,
                      help="pilot size per group")
-    sim.add_argument("--seed", type=int, required=True,
-                     help="RNG seed (results are reproducible from it)")
+    _add_shared(sim, "--seed")
     sim.add_argument("--reps", type=int, default=1000,
                      help="number of replicates (default 1000)")
-    sim.add_argument("--alpha", type=float, default=0.05)
-    sim.add_argument("--power", type=float, default=0.8)
-    sim.add_argument("--underpower-threshold", type=float, default=0.6)
-    sim.add_argument("--design", choices=sorted(_DESIGNS), default="two")
+    _add_shared(sim, "--alpha", "--power")
+    sim.add_argument("--underpower-threshold", type=float, default=0.6,
+                     help="power level counted as underpowered (default 0.6)")
+    _add_shared(sim, "--design")
     sim.add_argument("--sizing-mode", choices=(Z_APPROX, T_ITERATIVE),
                      default=T_ITERATIVE,
                      help="how the simulated analyst sizes the main study")
-    sim.add_argument("--estimator", choices=("pooled-sd", "known-sigma"),
-                     default="pooled-sd",
+    sim.add_argument("--estimator", choices=(POOLED_SD, KNOWN_SIGMA), default=POOLED_SD,
                      help="effect scenario: divide by the pooled SD or the known sigma")
     sim.add_argument("--pooled-pilot", action="store_true",
                      help="variance scenario: pool two pilot groups")
-    sim.add_argument("--format", choices=_FORMATS, default="table")
+    _add_shared(sim, "--format")
 
     tab = subs.add_parser("tables", help="recompute a reference grid")
     tab.add_argument("--id", type=int, choices=(1, 2), required=True,
                      help="1 = variability grid, 2 = effect-size grid")
-    tab.add_argument("--reps", type=int, default=1000)
-    tab.add_argument("--seed", type=int, required=True)
-    tab.add_argument("--format", choices=_FORMATS, default="table")
+    tab.add_argument("--reps", type=int, default=1000,
+                     help="number of replicates per cell (default 1000)")
+    _add_shared(tab, "--seed", "--format")
     return parser
 
 
@@ -231,9 +236,8 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple:
         power_target=args.power, underpower_threshold=args.underpower_threshold,
         pooled_pilot=args.pooled_pilot, sizing_mode=args.sizing_mode,
         estimator=args.estimator)
-    run = (simulate_variance_pipeline if args.scenario == "variance"
-           else simulate_effect_pipeline)
-    rep = run(cfg)
+    rep = (simulate_variance_pipeline if args.scenario == VARIANCE
+           else simulate_effect_pipeline)(cfg)
     lines = [
         f"simulated {rep.scenario} pipeline: {rep.replicates} replicates, "
         f"seed {rep.seed}",
@@ -242,7 +246,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple:
         f"  main-study N percentiles ({'/'.join(rep.main_n_quantiles)}): "
         + "/".join(str(v) for v in rep.main_n_quantiles.values()),
     ]
-    if rep.scenario == "effect":
+    if rep.scenario == EFFECT:
         lines.append(f"  nonpositive effect estimates: {rep.nonpositive_effects}")
     return rep, "\n".join(lines) + "\n"
 

@@ -636,7 +636,7 @@ def _nct_abs_sf(t: float, df: float, ncp: float, modes: dict | None = None) -> f
     """P(|T| > t) for t >= 0, T noncentral t(df, ncp).  T^2 is noncentral
     F(1, df, ncp^2), so this is sum_j Pois(j; ncp^2 / 2) I_w(df/2, j + 1/2),
     the Poisson half of the series, as ``_nct_fold`` sums it, with ``modes``."""
-    return _nct_fold(t, df, _require_finite("_nct_abs_sf", "ncp", ncp), False, False, modes)[1]
+    return _nct_fold(t, df, ncp, False, False, modes)[1]
 
 
 def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,

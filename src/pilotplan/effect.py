@@ -25,12 +25,6 @@ __all__ = [
 ]
 
 
-def _effect_sd(sigma: float, design: TestDesign, pilot_n: float) -> float:
-    # sd of the estimated effect: sigma/sqrt(n) one-sample, sigma*sqrt(2/n)
-    # per-group for a two-sample difference of means
-    return sigma * math.sqrt(design.groups / pilot_n)
-
-
 def _beyond(gap: float, sd: float) -> float:
     """Phi(-gap / sd), the chance the estimate passes a threshold ``gap``
     above its mean; where gap / sd is infinite (sd 0 too) its limit, 0 or 1."""
@@ -47,7 +41,7 @@ def effect_underpower_prob(pilot_n: int, mu0: float, mu_threshold: float,
     """
     fn = "effect_underpower_prob"
     gap = _require_finite(fn, "mu_threshold", mu_threshold) - _require_finite(fn, "mu0", mu0)
-    return _beyond(gap, _effect_sd(_scale("sigma", sigma), design, _count("pilot_n", pilot_n, 1)))
+    return _beyond(gap, _scale("sigma", sigma) * design.spread(_count("pilot_n", pilot_n, 1)))
 
 
 def effect_pilot_n(mu0: float, mu_threshold: float, sigma: float, p: float,
@@ -73,7 +67,7 @@ def effect_pilot_n(mu0: float, mu_threshold: float, sigma: float, p: float,
             f"{'high' if side == 'under' else 'low'} side of mu0")
     r = -norm_quantile(p) * sigma / gap     # the closed form is groups r^2
     start = math.ceil(design.groups * r ** 2 - 1e-9) if abs(r) < _MAX_N else _MAX_N
-    return _first_true(lambda n: _beyond(gap, _effect_sd(sigma, design, n)) < p,
+    return _first_true(lambda n: _beyond(gap, sigma * design.spread(n)) < p,
                        0, start, _MAX_N,
                        "pilot size exceeds 1e9; the threshold is too close to mu0")
 

@@ -79,6 +79,10 @@ class TestDesign(_Record):
         """Noncentrality of the t statistic at per-group size n."""
         return effect_size * math.sqrt(n / self.groups)
 
+    def spread(self, n: float) -> float:
+        """sqrt(groups / n), the effect size of noncentrality 1 at per-group size n."""
+        return math.sqrt(self.groups / n)
+
 
 def _pilot_df(pilot_n: int, pooled: bool) -> int:
     return 2 * pilot_n - 2 if pooled else pilot_n - 1
@@ -139,7 +143,7 @@ def power_at(n: float, effect: EffectSpec | float,
     ``effect`` is an EffectSpec or a plain effect size (effect / sigma),
     here as in ``required_n`` and ``main_sample_size``.
     """
-    return _power_curve(_size(n), design)(_effect_size(effect))
+    return _Sizer(design).curve(_size(n))(_effect_size(effect))
 
 
 def _size(n) -> float:
@@ -147,21 +151,6 @@ def _size(n) -> float:
     if not (math.isfinite(n) and n >= 2.0):
         raise ValueError(f"per-group size must be >= 2, got {n!r}")
     return n
-
-
-def _power_curve(n: float, design: TestDesign):
-    """Exact power at per-group size n as a function of the effect size; the
-    critical value, its ``tcrit``, is computed once per curve, so once per
-    size in a ``_Sizer``, and the series terms at each Poisson mode once per
-    mode, for every effect size tried on this curve."""
-    df = design.df(n)
-    tcrit = -t_quantile(0.5 * design.alpha, df)
-    modes = {}
-
-    def pw(d):
-        return _nct_abs_sf(tcrit, df, design.ncp(n, d), modes)
-    pw.tcrit = tcrit
-    return pw
 
 
 _TOO_LARGE = "required size exceeds 1e9; effect is effectively zero"
@@ -184,7 +173,7 @@ class _Sizer:
     """The z sums, sizing searches and effect brackets of one TestDesign, kept
     by the entry point that owns the work, a call, plan, run or whole reference
     table, and dropped with it.  It computes z_{1-a/2} once, z_power once per
-    power level and one ``_power_curve`` (one t critical value) per size n, when
+    power level and one power curve (one t critical value) per size n, when
     a search or a bracket first reads n.  Its sizings check their arguments as
     the public functions do, in the same order and with the same errors."""
 
@@ -195,10 +184,19 @@ class _Sizer:
         self._zsums, self._curves = {}, {}
 
     def curve(self, n: float):
-        """``_power_curve`` at per-group size n >= 2, built on first read."""
+        """Exact power at per-group size n >= 2 as a function of the effect size,
+        built on first read: one critical value, ``tcrit``, and the series terms
+        of each Poisson mode once, for every effect size tried on it."""
         pw = self._curves.get(n)
         if pw is None:
-            pw = self._curves[n] = _power_curve(n, self.design)
+            design, modes = self.design, {}
+            df = design.df(n)
+            tcrit = -t_quantile(0.5 * design.alpha, df)
+
+            def pw(d):
+                return _nct_abs_sf(tcrit, df, design.ncp(n, d), modes)
+            pw.tcrit = tcrit
+            self._curves[n] = pw
         return pw
 
     def zsum(self, power: float, name: str | None = "power") -> float:
@@ -252,6 +250,15 @@ class _Sizer:
             return max(2, math.floor(n_z + 0.5) if shift else math.ceil(n_z - 1e-9))
         return self._search(d, power, n_z, shift)
 
+    def edge(self, m: int, power: float, mode: str, xtol: float) -> tuple[float, float]:
+        """[lo, hi] around the effect size from which ``size`` at ``power`` is at
+        most m: ``bracket``, or in z-approx mode the closed form at m + 1e-9, where
+        ceil(n_z - 1e-9) reaches m, widened by xtol on each side."""
+        if mode == Z_APPROX:
+            x = self.zsum(power) * self.design.spread(m + 1e-9)
+            return x * (1.0 - xtol), x * (1.0 + xtol)
+        return self.bracket(m, power, xtol)
+
     def required(self, effect: EffectSpec | float, power: float, mode: str) -> float:
         """``required_n``."""
         d, power, n_z = self._requirement(effect, power, mode)
@@ -270,7 +277,7 @@ class _Sizer:
         each step, then Illinois.  An upward step of 2 or more goes instead to a
         provable bound; past 1e6 no finite effect reaches ``power``."""
         pw, design = self.curve(n), self.design
-        lo = hi = x = self.zsum(power) * math.sqrt(design.groups / n)
+        lo = hi = x = self.zsum(power) * design.spread(n)
         f_lo = f_hi = pw(x)
         step = 1.0 + max(self.z_a * self.z_a / (4.0 * design.groups * n), 1e-9)
         while f_lo >= power:
@@ -376,7 +383,7 @@ def effect_for_n(n: float, design: TestDesign, power: float, mode: str = Z_APPRO
     """
     n, power, sizer = _size(n), _probability("power", power), _Sizer(design)
     if _choice("mode", mode, _MODES) == Z_APPROX:
-        return sizer.zsum(power) * math.sqrt(design.groups / n)
+        return sizer.zsum(power) * design.spread(n)
     if not power > design.alpha:
         raise ValueError(f"power must be above alpha {design.alpha!r} in {T_ITERATIVE} "
                          f"mode, got {power!r}")

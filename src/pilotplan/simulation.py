@@ -20,15 +20,15 @@ five order statistics of the estimates, by the integer search of
 underpowered exactly when it is sized at most m = n_crit - 1, one fewer
 than the threshold power needs at the true effect: from the estimate x* on
 at which m subjects reach the target power, bracketed once per run to 1e-7
-by ``effect_for_n``'s solver (z-approx: its closed form).  The caller's sizer
-(``power._Sizer``: a pipeline call's own, or a reference table's one) serves
-every sizing of a run and that bracket, and builds each size's power curve,
-its t critical value and Poisson-mode terms, once, so the bracket at m solves
-on the curve the threshold's sizing built.  So the flags are
-counted, not tested one by one: with u(x) = P(estimate >= x), a =
-Binomial(R, u(x_hi)) replicates lie past the bracket and b = Binomial(R - a,
-(u(x_lo) - u(x_hi)) / (1 - u(x_hi))) inside it, and only those b, almost
-always none, are inverted and sized (by bisection).
+by the sizer's ``edge`` (``effect_for_n``'s solver; z-approx: the closed
+form).  The caller's sizer (``power._Sizer``: a pipeline call's own, or a
+reference table's one) serves every sizing of a run and that bracket, and
+builds each size's power curve, its t critical value and Poisson-mode
+terms, once, so the bracket at m solves on the curve the threshold's sizing
+built.  So the flags are counted, not tested one by one: with u(x) =
+P(estimate >= x), a = Binomial(R, u(x_hi)) replicates lie past the bracket
+and b = Binomial(R - a, (u(x_lo) - u(x_hi)) / (1 - u(x_hi))) inside it, and
+only those b, almost always none, are inverted and sized (by bisection).
 
 Nor is every replicate drawn: one uniform orders the estimates.  A variance
 estimate falls as its chi-square uniform rises.  An effect estimate is
@@ -67,7 +67,6 @@ from .power import (
     EffectSpec,
     TWO_SAMPLE,
     T_ITERATIVE,
-    Z_APPROX,
     TestDesign,
     _pilot_df,
     _Sizer,
@@ -238,19 +237,11 @@ def _flag_boundary(sizer: _Sizer, config: SimulationConfig, n_crit: int):
     holds from some estimate x* on.  Returns None where n_crit <= 2, so that
     nothing is flagged, and else (x_lo, x_hi, flagged): ``flagged(x)`` is
     that test, by the sizer's ``main_sample_size`` search, false at x_lo
-    and true at x_hi, and x_hi - x_lo is about 1e-7 x*.  In t-iterative mode
-    the bracket is the sizer's power root at m, on the power curve the
-    threshold's sizing read there; in z-approx mode it is the closed form's
-    own boundary, widened by 1e-7 on each side."""
+    and true at x_hi, and x_hi - x_lo is about 1e-7 x*: the sizer's ``edge`` at m."""
     if n_crit <= 2:
         return None
     m, target, mode = n_crit - 1, config.power_target, config.sizing_mode
-    if mode == Z_APPROX:
-        x = sizer.zsum(target) * math.sqrt(sizer.design.groups / (m + 1e-9))
-        x_lo, x_hi = x * (1.0 - 1e-7), x * (1.0 + 1e-7)
-    else:
-        x_lo, x_hi = sizer.bracket(m, target, 1e-7)
-    return x_lo, x_hi, lambda x: sizer.size(x, target, mode) <= m
+    return (*sizer.edge(m, target, mode, 1e-7), lambda x: sizer.size(x, target, mode) <= m)
 
 
 def _underpower_count(d, boundary) -> int:
@@ -337,7 +328,7 @@ def _run(config: SimulationConfig, sizer: _Sizer) -> SimulationReport:
             return chisq_cdf(df * (standardized / x) ** 2, df)
 
         return _report(config, _OrderStats(config.replicates, config.seed, estimate, tail), sizer)
-    spread = math.sqrt(sizer.design.groups / config.pilot_n)
+    spread = sizer.design.spread(config.pilot_n)
     # the mean (two-sample: difference of means) is N(mu, g sigma^2 / n) and
     # independent of the pooled S^2, which is sigma^2 chi2(df) / df, so an
     # estimate is spread T, T noncentral t on df with ncp mu / (sigma spread);

@@ -1,5 +1,6 @@
 """Command-line surface tests: flags, formats, exit codes, reproducibility."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -181,6 +182,18 @@ def test_handler_returns_record_and_text(capsys, argv, kind):
     emit(record, "json")
     as_json = capsys.readouterr().out
     assert run_cli(capsys, *argv, "--format", "json") == (0, as_json, "")
+
+
+def test_every_option_has_help():
+    # argparse %-formats help text only when it prints it, so a bare % in a
+    # help string would fail only there: format each subcommand's help too
+    parser = _build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subs.choices) == sorted(_HANDLERS)
+    for name, sub in subs.choices.items():
+        for action in sub._actions:
+            assert action.help, (name, action.option_strings)
+        assert "usage: pilotplan " + name in sub.format_help()
 
 
 class TestPlanVariance:

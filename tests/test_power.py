@@ -140,11 +140,13 @@ class TestMainSampleSize:
 
     def test_power_at_huge_effect_names_ncp(self):
         # power_at has no effect-size guard of its own: at ncp 1.4e20 the
-        # noncentral t's Poisson weight overflows, and at 1.4e160 so does
-        # ncp^2 / 2; either is a ValueError naming ncp
-        for effect in (1e20, 1e160):
-            with pytest.raises(ValueError, match="ncp .* is too large"):
-                power_at(2, EffectSpec(effect), ONE)
+        # noncentral t's Poisson weight overflows, at 1.4e160 so does
+        # ncp^2 / 2, and an effect size that overflows to inf makes ncp inf;
+        # each is a failed computation, a ValueError naming ncp, not a usage error
+        for effect in (EffectSpec(1e20), EffectSpec(1e160), EffectSpec(1e300, 1e-300)):
+            with pytest.raises(ValueError, match="ncp .* is too large") as caught:
+                power_at(2, effect, ONE)
+            assert not isinstance(caught.value, ConfigError), effect
 
     @pytest.mark.parametrize("effect,power",
                              [(0.5, 1e-6), (0.5, 1e-3), (1e-6, 1e-6), (1e-300, 1e-6)])
@@ -496,9 +498,9 @@ class TestIntegerSearch:
         # about 1.6e7 per group: the search costs O(log n) power evaluations,
         # each on the sizer's power curve at its size
         calls = []
-        curve, power_at_ = power_module._power_curve, power_module.power_at
-        monkeypatch.setattr(power_module, "_power_curve", lambda n, design: (
-            lambda d, pw=curve(n, design): calls.append(n) or pw(d)))
+        curve, power_at_ = power_module._Sizer.curve, power_module.power_at
+        monkeypatch.setattr(power_module._Sizer, "curve", lambda self, n: (
+            lambda d, pw=curve(self, n): calls.append(n) or pw(d)))
         effect = EffectSpec(1e-3)
         n = main_sample_size(effect, TWO, 0.8)
         assert 1.5e7 < n < 1.6e7
@@ -512,8 +514,8 @@ class TestIntegerSearch:
         # a power curve that never reaches the target: the gallop gives up
         # at 1e9 per group, after O(log n) evaluations
         calls = []
-        monkeypatch.setattr(power_module, "_power_curve",
-                            lambda n, design: lambda d: calls.append(n) or 0.0)
+        monkeypatch.setattr(power_module._Sizer, "curve",
+                            lambda self, n: lambda d: calls.append(n) or 0.0)
         with pytest.raises(ValueError, match="exceeds 1e9"):
             main_sample_size(EffectSpec(0.5), TWO, 0.8)
         assert max(calls) == 10 ** 9
