@@ -26,9 +26,10 @@ Every noncentral-t quantity comes from ``_nct_fold``, the law of |T|, which
 alone calls the mode-outward sweep ``_mixture_sum``.  The power layer reads
 the two-sided tail P(|T| > t) through ``_nct_abs_sf``: T^2 is noncentral
 F(1, df, ncp^2), so that tail is the Poisson-weighted half of the series
-alone.  The effect simulation reads the law of |T| and of T's sign, both
-halves of the series with their slopes in t, and ``nct_cdf`` the same law
-with P(T < -t), with no reflection that would cancel in the lower tail.
+alone, without its slope.  The effect simulation reads the law of |T| and
+of T's sign, both halves of the series with their slopes in t, and
+``nct_cdf`` the same masses with P(T < -t), with no reflection that would
+cancel in the lower tail, and no slope.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ class ConfigError(ValueError):
 def _point(fn: str, x) -> float:
     """x as one float; an array (ndim >= 1), list or tuple is a ConfigError,
     and an integer past the largest float reads as an infinity."""
+    if type(x) is float:
+        return x
     if getattr(x, "ndim", 0) or isinstance(x, (list, tuple)):
         raise ConfigError(f"{fn} takes scalar arguments; call it once per point")
     try:
@@ -130,12 +133,15 @@ def _count(name: str, x, least: int) -> int:
     return int(x)
 
 
+def _kind(v) -> tuple:
+    # what _choice matches besides the value: True is not 1, nor 1.0, and 0 is not False
+    return isinstance(v, bool), isinstance(v, numbers.Integral)
+
+
 def _choice(name: str, x, choices: tuple):
-    # matched in kind as in value: True is not 1, nor 1.0, and 0 is not False
-    def kind(v):
-        return isinstance(v, bool), isinstance(v, numbers.Integral)
+    kind = _kind(x)
     for c in choices:
-        if kind(x) == kind(c) and x == c:
+        if _kind(c) == kind and x == c:
             return c
     raise ConfigError(f"{name} must be {' or '.join(map(repr, choices))}, got {x!r}")
 
@@ -296,7 +302,11 @@ def _gammainc_lower(a: float, x: float) -> tuple[float, float]:
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_FRACTION + 1):
+    # a float counter: every count up to the cap is exact, and an int one
+    # would be converted at each use, to the same bits
+    i = 0.0
+    while i < _MAX_FRACTION:
+        i += 1.0
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -411,7 +421,9 @@ def _betacf(a: float, b: float, x: float, y: float) -> float:
     p, s = 1.0, a + 1.0
     an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
     r = c1 / c
-    for n in range(1, _MAX_FRACTION + 1):
+    n = 0.0     # counted in floats, as in _gammainc_lower
+    while n < _MAX_FRACTION:
+        n += 1.0
         t = n / a
         w = n * (b - n) * x
         e = a / s
@@ -508,7 +520,10 @@ def t_quantile(p: float, df: float) -> float:
     target, slope = (0.5 - q, -1.0) if central else (q, 1.0)
 
     def newton(x):
-        got, pdf = _t_mass(x, df, central), _t_pdf(x, df)
+        got = _t_mass(x, df, central)
+        if abs(got - target) <= _INVERT_TOL * target:
+            return got, math.nan    # _invert stops here and reads no step
+        pdf = _t_pdf(x, df)
         return got, (slope * math.log(got / target) * got / (x * pdf)
                      if got > 0.0 and x * pdf > 0.0 else math.nan)
 
@@ -528,12 +543,14 @@ def _beta_term(a: float, b: float, ln_y: float, ln_1my: float) -> float:
 
 
 def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
-                 half_df: float, upper: bool = False, modes: dict | None = None
-                 ) -> tuple[float, float]:
+                 half_df: float, upper: bool = False, modes: dict | None = None,
+                 density: bool = True) -> tuple[float, float]:
     """Sum over j >= 0 of scale e^-lam lam^j / Gamma(j + a0 + 1/2) I(a0 + j),
     from the mode of the weights outward, so large lam stays cheap and stable;
     and its slope, the same sum with each I(a) replaced by t/2 times its
-    derivative in t, y = t^2 / (t^2 + df), which is a term(a).
+    derivative in t, y = t^2 / (t^2 + df), which is a term(a).  Without
+    ``density`` the slope is not summed and reads NaN, the upward sweep stops
+    on the total's own tests alone, and the total keeps every bit (below).
 
     I(a) is I_y(a, df/2), or where w = 1 - y < _FAR or ``upper`` asks for
     it the upper tail I_w(df/2, a) = 1 - I_y(a, df/2), which keeps the digits
@@ -564,7 +581,7 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
             modes[m] = mode
     i_m, t_m = mode
     total = c_m * i_m
-    slope = c_m * a * t_m
+    slope = c_m * a * t_m if density else math.nan
 
     # upward sweep: beyond the mode the weights decrease, so the loop may stop
     # once they are negligible, or once the (decreasing) ratio is 0.  It stops
@@ -586,8 +603,11 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
     # it: adding it rounds back to the same sum, and so on, term by term.
     # (A subnormal product rounds up by at most 2^-1075, still under half an
     # ulp of any sum above 2^-1020; a smaller sum makes the term in (3) or
-    # (4) 0, and every later one 0 too.)  The test opens with (3) in the
-    # form it takes for positive terms, as the condition that holds last.
+    # (4) 0, and every later one 0 too.)  The total's part of this needs (1)
+    # and (3) alone, which fix its bits whatever (2) and (4) say: a sweep
+    # without ``density`` stops on them, and a later stop only adds terms
+    # that round away.  The test opens with (3) in the form it takes for
+    # positive terms, as the condition that holds last.
     c, i, t, j = c_m, i_m, t_m, m
     while True:
         i -= t
@@ -598,15 +618,16 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
         c *= lam / (j + b)
         j += 1
         total += c * i
-        slope += c * a * t
+        if density:
+            slope += c * a * t
         if -1e-18 < c < 1e-18 or i == 0.0:
             break
         if j - m > _MAX_SERIES:
             raise ConvergenceError("noncentral t series (upward) hit the iteration cap")
         if (c * i <= _ROUND_AWAY * total and 2.0 * lam <= j + b
-                and 2.0 * lam * y * (a + half_df) <= (j + b) * a
                 and abs(c if far else c * i) <= _ROUND_AWAY * abs(total)
-                and abs(c * a * t) <= _ROUND_AWAY * abs(slope)):
+                and (not density or 2.0 * lam * y * (a + half_df) <= (j + b) * a
+                     and abs(c * a * t) <= _ROUND_AWAY * abs(slope))):
             break
 
     # downward sweep: I(a) = I(a+1) + term(a).  Where the ratio and its term
@@ -626,7 +647,8 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
         c *= (j + b - 1.0) / lam
         j -= 1
         total += c * i
-        slope += c * a * t
+        if density:
+            slope += c * a * t
         if -1e-18 < c < 1e-18:
             break
     return total, slope
@@ -635,12 +657,14 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
 def _nct_abs_sf(t: float, df: float, ncp: float, modes: dict | None = None) -> float:
     """P(|T| > t) for t >= 0, T noncentral t(df, ncp).  T^2 is noncentral
     F(1, df, ncp^2), so this is sum_j Pois(j; ncp^2 / 2) I_w(df/2, j + 1/2),
-    the Poisson half of the series, as ``_nct_fold`` sums it, with ``modes``."""
-    return _nct_fold(t, df, ncp, False, False, modes)[1]
+    the Poisson half of the series, as ``_nct_fold`` sums it, with ``modes``
+    and without the density."""
+    return _nct_fold(t, df, ncp, False, False, modes, False)[1]
 
 
 def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
-              upper: bool = False, modes: dict | None = None) -> tuple:
+              upper: bool = False, modes: dict | None = None,
+              density: bool = True) -> tuple:
     """The law of |T| at t >= 0, T noncentral t(df, ncp), normal N(ncp, 1)
     at df = inf: P(|T| <= t), P(|T| > t) and the density of |T| at t; with
     ``signs`` also P(T < -t) and, for ncp >= 0, f(-t) / (f(t) + f(-t)), the
@@ -656,18 +680,24 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
     its last digits where it is small.  ``modes`` goes to the even sum: one
     dict passed to every call at one t, df and ``upper``, whatever the ncp,
     computes the terms of each Poisson mode once (``_mixture_sum``).
+    Without ``density`` no slope is summed and no density computed: the
+    density reads NaN, as does the share that the slopes give (the constants
+    where t^2 under- or overflows against df stay).  Only a caller that reads
+    neither passes it.
     """
     if df == math.inf:
         below = norm_cdf(-t - ncp)
-        density = (math.exp(-0.5 * (t - ncp) ** 2) + math.exp(-0.5 * (t + ncp) ** 2)) / _SQRT2PI
-        law = (norm_cdf(t - ncp) - below, norm_cdf(ncp - t) + below, density)
+        f = ((math.exp(-0.5 * (t - ncp) ** 2) + math.exp(-0.5 * (t + ncp) ** 2)) / _SQRT2PI
+             if density else math.nan)
+        law = (norm_cdf(t - ncp) - below, norm_cdf(ncp - t) + below, f)
         # f(-t) / f(t) = e^(-2 t ncp), so the share is (1 - tanh(t ncp)) / 2
         return law + ((below, 0.5 - 0.5 * math.tanh(t * ncp)) if signs else ())
     lam = 0.5 * ncp * ncp
     if lam == 0.0:
         # T is the central t, each tail from its own mass
         below = _t_mass(t, df)
-        law = (2.0 * _t_mass(t, df, True), 2.0 * below, 2.0 * _t_pdf(t, df))
+        law = (2.0 * _t_mass(t, df, True), 2.0 * below,
+               2.0 * _t_pdf(t, df) if density else math.nan)
         return law + ((below, 0.5) if signs else ())
     tt = t * t
     y, w = tt / (tt + df), df / (tt + df)
@@ -679,9 +709,9 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
         return (1.0, 0.0, 0.0) + ((0.0, 0.0) if signs else ())
     half_df, far = 0.5 * df, upper or w < _FAR
     try:
-        even, d_even = _mixture_sum(lam, 0.5, 1.0, y, w, half_df, far, modes)
-        odd, d_odd = (_mixture_sum(lam, 1.0, ncp * _SQRT1_2, y, w, half_df, far) if signs
-                      else (0.0, 0.0))
+        even, d_even = _mixture_sum(lam, 0.5, 1.0, y, w, half_df, far, modes, density)
+        odd, d_odd = (_mixture_sum(lam, 1.0, ncp * _SQRT1_2, y, w, half_df, far, None, density)
+                      if signs else (0.0, 0.0))
     except OverflowError:
         # lam = ncp^2 / 2 is infinite, or the Poisson weight at its mode is
         raise ValueError(f"ncp {ncp!r} is too large for the noncentral t series") from None
@@ -695,7 +725,7 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
     share = 0.5 - 0.5 * d_odd / d_even if d_even else 0.0
     # below is left unclamped: rounding can put it about 1e-13 under 0, and
     # nct_cdf adds it to P(|T| <= t) before it clamps
-    return law + (below, min(1.0, max(0.0, share)))
+    return law + (below, min(1.0, max(0.0, share)) if density else math.nan)
 
 
 def _nct_abs_isf(v: float, df: float, ncp: float) -> float:
@@ -747,8 +777,8 @@ def nct_cdf(x: float, df: float, ncp: float) -> float:
         return t_cdf(x, df)
     t = abs(x)
     if ncp > 0.0:
-        cdf, _, _, below, _ = _nct_fold(t, df, ncp, signs=True)
+        cdf, _, _, below, _ = _nct_fold(t, df, ncp, signs=True, density=False)
         return min(1.0, max(0.0, below if x < 0.0 else cdf + below))
     # T' = -T at -ncp: P(T <= x) = P(T' >= -x), from upper tails past |ncp|
-    _, sf, _, below, _ = _nct_fold(t, df, -ncp, signs=True, upper=t > -ncp)
+    _, sf, _, below, _ = _nct_fold(t, df, -ncp, signs=True, upper=t > -ncp, density=False)
     return min(1.0, max(0.0, sf - below if x < 0.0 else 1.0 - below))

@@ -346,7 +346,8 @@ def _run(config: SimulationConfig, sizer: _Sizer) -> SimulationReport:
         return _nct_fold(x / spread, df, ncp, signs, upper)
 
     d = _OrderStats(config.replicates, config.seed,
-                    lambda v: spread * _nct_abs_isf(v, df, ncp), lambda x: law(x)[1])
+                    lambda v: spread * _nct_abs_isf(v, df, ncp),
+                    lambda x: _nct_fold(x / spread, df, ncp, density=False)[1])
     return _report(config, d, sizer, lambda: _nonpositive(d, law))
 
 

@@ -1,5 +1,5 @@
 """The benchmark's grid-warm ops: their outputs against a frozen file, and
-the critical values and z terms they compute, counted.
+the critical values, z terms and series terms they compute, counted.
 
 ``golden/grid_ops_seeds_7_8_121.json`` holds what ``perfbench/worker.py``'s
 ``run_op`` returns for every grid-warm op of the benchmark seeds 7, 8 and 121
@@ -14,6 +14,7 @@ Only ``perfbench/workloads.py`` and ``perfbench/worker.py`` are imported
 from the benchmark, which stays unchanged.
 """
 
+import inspect
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
 import worker  # noqa: E402
 import workloads  # noqa: E402
 
+import pilotplan.distributions as distributions  # noqa: E402
 import pilotplan.effect as effect_module  # noqa: E402
 import pilotplan.power as power_module  # noqa: E402
 import pilotplan.simulation as simulation  # noqa: E402
@@ -97,6 +99,47 @@ def test_z_terms_per_op(monkeypatch):
     for op in ops:
         worker.run_op(op)
     assert len(calls) / len(ops) <= 7.0
+
+
+def _upward_terms(call) -> int:
+    """The terms that the upward sweeps of ``call()`` add to a total, counted
+    as runs of the line of ``_mixture_sum``'s upward loop that adds one."""
+    code = distributions._mixture_sum.__code__
+    lines, first = inspect.getsourcelines(distributions._mixture_sum)
+    line = first + next(k for k, text in enumerate(lines) if text.strip() == "total += c * i")
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno == line
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_power_sweeps_stop_on_the_total(monkeypatch):
+    # the power evaluations of the 75 ops of seed 121, each distinct one
+    # summed again with and without the density: the sweep that reads no
+    # slope stops on the total's tests alone, never later than the one that
+    # does, and over all the calls sooner (351.4 upward terms an op in these
+    # evaluations, against 364.0 with the density)
+    calls = []
+    abs_sf = power_module._nct_abs_sf
+    monkeypatch.setattr(power_module, "_nct_abs_sf",
+                        lambda *args: calls.append(args[:3]) or abs_sf(*args))
+    ops = workloads.make_ops("grid-warm", 121)
+    for op in ops:
+        worker.run_op(op)
+    assert len(calls) > 10 * len(ops)
+    pairs = [[_upward_terms(lambda: distributions._nct_fold(*args, density=density))
+              for density in (True, False)] for args in dict.fromkeys(calls)]
+    assert all(off <= on for on, off in pairs)
+    assert sum(off for _, off in pairs) < sum(on for on, _ in pairs)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

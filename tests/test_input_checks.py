@@ -12,10 +12,11 @@ may end but with an exit code.
 
 import math
 
+import numpy as np
 import pytest
 
 from pilotplan.cli import main
-from pilotplan.distributions import ConvergenceError
+from pilotplan.distributions import ConvergenceError, _choice, _point, norm_cdf
 from pilotplan.effect import effect_pilot_n, effect_underpower_prob, plan_effect_pilot
 from pilotplan.power import (
     EffectSpec, TestDesign, arcsine_effect, effect_for_n, main_sample_size, mu_for_n,
@@ -214,6 +215,13 @@ CHECKS = {
     "effect-for-n-t-power-below-alpha": (
         lambda: effect_for_n(10, TWO, 0.04, "t-iterative"), ValueError,
         r"power must be above alpha 0\.05 in t-iterative mode, got 0\.04"),
+    # a choice matches in kind as in value: True is not 1, and 0 is not False
+    "table-id-true": (lambda: reproduce_table(True, 3), ConfigError,
+                      r"table_id must be 1 or 2, got True"),
+    "pooled-zero": (lambda: variance_underpower_prob(12, 0.6, pooled=0), ConfigError,
+                    r"pooled must be False or True, got 0"),
+    "table-id-float": (lambda: reproduce_table(1.0, 3), ConfigError,
+                       r"table_id must be 1 or 2, got 1\.0"),
 }
 
 
@@ -224,6 +232,41 @@ def test_bad_argument_named(name):
         call()
     # a computation's error is no usage error: the CLI exits 1 on it, not 2
     assert issubclass(raised.type, ConfigError) == (error is ConfigError)
+
+
+class _Float(float):
+    """A float subclass: not the plain float that ``_point`` passes through."""
+
+
+# one point in each form the kernels take, and the plain float it reads as
+POINTS = {
+    "float": (0.75, 0.75),
+    "float-subclass": (_Float(0.75), 0.75),
+    "numpy-scalar": (np.float64(0.75), 0.75),
+    "0-d-array": (np.array(0.75), 0.75),
+    "true": (True, 1.0),
+    "int": (3, 3.0),
+    "huge-int": (-HUGE, -math.inf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_point_reads_one_plain_float(name):
+    x, plain = POINTS[name]
+    got = _point("norm_cdf", x)
+    assert type(got) is float and got == plain
+    if math.isfinite(plain):
+        assert norm_cdf(x).hex() == norm_cdf(plain).hex()
+
+
+@pytest.mark.parametrize("x,choices,want", [
+    (1, (True, 1), 1), (True, (1, True), True), (0, (False, 0), 0),
+    (False, (0, False), False), (np.int64(2), (1, 2), 2), (np.float64(2.0), (2, 2.0), 2.0),
+    ("over", ("under", "over"), "over"),
+])
+def test_choice_returns_the_choice_of_its_kind(x, choices, want):
+    got = _choice("x", x, choices)
+    assert got == want and type(got) is type(want)
 
 
 def test_huge_pilot_size_is_an_error_line(capsys):

@@ -79,6 +79,28 @@ def test_statistics_fallback_keeps_every_bit():
     assert [p for p, g in zip(ps, got) if g != distributions.norm_quantile(p).hex()] == []
 
 
+def test_t_density_only_where_newton_steps(monkeypatch):
+    # the critical values the sizer reads, t_quantile(alpha / 2, 2 (n - 1)) at
+    # alpha 0.05: each evaluation past the first is one Newton step, and each
+    # step reads one density, so the last evaluation, which meets the
+    # tolerance, computes none.  The Cornish-Fisher start meets it at once in
+    # most calls (644 of the 698 past df 2, whose quantile is a closed form),
+    # which then compute no density at all
+    counts = {"_t_mass": 0, "_t_pdf": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(distributions, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(distributions, name, counted)
+    at_once = 0
+    for n in range(2, 701):
+        counts.update(_t_mass=0, _t_pdf=0)
+        distributions.t_quantile(0.025, 2.0 * (n - 1))
+        assert counts["_t_pdf"] == max(counts["_t_mass"] - 1, 0), n
+        at_once += counts["_t_mass"] == 1
+    assert at_once > 600
+
+
 if __name__ == "__main__":
     rows = [[name, args, value(name, args)] for name, args, _ in load()]
     with open(GOLDEN, "w") as fh:

@@ -23,17 +23,20 @@ The grid pins few points, so a Hypothesis property also compares
 ``_mixture_sum`` bit for bit with ``_reference_sum``, a copy of the sweep as it
 was before its upward half learnt to stop where its terms round away: both
 sums, both tails, lam from 1e-3 to 1e4, df from 0.5 to 1e6 and y across (0, 1).
+Another compares each sum's total, and ``_nct_fold``'s masses, without the
+density against the same call with it, over the same ranges, with and
+without a modes dict.
 """
 
 import json
 import math
 import os
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pilotplan import distributions
 from pilotplan.distributions import (_FAR, _MAX_SERIES, ConvergenceError, _beta_term, _betainc,
-                                     _logs, _mixture_sum, _nct_abs_sf, nct_cdf)
+                                     _logs, _mixture_sum, _nct_abs_sf, _nct_fold, nct_cdf)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                       "nct_sweep_bits.json")
@@ -125,6 +128,66 @@ def test_sweep_matches_reference_bit_for_bit(a0, upper, log_lam, log_df, log_odd
     args = (lam, a0, 1.0 if a0 == 0.5 else math.sqrt(lam), r / (1.0 + r), 1.0 / (1.0 + r),
             0.5 * 10.0 ** log_df, upper)
     assert _bits(_mixture_sum, *args) == _bits(_reference_sum, *args)
+
+
+def _sum_args(a0, upper, log_lam, log_df, log_odds):
+    """``_mixture_sum``'s first seven arguments, as the property above forms them."""
+    lam, r = 10.0 ** log_lam, 10.0 ** log_odds
+    return (lam, a0, 1.0 if a0 == 0.5 else math.sqrt(lam), r / (1.0 + r), 1.0 / (1.0 + r),
+            0.5 * 10.0 ** log_df, upper)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a0=st.sampled_from([0.5, 1.0]), upper=st.booleans(), with_modes=st.booleans(),
+       log_lam=st.floats(-3.0, 4.0), log_df=st.floats(math.log10(0.5), 6.0),
+       log_odds=st.floats(-12.0, 12.0))
+@example(a0=0.5, upper=False, with_modes=True, log_lam=0.6, log_df=1.8, log_odds=-1.2)
+@example(a0=1.0, upper=False, with_modes=False, log_lam=0.6, log_df=1.8, log_odds=9.0)
+# upper tails whose ratio rises from near 0 while the weights fall: a stop on
+# c i rather than c, the bound of (3) there, loses the last subnormal bits
+@example(a0=0.5, upper=True, with_modes=True, log_lam=-0.3892186388977703,
+         log_df=3.945146604003056, log_odds=-0.7325993374759836)
+@example(a0=0.5, upper=False, with_modes=False, log_lam=0.045755566473411946,
+         log_df=1.7756537134802914, log_odds=10.91817622594175)
+def test_total_without_density_keeps_every_bit(a0, upper, with_modes, log_lam, log_df,
+                                               log_odds):
+    # the upward sweep without the density stops on the total's own tests,
+    # (1) and (3) of _mixture_sum's proof, and its total keeps every bit.
+    # With a modes dict, the second call reads the mode the first one kept,
+    # and the third computes it afresh.  Odds past 2^26 put w under _FAR
+    args = _sum_args(a0, upper, log_lam, log_df, log_odds)
+    modes = {} if with_modes else None
+    try:
+        total, slope = _mixture_sum(*args, modes)
+    except (ConvergenceError, OverflowError):
+        return      # the sweep without the density stops no later
+    for kept in (modes, {} if with_modes else None):
+        got, no_slope = _mixture_sum(*args, kept, False)
+        assert got.hex() == total.hex()
+        assert math.isnan(no_slope)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signs=st.booleans(), upper=st.booleans(), with_modes=st.booleans(),
+       log_ncp=st.floats(-3.0, 2.5), df=st.floats(0.5, 1e6), normal=st.booleans(),
+       log_t=st.floats(-3.0, 4.0))
+def test_fold_without_density_keeps_every_mass(signs, upper, with_modes, log_ncp, df, normal,
+                                               log_t):
+    # P(|T| <= t), P(|T| > t) and P(T < -t) keep their bits, at df = inf
+    # (the normal law) too; the density and the share the slopes give read NaN
+    t, ncp, df = 10.0 ** log_t, 10.0 ** log_ncp, math.inf if normal else df
+    modes = {} if with_modes else None
+    try:
+        on = _nct_fold(t, df, ncp, signs, upper, modes)
+    except (ConvergenceError, ValueError):
+        return
+    off = _nct_fold(t, df, ncp, signs, upper, modes, False)
+    assert len(off) == len(on)
+    for k in (0, 1, 3) if signs else (0, 1):
+        assert off[k].hex() == on[k].hex(), k
+    # where t^2 under- or overflows against df the density is the constant 0
+    assert math.isnan(off[2]) or off[2] == on[2] == 0.0
+    assert not signs or math.isnan(off[4]) or off[4] == on[4]
 
 
 if __name__ == "__main__":
