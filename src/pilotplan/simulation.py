@@ -211,8 +211,16 @@ class _OrderStats:
 # ---------------------------------------------------------------------------
 
 # each percentile under its key in ``main_n_quantiles``; every report shares
-# these key strings
+# these key strings, and one table of them (``_Quantiles``)
 _QUANTILES = {"5": 5, "25": 25, "50": 50, "75": 75, "95": 95}
+
+
+class _Quantiles:
+    """A run's main sizes at its percentiles, as attributes named by the keys
+    of ``_QUANTILES``.  A report keeps the attribute dict alone: every
+    instance sets the keys in one order, so CPython keeps one key table for
+    all of them, and each dict holds its five values (about 120 B, against
+    190 B for a dict with a table of its own)."""
 
 
 def _quantile_items(n: int) -> dict:
@@ -228,7 +236,10 @@ def _main_n_quantiles(d, sizer: _Sizer, power: float, mode: str) -> dict:
     """Quantiles of the main sizes the estimates get, from the estimates in
     ascending order (any sequence): five sizings by the run's sizer, not one
     per replicate."""
-    return {key: sizer.size(d[k], power, mode) for key, k in _quantile_items(len(d)).items()}
+    q = _Quantiles()
+    for key, k in _quantile_items(len(d)).items():
+        setattr(q, key, sizer.size(d[k], power, mode))
+    return vars(q)
 
 
 def _flag_boundary(sizer: _Sizer, config: SimulationConfig, n_crit: int):
