@@ -222,21 +222,27 @@ class _Output(_Record):
 def _invert(newton, x: float, target: float, rising: bool, what: str) -> float:
     """The x > 0 where a mass monotone in x (rising with x, or falling) meets
     target > 0, from the start x; ``newton(x)`` gives the mass at x and a
-    Newton step h in log x, or NaN where it has none.
+    function of no arguments that gives the Newton step h in log x.
 
-    The step to x e^h is taken when |h| < 700 and it lands inside the
-    bracket that the masses seen so far give; otherwise the bracket is
-    bisected, in log x once its lower end is positive, or while it is open
-    above x doubles to 2 max(x, 1).  The loop stops within ``_INVERT_TOL`` of
-    the target, relative, or at bracket collapse (the mass's own rounding can
-    pass the tolerance very close to the median); ``_MAX_NEWTON`` steps raise.
+    The loop alone stops: within ``_INVERT_TOL`` of the target, relative, or
+    at bracket collapse (the mass's own rounding can pass the tolerance very
+    close to the median); ``_MAX_NEWTON`` steps raise.  Otherwise, and only
+    then, it asks for h, and steps to x e^h when |h| < 700 and it lands
+    inside the bracket the masses seen so far give.  A step that raises an
+    arithmetic or domain error (a zero mass or density) or is NaN is none:
+    the bracket is bisected, in log x once its lower end is positive, or
+    while it is open above x doubles to 2 max(x, 1).
     """
     lo, hi = 0.0, math.inf
     for _ in range(_MAX_NEWTON):
-        mass, h = newton(x)
+        mass, step = newton(x)
         if abs(mass - target) <= _INVERT_TOL * target or hi - lo <= 1e-15 * x:
             return x
         lo, hi = (x, hi) if (mass < target) == rising else (lo, x)
+        try:
+            h = step()
+        except (ValueError, ZeroDivisionError, OverflowError):
+            h = math.nan
         x_new = x * math.exp(h) if abs(h) < 700.0 else math.nan
         if not lo < x_new < hi:
             x_new = ((math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi) if math.isfinite(hi)
@@ -360,7 +366,7 @@ def chisq_quantile(p, df: float):
     tail) of the smaller tail, concave in u = log x for every df, so Newton's
     step cannot run away: g / g', g' = sign x pdf / got (sign -1 on the upper
     tail) and g'' = g' r2, by series reversion to third order once it is
-    short, NaN where got or the density is 0 or the exponent overflows.  A
+    short, none where got or the density is 0 or the exponent overflows.  A
     quantile below the smallest double raises ``ConvergenceError``.
     """
     p = _point("chisq_quantile", p)
@@ -377,14 +383,14 @@ def chisq_quantile(p, df: float):
             got = _gammainc_lower(a, 0.5 * x)[upper]     # Q on the upper tail
         except OverflowError:
             raise ValueError(_df_too_large(df)) from None
-        try:
+
+        def step():
             slope = sign * math.exp(a * math.log(0.5 * x) - 0.5 * x - math.lgamma(a)) / got
             h = math.log(got / tail) / slope
             r2 = a - 0.5 * x - slope
             rev = h * (1.0 + h * (0.5 * r2 + h * (r2 * r2 / 3.0 + (0.5 * x + slope * r2) / 6.0)))
-            return got, -(rev if abs(h) < 0.5 else h)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return got, math.nan
+            return -(rev if abs(h) < 0.5 else h)
+        return got, step
 
     return _invert(newton, _chisq_start(p, df), tail, not upper, "chi-square quantile")
 
@@ -521,11 +527,7 @@ def t_quantile(p: float, df: float) -> float:
 
     def newton(x):
         got = _t_mass(x, df, central)
-        if abs(got - target) <= _INVERT_TOL * target:
-            return got, math.nan    # _invert stops here and reads no step
-        pdf = _t_pdf(x, df)
-        return got, (slope * math.log(got / target) * got / (x * pdf)
-                     if got > 0.0 and x * pdf > 0.0 else math.nan)
+        return got, lambda: slope * math.log(got / target) * got / (x * _t_pdf(x, df))
 
     x = _invert(newton, x, target, central, "t quantile")
     if _MIN_NORMAL * x * x > df:
@@ -742,8 +744,7 @@ def _nct_abs_isf(v: float, df: float, ncp: float) -> float:
     def newton(t):
         cdf, sf, density = _nct_fold(t, df, ncp, upper=upper)
         got = sf if upper else cdf
-        return got, (sign * math.log(got / target) * got / (t * density)
-                     if got > 0.0 and t * density > 0.0 else math.nan)
+        return got, lambda: sign * math.log(got / target) * got / (t * density)
 
     return _invert(newton, _abs_start(v, df, ncp), target, not upper, "|T| quantile")
 

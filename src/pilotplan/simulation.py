@@ -58,9 +58,9 @@ import bisect
 import math
 import random
 
-from .distributions import (ConfigError, _choice, _count, _nct_abs_isf, _nct_fold,
-                            _Output, _probability, _Record, _scale, _threshold, chisq_cdf,
-                            chisq_quantile)
+from .distributions import (ConfigError, _choice, _count, _nct_abs_isf, _nct_abs_sf,
+                            _nct_fold, _Output, _probability, _Record, _scale, _threshold,
+                            chisq_cdf, chisq_quantile)
 from .distributions import norm_quantile  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 from .power import (
     _MODES,
@@ -290,11 +290,11 @@ def _nonpositive(d, law) -> int:
     those, the replicates between two neighbouring points have uniforms
     i.i.d. on the gap, so each gap's negatives are a Binomial of its count
     and P(estimate in -gap) / P(magnitude in gap), and a drawn item is
-    negative with f(-x) / (f(x) + f(-x)), both from ``law``.  Every report
-    field keeps its exact joint law."""
+    negative with f(-x) / (f(x) + f(-x)), both from ``law(x, upper)``, the
+    signed law of ``_nct_fold``.  Every report field keeps its exact joint law."""
     count, (rank_a, v_a, _), f_a = 0, d.points[0], 0.0
     for rank, v, x in d.points[1:]:
-        _, _, _, f_b, share = law(x, True, v <= 0.5)
+        _, _, _, f_b, share = law(x, v <= 0.5)
         gap = math.ceil(rank) - math.floor(rank_a) - 1
         if gap > 0:
             count += _binomial(d.rng, gap, (f_b - f_a) / (v - v_a) if v > v_a else 0.0)
@@ -353,13 +353,10 @@ def _run(config: SimulationConfig, sizer: _Sizer) -> SimulationReport:
     ncp = config.effect / config.sigma / spread
     df = math.inf if config.estimator == KNOWN_SIGMA else sizer.design.df(config.pilot_n)
 
-    def law(x: float, signs: bool = False, upper: bool = False) -> tuple:
-        return _nct_fold(x / spread, df, ncp, signs, upper)
-
-    d = _OrderStats(config.replicates, config.seed,
-                    lambda v: spread * _nct_abs_isf(v, df, ncp),
-                    lambda x: _nct_fold(x / spread, df, ncp, density=False)[1])
-    return _report(config, d, sizer, lambda: _nonpositive(d, law))
+    d = _OrderStats(config.replicates, config.seed, lambda v: spread * _nct_abs_isf(v, df, ncp),
+                    lambda x: _nct_abs_sf(x / spread, df, ncp))
+    return _report(config, d, sizer, lambda: _nonpositive(
+        d, lambda x, upper: _nct_fold(x / spread, df, ncp, True, upper)))
 
 
 def simulate_variance_pipeline(config: SimulationConfig) -> SimulationReport:

@@ -24,6 +24,7 @@ from .power import (
     EffectSpec,
     T_ITERATIVE,
     TestDesign,
+    _MAX_N,
     _first_true,
     _pilot_df,
     _Sizer,
@@ -125,6 +126,7 @@ def pilot_n_approx(sigma_ratio_sq: float, p: float, pooled: bool = False) -> int
 
     ceil(df + 1) for a single pilot; ceil(df / 2 + 1) per group when the
     pilot variance is pooled over two groups (2 N_p - 2 degrees of freedom).
+    A size past 1e9 raises, as an effect pilot's does.
     """
     p = _probability("p", p)
     sigma_ratio_sq = _scale("sigma_ratio_sq", sigma_ratio_sq)
@@ -134,8 +136,11 @@ def pilot_n_approx(sigma_ratio_sq: float, p: float, pooled: bool = False) -> int
     z = -norm_quantile(p)
     # the quotient squared: (ratio - 1)^2 overflows at a huge ratio, where df -> 0
     df = 2.0 * (z / (sigma_ratio_sq - 1.0)) ** 2
-    raw = (df / 2.0 if pooled else df) + 1.0
-    return max(2, math.ceil(raw - 1e-9))
+    n = max(2, math.ceil((df / 2.0 if pooled else df) + 1.0 - 1e-9))
+    if n > _MAX_N:
+        raise ValueError(f"pilot size exceeds 1e9; the variance ratio {sigma_ratio_sq} "
+                         "is too close to 1")
+    return n
 
 
 class _PlanRecord(_Output):

@@ -65,6 +65,21 @@ def test_huge_effect_is_computational_error(capsys, argv, inputs):
     assert err.startswith("error: ") and inputs in err and "ncp" not in err
 
 
+@pytest.mark.parametrize("bound", [
+    ("--underpower-threshold", ".79999999"),
+    ("--underpower-threshold", ".6", "--overpower-prob", ".2", "--overpower-threshold", ".8000001"),
+])
+def test_approx_variance_pilot_past_1e9_is_computational_error(capsys, bound):
+    # a threshold this near the target puts the variance ratio within 3e-7 of
+    # 1, and the closed-form pilot past 1e9 (2.2e15 under, 2.2e13 over)
+    code, out, err = run_cli(capsys, "plan-variance", "--sigma", "4", "--delta", "1",
+                             "--underpower-prob", ".2", *bound)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: pilot size exceeds 1e9; the variance ratio ")
+    assert err.endswith(" is too close to 1\n")
+
+
 def test_alpha_without_critical_value_is_usage_error(capsys):
     # 1 - alpha / 2 rounds to 1.0 there: an error line that names alpha
     code, out, err = run_cli(capsys, "plan-variance", "--sigma", "4", "--delta", "1",
@@ -491,7 +506,6 @@ class TestRecordRoundTrip:
            st.sampled_from([0.8, 0.9]), st.booleans(),
            st.sampled_from(["z-approx", "t-iterative"]),
            st.sampled_from(["pooled-sd", "known-sigma"]))
-    # alpha and power stay on a few values: each new pair builds a sizing table
     @settings(max_examples=20, deadline=None)
     def test_simulate(self, scenario, effect, pilot_n, seed, sigma, kind, alpha,
                       power, pooled, sizing_mode, estimator):

@@ -13,6 +13,9 @@ argument and the value as ``float.hex`` strings, at 195 points:
   and df 1039, the t at p 1.82e-4 and df 280 to 1310, and |T| at
   v = 1 - 1e-14.
 
+Beside the bits, it checks the loop's contract: ``_invert`` asks for a
+Newton step only when it takes one, and bisects past a step that fails.
+
 A change to the inversion or to the masses under it that is meant to keep
 its arithmetic must keep every bit here.  Each inversion starts from
 ``norm_quantile``, so every bit holds too where CPython's ``_statistics``
@@ -24,9 +27,12 @@ run
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
+
+import pytest
 
 from pilotplan import distributions
 
@@ -99,6 +105,69 @@ def test_t_density_only_where_newton_steps(monkeypatch):
         assert counts["_t_pdf"] == max(counts["_t_mass"] - 1, 0), n
         at_once += counts["_t_mass"] == 1
     assert at_once > 600
+
+
+def test_chisq_step_only_where_newton_steps(monkeypatch):
+    # at the golden chi-square points each evaluation past the first is one
+    # Newton step, and only a step computes the density, so the last
+    # evaluation, which meets the tolerance, computes none, also in the far
+    # tails where the loop bisects.  Each evaluation (the incomplete gamma)
+    # and each step's density call lgamma once; no start here calls it
+    counts = {"evals": 0, "lgamma": 0}
+    gammainc = distributions._gammainc_lower
+
+    class CountedMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def lgamma(self, x):
+            counts["lgamma"] += 1
+            return math.lgamma(x)
+
+    def counted(*args):
+        counts["evals"] += 1
+        return gammainc(*args)
+
+    monkeypatch.setattr(distributions, "math", CountedMath())
+    monkeypatch.setattr(distributions, "_gammainc_lower", counted)
+    rows = [row for row in load() if row[0] == "chisq_quantile"]
+    assert len(rows) == 62
+    evals = 0
+    for name, args, want in rows:
+        counts.update(evals=0, lgamma=0)
+        assert value(name, args) == want
+        assert counts["lgamma"] - counts["evals"] == counts["evals"] - 1, args
+        evals += counts["evals"]
+    assert evals > len(rows)
+
+
+@pytest.mark.parametrize("rising", [True, False])
+@pytest.mark.parametrize("fail", [lambda: math.log(0.0), lambda: 1.0 / 0.0,
+                                  lambda: math.exp(1e3), lambda: math.nan],
+                         ids=["ValueError", "ZeroDivisionError", "OverflowError", "nan"])
+def test_invert_bisects_past_a_failed_step(rising, fail):
+    # x^3 meets 5, and x^-3 meets 1/5, at x = 5^(1/3); a step that raises or
+    # is NaN is none, so the bracket is bisected down to the root
+    seen, asked = [], []
+
+    def newton(x):
+        seen.append(x)
+
+        def step():
+            asked.append(x)
+            return fail()
+        return (x ** 3 if rising else x ** -3), step
+
+    x = distributions._invert(newton, 1.0, 5.0 if rising else 0.2, rising, "test")
+    assert x == pytest.approx(5.0 ** (1.0 / 3.0), rel=1e-10)
+    # a step is asked for at every evaluation but the last
+    assert asked == seen[:-1] and 10 < len(asked) < distributions._MAX_NEWTON
+
+
+def test_mass_errors_propagate():
+    # the mass's own error is raised by newton(x), outside the step
+    with pytest.raises(ValueError, match="degrees of freedom 1.7e[+]308 are too large"):
+        distributions.chisq_quantile(0.3, 1.7e308)
 
 
 if __name__ == "__main__":

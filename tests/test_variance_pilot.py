@@ -183,6 +183,22 @@ class TestApproximation:
         # and is 1 at 1e-17
         assert pilot_n_approx(0.6, p) == n
 
+    @pytest.mark.parametrize("ratio,pooled", [(1.0 - 1e-5, False), (1.0 + 1e-5, False),
+                                              (1.0 - 2e-5, True)])
+    def test_size_past_1e9_raises(self, ratio, pooled):
+        # df = 2 z^2 / (ratio - 1)^2 is 1.4e10 at 1e-5 from 1, and 3.5e9 at
+        # 2e-5, so the pooled pilot needs 1.8e9 per group
+        with pytest.raises(ValueError, match="pilot size exceeds 1e9; the variance ratio"):
+            pilot_n_approx(ratio, 0.2, pooled=pooled)
+
+    def test_cap_is_per_group(self):
+        # at 3e-5 from 1, df = 1.57e9: past the cap for one pilot, and 7.9e8
+        # per group pooled; sizes below the cap keep every digit
+        with pytest.raises(ValueError, match="exceeds 1e9"):
+            pilot_n_approx(1.0 - 3e-5, 0.2)
+        assert pilot_n_approx(1.0 - 3e-5, 0.2, pooled=True) == 787_029_225
+        assert pilot_n_approx(0.9999, 0.2) == 141_665_262
+
     def test_unit_ratio_rejected(self):
         with pytest.raises(ValueError):
             pilot_n_approx(1.0, 0.2)
