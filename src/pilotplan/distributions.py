@@ -285,13 +285,21 @@ def _gammainc_lower(a: float, x: float) -> tuple[float, float]:
     """P(a, x) and Q(a, x) = 1 - P(a, x), a > 0, x >= 0."""
     if x == 0.0:
         return 0.0, 1.0
-    pre = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    try:
+        pre = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    except OverflowError:
+        # lgamma(a) overflows, or the log of the factor scaling the tails
+        # cancels from terms so large that its exp does; 2a is df exactly there
+        raise ValueError(f"degrees of freedom {2.0 * a!r} are too large for the "
+                         "incomplete gamma function") from None
+    # the series below a + 1, and past a of 1e5 up to a + sqrt(a) too, where
+    # the fraction would need more than _MAX_FRACTION steps
+    series = x < a + 1.0 or (a > 1e5 and x < a + math.sqrt(a))
     if pre == 0.0:
         # the factor that scales either tail underflows, so each is its limit;
         # far out the fraction below cannot settle within 1e-16 of 1 either
-        return (0.0, 1.0) if x < a + 1.0 else (1.0, 0.0)
-    if x < a + 1.0:
-        # series representation
+        return (0.0, 1.0) if series else (1.0, 0.0)
+    if series:
         ap = a
         term = 1.0 / a
         total = term
@@ -335,16 +343,7 @@ def chisq_cdf(x: float, df: float) -> float:
     df = _scale("degrees of freedom", _point("chisq_cdf", df))
     if x < 0.0:
         raise ValueError(f"chi-square CDF requires x >= 0, got {x!r}")
-    try:
-        return min(1.0, max(0.0, _gammainc_lower(0.5 * df, 0.5 * x)[0]))
-    except OverflowError:
-        raise ValueError(_df_too_large(df)) from None
-
-
-def _df_too_large(df: float) -> str:
-    # lgamma(df / 2) overflows, or the log of the factor scaling the tails
-    # cancels from terms so large that its exp does
-    return f"degrees of freedom {df!r} are too large for the incomplete gamma function"
+    return min(1.0, max(0.0, _gammainc_lower(0.5 * df, 0.5 * x)[0]))
 
 
 def _chisq_start(p: float, df: float) -> float:
@@ -379,10 +378,7 @@ def chisq_quantile(p, df: float):
     tail, sign = (1.0 - p, -1.0) if upper else (p, 1.0)
 
     def newton(x):
-        try:
-            got = _gammainc_lower(a, 0.5 * x)[upper]     # Q on the upper tail
-        except OverflowError:
-            raise ValueError(_df_too_large(df)) from None
+        got = _gammainc_lower(a, 0.5 * x)[upper]     # Q on the upper tail
 
         def step():
             slope = sign * math.exp(a * math.log(0.5 * x) - 0.5 * x - math.lgamma(a)) / got

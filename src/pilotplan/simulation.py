@@ -19,16 +19,17 @@ five order statistics of the estimates, by the integer search of
 ``main_sample_size`` (any size up to 1e9 per group).  A replicate is
 underpowered exactly when it is sized at most m = n_crit - 1, one fewer
 than the threshold power needs at the true effect: from the estimate x* on
-at which m subjects reach the target power, bracketed once per run to 1e-7
-by the sizer's ``edge`` (``effect_for_n``'s solver; z-approx: the closed
-form).  The caller's sizer (``power._Sizer``: a pipeline call's own, or a
-reference table's one) serves every sizing of a run and that bracket, and
-builds each size's power curve, its t critical value and Poisson-mode
-terms, once, so the bracket at m solves on the curve the threshold's sizing
-built.  So the flags are counted, not tested one by one: with u(x) =
-P(estimate >= x), a = Binomial(R, u(x_hi)) replicates lie past the bracket
-and b = Binomial(R - a, (u(x_lo) - u(x_hi)) / (1 - u(x_hi))) inside it, and
-only those b, almost always none, are inverted and sized (by bisection).
+at which m subjects reach the target power.  ``_underpower_count`` sizes the
+threshold and reads the sizer's ``edge`` at m, which brackets x* once per run
+to 1e-7 (``effect_for_n``'s solver; z-approx: the closed form).  The caller's
+sizer (``power._Sizer``: a pipeline call's own, or a reference table's one)
+serves every sizing of a run and that bracket, and builds each size's power
+curve, its t critical value and Poisson-mode terms, once, so the bracket at m
+solves on the curve the threshold's sizing built.  So the flags are counted,
+not tested one by one: with u(x) = P(estimate >= x), a = Binomial(R, u(x_hi))
+replicates lie past the bracket and b = Binomial(R - a, (u(x_lo) - u(x_hi)) /
+(1 - u(x_hi))) inside it, and only those b, almost always none, are inverted
+and sized (by bisection).
 
 Nor is every replicate drawn: one uniform orders the estimates.  A variance
 estimate falls as its chi-square uniform rises.  An effect estimate is
@@ -242,28 +243,21 @@ def _main_n_quantiles(d, sizer: _Sizer, power: float, mode: str) -> dict:
     return vars(q)
 
 
-def _flag_boundary(sizer: _Sizer, config: SimulationConfig, n_crit: int):
-    """A replicate is underpowered exactly when its main size is below n_crit
-    (the threshold's own requirement), that is at most m = n_crit - 1, which
-    holds from some estimate x* on.  Returns None where n_crit <= 2, so that
-    nothing is flagged, and else (x_lo, x_hi, flagged): ``flagged(x)`` is
-    that test, by the sizer's ``main_sample_size`` search, false at x_lo
-    and true at x_hi, and x_hi - x_lo is about 1e-7 x*: the sizer's ``edge`` at m."""
+def _underpower_count(d, sizer: _Sizer, config: SimulationConfig) -> int:
+    """Replicates sized below n_crit, the threshold's own requirement, over the
+    ascending estimates ``d``; none where n_crit <= 2.  A size of at most m =
+    n_crit - 1 holds from some estimate x* on, which the sizer's ``edge`` at m
+    brackets to about 1e-7 x*: those past the bracket and those inside it are
+    each one cut, and a bisection sizes only the estimates inside it."""
+    n_crit = sizer.size(EffectSpec(config.effect, config.sigma),
+                        config.underpower_threshold, T_ITERATIVE)
     if n_crit <= 2:
-        return None
-    m, target, mode = n_crit - 1, config.power_target, config.sizing_mode
-    return (*sizer.edge(m, target, mode, 1e-7), lambda x: sizer.size(x, target, mode) <= m)
-
-
-def _underpower_count(d, boundary) -> int:
-    """Replicates whose estimate reaches the flag boundary, over the
-    ascending estimates ``d``: those past the bracket and those inside it are
-    each one cut, and a bisection tests only the estimates inside it."""
-    if boundary is None:
         return 0
-    x_lo, x_hi, flagged = boundary
+    m, target, mode = n_crit - 1, config.power_target, config.sizing_mode
+    x_lo, x_hi = sizer.edge(m, target, mode, 1e-7)
     r, past, near = len(d), d.cut(x_hi), d.cut(x_lo)
-    return r - bisect.bisect_left(range(r), True, r - near, r - past, key=lambda k: flagged(d[k]))
+    return r - bisect.bisect_left(range(r), True, r - near, r - past,
+                                  key=lambda k: sizer.size(d[k], target, mode) <= m)
 
 
 def _binomial(rng: random.Random, n: int, p: float) -> int:
@@ -309,14 +303,12 @@ def _report(config: SimulationConfig, d, sizer: _Sizer,
     """Size, flag and summarize a run through ``sizer``, from its estimated
     effect sizes (magnitudes) ``d`` in ascending order; it reads the five
     quantile items and the replicates inside the flag bracket that its
-    bisection tests.  The flags are counted first, then the quantiles are
-    read, then ``nonpositive()`` counts the negative estimates (an effect run
-    draws its signs there): a lazily drawn ``d`` draws in this order.  The
-    sizer serves the threshold's sizing, the flag boundary and the quantiles."""
-    n_crit = sizer.size(EffectSpec(config.effect, config.sigma),
-                        config.underpower_threshold, T_ITERATIVE)
+    bisection tests.  The flags are counted first (``_underpower_count`` sizes
+    the threshold and reads the sizer's edge), then the quantiles are read,
+    then ``nonpositive()`` counts the negative estimates (an effect run draws
+    its signs there): a lazily drawn ``d`` draws in this order."""
     r = config.replicates
-    p_hat = _underpower_count(d, _flag_boundary(sizer, config, n_crit)) / r
+    p_hat = _underpower_count(d, sizer, config) / r
     quantiles = _main_n_quantiles(d, sizer, config.power_target, config.sizing_mode)
     return SimulationReport(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / r), nonpositive(),
                             quantiles, dict(vars(config)))

@@ -189,6 +189,18 @@ class TestChiSquare:
         assert [chisq_cdf(v, 11) for v in 2.0 * x] == [1.0] * x.size
         assert chisq_cdf(3.668e18, 11) == 1.0
 
+    @pytest.mark.parametrize("a", [2.5e5, 1e6, 1e7])
+    @pytest.mark.parametrize("k", [0.0, 0.1, 0.3, 0.99])
+    def test_large_a_just_above_the_mean(self, a, k):
+        # from a of about 2.5e5 on, the continued fraction needs more than
+        # _MAX_FRACTION steps between a + 1 and about a + 0.3 sqrt(a), so the
+        # series serves up to a + sqrt(a); above 1e6 the prefactor's
+        # cancellation limits the digits, not the expansion
+        x = a + 1.0 + k * math.sqrt(a)
+        p, q = _gammainc_lower(a, x)
+        assert q == pytest.approx(scipy_special.gammaincc(a, x), rel=1e-8 if a <= 1e6 else 1e-6)
+        assert p + q == pytest.approx(1.0, abs=1e-15)
+
     def test_quantile_known_points(self):
         assert chisq_quantile(0.0, 7) == 0.0
         assert chisq_quantile(0.5, 2) == pytest.approx(1.386294, abs=1e-6)

@@ -59,7 +59,7 @@ def test_one_critical_value_per_size_a_run_reads(monkeypatch):
     # most 13.5 critical values on average, 15.0 when each search built its own
     dfs, runs, shared = [], [], []
     t_quantile, report = power_module.t_quantile, simulation._report
-    boundary = simulation._flag_boundary
+    edge = power_module._Sizer.edge
 
     def run(*args):
         start = len(dfs)
@@ -67,16 +67,16 @@ def test_one_critical_value_per_size_a_run_reads(monkeypatch):
         runs.append(dfs[start:])
         return out
 
-    def checked_boundary(sizer, config, n_crit):
+    def checked_edge(sizer, m, *args):
         built = dict(sizer._curves)
-        out = boundary(sizer, config, n_crit)
-        shared.append(sizer._curves[n_crit - 1] is built.get(n_crit - 1))
+        out = edge(sizer, m, *args)
+        shared.append(sizer._curves[m] is built.get(m))
         return out
 
     monkeypatch.setattr(power_module, "t_quantile",
                         lambda p, df: dfs.append(df) or t_quantile(p, df))
     monkeypatch.setattr(simulation, "_report", run)
-    monkeypatch.setattr(simulation, "_flag_boundary", checked_boundary)
+    monkeypatch.setattr(power_module._Sizer, "edge", checked_edge)
     ops = workloads.make_ops("grid-warm", 121)
     for op in ops:
         worker.run_op(op)

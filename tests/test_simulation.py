@@ -183,13 +183,13 @@ class TestCompletedSample:
         # 1.5 on either side, many replicates fall inside it and are tested
         # by the bisection, each sized by ``main_sample_size``, and the
         # report is still the completed sample's
-        solve = simulation._flag_boundary
+        edge = _Sizer.edge
         for widen in (1.0, 1.5):
-            def boundary(*args):
-                x_lo, x_hi, flagged = solve(*args)
-                return x_lo / widen, x_hi * widen, flagged
+            def widened(sizer, *args):
+                x_lo, x_hi = edge(sizer, *args)
+                return x_lo / widen, x_hi * widen
 
-            with mock.patch.object(simulation, "_flag_boundary", boundary):
+            with mock.patch.object(_Sizer, "edge", widened):
                 rep, d = _completed(sim, cfg)
             assert rep == _brute_force_report(cfg, d, rep.nonpositive_effects)
             assert 0 < rep.empirical_underpower < 1
@@ -398,6 +398,14 @@ class TestBruteForceOracle:
         assert "exceeds 1e9" in capsys.readouterr().err
 
 
+def _flag_bracket(design: TestDesign, m: int, target: float, mode: str):
+    """The flag bracket at m = n_crit - 1 subjects and the flag test, as
+    ``_underpower_count`` reads them from its sizer: (x_lo, x_hi, flagged)."""
+    sizer = _Sizer(design)
+    return (*sizer.edge(m, target, mode, 1e-7),
+            lambda x: sizer.size(x, target, mode) <= m)
+
+
 class TestFlagBoundary:
     """The flag boundary at m = n_crit - 1 subjects and the public
     ``effect_for_n(m)`` solve one root with one solver: the t-iterative
@@ -411,23 +419,20 @@ class TestFlagBoundary:
     @settings(max_examples=150, deadline=None)
     def test_both_callers_solve_the_same_root(self, kind, alpha, target, m):
         design = TestDesign(kind, alpha)
-        cfg = variance_cfg(kind=kind, alpha=alpha, power_target=target,
-                           underpower_threshold=0.5 * target)
-        t_cfg, z_cfg = (cfg.replace(sizing_mode=mode) for mode in (T_ITERATIVE, Z_APPROX))
         # past 1e6, or where the root's noncentrality takes the noncentral-t
         # series past its cap (tiny alpha, few subjects), both raise alike
         try:
             x = effect_for_n(m, design, target, T_ITERATIVE)
         except (ValueError, ConvergenceError) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                simulation._flag_boundary(_Sizer(design), t_cfg, m + 1)
+                _flag_bracket(design, m, target, T_ITERATIVE)
         else:
-            x_lo, x_hi, flagged = simulation._flag_boundary(_Sizer(design), t_cfg, m + 1)
+            x_lo, x_hi, flagged = _flag_bracket(design, m, target, T_ITERATIVE)
             assert x_lo < x <= x_hi
             assert (power_at(m, EffectSpec(x_lo), design) < target
                     <= power_at(m, EffectSpec(x_hi), design))
             assert not flagged(x_lo) and flagged(x_hi)
-        x_lo, x_hi, flagged = simulation._flag_boundary(_Sizer(design), z_cfg, m + 1)
+        x_lo, x_hi, flagged = _flag_bracket(design, m, target, Z_APPROX)
         assert (main_sample_size(EffectSpec(x_lo), design, target, Z_APPROX) > m
                 >= main_sample_size(EffectSpec(x_hi), design, target, Z_APPROX))
         assert not flagged(x_lo) and flagged(x_hi)
@@ -533,29 +538,27 @@ class TestEstimatesOnDemand:
         # inside its bracket (none at these seeds), 7.45 power evaluations a
         # cell on average and at most 9 at seeds 0, 9 and 121 (13.4 and 14
         # when every probe of a rank bisection called power); counted, not
-        # timed
+        # timed, from the start of the sizer's edge to the end of the count
         calls = []
-        abs_sf = power_module._nct_abs_sf
+        abs_sf, edge, count = power_module._nct_abs_sf, _Sizer.edge, simulation._underpower_count
 
         def counted_sf(*args):
             calls[-1] += 1
             return abs_sf(*args)
 
-        def counting(stage, first):
-            def run(*args):
-                if first:
-                    calls.append(0)
-                monkeypatch.setattr(power_module, "_nct_abs_sf", counted_sf)
-                try:
-                    return stage(*args)
-                finally:
-                    monkeypatch.setattr(power_module, "_nct_abs_sf", abs_sf)
-            return run
+        def counted_edge(*args):
+            calls.append(0)
+            monkeypatch.setattr(power_module, "_nct_abs_sf", counted_sf)
+            return edge(*args)
 
-        monkeypatch.setattr(simulation, "_flag_boundary",
-                            counting(simulation._flag_boundary, True))
-        monkeypatch.setattr(simulation, "_underpower_count",
-                            counting(simulation._underpower_count, False))
+        def counted_count(*args):
+            try:
+                return count(*args)
+            finally:
+                monkeypatch.setattr(power_module, "_nct_abs_sf", abs_sf)
+
+        monkeypatch.setattr(_Sizer, "edge", counted_edge)
+        monkeypatch.setattr(simulation, "_underpower_count", counted_count)
         reproduce_table(1, replicates=10_000, seed=9)
         assert len(calls) == 60
         assert 0 < max(calls) <= 10 and sum(calls) <= 8 * 60
@@ -603,11 +606,9 @@ def _cached_sizing(design: TestDesign):
     threshold sizing and flag boundary are cached, and sizes no quantile."""
     sizer = _Sizer(design)
     sizer.size = functools.lru_cache()(sizer.size)
-    boundary = functools.lru_cache()(simulation._flag_boundary)
+    sizer.edge = functools.lru_cache()(sizer.edge)
     with mock.patch.object(simulation, "_Sizer", lambda _: sizer), \
-            mock.patch.object(simulation, "_main_n_quantiles", lambda *args: {}), \
-            mock.patch.object(simulation, "_flag_boundary",
-                              lambda s, c, n: boundary(s, c.replace(seed=0), n)):
+            mock.patch.object(simulation, "_main_n_quantiles", lambda *args: {}):
         yield
 
 
@@ -813,8 +814,22 @@ class TestVariancePipeline:
         cfg = variance_cfg(effect=10.0, sigma=1.0, replicates=200)
         n_crit = main_sample_size(EffectSpec(10.0, 1.0), TWO, cfg.underpower_threshold)
         assert n_crit == 2
-        assert simulation._flag_boundary(_Sizer(TWO), cfg, n_crit) is None
+        with mock.patch.object(_Sizer, "edge") as edge:
+            assert simulation._underpower_count([], _Sizer(TWO), cfg) == 0
+        edge.assert_not_called()
         assert simulate_variance_pipeline(cfg).empirical_underpower == 0.0
+
+    def test_million_subject_pilot(self):
+        # a pilot of 1e6 reads chi-square quantiles on df 999,999, just above
+        # the median, where the incomplete gamma takes its series: the sample
+        # SD is within 0.3% of sigma, so every main size is within a subject
+        # of the one the true effect needs, and the threshold flags nothing
+        cfg = variance_cfg(pilot_n=1_000_000, seed=7, replicates=10_000)
+        rep = simulate_variance_pipeline(cfg)
+        n_true = main_sample_size(EffectSpec(1.0, 4.0), TWO, cfg.power_target)
+        assert rep.empirical_underpower == 0.0
+        assert all(abs(n - n_true) <= 1 for n in rep.main_n_quantiles.values())
+        assert list(rep.main_n_quantiles.values()) == [252, 252, 253, 253, 253]
 
     @pytest.mark.parametrize("effect", [1000.0, 3000.0])
     def test_tiny_alpha_returns_a_report(self, effect):

@@ -103,6 +103,13 @@ class TestExactSearch:
         with pytest.raises(ValueError, match="50"):
             pilot_n_exact(0.999999, 0.01, cap=50)
 
+    def test_cap_error_at_large_df(self):
+        # the search probes df near 1e6, where the over-side miss reads the
+        # chi-square just above its mean; the incomplete gamma answers there,
+        # so the search reaches its cap instead of failing to converge
+        with pytest.raises(ValueError, match=r"search cap \(1000000\)"):
+            pilot_n_exact(1.00004, 0.2, "over")
+
     # the over-side miss rises before it falls (peaks at df 67 for ratio 1.01),
     # so 1.01 at p = .3 and .32 checks both branches of that shape
     @pytest.mark.parametrize("side,ratios", [
