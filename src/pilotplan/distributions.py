@@ -13,6 +13,8 @@ by one guarded Newton iteration with bracket fallback, ``_invert``.
 
 The incomplete beta takes x and y = 1 - x, each computed by its caller
 without subtraction, as DiDonato & Morris's BRATIO does (ACM TOMS 18, 1992).
+Each mass returns the factor that scales it, x^a y^b / B(a, b) or x^a e^-x /
+Gamma(a), and the Newton steps and the noncentral-t series' mode read it there.
 
 Every function takes one point per call and computes on floats with the
 ``math`` module and that normal quantile alone, so the package never imports
@@ -281,10 +283,11 @@ def norm_quantile(p):
 # Regularized incomplete gamma (chi-square backbone)
 # ---------------------------------------------------------------------------
 
-def _gammainc_lower(a: float, x: float) -> tuple[float, float]:
-    """P(a, x) and Q(a, x) = 1 - P(a, x), a > 0, x >= 0."""
+def _gammainc_lower(a: float, x: float) -> tuple[float, float, float]:
+    """P(a, x), Q(a, x) = 1 - P(a, x) and the factor x^a e^-x / Gamma(a)
+    scaling both (0 at x = 0 and where it underflows), a > 0, x >= 0."""
     if x == 0.0:
-        return 0.0, 1.0
+        return 0.0, 1.0, 0.0
     try:
         pre = math.exp(-x + a * math.log(x) - math.lgamma(a))
     except OverflowError:
@@ -298,7 +301,7 @@ def _gammainc_lower(a: float, x: float) -> tuple[float, float]:
     if pre == 0.0:
         # the factor that scales either tail underflows, so each is its limit;
         # far out the fraction below cannot settle within 1e-16 of 1 either
-        return (0.0, 1.0) if series else (1.0, 0.0)
+        return (0.0, 1.0, 0.0) if series else (1.0, 0.0, 0.0)
     if series:
         ap = a
         term = 1.0 / a
@@ -308,7 +311,7 @@ def _gammainc_lower(a: float, x: float) -> tuple[float, float]:
             term *= x / ap
             total += term
             if term < total * 1e-17:
-                return total * pre, 1.0 - total * pre
+                return total * pre, 1.0 - total * pre, pre
         raise ConvergenceError("incomplete gamma series hit the iteration cap")
     # continued fraction for Q(a, x), modified Lentz
     # x >= a + 1, but past 2^53 b can round to 0: it takes the floor c and d do
@@ -333,7 +336,7 @@ def _gammainc_lower(a: float, x: float) -> tuple[float, float]:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return 1.0 - h * pre, h * pre
+            return 1.0 - h * pre, h * pre, pre
     raise ConvergenceError("incomplete gamma continued fraction hit the iteration cap")
 
 
@@ -378,10 +381,11 @@ def chisq_quantile(p, df: float):
     tail, sign = (1.0 - p, -1.0) if upper else (p, 1.0)
 
     def newton(x):
-        got = _gammainc_lower(a, 0.5 * x)[upper]     # Q on the upper tail
+        mass = _gammainc_lower(a, 0.5 * x)
+        got = mass[upper]     # Q on the upper tail
 
         def step():
-            slope = sign * math.exp(a * math.log(0.5 * x) - 0.5 * x - math.lgamma(a)) / got
+            slope = sign * mass[2] / got
             h = math.log(got / tail) / slope
             r2 = a - 0.5 * x - slope
             rev = h * (1.0 + h * (0.5 * r2 + h * (r2 * r2 / 3.0 + (0.5 * x + slope * r2) / 6.0)))
@@ -443,19 +447,16 @@ def _betacf(a: float, b: float, x: float, y: float) -> float:
     raise ConvergenceError("incomplete beta continued fraction hit the iteration cap")
 
 
-def _logs(x: float, y: float) -> tuple[float, float]:
-    """log x and log y for y = 1 - x, each from whichever argument is exact."""
-    return (math.log(x), math.log1p(-x)) if x < 0.5 else (math.log1p(-y), math.log(y))
-
-
-def _betainc(a: float, b: float, x: float, y: float) -> float:
+def _betainc(a: float, b: float, x: float, y: float) -> tuple[float, float]:
     """Regularized incomplete beta I_x(a, b) for a, b > 0, 0 <= x <= 1 and
-    y = 1 - x, which keeps the digits a rounded 1 - x would lose."""
+    y = 1 - x, which keeps the digits a rounded 1 - x would lose, and the
+    factor bt = x^a y^b / B(a, b) scaling it (0 at either end)."""
     if x <= 0.0:
-        return 0.0
+        return 0.0, 0.0
     if y <= 0.0:
-        return 1.0
-    ln_x, ln_y = _logs(x, y)
+        return 1.0, 0.0
+    # log x and log y, each from whichever argument is exact
+    ln_x, ln_y = (math.log(x), math.log1p(-x)) if x < 0.5 else (math.log1p(-y), math.log(y))
     bt = math.exp(-_log_beta(a, b) + a * ln_x + b * ln_y)
     # the switch (a + 1) / s, moved 5 (b - a) / s^2 toward the smaller
     # parameter: for the t tail (a = 1/2) the direct fraction runs to t^2
@@ -463,29 +464,25 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
     s = a + b + 2.0
     # a complement under 1/64 has lost 6 or more of bt's bits; the direct fraction keeps them
     if s * (s * x - a - 1.0) >= 5.0 * (b - a) and (c := 1.0 - bt * _betacf(b, a, y, x)) >= 1 / 64:
-        return c
-    return bt * _betacf(a, b, x, y)
+        return c, bt
+    return bt * _betacf(a, b, x, y), bt
 
 
-def _t_mass(x: float, df: float, central: bool = False) -> float:
+def _t_mass(x: float, df: float, central: bool = False) -> tuple[float, float]:
     """P(T > x), or P(0 < T < x) if ``central``, for x >= 0: half of
-    I_w(df/2, 1/2) or of I_y(1/2, df/2), w = df / (df + x^2) = 1 - y."""
+    I_w(df/2, 1/2) or of I_y(1/2, df/2), w = df / (df + x^2) = 1 - y; and
+    x f(x), f the t density: the factor y^(1/2) w^(df/2) / B(1/2, df/2) of either."""
     xx = x * x
     w, y = df / (df + xx), xx / (df + xx)
-    return 0.5 * (_betainc(0.5, 0.5 * df, y, w) if central else _betainc(0.5 * df, 0.5, w, y))
+    i, bt = _betainc(0.5, 0.5 * df, y, w) if central else _betainc(0.5 * df, 0.5, w, y)
+    return 0.5 * i, bt
 
 
 def t_cdf(x: float, df: float) -> float:
     """Student t CDF via the incomplete beta function, from the tail P(T > |x|)."""
     x = _require_finite("t_cdf", "x", x)
     df = _scale("degrees of freedom", _point("t_cdf", df))
-    return _t_mass(-x, df) if x < 0.0 else 1.0 - _t_mass(x, df)
-
-
-def _t_pdf(x: float, df: float) -> float:
-    return math.exp(math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
-                    - 0.5 * math.log(df * math.pi)
-                    - 0.5 * (df + 1.0) * math.log1p(x * x / df))
+    return _t_mass(-x, df)[0] if x < 0.0 else 1.0 - _t_mass(x, df)[0]
 
 
 def t_quantile(p: float, df: float) -> float:
@@ -522,8 +519,8 @@ def t_quantile(p: float, df: float) -> float:
     target, slope = (0.5 - q, -1.0) if central else (q, 1.0)
 
     def newton(x):
-        got = _t_mass(x, df, central)
-        return got, lambda: slope * math.log(got / target) * got / (x * _t_pdf(x, df))
+        got, xf = _t_mass(x, df, central)
+        return got, lambda: slope * math.log(got / target) * got / xf
 
     x = _invert(newton, x, target, central, "t quantile")
     if _MIN_NORMAL * x * x > df:
@@ -535,18 +532,14 @@ def t_quantile(p: float, df: float) -> float:
 # Noncentral t CDF
 # ---------------------------------------------------------------------------
 
-def _beta_term(a: float, b: float, ln_y: float, ln_1my: float) -> float:
-    """x^a (1-x)^b / (a B(a, b)): the step between I_x(a, b) and I_x(a+1, b)."""
-    return math.exp(a * ln_y + b * ln_1my - math.log(a) - _log_beta(a, b))
-
-
 def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
                  half_df: float, upper: bool = False, modes: dict | None = None,
                  density: bool = True) -> tuple[float, float]:
     """Sum over j >= 0 of scale e^-lam lam^j / Gamma(j + a0 + 1/2) I(a0 + j),
     from the mode of the weights outward, so large lam stays cheap and stable;
     and its slope, the same sum with each I(a) replaced by t/2 times its
-    derivative in t, y = t^2 / (t^2 + df), which is a term(a).  Without
+    derivative in t, y = t^2 / (t^2 + df), which is the beta factor that
+    scales I(a); the mode's term is the beta factor over a.  Without
     ``density`` the slope is not summed and reads NaN, the upward sweep stops
     on the total's own tests alone, and the total keeps every bit (below).
 
@@ -572,9 +565,8 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
     a = m + a0
     mode = modes.get(m) if modes is not None else None
     if mode is None:
-        ln_y, ln_1my = _logs(y, w)
-        mode = (_betainc(half_df, a, w, y) if far else _betainc(a, half_df, y, w),
-                sign * _beta_term(a, half_df, ln_y, ln_1my))
+        i_m, bt = _betainc(half_df, a, w, y) if far else _betainc(a, half_df, y, w)
+        mode = i_m, sign * bt / a
         if modes is not None:
             modes[m] = mode
     i_m, t_m = mode
@@ -690,18 +682,17 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
         law = (norm_cdf(t - ncp) - below, norm_cdf(ncp - t) + below, f)
         # f(-t) / f(t) = e^(-2 t ncp), so the share is (1 - tanh(t ncp)) / 2
         return law + ((below, 0.5 - 0.5 * math.tanh(t * ncp)) if signs else ())
-    lam = 0.5 * ncp * ncp
-    if lam == 0.0:
-        # T is the central t, each tail from its own mass
-        below = _t_mass(t, df)
-        law = (2.0 * _t_mass(t, df, True), 2.0 * below,
-               2.0 * _t_pdf(t, df) if density else math.nan)
-        return law + ((below, 0.5) if signs else ())
     tt = t * t
     y, w = tt / (tt + df), df / (tt + df)
     if y < _MIN_NORMAL:
         # t^2 underflows against df: |T| lies above t surely (density given as 0)
         return (0.0, 1.0, 0.0) + ((norm_cdf(-ncp), 0.5) if signs else ())
+    lam = 0.5 * ncp * ncp
+    if lam == 0.0:
+        # T is the central t, each tail from its own mass, the density from t f(t)
+        below, xf = _t_mass(t, df)
+        law = (2.0 * _t_mass(t, df, True)[0], 2.0 * below, 2.0 * xf / t if density else math.nan)
+        return law + ((below, 0.5) if signs else ())
     if w < _MIN_NORMAL:
         # t^2 overflows, or dwarfs df past the double range: |T| lies below t
         return (1.0, 0.0, 0.0) + ((0.0, 0.0) if signs else ())

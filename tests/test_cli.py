@@ -4,10 +4,11 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pilotplan.cli import _HANDLERS, _build_parser, emit, main
 from pilotplan.simulation import SimulationReport
@@ -519,3 +520,133 @@ class TestRecordRoundTrip:
                       power_target=power, underpower_threshold=0.6,
                       pooled_pilot=pooled, sizing_mode=sizing_mode, estimator=estimator)
         self.check("simulate", argv_from_config("simulate", config))
+
+
+
+def _log_uniform(lo: float, hi: float):
+    """A flag value 10^e, e uniform on [lo, hi], as the command line spells it."""
+    return st.floats(lo, hi).map(lambda e: repr(10.0 ** e))
+
+
+def _count():
+    """An integer flag from 1 to 1e9, log-uniform, as the command line spells it."""
+    return st.floats(0.0, 9.0).map(lambda e: str(round(10.0 ** e)))
+
+
+_SCALE = _log_uniform(-12.0, 12.0)
+_SHARE = st.floats(0.001, 0.999)
+
+
+@st.composite
+def command_line(draw) -> list:
+    """A command line of any subcommand, drawn as a user might type it:
+    log-uniform scales, alpha from 1e-15 to 0.3, pilots and replicates up to
+    1e9, and power levels mostly on their side of the target power, so that
+    most runs compute and some break a rule."""
+    command = draw(st.sampled_from(["plan-variance", "plan-effect", "simulate", "tables"]))
+    seed = ["--seed", str(draw(st.integers(0, 2 ** 32)))]
+    if command == "tables":
+        return [command, "--id", draw(st.sampled_from(["1", "2"])), "--reps", draw(_count())] + seed
+    power = draw(st.floats(0.5, 0.999))
+    argv = [command, "--alpha", draw(_log_uniform(-15.0, math.log10(0.3))),
+            "--power", repr(power), "--design", draw(st.sampled_from(["one", "two"]))]
+    under = ["--underpower-threshold", repr(power * draw(_SHARE))]
+    if command == "simulate":
+        scenario = draw(st.sampled_from(["variance", "effect"]))
+        argv += ["--scenario", scenario, "--effect", draw(_SCALE), "--sigma", draw(_SCALE),
+                 "--pilot-n", draw(_count()), "--reps", draw(_count()), *seed, *under,
+                 "--sizing-mode", draw(st.sampled_from(["t-iterative", "z-approx"]))]
+        if scenario == "effect":
+            return argv + ["--estimator", draw(st.sampled_from(["pooled-sd", "known-sigma"]))]
+        return argv + (["--pooled-pilot"] if draw(st.booleans()) else [])
+    if command == "plan-variance":
+        argv += ["--sigma", draw(_SCALE), "--delta", draw(_SCALE),
+                 "--mode", draw(st.sampled_from(["approx", "exact"]))]
+        if draw(st.booleans()):
+            argv.append("--pooled-pilot")
+    elif draw(st.booleans()):
+        argv += ["--mu0", draw(_SCALE), "--sigma", draw(_SCALE)]
+    else:
+        argv += ["--p1", repr(draw(_SHARE)), "--p2", repr(draw(_SHARE))]
+    argv += ["--underpower-prob", repr(draw(_SHARE)), *under]
+    if draw(st.booleans()):
+        argv += ["--overpower-prob", repr(draw(_SHARE)),
+                 "--overpower-threshold", repr(power + (1.0 - power) * draw(_SHARE))]
+    return argv
+
+
+# the result fields that are sizes (a nested dict's values too), with the least
+# each takes: a known-sigma effect pilot may be one subject a group, a main
+# study takes two; and the fields that are probabilities
+_SIZES = {"pilot_n": 1, "pilot_n_under": 1, "pilot_n_over": 1, "main_n_under": 2,
+          "main_n_over": 2, "main_n_quantiles": 2, "main_study_n": 2}
+_PROBABILITIES = {"empirical_underpower", "mc_standard_error", "underpower_prob"}
+
+
+def _leaves(value, key=None):
+    """(field, value) for every number in a JSON result; the values of a size
+    dict are read under its own field, those of any other dict under theirs."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, key if key in _SIZES else k)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _leaves(v, key)
+    elif value is not None:
+        yield key, value
+
+
+# a run's bound: the slowest run of a two-minute fuzz took 1.15 s, a variance
+# simulation with a pilot of 1.2e8 to 3e8 in the incomplete gamma's series
+_SECONDS = 2.0
+
+
+@given(command_line())
+# reachable cases of the FOUND lines in CHANGES.md: the incomplete gamma's
+# series cap at huge variance pilots, the slow tiny-alpha flag edge, the
+# incomplete beta's fraction cap at a pooled-SD pilot of 1e7, and the
+# noncentral t series' upward cap at a huge effect and at tiny alpha
+@example(["simulate", "--scenario", "variance", "--effect", "1", "--sigma", "4",
+          "--pilot-n", "1000000000", "--seed", "7", "--reps", "10000"])
+@example(["simulate", "--scenario", "variance", "--effect", "1", "--sigma", "4",
+          "--pilot-n", "300000000", "--seed", "7", "--reps", "10000"])
+@example(["simulate", "--scenario", "variance", "--effect", "1000", "--sigma", "1",
+          "--pilot-n", "20", "--design", "one", "--alpha", "1e-15", "--seed", "7",
+          "--reps", "1000"])
+@example(["simulate", "--scenario", "effect", "--effect", "0.447", "--sigma", "1",
+          "--pilot-n", "10000000", "--seed", "0"])
+@example(["plan-effect", "--mu0", "1e5", "--sigma", "1", "--design", "one", "--alpha", "1e-6",
+          "--underpower-prob", ".2", "--underpower-threshold", ".6"])
+@example(["simulate", "--scenario", "variance", "--effect", "1000", "--sigma", "1",
+          "--pilot-n", "12", "--design", "one", "--alpha", "1e-9", "--power", ".5",
+          "--underpower-threshold", ".3", "--seed", "7"])
+@example(["tables", "--id", "1", "--reps", "1000000000", "--seed", "1"])
+@settings(max_examples=150, deadline=None)
+def test_every_command_exits_cleanly_and_quickly(argv):
+    # each run answers (exit 0) with sizes that are integers up to 1e9 and
+    # probabilities in [0, 1], or refuses with one error line, exit 2 for a
+    # flag that breaks a rule and 1 for a computation that fails; never a
+    # traceback, and within the bound
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, "--format", "json"])
+        except SystemExit as exc:  # argparse usage failures
+            code = exc.code
+    assert time.perf_counter() - start < _SECONDS
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+        for key, value in _leaves(json.loads(out.getvalue())["results"]):
+            if key in _SIZES:
+                assert type(value) is int and _SIZES[key] <= value <= 10 ** 9, (key, value)
+            elif key in _PROBABILITIES:
+                assert 0.0 <= value <= 1.0, (key, value)
+            else:
+                assert math.isfinite(value), (key, value)
+    else:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert sum("error: " in line for line in lines) == 1, lines
+        assert code == 2 or lines == [lines[0]] and lines[0].startswith("error: ")

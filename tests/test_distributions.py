@@ -183,9 +183,10 @@ class TestChiSquare:
         # 1; the factor scaling the tail has underflowed there, so the kernel
         # returns the limit P = 1, Q = 0, as scipy does
         x = 10.0 ** np.random.default_rng(7).uniform(15.0, 19.0, 3000)
-        p, q = zip(*(_gammainc_lower(5.5, v) for v in x.tolist()))
+        p, q, pre = zip(*(_gammainc_lower(5.5, v) for v in x.tolist()))
         assert list(p) == scipy_special.gammainc(5.5, x).tolist() == [1.0] * x.size
         assert list(q) == scipy_special.gammaincc(5.5, x).tolist() == [0.0] * x.size
+        assert list(pre) == [0.0] * x.size
         assert [chisq_cdf(v, 11) for v in 2.0 * x] == [1.0] * x.size
         assert chisq_cdf(3.668e18, 11) == 1.0
 
@@ -197,7 +198,7 @@ class TestChiSquare:
         # series serves up to a + sqrt(a); above 1e6 the prefactor's
         # cancellation limits the digits, not the expansion
         x = a + 1.0 + k * math.sqrt(a)
-        p, q = _gammainc_lower(a, x)
+        p, q, _ = _gammainc_lower(a, x)
         assert q == pytest.approx(scipy_special.gammaincc(a, x), rel=1e-8 if a <= 1e6 else 1e-6)
         assert p + q == pytest.approx(1.0, abs=1e-15)
 
@@ -289,7 +290,7 @@ class TestStudentT:
         for t in (1.959963986, 2.5, 4.0):
             y, w = t * t / (df + t * t), df / (df + t * t)
             want = scipy_special.betainc(0.5, 0.5 * df, y)
-            assert abs(distributions._betainc(0.5, 0.5 * df, y, w) - want) <= 1e-13
+            assert abs(distributions._betainc(0.5, 0.5 * df, y, w)[0] - want) <= 1e-13
         q = scipy_stats.t.ppf(0.975, df)
         assert abs(t_cdf(q, df) - 0.975) <= 1e-14
         assert t_quantile(0.975, df) == pytest.approx(q, rel=1e-12)
@@ -763,6 +764,19 @@ class TestFoldedT:
                 # where |T| has next to no density the share is a ratio of
                 # two sums each good to about 1e-18 absolute
                 assert share == pytest.approx(f_neg / (f_pos + f_neg), rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("ncp", [0.0, 1e-170])
+    @pytest.mark.parametrize("df", [0.5, 1.0, 6.0, 62.0, 8e5])
+    def test_central_law_reads_the_mass_factor(self, df, ncp):
+        # ncp^2 / 2 is 0: the density of |T| is 2 f(t), read from the factor
+        # t f(t) that scales the t tail; where t^2 underflows against df,
+        # t = 0 among them, |T| lies above t as at any ncp
+        for t in (1e-3, 0.7, 2.5, 40.0):
+            got_cdf, sf, density, below, share = distributions._nct_fold(t, df, ncp, True)
+            assert density == pytest.approx(2.0 * scipy_stats.t.pdf(t, df), rel=1e-11)
+            assert sf == 2.0 * below and share == 0.5
+        for t in (0.0, 1e-170):
+            assert distributions._nct_fold(t, df, ncp, True) == (0.0, 1.0, 0.0, 0.5, 0.5)
 
     @given(v=st.floats(1e-12, 1.0 - 1e-9), **DOMAIN)
     @settings(max_examples=100, deadline=None)

@@ -1,0 +1,94 @@
+"""The factors that scale the incomplete functions, against frozen mpmath.
+
+Each incomplete function returns, beside its mass, the factor that scales
+it, and the Newton steps and the noncentral-t series' mode read it there:
+
+- ``_t_mass(x, df, central)[1]`` is x f(x), f the t density, from either
+  branch;
+- ``_betainc(a, b, x, y)[1]`` is x^a y^b / B(a, b);
+- ``_gammainc_lower(a, x)[2]`` is x^a e^-x / Gamma(a).
+
+``golden/factors.json`` holds their 30-digit mpmath values at 593 points,
+written by
+
+    python tests/make_factor_golden.py
+
+which needs mpmath; this module imports none.
+"""
+
+import json
+import math
+import os
+import sys
+from collections import Counter
+
+from hypothesis import example, given, settings, strategies as st
+
+from pilotplan.distributions import _betainc, _gammainc_lower, _t_mass
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "factors.json")
+EPS = sys.float_info.epsilon
+
+
+def load(kind: str) -> list:
+    with open(GOLDEN) as fh:
+        return [([float.fromhex(h) for h in args], float(value))
+                for k, args, value in json.load(fh) if k == kind]
+
+
+def rel(got: float, want: float) -> float:
+    return abs(got - want) / want
+
+
+def test_golden_covers_its_ranges():
+    with open(GOLDEN) as fh:
+        rows = json.load(fh)
+    assert Counter(kind for kind, _, _ in rows) == {"t": 79, "beta": 445, "gamma": 69}
+    dfs = [args[1] for args, _ in load("t")]
+    assert min(dfs) == 0.1 and max(dfs) == 1e6 and 8e5 in dfs
+    params = [p for args, _ in load("beta") for p in args[:2]]
+    assert min(params) == 0.01 and max(params) == 1e4
+    shapes = [args[0] for args, _ in load("gamma")]
+    assert min(shapes) == 0.01 and max(shapes) == 1e8
+
+
+def test_t_factor_from_either_branch():
+    # x f(x) = y^(1/2) w^(df/2) / B(1/2, df/2) from the tail and from the
+    # central mass; the density formula it replaced was off by 1e-9 at df 8e5
+    for (x, df), want in load("t"):
+        for central in (False, True):
+            assert rel(_t_mass(x, df, central)[1], want) <= 2e-12, (x, df, central)
+
+
+def test_beta_factor():
+    # the worst point, 2.1e-12, is a = b = 1e4 near the mode, where a log x,
+    # b log y and log B(a, b) are each about 7e3 and round at that size
+    for (a, b, x, y), want in load("beta"):
+        assert rel(_betainc(a, b, x, y)[1], want) <= 3e-12, (a, b, x, y)
+
+
+def test_gamma_factor():
+    # exp(-x + a log x - lgamma a) cancels terms of these sizes, so its
+    # relative error grows with them: about 2e-7 at a = 1e8
+    for (a, x), want in load("gamma"):
+        bound = 4.0 * EPS * (x + a * abs(math.log(x)) + abs(math.lgamma(a)))
+        assert rel(_gammainc_lower(a, x)[2], want) <= bound, (a, x)
+
+
+def test_factors_vanish_at_the_ends():
+    assert _gammainc_lower(2.5, 0.0) == (0.0, 1.0, 0.0)
+    assert _betainc(2.0, 3.0, 0.0, 1.0) == (0.0, 0.0)
+    assert _betainc(2.0, 3.0, 1.0, 0.0) == (1.0, 0.0)
+    assert _t_mass(0.0, 5.0) == (0.5, 0.0) and _t_mass(0.0, 5.0, True) == (0.0, 0.0)
+
+
+@given(st.floats(-1.0, 6.0).map(lambda e: 10.0 ** e), st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
+@example(0.1, 1e-6)
+@example(1e6, 1e6)
+@settings(max_examples=300, deadline=None)
+def test_both_t_branches_give_one_factor(df, x):
+    # the tail I_w(df/2, 1/2) and the central mass I_y(1/2, df/2) are scaled
+    # by the same y^(1/2) w^(df/2) / B(1/2, df/2), each computed from its own
+    # argument order; both are 0 where the factor underflows
+    tail, central = _t_mass(x, df)[1], _t_mass(x, df, True)[1]
+    assert tail == central or abs(tail - central) <= 1e-12 * max(tail, central)

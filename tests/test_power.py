@@ -235,7 +235,7 @@ class TestTwoSidedPower:
         # 1e-13 of scipy's: the sum (1 - F(c)) + F(-c) rounded the upper tail
         # away, 5.5% of it at alpha 1e-15
         c = t_quantile(1.0 - alpha / 2.0, df)
-        assert _nct_abs_sf(c, df, 0.0) == 2.0 * _t_mass(c, df)
+        assert _nct_abs_sf(c, df, 0.0) == 2.0 * _t_mass(c, df)[0]
         scipy_stats = pytest.importorskip("scipy.stats")
         assert _nct_abs_sf(c, df, 0.0) == pytest.approx(2.0 * scipy_stats.t.sf(c, df),
                                                         rel=1e-13, abs=0.0)
@@ -320,22 +320,27 @@ class TestInverseSolves:
 
     def test_effect_for_n_evaluates_each_mode_once(self, monkeypatch):
         # the solve's power curve keeps the series terms of each Poisson mode
-        # int(ncp^2 / 2) it visits: one _beta_term call (only the series makes
-        # them) per distinct mode, 3, 2 and 1 here against 9, 8 and 7 power
-        # evaluations, and each reused value has the bits of a fresh call
-        beta_calls, seen = [0], []
-        beta_term, abs_sf = distributions._beta_term, power_module._nct_abs_sf
+        # int(ncp^2 / 2) it visits: one _betainc call inside a power
+        # evaluation (the series makes one only at its mode) per distinct
+        # mode, 3, 2 and 1 here against 9, 8 and 7 power evaluations, and each
+        # reused value has the bits of a fresh call
+        beta_calls, seen, in_sf = [0], [], [False]
+        betainc, abs_sf = distributions._betainc, power_module._nct_abs_sf
 
         def counted_beta(*args):
-            beta_calls[0] += 1
-            return beta_term(*args)
+            beta_calls[0] += in_sf[0]
+            return betainc(*args)
 
         def recorded_sf(*args):
-            got = abs_sf(*args)
+            in_sf[0] = True
+            try:
+                got = abs_sf(*args)
+            finally:
+                in_sf[0] = False
             seen.append((args[:3], got))
             return got
 
-        monkeypatch.setattr(distributions, "_beta_term", counted_beta)
+        monkeypatch.setattr(distributions, "_betainc", counted_beta)
         monkeypatch.setattr(power_module, "_nct_abs_sf", recorded_sf)
         modes = []
         for n in (10, 64, 246):

@@ -85,60 +85,94 @@ def test_statistics_fallback_keeps_every_bit():
     assert [p for p, g in zip(ps, got) if g != distributions.norm_quantile(p).hex()] == []
 
 
-def test_t_density_only_where_newton_steps(monkeypatch):
-    # the critical values the sizer reads, t_quantile(alpha / 2, 2 (n - 1)) at
-    # alpha 0.05: each evaluation past the first is one Newton step, and each
-    # step reads one density, so the last evaluation, which meets the
-    # tolerance, computes none.  The Cornish-Fisher start meets it at once in
-    # most calls (644 of the 698 past df 2, whose quantile is a closed form),
-    # which then compute no density at all
-    counts = {"_t_mass": 0, "_t_pdf": 0}
-    for name in counts:
-        def counted(*args, _fn=getattr(distributions, name), _name=name):
-            counts[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(distributions, name, counted)
-    at_once = 0
-    for n in range(2, 701):
-        counts.update(_t_mass=0, _t_pdf=0)
-        distributions.t_quantile(0.025, 2.0 * (n - 1))
-        assert counts["_t_pdf"] == max(counts["_t_mass"] - 1, 0), n
-        at_once += counts["_t_mass"] == 1
-    assert at_once > 600
-
-
-def test_chisq_step_only_where_newton_steps(monkeypatch):
-    # at the golden chi-square points each evaluation past the first is one
-    # Newton step, and only a step computes the density, so the last
-    # evaluation, which meets the tolerance, computes none, also in the far
-    # tails where the loop bisects.  Each evaluation (the incomplete gamma)
-    # and each step's density call lgamma once; no start here calls it
-    counts = {"evals": 0, "lgamma": 0}
-    gammainc = distributions._gammainc_lower
+def _count_steps(monkeypatch) -> dict:
+    """Counts, for the inversions run after this call: ``_invert``'s
+    evaluations and Newton steps, every ``lgamma`` the module calls, and the
+    ``lgamma``, ``exp`` and ``log1p`` calls made inside a step."""
+    counts = dict.fromkeys(("evals", "steps", "lgamma", "in_step"), 0)
+    invert, stepping = distributions._invert, [False]
 
     class CountedMath:
         def __getattr__(self, name):
-            return getattr(math, name)
+            fn = getattr(math, name)
+            if name not in ("lgamma", "exp", "log1p"):
+                return fn
 
-        def lgamma(self, x):
-            counts["lgamma"] += 1
-            return math.lgamma(x)
+            def counted(*args):
+                counts["lgamma"] += name == "lgamma"
+                counts["in_step"] += stepping[0]
+                return fn(*args)
+            return counted
 
-    def counted(*args):
-        counts["evals"] += 1
-        return gammainc(*args)
+    def counted_invert(newton, *args):
+        def counted_newton(x):
+            counts["evals"] += 1
+            mass, step = newton(x)
+
+            def counted_step():
+                counts["steps"] += 1
+                stepping[0] = True
+                try:
+                    return step()
+                finally:
+                    stepping[0] = False
+            return mass, counted_step
+        return invert(counted_newton, *args)
 
     monkeypatch.setattr(distributions, "math", CountedMath())
-    monkeypatch.setattr(distributions, "_gammainc_lower", counted)
+    monkeypatch.setattr(distributions, "_invert", counted_invert)
+    return counts
+
+
+def test_t_step_reads_the_mass_factor(monkeypatch):
+    # the critical values the sizer reads, t_quantile(alpha / 2, 2 (n - 1)) at
+    # alpha 0.05: each evaluation past the first is one Newton step, and a
+    # step divides by the factor x f(x) its evaluation returned, so it calls
+    # no lgamma, exp or log1p.  The Cornish-Fisher start meets the tolerance
+    # at once in most calls (644 of the 698 past df 2, whose quantile is a
+    # closed form), which then take no step at all
+    counts = _count_steps(monkeypatch)
+    at_once = steps = 0
+    for n in range(2, 701):
+        counts.update(evals=0, steps=0, in_step=0)
+        distributions.t_quantile(0.025, 2.0 * (n - 1))
+        assert counts["steps"] == max(counts["evals"] - 1, 0), n
+        assert counts["in_step"] == 0, n
+        at_once += counts["evals"] == 1
+        steps += counts["steps"]
+    assert at_once > 600 and steps > 0
+
+
+def test_chisq_step_reads_the_gamma_factor(monkeypatch):
+    # at the golden chi-square points each evaluation past the first is one
+    # Newton step, also in the far tails where the loop bisects, and a step
+    # reads the factor x^a e^-x / Gamma(a) its incomplete gamma returned, so
+    # it calls no lgamma, exp or log1p: each evaluation calls lgamma once,
+    # and no start here calls it
+    counts = _count_steps(monkeypatch)
     rows = [row for row in load() if row[0] == "chisq_quantile"]
     assert len(rows) == 62
     evals = 0
     for name, args, want in rows:
-        counts.update(evals=0, lgamma=0)
+        counts.update(evals=0, steps=0, lgamma=0, in_step=0)
         assert value(name, args) == want
-        assert counts["lgamma"] - counts["evals"] == counts["evals"] - 1, args
+        assert counts["steps"] == counts["evals"] - 1, args
+        assert counts["lgamma"] == counts["evals"] and counts["in_step"] == 0, args
         evals += counts["evals"]
     assert evals > len(rows)
+
+
+def test_abs_t_step_reads_the_law(monkeypatch):
+    # at the golden |T| points a step divides by the density its evaluation
+    # of the law returned, so it too calls no lgamma, exp or log1p
+    counts = _count_steps(monkeypatch)
+    rows = [row for row in load() if row[0] == "_nct_abs_isf"]
+    assert len(rows) == 55
+    for name, args, want in rows:
+        counts.update(evals=0, steps=0, in_step=0)
+        assert value(name, args) == want
+        assert counts["steps"] == counts["evals"] - 1 and counts["in_step"] == 0, args
+    assert counts["lgamma"] > 0
 
 
 @pytest.mark.parametrize("rising", [True, False])

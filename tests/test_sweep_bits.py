@@ -35,8 +35,8 @@ import os
 from hypothesis import example, given, settings, strategies as st
 
 from pilotplan import distributions
-from pilotplan.distributions import (_FAR, _MAX_SERIES, ConvergenceError, _beta_term, _betainc,
-                                     _logs, _mixture_sum, _nct_abs_sf, _nct_fold, nct_cdf)
+from pilotplan.distributions import (_FAR, _MAX_SERIES, ConvergenceError, _betainc, _mixture_sum,
+                                     _nct_abs_sf, _nct_fold, nct_cdf)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                       "nct_sweep_bits.json")
@@ -64,13 +64,12 @@ def _reference_sum(lam, a0, scale, y, w, half_df, upper=False):
     """``_mixture_sum`` with the 1e-18 weight stop alone, and no mode reuse."""
     far = upper or w < _FAR
     sign = -1.0 if far else 1.0
-    ln_y, ln_1my = _logs(y, w)
     b = a0 + 0.5
     m = int(lam)
     c_m = scale * math.exp(-lam + m * math.log(lam) - math.lgamma(m + b))
     a = m + a0
-    i_m = _betainc(half_df, a, w, y) if far else _betainc(a, half_df, y, w)
-    t_m = sign * _beta_term(a, half_df, ln_y, ln_1my)
+    i_m, bt = _betainc(half_df, a, w, y) if far else _betainc(a, half_df, y, w)
+    t_m = sign * bt / a
     total = c_m * i_m
     slope = c_m * a * t_m
     c, i, t, j = c_m, i_m, t_m, m
