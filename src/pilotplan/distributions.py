@@ -14,7 +14,7 @@ by one guarded Newton iteration with bracket fallback, ``_invert``.
 The incomplete beta takes x and y = 1 - x, each computed by its caller
 without subtraction, as DiDonato & Morris's BRATIO does (ACM TOMS 18, 1992).
 Each mass returns the factor that scales it, x^a y^b / B(a, b) or x^a e^-x /
-Gamma(a), and the Newton steps and the noncentral-t series' mode read it there.
+Gamma(a): the x f(x) of ``_invert``'s Newton step, and the series' mode term.
 
 Every function takes one point per call and computes on floats with the
 ``math`` module and that normal quantile alone, so the package never imports
@@ -223,27 +223,29 @@ class _Output(_Record):
 
 def _invert(newton, x: float, target: float, rising: bool, what: str) -> float:
     """The x > 0 where a mass monotone in x (rising with x, or falling) meets
-    target > 0, from the start x; ``newton(x)`` gives the mass at x and a
-    function of no arguments that gives the Newton step h in log x.
+    target > 0, from the start x; ``newton(x)`` gives the mass at x and
+    x f(x), f the density whose mass it is (the mass's slope in x, up to sign).
 
     The loop alone stops: within ``_INVERT_TOL`` of the target, relative, or
     at bracket collapse (the mass's own rounding can pass the tolerance very
     close to the median); ``_MAX_NEWTON`` steps raise.  Otherwise, and only
-    then, it asks for h, and steps to x e^h when |h| < 700 and it lands
-    inside the bracket the masses seen so far give.  A step that raises an
-    arithmetic or domain error (a zero mass or density) or is NaN is none:
-    the bracket is bisected, in log x once its lower end is positive, or
-    while it is open above x doubles to 2 max(x, 1).
+    then, it takes Newton's step on log(mass / target) in log x, h = s
+    log(mass / target) mass / (x f(x)) with s = -1 for a rising mass and +1
+    for a falling one, to x e^h when |h| < 700 and it lands inside the
+    bracket the masses seen so far give.  A zero mass or x f(x), or a NaN h,
+    gives no step: the bracket is bisected, in log x once its lower end is
+    positive, or while it is open above x doubles to 2 max(x, 1).
     """
     lo, hi = 0.0, math.inf
+    sign = -1.0 if rising else 1.0
     for _ in range(_MAX_NEWTON):
-        mass, step = newton(x)
+        mass, xf = newton(x)
         if abs(mass - target) <= _INVERT_TOL * target or hi - lo <= 1e-15 * x:
             return x
         lo, hi = (x, hi) if (mass < target) == rising else (lo, x)
         try:
-            h = step()
-        except (ValueError, ZeroDivisionError, OverflowError):
+            h = sign * math.log(mass / target) * mass / xf
+        except (ValueError, ZeroDivisionError):
             h = math.nan
         x_new = x * math.exp(h) if abs(h) < 700.0 else math.nan
         if not lo < x_new < hi:
@@ -364,12 +366,11 @@ def _chisq_start(p: float, df: float) -> float:
 def chisq_quantile(p, df: float):
     """Chi-square quantile for 0 <= p < 1 (p = 1 is a domain error).
 
-    From the Wilson-Hilferty start, ``_invert`` solves for g = log(got /
-    tail) of the smaller tail, concave in u = log x for every df, so Newton's
-    step cannot run away: g / g', g' = sign x pdf / got (sign -1 on the upper
-    tail) and g'' = g' r2, by series reversion to third order once it is
-    short, none where got or the density is 0 or the exponent overflows.  A
-    quantile below the smallest double raises ``ConvergenceError``.
+    From the Wilson-Hilferty start, ``_invert``'s Newton steps in log x solve
+    for the log of the smaller tail, concave in log x for every df, so a step
+    cannot run away; the step reads x f(x) = (x/2)^(df/2) e^(-x/2) /
+    Gamma(df/2), the factor the incomplete gamma returns.  A quantile below
+    the smallest double raises ``ConvergenceError``.
     """
     p = _point("chisq_quantile", p)
     df = _scale("degrees of freedom", _point("chisq_quantile", df))
@@ -378,21 +379,13 @@ def chisq_quantile(p, df: float):
     if p == 0.0:
         return 0.0
     a, upper = 0.5 * df, p > 0.5
-    tail, sign = (1.0 - p, -1.0) if upper else (p, 1.0)
 
     def newton(x):
         mass = _gammainc_lower(a, 0.5 * x)
-        got = mass[upper]     # Q on the upper tail
+        return mass[upper], mass[2]     # Q on the upper tail
 
-        def step():
-            slope = sign * mass[2] / got
-            h = math.log(got / tail) / slope
-            r2 = a - 0.5 * x - slope
-            rev = h * (1.0 + h * (0.5 * r2 + h * (r2 * r2 / 3.0 + (0.5 * x + slope * r2) / 6.0)))
-            return -(rev if abs(h) < 0.5 else h)
-        return got, step
-
-    return _invert(newton, _chisq_start(p, df), tail, not upper, "chi-square quantile")
+    return _invert(newton, _chisq_start(p, df), 1.0 - p if upper else p, not upper,
+                   "chi-square quantile")
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +509,8 @@ def t_quantile(p: float, df: float) -> float:
         # under df 0.4 the negative df^-3 and df^-4 terms can outweigh the rest
         x = z
     central = q > 0.25
-    target, slope = (0.5 - q, -1.0) if central else (q, 1.0)
-
-    def newton(x):
-        got, xf = _t_mass(x, df, central)
-        return got, lambda: slope * math.log(got / target) * got / xf
-
-    x = _invert(newton, x, target, central, "t quantile")
+    x = _invert(lambda x: _t_mass(x, df, central), x, 0.5 - q if central else q, central,
+                "t quantile")
     if _MIN_NORMAL * x * x > df:
         raise ConvergenceError("t quantile is past where df / (df + x^2) is a normal double")
     return sign * x
@@ -726,14 +714,13 @@ def _nct_abs_isf(v: float, df: float, ncp: float) -> float:
     evaluations at the quantiles of a grid cell).
     """
     upper = v <= 0.5
-    target, sign = (v, 1.0) if upper else (1.0 - v, -1.0)
 
     def newton(t):
         cdf, sf, density = _nct_fold(t, df, ncp, upper=upper)
-        got = sf if upper else cdf
-        return got, lambda: sign * math.log(got / target) * got / (t * density)
+        return (sf if upper else cdf), t * density
 
-    return _invert(newton, _abs_start(v, df, ncp), target, not upper, "|T| quantile")
+    return _invert(newton, _abs_start(v, df, ncp), v if upper else 1.0 - v, not upper,
+                   "|T| quantile")
 
 
 def _abs_start(v: float, df: float, ncp: float) -> float:
@@ -754,14 +741,15 @@ def nct_cdf(x: float, df: float, ncp: float) -> float:
     at ncp > 0; at ncp < 0 it is P(|T'| > |x|) - P(T' < -|x|) and 1 - P(T' < -x)
     for T' = -T.
 
-    Matches ``t_cdf`` exactly at ncp = 0 and is evaluated to ~1e-12 absolute
-    accuracy (target 1e-8) against direct numerical integration.  Scalars
-    only: an array argument is a ConfigError.
+    Is ``t_cdf`` where ncp^2 / 2 underflows to 0, since T is the central t
+    to double precision there, and is evaluated to ~1e-12 absolute accuracy
+    (target 1e-8) against direct numerical integration.  Scalars only: an
+    array argument is a ConfigError.
     """
     x = _require_finite("nct_cdf", "x", x)
     df = _scale("degrees of freedom", _point("nct_cdf", df))
     ncp = _require_finite("nct_cdf", "ncp", ncp)
-    if ncp == 0.0:
+    if 0.5 * ncp * ncp == 0.0:
         return t_cdf(x, df)
     t = abs(x)
     if ncp > 0.0:

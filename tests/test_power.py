@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pilotplan.distributions as distributions
 import pilotplan.power as power_module
@@ -201,6 +201,10 @@ class TestTwoSidedPower:
     @given(df=st.floats(1.0, 2000.0) | st.floats(1.0, 3.0),
            alpha=st.floats(1e-6, 0.5) | st.just(1e-6), ncp=st.floats(0.0, 40.0))
     @settings(max_examples=300, deadline=None)
+    # ncp^2 / 2 underflows to 0, where nct_cdf is t_cdf; summed as P(|T| <= c)
+    # and P(T > c), two incomplete betas whose log B(a, b) each lose about
+    # 8e-13 to lgamma cancellation, the two sides would differ by 7.9e-13
+    @example(df=1632.0, alpha=0.015625, ncp=1.1125369292536007e-308)
     def test_matches_two_nct_cdf_tails(self, df, alpha, ncp):
         # df 1 at alpha 1e-6 puts 1 - y under 2^-26, the series' far branch
         c = t_quantile(1.0 - alpha / 2.0, df)

@@ -13,8 +13,11 @@ argument and the value as ``float.hex`` strings, at 195 points:
   and df 1039, the t at p 1.82e-4 and df 280 to 1310, and |T| at
   v = 1 - 1e-14.
 
-Beside the bits, it checks the loop's contract: ``_invert`` asks for a
-Newton step only when it takes one, and bisects past a step that fails.
+Beside the bits, it checks the loop's contract: each quantile's ``newton(x)``
+returns the mass and x f(x), ``_invert`` computes the one Newton step from
+them only when it takes one (exact on a mass that is a power of x), within
+a ceiling of evaluations over the golden rows, and bisects past a step that
+fails.
 
 A change to the inversion or to the masses under it that is meant to keep
 its arithmetic must keep every bit here.  Each inversion starts from
@@ -87,37 +90,38 @@ def test_statistics_fallback_keeps_every_bit():
 
 def _count_steps(monkeypatch) -> dict:
     """Counts, for the inversions run after this call: ``_invert``'s
-    evaluations and Newton steps, every ``lgamma`` the module calls, and the
-    ``lgamma``, ``exp`` and ``log1p`` calls made inside a step."""
-    counts = dict.fromkeys(("evals", "steps", "lgamma", "in_step"), 0)
-    invert, stepping = distributions._invert, [False]
+    evaluations of ``newton(x)``; its Newton steps, the ``log`` calls it
+    makes outside them; every ``lgamma`` the module calls; and the
+    ``lgamma`` and ``log1p`` calls ``_invert`` makes outside them."""
+    counts = dict.fromkeys(("evals", "steps", "lgamma", "outside"), 0)
+    invert, where = distributions._invert, [None]
 
     class CountedMath:
         def __getattr__(self, name):
             fn = getattr(math, name)
-            if name not in ("lgamma", "exp", "log1p"):
+            if name not in ("lgamma", "log", "log1p"):
                 return fn
 
             def counted(*args):
                 counts["lgamma"] += name == "lgamma"
-                counts["in_step"] += stepping[0]
+                if where[0] == "invert":
+                    counts["steps" if name == "log" else "outside"] += 1
                 return fn(*args)
             return counted
 
     def counted_invert(newton, *args):
         def counted_newton(x):
             counts["evals"] += 1
-            mass, step = newton(x)
-
-            def counted_step():
-                counts["steps"] += 1
-                stepping[0] = True
-                try:
-                    return step()
-                finally:
-                    stepping[0] = False
-            return mass, counted_step
-        return invert(counted_newton, *args)
+            where[0] = "newton"
+            try:
+                return newton(x)
+            finally:
+                where[0] = "invert"
+        where[0] = "invert"
+        try:
+            return invert(counted_newton, *args)
+        finally:
+            where[0] = None
 
     monkeypatch.setattr(distributions, "math", CountedMath())
     monkeypatch.setattr(distributions, "_invert", counted_invert)
@@ -127,17 +131,17 @@ def _count_steps(monkeypatch) -> dict:
 def test_t_step_reads_the_mass_factor(monkeypatch):
     # the critical values the sizer reads, t_quantile(alpha / 2, 2 (n - 1)) at
     # alpha 0.05: each evaluation past the first is one Newton step, and a
-    # step divides by the factor x f(x) its evaluation returned, so it calls
-    # no lgamma, exp or log1p.  The Cornish-Fisher start meets the tolerance
+    # step divides by the factor x f(x) its evaluation returned, so _invert
+    # calls no lgamma or log1p.  The Cornish-Fisher start meets the tolerance
     # at once in most calls (644 of the 698 past df 2, whose quantile is a
     # closed form), which then take no step at all
     counts = _count_steps(monkeypatch)
     at_once = steps = 0
     for n in range(2, 701):
-        counts.update(evals=0, steps=0, in_step=0)
+        counts.update(evals=0, steps=0, outside=0)
         distributions.t_quantile(0.025, 2.0 * (n - 1))
         assert counts["steps"] == max(counts["evals"] - 1, 0), n
-        assert counts["in_step"] == 0, n
+        assert counts["outside"] == 0, n
         at_once += counts["evals"] == 1
         steps += counts["steps"]
     assert at_once > 600 and steps > 0
@@ -147,55 +151,93 @@ def test_chisq_step_reads_the_gamma_factor(monkeypatch):
     # at the golden chi-square points each evaluation past the first is one
     # Newton step, also in the far tails where the loop bisects, and a step
     # reads the factor x^a e^-x / Gamma(a) its incomplete gamma returned, so
-    # it calls no lgamma, exp or log1p: each evaluation calls lgamma once,
+    # _invert calls no lgamma or log1p: each evaluation calls lgamma once,
     # and no start here calls it
     counts = _count_steps(monkeypatch)
     rows = [row for row in load() if row[0] == "chisq_quantile"]
     assert len(rows) == 62
     evals = 0
     for name, args, want in rows:
-        counts.update(evals=0, steps=0, lgamma=0, in_step=0)
+        counts.update(evals=0, steps=0, lgamma=0, outside=0)
         assert value(name, args) == want
         assert counts["steps"] == counts["evals"] - 1, args
-        assert counts["lgamma"] == counts["evals"] and counts["in_step"] == 0, args
+        assert counts["lgamma"] == counts["evals"] and counts["outside"] == 0, args
         evals += counts["evals"]
     assert evals > len(rows)
 
 
 def test_abs_t_step_reads_the_law(monkeypatch):
-    # at the golden |T| points a step divides by the density its evaluation
-    # of the law returned, so it too calls no lgamma, exp or log1p
+    # at the golden |T| points a step divides by t times the density its
+    # evaluation of the law returned, so _invert calls no lgamma or log1p
     counts = _count_steps(monkeypatch)
     rows = [row for row in load() if row[0] == "_nct_abs_isf"]
     assert len(rows) == 55
     for name, args, want in rows:
-        counts.update(evals=0, steps=0, in_step=0)
+        counts.update(evals=0, steps=0, outside=0)
         assert value(name, args) == want
-        assert counts["steps"] == counts["evals"] - 1 and counts["in_step"] == 0, args
+        assert counts["steps"] == counts["evals"] - 1 and counts["outside"] == 0, args
     assert counts["lgamma"] > 0
 
 
-@pytest.mark.parametrize("rising", [True, False])
-@pytest.mark.parametrize("fail", [lambda: math.log(0.0), lambda: 1.0 / 0.0,
-                                  lambda: math.exp(1e3), lambda: math.nan],
-                         ids=["ValueError", "ZeroDivisionError", "OverflowError", "nan"])
-def test_invert_bisects_past_a_failed_step(rising, fail):
-    # x^3 meets 5, and x^-3 meets 1/5, at x = 5^(1/3); a step that raises or
-    # is NaN is none, so the bracket is bisected down to the root
-    seen, asked = [], []
+def test_golden_rows_take_at_most_their_evaluations(monkeypatch):
+    # a step with a wrong sign or factor falls back to bisection, which a
+    # regenerated bit golden would hold; the evaluations over its rows show it
+    counts = _count_steps(monkeypatch)
+    evals = dict.fromkeys(NAMES, 0)
+    for name, args, _ in load():
+        counts["evals"] = 0
+        value(name, args)
+        evals[name] += counts["evals"]
+    assert evals["chisq_quantile"] <= 195
+    assert evals["t_quantile"] <= 130
+    assert evals["_nct_abs_isf"] <= 198
+
+
+@pytest.mark.parametrize("k", [3.0, -3.0], ids=["rising", "falling"])
+def test_one_step_is_exact_on_a_power(k):
+    # log x^k is linear in log x, so from x = 1 one Newton step on the mass
+    # x^k, with x f(x) = |k| x^k, lands on 5^(1/3), where x^3 meets 5 and
+    # x^-3 meets 1/5; a step of the wrong sign or size would not
+    seen = []
 
     def newton(x):
         seen.append(x)
+        return x ** k, abs(k) * x ** k
 
-        def step():
-            asked.append(x)
-            return fail()
-        return (x ** 3 if rising else x ** -3), step
+    x = distributions._invert(newton, 1.0, 5.0 ** (k / 3.0), k > 0.0, "test")
+    assert len(seen) == 2 and x == pytest.approx(5.0 ** (1.0 / 3.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("rising", [True, False])
+@pytest.mark.parametrize("xf", [0.0, math.nan, 5e-324],
+                         ids=["ZeroDivisionError", "nan", "subnormal"])
+def test_invert_bisects_past_a_failed_step(rising, xf):
+    # x^3 meets 5, and x^-3 meets 1/5, at x = 5^(1/3); with x f(x) of 0
+    # (the step divides by zero), NaN (a NaN step) or subnormal (an infinite
+    # one) no step is taken, so the bracket is bisected down to the root
+    seen = []
+
+    def newton(x):
+        seen.append(x)
+        return (x ** 3 if rising else x ** -3), xf
 
     x = distributions._invert(newton, 1.0, 5.0 if rising else 0.2, rising, "test")
     assert x == pytest.approx(5.0 ** (1.0 / 3.0), rel=1e-10)
-    # a step is asked for at every evaluation but the last
-    assert asked == seen[:-1] and 10 < len(asked) < distributions._MAX_NEWTON
+    assert 10 < len(seen) < distributions._MAX_NEWTON
+
+
+@pytest.mark.parametrize("rising", [True, False])
+def test_invert_bisects_past_a_zero_mass(rising):
+    # from a start where x^3 or x^-3 underflows to 0, log(mass / target) is a
+    # domain error: no step is taken until the bracket reaches a positive mass
+    def newton(x):
+        mass = x ** 3 if rising else x ** -3
+        return mass, 3.0 * mass
+
+    start = 1e-110 if rising else 1e110
+    assert newton(start)[0] == 0.0
+    x = distributions._invert(newton, start, 5.0 if rising else 0.2, rising, "test")
+    assert x == pytest.approx(5.0 ** (1.0 / 3.0), rel=1e-10)
 
 
 def test_mass_errors_propagate():
