@@ -14,7 +14,9 @@ by one guarded Newton iteration with bracket fallback, ``_invert``.
 The incomplete beta takes x and y = 1 - x, each computed by its caller
 without subtraction, as DiDonato & Morris's BRATIO does (ACM TOMS 18, 1992).
 Each mass returns the factor that scales it, x^a y^b / B(a, b) or x^a e^-x /
-Gamma(a): the x f(x) of ``_invert``'s Newton step, and the series' mode term.
+Gamma(a), the series' mode term.  The chi-square, t and |T| laws return one
+shape, (lower tail, upper tail, x f(x)), with that factor as x f(x), and each
+quantile passes its law to ``_invert``'s Newton step as it stands.
 
 Every function takes one point per call and computes on floats with the
 ``math`` module and that normal quantile alone, so the package never imports
@@ -221,28 +223,30 @@ class _Output(_Record):
         return {k: v for k, v in vars(self).items() if k not in self._CONFIG_KEYS}
 
 
-def _invert(newton, x: float, target: float, rising: bool, what: str) -> float:
-    """The x > 0 where a mass monotone in x (rising with x, or falling) meets
-    target > 0, from the start x; ``newton(x)`` gives the mass at x and
-    x f(x), f the density whose mass it is (the mass's slope in x, up to sign).
+def _invert(law, x: float, target: float, upper: bool, what: str) -> float:
+    """The x > 0 where a tail of a law on x > 0 meets target > 0, from the
+    start x: the upper tail if ``upper``, else the lower.  ``law(x)`` gives
+    (lower tail, upper tail, x f(x)), f the law's density, so x f(x) is the
+    lower tail's slope in log x and minus the upper tail's.
 
     The loop alone stops: within ``_INVERT_TOL`` of the target, relative, or
     at bracket collapse (the mass's own rounding can pass the tolerance very
     close to the median); ``_MAX_NEWTON`` steps raise.  Otherwise, and only
     then, it takes Newton's step on log(mass / target) in log x, h = s
-    log(mass / target) mass / (x f(x)) with s = -1 for a rising mass and +1
-    for a falling one, to x e^h when |h| < 700 and it lands inside the
+    log(mass / target) mass / (x f(x)) with s = +1 for an upper tail and -1
+    for a lower one, to x e^h when |h| < 700 and it lands inside the
     bracket the masses seen so far give.  A zero mass or x f(x), or a NaN h,
     gives no step: the bracket is bisected, in log x once its lower end is
     positive, or while it is open above x doubles to 2 max(x, 1).
     """
     lo, hi = 0.0, math.inf
-    sign = -1.0 if rising else 1.0
+    sign = 1.0 if upper else -1.0
     for _ in range(_MAX_NEWTON):
-        mass, xf = newton(x)
+        law_x = law(x)
+        mass, xf = law_x[upper], law_x[2]
         if abs(mass - target) <= _INVERT_TOL * target or hi - lo <= 1e-15 * x:
             return x
-        lo, hi = (x, hi) if (mass < target) == rising else (lo, x)
+        lo, hi = (x, hi) if (mass < target) != upper else (lo, x)
         try:
             h = sign * math.log(mass / target) * mass / xf
         except (ValueError, ZeroDivisionError):
@@ -379,13 +383,8 @@ def chisq_quantile(p, df: float):
     if p == 0.0:
         return 0.0
     a, upper = 0.5 * df, p > 0.5
-
-    def newton(x):
-        mass = _gammainc_lower(a, 0.5 * x)
-        return mass[upper], mass[2]     # Q on the upper tail
-
-    return _invert(newton, _chisq_start(p, df), 1.0 - p if upper else p, not upper,
-                   "chi-square quantile")
+    return _invert(lambda x: _gammainc_lower(a, 0.5 * x), _chisq_start(p, df),
+                   1.0 - p if upper else p, upper, "chi-square quantile")
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +460,23 @@ def _betainc(a: float, b: float, x: float, y: float) -> tuple[float, float]:
     return bt * _betacf(a, b, x, y), bt
 
 
-def _t_mass(x: float, df: float, central: bool = False) -> tuple[float, float]:
-    """P(T > x), or P(0 < T < x) if ``central``, for x >= 0: half of
-    I_w(df/2, 1/2) or of I_y(1/2, df/2), w = df / (df + x^2) = 1 - y; and
-    x f(x), f the t density: the factor y^(1/2) w^(df/2) / B(1/2, df/2) of either."""
+def _t_mass(x: float, df: float, central: bool = False) -> tuple[float, float, float]:
+    """P(0 < T < x), P(T > x) and x f(x), f the t density, for x >= 0.  The
+    tail is half of I_w(df/2, 1/2), w = df / (df + x^2) = 1 - y, or with
+    ``central`` the central mass half of I_y(1/2, df/2), and the other mass
+    is 1/2 less it; x f(x) is the factor y^(1/2) w^(df/2) / B(1/2, df/2)."""
     xx = x * x
     w, y = df / (df + xx), xx / (df + xx)
     i, bt = _betainc(0.5, 0.5 * df, y, w) if central else _betainc(0.5 * df, 0.5, w, y)
-    return 0.5 * i, bt
+    mass = 0.5 * i
+    return (mass, 0.5 - mass, bt) if central else (0.5 - mass, mass, bt)
 
 
 def t_cdf(x: float, df: float) -> float:
     """Student t CDF via the incomplete beta function, from the tail P(T > |x|)."""
     x = _require_finite("t_cdf", "x", x)
     df = _scale("degrees of freedom", _point("t_cdf", df))
-    return _t_mass(-x, df)[0] if x < 0.0 else 1.0 - _t_mass(x, df)[0]
+    return _t_mass(-x, df)[1] if x < 0.0 else 1.0 - _t_mass(x, df)[1]
 
 
 def t_quantile(p: float, df: float) -> float:
@@ -509,7 +510,7 @@ def t_quantile(p: float, df: float) -> float:
         # under df 0.4 the negative df^-3 and df^-4 terms can outweigh the rest
         x = z
     central = q > 0.25
-    x = _invert(lambda x: _t_mass(x, df, central), x, 0.5 - q if central else q, central,
+    x = _invert(lambda x: _t_mass(x, df, central), x, 0.5 - q if central else q, not central,
                 "t quantile")
     if _MIN_NORMAL * x * x > df:
         raise ConvergenceError("t quantile is past where df / (df + x^2) is a normal double")
@@ -521,7 +522,7 @@ def t_quantile(p: float, df: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
-                 half_df: float, upper: bool = False, modes: dict | None = None,
+                 half_df: float, far: bool = False, modes: dict | None = None,
                  density: bool = True) -> tuple[float, float]:
     """Sum over j >= 0 of scale e^-lam lam^j / Gamma(j + a0 + 1/2) I(a0 + j),
     from the mode of the weights outward, so large lam stays cheap and stable;
@@ -531,21 +532,20 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
     ``density`` the slope is not summed and reads NaN, the upward sweep stops
     on the total's own tests alone, and the total keeps every bit (below).
 
-    I(a) is I_y(a, df/2), or where w = 1 - y < _FAR or ``upper`` asks for
-    it the upper tail I_w(df/2, a) = 1 - I_y(a, df/2), which keeps the digits
-    a total near 1 would lose.
+    I(a) is I_y(a, df/2), or with ``far`` the upper tail I_w(df/2, a) =
+    1 - I_y(a, df/2), which keeps the digits a total near 1 would lose;
+    ``_nct_fold`` asks for it where w = 1 - y < _FAR or its caller does.
 
     Each sweep stops where its weights fall under 1e-18; the upward one stops
     sooner where every later term rounds away (below).  ``modes`` maps a mode
     m to its I(m + a0) and signed term(m + a0), which depend on lam only
-    through m: a caller that sums at one y, w, half_df, a0 and ``upper`` for
+    through m: a caller that sums at one y, w, half_df, a0 and ``far`` for
     many lam passes one dict to every call, and each mode's incomplete beta
     ratio and step are computed once.
     """
     # the ratios step by I(a+1) = I(a) - term(a); the upper tails step the
     # other way, so their terms change sign.  The ratio is clamped into [0, 1]
     # by comparisons, to the bit as by min/max (NaN to 0 up, 1 down) but faster
-    far = upper or w < _FAR
     sign = -1.0 if far else 1.0
     b = a0 + 0.5
     m = int(lam)
@@ -644,13 +644,13 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
               upper: bool = False, modes: dict | None = None,
               density: bool = True) -> tuple:
     """The law of |T| at t >= 0, T noncentral t(df, ncp), normal N(ncp, 1)
-    at df = inf: P(|T| <= t), P(|T| > t) and the density of |T| at t; with
-    ``signs`` also P(T < -t) and, for ncp >= 0, f(-t) / (f(t) + f(-t)), the
-    chance that T is negative given |T| = t.
+    at df = inf: P(|T| <= t), P(|T| > t) and t (f(t) + f(-t)), f the density
+    of T; with ``signs`` also P(T < -t) and, for ncp >= 0, f(-t) / (f(t) +
+    f(-t)), the chance that T is negative given |T| = t.
 
     P(T <= t) = Phi(-ncp) + (E + O) / 2 and P(T < -t) = Phi(-ncp) - (E - O) / 2
     over the even (Poisson) and odd sums, so the density of |T| is E'(t) and
-    the share is (E' - O') / 2 E', each E' = 2 / t times the sum's slope.
+    the share is (E' - O') / 2 E', each t E' twice the sum's slope.
     Each sum stops at weights under 1e-18, so the share loses digits where
     the density of |T| falls toward that; the upward sweep stops sooner,
     with the same bits, once every later term rounds away (``_mixture_sum``).
@@ -658,28 +658,28 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
     its last digits where it is small.  ``modes`` goes to the even sum: one
     dict passed to every call at one t, df and ``upper``, whatever the ncp,
     computes the terms of each Poisson mode once (``_mixture_sum``).
-    Without ``density`` no slope is summed and no density computed: the
-    density reads NaN, as does the share that the slopes give (the constants
-    where t^2 under- or overflows against df stay).  Only a caller that reads
-    neither passes it.
+    Without ``density`` no slope is summed: t (f(t) + f(-t)) and the share the
+    slopes give read NaN, but for the constants where t^2 under- or overflows
+    against df and the central t's own factor at ncp 0.  Only a caller that
+    reads neither passes it.
     """
     if df == math.inf:
         below = norm_cdf(-t - ncp)
-        f = ((math.exp(-0.5 * (t - ncp) ** 2) + math.exp(-0.5 * (t + ncp) ** 2)) / _SQRT2PI
-             if density else math.nan)
-        law = (norm_cdf(t - ncp) - below, norm_cdf(ncp - t) + below, f)
+        xf = (t * (math.exp(-0.5 * (t - ncp) ** 2) + math.exp(-0.5 * (t + ncp) ** 2)) / _SQRT2PI
+              if density else math.nan)
+        law = (norm_cdf(t - ncp) - below, norm_cdf(ncp - t) + below, xf)
         # f(-t) / f(t) = e^(-2 t ncp), so the share is (1 - tanh(t ncp)) / 2
         return law + ((below, 0.5 - 0.5 * math.tanh(t * ncp)) if signs else ())
     tt = t * t
     y, w = tt / (tt + df), df / (tt + df)
     if y < _MIN_NORMAL:
-        # t^2 underflows against df: |T| lies above t surely (density given as 0)
+        # t^2 underflows against df: |T| lies above t surely (t f(t) given as 0)
         return (0.0, 1.0, 0.0) + ((norm_cdf(-ncp), 0.5) if signs else ())
     lam = 0.5 * ncp * ncp
     if lam == 0.0:
-        # T is the central t, each tail from its own mass, the density from t f(t)
-        below, xf = _t_mass(t, df)
-        law = (2.0 * _t_mass(t, df, True)[0], 2.0 * below, 2.0 * xf / t if density else math.nan)
+        # T is the central t, each tail from its own mass; |T| has twice its t f(t)
+        _, below, xf = _t_mass(t, df)
+        law = (2.0 * _t_mass(t, df, True)[0], 2.0 * below, 2.0 * xf)
         return law + ((below, 0.5) if signs else ())
     if w < _MIN_NORMAL:
         # t^2 overflows, or dwarfs df past the double range: |T| lies below t
@@ -694,8 +694,7 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
         raise ValueError(f"ncp {ncp!r} is too large for the noncentral t series") from None
     # far out the sums run over upper tails, whose slopes are negative
     even = min(1.0, max(0.0, even))
-    law = ((1.0 - even, even, -2.0 * d_even / t) if far
-           else (even, 1.0 - even, 2.0 * d_even / t))
+    law = (1.0 - even, even, -2.0 * d_even) if far else (even, 1.0 - even, 2.0 * d_even)
     if not signs:
         return law
     below = 0.5 * (even - odd) if far else norm_cdf(-ncp) - 0.5 * (even - odd)
@@ -710,17 +709,12 @@ def _nct_abs_isf(v: float, df: float, ncp: float) -> float:
 
     From the normal approximation of Abramowitz & Stegun 26.7.10,
     ``_invert``'s Newton steps in log t solve for the log of the smaller
-    tail, v or 1 - v, with the density of |T| as the slope (about 3.5
-    evaluations at the quantiles of a grid cell).
+    tail, v or 1 - v, on the law ``_nct_fold`` returns as it stands (about
+    3.5 evaluations at the quantiles of a grid cell).
     """
     upper = v <= 0.5
-
-    def newton(t):
-        cdf, sf, density = _nct_fold(t, df, ncp, upper=upper)
-        return (sf if upper else cdf), t * density
-
-    return _invert(newton, _abs_start(v, df, ncp), v if upper else 1.0 - v, not upper,
-                   "|T| quantile")
+    return _invert(lambda t: _nct_fold(t, df, ncp, upper=upper), _abs_start(v, df, ncp),
+                   v if upper else 1.0 - v, upper, "|T| quantile")
 
 
 def _abs_start(v: float, df: float, ncp: float) -> float:

@@ -250,14 +250,14 @@ class _Sizer:
             return max(2, math.floor(n_z + 0.5) if shift else math.ceil(n_z - 1e-9))
         return self._search(d, power, n_z, shift)
 
-    def edge(self, m: int, power: float, mode: str, xtol: float) -> tuple[float, float]:
+    def edge(self, m: int, power: float, mode: str) -> tuple[float, float]:
         """[lo, hi] around the effect size from which ``size`` at ``power`` is at
-        most m: ``bracket``, or in z-approx mode the closed form at m + 1e-9, where
-        ceil(n_z - 1e-9) reaches m, widened by xtol on each side."""
+        most m: ``bracket`` at xtol 1e-7, or in z-approx mode the closed form at
+        m + 1e-9, where ceil(n_z - 1e-9) reaches m, widened by 1e-7 each side."""
         if mode == Z_APPROX:
             x = self.zsum(power) * self.design.spread(m + 1e-9)
-            return x * (1.0 - xtol), x * (1.0 + xtol)
-        return self.bracket(m, power, xtol)
+            return x * (1.0 - 1e-7), x * (1.0 + 1e-7)
+        return self.bracket(m, power, 1e-7)
 
     def required(self, effect: EffectSpec | float, power: float, mode: str) -> float:
         """``required_n``."""

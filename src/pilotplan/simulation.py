@@ -254,7 +254,7 @@ def _underpower_count(d, sizer: _Sizer, config: SimulationConfig) -> int:
     if n_crit <= 2:
         return 0
     m, target, mode = n_crit - 1, config.power_target, config.sizing_mode
-    x_lo, x_hi = sizer.edge(m, target, mode, 1e-7)
+    x_lo, x_hi = sizer.edge(m, target, mode)
     r, past, near = len(d), d.cut(x_hi), d.cut(x_lo)
     return r - bisect.bisect_left(range(r), True, r - near, r - past,
                                   key=lambda k: sizer.size(d[k], target, mode) <= m)

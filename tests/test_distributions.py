@@ -731,6 +731,15 @@ class TestKernelCost:
             c = t_quantile(0.975, float(df))
             assert abs(t_cdf(c, float(df)) - 0.975) <= 1e-12
 
+    def test_betacf_cap_raises(self):
+        # at a = b = 1e6 and x = 1/2 the fraction does not settle within its
+        # cap of 500 steps (at 5e5 it does): it raises, in well under a
+        # millisecond, rather than return a best-effort ratio
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="incomplete beta continued fraction"):
+            distributions._betacf(1e6, 1e6, 0.5, 0.5)
+        assert time.perf_counter() - start < 0.05
+
 
 class TestFoldedT:
     """The law of |T| that effect simulations draw from: T noncentral t, or
@@ -754,12 +763,13 @@ class TestFoldedT:
                     else nct_by_quadrature_in_s(t, df, ncp, density=True))
 
         for t in (0.05, 1.0, 2.5, 11.0):
-            got_cdf, sf, density, below, share = distributions._nct_fold(t, df, ncp, True)
+            got_cdf, sf, xf, below, share = distributions._nct_fold(t, df, ncp, True)
             f_pos, f_neg = pdf(t), pdf(-t)
             assert got_cdf == pytest.approx(cdf(t) - cdf(-t), rel=1e-9, abs=1e-12)
             assert sf == pytest.approx(1.0 - cdf(t) + cdf(-t), rel=1e-9, abs=1e-12)
             assert below == pytest.approx(cdf(-t), rel=1e-9, abs=1e-12)
-            assert density == pytest.approx(f_pos + f_neg, rel=1e-9, abs=1e-12)
+            # the third slot is the x f(x) of |T|, t (f(t) + f(-t))
+            assert xf == pytest.approx(t * (f_pos + f_neg), rel=1e-9, abs=1e-12)
             if f_pos + f_neg > 1e-10:
                 # where |T| has next to no density the share is a ratio of
                 # two sums each good to about 1e-18 absolute
@@ -768,12 +778,12 @@ class TestFoldedT:
     @pytest.mark.parametrize("ncp", [0.0, 1e-170])
     @pytest.mark.parametrize("df", [0.5, 1.0, 6.0, 62.0, 8e5])
     def test_central_law_reads_the_mass_factor(self, df, ncp):
-        # ncp^2 / 2 is 0: the density of |T| is 2 f(t), read from the factor
-        # t f(t) that scales the t tail; where t^2 underflows against df,
-        # t = 0 among them, |T| lies above t as at any ncp
+        # ncp^2 / 2 is 0: the density of |T| is 2 f(t), so its x f(x) is twice
+        # the factor t f(t) that scales the t tail; where t^2 underflows
+        # against df, t = 0 among them, |T| lies above t as at any ncp
         for t in (1e-3, 0.7, 2.5, 40.0):
-            got_cdf, sf, density, below, share = distributions._nct_fold(t, df, ncp, True)
-            assert density == pytest.approx(2.0 * scipy_stats.t.pdf(t, df), rel=1e-11)
+            got_cdf, sf, xf, below, share = distributions._nct_fold(t, df, ncp, True)
+            assert xf == pytest.approx(2.0 * t * scipy_stats.t.pdf(t, df), rel=1e-11)
             assert sf == 2.0 * below and share == 0.5
         for t in (0.0, 1e-170):
             assert distributions._nct_fold(t, df, ncp, True) == (0.0, 1.0, 0.0, 0.5, 0.5)

@@ -3,7 +3,7 @@
 Each incomplete function returns, beside its mass, the factor that scales
 it, and the Newton steps and the noncentral-t series' mode read it there:
 
-- ``_t_mass(x, df, central)[1]`` is x f(x), f the t density, from either
+- ``_t_mass(x, df, central)[2]`` is x f(x), f the t density, from either
   branch;
 - ``_betainc(a, b, x, y)[1]`` is x^a y^b / B(a, b);
 - ``_gammainc_lower(a, x)[2]`` is x^a e^-x / Gamma(a).
@@ -14,6 +14,10 @@ written by
     python tests/make_factor_golden.py
 
 which needs mpmath; this module imports none.
+
+The laws ``_invert`` reads, the chi-square, t and |T|, return (lower tail,
+upper tail, x f(x)); a check here holds each to that shape: the tails sum to
+the law's mass and x f(x) is the slope of the smaller one in log x.
 """
 
 import json
@@ -22,9 +26,10 @@ import os
 import sys
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pilotplan.distributions import _betainc, _gammainc_lower, _t_mass
+from pilotplan.distributions import _betainc, _gammainc_lower, _nct_fold, _t_mass
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "factors.json")
 EPS = sys.float_info.epsilon
@@ -57,7 +62,7 @@ def test_t_factor_from_either_branch():
     # central mass; the density formula it replaced was off by 1e-9 at df 8e5
     for (x, df), want in load("t"):
         for central in (False, True):
-            assert rel(_t_mass(x, df, central)[1], want) <= 2e-12, (x, df, central)
+            assert rel(_t_mass(x, df, central)[2], want) <= 2e-12, (x, df, central)
 
 
 def test_beta_factor():
@@ -79,7 +84,7 @@ def test_factors_vanish_at_the_ends():
     assert _gammainc_lower(2.5, 0.0) == (0.0, 1.0, 0.0)
     assert _betainc(2.0, 3.0, 0.0, 1.0) == (0.0, 0.0)
     assert _betainc(2.0, 3.0, 1.0, 0.0) == (1.0, 0.0)
-    assert _t_mass(0.0, 5.0) == (0.5, 0.0) and _t_mass(0.0, 5.0, True) == (0.0, 0.0)
+    assert _t_mass(0.0, 5.0) == _t_mass(0.0, 5.0, True) == (0.0, 0.5, 0.0)
 
 
 @given(st.floats(-1.0, 6.0).map(lambda e: 10.0 ** e), st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
@@ -89,6 +94,44 @@ def test_factors_vanish_at_the_ends():
 def test_both_t_branches_give_one_factor(df, x):
     # the tail I_w(df/2, 1/2) and the central mass I_y(1/2, df/2) are scaled
     # by the same y^(1/2) w^(df/2) / B(1/2, df/2), each computed from its own
-    # argument order; both are 0 where the factor underflows
-    tail, central = _t_mass(x, df)[1], _t_mass(x, df, True)[1]
-    assert tail == central or abs(tail - central) <= 1e-12 * max(tail, central)
+    # argument order; both are 0 where the factor underflows.  Each branch
+    # computes one mass and takes the other as 1/2 less it, and the two
+    # agree within 1e-12 absolute (4e-13 at worst over 20,000 draws, at df
+    # near 1.5e3, where log B(1/2, df/2) loses digits to lgamma cancellation)
+    tail, central = _t_mass(x, df), _t_mass(x, df, True)
+    assert tail[2] == central[2] or abs(tail[2] - central[2]) <= 1e-12 * max(tail[2], central[2])
+    assert abs(tail[0] - central[0]) <= 1e-12 and abs(tail[1] - central[1]) <= 1e-12
+
+
+# each law as its quantile passes it to _invert, the mass its two tails sum
+# to, and a point where it is evaluated
+LAWS = {
+    "chi-square series": (lambda x: _gammainc_lower(3.0, 0.5 * x), 1.0, 4.0),
+    "chi-square fraction": (lambda x: _gammainc_lower(3.0, 0.5 * x), 1.0, 18.0),
+    "chi-square series, df 100": (lambda x: _gammainc_lower(50.0, 0.5 * x), 1.0, 90.0),
+    "chi-square fraction, df 100": (lambda x: _gammainc_lower(50.0, 0.5 * x), 1.0, 140.0),
+    "t tail": (lambda x: _t_mass(x, 5.0), 0.5, 2.0),
+    "t central": (lambda x: _t_mass(x, 5.0, True), 0.5, 2.0),
+    "t tail near 0": (lambda x: _t_mass(x, 62.0), 0.5, 0.2),
+    "t central near 0": (lambda x: _t_mass(x, 62.0, True), 0.5, 0.2),
+    "|T| lower": (lambda t: _nct_fold(t, 6.0, 0.7), 1.0, 1.0),
+    "|T| upper": (lambda t: _nct_fold(t, 6.0, 0.7, upper=True), 1.0, 1.0),
+    "|T| lower, far out": (lambda t: _nct_fold(t, 62.0, 2.0), 1.0, 4.5),
+    "|T| upper, far out": (lambda t: _nct_fold(t, 62.0, 2.0, upper=True), 1.0, 4.5),
+    "|T| normal": (lambda t: _nct_fold(t, math.inf, 2.0), 1.0, 4.5),
+    "|T| normal near 0": (lambda t: _nct_fold(t, math.inf, 0.05), 1.0, 0.01),
+}
+
+
+@pytest.mark.parametrize("name", LAWS)
+def test_law_shape(name):
+    # (lower tail, upper tail, x f(x)): the tails sum to the law's mass within
+    # 2 ulps, and x f(x) is the slope in log x of the smaller tail, + for the
+    # lower and - for the upper, as a centred difference with h = 1e-5 gives
+    # it (5.5e-9 at worst here, the difference's own truncation and rounding)
+    law, total, x = LAWS[name]
+    lower, upper, xf = law(x)
+    assert abs(lower + upper - total) <= 2.0 * math.ulp(total)
+    k, h = int(upper < lower), 1e-5
+    slope = (law(x * math.exp(h))[k] - law(x * math.exp(-h))[k]) / (2.0 * h)
+    assert xf > 0.0 and rel(-slope if k else slope, xf) <= 1e-6

@@ -13,11 +13,11 @@ argument and the value as ``float.hex`` strings, at 195 points:
   and df 1039, the t at p 1.82e-4 and df 280 to 1310, and |T| at
   v = 1 - 1e-14.
 
-Beside the bits, it checks the loop's contract: each quantile's ``newton(x)``
-returns the mass and x f(x), ``_invert`` computes the one Newton step from
-them only when it takes one (exact on a mass that is a power of x), within
-a ceiling of evaluations over the golden rows, and bisects past a step that
-fails.
+Beside the bits, it checks the loop's contract: each quantile's ``law(x)``
+returns (lower tail, upper tail, x f(x)), ``_invert`` computes the one Newton
+step from its tail and x f(x) only when it takes one (exact on a mass that is
+a power of x), within a ceiling of evaluations over the golden rows, and
+bisects past a step that fails.
 
 A change to the inversion or to the masses under it that is meant to keep
 its arithmetic must keep every bit here.  Each inversion starts from
@@ -90,7 +90,7 @@ def test_statistics_fallback_keeps_every_bit():
 
 def _count_steps(monkeypatch) -> dict:
     """Counts, for the inversions run after this call: ``_invert``'s
-    evaluations of ``newton(x)``; its Newton steps, the ``log`` calls it
+    evaluations of ``law(x)``; its Newton steps, the ``log`` calls it
     makes outside them; every ``lgamma`` the module calls; and the
     ``lgamma`` and ``log1p`` calls ``_invert`` makes outside them."""
     counts = dict.fromkeys(("evals", "steps", "lgamma", "outside"), 0)
@@ -109,17 +109,17 @@ def _count_steps(monkeypatch) -> dict:
                 return fn(*args)
             return counted
 
-    def counted_invert(newton, *args):
-        def counted_newton(x):
+    def counted_invert(law, *args):
+        def counted_law(x):
             counts["evals"] += 1
-            where[0] = "newton"
+            where[0] = "law"
             try:
-                return newton(x)
+                return law(x)
             finally:
                 where[0] = "invert"
         where[0] = "invert"
         try:
-            return invert(counted_newton, *args)
+            return invert(counted_law, *args)
         finally:
             where[0] = None
 
@@ -167,7 +167,7 @@ def test_chisq_step_reads_the_gamma_factor(monkeypatch):
 
 
 def test_abs_t_step_reads_the_law(monkeypatch):
-    # at the golden |T| points a step divides by t times the density its
+    # at the golden |T| points a step divides by the t f(t) of |T| its
     # evaluation of the law returned, so _invert calls no lgamma or log1p
     counts = _count_steps(monkeypatch)
     rows = [row for row in load() if row[0] == "_nct_abs_isf"]
@@ -197,14 +197,15 @@ def test_golden_rows_take_at_most_their_evaluations(monkeypatch):
 def test_one_step_is_exact_on_a_power(k):
     # log x^k is linear in log x, so from x = 1 one Newton step on the mass
     # x^k, with x f(x) = |k| x^k, lands on 5^(1/3), where x^3 meets 5 and
-    # x^-3 meets 1/5; a step of the wrong sign or size would not
+    # x^-3 meets 1/5; a step of the wrong sign or size would not.  The fake
+    # law puts the mass in both tail slots, and _invert reads the one asked
     seen = []
 
-    def newton(x):
+    def law(x):
         seen.append(x)
-        return x ** k, abs(k) * x ** k
+        return x ** k, x ** k, abs(k) * x ** k
 
-    x = distributions._invert(newton, 1.0, 5.0 ** (k / 3.0), k > 0.0, "test")
+    x = distributions._invert(law, 1.0, 5.0 ** (k / 3.0), k < 0.0, "test")
     assert len(seen) == 2 and x == pytest.approx(5.0 ** (1.0 / 3.0), rel=1e-15)
 
 
@@ -217,11 +218,12 @@ def test_invert_bisects_past_a_failed_step(rising, xf):
     # one) no step is taken, so the bracket is bisected down to the root
     seen = []
 
-    def newton(x):
+    def law(x):
         seen.append(x)
-        return (x ** 3 if rising else x ** -3), xf
+        mass = x ** 3 if rising else x ** -3
+        return mass, mass, xf
 
-    x = distributions._invert(newton, 1.0, 5.0 if rising else 0.2, rising, "test")
+    x = distributions._invert(law, 1.0, 5.0 if rising else 0.2, not rising, "test")
     assert x == pytest.approx(5.0 ** (1.0 / 3.0), rel=1e-10)
     assert 10 < len(seen) < distributions._MAX_NEWTON
 
@@ -230,18 +232,18 @@ def test_invert_bisects_past_a_failed_step(rising, xf):
 def test_invert_bisects_past_a_zero_mass(rising):
     # from a start where x^3 or x^-3 underflows to 0, log(mass / target) is a
     # domain error: no step is taken until the bracket reaches a positive mass
-    def newton(x):
+    def law(x):
         mass = x ** 3 if rising else x ** -3
-        return mass, 3.0 * mass
+        return mass, mass, 3.0 * mass
 
     start = 1e-110 if rising else 1e110
-    assert newton(start)[0] == 0.0
-    x = distributions._invert(newton, start, 5.0 if rising else 0.2, rising, "test")
+    assert law(start)[0] == 0.0
+    x = distributions._invert(law, start, 5.0 if rising else 0.2, not rising, "test")
     assert x == pytest.approx(5.0 ** (1.0 / 3.0), rel=1e-10)
 
 
 def test_mass_errors_propagate():
-    # the mass's own error is raised by newton(x), outside the step
+    # the mass's own error is raised by law(x), outside the step
     with pytest.raises(ValueError, match="degrees of freedom 1.7e[+]308 are too large"):
         distributions.chisq_quantile(0.3, 1.7e308)
 

@@ -402,7 +402,7 @@ def _flag_bracket(design: TestDesign, m: int, target: float, mode: str):
     """The flag bracket at m = n_crit - 1 subjects and the flag test, as
     ``_underpower_count`` reads them from its sizer: (x_lo, x_hi, flagged)."""
     sizer = _Sizer(design)
-    return (*sizer.edge(m, target, mode, 1e-7),
+    return (*sizer.edge(m, target, mode),
             lambda x: sizer.size(x, target, mode) <= m)
 
 

@@ -119,21 +119,23 @@ def _bits(fn, *args):
        log_lam=st.floats(-3.0, 4.0), log_df=st.floats(math.log10(0.5), 6.0),
        log_odds=st.floats(-12.0, 12.0))
 def test_sweep_matches_reference_bit_for_bit(a0, upper, log_lam, log_df, log_odds):
-    # y = r / (1 + r) and w = 1 - y = 1 / (1 + r) for odds r = t^2 / df, each
-    # without subtraction as _nct_fold forms them; r past 2^26 takes the
-    # upper-tail branch with ``upper`` False too.  The odd sum scales by
-    # ncp / sqrt(2) = sqrt(lam), as in _nct_fold
-    lam, r = 10.0 ** log_lam, 10.0 ** log_odds
-    args = (lam, a0, 1.0 if a0 == 0.5 else math.sqrt(lam), r / (1.0 + r), 1.0 / (1.0 + r),
-            0.5 * 10.0 ** log_df, upper)
+    # the reference decides the upper tails from ``upper`` and w itself, and
+    # passing it ``far`` decides them alike
+    args = _sum_args(a0, upper, log_lam, log_df, log_odds)
     assert _bits(_mixture_sum, *args) == _bits(_reference_sum, *args)
 
 
 def _sum_args(a0, upper, log_lam, log_df, log_odds):
-    """``_mixture_sum``'s first seven arguments, as the property above forms them."""
+    """``_mixture_sum``'s first seven arguments.  y = r / (1 + r) and w = 1 - y
+    = 1 / (1 + r) for odds r = t^2 / df, each without subtraction as
+    ``_nct_fold`` forms them; ``far`` is ``upper`` or w < _FAR, as
+    ``_nct_fold`` decides it, so r past 2^26 takes the upper-tail branch with
+    ``upper`` False too.  The odd sum scales by ncp / sqrt(2) = sqrt(lam), as
+    in ``_nct_fold``."""
     lam, r = 10.0 ** log_lam, 10.0 ** log_odds
-    return (lam, a0, 1.0 if a0 == 0.5 else math.sqrt(lam), r / (1.0 + r), 1.0 / (1.0 + r),
-            0.5 * 10.0 ** log_df, upper)
+    w = 1.0 / (1.0 + r)
+    return (lam, a0, 1.0 if a0 == 0.5 else math.sqrt(lam), r / (1.0 + r), w,
+            0.5 * 10.0 ** log_df, upper or w < _FAR)
 
 
 @settings(max_examples=400, deadline=None)
