@@ -50,7 +50,9 @@ Randomness: one seed per run, one ``random.Random(seed)``, read in this
 order: the flags' two Binomials (and the Beta draws of any in-bracket
 replicate), then the quantiles' Beta draws, then the signs, gap by gap from
 the largest magnitude down, each gap's Binomial and then the item that
-closes it.  Changing that order changes the stream.
+closes it.  A Binomial count reads ``random()`` alone (``_binomial``), an
+order statistic one ``betavariate``.  Changing that order, or how a count
+reads its uniforms, changes the stream.
 """
 
 from __future__ import annotations
@@ -260,22 +262,67 @@ def _underpower_count(d, sizer: _Sizer, config: SimulationConfig) -> int:
                                   key=lambda k: sizer.size(d[k], target, mode) <= m)
 
 
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_tail(k: int) -> float:
+    """log k! less Stirling's (k + 1/2) log(k + 1) - (k + 1) + log(2 pi) / 2:
+    by lgamma below 10, by the series in 1 / (k + 1) from there on."""
+    if k < 10:
+        return math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + k + 1 - _HALF_LOG_TWO_PI
+    k = 1.0 / (k + 1.0)
+    return (1 / 12 - (1 / 360 - k * k / 1260) * k * k) * k
+
+
 def _binomial(rng: random.Random, n: int, p: float) -> int:
-    """Binomial(n, p), exactly, in O(log n) draws: the median of n uniforms is
-    a Beta variate u, and the uniforms on the side of u that p is on are a
-    Binomial of about n / 2 with p rescaled to that side (Knuth, TAOCP vol.
-    2, 3.4.1).  Up to 16 trials are drawn one by one."""
-    p, count = min(1.0, max(0.0, p)), 0
-    while n > 16 and 0.0 < p < 1.0:
-        k = (n + 1) // 2
-        u = rng.betavariate(k, n + 1 - k)
-        if u <= p:
-            count, n, p = count + k, n - k, (p - u) / (1.0 - u)
-        else:
-            n, p = k - 1, p / u
-    if p in (0.0, 1.0):
-        return count + int(p) * n
-    return count + sum(rng.random() < p for _ in range(n))
+    """Binomial(n, p), exactly, from ``rng.random()`` alone, in O(1) draws
+    expected.  A p past 1/2 is reflected, n - Binomial(n, 1 - p).  Below a mean
+    n p of 10 the count is the number of successes whose geometric waiting
+    times, floor(log U / log(1 - p)) + 1 each, fit in n trials (Devroye 1986,
+    Non-Uniform Random Variate Generation, ch. X.4): n p + 1 uniforms
+    expected.  From 10 on it is Hormann's BTRS (1993, "The generation of
+    binomial random variates", J. Stat. Comput. Simul. 46), a transformed
+    rejection with a squeeze: two uniforms a try, 1.1 to 1.4 tries, and the
+    exact ratio to the mode's mass, by log1p and Stirling's tail, only outside
+    the squeeze.  Exact up to rounding while n p is below 2^53; any
+    n up to sys.maxsize takes microseconds.  No draw where n or p is 0."""
+    p = min(1.0, max(0.0, p))
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if n == 0 or p == 0.0:
+        return 0
+    if n * p < 10.0:
+        step, count, trials = math.log1p(-p), 0, 0
+        while True:
+            # the failures before the next success; an infinite skip ends the loop
+            skip = math.log(1.0 - rng.random()) / step
+            if skip >= n - trials:
+                return count
+            count, trials = count + 1, trials + math.floor(skip) + 1
+    q = 1.0 - p
+    spread = math.sqrt(n * p * q)
+    b = 1.15 + 2.53 * spread
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c, v_r, alpha = n * p + 0.5, 0.92 - 4.2 / b, (2.83 + 5.1 / b) * spread
+    m = math.floor((n + 1) * p)
+    while True:
+        u, v = rng.random() - 0.5, rng.random()
+        us = 0.5 - abs(u)
+        if us == 0.0:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if not 0 <= k <= n:
+            continue
+        if us >= 0.07 and v <= v_r:
+            return k
+        # f(k) / f(m), each log k! as Stirling's form plus its tail
+        j = k - m
+        if v * alpha / (a / (us * us) + b) <= math.exp(
+                (n - m + 0.5) * math.log1p(j / (n - k + 1)) - (m + 0.5) * math.log1p(j / (m + 1))
+                + j * math.log(p * (n - k + 1) / (q * (k + 1)))
+                + _stirling_tail(m) + _stirling_tail(n - m)
+                - _stirling_tail(k) - _stirling_tail(n - k)):
+            return k
 
 
 def _nonpositive(d, law) -> int:

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pilotplan.cli import emit
 from pilotplan.distributions import ConvergenceError, nct_cdf, norm_cdf
@@ -711,9 +711,11 @@ class TestVarianceLaw:
 
 
 class TestBinomial:
-    """The exact Binomial sampler that draws an effect run's gap negatives."""
+    """The exact Binomial sampler that draws every count of a run: the two
+    flag cuts and an effect run's gap negatives."""
 
     @given(n=st.integers(0, 10 ** 9), p=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32))
+    @example(n=1, p=5e-324, seed=0)     # a skip past any float: the loop ends
     @settings(max_examples=60, deadline=None)
     def test_support_and_mean(self, n, p, seed):
         rng = random.Random(seed)
@@ -730,6 +732,41 @@ class TestBinomial:
         rng = random.Random(n)
         mean, _, var, se_var = _moments([_binomial(rng, n, p) for _ in range(4000)])
         assert abs(var - n * p * (1.0 - p)) <= 4 * se_var
+
+    @pytest.mark.parametrize("n,p", [
+        (200, 0.03),        # a mean under 10: geometric skips
+        (40, 0.25),         # a mean of 10: BTRS from there on
+        (10000, 0.04),      # BTRS
+        (100, 0.93),        # p > 1/2, reflected into the skips
+        (500, 0.7),         # p > 1/2, reflected into BTRS
+        (0, 0.3),
+        (1, 0.3),
+        (10 ** 9, 0.4),
+    ])
+    def test_fits_the_exact_pmf(self, n, p):
+        # a chi-square test against scipy's pmf, over 20 cells of about equal
+        # mass cut at the law's quantiles
+        rng = random.Random(n)
+        draws = [_binomial(rng, n, p) for _ in range(20000)]
+        law = scipy_stats.binom(n, p)
+        edges = np.unique(law.ppf(np.linspace(0.0, 1.0, 21)[1:-1]))
+        expected = np.diff(np.concatenate([[0.0], law.cdf(edges), [1.0]])) * len(draws)
+        observed = np.bincount(np.searchsorted(edges, draws), minlength=len(expected))
+        assert not observed[expected == 0.0].any()
+        if (expected > 0.0).sum() > 1:
+            fit = scipy_stats.chisquare(observed[expected > 0.0], expected[expected > 0.0])
+            assert fit.pvalue > 1e-3
+        else:
+            assert draws == [0] * len(draws) and rng.getstate() == random.Random(n).getstate()
+
+    @pytest.mark.parametrize("p", [1e-18, 1e-15, 0.19, 0.5, 1.0 - 2.0 ** -53])
+    def test_largest_n(self, p):
+        # every regime at n = sys.maxsize: counts in the support, microseconds each
+        rng = random.Random(11)
+        start = time.perf_counter()
+        draws = [_binomial(rng, sys.maxsize, p) for _ in range(500)]
+        assert time.perf_counter() - start < 0.5
+        assert all(type(x) is int and 0 <= x <= sys.maxsize for x in draws)
 
 
 class TestRobustness:
