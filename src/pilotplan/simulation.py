@@ -308,7 +308,7 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
     while True:
         u, v = rng.random() - 0.5, rng.random()
         us = 0.5 - abs(u)
-        if us == 0.0:
+        if us == 0.0:       # u = -1/2 puts k at -infinity: a rejection
             continue
         k = math.floor((2.0 * a / us + b) * u + c)
         if not 0 <= k <= n:

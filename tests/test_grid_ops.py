@@ -6,7 +6,9 @@ the critical values, z terms and series terms they compute, counted.
 (75 reference-grid cells each, 10,000 replicates per cell): the planned
 sizes, the exact-mode pilot, the flag fraction and the main-size quantiles.
 A change that is meant only to speed the program up must leave every byte
-of it alone.  Regenerate it only for a change meant to move these outputs:
+of it alone, unless it also moves the random stream on purpose (a new
+sampler that draws the same laws from other uniforms) and says so in
+CHANGES.md.  Regenerate it only for a change meant to move these outputs:
 
     python tests/test_grid_ops.py --write
 
