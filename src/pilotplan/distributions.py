@@ -16,7 +16,9 @@ without subtraction, as DiDonato & Morris's BRATIO does (ACM TOMS 18, 1992).
 Each mass returns the factor that scales it, x^a y^b / B(a, b) or x^a e^-x /
 Gamma(a), the series' mode term.  The chi-square, t and |T| laws return one
 shape, (lower tail, upper tail, x f(x)), with that factor as x f(x), and each
-quantile passes its law to ``_invert``'s Newton step as it stands.
+quantile passes its law to ``_invert``'s Newton step as it stands.  log B(a, b)
+takes Stirling's correction to log Gamma from ``_stirling_tail``, the one
+the package has: the Binomial sampler of ``simulation`` reads it too.
 
 Every function takes one point per call and computes on floats with the
 ``math`` module and that normal quantile alone, so the package never imports
@@ -391,23 +393,33 @@ def chisq_quantile(p, df: float):
 # Regularized incomplete beta (t backbone)
 # ---------------------------------------------------------------------------
 
-# from this larger argument on, lgamma(a + b) - lgamma(b) loses log B(a, b)
-# to cancellation (an error of about 1e-12 at 1e3, 1e-11 at 1e4 and 3e-8 at
-# 1.5e7), so _log_beta takes that difference from Stirling's series instead
-_STIRLING_FROM = 1e3
+# from this argument on Stirling's series gives log Gamma's correction: the
+# first term it omits, 1 / (1680 z^7), is under 4e-15 there; below it lgamma
+# less Stirling's form keeps the correction within about 3e-14
+_STIRLING_FROM = 40.0
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_tail(z: float) -> float:
+    """omega(z) = log Gamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2) for
+    z > 0, Loader's (2000) stirlerr: by lgamma below ``_STIRLING_FROM``,
+    from there by Stirling's series 1/(12 z) - 1/(360 z^3) + 1/(1260 z^5)."""
+    if z < _STIRLING_FROM:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _HALF_LOG_TWO_PI
+    r = 1.0 / z
+    return (1 / 12 - (1 / 360 - r * r / 1260) * r * r) * r
 
 
 def _log_beta(a: float, b: float) -> float:
-    """log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a + b) for a, b > 0."""
+    """log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a + b) for a, b > 0; from
+    ``_STIRLING_FROM`` on, the larger l of a and b enters by Stirling's form and
+    ``_stirling_tail``, where lgamma(l + s) - lgamma(l) would cancel."""
     s, l = min(a, b), max(a, b)
     if l < _STIRLING_FROM:
         return -(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
-    # lgamma(l) - lgamma(l + s) from Stirling's series; of its correction
-    # only the 1/(12 x) terms matter here, the next ones are under 3e-12, and
-    # under 1e-13 while s < 10
     t = l + s
     return (math.lgamma(s) - ((l - 0.5) * math.log1p(s / l) + s * math.log(t) - s)
-            + s / (12.0 * l * t))
+            + _stirling_tail(l) - _stirling_tail(t))
 
 
 def _betacf(a: float, b: float, x: float, y: float) -> float:
@@ -735,16 +747,14 @@ def nct_cdf(x: float, df: float, ncp: float) -> float:
     at ncp > 0; at ncp < 0 it is P(|T'| > |x|) - P(T' < -|x|) and 1 - P(T' < -x)
     for T' = -T.
 
-    Is ``t_cdf`` where ncp^2 / 2 underflows to 0, since T is the central t
-    to double precision there, and is evaluated to ~1e-12 absolute accuracy
-    (target 1e-8) against direct numerical integration.  Scalars only: an
-    array argument is a ConfigError.
+    Where ncp^2 / 2 underflows to 0, T is the central t to double precision
+    and the law of |T| is the central t's.  Evaluated to ~1e-12 absolute
+    accuracy (target 1e-8) against direct numerical integration.  Scalars
+    only: an array argument is a ConfigError.
     """
     x = _require_finite("nct_cdf", "x", x)
     df = _scale("degrees of freedom", _point("nct_cdf", df))
     ncp = _require_finite("nct_cdf", "ncp", ncp)
-    if 0.5 * ncp * ncp == 0.0:
-        return t_cdf(x, df)
     t = abs(x)
     if ncp > 0.0:
         cdf, _, _, below, _ = _nct_fold(t, df, ncp, signs=True, density=False)

@@ -62,8 +62,8 @@ import math
 import random
 
 from .distributions import (ConfigError, _choice, _count, _nct_abs_isf, _nct_abs_sf,
-                            _nct_fold, _Output, _probability, _Record, _scale, _threshold,
-                            chisq_cdf, chisq_quantile)
+                            _nct_fold, _Output, _probability, _Record, _scale,
+                            _stirling_tail, _threshold, chisq_cdf, chisq_quantile)
 from .distributions import norm_quantile  # noqa: F401  unused here; perfbench's tracer wraps it by this name
 from .power import (
     _MODES,
@@ -262,18 +262,6 @@ def _underpower_count(d, sizer: _Sizer, config: SimulationConfig) -> int:
                                   key=lambda k: sizer.size(d[k], target, mode) <= m)
 
 
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _stirling_tail(k: int) -> float:
-    """log k! less Stirling's (k + 1/2) log(k + 1) - (k + 1) + log(2 pi) / 2:
-    by lgamma below 10, by the series in 1 / (k + 1) from there on."""
-    if k < 10:
-        return math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + k + 1 - _HALF_LOG_TWO_PI
-    k = 1.0 / (k + 1.0)
-    return (1 / 12 - (1 / 360 - k * k / 1260) * k * k) * k
-
-
 def _binomial(rng: random.Random, n: int, p: float) -> int:
     """Binomial(n, p), exactly, from ``rng.random()`` alone, in O(1) draws
     expected.  A p past 1/2 is reflected, n - Binomial(n, 1 - p).  Below a mean
@@ -283,9 +271,9 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
     expected.  From 10 on it is Hormann's BTRS (1993, "The generation of
     binomial random variates", J. Stat. Comput. Simul. 46), a transformed
     rejection with a squeeze: two uniforms a try, 1.1 to 1.4 tries, and the
-    exact ratio to the mode's mass, by log1p and Stirling's tail, only outside
-    the squeeze.  Exact up to rounding while n p is below 2^53; any
-    n up to sys.maxsize takes microseconds.  No draw where n or p is 0."""
+    exact ratio to the mode's mass, by log1p and ``distributions``'s Stirling
+    tail, only outside the squeeze.  Exact up to rounding while n p is below
+    2^53; any n up to sys.maxsize takes microseconds.  No draw where n or p is 0."""
     p = min(1.0, max(0.0, p))
     if p > 0.5:
         return n - _binomial(rng, n, 1.0 - p)
@@ -315,13 +303,13 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             continue
         if us >= 0.07 and v <= v_r:
             return k
-        # f(k) / f(m), each log k! as Stirling's form plus its tail
+        # f(k) / f(m), each log k! = log Gamma(k + 1) as Stirling's form plus its tail
         j = k - m
         if v * alpha / (a / (us * us) + b) <= math.exp(
                 (n - m + 0.5) * math.log1p(j / (n - k + 1)) - (m + 0.5) * math.log1p(j / (m + 1))
                 + j * math.log(p * (n - k + 1) / (q * (k + 1)))
-                + _stirling_tail(m) + _stirling_tail(n - m)
-                - _stirling_tail(k) - _stirling_tail(n - k)):
+                + _stirling_tail(m + 1) + _stirling_tail(n - m + 1)
+                - _stirling_tail(k + 1) - _stirling_tail(n - k + 1)):
             return k
 
 

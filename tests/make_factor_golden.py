@@ -14,10 +14,15 @@ a decimal string:
   side, and at 1e-3, 1/4 and 3/4; the smaller of x and y is the argument the
   kernel reads, so the value is taken from it alone;
 - ``gamma``: x^a e^-x / Gamma(a), for a from 1e-2 to 1e8 at x = a + k sqrt(a),
-  k from -3 to 3.
+  k from -3 to 3;
+- ``stirling``: log Gamma(z) less Stirling's (z - 1/2) log z - z + log(2 pi)
+  / 2, the correction ``_stirling_tail`` returns, for z from 1 to 1e15,
+  densely over 10 to 45, where it switches from lgamma to the series at 40;
+- ``log_beta``: log B(a, b), for a from 1/2 to 1e3 and b from 2 to 1e9, on
+  either side of that switch.
 
-Rows whose value lies under 1e-280 are left out: there the factor has
-underflowed or is near it, and the masses read it as 0.
+Factor rows whose value lies under 1e-280 are left out: there the factor
+has underflowed or is near it, and the masses read it as 0.
 """
 
 import json
@@ -70,12 +75,29 @@ def gamma_rows():
                 yield "gamma", (a, x), mp.exp(pa * mp.log(px) - px - mp.loggamma(pa))
 
 
+def stirling_rows():
+    dense = [10.0 + 0.5 * i for i in range(71)] + [39.9, 40.1]
+    for z in (1.0, 1.5, 2.0, 3.0, 5.0, 7.5, *dense, 50.0, 100.0, 816.0,
+              *(10.0 ** e for e in range(3, 16))):
+        v = mp.mpf(z)
+        form = (v - 0.5) * mp.log(v) - v + mp.log(2 * mp.pi) / 2
+        yield "stirling", (z,), mp.loggamma(v) - form
+
+
+def log_beta_rows():
+    for a in (0.5, 1.0, 2.5, 31.5, 1e3):
+        for b in (2.0, 39.0, 40.0, 41.0, 100.0, 816.0, 1e3, 1e4, 1e7, 1e9):
+            yield "log_beta", (a, b), mp.log(mp.beta(mp.mpf(a), mp.mpf(b)))
+
+
 def main():
     mp.mp.dps = 40
     rows, seen = [], set()
-    for kind, args, value in (*t_rows(), *beta_rows(), *gamma_rows()):
+    for kind, args, value in (*t_rows(), *beta_rows(), *gamma_rows(),
+                              *stirling_rows(), *log_beta_rows()):
         key = (kind, args)
-        if value >= FLOOR and key not in seen:
+        # a log or a correction takes any sign; only a factor can underflow
+        if (kind in ("stirling", "log_beta") or value >= FLOOR) and key not in seen:
             seen.add(key)
             rows.append([kind, [float(v).hex() for v in args], mp.nstr(value, 30)])
     with open(GOLDEN, "w") as fh:

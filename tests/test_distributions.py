@@ -313,13 +313,14 @@ class TestStudentT:
             t_quantile(5.733912479154068e-200, 1.1736978126447697)
         assert t_quantile(1e-160, 1.0) == pytest.approx(-1.0 / (math.pi * 1e-160), rel=1e-12)
 
-    @pytest.mark.parametrize("big", [999.0, 9999.0, 1e4, 1e7, 5e8])
+    @pytest.mark.parametrize("big", [39.0, 40.0, 41.0, 816.0, 999.0, 9999.0, 1e4, 1e7, 5e8])
     def test_log_beta_closed_forms(self, big):
         # B(1, b) = 1 / b and B(2, b) = 1 / (b (b + 1)), either side of the
-        # switch to Stirling's series (1e3); lgamma differences lose about
-        # 1e-8 at 1e7
+        # switch to Stirling's series (40); the worst, 1.6e-14, is B(2, 39),
+        # where lgamma differences round at about 1e2; past the switch they
+        # would lose 1.4e-12 at 999 and about 1e-8 at 1e7
         for small, want in ((1.0, -math.log(big)), (2.0, -math.log(big) - math.log1p(big))):
-            assert _log_beta(small, big) == pytest.approx(want, abs=3e-11)
+            assert _log_beta(small, big) == pytest.approx(want, abs=3e-14)
             assert _log_beta(big, small) == _log_beta(small, big)
 
     def test_normal_limit(self):

@@ -8,7 +8,11 @@ it, and the Newton steps and the noncentral-t series' mode read it there:
 - ``_betainc(a, b, x, y)[1]`` is x^a y^b / B(a, b);
 - ``_gammainc_lower(a, x)[2]`` is x^a e^-x / Gamma(a).
 
-``golden/factors.json`` holds their 30-digit mpmath values at 593 points,
+The beta factor reads log B(a, b) from ``_log_beta``, which takes
+Stirling's correction to log Gamma from ``_stirling_tail``, the one the
+Binomial sampler's exact test reads too; both are checked here as well.
+
+``golden/factors.json`` holds their 30-digit mpmath values at 738 points,
 written by
 
     python tests/make_factor_golden.py
@@ -29,7 +33,8 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pilotplan.distributions import _betainc, _gammainc_lower, _nct_fold, _t_mass
+from pilotplan.distributions import (_betainc, _gammainc_lower, _log_beta, _nct_fold,
+                                     _stirling_tail, _t_mass)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "factors.json")
 EPS = sys.float_info.epsilon
@@ -48,26 +53,34 @@ def rel(got: float, want: float) -> float:
 def test_golden_covers_its_ranges():
     with open(GOLDEN) as fh:
         rows = json.load(fh)
-    assert Counter(kind for kind, _, _ in rows) == {"t": 79, "beta": 445, "gamma": 69}
+    assert Counter(kind for kind, _, _ in rows) == {"t": 79, "beta": 445, "gamma": 69,
+                                                    "stirling": 95, "log_beta": 50}
     dfs = [args[1] for args, _ in load("t")]
     assert min(dfs) == 0.1 and max(dfs) == 1e6 and 8e5 in dfs
     params = [p for args, _ in load("beta") for p in args[:2]]
     assert min(params) == 0.01 and max(params) == 1e4
     shapes = [args[0] for args, _ in load("gamma")]
     assert min(shapes) == 0.01 and max(shapes) == 1e8
+    zs = [args[0] for args, _ in load("stirling")]
+    assert min(zs) == 1.0 and max(zs) == 1e15 and {39.5, 40.0, 40.5} <= set(zs)
+    assert sum(10.0 <= z <= 45.0 for z in zs) == 73
+    pairs = [args for args, _ in load("log_beta")]
+    assert {a for a, _ in pairs} == {0.5, 1.0, 2.5, 31.5, 1e3}
+    assert {39.0, 40.0, 41.0, 816.0} <= {b for _, b in pairs} and max(b for _, b in pairs) == 1e9
 
 
 def test_t_factor_from_either_branch():
     # x f(x) = y^(1/2) w^(df/2) / B(1/2, df/2) from the tail and from the
-    # central mass; the density formula it replaced was off by 1e-9 at df 8e5
+    # central mass; the density formula it replaced was off by 1e-9 at df 8e5.
+    # The worst point is 5.2e-14, at x 30 and df 1e3
     for (x, df), want in load("t"):
         for central in (False, True):
-            assert rel(_t_mass(x, df, central)[2], want) <= 2e-12, (x, df, central)
+            assert rel(_t_mass(x, df, central)[2], want) <= 1e-13, (x, df, central)
 
 
 def test_beta_factor():
-    # the worst point, 2.1e-12, is a = b = 1e4 near the mode, where a log x,
-    # b log y and log B(a, b) are each about 7e3 and round at that size
+    # the worst point, 2.6e-12, is at a = 1e4 and b = 3e3, where a log x,
+    # b log y and log B(a, b) are each thousands and round at that size
     for (a, b, x, y), want in load("beta"):
         assert rel(_betainc(a, b, x, y)[1], want) <= 3e-12, (a, b, x, y)
 
@@ -78,6 +91,21 @@ def test_gamma_factor():
     for (a, x), want in load("gamma"):
         bound = 4.0 * EPS * (x + a * abs(math.log(x)) + abs(math.lgamma(a)))
         assert rel(_gammainc_lower(a, x)[2], want) <= bound, (a, x)
+
+
+def test_stirling_tail():
+    # below 40 lgamma less Stirling's form cancels terms near 100 to a few
+    # hundredths; the worst point, 2.6e-14, is z = 38.5, just under the switch
+    for (z,), want in load("stirling"):
+        assert abs(_stirling_tail(z) - want) <= 5e-14, z
+
+
+def test_log_beta():
+    # relative to log B where it passes 1 in size: the worst point, 3.0e-15,
+    # is (1/2, 39), under the switch, where lgamma differences round at 1e2
+    for (a, b), want in load("log_beta"):
+        for got in (_log_beta(a, b), _log_beta(b, a)):
+            assert abs(got - want) <= 6e-15 * max(1.0, abs(want)), (a, b)
 
 
 def test_factors_vanish_at_the_ends():
@@ -96,11 +124,12 @@ def test_both_t_branches_give_one_factor(df, x):
     # by the same y^(1/2) w^(df/2) / B(1/2, df/2), each computed from its own
     # argument order; both are 0 where the factor underflows.  Each branch
     # computes one mass and takes the other as 1/2 less it, and the two
-    # agree within 1e-12 absolute (4e-13 at worst over 20,000 draws, at df
-    # near 1.5e3, where log B(1/2, df/2) loses digits to lgamma cancellation)
+    # agree within 3e-13 absolute (1.4e-13 at worst over 200,000 draws, at df
+    # near 1e5; from df 80 on log B(1/2, df/2) reads Stirling's series in
+    # place of an lgamma difference, which would cancel)
     tail, central = _t_mass(x, df), _t_mass(x, df, True)
     assert tail[2] == central[2] or abs(tail[2] - central[2]) <= 1e-12 * max(tail[2], central[2])
-    assert abs(tail[0] - central[0]) <= 1e-12 and abs(tail[1] - central[1]) <= 1e-12
+    assert abs(tail[0] - central[0]) <= 3e-13 and abs(tail[1] - central[1]) <= 3e-13
 
 
 # each law as its quantile passes it to _invert, the mass its two tails sum

@@ -201,9 +201,10 @@ class TestTwoSidedPower:
     @given(df=st.floats(1.0, 2000.0) | st.floats(1.0, 3.0),
            alpha=st.floats(1e-6, 0.5) | st.just(1e-6), ncp=st.floats(0.0, 40.0))
     @settings(max_examples=300, deadline=None)
-    # ncp^2 / 2 underflows to 0, where nct_cdf is t_cdf; summed as P(|T| <= c)
-    # and P(T > c), two incomplete betas whose log B(a, b) each lose about
-    # 8e-13 to lgamma cancellation, the two sides would differ by 7.9e-13
+    # ncp^2 / 2 underflows to 0, where the law of |T| is the central t's:
+    # nct_cdf sums P(|T| <= c) and P(T > c), two incomplete betas, and
+    # _nct_abs_sf P(|T| > c); log B(1/2, 816) from an lgamma difference would
+    # lose 7.9e-13 to cancellation and put the two sides that far apart
     @example(df=1632.0, alpha=0.015625, ncp=1.1125369292536007e-308)
     def test_matches_two_nct_cdf_tails(self, df, alpha, ncp):
         # df 1 at alpha 1e-6 puts 1 - y under 2^-26, the series' far branch

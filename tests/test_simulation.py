@@ -197,6 +197,19 @@ class TestCompletedSample:
                 assert 0 < rep.nonpositive_effects < cfg.replicates
 
 
+    def test_oracle_takes_a_size_past_1e9_as_never_flagged(self):
+        # the smallest estimate of this sample needs a main study past 1e9
+        # per group; the oracle counts it as one with a smaller estimate whose
+        # size is in range, since neither is flagged nor read as a percentile
+        cfg = effect_cfg(effect=0.2, pilot_n=3, sizing_mode=Z_APPROX, replicates=300)
+        rest = [0.002 * k for k in range(1, 300)]
+        with pytest.raises(ValueError, match="exceeds 1e9"):
+            main_sample_size(EffectSpec(1e-5), cfg.design(), cfg.power_target, Z_APPROX)
+        rep = _brute_force_report(cfg, [1e-5] + rest, 0)
+        assert rep == _brute_force_report(cfg, [1e-3] + rest, 0)
+        assert 0 < rep.empirical_underpower < 1
+
+
 def _completed(sim, cfg):
     """The report of a run and its completed sample: every replicate's
     estimate (an effect run's magnitude) in ascending order.  The items are
@@ -221,12 +234,23 @@ def _completed(sim, cfg):
 def _brute_force_report(cfg: SimulationConfig, d: list, nonpositive: int) -> SimulationReport:
     """The report of a completed sample ``d``: every estimate sized by
     ``main_sample_size`` and flagged by the true power at that size, and the
-    ``inverted_cdf`` percentiles of the sizes."""
+    ``inverted_cdf`` percentiles of the sizes.  An estimate so small that
+    its size passes 1e9, which ``main_sample_size`` rejects, is sized as
+    infinite and never flagged, as the run's cuts count it."""
     design, truth = cfg.design(), EffectSpec(cfg.effect, cfg.sigma)
-    sizes = [main_sample_size(EffectSpec(x), design, cfg.power_target, cfg.sizing_mode)
-             for x in d]
+
+    def size(x):
+        try:
+            return main_sample_size(EffectSpec(x), design, cfg.power_target, cfg.sizing_mode)
+        except ValueError as e:
+            if str(e) != power_module._TOO_LARGE:
+                raise
+            return math.inf
+
+    sizes = [size(x) for x in d]
     power = functools.lru_cache(maxsize=None)(lambda n: power_at(n, truth, design))
-    p_hat = sum(power(n) < cfg.underpower_threshold for n in sizes) / cfg.replicates
+    p_hat = sum(n < math.inf and power(n) < cfg.underpower_threshold
+                for n in sizes) / cfg.replicates
     picks = np.percentile(sizes, QS, method="inverted_cdf")
     return SimulationReport(
         empirical_underpower=p_hat,
