@@ -13,8 +13,9 @@ by one guarded Newton iteration with bracket fallback, ``_invert``.
 
 The incomplete beta takes x and y = 1 - x, each computed by its caller
 without subtraction, as DiDonato & Morris's BRATIO does (ACM TOMS 18, 1992).
-Each mass returns the factor that scales it, x^a y^b / B(a, b) or x^a e^-x /
-Gamma(a), the series' mode term.  The chi-square, t and |T| laws return one
+Each incomplete function returns both tails and the factor that scales them,
+x^a y^b / B(a, b) or x^a e^-x / Gamma(a), the series' mode term.  The
+chi-square law and the law of |T|, the Student t's at ncp 0, return one
 shape, (lower tail, upper tail, x f(x)), with that factor as x f(x), and each
 quantile passes its law to ``_invert``'s Newton step as it stands.  log B(a, b)
 takes Stirling's correction to log Gamma from ``_stirling_tail``, the one
@@ -451,14 +452,17 @@ def _betacf(a: float, b: float, x: float, y: float) -> float:
     raise ConvergenceError("incomplete beta continued fraction hit the iteration cap")
 
 
-def _betainc(a: float, b: float, x: float, y: float) -> tuple[float, float]:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0, 0 <= x <= 1 and
-    y = 1 - x, which keeps the digits a rounded 1 - x would lose, and the
-    factor bt = x^a y^b / B(a, b) scaling it (0 at either end)."""
+def _betainc(a: float, b: float, x: float, y: float) -> tuple[float, float, float]:
+    """Regularized incomplete beta I_x(a, b), its complement I_y(b, a) and
+    the factor bt = x^a y^b / B(a, b) scaling both (0 at either end), for
+    a, b > 0, 0 <= x <= 1 and y = 1 - x, which keeps the digits a rounded
+    1 - x would lose.  A continued fraction gives one tail and the other is 1
+    less it, but a tail under 1/64, which 1 less the other would leave 6 or
+    more of bt's bits short, comes from its own fraction."""
     if x <= 0.0:
-        return 0.0, 0.0
+        return 0.0, 1.0, 0.0
     if y <= 0.0:
-        return 1.0, 0.0
+        return 1.0, 0.0, 0.0
     # log x and log y, each from whichever argument is exact
     ln_x, ln_y = (math.log(x), math.log1p(-x)) if x < 0.5 else (math.log1p(-y), math.log(y))
     bt = math.exp(-_log_beta(a, b) + a * ln_x + b * ln_y)
@@ -466,38 +470,30 @@ def _betainc(a: float, b: float, x: float, y: float) -> tuple[float, float]:
     # parameter: for the t tail (a = 1/2) the direct fraction runs to t^2
     # near 13 in 6-17 steps, where the one on y takes up to 150
     s = a + b + 2.0
-    # a complement under 1/64 has lost 6 or more of bt's bits; the direct fraction keeps them
-    if s * (s * x - a - 1.0) >= 5.0 * (b - a) and (c := 1.0 - bt * _betacf(b, a, y, x)) >= 1 / 64:
-        return c, bt
-    return bt * _betacf(a, b, x, y), bt
-
-
-def _t_mass(x: float, df: float, central: bool = False) -> tuple[float, float, float]:
-    """P(0 < T < x), P(T > x) and x f(x), f the t density, for x >= 0.  The
-    tail is half of I_w(df/2, 1/2), w = df / (df + x^2) = 1 - y, or with
-    ``central`` the central mass half of I_y(1/2, df/2), and the other mass
-    is 1/2 less it; x f(x) is the factor y^(1/2) w^(df/2) / B(1/2, df/2)."""
-    xx = x * x
-    w, y = df / (df + xx), xx / (df + xx)
-    i, bt = _betainc(0.5, 0.5 * df, y, w) if central else _betainc(0.5 * df, 0.5, w, y)
-    mass = 0.5 * i
-    return (mass, 0.5 - mass, bt) if central else (0.5 - mass, mass, bt)
+    if s * (s * x - a - 1.0) >= 5.0 * (b - a) and (j := bt * _betacf(b, a, y, x)) <= 63 / 64:
+        return 1.0 - j, j, bt
+    if (i := bt * _betacf(a, b, x, y)) <= 63 / 64:
+        return i, 1.0 - i, bt
+    j = bt * _betacf(b, a, y, x)
+    return 1.0 - j, j, bt
 
 
 def t_cdf(x: float, df: float) -> float:
-    """Student t CDF via the incomplete beta function, from the tail P(T > |x|)."""
+    """Student t CDF from the law of |T| at ncp 0: P(T > |x|) = P(|T| > |x|) / 2."""
     x = _require_finite("t_cdf", "x", x)
     df = _scale("degrees of freedom", _point("t_cdf", df))
-    return _t_mass(-x, df)[1] if x < 0.0 else 1.0 - _t_mass(x, df)[1]
+    tail = 0.5 * _nct_fold(abs(x), df, 0.0)[1]
+    return tail if x < 0.0 else 1.0 - tail
 
 
 def t_quantile(p: float, df: float) -> float:
     """Student t quantile for 0 < p < 1.
 
     From the Cornish-Fisher expansion to order df^-4 (Abramowitz & Stegun
-    26.7.5), ``_invert``'s Newton steps in log x solve for the log of the tail
-    q = min(p, 1 - p), a power of x far out, or past q = 1/4 of the central
-    mass 1/2 - q.  A quantile past about 1e154 (df under 2) raises.
+    26.7.5), ``_invert``'s Newton steps in log x solve on the law of |T| at
+    ncp 0 for the log of its tail 2q, q = min(p, 1 - p), a power of x far
+    out, or past q = 1/4 of its central mass 1 - 2q.  A quantile past about
+    1e154 (df under 2) raises.
     """
     p = _point("t_quantile", p)
     df = _scale("degrees of freedom", _point("t_quantile", df))
@@ -521,8 +517,8 @@ def t_quantile(p: float, df: float) -> float:
     if not x > 0.0:
         # under df 0.4 the negative df^-3 and df^-4 terms can outweigh the rest
         x = z
-    central = q > 0.25
-    x = _invert(lambda x: _t_mass(x, df, central), x, 0.5 - q if central else q, not central,
+    upper = q <= 0.25
+    x = _invert(lambda x: _nct_fold(x, df, 0.0), x, 2.0 * q if upper else 1.0 - 2.0 * q, upper,
                 "t quantile")
     if _MIN_NORMAL * x * x > df:
         raise ConvergenceError("t quantile is past where df / (df + x^2) is a normal double")
@@ -565,7 +561,7 @@ def _mixture_sum(lam: float, a0: float, scale: float, y: float, w: float,
     a = m + a0
     mode = modes.get(m) if modes is not None else None
     if mode is None:
-        i_m, bt = _betainc(half_df, a, w, y) if far else _betainc(a, half_df, y, w)
+        i_m, _, bt = _betainc(half_df, a, w, y) if far else _betainc(a, half_df, y, w)
         mode = i_m, sign * bt / a
         if modes is not None:
             modes[m] = mode
@@ -684,15 +680,15 @@ def _nct_fold(t: float, df: float, ncp: float, signs: bool = False,
         return law + ((below, 0.5 - 0.5 * math.tanh(t * ncp)) if signs else ())
     tt = t * t
     y, w = tt / (tt + df), df / (tt + df)
+    lam = 0.5 * ncp * ncp
+    if lam == 0.0:
+        # T is the central t: P(|T| > t) = I_w(df/2, 1/2) and its complement from
+        # one incomplete beta, which keeps a subnormal y; |T| has twice T's t f(t)
+        sf, cdf, xf = _betainc(0.5 * df, 0.5, w, y)
+        return (cdf, sf, 2.0 * xf) + ((0.5 * sf, 0.5) if signs else ())
     if y < _MIN_NORMAL:
         # t^2 underflows against df: |T| lies above t surely (t f(t) given as 0)
         return (0.0, 1.0, 0.0) + ((norm_cdf(-ncp), 0.5) if signs else ())
-    lam = 0.5 * ncp * ncp
-    if lam == 0.0:
-        # T is the central t, each tail from its own mass; |T| has twice its t f(t)
-        _, below, xf = _t_mass(t, df)
-        law = (2.0 * _t_mass(t, df, True)[0], 2.0 * below, 2.0 * xf)
-        return law + ((below, 0.5) if signs else ())
     if w < _MIN_NORMAL:
         # t^2 overflows, or dwarfs df past the double range: |T| lies below t
         return (1.0, 0.0, 0.0) + ((0.0, 0.0) if signs else ())

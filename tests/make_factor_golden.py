@@ -8,7 +8,7 @@ needs mpmath, which the tests themselves never import.  Each row is
 a decimal string:
 
 - ``t``: x f(x), f the Student t density on df, for df from 0.1 to 1e6 and
-  x from 1e-3 to 1e3; ``_t_mass`` returns it from either branch;
+  x from 1e-3 to 1e3; ``_nct_fold(x, df, 0.0)`` returns twice it, for |T|;
 - ``beta``: x^a y^b / B(a, b), y = 1 - x, for a and b from 1e-2 to 1e4, at
   the mode of the beta law and 1 and 3 of its standard deviations either
   side, and at 1e-3, 1/4 and 3/4; the smaller of x and y is the argument the

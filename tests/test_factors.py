@@ -1,11 +1,12 @@
 """The factors that scale the incomplete functions, against frozen mpmath.
 
-Each incomplete function returns, beside its mass, the factor that scales
-it, and the Newton steps and the noncentral-t series' mode read it there:
+Each incomplete function returns, beside its two tails, the factor that
+scales them, and the Newton steps and the noncentral-t series' mode read it
+there:
 
-- ``_t_mass(x, df, central)[2]`` is x f(x), f the t density, from either
-  branch;
-- ``_betainc(a, b, x, y)[1]`` is x^a y^b / B(a, b);
+- ``_nct_fold(x, df, 0.0)[2]`` is 2 x f(x), f the t density: the law of
+  |T| at ncp 0 is the Student t's;
+- ``_betainc(a, b, x, y)[2]`` is x^a y^b / B(a, b);
 - ``_gammainc_lower(a, x)[2]`` is x^a e^-x / Gamma(a).
 
 The beta factor reads log B(a, b) from ``_log_beta``, which takes
@@ -34,7 +35,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pilotplan.distributions import (_betainc, _gammainc_lower, _log_beta, _nct_fold,
-                                     _stirling_tail, _t_mass)
+                                     _stirling_tail, nct_cdf, t_cdf)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "factors.json")
 EPS = sys.float_info.epsilon
@@ -69,20 +70,19 @@ def test_golden_covers_its_ranges():
     assert {39.0, 40.0, 41.0, 816.0} <= {b for _, b in pairs} and max(b for _, b in pairs) == 1e9
 
 
-def test_t_factor_from_either_branch():
-    # x f(x) = y^(1/2) w^(df/2) / B(1/2, df/2) from the tail and from the
-    # central mass; the density formula it replaced was off by 1e-9 at df 8e5.
+def test_t_factor():
+    # x f(x) = y^(1/2) w^(df/2) / B(1/2, df/2), half the factor of |T| at
+    # ncp 0; the density formula it replaced was off by 1e-9 at df 8e5.
     # The worst point is 5.2e-14, at x 30 and df 1e3
     for (x, df), want in load("t"):
-        for central in (False, True):
-            assert rel(_t_mass(x, df, central)[2], want) <= 1e-13, (x, df, central)
+        assert rel(0.5 * _nct_fold(x, df, 0.0)[2], want) <= 1e-13, (x, df)
 
 
 def test_beta_factor():
     # the worst point, 2.6e-12, is at a = 1e4 and b = 3e3, where a log x,
     # b log y and log B(a, b) are each thousands and round at that size
     for (a, b, x, y), want in load("beta"):
-        assert rel(_betainc(a, b, x, y)[1], want) <= 3e-12, (a, b, x, y)
+        assert rel(_betainc(a, b, x, y)[2], want) <= 3e-12, (a, b, x, y)
 
 
 def test_gamma_factor():
@@ -110,26 +110,27 @@ def test_log_beta():
 
 def test_factors_vanish_at_the_ends():
     assert _gammainc_lower(2.5, 0.0) == (0.0, 1.0, 0.0)
-    assert _betainc(2.0, 3.0, 0.0, 1.0) == (0.0, 0.0)
-    assert _betainc(2.0, 3.0, 1.0, 0.0) == (1.0, 0.0)
-    assert _t_mass(0.0, 5.0) == _t_mass(0.0, 5.0, True) == (0.0, 0.5, 0.0)
+    assert _betainc(2.0, 3.0, 0.0, 1.0) == (0.0, 1.0, 0.0)
+    assert _betainc(2.0, 3.0, 1.0, 0.0) == (1.0, 0.0, 0.0)
+    assert _nct_fold(0.0, 5.0, 0.0) == (0.0, 1.0, 0.0)
 
 
 @given(st.floats(-1.0, 6.0).map(lambda e: 10.0 ** e), st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
 @example(0.1, 1e-6)
 @example(1e6, 1e6)
+@example(15555.464068270618, 3.564696625864599)
 @settings(max_examples=300, deadline=None)
-def test_both_t_branches_give_one_factor(df, x):
-    # the tail I_w(df/2, 1/2) and the central mass I_y(1/2, df/2) are scaled
-    # by the same y^(1/2) w^(df/2) / B(1/2, df/2), each computed from its own
-    # argument order; both are 0 where the factor underflows.  Each branch
-    # computes one mass and takes the other as 1/2 less it, and the two
-    # agree within 3e-13 absolute (1.4e-13 at worst over 200,000 draws, at df
-    # near 1e5; from df 80 on log B(1/2, df/2) reads Stirling's series in
-    # place of an lgamma difference, which would cancel)
-    tail, central = _t_mass(x, df), _t_mass(x, df, True)
-    assert tail[2] == central[2] or abs(tail[2] - central[2]) <= 1e-12 * max(tail[2], central[2])
-    assert abs(tail[0] - central[0]) <= 3e-13 and abs(tail[1] - central[1]) <= 3e-13
+def test_tiny_ncp_gives_the_t_law(df, x):
+    # where ncp^2 / 2 underflows, nct_cdf reads the law of |T| at ncp 0, as
+    # t_cdf does, both tails from one incomplete beta, so the two agree to
+    # rounding (1.1e-16 at worst over 100,000 draws); at ncp 1e-150 the series
+    # starts from the ratio I_y(1/2, df/2) at its mode, which past 63/64 is 1
+    # less the tail's own fraction (3.6e-15 at worst).  At the pinned point
+    # the fraction on y reads I_y 1.6e-13 off, past both bounds
+    for v in (x, -x):
+        want = t_cdf(v, df)
+        assert abs(nct_cdf(v, df, 1e-170) - want) <= 4.5e-16, v
+        assert abs(nct_cdf(v, df, 1e-150) - want) <= 1e-14, v
 
 
 # each law as its quantile passes it to _invert, the mass its two tails sum
@@ -139,10 +140,10 @@ LAWS = {
     "chi-square fraction": (lambda x: _gammainc_lower(3.0, 0.5 * x), 1.0, 18.0),
     "chi-square series, df 100": (lambda x: _gammainc_lower(50.0, 0.5 * x), 1.0, 90.0),
     "chi-square fraction, df 100": (lambda x: _gammainc_lower(50.0, 0.5 * x), 1.0, 140.0),
-    "t tail": (lambda x: _t_mass(x, 5.0), 0.5, 2.0),
-    "t central": (lambda x: _t_mass(x, 5.0, True), 0.5, 2.0),
-    "t tail near 0": (lambda x: _t_mass(x, 62.0), 0.5, 0.2),
-    "t central near 0": (lambda x: _t_mass(x, 62.0, True), 0.5, 0.2),
+    "t tail": (lambda x: _nct_fold(x, 5.0, 0.0), 1.0, 2.0),
+    "t central near 0": (lambda x: _nct_fold(x, 62.0, 0.0), 1.0, 0.2),
+    "t tail far out": (lambda x: _nct_fold(x, 5.0, 0.0), 1.0, 40.0),
+    "t tail, guarded": (lambda x: _nct_fold(x, 15555.464068270618, 0.0), 1.0, 3.564696625864599),
     "|T| lower": (lambda t: _nct_fold(t, 6.0, 0.7), 1.0, 1.0),
     "|T| upper": (lambda t: _nct_fold(t, 6.0, 0.7, upper=True), 1.0, 1.0),
     "|T| lower, far out": (lambda t: _nct_fold(t, 62.0, 2.0), 1.0, 4.5),

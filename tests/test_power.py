@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import pilotplan.distributions as distributions
 import pilotplan.power as power_module
-from pilotplan.distributions import (ConfigError, ConvergenceError, _nct_abs_sf, _t_mass, nct_cdf,
-                                     t_quantile)
+from pilotplan.distributions import (ConfigError, ConvergenceError, _nct_abs_sf, nct_cdf,
+                                     t_cdf, t_quantile)
 from pilotplan.effect import plan_effect_pilot
 from pilotplan.power import (
     _first_true,
@@ -236,11 +236,11 @@ class TestTwoSidedPower:
     @pytest.mark.parametrize("df", [1.0, 2.0, 7.5, 62.0, 1e4])
     @pytest.mark.parametrize("alpha", [1e-15, 1e-6, 0.05, 0.5])
     def test_central_bits(self, df, alpha):
-        # at ncp 0, twice the t tail from its own mass, to the bit, and within
+        # at ncp 0, twice t_cdf's lower tail, to the bit, and within
         # 1e-13 of scipy's: the sum (1 - F(c)) + F(-c) rounded the upper tail
         # away, 5.5% of it at alpha 1e-15
         c = t_quantile(1.0 - alpha / 2.0, df)
-        assert _nct_abs_sf(c, df, 0.0) == 2.0 * _t_mass(c, df)[1]
+        assert _nct_abs_sf(c, df, 0.0) == 2.0 * t_cdf(-c, df)
         scipy_stats = pytest.importorskip("scipy.stats")
         assert _nct_abs_sf(c, df, 0.0) == pytest.approx(2.0 * scipy_stats.t.sf(c, df),
                                                         rel=1e-13, abs=0.0)

@@ -68,7 +68,7 @@ def _reference_sum(lam, a0, scale, y, w, half_df, upper=False):
     m = int(lam)
     c_m = scale * math.exp(-lam + m * math.log(lam) - math.lgamma(m + b))
     a = m + a0
-    i_m, bt = _betainc(half_df, a, w, y) if far else _betainc(a, half_df, y, w)
+    i_m, _, bt = _betainc(half_df, a, w, y) if far else _betainc(a, half_df, y, w)
     t_m = sign * bt / a
     total = c_m * i_m
     slope = c_m * a * t_m
